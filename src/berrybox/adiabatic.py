@@ -30,7 +30,7 @@ import numpy as np
 
 from .boundary import as_eta
 from .paths import ParameterPath
-from .quadrature import oscillatory_rule
+from .quadrature import oscillatory_rule, reference_rule
 from .spectrum import (
     DegenerateEtaError,
     Geometry,
@@ -151,7 +151,7 @@ def effective_hamiltonian(
 def _dynamical_phase(schedule: Schedule, m: Mode, mass: float) -> float:
     """-Int lambda_n(l(t)) dt along the instantaneous level, by Gauss quadrature."""
     nseg = len(schedule.path.segments)
-    xg, wg = np.polynomial.legendre.leggauss(32)
+    xg, wg = reference_rule(32)
     total = 0.0
     for i in range(nseg):
         s0, s1 = i / nseg, (i + 1) / nseg

@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .paths import ParameterPath, rectangle_corners
-from .quadrature import GridFunction, oscillatory_rule, panel_rule, piecewise_rule
+from .quadrature import GridFunction, oscillatory_rule, panel_rule, piecewise_rule, reference_rule
 from .spectrum import (
     Geometry,
     Mode,
@@ -49,6 +49,7 @@ __all__ = [
     "loop_phase_analytic",
     "loop_phase_connection",
     "loop_phase_overlap",
+    "loop_phase_overlap_meshes",
     "state_overlap",
     "curvature",
     "stokes_defect",
@@ -243,7 +244,7 @@ def loop_phase_connection(m: Mode, path: ParameterPath, sampler, order: int = 16
     """
     _require_closed(path)
     nseg = len(path.segments)
-    xg, wg = np.polynomial.legendre.leggauss(order)
+    xg, wg = reference_rule(order)
     total = 0.0
     for i in range(nseg):
         s0, s1 = i / nseg, (i + 1) / nseg
@@ -311,19 +312,38 @@ def loop_phase_overlap(m: Mode, path: ParameterPath, mesh: int) -> LoopPhaseResu
     exactly gauge invariant.  The error estimate compares against the
     half-mesh evaluation.
     """
+    return loop_phase_overlap_meshes(m, path, [mesh])[0]
+
+
+def loop_phase_overlap_meshes(m: Mode, path: ParameterPath, meshes) -> list[LoopPhaseResult]:
+    """`loop_phase_overlap` at each mesh in `meshes`, in the order given.
+
+    Each mesh needs the chains at `mesh` and `mesh // 2`; a chain shared
+    between meshes (the half mesh of one is often another mesh) is
+    evaluated once, so [64, 128, 256] costs the 32-, 64-, 128- and 256-point
+    chains.  Chains are evaluated in the order `loop_phase_overlap` would
+    evaluate them mesh by mesh, so the first too-coarse chain raises the
+    same error.
+    """
     _require_closed(path)
-    if mesh < 8:
+    if any(mesh < 8 for mesh in meshes):
         raise ValueError("mesh must be at least 8")
+    chains = {}
 
     def chain(n):
-        pts = [path.point(j / n) for j in range(n)]
-        pts.append(pts[0])
-        return _overlap_chain_phase(m, pts)
+        if n not in chains:
+            pts = [path.point(j / n) for j in range(n)]
+            pts.append(pts[0])
+            chains[n] = _overlap_chain_phase(m, pts)
+        return chains[n]
 
-    phase = chain(mesh)
-    coarse = chain(mesh // 2)
-    delta = np.angle(np.exp(1j * (phase - coarse)))
-    return LoopPhaseResult(phase=phase, mesh=mesh, err_estimate=float(abs(delta)))
+    results = []
+    for mesh in meshes:
+        phase = chain(mesh)
+        coarse = chain(mesh // 2)
+        delta = np.angle(np.exp(1j * (phase - coarse)))
+        results.append(LoopPhaseResult(phase=phase, mesh=mesh, err_estimate=float(abs(delta))))
+    return results
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,30 @@
-"""Composite Gauss-Legendre rules and sampled functions on quadrature grids."""
+"""Composite Gauss-Legendre rules and sampled functions on quadrature grids.
+
+The Gauss-Legendre reference rule on [-1, 1] is built once per order
+(`reference_rule`) and mapped affinely onto every panel; the cached arrays
+are read-only, so no caller can corrupt the rule another caller gets.
+"""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 DEFAULT_ORDER = 16
+
+
+@functools.lru_cache(maxsize=None)
+def reference_rule(order: int):
+    """Gauss-Legendre (nodes, weights) on [-1, 1], built once per order.
+
+    The arrays are shared between callers and therefore read-only.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
 
 
 def panel_rule(a: float, b: float, panels: int, order: int = DEFAULT_ORDER):
@@ -18,7 +36,7 @@ def panel_rule(a: float, b: float, panels: int, order: int = DEFAULT_ORDER):
         raise ValueError(f"empty integration interval [{a}, {b}]")
     if panels < 1:
         raise ValueError("panels must be >= 1")
-    xg, wg = np.polynomial.legendre.leggauss(order)
+    xg, wg = reference_rule(order)
     edges = np.linspace(a, b, panels + 1)
     half = 0.5 * np.diff(edges)
     mid = 0.5 * (edges[:-1] + edges[1:])

@@ -14,6 +14,7 @@ from berrybox import (
     curvature,
     loop_phase_analytic,
     loop_phase_overlap,
+    loop_phase_overlap_meshes,
     mode,
     point_loop,
     polyline_path,
@@ -175,6 +176,16 @@ def test_loop_phase_overlap_trivial_cases():
     assert abs(res.phase) < 1e-4
     with pytest.raises(ValueError):
         loop_phase_overlap(m, RECT, 4)
+
+
+def test_loop_phase_overlap_meshes_equals_single_mesh_calls():
+    m = mode(1, -0.3 + 0.4j)
+    tri = polyline_path([(1.0, 0.0), (1.5, 0.1), (1.2, 0.4)], close=True)
+    for path, meshes in ((RECT, [16, 32, 64]), (tri, [64, 17, 32, 64])):
+        assert loop_phase_overlap_meshes(m, path, meshes) == [loop_phase_overlap(m, path, mm) for mm in meshes]
+    assert loop_phase_overlap_meshes(m, RECT, []) == []
+    with pytest.raises(ValueError):
+        loop_phase_overlap_meshes(m, RECT, [16, 4])
 
 
 def test_loop_phase_overlap_mesh_too_coarse():

@@ -4,9 +4,14 @@ import json
 import subprocess
 import sys
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+import berrybox.berry
+import berrybox.cli
+from berrybox import reference_rule
 from berrybox.cli import main
 
 
@@ -129,6 +134,43 @@ def test_berry_tol_gate_exit3(tmp_path):
     assert code == 3
 
 
+def test_berry_tol_compares_phases_on_the_circle(tmp_path):
+    # overlap and analytic differ by 6 pi at n = 5; the raw spread exited 3
+    out = tmp_path / "berry.csv"
+    assert run("berry", "--n", "5", "--method", "all", "--tol", "1e-3", "--out", str(out)) == 0
+    _, rows = read_csv(out)
+    finals = {r[0]: float(r[4]) for r in rows}
+    assert abs(finals["overlap"] - finals["analytic"]) > 1.0
+
+
+def test_berry_tol_reports_real_disagreement(tmp_path, monkeypatch, capsys):
+    real = berrybox.cli.loop_phase_overlap_meshes
+
+    def shifted(m, path, meshes):
+        return [dataclasses.replace(r, phase=r.phase + 0.1) for r in real(m, path, meshes)]
+
+    argv = ("berry", "--eta", "0+1i", "--n", "0", "--loop-rect", "1", "2", "0", "1",
+            "--method", "analytic,overlap", "--mesh", "64", "--tol", "1e-2", "--out", str(tmp_path / "b.csv"))
+    assert run(*argv) == 0
+    monkeypatch.setattr(berrybox.cli, "loop_phase_overlap_meshes", shifted)
+    assert run(*argv) == 3
+    err = capsys.readouterr().err
+    assert "overlap=" in err and "off by 1.0" in err
+
+
+@pytest.mark.parametrize("n", [20, 50])
+def test_berry_interior_step_shrinks_with_k(tmp_path, n):
+    out = tmp_path / "interior.csv"
+    assert run("berry", "--eta", "0+1i", "--n", str(n), "--method", "analytic,interior",
+               "--loop-rect", "1.0", "1.2", "0.0", "0.05", "--out", str(out)) == 0
+    _, rows = read_csv(out)
+    assert [r[3] for r in rows[1:]] == ["1.00000000e-04", "5.00000000e-05"]
+    err = abs(np.angle(np.exp(1j * (float(rows[-1][4]) - float(rows[0][4])))))
+    # criterion 4 gates the connection at 1e-6 per unit path length, so the
+    # loop phase of this rectangle (perimeter 0.5) within 5e-7
+    assert err <= 1e-6 * 0.5
+
+
 def test_berry_curvature_map(tmp_path):
     out = tmp_path / "map.csv"
     assert run("berry", "--eta", "0+1i", "--n", "0", "--loop-rect", "1", "2", "0", "1",
@@ -150,6 +192,71 @@ def test_berry_plot(tmp_path):
     text = svg.read_text(encoding="utf-8")
     assert text.startswith("<svg")
     assert "polyline" in text and "</svg>" in text
+
+
+def test_berry_plot_small_mesh_draws_table_meshes(tmp_path, monkeypatch):
+    # the plot used to floor its meshes at 8, below the table's 16, and the
+    # 8-point half mesh of the tall loop has no neighbour overlap
+    drawn = []
+    real = berrybox.cli.svgplot.line_plot
+
+    def capture(series, **kwargs):
+        drawn.append(series)
+        return real(series, **kwargs)
+
+    monkeypatch.setattr(berrybox.cli.svgplot, "line_plot", capture)
+    out, svg = tmp_path / "b.csv", tmp_path / "b.svg"
+    assert run("berry", "--n", "0", "--method", "analytic,overlap", "--mesh", "12",
+               "--loop-rect", "1.0", "1.2", "0.0", "1.5", "--out", str(out), "--plot", str(svg)) == 0
+    _, rows = read_csv(out)
+    meshes = [int(r[1]) for r in rows if r[0] == "overlap"]
+    assert meshes == [16]
+    assert [s["x"] for s in drawn[0] if s["label"] == "overlap |error|"] == [meshes]
+    assert svg.read_text(encoding="utf-8").rstrip().endswith("</svg>")
+
+
+def _count_calls(monkeypatch, owner, attr, counter):
+    real = getattr(owner, attr)
+
+    def counted(*args, **kwargs):
+        counter[attr] = counter.get(attr, 0) + 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, attr, counted)
+
+
+def test_berry_plot_reuses_table_phases(tmp_path, monkeypatch):
+    argv = ["berry", "--eta", "0.3+0.6i", "--n", "1", "--loop-rect", "1", "1.3", "0", "0.2",
+            "--method", "all", "--mesh", "64", "--out", str(tmp_path / "b.csv")]
+    counts = []
+    for extra in ([], ["--plot", str(tmp_path / "b.svg")]):
+        counter = {}
+        with monkeypatch.context() as mp:
+            _count_calls(mp, berrybox.cli, "loop_phase_connection", counter)
+            _count_calls(mp, berrybox.berry, "loop_phase_connection", counter)
+            _count_calls(mp, berrybox.berry, "_overlap_chain_phase", counter)
+            assert run(*argv, *extra) == 0
+        counts.append(counter)
+    assert counts[0] == counts[1]
+    assert counts[0]["_overlap_chain_phase"] == 4  # chains at 8, 16, 32 and 64 points
+
+
+def test_berry_builds_each_gauss_rule_once(tmp_path, monkeypatch):
+    calls = []
+    real = np.polynomial.legendre.leggauss
+
+    def counted(order):
+        calls.append(order)
+        return real(order)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
+    reference_rule.cache_clear()
+    try:
+        assert run("berry", "--method", "all", "--mesh", "64", "--out", str(tmp_path / "b.csv"),
+                   "--plot", str(tmp_path / "b.svg")) == 0
+    finally:
+        reference_rule.cache_clear()
+    assert calls and len(calls) == len(set(calls))
 
 
 # ---------------------------------------------------------------------------
