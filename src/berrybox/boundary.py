@@ -64,9 +64,22 @@ class Eta:
             object.__setattr__(self, "value", v)
 
     @property
+    def degenerate_sign(self) -> int | None:
+        """+1 or -1 when eta is that value to within 1e-14, else None.
+
+        This is the one test of degeneracy in the package: at eta = +1 or -1
+        the spectrum is doubly degenerate.
+        """
+        if not self.infinite:
+            for sign in (1, -1):
+                if abs(self.value - sign) < 1e-14:
+                    return sign
+        return None
+
+    @property
     def degenerate(self) -> bool:
         """True for eta = +1 or -1, where the spectrum is doubly degenerate."""
-        return (not self.infinite) and (abs(self.value - 1.0) < 1e-14 or abs(self.value + 1.0) < 1e-14)
+        return self.degenerate_sign is not None
 
     def __complex__(self) -> complex:
         if self.infinite:

@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -284,12 +283,12 @@ def cmd_spectrum(args) -> int:
     eta = parse_eta(cfg["eta"])
 
     header = "n,k,alpha,lambda"
-    if eta.degenerate:
+    pm = eta.degenerate_sign
+    if pm is not None:
         if not args.degenerate:
             raise UsageError(
                 "eta = +/-1 is degenerate; pass --degenerate to tabulate the paired bases"
             )
-        pm = 1 if abs(eta.value - 1.0) < 1e-14 else -1
         rows = _spectrum_rows_degenerate(pm, range(n_lo, n_hi + 1), mass, geom)
         _write_output(args.out, _csv(header, rows))
         _write_resolved_config(args.out, cfg, ["eta", "mass", "n", "geometry", "method", "seed"])
@@ -448,10 +447,9 @@ def cmd_wz(args) -> int:
         loop = {"type": "rectangle", "l1": l1, "l2": l2, "c1": c1, "c2": c2,
                 "orientation": args.orientation if args.orientation else 1}
     cfg = _resolve(args, {"eta": args.eta, "n": args.n, "loop": loop, "mesh": args.mesh})
-    eta = parse_eta(cfg["eta"])
-    if eta.infinite or eta.value not in (1.0 + 0j, -1.0 + 0j):
+    pm = parse_eta(cfg["eta"]).degenerate_sign
+    if pm is None:
         raise UsageError("wz requires eta = 1 or eta = -1")
-    pm = int(eta.value.real)
     n = int(cfg["n"])
     path = _loop_from_config(cfg)
     g0 = path.point(0.0)
@@ -503,11 +501,7 @@ def cmd_adiabatic(args) -> int:
     if not t_list:
         raise UsageError("T_list must not be empty")
 
-    def run(T):
-        return propagate(Schedule(path, T, resolution), n, eta, window, mass)
-
-    with ThreadPoolExecutor(max_workers=min(4, len(t_list))) as pool:
-        reports = list(pool.map(run, t_list))
+    reports = [propagate(Schedule(path, T, resolution), n, eta, window, mass) for T in t_list]
 
     rows = [
         (_fmt(T), _fmt(r.total_phase), _fmt(r.dynamical_phase), _fmt(r.geometric_phase),

@@ -13,6 +13,9 @@ spectrum is simple, with
 The closed forms live here together with the degenerate eta = +/-1 bases and
 a generic transcendental eigensolver for arbitrary U(2) boundary conditions,
 used throughout the tests as an independent cross-check of the closed forms.
+That solver's root scan is the only code in the package that uses scipy
+(`scipy.optimize.minimize_scalar`); it imports it on first use, so importing
+the package loads no scipy module.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .boundary import BoundaryData, Eta, as_eta, require_unitary
 from .quadrature import GridFunction, oscillatory_rule, panel_rule
@@ -299,6 +301,9 @@ def _polish_vertex(fun, t0, delta):
 
 
 def _root_in_window(u, data_of, fun, lo, hi, root_tol, mult_tol):
+    # imported here so that `import berrybox` never loads scipy
+    from scipy.optimize import minimize_scalar
+
     res = minimize_scalar(fun, bounds=(lo, hi), method="bounded", options={"xatol": 1e-10})
     t0 = float(res.x)
     if _singular_values(u, data_of, t0)[-1] > 1e-4:

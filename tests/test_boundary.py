@@ -41,6 +41,17 @@ def test_named_unitaries():
     assert np.allclose(eta_to_unitary(ETA_INF), np.diag([1.0, -1.0]), atol=1e-15)
 
 
+@pytest.mark.parametrize("eta, sign", [
+    (1.0, 1), (-1.0, -1), (1.0000000000000002, 1), (-0.9999999999999998, -1),
+    (1.0 + 5e-15j, 1), (-1.0 - 5e-15j, -1),
+    (1.0 + 1e-13, None), (0.3 + 0.5j, None), (0.0, None), (1j, None), (ETA_INF, None),
+])
+def test_degenerate_sign_is_the_one_predicate(eta, sign):
+    e = eta if isinstance(eta, Eta) else Eta(eta)
+    assert e.degenerate_sign == sign
+    assert e.degenerate is (sign is not None)
+
+
 def test_unitary_at_i_by_hand():
     # substituting eta = i: |eta|^2 = 1, off-diagonal 2(+-i)/2 = +-i, diagonal 0
     assert np.allclose(eta_to_unitary(1j), np.array([[0, 1j], [-1j, 0]]), atol=1e-15)

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import threading
 
 import dataclasses
 
@@ -283,8 +284,22 @@ def test_wz_zero_area_identity(tmp_path):
     assert np.max(np.abs(hol - np.eye(2))) < 1e-12
 
 
-def test_wz_rejects_nondegenerate():
+def test_wz_rejects_nondegenerate(tmp_path):
     assert run("wz", "--eta", "0+1i", "--n", "1") == 2
+    out = tmp_path / "wz.json"
+    assert run("wz", "--eta", "0.3+0.5i", "--n", "1", "--out", str(out)) == 2
+    assert not out.exists() and not (tmp_path / "wz.json.config.json").exists()
+
+
+@pytest.mark.parametrize("near, exact", [("1.0000000000000002", "1"), ("-0.9999999999999998", "-1")])
+def test_wz_accepts_eta_within_degeneracy_tolerance(tmp_path, near, exact):
+    # berry rejects these eta as degenerate, so wz must take them
+    assert run("berry", "--eta", near, "--method", "analytic") == 2
+    a, b = tmp_path / "near.json", tmp_path / "exact.json"
+    args = ("--n", "1", "--loop-rect", "1", "2", "0", "1", "--mesh", "32")
+    assert run("wz", "--eta", near, *args, "--out", str(a)) == 0
+    assert run("wz", "--eta", exact, *args, "--out", str(b)) == 0
+    assert a.read_bytes() == b.read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +317,21 @@ def test_adiabatic_constant_loop(tmp_path):
         assert abs(float(r[3])) < 1e-9
         assert float(r[4]) == pytest.approx(1.0, abs=1e-9)
         assert r[5] == "0"
+
+
+def test_adiabatic_propagates_in_order_on_calling_thread(monkeypatch, tmp_path):
+    calls = []
+    propagate = berrybox.cli.propagate
+
+    def recording(schedule, *rest):
+        calls.append((schedule.duration, threading.get_ident()))
+        return propagate(schedule, *rest)
+
+    monkeypatch.setattr(berrybox.cli, "propagate", recording)
+    assert run("adiabatic", "--eta", "0+1i", "--n", "0", "--loop-rect", "1", "1.2", "0", "0.2",
+               "--T-list", "6,2,4", "--window", "2", "--resolution", "100",
+               "--out", str(tmp_path / "adia.csv")) == 0
+    assert calls == [(6.0, threading.get_ident()), (2.0, threading.get_ident()), (4.0, threading.get_ident())]
 
 
 def test_adiabatic_error_decreases(tmp_path):

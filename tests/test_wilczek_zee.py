@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import berrybox.wilczek_zee
 from berrybox import (
     Geometry,
     connection_from_basis,
@@ -117,3 +118,27 @@ def test_plane_wave_diagonalization():
             d2, q2 = diagonalize_in_plane_waves(conn)
             assert np.array_equal(q2, q)
             assert abs(d2[0, 1]) + abs(d2[1, 0]) < 1e-12
+
+
+def test_closed_form_step_matches_matrix_exponential():
+    from scipy.linalg import expm
+
+    rng = np.random.default_rng(20150)
+    for theta in np.concatenate([[0.0, np.pi / 2, -np.pi], rng.uniform(-np.pi, np.pi, 200)]):
+        step = berrybox.wilczek_zee.expm(theta)
+        assert np.max(np.abs(step - expm(1j * theta * SIGMA2))) < 1e-15
+
+
+@pytest.mark.parametrize("mesh", [8, 9, 64, 129])
+def test_holonomy_routes_every_step_through_expm(monkeypatch, mesh):
+    # instrumentation counts holonomy steps by wrapping this module attribute
+    calls = []
+    closed_form = berrybox.wilczek_zee.expm
+
+    def counting(theta):
+        calls.append(theta)
+        return closed_form(theta)
+
+    monkeypatch.setattr(berrybox.wilczek_zee, "expm", counting)
+    wz_holonomy(1, 1, RECT, mesh)
+    assert len(calls) == mesh + max(mesh // 2, 4)
