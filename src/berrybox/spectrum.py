@@ -11,11 +11,18 @@ spectrum is simple, with
     lambda_n = k_n^2 / (2 m l^2).
 
 The closed forms live here together with the degenerate eta = +/-1 bases and
-a generic transcendental eigensolver for arbitrary U(2) boundary conditions,
-used throughout the tests as an independent cross-check of the closed forms.
-That solver's root scan is the only code in the package that uses scipy
-(`scipy.optimize.minimize_scalar`); it imports it on first use, so importing
-the package loads no scipy module.
+a generic eigensolver for arbitrary U(2) boundary conditions, used throughout
+the tests as an independent cross-check of the closed forms.  For a
+self-adjoint condition the determinant of the 2x2 boundary residual is a
+constant phase times one real secular function of the energy E,
+
+    F(E) = a C S + b C^2 + c E S^2 + d E S C,  C = cos(q/2), S = sin(q/2)/q,
+    E = q^2,
+
+so eigenvalues are its sign changes, bracketed on a grid in t with E = t|t|
+and bisected with numpy alone.  A cell where |F| dips without changing sign
+holds two close simple roots if F changes sign at the dip's extremum, or one
+doubly degenerate level if the residual matrix vanishes there.
 """
 
 from __future__ import annotations
@@ -240,190 +247,113 @@ def degenerate_basis(eta: int, n: int, x):
 
 
 # ---------------------------------------------------------------------------
-# generic transcendental eigensolver for arbitrary U(2) boundary conditions
+# generic eigensolver for arbitrary U(2) boundary conditions
 
 
-def _residual_matrix(u, vals, ders):
-    """Columns: boundary-condition residual of each basis solution.
-
-    vals[j] = (psi_j(a), psi_j(b)), ders[j] = (-psi_j'(a), psi_j'(b)).
-    """
-    eye = np.eye(2)
-    cols = [(eye - u) @ v - 1j * (eye + u) @ d for v, d in zip(vals, ders)]
-    return np.column_stack(cols)
+def _cos_sinc(e):
+    """C = cos(q/2) and S = sin(q/2)/q at energy e = q^2; both are entire in e."""
+    q = np.sqrt(np.asarray(e, dtype=complex))
+    return np.cos(q / 2.0), 0.5 * np.sinc(q / (2.0 * np.pi))
 
 
-def _oscillatory_data(k):
-    e = np.exp(1j * k / 2.0)
-    vals = [np.array([1 / e, e]), np.array([e, 1 / e])]
-    ders = [
-        np.array([-1j * k / e, 1j * k * e]),
-        np.array([1j * k * e, -1j * k / e]),
-    ]
-    return vals, ders
+def _residual_matrix(cols, e):
+    """Columns (I - U)(psi(a), psi(b)) - i(I + U)(-psi'(a), psi'(b)) for psi = cos(qx),
+    sin(qx)/q, e = q^2, on [a, b] = [-1/2, 1/2], over the norm of the endpoint data;
+    `cols` holds (I - U) and (I + U) applied to (1, 1), then to (-1, 1)."""
+    am, ap, bm, bp = cols
+    c, s = _cos_sinc(e)
+    m = np.column_stack([c * am + 1j * e * s * ap, s * bm - 1j * c * bp])
+    return m / np.sqrt(4.0 * abs(c) ** 2 + 2.0 * abs(e * s) ** 2 + 2.0 * abs(s) ** 2)
 
 
-def _hyperbolic_data(kappa):
-    ch, sh = np.cosh(kappa / 2.0), np.sinh(kappa / 2.0)
-    vals = [np.array([ch, ch]), np.array([-sh, sh])]
-    ders = [
-        np.array([kappa * sh, kappa * sh]),
-        np.array([-kappa * ch, kappa * ch]),
-    ]
-    return vals, ders
+def _secular_parts(u):
+    """`cols` of `_residual_matrix` and the real (a, b, c, d) of the secular function."""
+    cols = [(np.eye(2) + sign * u) @ v for v in ([1.0, 1.0], [-1.0, 1.0]) for sign in (-1.0, 1.0)]
+    am, ap, bm, bp = cols
+    det = lambda x, y: x[0] * y[1] - x[1] * y[0]
+    z = np.array([det(am, bm), -1j * det(am, bp), 1j * det(ap, bm), det(ap, bp)])
+    return cols, (z * np.exp(-0.5j * np.angle(det(u[:, 0], u[:, 1])))).real
 
 
-def _zero_energy_data():
-    vals = [np.array([1.0, 1.0]), np.array([-0.5, 0.5])]
-    ders = [np.array([0.0, 0.0]), np.array([-1.0, 1.0])]
-    return [v.astype(complex) for v in vals], [d.astype(complex) for d in ders]
+def _bisect(fun, lo, hi):
+    """Shrink every bracket [lo, hi] of a sign change of `fun` to adjacent floats."""
+    lo_pos = fun(lo) > 0
+    while True:
+        mid = 0.5 * (lo + hi)
+        live = (mid != lo) & (mid != hi)
+        if not live.any():
+            return mid
+        f = fun(mid)
+        right = live & ((f > 0) == lo_pos) & (f != 0)
+        lo = np.where(right | (live & (f == 0)), mid, lo)
+        hi = np.where(live & ~right, mid, hi)
 
 
-def _singular_values(u, data_of, t):
-    vals, ders = data_of(t)
-    m = _residual_matrix(u, vals, ders)
-    scale = max(np.linalg.norm(np.concatenate(vals + ders)), 1e-30)
-    return np.linalg.svd(m, compute_uv=False) / scale
+def _roots(cols, coef, t_max):
+    """Ascending (t, multiplicity) of the eigenvalues E = t|t| with -60 < t < t_max."""
+    a, b, c, d = coef
+
+    def secular(t, h=0.0):  # F(E + h); with h = 1e-20 i, Im F has the sign of F'(E)
+        e = t * np.abs(t) + h
+        cc, s = _cos_sinc(e)
+        return a * cc * s + b * cc * cc + e * s * (c * s + d * cc)
+
+    f, df = (lambda t: secular(t).real), (lambda t: secular(t, 1e-20j).imag)
+    t = np.arange(-60.0, t_max, np.pi / 16.0)
+    ft = f(t)
+    grows = ft * df(t) > 0
+    change = (ft[:-1] > 0) != (ft[1:] > 0)
+    dip = ~change & ~grows[:-1] & grows[1:]
+    lo, hi = t[:-1][dip], t[1:][dip]
+    tx = _bisect(df, lo, hi)
+    split = (f(tx) > 0) != (ft[:-1][dip] > 0)
+    simple = _bisect(f, np.concatenate([t[:-1][change], lo[split], tx[split]]),
+                     np.concatenate([t[1:][change], tx[split], hi[split]]))
+    double = [x for x in tx[~split]
+              if np.linalg.svd(_residual_matrix(cols, x * abs(x)), compute_uv=False)[0] < 1e-6]
+    return sorted([(x, 1) for x in simple] + [(x, 2) for x in double])
 
 
-def _polish_vertex(fun, t0, delta):
-    """One parabola-vertex step on the squared singular value.
-
-    Near a root (simple or double) the squared smallest singular value is a
-    parabola c^2 (t - t0)^2, so the vertex of the sampled parabola recovers
-    the root to roughly the arithmetic noise floor.
-    """
-    f0, fp, fm = fun(t0), fun(t0 + delta), fun(t0 - delta)
-    curv = fp - 2.0 * f0 + fm
-    if curv <= 0:
-        return t0
-    return t0 - 0.5 * delta * (fp - fm) / curv
-
-
-def _root_in_window(u, data_of, fun, lo, hi, root_tol, mult_tol):
-    # imported here so that `import berrybox` never loads scipy
-    from scipy.optimize import minimize_scalar
-
-    res = minimize_scalar(fun, bounds=(lo, hi), method="bounded", options={"xatol": 1e-10})
-    t0 = float(res.x)
-    if _singular_values(u, data_of, t0)[-1] > 1e-4:
-        return None  # shallow dip, not a root
-    for delta in (1e-5, 1e-8):
-        t0 = _polish_vertex(fun, t0, delta)
-    sv = _singular_values(u, data_of, t0)
-    if sv[-1] >= root_tol:
-        return None
-    return t0, (2 if sv[0] < mult_tol else 1)
-
-
-def _scan_branch(u, data_of, grid, root_tol, mult_tol):
-    """Locate zeros of the smallest scaled singular value along a grid.
-
-    Local minima of the scan are bracketed by their grid neighbors, refined
-    with bounded Brent minimization of the squared singular value, and then
-    polished with two parabola-vertex steps (Brent alone stalls around
-    |dt| ~ 1e-8, which is not enough for 1e-9-relative eigenvalues).  Each
-    bracket is rescanned once with the accepted root masked out, so a pair
-    of nearby simple roots in one bracket (deep double-well bound states)
-    is still resolved.  Returns (t_root, multiplicity) pairs.
-    """
-    s = np.array([_singular_values(u, data_of, t)[-1] for t in grid])
-    fun = lambda t: _singular_values(u, data_of, t)[-1] ** 2
-    roots = []
-
-    def accept(candidate):
-        if candidate is None:
-            return None
-        t0, mult = candidate
-        if any(abs(t0 - r) < 1e-7 for r, _ in roots):
-            return None
-        roots.append((t0, mult))
-        return t0
-
-    for i in range(len(grid)):
-        left = s[i - 1] if i > 0 else np.inf
-        right = s[i + 1] if i + 1 < len(grid) else np.inf
-        if not (s[i] <= left and s[i] <= right):
-            continue
-        lo = grid[i - 1] if i > 0 else grid[0]
-        hi = grid[i + 1] if i + 1 < len(grid) else grid[-1]
-        if hi <= lo:
-            continue
-        t0 = accept(_root_in_window(u, data_of, fun, lo, hi, root_tol, mult_tol))
-        if t0 is None:
-            continue
-        # companion sweep: a second simple root may hide in the same bracket
-        fine = np.linspace(lo, hi, 81)
-        guard = 2.5 * (fine[1] - fine[0])
-        fine = fine[np.abs(fine - t0) > guard]
-        if fine.size < 3:
-            continue
-        vals = np.array([_singular_values(u, data_of, t)[-1] for t in fine])
-        for j in np.argsort(vals)[:2]:
-            if vals[j] > 2e-2:
-                break
-            w_lo = fine[j - 1] if j > 0 else lo
-            w_hi = fine[j + 1] if j + 1 < fine.size else hi
-            if accept(_root_in_window(u, data_of, fun, w_lo, w_hi, root_tol, mult_tol)) is not None:
-                break
-    return roots
-
-
-def _eigenfunction_grid(u, data_of, t, basis_fns, wavenumber_hint):
-    """Orthonormal eigenfunctions from the null space of the residual matrix."""
-    vals, ders = data_of(t)
-    m = _residual_matrix(u, vals, ders)
-    scale = max(np.linalg.norm(np.concatenate(vals + ders)), 1e-30)
-    _, sv, vh = np.linalg.svd(m / scale)
-    nodes, weights = oscillatory_rule(-0.5, 0.5, wavenumber_hint)
+def _eigenfunctions(cols, t, mult):
+    """Orthonormal eigenfunctions from the null space of the residual matrix,
+    each with its largest sample real and positive."""
+    e = t * abs(t)
+    vh = np.linalg.svd(_residual_matrix(cols, e))[2]
+    q = np.sqrt(complex(e))
+    nodes, weights = oscillatory_rule(-0.5, 0.5, 2.0 * max(t, np.pi))
+    basis = np.array([np.cos(q * nodes), nodes * np.sinc(q * nodes / np.pi)])
     functions = []
-    kept = []
-    for idx in (1, 0):
-        if sv[idx] > 1e-6:
-            continue
-        coeff = vh[idx].conj()
-        f = coeff[0] * basis_fns[0](nodes) + coeff[1] * basis_fns[1](nodes)
-        # project out previously accepted vectors, then normalize
-        for gdone in kept:
-            f = f - np.sum(weights * np.conj(gdone) * f) * gdone
-        nrm = np.sqrt(np.sum(weights * np.abs(f) ** 2))
-        if nrm < 1e-8:
-            continue
-        f = f / nrm
-        # deterministic phase: largest sample real positive
+    for v in vh[::-1][:mult]:
+        f = v.conj() @ basis
+        for g in functions:
+            f = f - np.sum(weights * np.conj(g.values) * f) * g.values
+        f = f / np.sqrt(np.sum(weights * np.abs(f) ** 2))
         j = int(np.argmax(np.abs(f)))
-        f = f * (np.abs(f[j]) / f[j])
-        kept.append(f)
-        functions.append(GridFunction(nodes=nodes, values=f, weights=weights))
+        functions.append(GridFunction(nodes=nodes, values=f * (np.abs(f[j]) / f[j]), weights=weights))
     return functions
 
 
 def generic_spectrum(u, count: int, mass: float = 1.0, geometry: Geometry | None = None):
     """Lowest eigenvalues of the box for an arbitrary U(2) boundary condition.
 
-    The general solution A e^{ikx} + B e^{-ikx} (or the hyperbolic branch
-    A cosh + B sinh for negative energies, and A + Bx at zero energy) is
-    inserted into the boundary condition; eigenvalues are zeros of the
-    resulting 2x2 determinant condition, located by scanning k in steps of
-    pi/4 plus a dedicated negative-energy sweep.  Bound states below the
-    box continuum exist for some unitaries and would be missed without the
-    hyperbolic scan.
+    In the basis c(x) = cos(qx), s(x) = sin(qx)/q, E = q^2, entire in E and so
+    valid for E < 0, E = 0 and E > 0 alike, the boundary condition is a 2x2
+    residual matrix M(E) whose determinant is sqrt(det U) times the real
+    secular function (Kostrykin and Schrader, J. Phys. A 32, 595 (1999))
 
-    Parameters
-    ----------
-    u : 2x2 unitary boundary condition.
-    count : number of eigenvalues requested (levels repeat by multiplicity).
-    mass, geometry : physical scale; lambda = k^2 / (2 m l^2).
+        F(E) = a C S + b C^2 + c E S^2 + d E S C,  C = cos(q/2), S = sin(q/2)/q.
 
-    Returns
-    -------
-    list of EigenLevel, ordered by ascending eigenvalue, each carrying a
-    normalized eigenfunction sampled on a quadrature grid of the reference
-    interval.
+    F is sampled at E = t|t|, t from -60 to (count + 3) pi in steps of pi/16
+    (the top doubles until `count` levels are found), and each sign change is
+    bisected to adjacent floats.  Where |F| dips without a sign change, its
+    extremum (a root of the complex-step F') holds two simple roots if F
+    changes sign there, or one double level if M vanishes there; its two
+    entries get orthonormal eigenfunctions from the two null vectors of M.
 
-    Raises
-    ------
-    RootSearchError if the scan cannot bracket `count` eigenvalues.
+    Returns `count` EigenLevels in ascending order, lambda = E / (2 m l^2),
+    each with a unit-norm eigenfunction sampled on a quadrature grid of
+    [-1/2, 1/2].  Raises RootSearchError if the scan cannot bracket `count`
+    eigenvalues.
     """
     u = require_unitary(u)
     if count < 1:
@@ -432,81 +362,21 @@ def generic_spectrum(u, count: int, mass: float = 1.0, geometry: Geometry | None
         geometry = Geometry(1.0, 0.0)
     if not mass > 0:
         raise ValueError("mass must be positive")
-    energy_scale = 1.0 / (2.0 * mass * geometry.l ** 2)
-    root_tol, mult_tol = 1e-8, 1e-6
-
-    found = []  # (lam, eigenfunctions, multiplicity)
-
-    # negative-energy branch: fine near zero, then coarse out to deep binding
-    hyp_grid = np.concatenate([np.geomspace(1e-3, 0.5, 12), np.arange(0.5, 60.0, 0.25)])
-    for kappa, mult in _scan_branch(u, lambda t: _hyperbolic_data(t), hyp_grid, root_tol, mult_tol):
-        fns = _eigenfunction_grid(
-            u,
-            _hyperbolic_data,
-            kappa,
-            (lambda x, q=kappa: np.cosh(q * x) + 0j, lambda x, q=kappa: np.sinh(q * x) + 0j),
-            wavenumber_hint=2.0 * np.pi,
-        )
-        found.append((-(kappa ** 2) * energy_scale, fns, mult))
-
-    # zero-energy candidate (constant/linear solutions)
-    sv0 = _singular_values(u, lambda _t: _zero_energy_data(), 0.0)
-    if sv0[-1] < root_tol:
-        fns = _eigenfunction_grid(
-            u,
-            lambda _t: _zero_energy_data(),
-            0.0,
-            (lambda x: np.ones_like(x) + 0j, lambda x: x + 0j),
-            wavenumber_hint=2.0 * np.pi,
-        )
-        found.append((0.0, fns, 2 if sv0[0] < mult_tol else 1))
-
-    # oscillatory branch, extending the window until enough levels are found
-    k_max = (count + 3) * np.pi
+    cols, coef = _secular_parts(u)
+    t_max = (count + 3) * np.pi
     for _attempt in range(4):
-        osc_grid = np.concatenate(
-            [np.geomspace(1e-3, np.pi / 4.0, 10)[:-1], np.arange(np.pi / 4.0, k_max, np.pi / 4.0)]
-        )
-        osc = []
-        for k0, mult in _scan_branch(u, lambda t: _oscillatory_data(t), osc_grid, root_tol, mult_tol):
-            if k0 < 1e-4:
-                continue  # zero-energy candidate handles the k -> 0 limit
-            fns = _eigenfunction_grid(
-                u,
-                _oscillatory_data,
-                k0,
-                (lambda x, q=k0: np.exp(1j * q * x), lambda x, q=k0: np.exp(-1j * q * x)),
-                wavenumber_hint=2.0 * k0,
-            )
-            osc.append((k0 ** 2 * energy_scale, fns, mult))
-        total = sum(m for _, _, m in found) + sum(m for _, _, m in osc)
-        if total >= count:
-            found.extend(osc)
+        roots = _roots(cols, coef, t_max)
+        if sum(mult for _, mult in roots) >= count:
             break
-        k_max *= 2.0
+        t_max *= 2.0
     else:
-        raise RootSearchError(
-            f"found only {total} eigenvalues scanning k in (0, {k_max:.1f}] "
-            f"with step pi/4 plus the hyperbolic branch; requested {count}"
-        )
-
+        raise RootSearchError(f"found only {sum(mult for _, mult in roots)} eigenvalues "
+                              f"with -60 < t < {t_max / 2.0:.1f}, E = t|t|; requested {count}")
     levels = []
-    for lam, fns, mult in sorted(found, key=lambda item: item[0]):
-        if mult == 2 and len(fns) == 1:
-            fns = fns * 2  # root polish resolved only one null vector; reuse it
-        for j in range(mult):
-            fn = fns[j] if j < len(fns) else (fns[0] if fns else None)
-            levels.append(
-                EigenLevel(
-                    lam=lam,
-                    geometry=geometry,
-                    mass=mass,
-                    eigenfunction=fn,
-                    multiplicity=mult,
-                )
-            )
-    if len(levels) < count:
-        raise RootSearchError(
-            f"requested {count} levels but resolved only {len(levels)}"
-        )
+    for t, mult in roots:
+        if len(levels) >= count:
+            break
+        levels += [EigenLevel(lam=t * abs(t) / (2.0 * mass * geometry.l ** 2), geometry=geometry,
+                              mass=mass, eigenfunction=fn, multiplicity=mult)
+                   for fn in _eigenfunctions(cols, t, mult)]
     return levels[:count]

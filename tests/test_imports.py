@@ -1,4 +1,4 @@
-"""Importing the package, and every command but the generic root scan, loads no scipy."""
+"""Importing the package, and every command, loads no scipy; none needs it."""
 
 import json
 import os
@@ -22,9 +22,9 @@ print(json.dumps([code, sorted(m for m in sys.modules if m == "scipy" or m.start
 """
 
 
-def _scipy_modules_after(*argv):
+def _scipy_modules_after(*argv, prelude=""):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", _PROBE, *argv], capture_output=True, text=True, env=env)
+    proc = subprocess.run([sys.executable, "-c", prelude + _PROBE, *argv], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     code, modules = json.loads(proc.stdout.splitlines()[-1])
     assert code == 0, proc.stderr
@@ -39,6 +39,7 @@ def test_import_loads_no_scipy():
     ["bc", "--eta", "0+1i"],
     ["spectrum", "--eta", "0.5+0.5i", "--n-min", "-1", "--n-max", "2"],
     ["berry", "--eta", "0+1i", "--method", "analytic"],
+    pytest.param(["spectrum", "--eta", "0+1i", "--n-max", "1", "--check", "generic"], id="spectrum-generic"),
     ["wz", "--eta", "1", "--n", "1", "--mesh", "16"],
     ["adiabatic", "--eta", "0+1i", "--T-list", "2", "--window", "2", "--resolution", "100"],
 ], ids=lambda argv: argv[0])
@@ -46,8 +47,8 @@ def test_command_loads_no_scipy(tmp_path, argv):
     assert _scipy_modules_after(*argv, "--out", str(tmp_path / "out")) == []
 
 
-def test_generic_root_scan_loads_scipy(tmp_path):
-    # the probe must see scipy where the one remaining user imports it
-    modules = _scipy_modules_after("spectrum", "--eta", "0+1i", "--n-max", "1", "--check", "generic",
-                                   "--out", str(tmp_path / "out"))
-    assert "scipy.optimize" in modules
+def test_generic_check_runs_without_scipy(tmp_path):
+    # a None entry in sys.modules makes every scipy import raise ImportError
+    modules = _scipy_modules_after("spectrum", "--eta", "0+1i", "--n-max", "3", "--check", "generic",
+                                   "--out", str(tmp_path / "out"), prelude="import sys; sys.modules['scipy'] = None")
+    assert modules == ["scipy"]

@@ -5,6 +5,7 @@ import pytest
 from scipy.optimize import brentq
 
 from berrybox import (
+    BoundaryData,
     DegenerateEtaError,
     ETA_INF,
     Geometry,
@@ -204,3 +205,61 @@ def test_generic_spectrum_neumann_zero_mode():
     levels = generic_spectrum(np.eye(2), count=2)
     assert levels[0].lam == pytest.approx(0.0, abs=1e-10)
     assert levels[1].lam == pytest.approx(np.pi ** 2 / 2.0, rel=1e-9)
+
+
+def test_generic_spectrum_no_spurious_zero_level():
+    # E = 0 is no eigenvalue here (smallest scaled singular value 0.022), but
+    # a hyperbolic basis that degenerates as kappa -> 0 reported one
+    c, s = np.cos(1.1), np.sin(1.1)
+    u = np.exp(0.7j) * np.array([[c, 1j * np.exp(2.2j) * s], [1j * np.exp(-2.2j) * s, c]])
+    lams = [lv.lam for lv in generic_spectrum(u, 4)]
+    assert min(abs(lam) for lam in lams) > 1e-6
+    assert lams[0] == pytest.approx(-0.0197065, abs=5e-8)  # kappa = 0.19853
+    assert lams[1] == pytest.approx(6.6386786, abs=5e-8)
+
+
+@pytest.mark.parametrize("eta, ns", [
+    (0.6620 + 0.4268j, range(0, 6)),  # k_0 = 0.61: a level was paired with a wrong root
+    (1 - 1e-6, range(-8, 9)),
+    (-1 + 1e-6j, range(-8, 9)),
+    (0.999 + 0.0447j, range(-8, 9)),
+])
+def test_generic_spectrum_near_degenerate_eta(eta, ns):
+    # levels 2 pi n +- k_0 (or (2n+1) pi +- (pi - k_0)) form close pairs
+    closed = sorted(eigenvalue(mode(n, eta), UNIT, 1.0) for n in ns)
+    numeric = np.array([lv.lam for lv in generic_spectrum(eta_to_unitary(eta), count=17)])
+    for lam in closed:
+        assert numeric[np.argmin(np.abs(numeric - lam))] == pytest.approx(lam, rel=1e-9)
+
+
+def _fitted_boundary_data(level):
+    """Endpoint data of a sampled eigenfunction on the unit box, from a least-squares
+    fit to the two solutions of -psi''/2m = lam psi."""
+    e = 2.0 * level.mass * level.lam
+    k = np.sqrt(abs(e))
+    if e > 0:
+        fns, ders = (np.cos, np.sin), (lambda z: -np.sin(z), np.cos)
+    else:
+        fns, ders = (np.cosh, np.sinh), (np.sinh, np.cosh)
+    fn = level.eigenfunction
+    basis = np.column_stack([f(k * fn.nodes) for f in fns])
+    coef = np.linalg.lstsq(basis, fn.values, rcond=None)[0]
+    assert np.max(np.abs(basis @ coef - fn.values)) < 1e-9
+    ends = np.array([-0.5, 0.5])
+    vals = np.column_stack([f(k * ends) for f in fns]) @ coef
+    slopes = k * np.column_stack([d(k * ends) for d in ders]) @ coef
+    return BoundaryData(vals[0], vals[1], slopes[0], slopes[1])
+
+
+def test_generic_spectrum_random_unitaries():
+    rng = np.random.default_rng(44)
+    for _ in range(30):
+        z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        q, r = np.linalg.qr(z)
+        u = q * (np.diag(r) / np.abs(np.diag(r)))
+        levels = generic_spectrum(u, count=6)
+        lams = [lv.lam for lv in levels]
+        assert lams == sorted(lams)
+        for lv in levels:
+            assert lv.eigenfunction.norm() == pytest.approx(1.0, abs=1e-10)
+            assert bc_residual(u, _fitted_boundary_data(lv)) < 1e-8
