@@ -37,7 +37,6 @@ from .spectrum import (
     eigenfunction_fixed,
     eigenfunction_fixed_dx,
     eigenfunction_physical,
-    eigenlevel,
     eigenvalue,
     extension_physical,
     extension_physical_grad,
@@ -52,7 +51,6 @@ from .berry import (
     CurvatureSample,
     LoopPhaseResult,
     MeshTooCoarseError,
-    Mollifier,
     commutator_defect,
     connection_analytic,
     connection_interior,

@@ -102,7 +102,7 @@ def _window_grid(modes):
     return oscillatory_rule(-0.5, 0.5, 2.0 * kmax)
 
 
-def _weak_form_matrix(modes, weight_nodes=None):
+def _weak_form_matrix(modes):
     """Matrices of p and x o p in the symmetrized quadrature form."""
     x, w = _window_grid(modes)
     vals = np.array([eigenfunction_fixed(m, x) for m in modes])

@@ -22,7 +22,6 @@ gives Phi = k (1/l1 - 1/l2)(c2 - c1) sin(alpha).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -38,7 +37,6 @@ from .spectrum import (
 
 __all__ = [
     "MeshTooCoarseError",
-    "Mollifier",
     "standard_mollifier",
     "ConnectionSample",
     "CurvatureSample",
@@ -73,35 +71,23 @@ def _flat_exp(t):
         return np.where(t > 0.0, np.exp(-1.0 / np.where(t > 0.0, t, 1.0)), 0.0)
 
 
-@dataclass(frozen=True)
-class Mollifier:
-    """Smooth monotone cutoff profile rho on [0, inf).
-
-    Required shape: rho(0) = 1, rho(1) = 0, nonnegative, decreasing, smooth,
-    with every derivative vanishing at 0 (so pasting it onto the flat top of
-    a characteristic function stays smooth).
-    """
-
-    profile: Callable
-
-    def __call__(self, t):
-        return self.profile(np.asarray(t, dtype=float))
-
-
-def standard_mollifier() -> Mollifier:
+def standard_mollifier():
     """The standard smooth partition profile rho(t) = f(1-t)/(f(t) + f(1-t)).
 
     Built from f(t) = exp(-1/t); identically 1 for t <= 0 and 0 for t >= 1.
-    A plain bump like exp(1 - 1/(1-t^2)) would fail the flatness requirement
-    at t = 0.
+    The profile is nonnegative, decreasing and smooth, with every derivative
+    vanishing at 0, so pasting it onto the flat top of a characteristic
+    function stays smooth.  A plain bump like exp(1 - 1/(1-t^2)) would fail
+    that flatness requirement at t = 0.
     """
 
     def rho(t):
+        t = np.asarray(t, dtype=float)
         up = _flat_exp(1.0 - t)
         down = _flat_exp(t)
         return up / (up + down + 1e-300)
 
-    return Mollifier(profile=rho)
+    return rho
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +177,7 @@ def _mollified_grid(g: Geometry, m: Mode, eps: float):
     return x, w
 
 
-def connection_mollified(m: Mode, g: Geometry, eps: float, rho: Mollifier | None = None) -> ConnectionSample:
+def connection_mollified(m: Mode, g: Geometry, eps: float) -> ConnectionSample:
     """Connection from the smoothed-box embedding at regularization width eps.
 
     The eigenfunction is written as (smooth whole-line extension) times a
@@ -210,8 +196,7 @@ def connection_mollified(m: Mode, g: Geometry, eps: float, rho: Mollifier | None
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
-    if rho is None:
-        rho = standard_mollifier()
+    rho = standard_mollifier()
     x, w = _mollified_grid(g, m, eps)
     chi = np.where(
         (x >= g.left) & (x <= g.right),

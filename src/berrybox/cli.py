@@ -8,10 +8,12 @@ Subcommands::
     berrybox wz         degenerate matrix connection and holonomy (JSON)
     berrybox adiabatic  slow-traversal phase sweep over T (CSV [+ SVG])
 
-All commands accept --config (JSON, unknown keys rejected), --out, --plot,
---tol and --seed; command-line flags override config values.  Every run with
---out also writes the fully resolved configuration, defaults included, to
-<out>.config.json so the run can be reproduced from that file alone.
+Each subcommand has one dict of defaults (`_DEFAULTS`), which is the list of
+the config keys it reads: --config (JSON) may set only those keys, and each
+flag given overrides the key it maps to.  Every run with --out also writes
+that dict, resolved, to <out>.config.json so the run can be reproduced from
+that file alone.  All subcommands take --config and --out; berry and
+adiabatic also take --plot, and berry takes --tol.
 Floating-point output is scientific with 9 significant digits, so identical
 configurations produce byte-identical files.
 """
@@ -27,7 +29,6 @@ import numpy as np
 from . import svgplot
 from .adiabatic import Schedule, propagate
 from .berry import (
-    connection_analytic,
     connection_interior,
     connection_mollified,
     curvature,
@@ -36,7 +37,7 @@ from .berry import (
     loop_phase_overlap_meshes,
     power_law_extrapolate,
 )
-from .boundary import ETA_INF, Eta, as_eta, classify_unitary, eta_to_unitary, require_unitary
+from .boundary import ETA_INF, Eta, classify_unitary, eta_to_unitary, require_unitary
 from .paths import polyline_path, rectangle_loop
 from .spectrum import (
     Geometry,
@@ -44,7 +45,6 @@ from .spectrum import (
     eigenvalue,
     generic_spectrum,
     mode,
-    wavenumber,
 )
 from .wilczek_zee import diagonalize_in_plane_waves, wz_connection, wz_curvature, wz_holonomy
 
@@ -52,28 +52,20 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_MISMATCH = 3
 
-_CONFIG_KEYS = {
-    "eta", "mass", "n", "geometry", "loop", "method", "mesh", "eps_list",
-    "T_list", "window", "resolution", "h", "unitary", "seed",
-}
-_LOOP_RECT_KEYS = {"type", "l1", "l2", "c1", "c2", "orientation"}
+_LOOP = {"type": "rectangle", "l1": 1.0, "l2": 2.0, "c1": 0.0, "c2": 1.0, "orientation": 1}
+_LOOP_RECT_KEYS = set(_LOOP)
 _LOOP_POLY_KEYS = {"type", "points", "orientation"}
 
+# the config keys each subcommand reads, with their defaults; the parser's
+# config-key flags are named after (or mapped onto) these keys
 _DEFAULTS = {
-    "eta": "0+1i",
-    "mass": 1.0,
-    "n": 0,
-    "geometry": {"l": 1.0, "c": 0.0},
-    "loop": {"type": "rectangle", "l1": 1.0, "l2": 2.0, "c1": 0.0, "c2": 1.0, "orientation": 1},
-    "method": "all",
-    "mesh": 256,
-    "eps_list": [0.2, 0.1, 0.05, 0.025],
-    "T_list": [25.0, 50.0, 100.0, 200.0],
-    "window": 8,
-    "resolution": 4000,
-    "h": None,
-    "unitary": None,
-    "seed": None,
+    "bc": {"eta": "0+1i", "unitary": None},
+    "spectrum": {"eta": "0+1i", "mass": 1.0, "n": 0, "geometry": {"l": 1.0, "c": 0.0}, "method": "all"},
+    "berry": {"eta": "0+1i", "n": 0, "loop": _LOOP, "method": "all", "mesh": 256,
+              "eps_list": [0.2, 0.1, 0.05, 0.025], "h": None},
+    "wz": {"eta": "0+1i", "n": 0, "loop": _LOOP, "mesh": 256},
+    "adiabatic": {"eta": "0+1i", "mass": 1.0, "n": 0, "loop": _LOOP,
+                  "T_list": [25.0, 50.0, 100.0, 200.0], "window": 8, "resolution": 4000},
 }
 
 _BERRY_METHODS = ("analytic", "interior", "mollified", "overlap")
@@ -152,12 +144,12 @@ def parse_unitary(matrix) -> np.ndarray:
 # config plumbing
 
 
-def _validate_config(raw: dict) -> dict:
+def _validate_config(raw: dict, keys) -> dict:
     if not isinstance(raw, dict):
         raise UsageError("config must be a JSON object")
-    unknown = set(raw) - _CONFIG_KEYS
+    unknown = set(raw) - set(keys)
     if unknown:
-        raise UsageError(f"unknown config keys: {sorted(unknown)}")
+        raise UsageError(f"unknown config keys: {sorted(unknown)}; this subcommand reads {sorted(keys)}")
     loop = raw.get("loop")
     if loop is not None:
         if not isinstance(loop, dict) or "type" not in loop:
@@ -169,31 +161,35 @@ def _validate_config(raw: dict) -> dict:
         if bad:
             raise UsageError(f"unknown loop keys: {sorted(bad)}")
     geo = raw.get("geometry")
-    if geo is not None and (not isinstance(geo, dict) or set(geo) - {"l", "c"}):
+    if geo is not None and (not isinstance(geo, dict) or set(geo) != {"l", "c"}):
         raise UsageError("geometry must be an object with keys l and c")
     return raw
 
 
-def _resolve(args, flag_map) -> dict:
-    """Merge defaults, config file, and explicit command-line flags."""
-    cfg = dict(_DEFAULTS)
+def _resolve(args) -> dict:
+    """The subcommand's defaults, updated by its config file, then by the flags given."""
+    cfg = dict(_DEFAULTS[args.command])
     if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
-                cfg.update(_validate_config(json.load(fh)))
+                cfg.update(_validate_config(json.load(fh), cfg))
         except OSError as exc:
             raise UsageError(f"cannot read config: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise UsageError(f"config is not valid JSON: {exc}") from exc
-    for key, value in flag_map.items():
-        if value is not None:
-            cfg[key] = value
-    if args.seed is not None:
-        cfg["seed"] = args.seed
+    # flags default to argparse.SUPPRESS, so vars(args) holds only those given
+    cfg.update((key, value) for key, value in vars(args).items() if key in cfg)
     return cfg
 
 
-def _loop_from_config(cfg) -> "ParameterPath":
+def _loop(cfg, args) -> "ParameterPath":
+    """Apply --loop-rect and --orientation to cfg["loop"], then build the loop."""
+    flags = vars(args)
+    if "loop_rect" in flags:
+        l1, l2, c1, c2 = flags["loop_rect"]
+        cfg["loop"] = {"type": "rectangle", "l1": l1, "l2": l2, "c1": c1, "c2": c2, "orientation": 1}
+    if "orientation" in flags:
+        cfg["loop"] = {**cfg["loop"], "orientation": flags["orientation"]}
     loop = cfg["loop"]
     try:
         if loop["type"] == "rectangle":
@@ -214,12 +210,11 @@ def _write_output(out_path, text: str):
         sys.stdout.write(text)
 
 
-def _write_resolved_config(out_path, cfg: dict, keys):
+def _write_resolved_config(out_path, cfg: dict):
     if not out_path:
         return
-    resolved = {k: cfg[k] for k in sorted(keys)}
     with open(f"{out_path}.config.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(resolved, fh, indent=2, sort_keys=True)
+        json.dump(cfg, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -232,10 +227,10 @@ def _csv(header: str, rows) -> str:
 
 
 def cmd_bc(args) -> int:
-    cfg = _resolve(args, {"eta": args.eta, "unitary": args.unitary})
-    if cfg.get("unitary") is not None:
+    cfg = _resolve(args)
+    # the config keeps the matrix as given: a 9-digit copy reruns to another eta
+    if cfg["unitary"] is not None:
         u = parse_unitary(cfg["unitary"])
-        cfg["unitary"] = _fmt_matrix(u)
     else:
         u = eta_to_unitary(parse_eta(cfg["eta"]))
     info = classify_unitary(u)
@@ -246,7 +241,7 @@ def cmd_bc(args) -> int:
         "dilation_invariant": info.dilation_invariant,
     }
     _write_output(args.out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    _write_resolved_config(args.out, cfg, ["eta", "unitary", "seed"])
+    _write_resolved_config(args.out, cfg)
     return EXIT_OK
 
 
@@ -262,19 +257,15 @@ def _spectrum_rows_degenerate(eta_pm, ns, mass, geom):
 
 
 def cmd_spectrum(args) -> int:
-    n_range = None
-    if args.n_min is not None or args.n_max is not None:
-        n_range = [args.n_min if args.n_min is not None else 0, args.n_max if args.n_max is not None else 5]
-    geometry = None
-    if args.box_l is not None or args.box_c is not None:
-        geometry = {"l": args.box_l if args.box_l is not None else 1.0,
-                    "c": args.box_c if args.box_c is not None else 0.0}
-    cfg = _resolve(args, {
-        "eta": args.eta, "mass": args.mass, "n": n_range,
-        "geometry": geometry, "method": "generic" if args.check == "generic" else args.check,
-    })
-    if isinstance(cfg["n"], int):
-        cfg["n"] = [0, cfg["n"]] if cfg["n"] >= 0 else [cfg["n"], 0]
+    cfg = _resolve(args)
+    flags = vars(args)
+    n = cfg["n"]
+    if isinstance(n, int):
+        n = [0, n] if n >= 0 else [n, 0]
+    cfg["n"] = [flags.get("n_min", n[0]), flags.get("n_max", n[1])]
+    cfg["geometry"] = {key: flags.get(key, value) for key, value in cfg["geometry"].items()}
+    if cfg["method"] not in ("all", "generic"):
+        raise UsageError(f"spectrum method must be 'all' or 'generic', not {cfg['method']!r}")
     n_lo, n_hi = int(cfg["n"][0]), int(cfg["n"][1])
     if n_hi < n_lo:
         raise UsageError("empty level range")
@@ -291,7 +282,7 @@ def cmd_spectrum(args) -> int:
             )
         rows = _spectrum_rows_degenerate(pm, range(n_lo, n_hi + 1), mass, geom)
         _write_output(args.out, _csv(header, rows))
-        _write_resolved_config(args.out, cfg, ["eta", "mass", "n", "geometry", "method", "seed"])
+        _write_resolved_config(args.out, cfg)
         return EXIT_OK
 
     ns = list(range(n_lo, n_hi + 1))
@@ -312,7 +303,7 @@ def cmd_spectrum(args) -> int:
         numeric = [numeric_all[np.argmin(np.abs(numeric_all - lam))] for lam in lams]
         rows = [r + (_fmt(v),) for r, v in zip(rows, numeric)]
     _write_output(args.out, _csv(header, rows))
-    _write_resolved_config(args.out, cfg, ["eta", "mass", "n", "geometry", "method", "seed"])
+    _write_resolved_config(args.out, cfg)
     return EXIT_OK
 
 
@@ -364,24 +355,18 @@ def _berry_phase_rows(m, path, methods, cfg):
 
 
 def cmd_berry(args) -> int:
-    loop = None
-    if args.loop_rect:
-        l1, l2, c1, c2 = args.loop_rect
-        loop = {"type": "rectangle", "l1": l1, "l2": l2, "c1": c1, "c2": c2,
-                "orientation": args.orientation if args.orientation else 1}
-    cfg = _resolve(args, {
-        "eta": args.eta, "n": args.n, "loop": loop,
-        "method": "curvature-map" if args.curvature_map else args.method,
-        "mesh": args.mesh, "eps_list": args.eps_list, "h": args.h,
-    })
+    cfg = _resolve(args)
     eta = parse_eta(cfg["eta"])
     if eta.degenerate:
         raise UsageError("eta = +/-1 is degenerate; use the wz subcommand")
     m = mode(int(cfg["n"]), eta)
-    path = _loop_from_config(cfg)
-    keys = ["eta", "n", "loop", "method", "mesh", "eps_list", "h", "seed"]
+    path = _loop(cfg, args)
 
     if cfg["method"] == "curvature-map":
+        if cfg["loop"]["type"] != "rectangle":
+            raise UsageError("the curvature map samples a rectangle loop's bounding box")
+        if args.plot or args.tol is not None:
+            raise UsageError("--plot and --tol apply to loop phases, not to the curvature map")
         lo_l, hi_l = sorted((cfg["loop"]["l1"], cfg["loop"]["l2"]))
         lo_c, hi_c = sorted((cfg["loop"]["c1"], cfg["loop"]["c2"]))
         grid = int(cfg["mesh"]) if int(cfg["mesh"]) <= 64 else 5
@@ -390,7 +375,7 @@ def cmd_berry(args) -> int:
             for c in np.linspace(lo_c, hi_c, grid):
                 rows.append((_fmt(l), _fmt(c), _fmt(curvature(m, Geometry(l, c)).f_lc)))
         _write_output(args.out, _csv("l,c,f_lc", rows))
-        _write_resolved_config(args.out, cfg, keys)
+        _write_resolved_config(args.out, cfg)
         return EXIT_OK
 
     if cfg["method"] == "all":
@@ -402,7 +387,7 @@ def cmd_berry(args) -> int:
             raise UsageError(f"unknown berry method(s): {bad}")
     rows, finals, analytic, curves = _berry_phase_rows(m, path, methods, cfg)
     _write_output(args.out, _csv("method,mesh,eps,h,phase,err_est", rows))
-    _write_resolved_config(args.out, cfg, keys)
+    _write_resolved_config(args.out, cfg)
 
     if args.plot:
         series = []
@@ -441,17 +426,12 @@ def cmd_berry(args) -> int:
 
 
 def cmd_wz(args) -> int:
-    loop = None
-    if args.loop_rect:
-        l1, l2, c1, c2 = args.loop_rect
-        loop = {"type": "rectangle", "l1": l1, "l2": l2, "c1": c1, "c2": c2,
-                "orientation": args.orientation if args.orientation else 1}
-    cfg = _resolve(args, {"eta": args.eta, "n": args.n, "loop": loop, "mesh": args.mesh})
+    cfg = _resolve(args)
     pm = parse_eta(cfg["eta"]).degenerate_sign
     if pm is None:
         raise UsageError("wz requires eta = 1 or eta = -1")
     n = int(cfg["n"])
-    path = _loop_from_config(cfg)
+    path = _loop(cfg, args)
     g0 = path.point(0.0)
     try:
         conn = wz_connection(pm, n, g0)
@@ -475,20 +455,12 @@ def cmd_wz(args) -> int:
         "offdiag_residue": _round9(float(abs(diag[0, 1]) + abs(diag[1, 0]))),
     }
     _write_output(args.out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    _write_resolved_config(args.out, cfg, ["eta", "n", "loop", "mesh", "seed"])
+    _write_resolved_config(args.out, cfg)
     return EXIT_OK
 
 
 def cmd_adiabatic(args) -> int:
-    loop = None
-    if args.loop_rect:
-        l1, l2, c1, c2 = args.loop_rect
-        loop = {"type": "rectangle", "l1": l1, "l2": l2, "c1": c1, "c2": c2,
-                "orientation": args.orientation if args.orientation else 1}
-    cfg = _resolve(args, {
-        "eta": args.eta, "mass": args.mass, "n": args.n, "loop": loop,
-        "T_list": args.T_list, "window": args.window, "resolution": args.resolution,
-    })
+    cfg = _resolve(args)
     eta = parse_eta(cfg["eta"])
     if eta.degenerate:
         raise UsageError("adiabatic propagation requires nondegenerate eta")
@@ -496,7 +468,7 @@ def cmd_adiabatic(args) -> int:
     window = int(cfg["window"])
     mass = float(cfg["mass"])
     resolution = int(cfg["resolution"])
-    path = _loop_from_config(cfg)
+    path = _loop(cfg, args)
     t_list = [float(t) for t in cfg["T_list"]]
     if not t_list:
         raise UsageError("T_list must not be empty")
@@ -509,8 +481,7 @@ def cmd_adiabatic(args) -> int:
         for T, r in zip(t_list, reports)
     ]
     _write_output(args.out, _csv("T,total,dynamical,geometric,fidelity,warn", rows))
-    keys = ["eta", "mass", "n", "loop", "T_list", "window", "resolution", "seed"]
-    _write_resolved_config(args.out, cfg, keys)
+    _write_resolved_config(args.out, cfg)
 
     if args.plot:
         reference = loop_phase_analytic(mode(n, eta), path)
@@ -532,69 +503,73 @@ def cmd_adiabatic(args) -> int:
 # parser
 
 
-def _add_common(sp):
-    sp.add_argument("--config", help="JSON config file; unknown keys are rejected")
-    sp.add_argument("--out", help="output path (stdout when omitted)")
-    sp.add_argument("--plot", help="write an SVG plot to this path")
-    sp.add_argument("--tol", type=float, help="cross-method disagreement tolerance")
-    sp.add_argument("--seed", type=int, help="seed for randomized property sweeps")
+def _subcommand(sub, name: str, fn, summary: str):
+    """Subparser with --config and --out; a flag added without an explicit
+    default is absent from the parsed namespace unless given."""
+    sp = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
+    sp.add_argument("--config", default=None, help="JSON config file holding only this subcommand's keys")
+    sp.add_argument("--out", default=None, help="output path (stdout when omitted)")
+    sp.set_defaults(fn=fn)
+    return sp
+
+
+def _add_loop(sp):
+    sp.add_argument("--loop-rect", nargs=4, type=float, metavar=("L1", "L2", "C1", "C2"),
+                    help="rectangle loop, counterclockwise unless --orientation -1")
+    sp.add_argument("--orientation", type=int, choices=[1, -1], help="orientation of the loop, however given")
+
+
+def _float_list(text):
+    return [float(v) for v in text.split(",")]
 
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="berrybox", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("bc", help="classify a boundary condition")
-    _add_common(sp)
+    sp = _subcommand(sub, "bc", cmd_bc, "classify a boundary condition")
     sp.add_argument("--eta", help="family parameter 'a+bi' or 'inf'")
     sp.add_argument("--unitary", help="2x2 matrix as JSON, e.g. '[[0,1],[1,0]]'")
-    sp.set_defaults(fn=cmd_bc)
 
-    sp = sub.add_parser("spectrum", help="tabulate the spectrum")
-    _add_common(sp)
+    sp = _subcommand(sub, "spectrum", cmd_spectrum, "tabulate the spectrum")
     sp.add_argument("--eta")
     sp.add_argument("--mass", type=float)
-    sp.add_argument("--l", dest="box_l", type=float, help="box length")
-    sp.add_argument("--c", dest="box_c", type=float, help="box center")
+    sp.add_argument("--l", type=float, help="box length")
+    sp.add_argument("--c", type=float, help="box center")
     sp.add_argument("--n-min", type=int)
     sp.add_argument("--n-max", type=int)
-    sp.add_argument("--check", choices=["generic"], help="append an independent numeric column")
-    sp.add_argument("--degenerate", action="store_true", help="tabulate the eta = +/-1 bases")
-    sp.set_defaults(fn=cmd_spectrum)
+    sp.add_argument("--check", dest="method", choices=["generic"], help="append an independent numeric column")
+    sp.add_argument("--degenerate", action="store_true", default=False, help="tabulate the eta = +/-1 bases")
 
-    sp = sub.add_parser("berry", help="loop phases and curvature maps")
-    _add_common(sp)
+    sp = _subcommand(sub, "berry", cmd_berry, "loop phases and curvature maps")
+    sp.add_argument("--plot", default=None, help="write an SVG convergence plot to this path")
+    sp.add_argument("--tol", type=float, default=None, help="cross-method disagreement tolerance (exit 3 beyond it)")
     sp.add_argument("--eta")
     sp.add_argument("--n", type=int)
-    sp.add_argument("--loop-rect", nargs=4, type=float, metavar=("L1", "L2", "C1", "C2"))
-    sp.add_argument("--orientation", type=int, choices=[1, -1])
-    sp.add_argument("--method", help="comma list of analytic,interior,mollified,overlap or 'all'")
+    _add_loop(sp)
+    what = sp.add_mutually_exclusive_group()
+    what.add_argument("--method", help="comma list of analytic,interior,mollified,overlap or 'all'")
+    what.add_argument("--curvature-map", dest="method", action="store_const", const="curvature-map",
+                      help="sample f_lc over the loop bounding box")
     sp.add_argument("--mesh", type=int)
-    sp.add_argument("--eps-list", type=lambda s: [float(v) for v in s.split(",")])
+    sp.add_argument("--eps-list", type=_float_list)
     sp.add_argument("--h", type=float, help="interior finite-difference step, relative to l/(1+|k|)")
-    sp.add_argument("--curvature-map", action="store_true", help="sample f_lc over the loop bounding box")
-    sp.set_defaults(fn=cmd_berry)
 
-    sp = sub.add_parser("wz", help="degenerate matrix connection and holonomy")
-    _add_common(sp)
+    sp = _subcommand(sub, "wz", cmd_wz, "degenerate matrix connection and holonomy")
     sp.add_argument("--eta")
     sp.add_argument("--n", type=int)
-    sp.add_argument("--loop-rect", nargs=4, type=float, metavar=("L1", "L2", "C1", "C2"))
-    sp.add_argument("--orientation", type=int, choices=[1, -1])
+    _add_loop(sp)
     sp.add_argument("--mesh", type=int)
-    sp.set_defaults(fn=cmd_wz)
 
-    sp = sub.add_parser("adiabatic", help="slow-traversal phase sweep")
-    _add_common(sp)
+    sp = _subcommand(sub, "adiabatic", cmd_adiabatic, "slow-traversal phase sweep")
+    sp.add_argument("--plot", default=None, help="write an SVG convergence plot to this path")
     sp.add_argument("--eta")
     sp.add_argument("--mass", type=float)
     sp.add_argument("--n", type=int)
-    sp.add_argument("--loop-rect", nargs=4, type=float, metavar=("L1", "L2", "C1", "C2"))
-    sp.add_argument("--orientation", type=int, choices=[1, -1])
-    sp.add_argument("--T-list", type=lambda s: [float(v) for v in s.split(",")])
+    _add_loop(sp)
+    sp.add_argument("--T-list", type=_float_list)
     sp.add_argument("--window", type=int, help="mode window half-width N")
     sp.add_argument("--resolution", type=int, help="time steps per traversal")
-    sp.set_defaults(fn=cmd_adiabatic)
     return p
 
 
@@ -602,10 +577,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except UsageError as exc:
-        print(f"berrybox: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except ValueError as exc:  # UsageError included
         print(f"berrybox: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boundary import BoundaryData, Eta, as_eta, require_unitary
-from .quadrature import GridFunction, oscillatory_rule, panel_rule
+from .quadrature import GridFunction, oscillatory_rule
 
 __all__ = [
     "DegenerateEtaError",
@@ -50,7 +50,6 @@ __all__ = [
     "extension_physical_grad",
     "mode_boundary_data",
     "eigenvalue",
-    "eigenlevel",
     "degenerate_wavenumber",
     "degenerate_basis",
     "generic_spectrum",
@@ -212,13 +211,8 @@ class EigenLevel:
     lam: float
     geometry: Geometry
     mass: float
-    mode: Mode | None = None
     eigenfunction: GridFunction | None = None
     multiplicity: int = 1
-
-
-def eigenlevel(m: Mode, g: Geometry, mass: float = 1.0) -> EigenLevel:
-    return EigenLevel(lam=eigenvalue(m, g, mass), geometry=g, mass=mass, mode=m)
 
 
 def degenerate_wavenumber(eta: int, n: int) -> float:

@@ -1,6 +1,10 @@
 """Command-line interface: output formats, determinism, config round-trip."""
 
+import argparse
 import json
+import pathlib
+import re
+import shlex
 import subprocess
 import sys
 import threading
@@ -370,23 +374,113 @@ def test_byte_identical_reruns(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_config_roundtrip(tmp_path):
-    first = tmp_path / "spec.csv"
-    again = tmp_path / "spec2.csv"
-    assert run("spectrum", "--eta", "0.5+0.5i", "--mass", "1.3", "--l", "1.7",
-               "--n-min", "-1", "--n-max", "2", "--out", str(first)) == 0
-    cfgfile = tmp_path / "spec.csv.config.json"
-    assert cfgfile.exists()
+# a unitary whose 9-digit copy reruns to an eta one digit off in the last place
+_UNITARY = ("[[[0.18242147301324535, 0.0], [-0.5891470865466554, 0.7871646057828473]], "
+            "[[-0.5891470865466554, -0.7871646057828473], [-0.18242147301324535, 0.0]]]")
+
+
+@pytest.mark.parametrize("argv, keys, values", [
+    pytest.param(("bc", "--unitary", _UNITARY), {"eta", "unitary"}, {"unitary": _UNITARY}, id="bc"),
+    pytest.param(("spectrum", "--eta", "0.5+0.5i", "--mass", "1.3", "--l", "1.7", "--n-min", "-1", "--n-max", "2"),
+                 {"eta", "mass", "n", "geometry", "method"},
+                 {"mass": 1.3, "geometry": {"l": 1.7, "c": 0.0}, "n": [-1, 2]}, id="spectrum"),
+    pytest.param(("berry", "--eta", "0.3+0.6i", "--n", "1", "--loop-rect", "1", "1.3", "0", "0.2",
+                  "--orientation", "-1", "--method", "analytic,overlap", "--mesh", "32"),
+                 {"eta", "n", "loop", "method", "mesh", "eps_list", "h"},
+                 {"loop": {"type": "rectangle", "l1": 1.0, "l2": 1.3, "c1": 0.0, "c2": 0.2, "orientation": -1}},
+                 id="berry"),
+    pytest.param(("wz", "--eta", "-1", "--n", "0", "--loop-rect", "1", "2", "0", "1", "--mesh", "32"),
+                 {"eta", "n", "loop", "mesh"}, {"mesh": 32}, id="wz"),
+    pytest.param(("adiabatic", "--eta", "0+1i", "--n", "0", "--loop-rect", "1", "1.2", "0", "0.2",
+                  "--T-list", "4,2", "--window", "2", "--resolution", "100"),
+                 {"eta", "mass", "n", "loop", "T_list", "window", "resolution"}, {"T_list": [4.0, 2.0]},
+                 id="adiabatic"),
+])
+def test_config_roundtrip(tmp_path, argv, keys, values):
+    first = tmp_path / "first.out"
+    again = tmp_path / "again.out"
+    assert run(*argv, "--out", str(first)) == 0
+    cfgfile = tmp_path / "first.out.config.json"
     cfg = json.loads(cfgfile.read_text())
-    assert cfg["mass"] == 1.3 and cfg["geometry"]["l"] == 1.7
-    assert run("spectrum", "--config", str(cfgfile), "--out", str(again)) == 0
+    assert set(cfg) == keys
+    assert {k: cfg[k] for k in values} == values
+    assert run(argv[0], "--config", str(cfgfile), "--out", str(again)) == 0
     assert first.read_bytes() == again.read_bytes()
+
+
+def test_spectrum_flags_override_config_components(tmp_path):
+    # --n-min and --c used to replace the whole range and geometry, with
+    # their own defaults (n max 5, l 1) in place of the config's values
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 3, "geometry": {"l": 2.0, "c": 0.5}}))
+    out = tmp_path / "spec.csv"
+    assert run("spectrum", "--config", str(cfg), "--n-min", "1", "--c", "0", "--out", str(out)) == 0
+    written = json.loads((tmp_path / "spec.csv.config.json").read_text())
+    assert written["n"] == [1, 3]
+    assert written["geometry"] == {"l": 2.0, "c": 0.0}
+    assert [r[0] for r in read_csv(out)[1]] == ["1", "2", "3"]
 
 
 def test_unknown_config_key_rejected(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"bogus": 1}))
     assert run("spectrum", "--config", str(bad)) == 2
+
+
+def exit_code(*argv):
+    """Exit code of main(argv), including argparse's SystemExit."""
+    try:
+        return main(list(argv))
+    except SystemExit as exc:
+        return exc.code
+
+
+_POLYGON = {"type": "polyline", "points": [[1.0, 0.0], [1.5, 0.0], [1.2, 0.4]]}
+
+
+@pytest.mark.parametrize("argv, config", [
+    pytest.param(["bc", "--seed", "1"], None, id="bc-seed"),
+    pytest.param(["wz", "--eta", "1", "--n", "1", "--plot", "x.svg"], None, id="wz-plot"),
+    pytest.param(["adiabatic", "--tol", "1e-3"], None, id="adiabatic-tol"),
+    pytest.param(["spectrum", "--tol", "1"], None, id="spectrum-tol"),
+    pytest.param(["bc", "--plot", "x.svg"], None, id="bc-plot"),
+    pytest.param(["berry", "--method", "analytic", "--curvature-map"], None, id="berry-method-and-map"),
+    pytest.param(["berry", "--curvature-map", "--plot", "x.svg"], None, id="berry-map-plot"),
+    pytest.param(["bc"], {"T_list": [1]}, id="bc-config-T_list"),
+    pytest.param(["wz", "--eta", "1", "--n", "1"], {"method": "all"}, id="wz-config-method"),
+    pytest.param(["spectrum"], {"seed": None}, id="spectrum-config-seed"),
+    pytest.param(["spectrum"], {"method": "overlap"}, id="spectrum-config-berry-method"),
+    pytest.param(["spectrum"], {"geometry": {"l": 2.0}}, id="spectrum-config-geometry-without-c"),
+    pytest.param(["berry", "--curvature-map"], {"loop": _POLYGON}, id="berry-map-polyline"),
+])
+def test_unread_or_invalid_option_exits_2_before_output(tmp_path, monkeypatch, argv, config):
+    monkeypatch.chdir(tmp_path)
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv = argv + ["--config", "cfg.json"]
+    assert exit_code(*argv, "--out", "o.out") == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["cfg.json"] if config is not None else [])
+
+
+@pytest.mark.parametrize("loop", [None, _POLYGON, {**_POLYGON, "orientation": -1}],
+                         ids=["default", "polyline", "polyline-reversed"])
+def test_orientation_flag_reverses_any_loop(tmp_path, loop):
+    # --orientation used to apply only together with --loop-rect
+    base = []
+    if loop is not None:
+        (tmp_path / "loop.json").write_text(json.dumps({"loop": loop}))
+        base = ["--config", str(tmp_path / "loop.json")]
+    out = tmp_path / "b.csv"
+    phases = {}
+    for orientation in ("1", "-1"):
+        assert run("berry", "--method", "analytic", *base, "--orientation", orientation, "--out", str(out)) == 0
+        phases[orientation] = float(read_csv(out)[1][0][4])
+        assert json.loads((tmp_path / "b.csv.config.json").read_text())["loop"]["orientation"] == int(orientation)
+    assert phases["1"] != 0.0
+    assert phases["-1"] == -phases["1"]
+    assert run("berry", "--method", "analytic", *base, "--out", str(out)) == 0
+    unflagged = float(read_csv(out)[1][0][4])
+    assert unflagged == phases["-1" if loop and loop.get("orientation") == -1 else "1"]
 
 
 def test_module_entrypoint():
@@ -396,3 +490,41 @@ def test_module_entrypoint():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["classification"] == "periodic"
+
+
+# ---------------------------------------------------------------------------
+# documentation
+
+
+def _readme_command_section():
+    text = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return text[text.index("## Command line"):text.index("## Demos")]
+
+
+def test_readme_commands_parse():
+    # parse only: the documented command lines must stay valid for the parser
+    section = _readme_command_section()
+    block = section[section.index("```sh"):]
+    block = block[:block.index("```", 5)]
+    lines = [shlex.split(line, comments=True) for line in block.replace("\\\n", " ").splitlines()]
+    commands = [words for words in lines if words and words[0] == "berrybox"]
+    assert {words[1] for words in commands} == set(berrybox.cli._DEFAULTS)
+    parser = berrybox.cli.build_parser()
+    for words in commands:
+        parser.parse_args(words[1:])
+
+
+def test_readme_lists_each_subcommand_options_and_keys():
+    # the table rows read: | `name` | `--flag`, ... | `key`, ... |
+    rows = {}
+    for line in _readme_command_section().splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if len(cells) == 3 and cells[0].strip("`") in berrybox.cli._DEFAULTS:
+            rows[cells[0].strip("`")] = [set(re.findall(r"`([^`]+)`", cell)) for cell in cells[1:]]
+    parser = berrybox.cli.build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    assert set(rows) == set(berrybox.cli._DEFAULTS)
+    for name, (flags, keys) in rows.items():
+        parsed = {s for a in subparsers[name]._actions for s in a.option_strings} - {"-h", "--help", "--config", "--out"}
+        assert flags == parsed, name
+        assert keys == set(berrybox.cli._DEFAULTS[name]), name
