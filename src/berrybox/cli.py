@@ -63,7 +63,7 @@ _DEFAULTS = {
     "spectrum": {"eta": "0+1i", "mass": 1.0, "n": 0, "geometry": {"l": 1.0, "c": 0.0}, "method": "all"},
     "berry": {"eta": "0+1i", "n": 0, "loop": _LOOP, "method": "all", "mesh": 256,
               "eps_list": [0.2, 0.1, 0.05, 0.025], "h": None},
-    "wz": {"eta": "0+1i", "n": 0, "loop": _LOOP, "mesh": 256},
+    "wz": {"eta": "-1", "n": 0, "loop": _LOOP, "mesh": 256},
     "adiabatic": {"eta": "0+1i", "mass": 1.0, "n": 0, "loop": _LOOP,
                   "T_list": [25.0, 50.0, 100.0, 200.0], "window": 8, "resolution": 4000},
 }
@@ -144,25 +144,56 @@ def parse_unitary(matrix) -> np.ndarray:
 # config plumbing
 
 
-def _validate_config(raw: dict, keys) -> dict:
+def _number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _integer(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _numbers(v) -> bool:
+    return isinstance(v, list) and all(map(_number, v))
+
+
+# the JSON value each config key takes, checked before any value is used
+_VALUE_TYPES = {
+    "eta": (lambda v: isinstance(v, str) or _number(v), "a string 'a+bi' or 'inf', or a number"),
+    "unitary": (lambda v: v is None or isinstance(v, (str, list)), "a 2x2 matrix, as nested lists or JSON text"),
+    "mass": (_number, "a number"),
+    "n": (_integer, "an integer"),
+    "geometry": (lambda v: isinstance(v, dict) and set(v) == {"l", "c"} and all(map(_number, v.values())),
+                 "an object with numbers l and c"),
+    "loop": (lambda v: isinstance(v, dict) and v.get("type") in ("rectangle", "polyline"),
+             "an object with 'type' rectangle or polyline"),
+    "method": (lambda v: isinstance(v, str), "a string"),
+    "mesh": (_integer, "an integer"),
+    "eps_list": (_numbers, "a list of numbers"),
+    "h": (lambda v: v is None or _number(v), "a number or null"),
+    "T_list": (_numbers, "a list of numbers"),
+    "window": (_integer, "an integer"),
+    "resolution": (_integer, "an integer"),
+}
+_SPECTRUM_N = (lambda v: _integer(v) or (isinstance(v, list) and len(v) == 2 and all(map(_integer, v))),
+               "an integer or a [min, max] pair of integers")
+
+
+def _validate_config(raw: dict, command: str) -> dict:
     if not isinstance(raw, dict):
         raise UsageError("config must be a JSON object")
+    keys = _DEFAULTS[command]
     unknown = set(raw) - set(keys)
     if unknown:
         raise UsageError(f"unknown config keys: {sorted(unknown)}; this subcommand reads {sorted(keys)}")
-    loop = raw.get("loop")
-    if loop is not None:
-        if not isinstance(loop, dict) or "type" not in loop:
-            raise UsageError("loop must be an object with a 'type' key")
-        allowed = _LOOP_RECT_KEYS if loop["type"] == "rectangle" else _LOOP_POLY_KEYS
-        if loop["type"] not in ("rectangle", "polyline"):
-            raise UsageError(f"unknown loop type {loop['type']!r}")
-        bad = set(loop) - allowed
+    for key, value in raw.items():
+        valid, what = _SPECTRUM_N if (command, key) == ("spectrum", "n") else _VALUE_TYPES[key]
+        if not valid(value):
+            raise UsageError(f"config key {key!r} must be {what}, not {json.dumps(value)}")
+    if "loop" in raw:
+        loop = raw["loop"]
+        bad = set(loop) - (_LOOP_RECT_KEYS if loop["type"] == "rectangle" else _LOOP_POLY_KEYS)
         if bad:
             raise UsageError(f"unknown loop keys: {sorted(bad)}")
-    geo = raw.get("geometry")
-    if geo is not None and (not isinstance(geo, dict) or set(geo) != {"l", "c"}):
-        raise UsageError("geometry must be an object with keys l and c")
     return raw
 
 
@@ -172,7 +203,7 @@ def _resolve(args) -> dict:
     if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
-                cfg.update(_validate_config(json.load(fh), cfg))
+                cfg.update(_validate_config(json.load(fh), args.command))
         except OSError as exc:
             raise UsageError(f"cannot read config: {exc}") from exc
         except json.JSONDecodeError as exc:

@@ -14,12 +14,16 @@ from berrybox import (
     mode_window,
     momentum_matrix,
     point_loop,
+    polyline_path,
     propagate,
     rectangle_loop,
     virial_matrix,
 )
 
 RECT = rectangle_loop(1.0, 2.0, 0.0, 1.0)
+# one side of constant l, (1.5, 0) -> (1.5, 0.4); the other three move l
+ONE_VERTICAL = polyline_path([(1.0, 0.0), (1.5, 0.0), (1.5, 0.4), (1.2, 0.6)], close=True)
+NO_VERTICAL = polyline_path([(1.0, 0.0), (1.5, 0.1), (1.2, 0.5)], close=True)
 
 
 def test_static_hamiltonian_is_diagonal():
@@ -119,6 +123,67 @@ def test_window_convergence():
 def test_window_out_of_range():
     with pytest.raises(ValueError):
         propagate(Schedule(RECT, 10.0, 200), 7, 1j, 4)
+
+
+def _stepwise_propagate(schedule, start_mode, eta, window, mass=1.0):
+    """Reference: one eigh of the midpoint Hamiltonian, built from
+    spectrum.eigenvalue, at every step; -Int lambda dt by Gauss-Legendre."""
+    modes = mode_window(eta, window)
+    pmat, xpmat = momentum_matrix(modes), virial_matrix(modes)
+    path, duration = schedule.path, schedule.duration
+    nseg = len(path.segments)
+    nsteps = nseg * int(np.ceil(schedule.resolution / nseg))
+    dt = duration / nsteps
+    psi = np.zeros(len(modes), dtype=complex)
+    psi[start_mode + window] = 1.0
+    psi0 = psi.copy()
+    norm_drift = edge_weight = 0.0
+    for j in range(nsteps):
+        s_mid = (j + 0.5) / nsteps
+        g = path.point(s_mid)
+        vl, vc = path.velocity(s_mid)
+        h = (np.diag([eigenvalue(m, g, mass) for m in modes]).astype(complex)
+             - (vl / duration / g.l) * xpmat - (vc / duration / g.l) * pmat)
+        evals, vecs = np.linalg.eigh(h)
+        psi = vecs @ (np.exp(-1j * evals * dt) * (vecs.conj().T @ psi))
+        norm_drift = max(norm_drift, abs(np.linalg.norm(psi) - 1.0))
+        edge_weight = max(edge_weight, abs(psi[0]), abs(psi[-1]))
+    xg, wg = np.polynomial.legendre.leggauss(32)
+    level = modes[start_mode + window]
+    integral = sum(wj * 0.5 / nseg * eigenvalue(level, path.point((i + 0.5 + 0.5 * xj) / nseg), mass)
+                   for i in range(nseg) for xj, wj in zip(xg, wg))
+    overlap = np.vdot(psi0, psi)
+    return float(np.angle(overlap)), -duration * integral, abs(overlap), norm_drift, edge_weight
+
+
+@pytest.mark.parametrize("path", [RECT, rectangle_loop(1.0, 2.0, 0.0, 1.0, orientation=-1),
+                                  ONE_VERTICAL, point_loop(1.3, 0.2)],
+                         ids=["rectangle", "rectangle-reversed", "one-vertical-side", "point"])
+def test_propagate_matches_stepwise_reference(path):
+    sched = Schedule(path, 20.0, 400)
+    rep = propagate(sched, 1, -0.3 + 0.4j, 4, mass=0.8)
+    total, dynamical, fidelity, norm_drift, edge_weight = _stepwise_propagate(sched, 1, -0.3 + 0.4j, 4, 0.8)
+    assert abs(rep.total_phase - total) < 1e-12
+    assert abs(rep.dynamical_phase - dynamical) < 1e-12
+    assert abs(np.angle(np.exp(1j * (rep.geometric_phase - (total - dynamical))))) < 1e-12
+    assert abs(rep.fidelity - fidelity) < 1e-12
+    assert abs(rep.norm_drift - norm_drift) < 1e-12
+    assert abs(rep.edge_weight - edge_weight) < 1e-12
+
+
+@pytest.mark.parametrize("path, calls", [(RECT, 2 + 2 * 100), (NO_VERTICAL, 3 * 134)], ids=["rectangle", "no-vertical-side"])
+def test_one_eigh_per_constant_side(monkeypatch, path, calls):
+    # resolution 400: 100 steps per rectangle side, ceil(400 / 3) per triangle side
+    eigh = np.linalg.eigh
+    counted = []
+    monkeypatch.setattr(np.linalg, "eigh", lambda h: counted.append(None) or eigh(h))
+    propagate(Schedule(path, 20.0, 400), 0, 1j, 4)
+    assert len(counted) == calls
+
+
+def test_nonpositive_mass_rejected():
+    with pytest.raises(ValueError):
+        propagate(Schedule(RECT, 10.0, 200), 0, 1j, 4, mass=0.0)
 
 
 def test_schedule_validation():

@@ -391,6 +391,8 @@ _UNITARY = ("[[[0.18242147301324535, 0.0], [-0.5891470865466554, 0.7871646057828
                  id="berry"),
     pytest.param(("wz", "--eta", "-1", "--n", "0", "--loop-rect", "1", "2", "0", "1", "--mesh", "32"),
                  {"eta", "n", "loop", "mesh"}, {"mesh": 32}, id="wz"),
+    # the default eta used to be 0+1i, which wz rejects
+    pytest.param(("wz",), {"eta", "n", "loop", "mesh"}, {"eta": "-1", "n": 0}, id="wz-defaults"),
     pytest.param(("adiabatic", "--eta", "0+1i", "--n", "0", "--loop-rect", "1", "1.2", "0", "0.2",
                   "--T-list", "4,2", "--window", "2", "--resolution", "100"),
                  {"eta", "mass", "n", "loop", "T_list", "window", "resolution"}, {"T_list": [4.0, 2.0]},
@@ -452,6 +454,11 @@ _POLYGON = {"type": "polyline", "points": [[1.0, 0.0], [1.5, 0.0], [1.2, 0.4]]}
     pytest.param(["spectrum"], {"method": "overlap"}, id="spectrum-config-berry-method"),
     pytest.param(["spectrum"], {"geometry": {"l": 2.0}}, id="spectrum-config-geometry-without-c"),
     pytest.param(["berry", "--curvature-map"], {"loop": _POLYGON}, id="berry-map-polyline"),
+    # config values of the wrong JSON type used to crash with a traceback (exit 1)
+    pytest.param(["spectrum"], {"n": 2.5}, id="spectrum-config-n-float"),
+    pytest.param(["wz", "--eta", "1", "--n", "1"], {"mesh": [1]}, id="wz-config-mesh-list"),
+    pytest.param(["adiabatic"], {"T_list": 5}, id="adiabatic-config-T_list-number"),
+    pytest.param(["spectrum"], {"geometry": {"l": [2.0], "c": 0.0}}, id="spectrum-config-geometry-list"),
 ])
 def test_unread_or_invalid_option_exits_2_before_output(tmp_path, monkeypatch, argv, config):
     monkeypatch.chdir(tmp_path)
