@@ -45,7 +45,7 @@ from .spectrum import (
     mode_boundary_data,
     wavenumber,
 )
-from .paths import Line, ParameterPath, point_loop, polyline_path, rectangle_corners, rectangle_loop
+from .paths import ParameterPath, point_loop, polyline_path, rectangle_corners, rectangle_loop
 from .berry import (
     ConnectionSample,
     CurvatureSample,

@@ -161,7 +161,7 @@ def _dynamical_phase(schedule: Schedule, m: Mode, mass: float) -> float:
     Int dt / l^2 = (T/nseg) / (l0 l1).
     """
     segs = schedule.path.segments
-    inv_l2 = sum(1.0 / (seg.start[0] * seg.end[0]) for seg in segs) / len(segs)
+    inv_l2 = sum(1.0 / (l0 * l1) for (l0, _), (l1, _) in segs) / len(segs)
     return -schedule.duration * m.k ** 2 / (2.0 * mass) * inv_l2
 
 
@@ -206,8 +206,8 @@ def propagate(
     edge_weight = 0.0
     for side in range(nseg):
         # steps run through the segments in traversal order
-        seg = path.segments[side if path.orientation > 0 else nseg - 1 - side]
-        constant = seg.start[0] == seg.end[0]
+        (l0, _), (l1, _) = path.segments[side if path.orientation > 0 else nseg - 1 - side]
+        constant = l0 == l1
         for j in range(side * steps_per, (side + 1) * steps_per):
             if not constant or j == side * steps_per:
                 s_mid = (j + 0.5) / nsteps

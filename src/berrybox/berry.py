@@ -14,6 +14,9 @@ and cross-checked against the closed form a_c = (k/l) sin(alpha), a_l = 0:
                             neighboring eigenfunctions along the loop, which
                             never differentiates anything.
 
+Each eigenfunction is two plane waves and each loop a polyline, so the
+overlaps, the interior windows and the analytic loop phase are integrated in
+closed form; quadrature serves the mollified embedding and `stokes_defect`.
 Loop phases follow the convention Phi = i * contour integral of <psi|d psi>;
 for the counterclockwise axis-aligned rectangle [l1, l2] x [c1, c2] this
 gives Phi = k (1/l1 - 1/l2)(c2 - c1) sin(alpha).
@@ -21,16 +24,17 @@ gives Phi = k (1/l1 - 1/l2)(c2 - c1) sin(alpha).
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .paths import ParameterPath, rectangle_corners
-from .quadrature import GridFunction, oscillatory_rule, panel_rule, piecewise_rule, reference_rule
+from .quadrature import GridFunction, panel_rule, piecewise_rule, reference_rule
 from .spectrum import (
     Geometry,
     Mode,
-    eigenfunction_physical,
     extension_physical,
     extension_physical_grad,
 )
@@ -127,23 +131,43 @@ def connection_analytic(m: Mode, g: Geometry) -> ConnectionSample:
     )
 
 
+def _window_integral(m: Mode, ga: Geometry, gb: Geometry, lo: float, hi: float) -> complex:
+    """Int_lo^hi conj(psi_a) psi_b dx for the smooth extensions at ga and gb.
+
+    Each extension is l^-1/2 sum_s ((e^{i alpha} - s i)/2) e^{s iku} over
+    s = +-1, with u = (x - c)/l, so the integrand is four plane waves
+    e^{i(w x + b)}, each integrating to e^{i(w mid + b)} (hi - lo) sin(z)/z,
+    z = w (hi - lo)/2: a form that stays accurate as w -> 0, where
+    neighbouring loop points of nearly equal l sit.
+    """
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    e = cmath.exp(1j * m.alpha)
+
+    def term(s, t):  # plane wave s of psi_a, conjugated, times plane wave t of psi_b
+        phase = t * m.k * (mid - gb.c) / gb.l - s * m.k * (mid - ga.c) / ga.l
+        z = half * (t * m.k / gb.l - s * m.k / ga.l)
+        amp = ((e - s * 1j) / 2.0).conjugate() * ((e - t * 1j) / 2.0)
+        return amp * cmath.exp(1j * phase) * (math.sin(z) / z if z else 1.0)
+
+    # for real eta the terms are conjugate in pairs; summing each pair first
+    # keeps the integral of two real functions exactly real
+    total = (term(1.0, 1.0) + term(-1.0, -1.0)) + (term(1.0, -1.0) + term(-1.0, 1.0))
+    return 2.0 * half * total / math.sqrt(ga.l * gb.l)
+
+
 def _interior_component(m: Mode, g: Geometry, plus: Geometry, minus: Geometry, h: float, lo: float, hi: float) -> float:
     if hi - lo <= 0:
         raise ValueError("parameter step too large: shifted boxes do not overlap")
-    x, w = oscillatory_rule(lo, hi, 2.0 * m.k / g.l)
-    base = eigenfunction_physical(m, g, x)
-    diff = (eigenfunction_physical(m, plus, x) - eigenfunction_physical(m, minus, x)) / (2.0 * h)
-    num = np.sum(w * np.imag(np.conj(base) * diff))
-    den = np.sum(w * np.abs(base) ** 2)
-    return float(num / den)
+    num = (_window_integral(m, g, plus, lo, hi) - _window_integral(m, g, minus, lo, hi)).imag / (2.0 * h)
+    return float(num / _window_integral(m, g, g, lo, hi).real)
 
 
 def connection_interior(m: Mode, g: Geometry, h: float | None = None) -> ConnectionSample:
     """Connection from parameter finite differences, integrated inside the box.
 
-    The derivative is formed from the eigenfunction at parameters +/- h and
-    the integrand is evaluated strictly inside the intersection of the
-    shifted boxes, where all three functions are smooth.  The quotient is
+    The derivative is formed from the eigenfunction at parameters +/- h, and
+    the integral, in closed form, runs strictly inside the intersection of
+    the shifted boxes, where all three functions are smooth.  The quotient is
     normalized by the norm captured in the same window: the window clips an
     O(h) sliver off the box, and without the renormalization that sliver
     would dominate the finite-difference truncation error.  Converges to the
@@ -243,28 +267,32 @@ def loop_phase_connection(m: Mode, path: ParameterPath, sampler, order: int = 16
 
 
 def loop_phase_analytic(m: Mode, path: ParameterPath) -> float:
-    """Loop phase from the closed-form connection.
+    """Loop phase of the closed-form connection, integrated in closed form.
 
-    For the counterclockwise rectangle [l1, l2] x [c1, c2] only the constant-l
-    sides contribute and Phi = k (1/l1 - 1/l2)(c2 - c1) sin(alpha).
+    Only a_c = (k/l) sin(alpha) contributes; along a straight side the
+    integral of dc/l is dc log1p(dl/l0)/dl (dc/l0 when dl = 0).  For the
+    counterclockwise rectangle [l1, l2] x [c1, c2],
+    Phi = k (1/l1 - 1/l2)(c2 - c1) sin(alpha).
     """
-    return loop_phase_connection(m, path, lambda mm, g: connection_analytic(mm, g))
+    _require_closed(path)
+    total = 0.0
+    for (l0, c0), (l1, c1) in path.segments:
+        dl, dc = l1 - l0, c1 - c0
+        total += dc / l0 if dl == 0 else dc * np.log1p(dl / l0) / dl
+    return float(-path.orientation * m.k * np.sin(m.alpha) * total)
 
 
 def state_overlap(m: Mode, ga: Geometry, gb: Geometry) -> complex:
     """L2(R) overlap of the eigenfunction at two parameter points.
 
     Both states vanish outside their boxes, so the integral runs over the
-    box intersection only.
+    box intersection only, where it has a closed form.
     """
     lo = max(ga.left, gb.left)
     hi = min(ga.right, gb.right)
     if hi - lo <= 0:
         return 0.0 + 0.0j
-    x, w = oscillatory_rule(lo, hi, m.k / ga.l + m.k / gb.l)
-    va = eigenfunction_physical(m, ga, x)
-    vb = eigenfunction_physical(m, gb, x)
-    return complex(np.sum(w * np.conj(va) * vb))
+    return _window_integral(m, ga, gb, lo, hi)
 
 
 @dataclass(frozen=True)

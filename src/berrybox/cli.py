@@ -307,10 +307,8 @@ def cmd_spectrum(args) -> int:
     header = "n,k,alpha,lambda"
     pm = eta.degenerate_sign
     if pm is not None:
-        if not args.degenerate:
-            raise UsageError(
-                "eta = +/-1 is degenerate; pass --degenerate to tabulate the paired bases"
-            )
+        if cfg["method"] == "generic":
+            raise UsageError("the generic check covers nondegenerate eta only")
         rows = _spectrum_rows_degenerate(pm, range(n_lo, n_hi + 1), mass, geom)
         _write_output(args.out, _csv(header, rows))
         _write_resolved_config(args.out, cfg)
@@ -392,6 +390,8 @@ def cmd_berry(args) -> int:
         raise UsageError("eta = +/-1 is degenerate; use the wz subcommand")
     m = mode(int(cfg["n"]), eta)
     path = _loop(cfg, args)
+    if cfg["mesh"] < 1:
+        raise UsageError("mesh must be a positive integer")
 
     if cfg["method"] == "curvature-map":
         if cfg["loop"]["type"] != "rectangle":
@@ -570,7 +570,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n-min", type=int)
     sp.add_argument("--n-max", type=int)
     sp.add_argument("--check", dest="method", choices=["generic"], help="append an independent numeric column")
-    sp.add_argument("--degenerate", action="store_true", default=False, help="tabulate the eta = +/-1 bases")
 
     sp = _subcommand(sub, "berry", cmd_berry, "loop phases and curvature maps")
     sp.add_argument("--plot", default=None, help="write an SVG convergence plot to this path")

@@ -1,4 +1,4 @@
-"""Piecewise-smooth parameter paths in the (l, c) half-plane."""
+"""Polyline parameter paths in the (l, c) half-plane, given by their vertices."""
 
 from __future__ import annotations
 
@@ -8,58 +8,42 @@ import numpy as np
 
 from .spectrum import Geometry
 
-__all__ = ["Line", "ParameterPath", "rectangle_loop", "polyline_path", "point_loop", "rectangle_corners"]
+__all__ = ["ParameterPath", "rectangle_loop", "polyline_path", "point_loop", "rectangle_corners"]
 
 _CLOSURE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class Line:
-    """Straight segment t in [0, 1] -> (l, c)."""
-
-    start: tuple[float, float]
-    end: tuple[float, float]
-
-    def point(self, t: float) -> tuple[float, float]:
-        return (
-            self.start[0] + (self.end[0] - self.start[0]) * t,
-            self.start[1] + (self.end[1] - self.start[1]) * t,
-        )
-
-    def velocity(self, t: float) -> tuple[float, float]:
-        return (self.end[0] - self.start[0], self.end[1] - self.start[1])
-
-
-@dataclass(frozen=True)
 class ParameterPath:
-    """Chain of smooth segments traversed over the global parameter s in [0, 1].
+    """Polyline through `vertices`, traversed over the global parameter s in [0, 1].
 
-    orientation = -1 traverses the same chain backwards.  Every point must
-    keep l > 0; consecutive segments must join continuously.
+    Each side takes an equal share of s; orientation = -1 traverses the
+    vertices backwards.  Every vertex must be finite with l > 0, which keeps
+    l > 0 along the straight sides between them; integrals along a side (of
+    dc/l, of dt/l^2) have closed forms.  `segments` holds the sides as
+    (start, end) vertex pairs in vertex order.
     """
 
-    segments: tuple = field(default_factory=tuple)
+    vertices: tuple
     orientation: int = 1
+    segments: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        segs = tuple(self.segments)
-        if not segs:
-            raise ValueError("path needs at least one segment")
+        verts = tuple((float(l), float(c)) for l, c in self.vertices)
+        if len(verts) < 2:
+            raise ValueError("path needs at least two vertices")
         if self.orientation not in (1, -1):
             raise ValueError("orientation must be +1 or -1")
-        object.__setattr__(self, "segments", segs)
-        for a, b in zip(segs[:-1], segs[1:]):
-            gap = np.hypot(*(np.subtract(a.point(1.0), b.point(0.0))))
-            if gap > _CLOSURE_TOL:
-                raise ValueError(f"segments do not chain continuously (gap {gap:.2e})")
-        for seg in segs:
-            ls = [seg.point(t)[0] for t in np.linspace(0.0, 1.0, 17)]
-            if min(ls) <= 0:
-                raise ValueError("path leaves the l > 0 half-plane")
+        if not np.all(np.isfinite(verts)):
+            raise ValueError("path vertices must be finite")
+        if min(l for l, _ in verts) <= 0:
+            raise ValueError("path leaves the l > 0 half-plane")
+        object.__setattr__(self, "vertices", verts)
+        object.__setattr__(self, "segments", tuple(zip(verts[:-1], verts[1:])))
 
     @property
     def closed(self) -> bool:
-        gap = np.hypot(*(np.subtract(self.segments[-1].point(1.0), self.segments[0].point(0.0))))
+        gap = np.hypot(*(np.subtract(self.vertices[-1], self.vertices[0])))
         return gap <= _CLOSURE_TOL
 
     def _locate(self, s: float):
@@ -73,15 +57,15 @@ class ParameterPath:
 
     def point(self, s: float) -> Geometry:
         i, t = self._locate(s)
-        l, c = self.segments[i].point(t)
-        return Geometry(l, c)
+        (l0, c0), (l1, c1) = self.segments[i]
+        return Geometry(l0 + (l1 - l0) * t, c0 + (c1 - c0) * t)
 
     def velocity(self, s: float) -> tuple[float, float]:
-        """d(l, c)/ds, including the segment-count and orientation factors."""
-        i, t = self._locate(s)
-        vl, vc = self.segments[i].velocity(t)
+        """d(l, c)/ds, including the side-count and orientation factors."""
+        i, _ = self._locate(s)
+        (l0, c0), (l1, c1) = self.segments[i]
         factor = len(self.segments) * self.orientation
-        return (factor * vl, factor * vc)
+        return (factor * (l1 - l0), factor * (c1 - c0))
 
 
 def rectangle_loop(l1: float, l2: float, c1: float, c2: float, orientation: int = 1) -> ParameterPath:
@@ -90,25 +74,20 @@ def rectangle_loop(l1: float, l2: float, c1: float, c2: float, orientation: int 
     orientation = +1 is counterclockwise in the (l, c) plane with l drawn
     horizontally; -1 reverses the traversal.
     """
-    corners = [(l1, c1), (l2, c1), (l2, c2), (l1, c2), (l1, c1)]
-    segs = tuple(Line(a, b) for a, b in zip(corners[:-1], corners[1:]))
-    return ParameterPath(segments=segs, orientation=orientation)
+    return ParameterPath([(l1, c1), (l2, c1), (l2, c2), (l1, c2), (l1, c1)], orientation)
 
 
 def polyline_path(points, close: bool = False, orientation: int = 1) -> ParameterPath:
     """Polyline through the given (l, c) points, optionally closed."""
     pts = [tuple(map(float, p)) for p in points]
-    if close and pts[0] != pts[-1]:
+    if close and pts and pts[0] != pts[-1]:
         pts.append(pts[0])
-    if len(pts) < 2:
-        raise ValueError("polyline needs at least two points")
-    segs = tuple(Line(a, b) for a, b in zip(pts[:-1], pts[1:]))
-    return ParameterPath(segments=segs, orientation=orientation)
+    return ParameterPath(pts, orientation)
 
 
 def point_loop(l: float, c: float) -> ParameterPath:
     """Degenerate closed path sitting at a single parameter point."""
-    return ParameterPath(segments=(Line((l, c), (l, c)),))
+    return ParameterPath([(l, c), (l, c)])
 
 
 def rectangle_corners(path: ParameterPath):
@@ -120,25 +99,14 @@ def rectangle_corners(path: ParameterPath):
     """
     if not path.closed:
         raise ValueError("not a closed path")
-    verts = []
-    for seg in path.segments:
-        if not isinstance(seg, Line):
-            raise ValueError("rectangle detection requires straight segments")
-        dl = seg.end[0] - seg.start[0]
-        dc = seg.end[1] - seg.start[1]
-        if abs(dl) > _CLOSURE_TOL and abs(dc) > _CLOSURE_TOL:
+    for (l0, c0), (l1, c1) in path.segments:
+        if abs(l1 - l0) > _CLOSURE_TOL and abs(c1 - c0) > _CLOSURE_TOL:
             raise ValueError("rectangle segments must be axis-aligned")
-        verts.append(seg.start)
-    ls = sorted({round(v[0], 12) for v in verts})
-    cs = sorted({round(v[1], 12) for v in verts})
+    ls = sorted({round(l, 12) for l, _ in path.vertices[:-1]})
+    cs = sorted({round(c, 12) for _, c in path.vertices[:-1]})
     if len(ls) > 2 or len(cs) > 2:
         raise ValueError("path is not a rectangle")
-    lmin, lmax = ls[0], ls[-1]
-    cmin, cmax = cs[0], cs[-1]
-    # shoelace over the segment chain, reversed traversal flips the sign
-    area = 0.0
-    for seg in path.segments:
-        area += seg.start[0] * seg.end[1] - seg.end[0] * seg.start[1]
-    area *= 0.5 * path.orientation
-    sign = 1 if area >= 0 else -1
-    return lmin, lmax, cmin, cmax, sign
+    # shoelace over the vertex chain, reversed traversal flips the sign
+    area = sum(l0 * c1 - l1 * c0 for (l0, c0), (l1, c1) in path.segments)
+    sign = 1 if area * path.orientation >= 0 else -1
+    return ls[0], ls[-1], cs[0], cs[-1], sign

@@ -104,11 +104,6 @@ class GridFunction:
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "weights", weights)
 
-    @classmethod
-    def sample(cls, fn, nodes, weights) -> "GridFunction":
-        nodes = np.asarray(nodes, dtype=float)
-        return cls(nodes=nodes, values=np.asarray(fn(nodes), dtype=complex), weights=np.asarray(weights, dtype=float))
-
     def inner(self, other: "GridFunction") -> complex:
         """L2 inner product <self|other>, conjugate-linear in self."""
         if not np.array_equal(self.nodes, other.nodes):

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from berrybox import (
+    ETA_INF,
     Geometry,
+    ParameterPath,
     GridFunction,
     MeshTooCoarseError,
     commutator_defect,
@@ -12,10 +14,13 @@ from berrybox import (
     connection_interior,
     connection_mollified,
     curvature,
+    eigenfunction_physical,
     loop_phase_analytic,
+    loop_phase_connection,
     loop_phase_overlap,
     loop_phase_overlap_meshes,
     mode,
+    oscillatory_rule,
     point_loop,
     polyline_path,
     power_law_extrapolate,
@@ -220,6 +225,106 @@ def test_loop_additivity():
     union = rectangle_loop(1.0, 2.0, 0.0, 1.0)
     total = loop_phase_analytic(m, left) + loop_phase_analytic(m, right)
     assert total == pytest.approx(loop_phase_analytic(m, union), abs=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# closed-form plane-wave integrals against panel quadrature
+
+
+def _draw_eta(rng, kind):
+    if kind == "circle":
+        return np.exp(1j * rng.uniform(0.05, np.pi - 0.05) * rng.choice([1, -1]))
+    if kind == "off":
+        return rng.uniform(0.1, 3.0) * np.exp(1j * rng.uniform(-np.pi, np.pi))
+    if kind == "near":
+        return rng.choice([1.0, -1.0]) + 10.0 ** rng.uniform(-9, -3) * np.exp(1j * rng.uniform(-np.pi, np.pi))
+    if kind == "real":
+        return rng.uniform(-3.0, 3.0)
+    return ETA_INF
+
+
+def _draw_mode(rng, j):
+    return mode(int(rng.integers(-30, 31)), _draw_eta(rng, ("circle", "off", "near", "real", "inf")[j % 5]))
+
+
+def _draw_pair(rng, j):
+    la = rng.uniform(0.3, 3.0)
+    ga = Geometry(la, rng.uniform(-1.0, 1.0))
+    if j % 3 == 0:
+        return ga, Geometry(la * (1.0 + 1e-9), ga.c + rng.uniform(-1e-9, 1e-9))
+    return ga, Geometry(rng.uniform(0.3, 3.0), ga.c + rng.uniform(-0.5, 0.5) * la)
+
+
+def _quadrature_window(m, ga, gb, lo, hi):
+    # panel quadrature of conj(psi_a) psi_b over [lo, hi], four panels per wavelength
+    x, w = oscillatory_rule(lo, hi, abs(m.k) / ga.l + abs(m.k) / gb.l)
+    return complex(np.sum(w * np.conj(eigenfunction_physical(m, ga, x)) * eigenfunction_physical(m, gb, x)))
+
+
+def test_state_overlap_matches_quadrature():
+    rng = np.random.default_rng(2024)
+    for j in range(300):
+        m = _draw_mode(rng, j)
+        ga, gb = _draw_pair(rng, j)
+        lo, hi = max(ga.left, gb.left), min(ga.right, gb.right)
+        ref = _quadrature_window(m, ga, gb, lo, hi) if hi > lo else 0.0
+        assert abs(state_overlap(m, ga, gb) - ref) < 1e-13, (m, ga, gb)
+
+
+def test_connection_interior_matches_quadrature():
+    rng = np.random.default_rng(2025)
+    for j in range(150):
+        m = _draw_mode(rng, j)
+        g = Geometry(rng.uniform(0.3, 3.0), rng.uniform(-1.0, 1.0))
+        l, c = g.l, g.c
+        h = 1e-4 * l / (1.0 + abs(m.k))
+
+        def quotient(plus, minus, lo, hi):
+            diff = _quadrature_window(m, g, plus, lo, hi) - _quadrature_window(m, g, minus, lo, hi)
+            return diff.imag / (2.0 * h) / _quadrature_window(m, g, g, lo, hi).real
+
+        a_c = quotient(Geometry(l, c + h), Geometry(l, c - h), c - l / 2 + h, c + l / 2 - h)
+        a_l = quotient(Geometry(l + h, c), Geometry(l - h, c), c - (l - h) / 2, c + (l - h) / 2)
+        s = connection_interior(m, g)
+        tol = 1e-10 * (1.0 + abs(m.k) / l)
+        assert abs(s.a_c - a_c) < tol, (m, g)
+        assert abs(s.a_l - a_l) < tol, (m, g)
+
+
+def _narrow_polyline(rng):
+    # l spans at most l_min, as the benchmark's loops do; one side changes l
+    # by a relative 1e-12, where dc log1p(dl/l0)/dl must not cancel
+    l_min = rng.uniform(0.3, 3.0)
+    count = int(rng.integers(3, 7))
+    ls = l_min * (1.0 + rng.uniform(0.0, 1.0, count))
+    ls[0] = l_min
+    cs = rng.uniform(-1.0, 1.0, count) * l_min
+    verts = [(l, c) for l, c in zip(ls, cs)]
+    verts.insert(1, (l_min * (1.0 + 1e-12), cs[0] + 0.3 * l_min))
+    return ParameterPath(verts + [verts[0]], int(rng.choice([1, -1])))
+
+
+def test_loop_phase_analytic_matches_connection_quadrature():
+    rng = np.random.default_rng(2026)
+    for j in range(100):
+        m = _draw_mode(rng, j)
+        path = _narrow_polyline(rng)
+        ref = loop_phase_connection(m, path, connection_analytic)
+        phase = loop_phase_analytic(m, path)
+        assert abs(phase - ref) < 1e-13 * (1.0 + abs(ref)), (m, path)
+
+
+def test_reversed_orientation_negates_phases():
+    rng = np.random.default_rng(2027)
+    for j in range(20):
+        m = mode(int(rng.integers(-3, 4)), _draw_eta(rng, ("circle", "off", "near")[j % 3]))
+        l_min = rng.uniform(0.5, 2.0)
+        verts = [(l_min * (1.0 + rng.uniform(0.0, 0.3)), l_min * rng.uniform(-0.3, 0.3)) for _ in range(4)]
+        fwd = ParameterPath(verts + [verts[0]])
+        rev = ParameterPath(fwd.vertices, orientation=-1)
+        assert loop_phase_analytic(m, rev) == -loop_phase_analytic(m, fwd)
+        phase = loop_phase_overlap(m, fwd, 64).phase
+        assert loop_phase_overlap(m, rev, 64).phase == pytest.approx(-phase, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import shlex
 import subprocess
 import sys
 import threading
+import warnings
 
 import dataclasses
 
@@ -92,10 +93,13 @@ def test_spectrum_generic_check_column(tmp_path):
 
 
 def test_spectrum_degenerate(tmp_path):
+    # eta = +-1 selects the paired-basis table by itself, so its config
+    # reruns (the removed --degenerate flag was not a config key)
     out = tmp_path / "spec.csv"
-    assert run("spectrum", "--eta", "1", "--n-min", "0", "--n-max", "2", "--out", str(out)) == 2
-    assert run("spectrum", "--eta", "1", "--n-min", "0", "--n-max", "2",
-               "--degenerate", "--out", str(out)) == 0
+    assert run("spectrum", "--eta", "1", "--n-min", "0", "--n-max", "2", "--out", str(out)) == 0
+    again = tmp_path / "again.csv"
+    assert run("spectrum", "--config", str(tmp_path / "spec.csv.config.json"), "--out", str(again)) == 0
+    assert again.read_bytes() == out.read_bytes()
     _, rows = read_csv(out)
     # n = 0 has no two-dimensional eigenspace at eta = +1
     assert [r[0] for r in rows] == ["1", "2"]
@@ -438,6 +442,17 @@ def exit_code(*argv):
 
 
 _POLYGON = {"type": "polyline", "points": [[1.0, 0.0], [1.5, 0.0], [1.2, 0.4]]}
+# a non-finite vertex used to pass the l > 0 check and exit 2 only by
+# accident ("not closed", int(nan)), an infinite one after a RuntimeWarning
+_NONFINITE_LOOPS = [
+    pytest.param(argv + loop_argv, loop_config, id=f"{argv[0]}-{name}")
+    for argv in (["berry"], ["wz", "--eta", "1", "--n", "1"], ["adiabatic"])
+    for name, loop_argv, loop_config in (
+        ("loop-rect-nan", ["--loop-rect", "1", "2", "nan", "1"], None),
+        ("polyline-nan", [], {"loop": {**_POLYGON, "points": [[1.0, 0.0], [1.5, float("nan")], [1.2, 0.4]]}}),
+        ("polyline-infinity", [], {"loop": {**_POLYGON, "points": [[1.0, 0.0], [float("inf"), 0.0], [1.2, 0.4]]}}),
+    )
+]
 
 
 @pytest.mark.parametrize("argv, config", [
@@ -445,6 +460,8 @@ _POLYGON = {"type": "polyline", "points": [[1.0, 0.0], [1.5, 0.0], [1.2, 0.4]]}
     pytest.param(["wz", "--eta", "1", "--n", "1", "--plot", "x.svg"], None, id="wz-plot"),
     pytest.param(["adiabatic", "--tol", "1e-3"], None, id="adiabatic-tol"),
     pytest.param(["spectrum", "--tol", "1"], None, id="spectrum-tol"),
+    pytest.param(["spectrum", "--eta", "1", "--degenerate"], None, id="spectrum-degenerate"),
+    pytest.param(["spectrum", "--eta", "-1", "--check", "generic"], None, id="spectrum-degenerate-generic"),
     pytest.param(["bc", "--plot", "x.svg"], None, id="bc-plot"),
     pytest.param(["berry", "--method", "analytic", "--curvature-map"], None, id="berry-method-and-map"),
     pytest.param(["berry", "--curvature-map", "--plot", "x.svg"], None, id="berry-map-plot"),
@@ -459,13 +476,22 @@ _POLYGON = {"type": "polyline", "points": [[1.0, 0.0], [1.5, 0.0], [1.2, 0.4]]}
     pytest.param(["wz", "--eta", "1", "--n", "1"], {"mesh": [1]}, id="wz-config-mesh-list"),
     pytest.param(["adiabatic"], {"T_list": 5}, id="adiabatic-config-T_list-number"),
     pytest.param(["spectrum"], {"geometry": {"l": [2.0], "c": 0.0}}, id="spectrum-config-geometry-list"),
+    # a nonpositive mesh used to collapse to one mesh-16 overlap row, or to
+    # an empty curvature map
+    pytest.param(["berry", "--method", "overlap", "--mesh", "-4"], None, id="berry-overlap-mesh-negative"),
+    pytest.param(["berry", "--method", "overlap", "--mesh", "0"], None, id="berry-overlap-mesh-zero"),
+    pytest.param(["berry", "--curvature-map", "--mesh", "0"], None, id="berry-map-mesh-zero"),
+    pytest.param(["berry"], {"mesh": -1}, id="berry-config-mesh-negative"),
+    *_NONFINITE_LOOPS,
 ])
 def test_unread_or_invalid_option_exits_2_before_output(tmp_path, monkeypatch, argv, config):
     monkeypatch.chdir(tmp_path)
     if config is not None:
         (tmp_path / "cfg.json").write_text(json.dumps(config))
         argv = argv + ["--config", "cfg.json"]
-    assert exit_code(*argv, "--out", "o.out") == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert exit_code(*argv, "--out", "o.out") == 2
     assert sorted(p.name for p in tmp_path.iterdir()) == (["cfg.json"] if config is not None else [])
 
 

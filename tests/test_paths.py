@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from berrybox import ParameterPath, Line, point_loop, polyline_path, rectangle_corners, rectangle_loop
+from berrybox import ParameterPath, point_loop, polyline_path, rectangle_corners, rectangle_loop
 
 
 def test_rectangle_loop_closed_and_oriented():
@@ -43,9 +43,25 @@ def test_positive_length_enforced():
         rectangle_loop(0.0, 2.0, 0.0, 1.0)
 
 
-def test_chain_continuity_enforced():
-    with pytest.raises(ValueError):
-        ParameterPath(segments=(Line((1, 0), (2, 0)), Line((3, 0), (4, 0))))
+def test_segments_are_vertex_pairs():
+    path = ParameterPath([(1, 0), (2, 0), (2, 1)], orientation=-1)
+    assert path.vertices == ((1.0, 0.0), (2.0, 0.0), (2.0, 1.0))
+    assert path.segments == (((1.0, 0.0), (2.0, 0.0)), ((2.0, 0.0), (2.0, 1.0)))
+    # s runs backwards through the same vertices
+    g = path.point(0.25)
+    assert (g.l, g.c) == (2.0, 0.5)
+    assert path.velocity(0.25) == (0.0, -2.0)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_nonfinite_vertex_rejected(bad):
+    # nan slipped past the l > 0 check, since nan <= 0 is false
+    with pytest.raises(ValueError, match="finite"):
+        polyline_path([(1.0, 0.0), (2.0, bad), (1.5, 1.0)], close=True)
+    with pytest.raises(ValueError, match="finite"):
+        rectangle_loop(1.0, 2.0, bad, 1.0)
+    with pytest.raises(ValueError, match="finite"):
+        point_loop(bad, 0.0)
 
 
 def test_point_loop():
