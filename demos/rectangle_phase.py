@@ -19,9 +19,9 @@ import numpy as np
 
 from berrybox import (
     connection_interior,
-    connection_mollified,
     loop_phase_analytic,
     loop_phase_connection,
+    loop_phase_mollified,
     loop_phase_overlap,
     mode,
     power_law_extrapolate,
@@ -48,7 +48,7 @@ def main(svg_path=None):
     eps_list = [0.2, 0.1, 0.05, 0.025]
     phases = []
     for eps in eps_list:
-        phase = loop_phase_connection(m, rect, lambda mm, g, ee=eps: connection_mollified(mm, g, ee * g.l))
+        phase = loop_phase_mollified(m, rect, eps)
         phases.append(phase)
         print(f"  eps/l = {eps:<6} phase = {phase:.12f}   error = {abs(phase - exact):.2e}")
     limit, order = power_law_extrapolate(eps_list, phases)

@@ -24,7 +24,7 @@ from .boundary import (
     eta_to_unitary,
     triple_identity_defect,
 )
-from .quadrature import GridFunction, oscillatory_rule, panel_rule, piecewise_rule, reference_rule
+from .quadrature import GridFunction, oscillatory_rule, panel_rule, reference_rule
 from .spectrum import (
     DegenerateEtaError,
     EigenLevel,
@@ -58,9 +58,11 @@ from .berry import (
     curvature,
     loop_phase_analytic,
     loop_phase_connection,
+    loop_phase_mollified,
     loop_phase_overlap,
     loop_phase_overlap_meshes,
     power_law_extrapolate,
+    require_geometric,
     standard_mollifier,
     state_overlap,
     stokes_defect,

@@ -19,13 +19,20 @@ is Hermitian for every boundary parameter and agrees with <phi|-i phi'>
 whenever |eta| = 1, where the endpoint bracket vanishes.  Propagation uses
 the exponential midpoint rule: each step applies the exact exponential of
 the frozen midpoint Hamiltonian, hence is exactly unitary and phase-exact
-on constant paths.  On a side of constant l (the c-sides of a rectangle)
-the Hamiltonian does not change, so one eigh serves every step of that
-side and its evolution is exact.
+on constant paths.  The loop is worked one side at a time: the side's
+midpoint geometries come from one array call, their Hamiltonians are built
+as one stack, and a stacked eigh diagonalises them in blocks of at most
+`_EIGH_BLOCK`, so only the two matrix-vector products of each step remain
+per step.  On a side of constant l (the c-sides of a rectangle) the
+Hamiltonian does not change, so the block holds one Hamiltonian that every
+step of the side reuses, and the side's evolution is exact.  The p and
+x o p blocks are built once per mode window.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +59,11 @@ __all__ = [
     "propagate",
 ]
 
+# midpoint Hamiltonians per stacked eigh call: stacking removes the per-step
+# Python work around eigh, and the bound keeps the stack's memory small (a
+# whole loop at once raised peak RSS by about a quarter)
+_EIGH_BLOCK = 16
+
 
 @dataclass(frozen=True)
 class Schedule:
@@ -62,8 +74,8 @@ class Schedule:
     resolution: int = 1000
 
     def __post_init__(self):
-        if not self.duration > 0:
-            raise ValueError("traversal time must be positive")
+        if not 0 < self.duration < math.inf:
+            raise ValueError("traversal time must be finite and positive")
         if self.resolution < 100:
             raise ValueError("resolution must be at least 100 steps")
         if not self.path.closed:
@@ -103,8 +115,12 @@ def _window_grid(modes):
     return oscillatory_rule(-0.5, 0.5, 2.0 * kmax)
 
 
+@functools.lru_cache(maxsize=8)
 def _weak_form_matrix(modes):
-    """Matrices of p and x o p in the symmetrized quadrature form."""
+    """Matrices of p and x o p in the symmetrized quadrature form.
+
+    Built once per mode window; the cached arrays are shared and read-only.
+    """
     x, w = _window_grid(modes)
     vals = np.array([eigenfunction_fixed(m, x) for m in modes])
     ders = np.array([eigenfunction_fixed_dx(m, x) for m in modes])
@@ -115,43 +131,48 @@ def _weak_form_matrix(modes):
 
     p = sym(np.ones_like(x))
     xp = sym(x)
+    p.setflags(write=False)
+    xp.setflags(write=False)
     return p, xp
 
 
 def momentum_matrix(modes) -> np.ndarray:
-    """Hermitian momentum block over the mode window."""
-    return _weak_form_matrix(modes)[0]
+    """Hermitian momentum block over the mode window (read-only)."""
+    return _weak_form_matrix(tuple(modes))[0]
 
 
 def virial_matrix(modes) -> np.ndarray:
-    """Hermitian dilation-generator block (x o p = (xp + px)/2)."""
-    return _weak_form_matrix(modes)[1]
+    """Hermitian dilation-generator block (x o p = (xp + px)/2, read-only)."""
+    return _weak_form_matrix(tuple(modes))[1]
 
 
-def effective_hamiltonian(
-    modes,
-    g: Geometry,
-    ldot: float,
-    cdot: float,
-    mass: float = 1.0,
-    pmat: np.ndarray | None = None,
-    xpmat: np.ndarray | None = None,
-) -> np.ndarray:
-    """Moving-frame Hamiltonian on the mode window.
+def _hamiltonians(modes, blocks, l, ldot, cdot, mass):
+    """Stack of moving-frame Hamiltonians, one per entry of the arrays l, ldot, cdot.
 
-    Static part: diag(lambda_n(l)) = diag(k_n^2 / (2 m l^2)).  Velocity
-    part: -(ldot/l) x o p - (cdot/l) p.  The velocity blocks are
-    l-independent (unit-interval integrals), so callers doing time stepping
-    should precompute them.
+    `blocks` holds the window's (p, x o p) from `_weak_form_matrix`.
     """
     if not mass > 0:
         raise ValueError("mass must be positive")
-    if pmat is None or xpmat is None:
-        pmat, xpmat = _weak_form_matrix(modes)
-    # Python's k ** 2, as in spectrum.eigenvalue: numpy's square rounds a
+    pmat, xpmat = blocks
+    # Python's x ** 2, as in spectrum.eigenvalue: numpy's square rounds a
     # few squares in ten thousand differently
-    lam = np.array([m.k ** 2 for m in modes]) / (2.0 * mass * g.l ** 2)
-    return np.diag(lam).astype(complex) - (ldot / g.l) * xpmat - (cdot / g.l) * pmat
+    ksq = np.array([m.k ** 2 for m in modes])
+    lsq = np.array([x ** 2 for x in l.tolist()])
+    h = np.zeros((l.size, len(modes), len(modes)), dtype=complex)
+    diag = np.arange(len(modes))
+    h[:, diag, diag] = ksq / (2.0 * mass * lsq[:, None])
+    return h - (ldot / l)[:, None, None] * xpmat - (cdot / l)[:, None, None] * pmat
+
+
+def effective_hamiltonian(modes, g: Geometry, ldot: float, cdot: float, mass: float = 1.0) -> np.ndarray:
+    """Moving-frame Hamiltonian on the mode window at one geometry.
+
+    Static part: diag(lambda_n(l)) = diag(k_n^2 / (2 m l^2)).  Velocity
+    part: -(ldot/l) x o p - (cdot/l) p, whose blocks are l-independent
+    (unit-interval integrals) and built once per mode window.
+    """
+    modes = tuple(modes)
+    return _hamiltonians(modes, _weak_form_matrix(modes), np.array([g.l]), np.array([ldot]), np.array([cdot]), mass)[0]
 
 
 def _dynamical_phase(schedule: Schedule, m: Mode, mass: float) -> float:
@@ -181,7 +202,8 @@ def propagate(
     construction, second order in the step, and exact on constant paths).
     On a side of constant l the Hamiltonian is constant, so the side is
     evolved exactly with one eigh whose exponential every step reuses;
-    norm_drift and edge_weight are still sampled after every step.
+    norm_drift and edge_weight are sampled after every step and reduced
+    per block.
     Returns the total return phase Arg<psi(0)|psi(T)>, the dynamical phase
     -Int lambda dt, and their difference mod 2 pi as the geometric phase.
     A fidelity below 0.9 sets the adiabaticity warning instead of raising.
@@ -190,7 +212,7 @@ def propagate(
     if abs(start_mode) > window:
         raise ValueError("start mode lies outside the window")
     idx = start_mode + window
-    pmat, xpmat = _weak_form_matrix(modes)
+    blocks = _weak_form_matrix(modes)
 
     path = schedule.path
     nseg = len(path.segments)
@@ -208,20 +230,25 @@ def propagate(
         # steps run through the segments in traversal order
         (l0, _), (l1, _) = path.segments[side if path.orientation > 0 else nseg - 1 - side]
         constant = l0 == l1
-        for j in range(side * steps_per, (side + 1) * steps_per):
-            if not constant or j == side * steps_per:
-                s_mid = (j + 0.5) / nsteps
-                g = path.point(s_mid)
-                vl, vc = path.velocity(s_mid)
-                h = effective_hamiltonian(
-                    modes, g, vl / schedule.duration, vc / schedule.duration, mass, pmat, xpmat
+        for first in range(0, steps_per, _EIGH_BLOCK):
+            j = side * steps_per + np.arange(first, min(first + _EIGH_BLOCK, steps_per))
+            if first == 0 or not constant:
+                # a side of constant l has one Hamiltonian, which all its steps reuse
+                s_mid = ((j[:1] if constant else j) + 0.5) / nsteps
+                l, _ = path.points(s_mid)
+                vl, vc = path.velocities(s_mid)
+                evals, vecs = np.linalg.eigh(
+                    _hamiltonians(modes, blocks, l, vl / schedule.duration, vc / schedule.duration, mass)
                 )
-                evals, vecs = np.linalg.eigh(h)
                 phases = np.exp(-1j * evals * dt)
-                vecs_h = vecs.conj().T
-            psi = vecs @ (phases * (vecs_h @ psi))
-            norm_drift = max(norm_drift, abs(np.linalg.norm(psi) - 1.0))
-            edge_weight = max(edge_weight, abs(psi[0]), abs(psi[-1]))
+                vecs_h = vecs.conj().transpose(0, 2, 1)
+            trail = np.empty((j.size, len(modes)), dtype=complex)
+            for b in range(j.size):
+                i = b % len(phases)
+                psi = vecs[i] @ (phases[i] * (vecs_h[i] @ psi))
+                trail[b] = psi
+            norm_drift = max(norm_drift, float(np.max(np.abs(np.linalg.norm(trail, axis=1) - 1.0))))
+            edge_weight = max(edge_weight, float(np.max(np.abs(trail[:, [0, -1]]))))
 
     overlap = np.vdot(psi0, psi)
     total = float(np.angle(overlap))

@@ -17,6 +17,9 @@ and cross-checked against the closed form a_c = (k/l) sin(alpha), a_l = 0:
 Each eigenfunction is two plane waves and each loop a polyline, so the
 overlaps, the interior windows and the analytic loop phase are integrated in
 closed form; quadrature serves the mollified embedding and `stokes_defect`.
+Numerical loop phases integrate the connection side by side at the Gauss
+nodes of each side; `loop_phase_mollified` evaluates all of a side's nodes at
+once, on one sampling grid with a row per node.
 Loop phases follow the convention Phi = i * contour integral of <psi|d psi>;
 for the counterclockwise axis-aligned rectangle [l1, l2] x [c1, c2] this
 gives Phi = k (1/l1 - 1/l2)(c2 - c1) sin(alpha).
@@ -31,13 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .paths import ParameterPath, rectangle_corners
-from .quadrature import GridFunction, panel_rule, piecewise_rule, reference_rule
-from .spectrum import (
-    Geometry,
-    Mode,
-    extension_physical,
-    extension_physical_grad,
-)
+from .quadrature import GridFunction, panel_rule, reference_rule
+from .spectrum import Geometry, Mode, _extension_jet
 
 __all__ = [
     "MeshTooCoarseError",
@@ -50,6 +48,7 @@ __all__ = [
     "LoopPhaseResult",
     "loop_phase_analytic",
     "loop_phase_connection",
+    "loop_phase_mollified",
     "loop_phase_overlap",
     "loop_phase_overlap_meshes",
     "state_overlap",
@@ -57,6 +56,7 @@ __all__ = [
     "stokes_defect",
     "commutator_defect",
     "power_law_extrapolate",
+    "require_geometric",
 ]
 
 
@@ -191,14 +191,41 @@ def connection_interior(m: Mode, g: Geometry, h: float | None = None) -> Connect
     return ConnectionSample(a_l=a_l, a_c=a_c, geometry=g, mode=m)
 
 
-def _mollified_grid(g: Geometry, m: Mode, eps: float):
+def _mollified_grid(m: Mode, l, c, eps):
+    """Sampling grid of the embedding, one row (nodes, weights) per box (l, c) of width eps."""
+    left, right = c - 0.5 * l, c + 0.5 * l
     # panels split at the box walls where the cutoff profile kicks in
     inner_panels = max(2, int(np.ceil(4.0 * abs(m.k) / (2.0 * np.pi))) + 2)
-    x, w = piecewise_rule(
-        [g.left - eps, g.left, g.right, g.right + eps],
-        [12, inner_panels, 12],
+    pieces = (
+        panel_rule(left - eps, left, 12),
+        panel_rule(left, right, inner_panels),
+        panel_rule(right, right + eps, 12),
     )
-    return x, w
+    return tuple(np.concatenate(part, axis=-1) for part in zip(*pieces))
+
+
+def _mollified_connection(m: Mode, l, c, eps):
+    """Arrays (a_l, a_c) of the mollified connection at the boxes (l, c) of widths eps.
+
+    l, c and eps are 1-D arrays of one length; each box gets its own row of
+    the sampling grid, and the whole set is evaluated at once.
+    """
+    if not np.all(eps > 0):
+        raise ValueError("eps must be positive")
+    x, w = _mollified_grid(m, l, c, eps)
+    l, c, eps = l[:, None], c[:, None], eps[:, None]
+    rho = standard_mollifier()
+    chi = np.where(
+        (x >= c - 0.5 * l) & (x <= c + 0.5 * l),
+        1.0,
+        rho((np.abs(x - c) - 0.5 * l) / eps),
+    )
+    ext, d_dl, d_dc = _extension_jet(m, l, c, x)
+    weight = w * chi ** 2
+    norm2 = np.sum(weight * np.abs(ext) ** 2, axis=-1)
+    a_l = np.sum(weight * np.imag(np.conj(ext) * d_dl), axis=-1) / norm2
+    a_c = np.sum(weight * np.imag(np.conj(ext) * d_dc), axis=-1) / norm2
+    return a_l, a_c
 
 
 def connection_mollified(m: Mode, g: Geometry, eps: float) -> ConnectionSample:
@@ -218,22 +245,8 @@ def connection_mollified(m: Mode, g: Geometry, eps: float) -> ConnectionSample:
     to quadrature error.  The sweep over eps still exercises the embedding
     end to end.
     """
-    if not eps > 0:
-        raise ValueError("eps must be positive")
-    rho = standard_mollifier()
-    x, w = _mollified_grid(g, m, eps)
-    chi = np.where(
-        (x >= g.left) & (x <= g.right),
-        1.0,
-        rho((np.abs(x - g.c) - 0.5 * g.l) / eps),
-    )
-    ext = extension_physical(m, g, x)
-    d_dl, d_dc = extension_physical_grad(m, g, x)
-    weight = w * chi ** 2
-    norm2 = np.sum(weight * np.abs(ext) ** 2)
-    a_l = np.sum(weight * np.imag(np.conj(ext) * d_dl)) / norm2
-    a_c = np.sum(weight * np.imag(np.conj(ext) * d_dc)) / norm2
-    return ConnectionSample(a_l=float(a_l), a_c=float(a_c), geometry=g, mode=m)
+    a_l, a_c = _mollified_connection(m, np.array([g.l]), np.array([g.c]), np.array([float(eps)]))
+    return ConnectionSample(a_l=float(a_l[0]), a_c=float(a_c[0]), geometry=g, mode=m)
 
 
 # ---------------------------------------------------------------------------
@@ -245,11 +258,11 @@ def _require_closed(path: ParameterPath):
         raise ValueError("loop phase requires a closed parameter path")
 
 
-def loop_phase_connection(m: Mode, path: ParameterPath, sampler, order: int = 16) -> float:
-    """Line integral Phi = -contour integral of (a_l dl + a_c dc).
+def _loop_integral(path: ParameterPath, side_connection, order: int) -> float:
+    """-contour integral of (a_l dl + a_c dc) by `order` Gauss nodes per side.
 
-    `sampler(mode, geometry) -> ConnectionSample` supplies the connection
-    components; the minus sign converts Im<psi|d psi> into i<psi|d psi>.
+    `side_connection(l, c)` returns the components (a_l, a_c) at the nodes
+    of one side, given as arrays; the sum runs node by node in path order.
     """
     _require_closed(path)
     nseg = len(path.segments)
@@ -258,12 +271,35 @@ def loop_phase_connection(m: Mode, path: ParameterPath, sampler, order: int = 16
     for i in range(nseg):
         s0, s1 = i / nseg, (i + 1) / nseg
         mid, half = 0.5 * (s0 + s1), 0.5 * (s1 - s0)
-        for xj, wj in zip(xg, wg):
-            s = mid + half * xj
-            sample = sampler(m, path.point(s))
-            vl, vc = path.velocity(s)
-            total += wj * half * (sample.a_l * vl + sample.a_c * vc)
+        s = mid + half * xg
+        a_l, a_c = side_connection(*path.points(s))
+        vl, vc = path.velocities(s)
+        for wj, al, ac, vlj, vcj in zip(wg, a_l, a_c, vl.tolist(), vc.tolist()):
+            total += wj * half * (al * vlj + ac * vcj)
     return -total
+
+
+def loop_phase_connection(m: Mode, path: ParameterPath, sampler, order: int = 16) -> float:
+    """Line integral Phi = -contour integral of (a_l dl + a_c dc).
+
+    `sampler(mode, geometry) -> ConnectionSample` supplies the connection
+    components; the minus sign converts Im<psi|d psi> into i<psi|d psi>.
+    """
+
+    def side(l, c):
+        samples = [sampler(m, Geometry(lj, cj)) for lj, cj in zip(l.tolist(), c.tolist())]
+        return [x.a_l for x in samples], [x.a_c for x in samples]
+
+    return _loop_integral(path, side, order)
+
+
+def loop_phase_mollified(m: Mode, path: ParameterPath, eps: float, order: int = 16) -> float:
+    """`loop_phase_connection` of `connection_mollified` at width eps * l.
+
+    The cutoff width is relative to the local box length; each side's nodes
+    are evaluated at once, on one sampling grid with a row per node.
+    """
+    return _loop_integral(path, lambda l, c: _mollified_connection(m, l, c, eps * l), order)
 
 
 def loop_phase_analytic(m: Mode, path: ParameterPath) -> float:
@@ -345,7 +381,8 @@ def loop_phase_overlap_meshes(m: Mode, path: ParameterPath, meshes) -> list[Loop
 
     def chain(n):
         if n not in chains:
-            pts = [path.point(j / n) for j in range(n)]
+            ls, cs = path.points(np.arange(n) / n)
+            pts = [Geometry(l, c) for l, c in zip(ls.tolist(), cs.tolist())]
             pts.append(pts[0])
             chains[n] = _overlap_chain_phase(m, pts)
         return chains[n]
@@ -432,6 +469,21 @@ def commutator_defect(sample: GridFunction) -> float:
 # extrapolation helper
 
 
+def require_geometric(params) -> np.ndarray:
+    """`params` as an array, checked to be at least three finite positive
+    values that decrease at a constant ratio, as `power_law_extrapolate`
+    needs; raises ValueError otherwise."""
+    eps = np.asarray(params, dtype=float)
+    if eps.ndim != 1 or eps.size < 3:
+        raise ValueError("need at least three samples")
+    if not np.all(np.isfinite(eps) & (eps > 0)):
+        raise ValueError("params must be finite and positive")
+    ratios = eps[1:] / eps[:-1]
+    if np.any(ratios >= 1.0) or np.max(np.abs(ratios - ratios[0])) > 1e-8:
+        raise ValueError("params must decrease at a constant ratio")
+    return eps
+
+
 def power_law_extrapolate(params, values):
     """Extrapolate samples a(eps) = a* + C eps^q to eps -> 0.
 
@@ -439,14 +491,11 @@ def power_law_extrapolate(params, values):
     (limit, order); when successive differences sit at the noise floor the
     last sample is returned with the order capped at 8.
     """
-    eps = np.asarray(params, dtype=float)
+    eps = require_geometric(params)
     a = np.asarray(values, dtype=float)
-    if eps.size < 3 or eps.size != a.size:
+    if eps.size != a.size:
         raise ValueError("need at least three matching samples")
-    ratios = eps[1:] / eps[:-1]
-    if np.any(ratios >= 1.0) or np.max(np.abs(ratios - ratios[0])) > 1e-8:
-        raise ValueError("params must decrease at a constant ratio")
-    r = ratios[0]
+    r = eps[1] / eps[0]
     d = np.diff(a)
     floor = 1e-12 * max(np.max(np.abs(a)), 1.0)
     if np.max(np.abs(d)) < floor:

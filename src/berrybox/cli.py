@@ -30,12 +30,13 @@ from . import svgplot
 from .adiabatic import Schedule, propagate
 from .berry import (
     connection_interior,
-    connection_mollified,
     curvature,
     loop_phase_analytic,
     loop_phase_connection,
+    loop_phase_mollified,
     loop_phase_overlap_meshes,
     power_law_extrapolate,
+    require_geometric,
 )
 from .boundary import ETA_INF, Eta, classify_unitary, eta_to_unitary, require_unitary
 from .paths import polyline_path, rectangle_loop
@@ -361,9 +362,7 @@ def _berry_phase_rows(m, path, methods, cfg):
         eps_list = [float(e) for e in cfg["eps_list"]]
         phases = []
         for eps in eps_list:
-            phase = loop_phase_connection(
-                m, path, lambda mm, g, ee=eps: connection_mollified(mm, g, ee * g.l)
-            )
+            phase = loop_phase_mollified(m, path, eps)
             phases.append(phase)
             rows.append(("mollified", "", _fmt(eps), "", _fmt(phase), ""))
         limit, _order = power_law_extrapolate(eps_list, phases)
@@ -416,6 +415,11 @@ def cmd_berry(args) -> int:
         bad = [s for s in methods if s not in _BERRY_METHODS]
         if bad:
             raise UsageError(f"unknown berry method(s): {bad}")
+    if "mollified" in methods:
+        try:
+            require_geometric(cfg["eps_list"])
+        except ValueError as exc:
+            raise UsageError(f"eps_list: {exc}") from None
     rows, finals, analytic, curves = _berry_phase_rows(m, path, methods, cfg)
     _write_output(args.out, _csv("method,mesh,eps,h,phase,err_est", rows))
     _write_resolved_config(args.out, cfg)
@@ -504,7 +508,8 @@ def cmd_adiabatic(args) -> int:
     if not t_list:
         raise UsageError("T_list must not be empty")
 
-    reports = [propagate(Schedule(path, T, resolution), n, eta, window, mass) for T in t_list]
+    schedules = [Schedule(path, T, resolution) for T in t_list]
+    reports = [propagate(sched, n, eta, window, mass) for sched in schedules]
 
     rows = [
         (_fmt(T), _fmt(r.total_phase), _fmt(r.dynamical_phase), _fmt(r.geometric_phase),

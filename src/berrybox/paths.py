@@ -27,6 +27,8 @@ class ParameterPath:
     vertices: tuple
     orientation: int = 1
     segments: tuple = field(init=False, repr=False, compare=False)
+    _starts: np.ndarray = field(init=False, repr=False, compare=False)
+    _steps: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         verts = tuple((float(l), float(c)) for l, c in self.vertices)
@@ -40,32 +42,47 @@ class ParameterPath:
             raise ValueError("path leaves the l > 0 half-plane")
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "segments", tuple(zip(verts[:-1], verts[1:])))
+        # side i runs from _starts[i] by _steps[i]; rows are (l, c)
+        table = np.array(verts)
+        for name, value in (("_starts", table[:-1]), ("_steps", table[1:] - table[:-1])):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @property
     def closed(self) -> bool:
         gap = np.hypot(*(np.subtract(self.vertices[-1], self.vertices[0])))
         return gap <= _CLOSURE_TOL
 
-    def _locate(self, s: float):
+    def _locate(self, s):
+        """Side index and position t in [0, 1] along it, for an array of s."""
+        s = np.asarray(s, dtype=float)
         if self.orientation < 0:
             s = 1.0 - s
-        s = min(max(s, 0.0), 1.0)
-        n = len(self.segments)
-        sigma = s * n
-        i = min(int(sigma), n - 1)
+        sigma = np.clip(s, 0.0, 1.0) * len(self.segments)
+        i = np.minimum(sigma.astype(int), len(self.segments) - 1)
         return i, sigma - i
 
-    def point(self, s: float) -> Geometry:
+    def points(self, s):
+        """Arrays (l, c) of the path at the parameter values in the array s."""
         i, t = self._locate(s)
-        (l0, c0), (l1, c1) = self.segments[i]
-        return Geometry(l0 + (l1 - l0) * t, c0 + (c1 - c0) * t)
+        (l0, c0), (dl, dc) = self._starts[i].T, self._steps[i].T
+        return l0 + dl * t, c0 + dc * t
+
+    def velocities(self, s):
+        """Arrays of d(l, c)/ds at s, including the side-count and orientation factors."""
+        i, _ = self._locate(s)
+        dl, dc = self._steps[i].T
+        factor = len(self.segments) * self.orientation
+        return factor * dl, factor * dc
+
+    def point(self, s: float) -> Geometry:
+        l, c = self.points([s])
+        return Geometry(l[0], c[0])
 
     def velocity(self, s: float) -> tuple[float, float]:
-        """d(l, c)/ds, including the side-count and orientation factors."""
-        i, _ = self._locate(s)
-        (l0, c0), (l1, c1) = self.segments[i]
-        factor = len(self.segments) * self.orientation
-        return (factor * (l1 - l0), factor * (c1 - c0))
+        """d(l, c)/ds at one s; see `velocities`."""
+        vl, vc = self.velocities([s])
+        return (float(vl[0]), float(vc[0]))
 
 
 def rectangle_loop(l1: float, l2: float, c1: float, c2: float, orientation: int = 1) -> ParameterPath:

@@ -27,21 +27,24 @@ def reference_rule(order: int):
     return nodes, weights
 
 
-def panel_rule(a: float, b: float, panels: int, order: int = DEFAULT_ORDER):
+def panel_rule(a, b, panels: int, order: int = DEFAULT_ORDER):
     """Composite Gauss-Legendre rule on [a, b] split into equal panels.
 
-    Returns (nodes, weights); nodes are strictly increasing.
+    Returns (nodes, weights); nodes are strictly increasing.  `a` and `b`
+    may be arrays of one shape: each pair of entries then gets its own rule,
+    along a new last axis.
     """
-    if not b > a:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if not np.all(b > a):
         raise ValueError(f"empty integration interval [{a}, {b}]")
     if panels < 1:
         raise ValueError("panels must be >= 1")
     xg, wg = reference_rule(order)
-    edges = np.linspace(a, b, panels + 1)
-    half = 0.5 * np.diff(edges)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    nodes = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
-    weights = (half[:, None] * wg[None, :]).ravel()
+    edges = np.linspace(a, b, panels + 1, axis=-1)
+    half = 0.5 * np.diff(edges, axis=-1)
+    mid = 0.5 * (edges[..., :-1] + edges[..., 1:])
+    nodes = (mid[..., None] + half[..., None] * xg).reshape(*a.shape, -1)
+    weights = (half[..., None] * wg).reshape(*a.shape, -1)
     return nodes, weights
 
 
@@ -55,25 +58,6 @@ def oscillatory_rule(a: float, b: float, wavenumber: float, order: int = DEFAULT
     cycles = abs(wavenumber) * (b - a) / (2.0 * np.pi)
     panels = max(2, int(np.ceil(4.0 * cycles)) + 2)
     return panel_rule(a, b, panels, order=order)
-
-
-def piecewise_rule(breakpoints, panels_per_piece, order: int = DEFAULT_ORDER):
-    """Concatenation of panel rules between consecutive breakpoints.
-
-    `panels_per_piece` may be an int or a sequence matching the pieces.
-    """
-    pts = np.asarray(breakpoints, dtype=float)
-    if pts.ndim != 1 or pts.size < 2 or np.any(np.diff(pts) <= 0):
-        raise ValueError("breakpoints must be strictly increasing")
-    npieces = pts.size - 1
-    if np.isscalar(panels_per_piece):
-        panels_per_piece = [int(panels_per_piece)] * npieces
-    nodes, weights = [], []
-    for lo, hi, p in zip(pts[:-1], pts[1:], panels_per_piece):
-        x, w = panel_rule(lo, hi, p, order=order)
-        nodes.append(x)
-        weights.append(w)
-    return np.concatenate(nodes), np.concatenate(weights)
 
 
 @dataclass(frozen=True)

@@ -165,14 +165,22 @@ def extension_physical(m: Mode, g: Geometry, x):
 
 def extension_physical_grad(m: Mode, g: Geometry, x):
     """Parameter gradient (d/dl, d/dc) of the smooth extension at fixed x."""
+    return _extension_jet(m, g.l, g.c, x)[1:]
+
+
+def _extension_jet(m: Mode, l, c, x):
+    """The smooth extension and its gradient (d/dl, d/dc) at fixed x.
+
+    l and c may be arrays that broadcast against x, one box per entry.
+    """
     x = np.asarray(x, dtype=float)
-    u = (x - g.c) / g.l
-    inv_sqrt = 1.0 / np.sqrt(g.l)
+    u = (x - c) / l
+    inv_sqrt = 1.0 / np.sqrt(l)
     val = eigenfunction_fixed(m, u)
     der = eigenfunction_fixed_dx(m, u)
-    d_dc = -inv_sqrt * der / g.l
-    d_dl = -0.5 * inv_sqrt * val / g.l - inv_sqrt * der * u / g.l
-    return d_dl, d_dc
+    d_dc = -inv_sqrt * der / l
+    d_dl = -0.5 * inv_sqrt * val / l - inv_sqrt * der * u / l
+    return val / np.sqrt(l), d_dl, d_dc
 
 
 def eigenfunction_physical(m: Mode, g: Geometry, x):

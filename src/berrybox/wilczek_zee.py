@@ -176,12 +176,12 @@ expm = _exp_i_sigma2
 def _holonomy_matrix(eta: int, n: int, path: ParameterPath, mesh: int) -> np.ndarray:
     k = degenerate_wavenumber(eta, n)
     u = np.eye(2, dtype=complex)
-    for j in range(mesh):
-        s0, s1 = j / mesh, (j + 1) / mesh
-        g_mid = path.point(0.5 * (s0 + s1))
-        p0, p1 = path.point(s0), path.point(s1)
+    s = np.arange(mesh + 1) / mesh
+    _, c = path.points(s)
+    l_mid, _ = path.points(0.5 * (s[:-1] + s[1:]))
+    for lj, c0, c1 in zip(l_mid.tolist(), c[:-1].tolist(), c[1:].tolist()):
         # A_l = 0, so only dc moves the frame: exp(i (k / l) sigma_2 dc)
-        step = expm((k / g_mid.l) * (p1.c - p0.c))
+        step = expm((k / lj) * (c1 - c0))
         u = step @ u
     return u
 

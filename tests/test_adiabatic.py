@@ -19,6 +19,7 @@ from berrybox import (
     rectangle_loop,
     virial_matrix,
 )
+from berrybox.adiabatic import _EIGH_BLOCK
 
 RECT = rectangle_loop(1.0, 2.0, 0.0, 1.0)
 # one side of constant l, (1.5, 0) -> (1.5, 0.4); the other three move l
@@ -171,14 +172,31 @@ def test_propagate_matches_stepwise_reference(path):
     assert abs(rep.edge_weight - edge_weight) < 1e-12
 
 
+@pytest.mark.parametrize("path, resolution", [(NO_VERTICAL, 100), (ONE_VERTICAL, 150)],
+                         ids=["no-vertical-side", "one-vertical-side"])
+def test_propagate_eigh_blocks_match_stepwise_reference(path, resolution):
+    # 34 and 38 steps per side: each moving side spans three eigh blocks, the last one partial
+    steps_per = -(-resolution // len(path.segments))
+    assert steps_per > 2 * _EIGH_BLOCK and steps_per % _EIGH_BLOCK
+    sched = Schedule(path, 15.0, resolution)
+    rep = propagate(sched, -1, 2j, 5, mass=1.1)
+    total, dynamical, fidelity, norm_drift, edge_weight = _stepwise_propagate(sched, -1, 2j, 5, 1.1)
+    assert abs(rep.total_phase - total) < 1e-12
+    assert abs(rep.dynamical_phase - dynamical) < 1e-12
+    assert abs(rep.fidelity - fidelity) < 1e-12
+    assert abs(rep.norm_drift - norm_drift) < 1e-12
+    assert abs(rep.edge_weight - edge_weight) < 1e-12
+
+
 @pytest.mark.parametrize("path, calls", [(RECT, 2 + 2 * 100), (NO_VERTICAL, 3 * 134)], ids=["rectangle", "no-vertical-side"])
 def test_one_eigh_per_constant_side(monkeypatch, path, calls):
-    # resolution 400: 100 steps per rectangle side, ceil(400 / 3) per triangle side
+    # resolution 400: 100 steps per rectangle side, ceil(400 / 3) per triangle side;
+    # eigh takes a stack of Hamiltonians, so count the matrices, not the calls
     eigh = np.linalg.eigh
     counted = []
-    monkeypatch.setattr(np.linalg, "eigh", lambda h: counted.append(None) or eigh(h))
+    monkeypatch.setattr(np.linalg, "eigh", lambda h: counted.append(int(np.prod(h.shape[:-2]))) or eigh(h))
     propagate(Schedule(path, 20.0, 400), 0, 1j, 4)
-    assert len(counted) == calls
+    assert sum(counted) == calls
 
 
 def test_nonpositive_mass_rejected():
@@ -189,6 +207,9 @@ def test_nonpositive_mass_rejected():
 def test_schedule_validation():
     with pytest.raises(ValueError):
         Schedule(RECT, -1.0, 500)
+    for duration in (float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            Schedule(RECT, duration, 500)
     with pytest.raises(ValueError):
         Schedule(RECT, 10.0, 50)
     from berrybox import polyline_path

@@ -17,6 +17,7 @@ from berrybox import (
     eigenfunction_physical,
     loop_phase_analytic,
     loop_phase_connection,
+    loop_phase_mollified,
     loop_phase_overlap,
     loop_phase_overlap_meshes,
     mode,
@@ -115,7 +116,7 @@ def test_mollified_normalization():
     g = Geometry(1.3, -0.2)
     rho = standard_mollifier()
     for eps in (0.3, 0.1):
-        x, w = _mollified_grid(g, m, eps)
+        x, w = (row[0] for row in _mollified_grid(m, np.array([g.l]), np.array([g.c]), np.array([eps])))
         chi = np.where((x >= g.left) & (x <= g.right), 1.0,
                        rho((np.abs(x - g.c) - g.l / 2) / eps))
         from berrybox import extension_physical
@@ -157,6 +158,24 @@ def test_rectangle_phase_analytic():
         assert abs(loop_phase_analytic(mode(0, eta), RECT)) < 1e-12
     with pytest.raises(ValueError):
         loop_phase_analytic(m, polyline_path([(1.0, 0.0), (2.0, 1.0)]))
+
+
+def test_loop_phase_mollified_matches_per_point_route():
+    # one sampling grid per side, one row per node, against one connection_mollified per node
+    rng = np.random.default_rng(41)
+    for trial in range(12):
+        if trial % 2:
+            l1, c1 = rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0)
+            path = rectangle_loop(l1, l1 + rng.uniform(0.05, 1.0), c1, c1 + rng.uniform(0.05, 1.0),
+                                  orientation=int(rng.choice([1, -1])))
+        else:
+            path = polyline_path(rng.uniform([0.5, -1.0], [2.0, 1.0], size=(int(rng.integers(3, 6)), 2)),
+                                 close=True, orientation=int(rng.choice([1, -1])))
+        eta = (ETA_INF, 0.3, 2j, complex(*rng.uniform(-1.0, 1.0, 2)))[trial % 4]
+        m = mode(int(rng.integers(-5, 6)), eta)
+        e = float(rng.choice([0.2, 0.1, 0.05, 0.025]))
+        reference = loop_phase_connection(m, path, lambda mm, g: connection_mollified(mm, g, e * g.l))
+        assert loop_phase_mollified(m, path, e) == reference
 
 
 def test_loop_phase_overlap_converges():

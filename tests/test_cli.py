@@ -483,6 +483,13 @@ _NONFINITE_LOOPS = [
     pytest.param(["berry", "--curvature-map", "--mesh", "0"], None, id="berry-map-mesh-zero"),
     pytest.param(["berry"], {"mesh": -1}, id="berry-config-mesh-negative"),
     *_NONFINITE_LOOPS,
+    # a non-finite traversal time used to print a row of nan and -inf, and
+    # a bad eps list to fail only after every width had been computed
+    pytest.param(["adiabatic", "--T-list", "inf", "--window", "1", "--resolution", "100"], None, id="adiabatic-T-inf"),
+    pytest.param(["adiabatic", "--T-list", "nan", "--window", "1", "--resolution", "100"], None, id="adiabatic-T-nan"),
+    pytest.param(["berry", "--method", "mollified", "--eps-list", "0.2,0.1,0.05,inf"], None, id="berry-eps-inf"),
+    pytest.param(["berry", "--method", "mollified", "--eps-list", "0.2,0.1"], None, id="berry-eps-two"),
+    pytest.param(["berry", "--method", "mollified", "--eps-list", "0.2,0.1,0.04"], None, id="berry-eps-ratio"),
 ])
 def test_unread_or_invalid_option_exits_2_before_output(tmp_path, monkeypatch, argv, config):
     monkeypatch.chdir(tmp_path)

@@ -82,3 +82,31 @@ def test_rectangle_corners_rejects_slanted():
     slanted = polyline_path([(1.0, 0.0), (2.0, 1.0), (1.0, 1.0)], close=True)
     with pytest.raises(ValueError):
         rectangle_corners(slanted)
+
+
+def _scalar_point(path, s):
+    """The per-point arithmetic in Python floats: flip, clamp, side, position."""
+    if path.orientation < 0:
+        s = 1.0 - s
+    n = len(path.segments)
+    sigma = min(max(s, 0.0), 1.0) * n
+    i = min(int(sigma), n - 1)
+    t = sigma - i
+    (l0, c0), (l1, c1) = path.segments[i]
+    factor = n * path.orientation
+    return l0 + (l1 - l0) * t, c0 + (c1 - c0) * t, factor * (l1 - l0), factor * (c1 - c0)
+
+
+@pytest.mark.parametrize("orientation", [1, -1])
+def test_array_form_matches_per_point_bit_for_bit(orientation):
+    rng = np.random.default_rng(23)
+    for _ in range(20):
+        pts = rng.uniform([0.3, -2.0], [3.0, 2.0], size=(int(rng.integers(2, 7)), 2))
+        path = polyline_path(pts, close=bool(rng.integers(2)), orientation=orientation)
+        n = len(path.segments)
+        s = np.concatenate([rng.uniform(0.0, 1.0, 40), np.arange(n + 1) / n, [0.0, 1.0]])
+        l, c = path.points(s)
+        vl, vc = path.velocities(s)
+        for j, sj in enumerate(s.tolist()):
+            g, v = path.point(sj), path.velocity(sj)
+            assert (l[j], c[j], vl[j], vc[j]) == (g.l, g.c) + v == _scalar_point(path, sj)
