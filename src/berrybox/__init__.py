@@ -9,6 +9,23 @@ eta = +/-1 matrix holonomy, and verifies everything dynamically by slow
 traversal of closed loops in the (length, center) parameter half-plane.
 """
 
+import os as _os
+import sys as _sys
+
+# One BLAS thread unless the caller chose otherwise.  The hot linear algebra
+# is stacked eigh of at most 33x33 Hamiltonians, where OpenBLAS's default pool
+# buys no wall time and busy-waits on every other core.  Measured on 2 cores,
+# OpenBLAS 0.3.31 (BENCH_one_blas_thread.json): the `adiabatic` benchmark
+# workload's calibrated CPU time falls 37% (median of 10 alternating pairs)
+# at the same wall time, with byte-identical outputs; beside another numpy
+# process the pooled adiabatic acceptance test took 41-56 s instead of 3.3 s.
+# OpenBLAS reads the variables when numpy loads it, so this runs before the
+# first import below and not at all once numpy is loaded.
+if "numpy" not in _sys.modules and not any(
+    v in _os.environ for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+):
+    _os.environ["OPENBLAS_NUM_THREADS"] = _os.environ["MKL_NUM_THREADS"] = "1"
+
 from .boundary import (
     ETA_INF,
     BCClass,

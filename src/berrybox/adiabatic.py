@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import as_eta
+from .boundary import as_eta, require_mass
 from .paths import ParameterPath
 from .quadrature import oscillatory_rule
 from .spectrum import (
@@ -151,8 +151,7 @@ def _hamiltonians(modes, blocks, l, ldot, cdot, mass):
 
     `blocks` holds the window's (p, x o p) from `_weak_form_matrix`.
     """
-    if not mass > 0:
-        raise ValueError("mass must be positive")
+    mass = require_mass(mass)
     pmat, xpmat = blocks
     # Python's x ** 2, as in spectrum.eigenvalue: numpy's square rounds a
     # few squares in ten thousand differently

@@ -19,6 +19,7 @@ All operations are pure functions on small immutable values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,7 @@ __all__ = [
     "compliant_data",
     "boundary_traces",
     "require_unitary",
+    "require_mass",
 ]
 
 SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -152,6 +154,14 @@ def require_unitary(u, tol: float = 1e-9) -> np.ndarray:
     return u
 
 
+def require_mass(mass) -> float:
+    """Validate and return a particle mass: a finite number > 0."""
+    mass = float(mass)
+    if not (mass > 0 and math.isfinite(mass)):
+        raise ValueError(f"mass must be finite and positive, not {mass}")
+    return mass
+
+
 def eta_to_unitary(eta) -> np.ndarray:
     """Boundary unitary of the dilation-invariant family member eta.
 
@@ -235,8 +245,7 @@ def boundary_form(psi: BoundaryData, phi: BoundaryData, mass: float = 1.0) -> co
     evaluated at b minus at a.  It vanishes whenever both data sets satisfy a
     common self-adjoint boundary condition.
     """
-    if not mass > 0:
-        raise ValueError("mass must be positive")
+    mass = require_mass(mass)
     at_b = np.conj(psi.vb) * phi.db - np.conj(psi.db) * phi.vb
     at_a = np.conj(psi.va) * phi.da - np.conj(psi.da) * phi.va
     return (at_b - at_a) / (2.0 * mass)

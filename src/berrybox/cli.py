@@ -38,7 +38,7 @@ from .berry import (
     power_law_extrapolate,
     require_geometric,
 )
-from .boundary import ETA_INF, Eta, classify_unitary, eta_to_unitary, require_unitary
+from .boundary import ETA_INF, Eta, classify_unitary, eta_to_unitary, require_mass, require_unitary
 from .paths import polyline_path, rectangle_loop
 from .spectrum import (
     Geometry,
@@ -301,7 +301,7 @@ def cmd_spectrum(args) -> int:
     n_lo, n_hi = int(cfg["n"][0]), int(cfg["n"][1])
     if n_hi < n_lo:
         raise UsageError("empty level range")
-    mass = float(cfg["mass"])
+    mass = require_mass(cfg["mass"])
     geom = Geometry(float(cfg["geometry"]["l"]), float(cfg["geometry"]["c"]))
     eta = parse_eta(cfg["eta"])
 
@@ -384,6 +384,8 @@ def _berry_phase_rows(m, path, methods, cfg):
 
 def cmd_berry(args) -> int:
     cfg = _resolve(args)
+    if args.tol is not None and not 0 <= args.tol < np.inf:
+        raise UsageError(f"--tol must be a finite number >= 0, not {args.tol}")
     eta = parse_eta(cfg["eta"])
     if eta.degenerate:
         raise UsageError("eta = +/-1 is degenerate; use the wz subcommand")
@@ -501,7 +503,7 @@ def cmd_adiabatic(args) -> int:
         raise UsageError("adiabatic propagation requires nondegenerate eta")
     n = int(cfg["n"])
     window = int(cfg["window"])
-    mass = float(cfg["mass"])
+    mass = require_mass(cfg["mass"])
     resolution = int(cfg["resolution"])
     path = _loop(cfg, args)
     t_list = [float(t) for t in cfg["T_list"]]

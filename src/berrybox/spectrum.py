@@ -27,11 +27,12 @@ doubly degenerate level if the residual matrix vanishes there.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import BoundaryData, Eta, as_eta, require_unitary
+from .boundary import BoundaryData, Eta, as_eta, require_mass, require_unitary
 from .quadrature import GridFunction, oscillatory_rule
 
 __all__ = [
@@ -72,10 +73,13 @@ class Geometry:
     c: float = 0.0
 
     def __post_init__(self):
-        if not self.l > 0:
-            raise ValueError("box length must be positive")
-        object.__setattr__(self, "l", float(self.l))
-        object.__setattr__(self, "c", float(self.c))
+        l, c = float(self.l), float(self.c)
+        if not (l > 0 and math.isfinite(l)):
+            raise ValueError(f"box length must be finite and positive, not {l}")
+        if not math.isfinite(c):
+            raise ValueError(f"box center must be finite, not {c}")
+        object.__setattr__(self, "l", l)
+        object.__setattr__(self, "c", c)
 
     @property
     def left(self) -> float:
@@ -207,9 +211,7 @@ def mode_boundary_data(m: Mode, g: Geometry | None = None) -> BoundaryData:
 
 def eigenvalue(m: Mode, g: Geometry, mass: float = 1.0) -> float:
     """Dispersion lambda = k^2 / (2 m l^2); translations are isospectral."""
-    if not mass > 0:
-        raise ValueError("mass must be positive")
-    return m.k ** 2 / (2.0 * mass * g.l ** 2)
+    return m.k ** 2 / (2.0 * require_mass(mass) * g.l ** 2)
 
 
 @dataclass(frozen=True)
@@ -362,8 +364,7 @@ def generic_spectrum(u, count: int, mass: float = 1.0, geometry: Geometry | None
         raise ValueError("count must be >= 1")
     if geometry is None:
         geometry = Geometry(1.0, 0.0)
-    if not mass > 0:
-        raise ValueError("mass must be positive")
+    mass = require_mass(mass)
     cols, coef = _secular_parts(u)
     t_max = (count + 3) * np.pi
     for _attempt in range(4):

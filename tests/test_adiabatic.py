@@ -204,6 +204,14 @@ def test_nonpositive_mass_rejected():
         propagate(Schedule(RECT, 10.0, 200), 0, 1j, 4, mass=0.0)
 
 
+@pytest.mark.parametrize("mass", [-1.0, float("inf"), float("nan")])
+def test_nonfinite_or_negative_mass_rejected(mass):
+    with pytest.raises(ValueError, match="mass must be finite and positive"):
+        propagate(Schedule(RECT, 10.0, 200), 0, 1j, 4, mass=mass)
+    with pytest.raises(ValueError, match="mass must be finite and positive"):
+        effective_hamiltonian(mode_window(1j, 2), Geometry(1.0, 0.0), 0.0, 0.0, mass=mass)
+
+
 def test_schedule_validation():
     with pytest.raises(ValueError):
         Schedule(RECT, -1.0, 500)

@@ -143,6 +143,10 @@ def test_berry_tol_gate_exit3(tmp_path):
     assert code == 3
 
 
+def test_berry_tol_zero_is_the_strictest_valid_tolerance(tmp_path):
+    assert run("berry", "--method", "analytic", "--tol", "0", "--out", str(tmp_path / "b.csv")) == 0
+
+
 def test_berry_tol_compares_phases_on_the_circle(tmp_path):
     # overlap and analytic differ by 6 pi at n = 5; the raw spread exited 3
     out = tmp_path / "berry.csv"
@@ -490,6 +494,23 @@ _NONFINITE_LOOPS = [
     pytest.param(["berry", "--method", "mollified", "--eps-list", "0.2,0.1,0.05,inf"], None, id="berry-eps-inf"),
     pytest.param(["berry", "--method", "mollified", "--eps-list", "0.2,0.1"], None, id="berry-eps-two"),
     pytest.param(["berry", "--method", "mollified", "--eps-list", "0.2,0.1,0.04"], None, id="berry-eps-ratio"),
+    # a mass of 0 used to raise ZeroDivisionError in the degenerate table
+    # (exit 1), a negative one to print negative levels, an infinite one
+    # to print lambda = 0
+    *[pytest.param(["spectrum", "--eta", eta, "--n-max", "2", "--mass", mass], None, id=f"spectrum-{name}-mass-{mass}")
+      for name, eta in (("degenerate", "1"), ("nondegenerate", "0+1i")) for mass in ("0", "-1", "inf", "nan")],
+    pytest.param(["spectrum", "--eta", "1", "--n-max", "2"], {"mass": -1}, id="spectrum-config-mass-negative"),
+    pytest.param(["adiabatic", "--mass", "inf", "--T-list", "2", "--window", "1", "--resolution", "100"], None,
+                 id="adiabatic-mass-inf"),
+    # an infinite box length used to print lambda = 0, a non-finite center
+    # to exit 0
+    *[pytest.param(["spectrum", "--eta", eta, "--n-max", "2", flag, value], None, id=f"spectrum-{eta}-{flag[2:]}-{value}")
+      for eta in ("1", "0+1i") for flag, value in (("--l", "inf"), ("--l", "nan"), ("--c", "nan"), ("--c", "inf"))],
+    # --tol nan used to switch the check off (exit 0), a negative --tol to
+    # report a disagreement (exit 3) when every oracle agrees
+    pytest.param(["berry", "--method", "analytic,overlap", "--mesh", "16", "--tol", "nan"], None, id="berry-tol-nan"),
+    pytest.param(["berry", "--method", "analytic,overlap", "--mesh", "16", "--tol", "-1"], None, id="berry-tol-negative"),
+    pytest.param(["berry", "--method", "analytic", "--tol", "inf"], None, id="berry-tol-inf"),
 ])
 def test_unread_or_invalid_option_exits_2_before_output(tmp_path, monkeypatch, argv, config):
     monkeypatch.chdir(tmp_path)

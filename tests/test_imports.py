@@ -1,4 +1,5 @@
-"""Importing the package, and every command, loads no scipy; none needs it."""
+"""Importing the package, and every command, loads no scipy; none needs it.
+Importing it first sets one BLAS thread unless the caller chose a count."""
 
 import json
 import os
@@ -52,3 +53,51 @@ def test_generic_check_runs_without_scipy(tmp_path):
     modules = _scipy_modules_after("spectrum", "--eta", "0+1i", "--n-max", "3", "--check", "generic",
                                    "--out", str(tmp_path / "out"), prelude="import sys; sys.modules['scipy'] = None")
     assert modules == ["scipy"]
+
+
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+# imports berrybox (after `prelude`), then prints the BLAS variables, the
+# process's thread count (None off Linux) and whether numpy links OpenBLAS
+_THREAD_PROBE = """
+import json, os
+import berrybox, numpy
+try:
+    with open("/proc/self/status") as fh:
+        threads = next(int(line.split()[1]) for line in fh if line.startswith("Threads:"))
+except OSError:
+    threads = None
+try:
+    blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+except TypeError:  # numpy < 1.26 prints its config only
+    blas = ""
+print(json.dumps([{v: os.environ.get(v) for v in %r}, threads, "openblas" in blas.lower()]))
+""" % (_BLAS_VARS,)
+
+
+def _blas_state_after_import(prelude="", **given):
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_VARS}
+    env.update(given, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", prelude + _THREAD_PROBE], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_import_sets_one_blas_thread():
+    env, threads, openblas = _blas_state_after_import()
+    assert env == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None, "MKL_NUM_THREADS": "1"}
+    if threads is None or not openblas:
+        pytest.skip("thread count is checked on Linux with OpenBLAS-backed numpy")
+    assert threads == 1
+
+
+@pytest.mark.parametrize("given", [{"OPENBLAS_NUM_THREADS": "2"}, {"OMP_NUM_THREADS": "2"}],
+                         ids=lambda given: next(iter(given)))
+def test_caller_blas_setting_wins(given):
+    env, _, _ = _blas_state_after_import(**given)
+    assert env == {**dict.fromkeys(_BLAS_VARS), **given}
+
+
+def test_numpy_imported_first_keeps_its_setting():
+    env, _, _ = _blas_state_after_import(prelude="import numpy\n")
+    assert env == dict.fromkeys(_BLAS_VARS)

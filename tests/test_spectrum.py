@@ -11,6 +11,7 @@ from berrybox import (
     Geometry,
     alpha_of,
     bc_residual,
+    boundary_form,
     degenerate_basis,
     dilation_transport,
     eigenfunction_fixed,
@@ -126,6 +127,29 @@ def test_dilation_covariance():
     scaled = dilation_transport(ref, g.l, g.c)
     for f in ("va", "vb", "da", "db"):
         assert getattr(moved, f) == pytest.approx(getattr(scaled, f), abs=1e-12)
+
+
+@pytest.mark.parametrize("l, c", [(0.0, 0.0), (-1.0, 0.0), (np.inf, 0.0), (np.nan, 0.0),
+                                  (1.0, np.nan), (1.0, np.inf), (1.0, -np.inf)])
+def test_geometry_must_be_finite(l, c):
+    # an infinite length used to give lambda = 0, a non-finite center to pass
+    with pytest.raises(ValueError, match="finite"):
+        Geometry(l, c)
+
+
+@pytest.mark.parametrize("mass", [0.0, -1.0, np.inf, np.nan])
+def test_mass_must_be_finite_and_positive(mass):
+    # every routine that takes a mass checks it with one predicate
+    m = mode(0, 1j)
+    data = mode_boundary_data(m)
+    calls = [
+        lambda: eigenvalue(m, UNIT, mass),
+        lambda: generic_spectrum(eta_to_unitary(1j), count=2, mass=mass),
+        lambda: boundary_form(data, data, mass=mass),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="mass must be finite and positive"):
+            call()
 
 
 def test_eigenvalue_scaling():
