@@ -21,7 +21,7 @@ from berrybox import (
     connection_interior,
     loop_phase_analytic,
     loop_phase_connection,
-    loop_phase_mollified,
+    loop_phase_mollified_sweep,
     loop_phase_overlap,
     mode,
     power_law_extrapolate,
@@ -46,10 +46,8 @@ def main(svg_path=None):
 
     print("mollified embedding (smoothed box edge of width eps)")
     eps_list = [0.2, 0.1, 0.05, 0.025]
-    phases = []
-    for eps in eps_list:
-        phase = loop_phase_mollified(m, rect, eps)
-        phases.append(phase)
+    phases = loop_phase_mollified_sweep(m, rect, eps_list)
+    for eps, phase in zip(eps_list, phases):
         print(f"  eps/l = {eps:<6} phase = {phase:.12f}   error = {abs(phase - exact):.2e}")
     limit, order = power_law_extrapolate(eps_list, phases)
     print(f"  extrapolated: {limit:.12f} (observed order {order:.1f})")

@@ -75,7 +75,9 @@ from .berry import (
     curvature,
     loop_phase_analytic,
     loop_phase_connection,
+    loop_phase_interior,
     loop_phase_mollified,
+    loop_phase_mollified_sweep,
     loop_phase_overlap,
     loop_phase_overlap_meshes,
     power_law_extrapolate,

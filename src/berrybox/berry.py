@@ -18,8 +18,11 @@ Each eigenfunction is two plane waves and each loop a polyline, so the
 overlaps, the interior windows and the analytic loop phase are integrated in
 closed form; quadrature serves the mollified embedding and `stokes_defect`.
 Numerical loop phases integrate the connection side by side at the Gauss
-nodes of each side; `loop_phase_mollified` evaluates all of a side's nodes at
-once, on one sampling grid with a row per node.
+nodes of each side.  The oracles work on arrays, and each scalar function is
+the length-1 case of its array form: `loop_phase_interior` evaluates all of a
+side's nodes in one call, an overlap chain all of its pairs, and
+`loop_phase_mollified_sweep` all of a side's nodes at every width, sampling
+the eps-independent box interior once.
 Loop phases follow the convention Phi = i * contour integral of <psi|d psi>;
 for the counterclockwise axis-aligned rectangle [l1, l2] x [c1, c2] this
 gives Phi = k (1/l1 - 1/l2)(c2 - c1) sin(alpha).
@@ -28,7 +31,6 @@ gives Phi = k (1/l1 - 1/l2)(c2 - c1) sin(alpha).
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +50,9 @@ __all__ = [
     "LoopPhaseResult",
     "loop_phase_analytic",
     "loop_phase_connection",
+    "loop_phase_interior",
     "loop_phase_mollified",
+    "loop_phase_mollified_sweep",
     "loop_phase_overlap",
     "loop_phase_overlap_meshes",
     "state_overlap",
@@ -131,8 +135,9 @@ def connection_analytic(m: Mode, g: Geometry) -> ConnectionSample:
     )
 
 
-def _window_integral(m: Mode, ga: Geometry, gb: Geometry, lo: float, hi: float) -> complex:
-    """Int_lo^hi conj(psi_a) psi_b dx for the smooth extensions at ga and gb.
+def _window_integral(m: Mode, la, ca, lb, cb, lo, hi):
+    """Int_lo^hi conj(psi_a) psi_b dx for the smooth extensions at the boxes
+    (la, ca) and (lb, cb): arrays of one shape, one window per entry.
 
     Each extension is l^-1/2 sum_s ((e^{i alpha} - s i)/2) e^{s iku} over
     s = +-1, with u = (x - c)/l, so the integrand is four plane waves
@@ -142,24 +147,39 @@ def _window_integral(m: Mode, ga: Geometry, gb: Geometry, lo: float, hi: float) 
     """
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     e = cmath.exp(1j * m.alpha)
+    ua, ub = m.k * (mid - ca) / la, m.k * (mid - cb) / lb
+    wa, wb = m.k / la, m.k / lb
 
     def term(s, t):  # plane wave s of psi_a, conjugated, times plane wave t of psi_b
-        phase = t * m.k * (mid - gb.c) / gb.l - s * m.k * (mid - ga.c) / ga.l
-        z = half * (t * m.k / gb.l - s * m.k / ga.l)
+        z = half * (t * wb - s * wa)
         amp = ((e - s * 1j) / 2.0).conjugate() * ((e - t * 1j) / 2.0)
-        return amp * cmath.exp(1j * phase) * (math.sin(z) / z if z else 1.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return amp * np.exp(1j * (t * ub - s * ua)) * np.where(z == 0, 1.0, np.sin(z) / z)
 
     # for real eta the terms are conjugate in pairs; summing each pair first
     # keeps the integral of two real functions exactly real
     total = (term(1.0, 1.0) + term(-1.0, -1.0)) + (term(1.0, -1.0) + term(-1.0, 1.0))
-    return 2.0 * half * total / math.sqrt(ga.l * gb.l)
+    return 2.0 * half * total / np.sqrt(la * lb)
 
 
-def _interior_component(m: Mode, g: Geometry, plus: Geometry, minus: Geometry, h: float, lo: float, hi: float) -> float:
-    if hi - lo <= 0:
-        raise ValueError("parameter step too large: shifted boxes do not overlap")
-    num = (_window_integral(m, g, plus, lo, hi) - _window_integral(m, g, minus, lo, hi)).imag / (2.0 * h)
-    return float(num / _window_integral(m, g, g, lo, hi).real)
+def _interior_connection(m: Mode, l, c, h):
+    """Arrays (a_l, a_c) of `connection_interior` at the boxes (l, c) with steps h.
+
+    All six windows of every box (two shifted states and the norm, for each
+    component) are integrated in one call.
+    """
+    if not np.all((0 < h) & (h < l / 4)):
+        raise ValueError("need 0 < h < l/4")
+    lo_c, hi_c = c - l / 2 + h, c + l / 2 - h
+    lo_l, hi_l = c - (l - h) / 2, c + (l - h) / 2
+    w = _window_integral(
+        m, np.tile(l, 6), np.tile(c, 6),
+        np.concatenate([l, l, l, l + h, l - h, l]), np.concatenate([c + h, c - h, c, c, c, c]),
+        np.concatenate([lo_c] * 3 + [lo_l] * 3), np.concatenate([hi_c] * 3 + [hi_l] * 3),
+    ).reshape(6, -1)
+    a_c = (w[0] - w[1]).imag / (2.0 * h) / w[2].real
+    a_l = (w[3] - w[4]).imag / (2.0 * h) / w[5].real
+    return a_l, a_c
 
 
 def connection_interior(m: Mode, g: Geometry, h: float | None = None) -> ConnectionSample:
@@ -177,55 +197,43 @@ def connection_interior(m: Mode, g: Geometry, h: float | None = None) -> Connect
     like h^2 k^3, so a k-independent step loses the high modes long before
     roundoff becomes relevant.
     """
-    l, c = g.l, g.c
     if h is None:
-        h = 1e-4 * l / (1.0 + abs(m.k))
-    if not 0 < h < l / 4:
-        raise ValueError("need 0 < h < l/4")
-    a_c = _interior_component(
-        m, g, Geometry(l, c + h), Geometry(l, c - h), h, c - l / 2 + h, c + l / 2 - h
-    )
-    a_l = _interior_component(
-        m, g, Geometry(l + h, c), Geometry(l - h, c), h, c - (l - h) / 2, c + (l - h) / 2
-    )
-    return ConnectionSample(a_l=a_l, a_c=a_c, geometry=g, mode=m)
-
-
-def _mollified_grid(m: Mode, l, c, eps):
-    """Sampling grid of the embedding, one row (nodes, weights) per box (l, c) of width eps."""
-    left, right = c - 0.5 * l, c + 0.5 * l
-    # panels split at the box walls where the cutoff profile kicks in
-    inner_panels = max(2, int(np.ceil(4.0 * abs(m.k) / (2.0 * np.pi))) + 2)
-    pieces = (
-        panel_rule(left - eps, left, 12),
-        panel_rule(left, right, inner_panels),
-        panel_rule(right, right + eps, 12),
-    )
-    return tuple(np.concatenate(part, axis=-1) for part in zip(*pieces))
+        h = 1e-4 * g.l / (1.0 + abs(m.k))
+    a_l, a_c = _interior_connection(m, np.array([g.l]), np.array([g.c]), np.array([float(h)]))
+    return ConnectionSample(a_l=float(a_l[0]), a_c=float(a_c[0]), geometry=g, mode=m)
 
 
 def _mollified_connection(m: Mode, l, c, eps):
-    """Arrays (a_l, a_c) of the mollified connection at the boxes (l, c) of widths eps.
+    """Arrays (a_l, a_c) of the mollified connection at the boxes (l, c).
 
-    l, c and eps are 1-D arrays of one length; each box gets its own row of
-    the sampling grid, and the whole set is evaluated at once.
+    l and c are 1-D arrays of one length N; eps has shape (E, N), row e
+    giving every box its width in entry e of a sweep, and the results have
+    the shape of eps.  The box interior, where the cutoff is 1 at every
+    width, is sampled once for all rows; each width samples only the two
+    wall strips, where the cutoff falls from 1 to 0.
     """
     if not np.all(eps > 0):
         raise ValueError("eps must be positive")
-    x, w = _mollified_grid(m, l, c, eps)
-    l, c, eps = l[:, None], c[:, None], eps[:, None]
+    left, right = c - 0.5 * l, c + 0.5 * l
+    # panels split at the box walls where the cutoff profile kicks in
+    inner_panels = max(2, int(np.ceil(4.0 * abs(m.k) / (2.0 * np.pi))) + 2)
+    l, c = l[:, None], c[:, None]
     rho = standard_mollifier()
-    chi = np.where(
-        (x >= c - 0.5 * l) & (x <= c + 0.5 * l),
-        1.0,
-        rho((np.abs(x - c) - 0.5 * l) / eps),
-    )
-    ext, d_dl, d_dc = _extension_jet(m, l, c, x)
-    weight = w * chi ** 2
-    norm2 = np.sum(weight * np.abs(ext) ** 2, axis=-1)
-    a_l = np.sum(weight * np.imag(np.conj(ext) * d_dl), axis=-1) / norm2
-    a_c = np.sum(weight * np.imag(np.conj(ext) * d_dc), axis=-1) / norm2
-    return a_l, a_c
+
+    def weighted(x, w):  # integrands of the norm, a_l and a_c, times the weights w
+        ext, d_dl, d_dc = _extension_jet(m, l, c, x)
+        bra = np.conj(ext)
+        return np.stack([w * np.abs(ext) ** 2, w * np.imag(bra * d_dl), w * np.imag(bra * d_dc)])
+
+    inside = weighted(*panel_rule(left, right, inner_panels))
+    sums = []
+    for width in eps:  # one row at a time keeps the strips' arrays the size of one width's grid
+        x, w = panel_rule([left - width, right], [left, right + width], 12)
+        strips = weighted(x, w * rho((np.abs(x - c) - 0.5 * l) / width[:, None]) ** 2)
+        # summed in grid order, wall to wall
+        sums.append(np.concatenate([strips[:, 0], inside, strips[:, 1]], axis=-1).sum(axis=-1))
+    norm2, a_l, a_c = np.stack(sums, axis=1)
+    return a_l / norm2, a_c / norm2
 
 
 def connection_mollified(m: Mode, g: Geometry, eps: float) -> ConnectionSample:
@@ -245,8 +253,8 @@ def connection_mollified(m: Mode, g: Geometry, eps: float) -> ConnectionSample:
     to quadrature error.  The sweep over eps still exercises the embedding
     end to end.
     """
-    a_l, a_c = _mollified_connection(m, np.array([g.l]), np.array([g.c]), np.array([float(eps)]))
-    return ConnectionSample(a_l=float(a_l[0]), a_c=float(a_c[0]), geometry=g, mode=m)
+    a_l, a_c = _mollified_connection(m, np.array([g.l]), np.array([g.c]), np.array([[float(eps)]]))
+    return ConnectionSample(a_l=float(a_l[0, 0]), a_c=float(a_c[0, 0]), geometry=g, mode=m)
 
 
 # ---------------------------------------------------------------------------
@@ -258,11 +266,13 @@ def _require_closed(path: ParameterPath):
         raise ValueError("loop phase requires a closed parameter path")
 
 
-def _loop_integral(path: ParameterPath, side_connection, order: int) -> float:
+def _loop_integral(path: ParameterPath, side_connection, order: int):
     """-contour integral of (a_l dl + a_c dc) by `order` Gauss nodes per side.
 
     `side_connection(l, c)` returns the components (a_l, a_c) at the nodes
-    of one side, given as arrays; the sum runs node by node in path order.
+    of one side, given as arrays, with the nodes along the last axis; leading
+    axes (one entry per width of a sweep) carry through to the result.  The
+    sum runs node by node in path order.
     """
     _require_closed(path)
     nseg = len(path.segments)
@@ -274,7 +284,7 @@ def _loop_integral(path: ParameterPath, side_connection, order: int) -> float:
         s = mid + half * xg
         a_l, a_c = side_connection(*path.points(s))
         vl, vc = path.velocities(s)
-        for wj, al, ac, vlj, vcj in zip(wg, a_l, a_c, vl.tolist(), vc.tolist()):
+        for wj, al, ac, vlj, vcj in zip(wg, a_l.T, a_c.T, vl.tolist(), vc.tolist()):
             total += wj * half * (al * vlj + ac * vcj)
     return -total
 
@@ -288,18 +298,34 @@ def loop_phase_connection(m: Mode, path: ParameterPath, sampler, order: int = 16
 
     def side(l, c):
         samples = [sampler(m, Geometry(lj, cj)) for lj, cj in zip(l.tolist(), c.tolist())]
-        return [x.a_l for x in samples], [x.a_c for x in samples]
+        return np.array([x.a_l for x in samples]), np.array([x.a_c for x in samples])
 
-    return _loop_integral(path, side, order)
+    return float(_loop_integral(path, side, order))
+
+
+def loop_phase_interior(m: Mode, path: ParameterPath, h_rel: float, order: int = 16) -> float:
+    """`loop_phase_connection` of `connection_interior` at the step
+    h_rel * l / (1 + |k|); each side's nodes are evaluated at once."""
+    return float(_loop_integral(path, lambda l, c: _interior_connection(m, l, c, h_rel * l / (1.0 + abs(m.k))),
+                                order))
+
+
+def loop_phase_mollified_sweep(m: Mode, path: ParameterPath, eps_list, order: int = 16) -> list[float]:
+    """`loop_phase_mollified` at each width in `eps_list`, in the order given.
+
+    Each side's nodes are evaluated at once, and their box interiors once
+    for the whole list; see `_mollified_connection`.
+    """
+    eps = np.asarray(eps_list, dtype=float)[:, None]
+    return [float(p) for p in _loop_integral(path, lambda l, c: _mollified_connection(m, l, c, eps * l), order)]
 
 
 def loop_phase_mollified(m: Mode, path: ParameterPath, eps: float, order: int = 16) -> float:
     """`loop_phase_connection` of `connection_mollified` at width eps * l.
 
-    The cutoff width is relative to the local box length; each side's nodes
-    are evaluated at once, on one sampling grid with a row per node.
+    The cutoff width is relative to the local box length.
     """
-    return _loop_integral(path, lambda l, c: _mollified_connection(m, l, c, eps * l), order)
+    return loop_phase_mollified_sweep(m, path, [eps], order)[0]
 
 
 def loop_phase_analytic(m: Mode, path: ParameterPath) -> float:
@@ -318,17 +344,20 @@ def loop_phase_analytic(m: Mode, path: ParameterPath) -> float:
     return float(-path.orientation * m.k * np.sin(m.alpha) * total)
 
 
-def state_overlap(m: Mode, ga: Geometry, gb: Geometry) -> complex:
-    """L2(R) overlap of the eigenfunction at two parameter points.
+def _overlaps(m: Mode, la, ca, lb, cb):
+    """Arrays of the overlaps <psi(la, ca)|psi(lb, cb)>, one per entry.
 
-    Both states vanish outside their boxes, so the integral runs over the
-    box intersection only, where it has a closed form.
+    Both states vanish outside their boxes, so each integral runs over the
+    box intersection only, where it has a closed form; disjoint boxes give 0.
     """
-    lo = max(ga.left, gb.left)
-    hi = min(ga.right, gb.right)
-    if hi - lo <= 0:
-        return 0.0 + 0.0j
-    return _window_integral(m, ga, gb, lo, hi)
+    lo = np.maximum(ca - 0.5 * la, cb - 0.5 * lb)
+    hi = np.minimum(ca + 0.5 * la, cb + 0.5 * lb)
+    return np.where(hi - lo > 0, _window_integral(m, la, ca, lb, cb, lo, hi), 0.0)
+
+
+def state_overlap(m: Mode, ga: Geometry, gb: Geometry) -> complex:
+    """L2(R) overlap of the eigenfunction at two parameter points."""
+    return complex(_overlaps(m, *(np.array([v]) for v in (ga.l, ga.c, gb.l, gb.c)))[0])
 
 
 @dataclass(frozen=True)
@@ -340,16 +369,18 @@ class LoopPhaseResult:
     err_estimate: float
 
 
-def _overlap_chain_phase(m: Mode, points) -> float:
-    prod = 1.0 + 0.0j
-    for ga, gb in zip(points[:-1], points[1:]):
-        ov = state_overlap(m, ga, gb)
-        if abs(ov) < 1e-6:
-            raise MeshTooCoarseError(
-                f"neighboring states overlap only |<.|.>| = {abs(ov):.2e}; refine the mesh"
-            )
-        prod *= ov / abs(ov)
-    return float(-np.angle(prod))
+def _chain_phase(m: Mode, path: ParameterPath, n: int) -> float:
+    """-Arg prod_j <psi(p_j)|psi(p_j+1)> over the closed chain of the n points
+    p_j = path(j/n), every overlap of the chain computed at once."""
+    ls, cs = path.points(np.arange(n) / n)
+    ov = _overlaps(m, ls, cs, np.roll(ls, -1), np.roll(cs, -1))
+    size = np.abs(ov)
+    coarse = np.flatnonzero(size < 1e-6)
+    if coarse.size:
+        raise MeshTooCoarseError(
+            f"neighboring states overlap only |<.|.>| = {size[coarse[0]]:.2e}; refine the mesh"
+        )
+    return float(-np.angle(np.prod(ov / size)))
 
 
 def loop_phase_overlap(m: Mode, path: ParameterPath, mesh: int) -> LoopPhaseResult:
@@ -381,10 +412,7 @@ def loop_phase_overlap_meshes(m: Mode, path: ParameterPath, meshes) -> list[Loop
 
     def chain(n):
         if n not in chains:
-            ls, cs = path.points(np.arange(n) / n)
-            pts = [Geometry(l, c) for l, c in zip(ls.tolist(), cs.tolist())]
-            pts.append(pts[0])
-            chains[n] = _overlap_chain_phase(m, pts)
+            chains[n] = _chain_phase(m, path, n)
         return chains[n]
 
     results = []

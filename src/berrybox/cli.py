@@ -29,11 +29,10 @@ import numpy as np
 from . import svgplot
 from .adiabatic import Schedule, propagate
 from .berry import (
-    connection_interior,
     curvature,
     loop_phase_analytic,
-    loop_phase_connection,
-    loop_phase_mollified,
+    loop_phase_interior,
+    loop_phase_mollified_sweep,
     loop_phase_overlap_meshes,
     power_law_extrapolate,
     require_geometric,
@@ -351,20 +350,15 @@ def _berry_phase_rows(m, path, methods, cfg):
         prev = None
         for h in (h0, h0 / 2.0):
             # the step is relative to l / (1 + |k|), the library's default scale
-            phase = loop_phase_connection(
-                m, path, lambda mm, g, hh=h: connection_interior(mm, g, hh * g.l / (1.0 + abs(mm.k)))
-            )
+            phase = loop_phase_interior(m, path, h)
             err = "" if prev is None else _fmt(abs(phase - prev))
             rows.append(("interior", "", "", _fmt(h), _fmt(phase), err))
             prev = phase
         finals["interior"] = prev
     if "mollified" in methods:
         eps_list = [float(e) for e in cfg["eps_list"]]
-        phases = []
-        for eps in eps_list:
-            phase = loop_phase_mollified(m, path, eps)
-            phases.append(phase)
-            rows.append(("mollified", "", _fmt(eps), "", _fmt(phase), ""))
+        phases = loop_phase_mollified_sweep(m, path, eps_list)
+        rows.extend(("mollified", "", _fmt(eps), "", _fmt(phase), "") for eps, phase in zip(eps_list, phases))
         limit, _order = power_law_extrapolate(eps_list, phases)
         rows.append(("mollified", "", _fmt(0.0), "", _fmt(limit), _fmt(abs(limit - phases[-1]))))
         finals["mollified"] = limit
@@ -422,6 +416,11 @@ def cmd_berry(args) -> int:
             require_geometric(cfg["eps_list"])
         except ValueError as exc:
             raise UsageError(f"eps_list: {exc}") from None
+    if "interior" in methods and cfg["h"] is not None:
+        # the step is relative to l / (1 + |k|), and must stay below l / 4
+        bound = (1.0 + abs(m.k)) / 4.0
+        if not 0 < cfg["h"] < bound:
+            raise UsageError(f"h must satisfy 0 < h < (1 + |k|)/4 = {bound:.3g} at this level, not {cfg['h']}")
     rows, finals, analytic, curves = _berry_phase_rows(m, path, methods, cfg)
     _write_output(args.out, _csv("method,mesh,eps,h,phase,err_est", rows))
     _write_resolved_config(args.out, cfg)

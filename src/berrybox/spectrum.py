@@ -180,8 +180,11 @@ def _extension_jet(m: Mode, l, c, x):
     x = np.asarray(x, dtype=float)
     u = (x - c) / l
     inv_sqrt = 1.0 / np.sqrt(l)
-    val = eigenfunction_fixed(m, u)
-    der = eigenfunction_fixed_dx(m, u)
+    # eigenfunction_fixed and its derivative, from one sin and one cos
+    sin, cos = np.sin(m.k * u), np.cos(m.k * u)
+    e = np.exp(1j * m.alpha)
+    val = sin + e * cos
+    der = m.k * (cos - e * sin)
     d_dc = -inv_sqrt * der / l
     d_dl = -0.5 * inv_sqrt * val / l - inv_sqrt * der * u / l
     return val / np.sqrt(l), d_dl, d_dc

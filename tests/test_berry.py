@@ -1,10 +1,13 @@
 """Connection oracles, loop phases, curvature, and the dilation commutator."""
 
+import re
+
 import numpy as np
 import pytest
 
 from berrybox import (
     ETA_INF,
+    ConnectionSample,
     Geometry,
     ParameterPath,
     GridFunction,
@@ -15,13 +18,18 @@ from berrybox import (
     connection_mollified,
     curvature,
     eigenfunction_physical,
+    extension_physical,
+    extension_physical_grad,
     loop_phase_analytic,
     loop_phase_connection,
+    loop_phase_interior,
     loop_phase_mollified,
+    loop_phase_mollified_sweep,
     loop_phase_overlap,
     loop_phase_overlap_meshes,
     mode,
     oscillatory_rule,
+    panel_rule,
     point_loop,
     polyline_path,
     power_law_extrapolate,
@@ -30,7 +38,7 @@ from berrybox import (
     state_overlap,
     stokes_defect,
 )
-from berrybox.berry import _mollified_grid
+from berrybox.berry import _chain_phase
 
 UNIT = Geometry(1.0, 0.0)
 RECT = rectangle_loop(1.0, 2.0, 0.0, 1.0)
@@ -110,16 +118,24 @@ def test_connection_mollified_converges():
     assert all(abs(connection_mollified(m, g, e).a_l) < 1e-10 for e in eps)
 
 
+def _embedding_grid(m, g, eps):
+    """(nodes, weights) of the embedding: the left wall strip, the box
+    interior and the right wall strip, in that order."""
+    inner = max(2, int(np.ceil(4.0 * abs(m.k) / (2.0 * np.pi))) + 2)
+    pieces = (panel_rule(g.left - eps, g.left, 12), panel_rule(g.left, g.right, inner),
+              panel_rule(g.right, g.right + eps, 12))
+    return tuple(np.concatenate(part) for part in zip(*pieces))
+
+
 def test_mollified_normalization():
     # the embedded state is normalized by construction for every eps
     m = mode(0, 2j)
     g = Geometry(1.3, -0.2)
     rho = standard_mollifier()
     for eps in (0.3, 0.1):
-        x, w = (row[0] for row in _mollified_grid(m, np.array([g.l]), np.array([g.c]), np.array([eps])))
+        x, w = _embedding_grid(m, g, eps)
         chi = np.where((x >= g.left) & (x <= g.right), 1.0,
                        rho((np.abs(x - g.c) - g.l / 2) / eps))
-        from berrybox import extension_physical
         ext = extension_physical(m, g, x)
         norm2 = np.sum(w * chi ** 2 * np.abs(ext) ** 2)
         xi = chi / np.sqrt(norm2)
@@ -344,6 +360,168 @@ def test_reversed_orientation_negates_phases():
         assert loop_phase_analytic(m, rev) == -loop_phase_analytic(m, fwd)
         phase = loop_phase_overlap(m, fwd, 64).phase
         assert loop_phase_overlap(m, rev, 64).phase == pytest.approx(-phase, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# array routes against the scalar API
+
+
+def _drawn_loop(rng, m, size=None, polyline=None):
+    """A rectangle or a polyline, either orientation, whose c-extent winds a
+    drawn number of radians at level m; `size` fixes perimeter / l_min."""
+    l_min = rng.uniform(0.5, 2.0)
+    dl, dc = l_min * rng.uniform(0.15, 0.9), l_min * rng.uniform(0.5, 3.0) / max(abs(m.k), 1.0)
+    orientation = int(rng.choice([1, -1]))
+    if not (rng.random() < 0.5 if polyline is None else polyline):
+        verts = [(0.0, 0.0), (dl, 0.0), (dl, dc), (0.0, dc)]
+    else:
+        angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, int(rng.integers(3, 6))))
+        verts = [(0.5 * dl * (1.0 + np.cos(a)), 0.5 * dc * (1.0 + np.sin(a))) for a in angles]
+    per = sum(abs(b[0] - a[0]) + abs(b[1] - a[1]) for a, b in zip(verts, verts[1:] + verts[:1]))
+    f = 1.0 if size is None else size * l_min / per
+    verts = [(l_min + f * l, f * c) for l, c in verts]
+    return ParameterPath(verts + [verts[0]], orientation)
+
+
+def _drawn_mode(rng, j, n_max):
+    eta = (ETA_INF, rng.uniform(-3.0, 3.0), complex(*rng.uniform(-1.5, 1.5, 2)))[j % 3]
+    return mode(int(rng.integers(-n_max, n_max + 1)), eta)
+
+
+def test_loop_phase_interior_matches_per_point_route():
+    rng = np.random.default_rng(3101)
+    for j in range(12):
+        m = _drawn_mode(rng, j, 12)
+        path = _drawn_loop(rng, m)
+        h = float(rng.choice([1e-4, 5e-5, 1e-3]))
+        reference = loop_phase_connection(m, path, lambda mm, g: connection_interior(mm, g, h * g.l / (1.0 + abs(mm.k))))
+        assert abs(loop_phase_interior(m, path, h) - reference) < 1e-13, (m, path)
+
+
+def test_overlap_chains_match_scalar_overlaps():
+    rng = np.random.default_rng(3102)
+    for j in range(12):
+        m = _drawn_mode(rng, j, 12)
+        path = _drawn_loop(rng, m)
+        for n in (8, 17, 64):
+            pts = [path.point(i / n) for i in range(n)] + [path.point(0.0)]
+            prod = 1.0 + 0.0j
+            for a, b in zip(pts[:-1], pts[1:]):
+                ov = state_overlap(m, a, b)
+                prod *= ov / abs(ov)
+            assert abs(np.angle(np.exp(1j * (_chain_phase(m, path, n) + np.angle(prod))))) < 1e-13, (m, path, n)
+
+
+def _mollified_reference(m, g, eps):
+    # the embedding on one grid through both walls, cutoff applied node by node
+    x, w = _embedding_grid(m, g, eps)
+    chi = np.where((x >= g.left) & (x <= g.right), 1.0, standard_mollifier()((np.abs(x - g.c) - 0.5 * g.l) / eps))
+    ext, (d_dl, d_dc) = extension_physical(m, g, x), extension_physical_grad(m, g, x)
+    weight = w * chi ** 2
+    norm2 = np.sum(weight * np.abs(ext) ** 2)
+    return (np.sum(weight * np.imag(np.conj(ext) * d_dl)) / norm2,
+            np.sum(weight * np.imag(np.conj(ext) * d_dc)) / norm2)
+
+
+def test_loop_phase_mollified_sweep_matches_single_widths():
+    rng = np.random.default_rng(3103)
+    for j in range(5):
+        m = _drawn_mode(rng, j, 12)
+        path = _drawn_loop(rng, m)
+        eps_list = [0.2, 0.1, 0.05, 0.025] if j % 2 else list(rng.uniform(0.01, 0.3, 3))
+        assert loop_phase_mollified_sweep(m, path, eps_list) == [loop_phase_mollified(m, path, e) for e in eps_list]
+        # the box interior, sampled once for every width, is the embedding's own
+        e = eps_list[-1]
+        reference = loop_phase_connection(m, path, lambda mm, g: ConnectionSample(
+            *_mollified_reference(mm, g, e * g.l), geometry=g, mode=mm))
+        assert loop_phase_mollified(m, path, e) == reference, (m, path)
+
+
+def test_too_coarse_mesh_raises_on_the_first_coarse_chain():
+    # the chains run in the order loop_phase_overlap would run them mesh by
+    # mesh; the error names the first too-small overlap of the first chain
+    # that has one, as the pair-by-pair route finds it.  On the last side the
+    # 16-point chain steps c by l1 - w0 while l grows by up to delta, so its
+    # boxes share windows of distinct widths near w0 and the 8-point chain's
+    # boxes are disjoint
+    rng = np.random.default_rng(3104)
+    for j in range(8):
+        m = mode(int(rng.integers(-3, 4)), complex(*rng.uniform(-1.5, 1.5, 2)))
+        l1, w0 = rng.uniform(0.5, 2.0), 10.0 ** rng.uniform(-9.0, -8.0)
+        delta, c2 = rng.uniform(1.0, 4.0) * w0, 4.0 * (l1 - w0)
+        verts = [(l1, 0.0), (1.3 * l1, 0.0), (1.3 * l1, c2), (l1 + delta, c2), (l1, 0.0)]
+        path = ParameterPath(verts, orientation=int(rng.choice([1, -1])))
+        expected = None
+        for n in (16, 8):
+            pts = [path.point(i / n) for i in range(n)] + [path.point(0.0)]
+            small = [abs(ov) for ov in (state_overlap(m, a, b) for a, b in zip(pts[:-1], pts[1:])) if abs(ov) < 1e-6]
+            if small:
+                expected = f"|<.|.>| = {small[0]:.2e}"
+                break
+        assert expected is not None and small[0] > 0.0 and len(set(f"{v:.2e}" for v in small)) > 1
+        with pytest.raises(MeshTooCoarseError, match=re.escape(expected)):
+            loop_phase_overlap_meshes(m, path, [16])
+
+
+# ---------------------------------------------------------------------------
+# seeded properties of the four oracles
+
+
+def _four_phases(m, path, mesh=256):
+    limit, _ = power_law_extrapolate([0.2, 0.1, 0.05, 0.025],
+                                     loop_phase_mollified_sweep(m, path, [0.2, 0.1, 0.05, 0.025]))
+    return {"analytic": loop_phase_analytic(m, path), "interior": loop_phase_interior(m, path, 1e-4),
+            "mollified": limit, "overlap": loop_phase_overlap(m, path, mesh).phase}
+
+
+def _gates(path):
+    # the acceptance gates: per unit path length for the connection oracles
+    length = sum(abs(l1 - l0) + abs(c1 - c0) for (l0, c0), (l1, c1) in path.segments)
+    return {"analytic": 1e-12, "interior": 1e-6 * length, "mollified": 1e-4 * length, "overlap": 1e-3}
+
+
+def _circle(x):
+    return abs(float(np.angle(np.exp(1j * x))))
+
+
+def _level_sized_loop(rng, m, mesh=256):
+    # the loop size (perimeter / l_min) a 256-point chain resolves at this
+    # level: the chain converges at second order on rectangles, at first on
+    # polylines
+    k = abs(m.k)
+    if rng.random() < 0.5:
+        return _drawn_loop(rng, m, size=mesh / (300.0 * np.sqrt(1.0 + k)), polyline=True)
+    return _drawn_loop(rng, m, size=mesh / (30.0 * (1.0 + k) ** (2.0 / 3.0)), polyline=False)
+
+
+def test_oracles_agree_and_reverse_at_high_levels():
+    rng = np.random.default_rng(3105)
+    for j in range(8):
+        m = _drawn_mode(rng, j, 30)
+        path = _level_sized_loop(rng, m)
+        phases, gates = _four_phases(m, path), _gates(path)
+        for method, phase in phases.items():
+            assert _circle(phase - phases["analytic"]) <= gates[method], (method, m, path)
+        reversed_phases = _four_phases(m, ParameterPath(path.vertices, -path.orientation))
+        for method, phase in reversed_phases.items():
+            assert _circle(phase + phases[method]) < 1e-12, (method, m, path)
+
+
+def test_oracle_phases_add_over_rectangles_sharing_an_edge():
+    rng = np.random.default_rng(3106)
+    for j in range(4):
+        m = _drawn_mode(rng, j, 30)
+        size = 256 / (30.0 * (1.0 + abs(m.k)) ** (2.0 / 3.0))
+        l1 = rng.uniform(0.5, 2.0)
+        l3 = l1 * (1.0 + rng.uniform(0.2, 0.6) * size / 2.0)
+        l2, c1 = rng.uniform(l1 + 0.2 * (l3 - l1), l3 - 0.2 * (l3 - l1)), rng.uniform(-1.0, 1.0)
+        c2 = c1 + (size * l1 - 2.0 * (l3 - l1)) / 2.0
+        parts = [rectangle_loop(a, b, c1, c2) for a, b in ((l1, l2), (l2, l3))]
+        union = rectangle_loop(l1, l3, c1, c2)
+        left, right, whole = (_four_phases(m, p) for p in (*parts, union))
+        for method in whole:
+            gate = sum(_gates(p)[method] for p in (*parts, union))
+            assert _circle(left[method] + right[method] - whole[method]) <= gate, (method, m, union)
 
 
 # ---------------------------------------------------------------------------

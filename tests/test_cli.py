@@ -245,13 +245,18 @@ def test_berry_plot_reuses_table_phases(tmp_path, monkeypatch):
     for extra in ([], ["--plot", str(tmp_path / "b.svg")]):
         counter = {}
         with monkeypatch.context() as mp:
-            _count_calls(mp, berrybox.cli, "loop_phase_connection", counter)
-            _count_calls(mp, berrybox.berry, "loop_phase_connection", counter)
-            _count_calls(mp, berrybox.berry, "_overlap_chain_phase", counter)
+            _count_calls(mp, berrybox.cli, "loop_phase_interior", counter)
+            _count_calls(mp, berrybox.cli, "loop_phase_mollified_sweep", counter)
+            _count_calls(mp, berrybox.berry, "_mollified_connection", counter)
+            _count_calls(mp, berrybox.berry, "_chain_phase", counter)
             assert run(*argv, *extra) == 0
         counts.append(counter)
     assert counts[0] == counts[1]
-    assert counts[0]["_overlap_chain_phase"] == 4  # chains at 8, 16, 32 and 64 points
+    # the interior phase at h and h/2, one mollified sweep that samples each
+    # of the four sides once for all widths, and the overlap chains at 8, 16,
+    # 32 and 64 points
+    assert counts[0] == {"loop_phase_interior": 2, "loop_phase_mollified_sweep": 1,
+                         "_mollified_connection": 4, "_chain_phase": 4}
 
 
 def test_berry_builds_each_gauss_rule_once(tmp_path, monkeypatch):
@@ -511,6 +516,12 @@ _NONFINITE_LOOPS = [
     pytest.param(["berry", "--method", "analytic,overlap", "--mesh", "16", "--tol", "nan"], None, id="berry-tol-nan"),
     pytest.param(["berry", "--method", "analytic,overlap", "--mesh", "16", "--tol", "-1"], None, id="berry-tol-negative"),
     pytest.param(["berry", "--method", "analytic", "--tol", "inf"], None, id="berry-tol-inf"),
+    # --h 1 at n = 0, eta = i used to write the analytic row first and then
+    # fail on a bound in absolute units; the relative bound is (1 + |k|)/4
+    pytest.param(["berry", "--method", "analytic,interior", "--h", "1"], None, id="berry-h-above-bound"),
+    pytest.param(["berry", "--method", "interior", "--h", "0"], None, id="berry-h-zero"),
+    pytest.param(["berry", "--method", "interior"], {"h": -1e-4}, id="berry-config-h-negative"),
+    pytest.param(["berry", "--method", "interior", "--h", "nan"], None, id="berry-h-nan"),
 ])
 def test_unread_or_invalid_option_exits_2_before_output(tmp_path, monkeypatch, argv, config):
     monkeypatch.chdir(tmp_path)
@@ -521,6 +532,21 @@ def test_unread_or_invalid_option_exits_2_before_output(tmp_path, monkeypatch, a
         warnings.simplefilter("error")
         assert exit_code(*argv, "--out", "o.out") == 2
     assert sorted(p.name for p in tmp_path.iterdir()) == (["cfg.json"] if config is not None else [])
+
+
+def test_berry_h_bound_is_relative_and_checked_first(tmp_path, monkeypatch, capsys):
+    # --h is relative to l/(1 + |k|), so the interior's 0 < h < l/4 reads
+    # 0 < h < (1 + |k|)/4 in the user's units: 0.643 at n = 0, eta = i.  It
+    # used to be checked only after the analytic phase was computed, and the
+    # message named the absolute bound l/4
+    counter = {}
+    _count_calls(monkeypatch, berrybox.cli, "loop_phase_analytic", counter)
+    for h in ("0.65", "1"):
+        assert exit_code("berry", "--method", "all", "--h", h, "--out", str(tmp_path / "b.csv")) == 2
+        assert "0 < h < (1 + |k|)/4 = 0.643" in capsys.readouterr().err
+    assert counter == {} and list(tmp_path.iterdir()) == []
+    assert run("berry", "--method", "interior", "--h", "0.64", "--out", str(tmp_path / "b.csv")) == 0
+    assert [r[3] for r in read_csv(tmp_path / "b.csv")[1]] == ["6.40000000e-01", "3.20000000e-01"]
 
 
 @pytest.mark.parametrize("loop", [None, _POLYGON, {**_POLYGON, "orientation": -1}],
