@@ -82,6 +82,7 @@ from .berry import (
     loop_phase_overlap_meshes,
     power_law_extrapolate,
     require_geometric,
+    require_interior_step,
     standard_mollifier,
     state_overlap,
     stokes_defect,

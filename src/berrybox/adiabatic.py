@@ -1,9 +1,8 @@
 """Dynamical extraction of the geometric phase from slow wall motion.
 
 Transforming the moving-box Schrodinger equation to the fixed reference
-interval with the translation/dilation unitaries produces, besides the
-rescaled kinetic term, moving-frame gauge terms proportional to the
-traversal velocities:
+interval with the translation/dilation unitaries adds moving-frame gauge
+terms to the rescaled kinetic term:
 
     i d psi/dt = [ p^2/(2 m l^2) - (ldot/l) (x o p) - (cdot/l) p ] psi.
 
@@ -12,21 +11,25 @@ i d/dt psi_fixed = (U H U^dag + i Udot U^dag) psi_fixed; the group
 generators give i Udot U^dag = -(ldot/l) x o p - (cdot/l) p, using
 W^dag(ln l) p W(ln l) = p/l.
 
-The operators are truncated to a symmetric window of eigenmodes of the
-static problem.  Matrix elements of p and x o p are evaluated in the
-symmetrized (weak) form -(i/2) Int (conj(phi) phi' - conj(phi)' phi), which
-is Hermitian for every boundary parameter and agrees with <phi|-i phi'>
-whenever |eta| = 1, where the endpoint bracket vanishes.  Propagation uses
-the exponential midpoint rule: each step applies the exact exponential of
-the frozen midpoint Hamiltonian, hence is exactly unitary and phase-exact
-on constant paths.  The loop is worked one side at a time: the side's
-midpoint geometries come from one array call, their Hamiltonians are built
-as one stack, and a stacked eigh diagonalises them in blocks of at most
-`_EIGH_BLOCK`, so only the two matrix-vector products of each step remain
-per step.  On a side of constant l (the c-sides of a rectangle) the
-Hamiltonian does not change, so the block holds one Hamiltonian that every
-step of the side reuses, and the side's evolution is exact.  The p and
-x o p blocks are built once per mode window.
+Each straight side (l0, c0) -> (l1, c1) is traversed in time T_side = T/nseg
+with l(t)^2 linear in t, so kappa = l ldot = (l1^2 - l0^2)/(2 T_side) and
+l cdot = (c1 - c0)(l0 + l1)/(2 T_side) are constant on it.  In the conformal
+time tau = Int dt / l^2 the equation becomes
+
+    i d psi/dtau = [ p^2/(2 m) - kappa (x o p) - (l cdot) p ] psi,
+
+with a generator constant on the side, so one eigh evolves the whole side
+exactly as V exp(-i Lambda tau_side) V^H, where tau_side = ln(l1/l0)/kappa,
+or T_side/l^2 at constant l: no time step and no step error.  This is the
+scaling and time change used for expanding boxes (Berry and Klein,
+J. Phys. A 17, 1805 (1984)); the adiabatic limit, and with it the geometric
+phase, does not depend on the speed profile.
+
+The operators are truncated to a symmetric window of static eigenmodes.  The
+p and x o p blocks take the symmetrized (weak) form
+-(i/2) Int (conj(phi) phi' - conj(phi)' phi), Hermitian for every boundary
+parameter and equal to <phi|-i phi'> when |eta| = 1; each eigenfunction is
+two plane waves, so the blocks are built in closed form, once per window.
 """
 
 from __future__ import annotations
@@ -39,15 +42,7 @@ import numpy as np
 
 from .boundary import as_eta, require_mass
 from .paths import ParameterPath
-from .quadrature import oscillatory_rule
-from .spectrum import (
-    DegenerateEtaError,
-    Geometry,
-    Mode,
-    eigenfunction_fixed,
-    eigenfunction_fixed_dx,
-    mode,
-)
+from .spectrum import DegenerateEtaError, Geometry, Mode, mode
 
 __all__ = [
     "Schedule",
@@ -59,15 +54,11 @@ __all__ = [
     "propagate",
 ]
 
-# midpoint Hamiltonians per stacked eigh call: stacking removes the per-step
-# Python work around eigh, and the bound keeps the stack's memory small (a
-# whole loop at once raised peak RSS by about a quarter)
-_EIGH_BLOCK = 16
-
 
 @dataclass(frozen=True)
 class Schedule:
-    """A closed parameter loop traversed in total time T with a fixed step count."""
+    """A closed parameter loop traversed in total time T; `resolution` states
+    per traversal are sampled for the diagnostics (see `propagate`)."""
 
     path: ParameterPath
     duration: float
@@ -110,27 +101,30 @@ def mode_window(eta, size: int) -> tuple[Mode, ...]:
     return tuple(mode(n, eta) for n in range(-size, size + 1))
 
 
-def _window_grid(modes):
-    kmax = max(abs(m.k) for m in modes)
-    return oscillatory_rule(-0.5, 0.5, 2.0 * kmax)
-
-
 @functools.lru_cache(maxsize=8)
 def _weak_form_matrix(modes):
-    """Matrices of p and x o p in the symmetrized quadrature form.
+    """Matrices of p and x o p in the symmetrized form, in closed form.
 
-    Built once per mode window; the cached arrays are shared and read-only.
+    phi_n = sum_s a_s e^{s i k_n x} over s = +-1, with a_s = (e^{i alpha} - s i)/2,
+    and k_n - k_m = 2 pi (n - m).  Plane waves of equal sign are therefore
+    orthogonal, so they reach p only on its diagonal, and those of opposite
+    sign cancel from x o p, which leaves
+
+        p_mn = -k_n sin(alpha) delta_mn - (i/2) cos(alpha) (k_n - k_m) sin(z)/z,
+        (x o p)_mn = -i (k_n + k_m) (-1)^(n-m) / (4 pi (n - m)),  0 at m = n,
+
+    with z = (k_n + k_m)/2: the sin(z)/z form stays accurate as k_n -> -k_m,
+    near eta = +-1.  Built once per mode window; the cached arrays are shared
+    and read-only.
     """
-    x, w = _window_grid(modes)
-    vals = np.array([eigenfunction_fixed(m, x) for m in modes])
-    ders = np.array([eigenfunction_fixed_dx(m, x) for m in modes])
-
-    def sym(extra):
-        a = (vals.conj() * (w * extra)) @ ders.T
-        return -0.5j * (a - a.conj().T)
-
-    p = sym(np.ones_like(x))
-    xp = sym(x)
+    k = np.array([m.k for m in modes])
+    n = np.array([m.n for m in modes])
+    alpha = modes[0].alpha
+    z, dn = 0.5 * (k + k[:, None]), n - n[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sinc = np.where(z == 0, 1.0, np.sin(z) / z)
+        xp = np.where(dn == 0, 0.0, -0.5j * z * (-1.0) ** dn / (np.pi * dn))
+    p = np.diag(-k * np.sin(alpha)) - 0.5j * np.cos(alpha) * (k - k[:, None]) * sinc
     p.setflags(write=False)
     xp.setflags(write=False)
     return p, xp
@@ -146,21 +140,14 @@ def virial_matrix(modes) -> np.ndarray:
     return _weak_form_matrix(tuple(modes))[1]
 
 
-def _hamiltonians(modes, blocks, l, ldot, cdot, mass):
-    """Stack of moving-frame Hamiltonians, one per entry of the arrays l, ldot, cdot.
-
-    `blocks` holds the window's (p, x o p) from `_weak_form_matrix`.
-    """
+def _generator(modes, kappa, lcdot, mass):
+    """p^2/(2m) - kappa x o p - (l cdot) p on the mode window: l^2 times the
+    moving-frame Hamiltonian, with kappa = l ldot."""
     mass = require_mass(mass)
-    pmat, xpmat = blocks
+    pmat, xpmat = _weak_form_matrix(modes)
     # Python's x ** 2, as in spectrum.eigenvalue: numpy's square rounds a
     # few squares in ten thousand differently
-    ksq = np.array([m.k ** 2 for m in modes])
-    lsq = np.array([x ** 2 for x in l.tolist()])
-    h = np.zeros((l.size, len(modes), len(modes)), dtype=complex)
-    diag = np.arange(len(modes))
-    h[:, diag, diag] = ksq / (2.0 * mass * lsq[:, None])
-    return h - (ldot / l)[:, None, None] * xpmat - (cdot / l)[:, None, None] * pmat
+    return np.diag([m.k ** 2 / (2.0 * mass) for m in modes]) - kappa * xpmat - lcdot * pmat
 
 
 def effective_hamiltonian(modes, g: Geometry, ldot: float, cdot: float, mass: float = 1.0) -> np.ndarray:
@@ -170,19 +157,21 @@ def effective_hamiltonian(modes, g: Geometry, ldot: float, cdot: float, mass: fl
     part: -(ldot/l) x o p - (cdot/l) p, whose blocks are l-independent
     (unit-interval integrals) and built once per mode window.
     """
-    modes = tuple(modes)
-    return _hamiltonians(modes, _weak_form_matrix(modes), np.array([g.l]), np.array([ldot]), np.array([cdot]), mass)[0]
+    return _generator(tuple(modes), g.l * ldot, g.l * cdot, mass) / g.l ** 2
 
 
-def _dynamical_phase(schedule: Schedule, m: Mode, mass: float) -> float:
-    """-Int lambda_n(l(t)) dt along the instantaneous level, in closed form.
+def _sides(schedule: Schedule):
+    """(kappa, l cdot, tau_side) of each side, in traversal order.
 
-    Each side is a straight segment traversed in time T/nseg, over which
-    Int dt / l^2 = (T/nseg) / (l0 l1).
+    A side (l0, c0) -> (l1, c1) takes T/nseg with l^2 linear in t.
     """
-    segs = schedule.path.segments
-    inv_l2 = sum(1.0 / (l0 * l1) for (l0, _), (l1, _) in segs) / len(segs)
-    return -schedule.duration * m.k ** 2 / (2.0 * mass) * inv_l2
+    path = schedule.path
+    segs = path.segments if path.orientation > 0 else [(b, a) for a, b in reversed(path.segments)]
+    t_side = schedule.duration / len(segs)
+    for (l0, c0), (l1, c1) in segs:
+        kappa = (l1 - l0) * (l1 + l0) / (2.0 * t_side)
+        tau = t_side / l0 ** 2 if l0 == l1 else math.log1p((l1 - l0) / l0) / kappa
+        yield kappa, (c1 - c0) * (l1 + l0) / (2.0 * t_side), tau
 
 
 def propagate(
@@ -196,62 +185,40 @@ def propagate(
     """Integrate the moving-frame Schrodinger equation around the loop.
 
     The state starts on level `start_mode` (times exp(i initial_phase),
-    which cancels from every reported quantity); each time step applies the
-    exact exponential of the midpoint-frozen Hamiltonian (unitary by
-    construction, second order in the step, and exact on constant paths).
-    On a side of constant l the Hamiltonian is constant, so the side is
-    evolved exactly with one eigh whose exponential every step reuses;
-    norm_drift and edge_weight are sampled after every step and reduced
-    per block.
+    which cancels from every reported quantity).  Each side, in traversal
+    order, is evolved exactly in conformal time by one eigh of its constant
+    generator.  `schedule.resolution` sets only the diagnostics:
+    ceil(resolution / nseg) states per side, evenly spaced in conformal
+    time and the last at the side's end, are formed by one
+    (samples x modes) product, and norm_drift and edge_weight are their
+    largest unitarity defect and window-edge amplitude.
     Returns the total return phase Arg<psi(0)|psi(T)>, the dynamical phase
-    -Int lambda dt, and their difference mod 2 pi as the geometric phase.
-    A fidelity below 0.9 sets the adiabaticity warning instead of raising.
+    -Int lambda dt = -k^2/(2m) sum tau_side, and their difference mod 2 pi
+    as the geometric phase.  A fidelity below 0.9 sets the adiabaticity
+    warning instead of raising.
     """
     modes = mode_window(eta, window)
     if abs(start_mode) > window:
         raise ValueError("start mode lies outside the window")
     idx = start_mode + window
-    blocks = _weak_form_matrix(modes)
-
-    path = schedule.path
-    nseg = len(path.segments)
-    steps_per = max(1, int(np.ceil(schedule.resolution / nseg)))
-    nsteps = nseg * steps_per
-    dt = schedule.duration / nsteps
+    sides = list(_sides(schedule))
+    samples = -(-schedule.resolution // len(sides))
+    fractions = np.arange(1, samples + 1) / samples
 
     psi = np.zeros(len(modes), dtype=complex)
     psi[idx] = np.exp(1j * initial_phase)
     psi0 = psi.copy()
-
-    norm_drift = 0.0
-    edge_weight = 0.0
-    for side in range(nseg):
-        # steps run through the segments in traversal order
-        (l0, _), (l1, _) = path.segments[side if path.orientation > 0 else nseg - 1 - side]
-        constant = l0 == l1
-        for first in range(0, steps_per, _EIGH_BLOCK):
-            j = side * steps_per + np.arange(first, min(first + _EIGH_BLOCK, steps_per))
-            if first == 0 or not constant:
-                # a side of constant l has one Hamiltonian, which all its steps reuse
-                s_mid = ((j[:1] if constant else j) + 0.5) / nsteps
-                l, _ = path.points(s_mid)
-                vl, vc = path.velocities(s_mid)
-                evals, vecs = np.linalg.eigh(
-                    _hamiltonians(modes, blocks, l, vl / schedule.duration, vc / schedule.duration, mass)
-                )
-                phases = np.exp(-1j * evals * dt)
-                vecs_h = vecs.conj().transpose(0, 2, 1)
-            trail = np.empty((j.size, len(modes)), dtype=complex)
-            for b in range(j.size):
-                i = b % len(phases)
-                psi = vecs[i] @ (phases[i] * (vecs_h[i] @ psi))
-                trail[b] = psi
-            norm_drift = max(norm_drift, float(np.max(np.abs(np.linalg.norm(trail, axis=1) - 1.0))))
-            edge_weight = max(edge_weight, float(np.max(np.abs(trail[:, [0, -1]]))))
+    norm_drift = edge_weight = 0.0
+    for kappa, lcdot, tau in sides:
+        evals, vecs = np.linalg.eigh(_generator(modes, kappa, lcdot, mass))
+        trail = (np.exp(-1j * tau * np.outer(fractions, evals)) * (vecs.conj().T @ psi)) @ vecs.T
+        psi = trail[-1]
+        norm_drift = max(norm_drift, float(np.max(np.abs(np.linalg.norm(trail, axis=1) - 1.0))))
+        edge_weight = max(edge_weight, float(np.max(np.abs(trail[:, [0, -1]]))))
 
     overlap = np.vdot(psi0, psi)
     total = float(np.angle(overlap))
-    dynamical = _dynamical_phase(schedule, modes[idx], mass)
+    dynamical = -modes[idx].k ** 2 / (2.0 * mass) * sum(tau for _, _, tau in sides)
     geometric = float(np.angle(np.exp(1j * (total - dynamical))))
     fidelity = float(abs(overlap))
     return PhaseReport(
@@ -259,7 +226,7 @@ def propagate(
         dynamical_phase=dynamical,
         geometric_phase=geometric,
         fidelity=fidelity,
-        norm_drift=float(norm_drift),
-        edge_weight=float(edge_weight),
+        norm_drift=norm_drift,
+        edge_weight=edge_weight,
         adiabatic_warning=fidelity < 0.9,
     )

@@ -61,6 +61,7 @@ __all__ = [
     "commutator_defect",
     "power_law_extrapolate",
     "require_geometric",
+    "require_interior_step",
 ]
 
 
@@ -303,9 +304,20 @@ def loop_phase_connection(m: Mode, path: ParameterPath, sampler, order: int = 16
     return float(_loop_integral(path, side, order))
 
 
+def require_interior_step(m: Mode, h_rel) -> float:
+    """`h_rel` if 0 < h_rel < (1 + |k|)/4, the relative form of the interior
+    bound 0 < h < l/4 at the step h_rel * l / (1 + |k|); raises ValueError
+    otherwise."""
+    bound = (1.0 + abs(m.k)) / 4.0
+    if not 0 < h_rel < bound:
+        raise ValueError(f"h must satisfy 0 < h < (1 + |k|)/4 = {bound:.3g} at this level, not {h_rel}")
+    return h_rel
+
+
 def loop_phase_interior(m: Mode, path: ParameterPath, h_rel: float, order: int = 16) -> float:
     """`loop_phase_connection` of `connection_interior` at the step
     h_rel * l / (1 + |k|); each side's nodes are evaluated at once."""
+    h_rel = require_interior_step(m, h_rel)
     return float(_loop_integral(path, lambda l, c: _interior_connection(m, l, c, h_rel * l / (1.0 + abs(m.k))),
                                 order))
 
@@ -517,7 +529,9 @@ def power_law_extrapolate(params, values):
 
     `params` must decrease geometrically (constant ratio).  Returns
     (limit, order); when successive differences sit at the noise floor the
-    last sample is returned with the order capped at 8.
+    last sample is returned with the order capped at 8.  A fitted order
+    q <= 0 means the differences do not shrink: the last sample is returned
+    with that order.
     """
     eps = require_geometric(params)
     a = np.asarray(values, dtype=float)
@@ -536,6 +550,8 @@ def power_law_extrapolate(params, values):
     if not qs:
         return float(a[-1]), 8.0
     q = min(float(np.mean(qs)), 8.0)
+    if q <= 0.0:
+        return float(a[-1]), q
     rho = r ** q
     limit = a[-1] + (a[-1] - a[-2]) * rho / (1.0 - rho)
     return float(limit), q

@@ -36,6 +36,7 @@ from .berry import (
     loop_phase_overlap_meshes,
     power_law_extrapolate,
     require_geometric,
+    require_interior_step,
 )
 from .boundary import ETA_INF, Eta, classify_unitary, eta_to_unitary, require_mass, require_unitary
 from .paths import polyline_path, rectangle_loop
@@ -359,8 +360,10 @@ def _berry_phase_rows(m, path, methods, cfg):
         eps_list = [float(e) for e in cfg["eps_list"]]
         phases = loop_phase_mollified_sweep(m, path, eps_list)
         rows.extend(("mollified", "", _fmt(eps), "", _fmt(phase), "") for eps, phase in zip(eps_list, phases))
-        limit, _order = power_law_extrapolate(eps_list, phases)
-        rows.append(("mollified", "", _fmt(0.0), "", _fmt(limit), _fmt(abs(limit - phases[-1]))))
+        limit, order = power_law_extrapolate(eps_list, phases)
+        # without a positive order the limit is the last sample, and the last step its error scale
+        err = abs(limit - phases[-1]) if order > 0 else abs(phases[-1] - phases[-2])
+        rows.append(("mollified", "", _fmt(0.0), "", _fmt(limit), _fmt(err)))
         finals["mollified"] = limit
         curves["mollified"] = (eps_list, phases)
     if "overlap" in methods:
@@ -417,10 +420,7 @@ def cmd_berry(args) -> int:
         except ValueError as exc:
             raise UsageError(f"eps_list: {exc}") from None
     if "interior" in methods and cfg["h"] is not None:
-        # the step is relative to l / (1 + |k|), and must stay below l / 4
-        bound = (1.0 + abs(m.k)) / 4.0
-        if not 0 < cfg["h"] < bound:
-            raise UsageError(f"h must satisfy 0 < h < (1 + |k|)/4 = {bound:.3g} at this level, not {cfg['h']}")
+        require_interior_step(m, cfg["h"])  # ValueError: exit 2 before any output
     rows, finals, analytic, curves = _berry_phase_rows(m, path, methods, cfg)
     _write_output(args.out, _csv("method,mesh,eps,h,phase,err_est", rows))
     _write_resolved_config(args.out, cfg)
@@ -605,7 +605,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_loop(sp)
     sp.add_argument("--T-list", type=_float_list)
     sp.add_argument("--window", type=int, help="mode window half-width N")
-    sp.add_argument("--resolution", type=int, help="time steps per traversal")
+    sp.add_argument("--resolution", type=int, help="states per traversal sampled for the norm and edge diagnostics")
     return p
 
 

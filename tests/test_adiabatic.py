@@ -8,18 +8,20 @@ from berrybox import (
     Geometry,
     Schedule,
     effective_hamiltonian,
+    eigenfunction_fixed,
+    eigenfunction_fixed_dx,
     eigenvalue,
     loop_phase_analytic,
     mode,
     mode_window,
     momentum_matrix,
+    oscillatory_rule,
     point_loop,
     polyline_path,
     propagate,
     rectangle_loop,
     virial_matrix,
 )
-from berrybox.adiabatic import _EIGH_BLOCK
 
 RECT = rectangle_loop(1.0, 2.0, 0.0, 1.0)
 # one side of constant l, (1.5, 0) -> (1.5, 0.4); the other three move l
@@ -44,6 +46,21 @@ def test_velocity_blocks_hermitian():
         assert np.max(np.abs(xp - xp.conj().T)) < 1e-10
         h = effective_hamiltonian(modes, Geometry(1.2, 0.4), 0.3, -0.7)
         assert np.max(np.abs(h - h.conj().T)) < 1e-10
+
+
+@pytest.mark.parametrize("eta", [1j, np.exp(0.3j), 2j, -0.3 + 0.4j, 0.5, 0.0, -3.0, 1.0 + 1e-7, -1.0 - 1e-7])
+@pytest.mark.parametrize("window", [4, 8])
+def test_velocity_blocks_match_quadrature(eta, window):
+    # the closed-form blocks against the symmetrized weak form by Gauss-Legendre:
+    # |eta| = 1, |eta| != 1, real eta and eta near +-1, where k_n + k_m
+    # nearly cancels for n + m = 0 or -1
+    modes = mode_window(eta, window)
+    x, w = oscillatory_rule(-0.5, 0.5, 2.0 * max(abs(m.k) for m in modes))
+    vals = np.array([eigenfunction_fixed(m, x) for m in modes])
+    ders = np.array([eigenfunction_fixed_dx(m, x) for m in modes])
+    for weight, block in ((1.0, momentum_matrix(modes)), (x, virial_matrix(modes))):
+        a = (vals.conj() * (w * weight)) @ ders.T
+        assert np.max(np.abs(block - (-0.5j) * (a - a.conj().T))) < 1e-13
 
 
 def test_diagonal_momentum_matches_connection():
@@ -126,77 +143,87 @@ def test_window_out_of_range():
         propagate(Schedule(RECT, 10.0, 200), 7, 1j, 4)
 
 
-def _stepwise_propagate(schedule, start_mode, eta, window, mass=1.0):
-    """Reference: one eigh of the midpoint Hamiltonian, built from
-    spectrum.eigenvalue, at every step; -Int lambda dt by Gauss-Legendre."""
+def _midpoint_overlap(schedule, start_mode, eta, window, mass, steps_per_side):
+    """Reference: <psi(0)|psi(T)> and the largest window-edge amplitude from
+    the exponential midpoint rule in physical time t, with l(t)^2 linear in t
+    on each side and c moving with l along it; each step's Hamiltonian is
+    built from spectrum.eigenvalue."""
     modes = mode_window(eta, window)
     pmat, xpmat = momentum_matrix(modes), virial_matrix(modes)
-    path, duration = schedule.path, schedule.duration
-    nseg = len(path.segments)
-    nsteps = nseg * int(np.ceil(schedule.resolution / nseg))
-    dt = duration / nsteps
+    lam1 = np.array([eigenvalue(m, Geometry(1.0, 0.0), mass) for m in modes])
+    path = schedule.path
+    segs = path.segments if path.orientation > 0 else [(b, a) for a, b in reversed(path.segments)]
+    t_side = schedule.duration / len(segs)
+    dt = t_side / steps_per_side
+    t = (np.arange(steps_per_side) + 0.5) * dt
     psi = np.zeros(len(modes), dtype=complex)
     psi[start_mode + window] = 1.0
     psi0 = psi.copy()
-    norm_drift = edge_weight = 0.0
-    for j in range(nsteps):
-        s_mid = (j + 0.5) / nsteps
-        g = path.point(s_mid)
-        vl, vc = path.velocity(s_mid)
-        h = (np.diag([eigenvalue(m, g, mass) for m in modes]).astype(complex)
-             - (vl / duration / g.l) * xpmat - (vc / duration / g.l) * pmat)
+    edge_weight = 0.0
+    for (l0, c0), (l1, c1) in segs:
+        l = np.sqrt(l0 ** 2 + (l1 ** 2 - l0 ** 2) * t / t_side)
+        ldot = (l1 ** 2 - l0 ** 2) / (2.0 * t_side * l)
+        cdot = ldot * (c1 - c0) / (l1 - l0) if l1 != l0 else np.full_like(l, (c1 - c0) / t_side)
+        h = ((lam1 / l[:, None] ** 2)[:, :, None] * np.eye(len(modes)) - (ldot / l)[:, None, None] * xpmat
+             - (cdot / l)[:, None, None] * pmat)
         evals, vecs = np.linalg.eigh(h)
-        psi = vecs @ (np.exp(-1j * evals * dt) * (vecs.conj().T @ psi))
-        norm_drift = max(norm_drift, abs(np.linalg.norm(psi) - 1.0))
-        edge_weight = max(edge_weight, abs(psi[0]), abs(psi[-1]))
-    xg, wg = np.polynomial.legendre.leggauss(32)
-    level = modes[start_mode + window]
-    integral = sum(wj * 0.5 / nseg * eigenvalue(level, path.point((i + 0.5 + 0.5 * xj) / nseg), mass)
-                   for i in range(nseg) for xj, wj in zip(xg, wg))
-    overlap = np.vdot(psi0, psi)
-    return float(np.angle(overlap)), -duration * integral, abs(overlap), norm_drift, edge_weight
+        for e, v in zip(evals, vecs):
+            psi = v @ (np.exp(-1j * e * dt) * (v.conj().T @ psi))
+            edge_weight = max(edge_weight, abs(psi[0]), abs(psi[-1]))
+    return np.vdot(psi0, psi), edge_weight
 
 
 @pytest.mark.parametrize("path", [RECT, rectangle_loop(1.0, 2.0, 0.0, 1.0, orientation=-1),
                                   ONE_VERTICAL, point_loop(1.3, 0.2)],
                          ids=["rectangle", "rectangle-reversed", "one-vertical-side", "point"])
 def test_propagate_matches_stepwise_reference(path):
+    # the per-side exponentials in conformal time are exact: a midpoint
+    # integration of the same schedule in physical time converges to them at
+    # second order, 16x per 4x steps, until it reaches roundoff
     sched = Schedule(path, 20.0, 400)
     rep = propagate(sched, 1, -0.3 + 0.4j, 4, mass=0.8)
-    total, dynamical, fidelity, norm_drift, edge_weight = _stepwise_propagate(sched, 1, -0.3 + 0.4j, 4, 0.8)
-    assert abs(rep.total_phase - total) < 1e-12
-    assert abs(rep.dynamical_phase - dynamical) < 1e-12
-    assert abs(np.angle(np.exp(1j * (rep.geometric_phase - (total - dynamical))))) < 1e-12
-    assert abs(rep.fidelity - fidelity) < 1e-12
-    assert abs(rep.norm_drift - norm_drift) < 1e-12
-    assert abs(rep.edge_weight - edge_weight) < 1e-12
+    exact = rep.fidelity * np.exp(1j * rep.total_phase)
+    refs = [_midpoint_overlap(sched, 1, -0.3 + 0.4j, 4, 0.8, n) for n in (100, 400, 1600)]
+    gaps = [abs(overlap - exact) for overlap, _ in refs]
+    for coarse, fine in zip(gaps[:-1], gaps[1:]):
+        assert fine < 1e-12 or 12.0 < coarse / fine < 20.0
+    assert gaps[-1] < 3e-5
+    # the diagnostics sample 100 states per side and the reference every step,
+    # so their largest window-edge amplitudes agree to a few per cent
+    assert rep.edge_weight == pytest.approx(refs[-1][1], rel=0.05)
+    assert rep.norm_drift < 1e-13
 
 
-@pytest.mark.parametrize("path, resolution", [(NO_VERTICAL, 100), (ONE_VERTICAL, 150)],
-                         ids=["no-vertical-side", "one-vertical-side"])
-def test_propagate_eigh_blocks_match_stepwise_reference(path, resolution):
-    # 34 and 38 steps per side: each moving side spans three eigh blocks, the last one partial
-    steps_per = -(-resolution // len(path.segments))
-    assert steps_per > 2 * _EIGH_BLOCK and steps_per % _EIGH_BLOCK
-    sched = Schedule(path, 15.0, resolution)
-    rep = propagate(sched, -1, 2j, 5, mass=1.1)
-    total, dynamical, fidelity, norm_drift, edge_weight = _stepwise_propagate(sched, -1, 2j, 5, 1.1)
-    assert abs(rep.total_phase - total) < 1e-12
-    assert abs(rep.dynamical_phase - dynamical) < 1e-12
-    assert abs(rep.fidelity - fidelity) < 1e-12
-    assert abs(rep.norm_drift - norm_drift) < 1e-12
-    assert abs(rep.edge_weight - edge_weight) < 1e-12
-
-
-@pytest.mark.parametrize("path, calls", [(RECT, 2 + 2 * 100), (NO_VERTICAL, 3 * 134)], ids=["rectangle", "no-vertical-side"])
-def test_one_eigh_per_constant_side(monkeypatch, path, calls):
-    # resolution 400: 100 steps per rectangle side, ceil(400 / 3) per triangle side;
-    # eigh takes a stack of Hamiltonians, so count the matrices, not the calls
+@pytest.mark.parametrize("path, nseg", [(RECT, 4), (NO_VERTICAL, 3), (point_loop(1.3, 0.2), 1)],
+                         ids=["rectangle", "no-vertical-side", "point"])
+def test_one_eigh_per_side(monkeypatch, path, nseg):
+    # resolution only sets how many states are sampled for the diagnostics
     eigh = np.linalg.eigh
     counted = []
-    monkeypatch.setattr(np.linalg, "eigh", lambda h: counted.append(int(np.prod(h.shape[:-2]))) or eigh(h))
-    propagate(Schedule(path, 20.0, 400), 0, 1j, 4)
-    assert sum(counted) == calls
+    monkeypatch.setattr(np.linalg, "eigh", lambda h: counted.append(h.shape) or eigh(h))
+    reps = [propagate(Schedule(path, 20.0, resolution), 0, 1j, 4) for resolution in (100, 4001)]
+    assert counted == [(9, 9)] * (2 * nseg)
+    assert abs(reps[0].total_phase - reps[1].total_phase) < 1e-13
+    assert abs(reps[0].fidelity - reps[1].fidelity) < 1e-13
+    assert reps[0].dynamical_phase == reps[1].dynamical_phase
+
+
+def test_dynamical_phase_is_conformal_time():
+    # -k^2/(2m) sum tau_side, with tau_side = Int dt / l^2 = T_side ln(l1/l0)/kappa
+    # on a side of moving l and T_side / l^2 on a side of constant l
+    t_side, mass = 5.0, 0.8
+    k = mode(1, -0.3 + 0.4j).k
+    rep = propagate(Schedule(RECT, 4.0 * t_side, 400), 1, -0.3 + 0.4j, 4, mass=mass)
+    tau = t_side * (2.0 * 2.0 * np.log(2.0) / 3.0 + 1.0 / 4.0 + 1.0)
+    assert rep.dynamical_phase == pytest.approx(-k ** 2 / (2.0 * mass) * tau, rel=1e-14)
+    # on any polyline: Gauss-Legendre in t of lambda(l(t)), l(t)^2 linear on each side
+    rep = propagate(Schedule(NO_VERTICAL, 15.0, 400), 1, -0.3 + 0.4j, 4, mass=mass)
+    xg, wg = np.polynomial.legendre.leggauss(40)
+    t = 2.5 * (1.0 + xg)
+    integral = sum(wg @ [2.5 * eigenvalue(mode(1, -0.3 + 0.4j), Geometry(np.sqrt(l0 ** 2 + (l1 ** 2 - l0 ** 2) * tj / 5.0), 0.0), mass)
+                         for tj in t]
+                   for (l0, _), (l1, _) in NO_VERTICAL.segments)
+    assert rep.dynamical_phase == pytest.approx(-integral, rel=1e-13)
 
 
 def test_nonpositive_mass_rejected():

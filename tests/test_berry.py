@@ -34,6 +34,7 @@ from berrybox import (
     polyline_path,
     power_law_extrapolate,
     rectangle_loop,
+    require_interior_step,
     standard_mollifier,
     state_overlap,
     stokes_defect,
@@ -383,6 +384,16 @@ def _drawn_loop(rng, m, size=None, polyline=None):
     return ParameterPath(verts + [verts[0]], orientation)
 
 
+def test_extrapolation_without_positive_order_returns_last_sample():
+    # growing differences fit order -1; the power law used to extrapolate
+    # "backwards" to -1.0
+    assert power_law_extrapolate([0.4, 0.2, 0.1], [0.0, 1.0, 3.0]) == (3.0, -1.0)
+    # equal differences fit order 0, where the geometric tail diverges
+    assert power_law_extrapolate([0.4, 0.2, 0.1], [0.0, 1.0, 2.0]) == (2.0, 0.0)
+    limit, order = power_law_extrapolate([0.4, 0.2, 0.1], [0.0, 1.0, 1.5])
+    assert (limit, order) == (pytest.approx(2.0), pytest.approx(1.0))
+
+
 def _drawn_mode(rng, j, n_max):
     eta = (ETA_INF, rng.uniform(-3.0, 3.0), complex(*rng.uniform(-1.5, 1.5, 2)))[j % 3]
     return mode(int(rng.integers(-n_max, n_max + 1)), eta)
@@ -396,6 +407,17 @@ def test_loop_phase_interior_matches_per_point_route():
         h = float(rng.choice([1e-4, 5e-5, 1e-3]))
         reference = loop_phase_connection(m, path, lambda mm, g: connection_interior(mm, g, h * g.l / (1.0 + abs(mm.k))))
         assert abs(loop_phase_interior(m, path, h) - reference) < 1e-13, (m, path)
+
+
+def test_interior_step_bound_is_relative():
+    # h_rel is relative to l / (1 + |k|): the bound l/4 reads (1 + |k|)/4 = 0.643
+    # at n = 0, eta = i, and used to be reported as "need 0 < h < l/4"
+    m = mode(0, 1j)
+    for h in (1.0, 0.65, 0.0, -1e-4, float("nan")):
+        with pytest.raises(ValueError, match=r"0 < h < \(1 \+ \|k\|\)/4 = 0.643"):
+            loop_phase_interior(m, RECT, h)
+    assert require_interior_step(m, 0.64) == 0.64
+    assert loop_phase_interior(m, RECT, 0.64) == pytest.approx(np.pi / 4.0, abs=0.1)
 
 
 def test_overlap_chains_match_scalar_overlaps():

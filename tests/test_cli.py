@@ -127,6 +127,15 @@ def test_berry_all_methods_agree(tmp_path):
     assert abs(abs(finals["analytic"]) - np.pi / 4) < 1e-8
 
 
+def test_berry_mollified_row_without_positive_order(tmp_path, monkeypatch):
+    # growing differences: the eps = 0 row reports the last sample, and its
+    # err_est the last step, not 0 from |limit - last sample|
+    monkeypatch.setattr(berrybox.cli, "loop_phase_mollified_sweep", lambda m, path, eps_list: [0.0, 1.0, 3.0])
+    out = tmp_path / "berry.csv"
+    assert run("berry", "--method", "mollified", "--eps-list", "0.4,0.2,0.1", "--out", str(out)) == 0
+    assert read_csv(out)[1][-1][3:] == ["", "3.00000000e+00", "2.00000000e+00"]
+
+
 def test_berry_real_eta_phases_vanish(tmp_path):
     out = tmp_path / "berry.csv"
     assert run("berry", "--eta", "0.5", "--n", "0", "--loop-rect", "1", "2", "0", "1",
