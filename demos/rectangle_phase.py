@@ -22,7 +22,7 @@ from berrybox import (
     loop_phase_analytic,
     loop_phase_connection,
     loop_phase_mollified_sweep,
-    loop_phase_overlap,
+    loop_phase_overlap_meshes,
     mode,
     power_law_extrapolate,
     rectangle_loop,
@@ -41,7 +41,7 @@ def main(svg_path=None):
 
     print("interior prescription (finite differences inside the box)")
     for h in (1e-3, 5e-4, 2.5e-4):
-        phase = loop_phase_connection(m, rect, lambda mm, g, hh=h: connection_interior(mm, g, hh * g.l))
+        phase = loop_phase_connection(rect, lambda l, c, hh=h: connection_interior(m, l, c, hh * l))
         print(f"  h/l = {h:.1e}   phase = {phase:.12f}   error = {abs(phase - exact):.2e}")
 
     print("mollified embedding (smoothed box edge of width eps)")
@@ -55,8 +55,7 @@ def main(svg_path=None):
     print("overlap product (no derivatives at all)")
     meshes = [32, 64, 128, 256, 512]
     errs = []
-    for mesh in meshes:
-        res = loop_phase_overlap(m, rect, mesh)
+    for mesh, res in zip(meshes, loop_phase_overlap_meshes(m, rect, meshes)):
         errs.append(abs(res.phase - exact))
         print(f"  mesh = {mesh:<5} phase = {res.phase:.12f}   error = {errs[-1]:.2e}   "
               f"half-mesh estimate = {res.err_estimate:.2e}")

@@ -64,8 +64,6 @@ from .spectrum import (
 )
 from .paths import ParameterPath, point_loop, polyline_path, rectangle_corners, rectangle_loop
 from .berry import (
-    ConnectionSample,
-    CurvatureSample,
     LoopPhaseResult,
     MeshTooCoarseError,
     commutator_defect,
@@ -76,15 +74,13 @@ from .berry import (
     loop_phase_analytic,
     loop_phase_connection,
     loop_phase_interior,
-    loop_phase_mollified,
     loop_phase_mollified_sweep,
-    loop_phase_overlap,
     loop_phase_overlap_meshes,
     power_law_extrapolate,
     require_geometric,
     require_interior_step,
     standard_mollifier,
-    state_overlap,
+    state_overlaps,
     stokes_defect,
 )
 from .wilczek_zee import (
@@ -100,11 +96,10 @@ from .wilczek_zee import (
 from .adiabatic import (
     PhaseReport,
     Schedule,
-    effective_hamiltonian,
+    generator,
     mode_window,
-    momentum_matrix,
     propagate,
-    virial_matrix,
+    weak_form_matrix,
 )
 
 __version__ = "0.1.0"

@@ -40,17 +40,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import as_eta, require_mass
+from .boundary import require_mass
 from .paths import ParameterPath
-from .spectrum import DegenerateEtaError, Geometry, Mode, mode
+from .spectrum import Mode, mode
 
 __all__ = [
     "Schedule",
     "PhaseReport",
     "mode_window",
-    "momentum_matrix",
-    "virial_matrix",
-    "effective_hamiltonian",
+    "weak_form_matrix",
+    "generator",
     "propagate",
 ]
 
@@ -94,16 +93,15 @@ class PhaseReport:
 
 
 def mode_window(eta, size: int) -> tuple[Mode, ...]:
-    """Modes n = -size .. size of the nondegenerate family member eta."""
-    eta = as_eta(eta)
-    if eta.degenerate:
-        raise DegenerateEtaError("adiabatic propagation handles nondegenerate eta only")
+    """Modes n = -size .. size of the nondegenerate family member eta;
+    `mode` raises DegenerateEtaError at eta = +-1."""
     return tuple(mode(n, eta) for n in range(-size, size + 1))
 
 
 @functools.lru_cache(maxsize=8)
-def _weak_form_matrix(modes):
-    """Matrices of p and x o p in the symmetrized form, in closed form.
+def weak_form_matrix(modes):
+    """Hermitian matrices of p and of x o p = (xp + px)/2 in the symmetrized
+    form, in closed form, over a tuple of modes such as `mode_window`'s.
 
     phi_n = sum_s a_s e^{s i k_n x} over s = +-1, with a_s = (e^{i alpha} - s i)/2,
     and k_n - k_m = 2 pi (n - m).  Plane waves of equal sign are therefore
@@ -130,34 +128,15 @@ def _weak_form_matrix(modes):
     return p, xp
 
 
-def momentum_matrix(modes) -> np.ndarray:
-    """Hermitian momentum block over the mode window (read-only)."""
-    return _weak_form_matrix(tuple(modes))[0]
-
-
-def virial_matrix(modes) -> np.ndarray:
-    """Hermitian dilation-generator block (x o p = (xp + px)/2, read-only)."""
-    return _weak_form_matrix(tuple(modes))[1]
-
-
-def _generator(modes, kappa, lcdot, mass):
-    """p^2/(2m) - kappa x o p - (l cdot) p on the mode window: l^2 times the
-    moving-frame Hamiltonian, with kappa = l ldot."""
+def generator(modes, kappa, lcdot, mass=1.0):
+    """p^2/(2m) - kappa x o p - (l cdot) p on a tuple of modes: l^2 times the
+    moving-frame Hamiltonian, with kappa = l ldot.  At kappa = l cdot = 0 it
+    is diag(k_n^2 / (2m)), l^2 times the static spectrum."""
     mass = require_mass(mass)
-    pmat, xpmat = _weak_form_matrix(modes)
+    pmat, xpmat = weak_form_matrix(modes)
     # Python's x ** 2, as in spectrum.eigenvalue: numpy's square rounds a
     # few squares in ten thousand differently
     return np.diag([m.k ** 2 / (2.0 * mass) for m in modes]) - kappa * xpmat - lcdot * pmat
-
-
-def effective_hamiltonian(modes, g: Geometry, ldot: float, cdot: float, mass: float = 1.0) -> np.ndarray:
-    """Moving-frame Hamiltonian on the mode window at one geometry.
-
-    Static part: diag(lambda_n(l)) = diag(k_n^2 / (2 m l^2)).  Velocity
-    part: -(ldot/l) x o p - (cdot/l) p, whose blocks are l-independent
-    (unit-interval integrals) and built once per mode window.
-    """
-    return _generator(tuple(modes), g.l * ldot, g.l * cdot, mass) / g.l ** 2
 
 
 def _sides(schedule: Schedule):
@@ -210,7 +189,7 @@ def propagate(
     psi0 = psi.copy()
     norm_drift = edge_weight = 0.0
     for kappa, lcdot, tau in sides:
-        evals, vecs = np.linalg.eigh(_generator(modes, kappa, lcdot, mass))
+        evals, vecs = np.linalg.eigh(generator(modes, kappa, lcdot, mass))
         trail = (np.exp(-1j * tau * np.outer(fractions, evals)) * (vecs.conj().T @ psi)) @ vecs.T
         psi = trail[-1]
         norm_drift = max(norm_drift, float(np.max(np.abs(np.linalg.norm(trail, axis=1) - 1.0))))

@@ -5,24 +5,24 @@ derivative of an eigenfunction is not square integrable and the connection
 integral needs a prescription.  Three independent evaluations are provided
 and cross-checked against the closed form a_c = (k/l) sin(alpha), a_l = 0:
 
-* `connection_interior`   - differentiate the smooth extension and integrate
-                            strictly inside the box (finite differences in
-                            the parameter);
-* `connection_mollified`  - embed in L2(R) with a smoothed characteristic
-                            function of the box and let its width go to zero;
-* `loop_phase_overlap`    - gauge-invariant discrete phase from overlaps of
-                            neighboring eigenfunctions along the loop, which
-                            never differentiates anything.
+* `connection_interior`        - differentiate the smooth extension and
+                                 integrate strictly inside the box (finite
+                                 differences in the parameter);
+* `connection_mollified`       - embed in L2(R) with a smoothed characteristic
+                                 function of the box and let its width go to
+                                 zero;
+* `loop_phase_overlap_meshes`  - gauge-invariant discrete phase from overlaps
+                                 of neighboring eigenfunctions along the loop,
+                                 which never differentiates anything.
 
 Each eigenfunction is two plane waves and each loop a polyline, so the
 overlaps, the interior windows and the analytic loop phase are integrated in
 closed form; quadrature serves the mollified embedding and `stokes_defect`.
-Numerical loop phases integrate the connection side by side at the Gauss
-nodes of each side.  The oracles work on arrays, and each scalar function is
-the length-1 case of its array form: `loop_phase_interior` evaluates all of a
-side's nodes in one call, an overlap chain all of its pairs, and
-`loop_phase_mollified_sweep` all of a side's nodes at every width, sampling
-the eps-independent box interior once.
+Every oracle takes arrays of boxes (l, c), a scalar being the 0-d case, and
+returns arrays of their shape.  `loop_phase_connection` integrates any such
+connection side by side, all of a side's Gauss nodes in one call; an overlap
+chain computes all of its pairs at once, and `loop_phase_mollified_sweep`
+samples each side's box interiors once for every width.
 Loop phases follow the convention Phi = i * contour integral of <psi|d psi>;
 for the counterclockwise axis-aligned rectangle [l1, l2] x [c1, c2] this
 gives Phi = k (1/l1 - 1/l2)(c2 - c1) sin(alpha).
@@ -37,13 +37,11 @@ import numpy as np
 
 from .paths import ParameterPath, rectangle_corners
 from .quadrature import GridFunction, panel_rule, reference_rule
-from .spectrum import Geometry, Mode, _extension_jet
+from .spectrum import Mode, _extension_jet
 
 __all__ = [
     "MeshTooCoarseError",
     "standard_mollifier",
-    "ConnectionSample",
-    "CurvatureSample",
     "connection_analytic",
     "connection_interior",
     "connection_mollified",
@@ -51,11 +49,9 @@ __all__ = [
     "loop_phase_analytic",
     "loop_phase_connection",
     "loop_phase_interior",
-    "loop_phase_mollified",
     "loop_phase_mollified_sweep",
-    "loop_phase_overlap",
     "loop_phase_overlap_meshes",
-    "state_overlap",
+    "state_overlaps",
     "curvature",
     "stokes_defect",
     "commutator_defect",
@@ -100,40 +96,29 @@ def standard_mollifier():
 
 
 # ---------------------------------------------------------------------------
-# connection samples
+# connection oracles
 
 
-@dataclass(frozen=True)
-class ConnectionSample:
-    """Components Im<psi|d_l psi>, Im<psi|d_c psi> at one parameter point."""
-
-    a_l: float
-    a_c: float
-    geometry: Geometry
-    mode: Mode
-
-
-@dataclass(frozen=True)
-class CurvatureSample:
-    """Coefficient of dl ^ dc in the curvature two-form at one point."""
-
-    f_lc: float
-    geometry: Geometry
-    mode: Mode
+def _boxes(*lc):
+    """The common shape of the boxes (l, c), (l, c), ... and their arrays,
+    broadcast together and flattened; raises ValueError unless every l is
+    finite and positive and every c finite."""
+    arrays = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in lc))
+    if not all(np.all(np.isfinite(l) & (l > 0)) for l in arrays[0::2]):
+        raise ValueError("box lengths must be finite and positive")
+    if not all(np.all(np.isfinite(c)) for c in arrays[1::2]):
+        raise ValueError("box centers must be finite")
+    return arrays[0].shape, [v.ravel() for v in arrays]
 
 
-def connection_analytic(m: Mode, g: Geometry) -> ConnectionSample:
-    """Closed-form connection: a_l = 0 and a_c = (k/l) sin(alpha).
+def connection_analytic(m: Mode, l, c):
+    """Closed-form connection: arrays a_l = 0 and a_c = (k/l) sin(alpha).
 
     Real eta has sin(alpha) = 0 and the connection vanishes identically
     (time-reversal-invariant boundary conditions carry no geometric phase).
     """
-    return ConnectionSample(
-        a_l=0.0,
-        a_c=m.k / g.l * np.sin(m.alpha),
-        geometry=g,
-        mode=m,
-    )
+    shape, (l, c) = _boxes(l, c)
+    return np.zeros(shape), (m.k / l * np.sin(m.alpha)).reshape(shape)
 
 
 def _window_integral(m: Mode, la, ca, lb, cb, lo, hi):
@@ -163,12 +148,29 @@ def _window_integral(m: Mode, la, ca, lb, cb, lo, hi):
     return 2.0 * half * total / np.sqrt(la * lb)
 
 
-def _interior_connection(m: Mode, l, c, h):
-    """Arrays (a_l, a_c) of `connection_interior` at the boxes (l, c) with steps h.
+def connection_interior(m: Mode, l, c, h=None):
+    """Arrays (a_l, a_c) from parameter finite differences, integrated inside
+    each box (l, c), at the steps h (one per box, or one for all).
 
-    All six windows of every box (two shifted states and the norm, for each
-    component) are integrated in one call.
+    The derivative is formed from the eigenfunction at parameters +/- h, and
+    the integral, in closed form, runs strictly inside the intersection of
+    the shifted boxes, where all three functions are smooth.  The quotient is
+    normalized by the norm captured in the same window: the window clips an
+    O(h) sliver off the box, and without the renormalization that sliver
+    would dominate the finite-difference truncation error.  Converges to the
+    closed form at second order in h.  All six windows of every box (two
+    shifted states and the norm, for each component) are integrated in one
+    call.
+
+    The default step 1e-4 l / (1 + |k|) shrinks with the wavenumber: the
+    truncation error grows like h^2 k^3, so a k-independent step loses the
+    high modes long before roundoff becomes relevant.
     """
+    shape, (l, c) = _boxes(l, c)
+    if h is None:
+        h = 1e-4 * l / (1.0 + abs(m.k))
+    else:
+        h = np.broadcast_to(np.asarray(h, dtype=float), shape).ravel()
     if not np.all((0 < h) & (h < l / 4)):
         raise ValueError("need 0 < h < l/4")
     lo_c, hi_c = c - l / 2 + h, c + l / 2 - h
@@ -180,41 +182,39 @@ def _interior_connection(m: Mode, l, c, h):
     ).reshape(6, -1)
     a_c = (w[0] - w[1]).imag / (2.0 * h) / w[2].real
     a_l = (w[3] - w[4]).imag / (2.0 * h) / w[5].real
-    return a_l, a_c
+    return a_l.reshape(shape), a_c.reshape(shape)
 
 
-def connection_interior(m: Mode, g: Geometry, h: float | None = None) -> ConnectionSample:
-    """Connection from parameter finite differences, integrated inside the box.
+def connection_mollified(m: Mode, l, c, eps):
+    """Arrays (a_l, a_c) from the smoothed-box embedding at the boxes (l, c)
+    and the regularization widths eps.
 
-    The derivative is formed from the eigenfunction at parameters +/- h, and
-    the integral, in closed form, runs strictly inside the intersection of
-    the shifted boxes, where all three functions are smooth.  The quotient is
-    normalized by the norm captured in the same window: the window clips an
-    O(h) sliver off the box, and without the renormalization that sliver
-    would dominate the finite-difference truncation error.  Converges to the
-    closed form at second order in h.
+    eps has the boxes' shape, or broadcasts to it; axes it has in front of
+    that shape sweep the widths, and the results have the shape of eps.  The
+    box interior, where the cutoff is 1 at every width, is sampled once for
+    a whole sweep; each width samples only the two wall strips, where the
+    cutoff falls from 1 to 0.
 
-    The default step shrinks with the wavenumber: the truncation error grows
-    like h^2 k^3, so a k-independent step loses the high modes long before
-    roundoff becomes relevant.
+    The eigenfunction is written as (smooth whole-line extension) times a
+    normalized, mollified characteristic function of the box; the connection
+    integrand uses the analytic parameter derivative of the extension and
+    the square of the cutoff.  As eps -> 0 the c-component tends to
+    (k/l) sin(alpha) and the l-component to zero (its limiting integrand is
+    odd around the box center).
+
+    For this particular eigenfunction family the convergence is in fact
+    instantaneous: Im(conj(phi) d_c phi) is constant in x and the cutoff is
+    reflection symmetric about the box center, so the normalization quotient
+    cancels the eps dependence exactly and every width returns the limit up
+    to quadrature error.  The sweep over eps still exercises the embedding
+    end to end.
     """
-    if h is None:
-        h = 1e-4 * g.l / (1.0 + abs(m.k))
-    a_l, a_c = _interior_connection(m, np.array([g.l]), np.array([g.c]), np.array([float(h)]))
-    return ConnectionSample(a_l=float(a_l[0]), a_c=float(a_c[0]), geometry=g, mode=m)
-
-
-def _mollified_connection(m: Mode, l, c, eps):
-    """Arrays (a_l, a_c) of the mollified connection at the boxes (l, c).
-
-    l and c are 1-D arrays of one length N; eps has shape (E, N), row e
-    giving every box its width in entry e of a sweep, and the results have
-    the shape of eps.  The box interior, where the cutoff is 1 at every
-    width, is sampled once for all rows; each width samples only the two
-    wall strips, where the cutoff falls from 1 to 0.
-    """
-    if not np.all(eps > 0):
-        raise ValueError("eps must be positive")
+    shape, (l, c) = _boxes(l, c)
+    eps = np.asarray(eps, dtype=float)
+    sweep = eps.shape[:max(eps.ndim - len(shape), 0)]
+    eps = np.broadcast_to(eps, sweep + shape).reshape(-1, l.size)
+    if not np.all(np.isfinite(eps) & (eps > 0)):
+        raise ValueError("eps must be finite and positive")
     left, right = c - 0.5 * l, c + 0.5 * l
     # panels split at the box walls where the cutoff profile kicks in
     inner_panels = max(2, int(np.ceil(4.0 * abs(m.k) / (2.0 * np.pi))) + 2)
@@ -234,28 +234,7 @@ def _mollified_connection(m: Mode, l, c, eps):
         # summed in grid order, wall to wall
         sums.append(np.concatenate([strips[:, 0], inside, strips[:, 1]], axis=-1).sum(axis=-1))
     norm2, a_l, a_c = np.stack(sums, axis=1)
-    return a_l / norm2, a_c / norm2
-
-
-def connection_mollified(m: Mode, g: Geometry, eps: float) -> ConnectionSample:
-    """Connection from the smoothed-box embedding at regularization width eps.
-
-    The eigenfunction is written as (smooth whole-line extension) times a
-    normalized, mollified characteristic function of the box; the connection
-    integrand uses the analytic parameter derivative of the extension and
-    the square of the cutoff.  As eps -> 0 the c-component tends to
-    (k/l) sin(alpha) and the l-component to zero (its limiting integrand is
-    odd around the box center).
-
-    For this particular eigenfunction family the convergence is in fact
-    instantaneous: Im(conj(phi) d_c phi) is constant in x and the cutoff is
-    reflection symmetric about the box center, so the normalization quotient
-    cancels the eps dependence exactly and every width returns the limit up
-    to quadrature error.  The sweep over eps still exercises the embedding
-    end to end.
-    """
-    a_l, a_c = _mollified_connection(m, np.array([g.l]), np.array([g.c]), np.array([[float(eps)]]))
-    return ConnectionSample(a_l=float(a_l[0, 0]), a_c=float(a_c[0, 0]), geometry=g, mode=m)
+    return (a_l / norm2).reshape(sweep + shape), (a_c / norm2).reshape(sweep + shape)
 
 
 # ---------------------------------------------------------------------------
@@ -267,12 +246,14 @@ def _require_closed(path: ParameterPath):
         raise ValueError("loop phase requires a closed parameter path")
 
 
-def _loop_integral(path: ParameterPath, side_connection, order: int):
-    """-contour integral of (a_l dl + a_c dc) by `order` Gauss nodes per side.
+def loop_phase_connection(path: ParameterPath, connection, order: int = 16):
+    """Line integral Phi = -contour integral of (a_l dl + a_c dc) by `order`
+    Gauss nodes per side.
 
-    `side_connection(l, c)` returns the components (a_l, a_c) at the nodes
-    of one side, given as arrays, with the nodes along the last axis; leading
-    axes (one entry per width of a sweep) carry through to the result.  The
+    `connection(l, c) -> (a_l, a_c)` supplies the components at the nodes of
+    one side, given as arrays, with the nodes along the last axis of the
+    result; leading axes (one entry per width of a sweep) carry through to
+    the phase.  The minus sign converts Im<psi|d psi> into i<psi|d psi>.  The
     sum runs node by node in path order.
     """
     _require_closed(path)
@@ -283,25 +264,11 @@ def _loop_integral(path: ParameterPath, side_connection, order: int):
         s0, s1 = i / nseg, (i + 1) / nseg
         mid, half = 0.5 * (s0 + s1), 0.5 * (s1 - s0)
         s = mid + half * xg
-        a_l, a_c = side_connection(*path.points(s))
+        a_l, a_c = connection(*path.points(s))
         vl, vc = path.velocities(s)
         for wj, al, ac, vlj, vcj in zip(wg, a_l.T, a_c.T, vl.tolist(), vc.tolist()):
             total += wj * half * (al * vlj + ac * vcj)
     return -total
-
-
-def loop_phase_connection(m: Mode, path: ParameterPath, sampler, order: int = 16) -> float:
-    """Line integral Phi = -contour integral of (a_l dl + a_c dc).
-
-    `sampler(mode, geometry) -> ConnectionSample` supplies the connection
-    components; the minus sign converts Im<psi|d psi> into i<psi|d psi>.
-    """
-
-    def side(l, c):
-        samples = [sampler(m, Geometry(lj, cj)) for lj, cj in zip(l.tolist(), c.tolist())]
-        return np.array([x.a_l for x in samples]), np.array([x.a_c for x in samples])
-
-    return float(_loop_integral(path, side, order))
 
 
 def require_interior_step(m: Mode, h_rel) -> float:
@@ -316,28 +283,20 @@ def require_interior_step(m: Mode, h_rel) -> float:
 
 def loop_phase_interior(m: Mode, path: ParameterPath, h_rel: float, order: int = 16) -> float:
     """`loop_phase_connection` of `connection_interior` at the step
-    h_rel * l / (1 + |k|); each side's nodes are evaluated at once."""
+    h_rel * l / (1 + |k|)."""
     h_rel = require_interior_step(m, h_rel)
-    return float(_loop_integral(path, lambda l, c: _interior_connection(m, l, c, h_rel * l / (1.0 + abs(m.k))),
-                                order))
+    return float(loop_phase_connection(
+        path, lambda l, c: connection_interior(m, l, c, h_rel * l / (1.0 + abs(m.k))), order))
 
 
 def loop_phase_mollified_sweep(m: Mode, path: ParameterPath, eps_list, order: int = 16) -> list[float]:
-    """`loop_phase_mollified` at each width in `eps_list`, in the order given.
+    """`loop_phase_connection` of `connection_mollified` at each relative
+    width in `eps_list`, in the order given: the cutoff width is eps * l.
 
-    Each side's nodes are evaluated at once, and their box interiors once
-    for the whole list; see `_mollified_connection`.
+    Each side's box interiors are sampled once for the whole list.
     """
     eps = np.asarray(eps_list, dtype=float)[:, None]
-    return [float(p) for p in _loop_integral(path, lambda l, c: _mollified_connection(m, l, c, eps * l), order)]
-
-
-def loop_phase_mollified(m: Mode, path: ParameterPath, eps: float, order: int = 16) -> float:
-    """`loop_phase_connection` of `connection_mollified` at width eps * l.
-
-    The cutoff width is relative to the local box length.
-    """
-    return loop_phase_mollified_sweep(m, path, [eps], order)[0]
+    return [float(p) for p in loop_phase_connection(path, lambda l, c: connection_mollified(m, l, c, eps * l), order)]
 
 
 def loop_phase_analytic(m: Mode, path: ParameterPath) -> float:
@@ -356,20 +315,17 @@ def loop_phase_analytic(m: Mode, path: ParameterPath) -> float:
     return float(-path.orientation * m.k * np.sin(m.alpha) * total)
 
 
-def _overlaps(m: Mode, la, ca, lb, cb):
-    """Arrays of the overlaps <psi(la, ca)|psi(lb, cb)>, one per entry.
+def state_overlaps(m: Mode, la, ca, lb, cb):
+    """Array of the L2(R) overlaps <psi(la, ca)|psi(lb, cb)> of the
+    eigenfunction at two arrays of boxes, one per entry.
 
     Both states vanish outside their boxes, so each integral runs over the
     box intersection only, where it has a closed form; disjoint boxes give 0.
     """
+    shape, (la, ca, lb, cb) = _boxes(la, ca, lb, cb)
     lo = np.maximum(ca - 0.5 * la, cb - 0.5 * lb)
     hi = np.minimum(ca + 0.5 * la, cb + 0.5 * lb)
-    return np.where(hi - lo > 0, _window_integral(m, la, ca, lb, cb, lo, hi), 0.0)
-
-
-def state_overlap(m: Mode, ga: Geometry, gb: Geometry) -> complex:
-    """L2(R) overlap of the eigenfunction at two parameter points."""
-    return complex(_overlaps(m, *(np.array([v]) for v in (ga.l, ga.c, gb.l, gb.c)))[0])
+    return np.where(hi - lo > 0, _window_integral(m, la, ca, lb, cb, lo, hi), 0.0).reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -385,7 +341,7 @@ def _chain_phase(m: Mode, path: ParameterPath, n: int) -> float:
     """-Arg prod_j <psi(p_j)|psi(p_j+1)> over the closed chain of the n points
     p_j = path(j/n), every overlap of the chain computed at once."""
     ls, cs = path.points(np.arange(n) / n)
-    ov = _overlaps(m, ls, cs, np.roll(ls, -1), np.roll(cs, -1))
+    ov = state_overlaps(m, ls, cs, np.roll(ls, -1), np.roll(cs, -1))
     size = np.abs(ov)
     coarse = np.flatnonzero(size < 1e-6)
     if coarse.size:
@@ -395,27 +351,21 @@ def _chain_phase(m: Mode, path: ParameterPath, n: int) -> float:
     return float(-np.angle(np.prod(ov / size)))
 
 
-def loop_phase_overlap(m: Mode, path: ParameterPath, mesh: int) -> LoopPhaseResult:
-    """Gauge-invariant discrete loop phase from neighboring-state overlaps.
+def loop_phase_overlap_meshes(m: Mode, path: ParameterPath, meshes) -> list[LoopPhaseResult]:
+    """Gauge-invariant discrete loop phases from neighboring-state overlaps,
+    one per mesh in `meshes`, in the order given.
 
     The path is sampled at `mesh` points p_j and the phase is
     -Arg prod_j <psi(p_j)|psi(p_j+1)>; multiplying any sampled state by a
     phase cancels between the two factors it enters, so the product is
     exactly gauge invariant.  The error estimate compares against the
     half-mesh evaluation.
-    """
-    return loop_phase_overlap_meshes(m, path, [mesh])[0]
-
-
-def loop_phase_overlap_meshes(m: Mode, path: ParameterPath, meshes) -> list[LoopPhaseResult]:
-    """`loop_phase_overlap` at each mesh in `meshes`, in the order given.
 
     Each mesh needs the chains at `mesh` and `mesh // 2`; a chain shared
     between meshes (the half mesh of one is often another mesh) is
     evaluated once, so [64, 128, 256] costs the 32-, 64-, 128- and 256-point
-    chains.  Chains are evaluated in the order `loop_phase_overlap` would
-    evaluate them mesh by mesh, so the first too-coarse chain raises the
-    same error.
+    chains.  Chains are evaluated mesh by mesh in the order given, so the
+    first too-coarse chain raises the error.
     """
     _require_closed(path)
     if any(mesh < 8 for mesh in meshes):
@@ -440,21 +390,22 @@ def loop_phase_overlap_meshes(m: Mode, path: ParameterPath, meshes) -> list[Loop
 # curvature
 
 
-def curvature(m: Mode, g: Geometry) -> CurvatureSample:
-    """Curvature two-form coefficient f_lc = (k/l^2) sin(alpha).
+def curvature(m: Mode, l):
+    """Array of the curvature two-form coefficient f_lc = (k/l^2) sin(alpha)
+    at the box lengths l.
 
     This is k sin(alpha) times the hyperbolic area density 1/l^2 of the
     (l, c) half-plane, and vanishes for every real eta.
     """
-    return CurvatureSample(f_lc=m.k * np.sin(m.alpha) / g.l ** 2, geometry=g, mode=m)
+    shape, (l, _) = _boxes(l, 0.0)
+    return (m.k * np.sin(m.alpha) / l ** 2).reshape(shape)
 
 
 def stokes_defect(m: Mode, rect: ParameterPath) -> float:
     """|loop phase - enclosed curvature flux| for an axis-aligned rectangle.
 
-    Both sides are evaluated numerically (line quadrature of the one-form,
-    tensor Gauss quadrature of f_lc over the enclosed area) and must agree
-    up to quadrature error.
+    The loop phase, in closed form, and the tensor Gauss quadrature of f_lc
+    over the enclosed area must agree up to quadrature error.
     """
     lmin, lmax, cmin, cmax, sign = rectangle_corners(rect)
     line = loop_phase_analytic(m, rect)
@@ -462,7 +413,7 @@ def stokes_defect(m: Mode, rect: ParameterPath) -> float:
         return abs(line)
     xl, wl = panel_rule(lmin, lmax, 8)
     xc, wc = panel_rule(cmin, cmax, 2)
-    f = np.array([[curvature(m, Geometry(l, c)).f_lc for c in xc] for l in xl])
+    f = np.outer(curvature(m, xl), np.ones_like(xc))
     flux = float(wl @ f @ wc)
     return abs(line - sign * flux)
 
@@ -529,9 +480,10 @@ def power_law_extrapolate(params, values):
 
     `params` must decrease geometrically (constant ratio).  Returns
     (limit, order); when successive differences sit at the noise floor the
-    last sample is returned with the order capped at 8.  A fitted order
-    q <= 0 means the differences do not shrink: the last sample is returned
-    with that order.
+    last sample is returned with the order capped at 8.  Differences that
+    alternate in sign have no power-law limit, and a fitted order q <= 0
+    means that they do not shrink: the last sample is returned with order 0,
+    or with that q.
     """
     eps = require_geometric(params)
     a = np.asarray(values, dtype=float)
@@ -542,13 +494,11 @@ def power_law_extrapolate(params, values):
     floor = 1e-12 * max(np.max(np.abs(a)), 1.0)
     if np.max(np.abs(d)) < floor:
         return float(a[-1]), 8.0
-    qs = []
-    for d0, d1 in zip(d[:-1], d[1:]):
-        if abs(d1) < floor or abs(d0) < floor or d0 * d1 <= 0:
-            continue
-        qs.append(np.log(d0 / d1) / np.log(1.0 / r))
+    pairs = [(d0, d1) for d0, d1 in zip(d[:-1], d[1:]) if abs(d0) >= floor and abs(d1) >= floor]
+    qs = [np.log(d0 / d1) / np.log(1.0 / r) for d0, d1 in pairs if d0 * d1 > 0]
     if not qs:
-        return float(a[-1]), 8.0
+        # the pairs above the floor, if any, all alternate in sign
+        return float(a[-1]), 0.0 if pairs else 8.0
     q = min(float(np.mean(qs)), 8.0)
     if q <= 0.0:
         return float(a[-1]), q

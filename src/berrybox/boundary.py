@@ -96,16 +96,20 @@ ETA_INF = Eta(infinite=True)
 
 
 def as_eta(eta) -> Eta:
-    """Coerce a complex number, float('inf'), or "inf" into an Eta."""
+    """Coerce a number or the text 'a+bi' into an Eta; float('inf') and the
+    text 'inf' are the point at infinity.
+
+    Raises ValueError for anything else that is not a complex number with
+    finite parts."""
     if isinstance(eta, Eta):
         return eta
-    if isinstance(eta, str):
-        if eta.strip().lower() in ("inf", "infinity"):
-            return ETA_INF
-        raise ValueError(f"cannot interpret {eta!r} as a boundary parameter")
-    if isinstance(eta, float) and np.isinf(eta):
+    text = eta.strip().lower() if isinstance(eta, str) else None
+    if text in ("inf", "infinity") or eta == float("inf"):
         return ETA_INF
-    return Eta(complex(eta))
+    try:
+        return Eta(complex(text.replace("i", "j")) if text is not None else eta)
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise ValueError(f"cannot parse eta {eta!r}: use 'a+bi' or 'inf'") from exc
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,7 @@ from .berry import (
     require_geometric,
     require_interior_step,
 )
-from .boundary import ETA_INF, Eta, classify_unitary, eta_to_unitary, require_mass, require_unitary
+from .boundary import Eta, as_eta, classify_unitary, eta_to_unitary, require_mass, require_unitary
 from .paths import polyline_path, rectangle_loop
 from .spectrum import (
     Geometry,
@@ -95,19 +95,6 @@ def _fmt_complex(z: complex) -> str:
 
 def _fmt_matrix(m) -> list:
     return [[_fmt_complex(v) for v in row] for row in np.asarray(m, dtype=complex)]
-
-
-def parse_eta(text) -> Eta:
-    """Parse 'a+bi' (or 'inf') into an extended complex boundary parameter."""
-    if isinstance(text, Eta):
-        return text
-    s = str(text).strip().lower()
-    if s in ("inf", "infinity"):
-        return ETA_INF
-    try:
-        return Eta(complex(s.replace("i", "j")))
-    except ValueError as exc:
-        raise UsageError(f"cannot parse eta {text!r}: use 'a+bi' or 'inf'") from exc
 
 
 def _eta_text(eta: Eta) -> str:
@@ -264,7 +251,7 @@ def cmd_bc(args) -> int:
     if cfg["unitary"] is not None:
         u = parse_unitary(cfg["unitary"])
     else:
-        u = eta_to_unitary(parse_eta(cfg["eta"]))
+        u = eta_to_unitary(as_eta(cfg["eta"]))
     info = classify_unitary(u)
     doc = {
         "eta": _eta_text(info.eta) if info.eta is not None else None,
@@ -303,7 +290,7 @@ def cmd_spectrum(args) -> int:
         raise UsageError("empty level range")
     mass = require_mass(cfg["mass"])
     geom = Geometry(float(cfg["geometry"]["l"]), float(cfg["geometry"]["c"]))
-    eta = parse_eta(cfg["eta"])
+    eta = as_eta(cfg["eta"])
 
     header = "n,k,alpha,lambda"
     pm = eta.degenerate_sign
@@ -383,7 +370,7 @@ def cmd_berry(args) -> int:
     cfg = _resolve(args)
     if args.tol is not None and not 0 <= args.tol < np.inf:
         raise UsageError(f"--tol must be a finite number >= 0, not {args.tol}")
-    eta = parse_eta(cfg["eta"])
+    eta = as_eta(cfg["eta"])
     if eta.degenerate:
         raise UsageError("eta = +/-1 is degenerate; use the wz subcommand")
     m = mode(int(cfg["n"]), eta)
@@ -399,10 +386,8 @@ def cmd_berry(args) -> int:
         lo_l, hi_l = sorted((cfg["loop"]["l1"], cfg["loop"]["l2"]))
         lo_c, hi_c = sorted((cfg["loop"]["c1"], cfg["loop"]["c2"]))
         grid = int(cfg["mesh"]) if int(cfg["mesh"]) <= 64 else 5
-        rows = []
-        for l in np.linspace(lo_l, hi_l, grid):
-            for c in np.linspace(lo_c, hi_c, grid):
-                rows.append((_fmt(l), _fmt(c), _fmt(curvature(m, Geometry(l, c)).f_lc)))
+        ls, cs = np.linspace(lo_l, hi_l, grid), np.linspace(lo_c, hi_c, grid)
+        rows = [(_fmt(l), _fmt(c), _fmt(f)) for l, f in zip(ls, curvature(m, ls)) for c in cs]
         _write_output(args.out, _csv("l,c,f_lc", rows))
         _write_resolved_config(args.out, cfg)
         return EXIT_OK
@@ -463,7 +448,7 @@ def cmd_berry(args) -> int:
 
 def cmd_wz(args) -> int:
     cfg = _resolve(args)
-    pm = parse_eta(cfg["eta"]).degenerate_sign
+    pm = as_eta(cfg["eta"]).degenerate_sign
     if pm is None:
         raise UsageError("wz requires eta = 1 or eta = -1")
     n = int(cfg["n"])
@@ -497,7 +482,7 @@ def cmd_wz(args) -> int:
 
 def cmd_adiabatic(args) -> int:
     cfg = _resolve(args)
-    eta = parse_eta(cfg["eta"])
+    eta = as_eta(cfg["eta"])
     if eta.degenerate:
         raise UsageError("adiabatic propagation requires nondegenerate eta")
     n = int(cfg["n"])

@@ -25,7 +25,7 @@ from berrybox import (
     eta_to_unitary,
     generic_spectrum,
     loop_phase_analytic,
-    loop_phase_overlap,
+    loop_phase_overlap_meshes,
     mode,
     power_law_extrapolate,
     propagate,
@@ -98,16 +98,15 @@ def test_criterion_4_connection_oracles():
         for n in range(-4, 5):
             for l in (1.0, 1.6):
                 m = mode(n, eta)
-                g = Geometry(l, 0.3)
-                exact = connection_analytic(m, g)
-                inner = connection_interior(m, g)
-                assert abs(inner.a_c - exact.a_c) < 1e-6
-                assert abs(inner.a_l) < 1e-6
+                exact = connection_analytic(m, l, 0.3)[1]
+                inner_l, inner_c = connection_interior(m, l, 0.3)
+                assert abs(inner_c - exact) < 1e-6
+                assert abs(inner_l) < 1e-6
                 eps = [f * l for f in (0.2, 0.1, 0.05, 0.025)]
-                vals = [connection_mollified(m, g, e).a_c for e in eps]
-                limit, _order = power_law_extrapolate(eps, vals)
-                assert abs(limit - exact.a_c) < 1e-4
-                assert all(abs(connection_mollified(m, g, e).a_l) < 1e-4 for e in eps[-1:])
+                moll_l, moll_c = connection_mollified(m, l, 0.3, eps)
+                limit, _order = power_law_extrapolate(eps, moll_c)
+                assert abs(limit - exact) < 1e-4
+                assert abs(moll_l[-1]) < 1e-4
     report(4, "interior and mollified connection oracles on the full grid")
 
 
@@ -116,8 +115,7 @@ def test_criterion_5_rectangle_berry_phase():
     target = abs(loop_phase_analytic(m, RECT))
     assert target == pytest.approx(np.pi / 4.0, abs=1e-12)
     errs = []
-    for mesh in (64, 128, 256, 512):
-        res = loop_phase_overlap(m, RECT, mesh)
+    for res in loop_phase_overlap_meshes(m, RECT, [64, 128, 256, 512]):
         errs.append(abs(abs(res.phase) - np.pi / 4.0))
     assert errs[-1] < 1e-3
     for coarse, fine in zip(errs[:-1], errs[1:]):
@@ -125,7 +123,7 @@ def test_criterion_5_rectangle_berry_phase():
         # plane-wave case where the discrete product is exact
         assert fine <= 0.65 * coarse + 1e-12
     for eta in (0.0, 0.5, -2.0):
-        res = loop_phase_overlap(mode(0, eta), RECT, 256)
+        [res] = loop_phase_overlap_meshes(mode(0, eta), RECT, [256])
         assert abs(res.phase) < 1e-4
     report(5, f"rectangle loop phase pi/4 by overlaps (final err {errs[-1]:.2e})")
 
@@ -144,7 +142,7 @@ def test_criterion_6_stokes_consistency():
     expected = m2.k * np.sin(m2.alpha)
     for l in np.linspace(0.5, 2.5, 5):
         for c in np.linspace(-1.0, 1.0, 5):
-            f = curvature(m2, Geometry(l, c)).f_lc
+            f = curvature(m2, l)
             assert f * l ** 2 == pytest.approx(expected, rel=1e-13)
     report(6, "Stokes consistency and hyperbolic-area curvature ratio")
 

@@ -7,20 +7,19 @@ from berrybox import (
     DegenerateEtaError,
     Geometry,
     Schedule,
-    effective_hamiltonian,
     eigenfunction_fixed,
     eigenfunction_fixed_dx,
     eigenvalue,
+    generator,
     loop_phase_analytic,
     mode,
     mode_window,
-    momentum_matrix,
     oscillatory_rule,
     point_loop,
     polyline_path,
     propagate,
     rectangle_loop,
-    virial_matrix,
+    weak_form_matrix,
 )
 
 RECT = rectangle_loop(1.0, 2.0, 0.0, 1.0)
@@ -32,7 +31,7 @@ NO_VERTICAL = polyline_path([(1.0, 0.0), (1.5, 0.1), (1.2, 0.5)], close=True)
 def test_static_hamiltonian_is_diagonal():
     modes = mode_window(1j, 4)
     g = Geometry(1.3, 0.0)
-    h = effective_hamiltonian(modes, g, 0.0, 0.0, mass=0.9)
+    h = generator(modes, 0.0, 0.0, mass=0.9) / g.l ** 2
     lam = np.array([eigenvalue(m, g, 0.9) for m in modes])
     assert np.max(np.abs(h - np.diag(lam))) < 1e-12
 
@@ -40,11 +39,11 @@ def test_static_hamiltonian_is_diagonal():
 def test_velocity_blocks_hermitian():
     for eta in (1j, 0.0, 0.5, -0.3 + 0.4j):
         modes = mode_window(eta, 8)
-        p = momentum_matrix(modes)
-        xp = virial_matrix(modes)
+        p, xp = weak_form_matrix(modes)
         assert np.max(np.abs(p - p.conj().T)) < 1e-10
         assert np.max(np.abs(xp - xp.conj().T)) < 1e-10
-        h = effective_hamiltonian(modes, Geometry(1.2, 0.4), 0.3, -0.7)
+        # kappa = l ldot and l cdot at l = 1.2, ldot = 0.3, cdot = -0.7
+        h = generator(modes, 1.2 * 0.3, 1.2 * -0.7)
         assert np.max(np.abs(h - h.conj().T)) < 1e-10
 
 
@@ -58,7 +57,7 @@ def test_velocity_blocks_match_quadrature(eta, window):
     x, w = oscillatory_rule(-0.5, 0.5, 2.0 * max(abs(m.k) for m in modes))
     vals = np.array([eigenfunction_fixed(m, x) for m in modes])
     ders = np.array([eigenfunction_fixed_dx(m, x) for m in modes])
-    for weight, block in ((1.0, momentum_matrix(modes)), (x, virial_matrix(modes))):
+    for weight, block in zip((1.0, x), weak_form_matrix(modes)):
         a = (vals.conj() * (w * weight)) @ ders.T
         assert np.max(np.abs(block - (-0.5j) * (a - a.conj().T))) < 1e-13
 
@@ -67,16 +66,18 @@ def test_diagonal_momentum_matches_connection():
     # <phi_n|p|phi_n> = -k sin(alpha): the diagonal that feeds the geometric phase
     for eta in (1j, 2j, -0.3 + 0.4j):
         modes = mode_window(eta, 3)
-        p = momentum_matrix(modes)
+        p = weak_form_matrix(modes)[0]
         for i, m in enumerate(modes):
             assert p[i, i].real == pytest.approx(-m.k * np.sin(m.alpha), abs=1e-10)
 
 
 def test_length_scaling_of_static_block():
+    # l^2 times the static Hamiltonian is l-independent, as l^2 lambda_n(l) is
     modes = mode_window(1j, 3)
-    h1 = effective_hamiltonian(modes, Geometry(1.0, 0.0), 0.0, 0.0)
-    h2 = effective_hamiltonian(modes, Geometry(2.0, 0.0), 0.0, 0.0)
-    assert np.allclose(h2, h1 / 4.0, atol=1e-13)
+    h = generator(modes, 0.0, 0.0)
+    for l in (1.0, 2.0):
+        lam = np.array([eigenvalue(m, Geometry(l, 0.0)) for m in modes])
+        assert np.allclose(h / l ** 2, np.diag(lam), atol=1e-13)
 
 
 def test_degenerate_eta_rejected():
@@ -149,7 +150,7 @@ def _midpoint_overlap(schedule, start_mode, eta, window, mass, steps_per_side):
     on each side and c moving with l along it; each step's Hamiltonian is
     built from spectrum.eigenvalue."""
     modes = mode_window(eta, window)
-    pmat, xpmat = momentum_matrix(modes), virial_matrix(modes)
+    pmat, xpmat = weak_form_matrix(modes)
     lam1 = np.array([eigenvalue(m, Geometry(1.0, 0.0), mass) for m in modes])
     path = schedule.path
     segs = path.segments if path.orientation > 0 else [(b, a) for a, b in reversed(path.segments)]
@@ -236,7 +237,7 @@ def test_nonfinite_or_negative_mass_rejected(mass):
     with pytest.raises(ValueError, match="mass must be finite and positive"):
         propagate(Schedule(RECT, 10.0, 200), 0, 1j, 4, mass=mass)
     with pytest.raises(ValueError, match="mass must be finite and positive"):
-        effective_hamiltonian(mode_window(1j, 2), Geometry(1.0, 0.0), 0.0, 0.0, mass=mass)
+        generator(mode_window(1j, 2), 0.0, 0.0, mass=mass)
 
 
 def test_schedule_validation():

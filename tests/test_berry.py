@@ -7,7 +7,6 @@ import pytest
 
 from berrybox import (
     ETA_INF,
-    ConnectionSample,
     Geometry,
     ParameterPath,
     GridFunction,
@@ -23,9 +22,7 @@ from berrybox import (
     loop_phase_analytic,
     loop_phase_connection,
     loop_phase_interior,
-    loop_phase_mollified,
     loop_phase_mollified_sweep,
-    loop_phase_overlap,
     loop_phase_overlap_meshes,
     mode,
     oscillatory_rule,
@@ -36,13 +33,30 @@ from berrybox import (
     rectangle_loop,
     require_interior_step,
     standard_mollifier,
-    state_overlap,
+    state_overlaps,
     stokes_defect,
 )
 from berrybox.berry import _chain_phase
 
 UNIT = Geometry(1.0, 0.0)
 RECT = rectangle_loop(1.0, 2.0, 0.0, 1.0)
+
+
+def _overlap(m, ga, gb):
+    """The overlap of the states at the boxes of two Geometry records."""
+    return complex(state_overlaps(m, ga.l, ga.c, gb.l, gb.c))
+
+
+def _per_node(connection):
+    """A side connection for `loop_phase_connection` that calls
+    `connection(l, c)` once per Gauss node, with scalars: the per-point
+    route the array passes must reproduce."""
+
+    def side(l, c):
+        pairs = [connection(lj, cj) for lj, cj in zip(l.tolist(), c.tolist())]
+        return tuple(np.array([float(v) for v in part]) for part in zip(*pairs))
+
+    return side
 
 
 # ---------------------------------------------------------------------------
@@ -79,44 +93,42 @@ def test_mollifier_flat_at_zero():
 
 def test_connection_analytic_values():
     m = mode(0, 1j)
-    s = connection_analytic(m, UNIT)
-    assert s.a_c == pytest.approx(np.pi / 2.0, abs=1e-15)
-    assert s.a_l == 0.0
+    a_l, a_c = connection_analytic(m, 1.0, 0.0)
+    assert a_c == pytest.approx(np.pi / 2.0, abs=1e-15)
+    assert a_l == 0.0
     for eta in (0.0, 0.5, -2.0):
-        s = connection_analytic(mode(0, eta), UNIT)
-        assert abs(s.a_c) < 1e-15
+        _, a_c = connection_analytic(mode(0, eta), 1.0, 0.0)
+        assert abs(a_c) < 1e-15
 
 
 def test_connection_interior_matches_closed_form():
     m = mode(0, 1j)
-    s = connection_interior(m, UNIT, h=1e-4)
-    assert abs(s.a_c - np.pi / 2.0) < 1e-6
-    assert abs(s.a_l) < 1e-6
-    s = connection_interior(mode(0, 0.0), UNIT, h=1e-4)
-    assert abs(s.a_c) < 1e-8 and abs(s.a_l) < 1e-8
+    a_l, a_c = connection_interior(m, 1.0, 0.0, h=1e-4)
+    assert abs(a_c - np.pi / 2.0) < 1e-6
+    assert abs(a_l) < 1e-6
+    a_l, a_c = connection_interior(mode(0, 0.0), 1.0, 0.0, h=1e-4)
+    assert abs(a_c) < 1e-8 and abs(a_l) < 1e-8
     with pytest.raises(ValueError):
-        connection_interior(m, UNIT, h=0.5)
+        connection_interior(m, 1.0, 0.0, h=0.5)
 
 
 def test_connection_interior_second_order():
     m = mode(1, -0.3 + 0.4j)
-    g = Geometry(1.4, 0.2)
-    exact = connection_analytic(m, g).a_c
-    errs = [abs(connection_interior(m, g, h=h).a_c - exact) for h in (2e-3, 1e-3, 5e-4)]
+    exact = connection_analytic(m, 1.4, 0.2)[1]
+    errs = [abs(connection_interior(m, 1.4, 0.2, h=h)[1] - exact) for h in (2e-3, 1e-3, 5e-4)]
     assert errs[0] / errs[1] > 3.0
     assert errs[1] / errs[2] > 3.0
 
 
 def test_connection_mollified_converges():
     m = mode(0, 2j)
-    g = Geometry(1.0, 0.3)
-    exact = connection_analytic(m, g).a_c
+    exact = connection_analytic(m, 1.0, 0.3)[1]
     eps = [0.2, 0.1, 0.05]
-    vals = [connection_mollified(m, g, e).a_c for e in eps]
-    limit, order = power_law_extrapolate(eps, vals)
+    a_l, a_c = connection_mollified(m, 1.0, 0.3, eps)
+    limit, order = power_law_extrapolate(eps, a_c)
     assert order >= 1.0
     assert abs(limit - exact) < 1e-4
-    assert all(abs(connection_mollified(m, g, e).a_l) < 1e-10 for e in eps)
+    assert np.all(np.abs(a_l) < 1e-10)
 
 
 def _embedding_grid(m, g, eps):
@@ -148,15 +160,13 @@ def test_oracle_agreement_grid():
         for n in (-1, 0, 2):
             for l in (0.8, 1.6):
                 m = mode(n, eta)
-                g = Geometry(l, 0.3)
-                exact = connection_analytic(m, g)
-                inner = connection_interior(m, g)
-                assert abs(inner.a_c - exact.a_c) < 1e-6
-                assert abs(inner.a_l) < 1e-6
+                exact = connection_analytic(m, l, 0.3)[1]
+                inner_l, inner_c = connection_interior(m, l, 0.3)
+                assert abs(inner_c - exact) < 1e-6
+                assert abs(inner_l) < 1e-6
                 eps = [0.2 * l, 0.1 * l, 0.05 * l, 0.025 * l]
-                vals = [connection_mollified(m, g, e).a_c for e in eps]
-                limit, _ = power_law_extrapolate(eps, vals)
-                assert abs(limit - exact.a_c) < 1e-4
+                limit, _ = power_law_extrapolate(eps, connection_mollified(m, l, 0.3, eps)[1])
+                assert abs(limit - exact) < 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -191,16 +201,15 @@ def test_loop_phase_mollified_matches_per_point_route():
         eta = (ETA_INF, 0.3, 2j, complex(*rng.uniform(-1.0, 1.0, 2)))[trial % 4]
         m = mode(int(rng.integers(-5, 6)), eta)
         e = float(rng.choice([0.2, 0.1, 0.05, 0.025]))
-        reference = loop_phase_connection(m, path, lambda mm, g: connection_mollified(mm, g, e * g.l))
-        assert loop_phase_mollified(m, path, e) == reference
+        reference = loop_phase_connection(path, _per_node(lambda l, c: connection_mollified(m, l, c, e * l)))
+        assert loop_phase_mollified_sweep(m, path, [e]) == [reference]
 
 
 def test_loop_phase_overlap_converges():
     m = mode(0, 2j)
     exact = loop_phase_analytic(m, RECT)
     prev = None
-    for mesh in (64, 128, 256):
-        res = loop_phase_overlap(m, RECT, mesh)
+    for res in loop_phase_overlap_meshes(m, RECT, [64, 128, 256]):
         err = abs(res.phase - exact)
         assert err < max(res.err_estimate * 4.0, 1e-12)
         if prev is not None:
@@ -211,19 +220,20 @@ def test_loop_phase_overlap_converges():
 
 def test_loop_phase_overlap_trivial_cases():
     m = mode(0, 1j)
-    res = loop_phase_overlap(m, point_loop(1.0, 0.0), 16)
+    [res] = loop_phase_overlap_meshes(m, point_loop(1.0, 0.0), [16])
     assert res.phase == pytest.approx(0.0, abs=1e-14)
-    res = loop_phase_overlap(mode(0, 0.0), RECT, 256)
+    [res] = loop_phase_overlap_meshes(mode(0, 0.0), RECT, [256])
     assert abs(res.phase) < 1e-4
     with pytest.raises(ValueError):
-        loop_phase_overlap(m, RECT, 4)
+        loop_phase_overlap_meshes(m, RECT, [4])
 
 
 def test_loop_phase_overlap_meshes_equals_single_mesh_calls():
     m = mode(1, -0.3 + 0.4j)
     tri = polyline_path([(1.0, 0.0), (1.5, 0.1), (1.2, 0.4)], close=True)
     for path, meshes in ((RECT, [16, 32, 64]), (tri, [64, 17, 32, 64])):
-        assert loop_phase_overlap_meshes(m, path, meshes) == [loop_phase_overlap(m, path, mm) for mm in meshes]
+        assert loop_phase_overlap_meshes(m, path, meshes) == [loop_phase_overlap_meshes(m, path, [mm])[0]
+                                                              for mm in meshes]
     assert loop_phase_overlap_meshes(m, RECT, []) == []
     with pytest.raises(ValueError):
         loop_phase_overlap_meshes(m, RECT, [16, 4])
@@ -233,15 +243,15 @@ def test_loop_phase_overlap_mesh_too_coarse():
     # translating by many box widths between samples kills the overlap
     wide = rectangle_loop(1.0, 1.2, 0.0, 40.0)
     with pytest.raises(MeshTooCoarseError):
-        loop_phase_overlap(mode(0, 1j), wide, 8)
+        loop_phase_overlap_meshes(mode(0, 1j), wide, [8])
 
 
 def test_gauge_invariance_of_overlap_product():
     # multiplying each sampled state by a phase drops out of the product
     m = mode(0, 2j)
     mesh = 32
-    pts = [RECT.point(j / mesh) for j in range(mesh)] + [RECT.point(0.0)]
-    ovs = [state_overlap(m, a, b) for a, b in zip(pts[:-1], pts[1:])]
+    ls, cs = RECT.points(np.append(np.arange(mesh), 0) / mesh)
+    ovs = state_overlaps(m, ls[:-1], cs[:-1], ls[1:], cs[1:])
     base = -np.angle(np.prod([o / abs(o) for o in ovs]))
     rng = np.random.default_rng(17)
     thetas = rng.uniform(-np.pi, np.pi, mesh + 1)
@@ -304,7 +314,7 @@ def test_state_overlap_matches_quadrature():
         ga, gb = _draw_pair(rng, j)
         lo, hi = max(ga.left, gb.left), min(ga.right, gb.right)
         ref = _quadrature_window(m, ga, gb, lo, hi) if hi > lo else 0.0
-        assert abs(state_overlap(m, ga, gb) - ref) < 1e-13, (m, ga, gb)
+        assert abs(_overlap(m, ga, gb) - ref) < 1e-13, (m, ga, gb)
 
 
 def test_connection_interior_matches_quadrature():
@@ -321,10 +331,10 @@ def test_connection_interior_matches_quadrature():
 
         a_c = quotient(Geometry(l, c + h), Geometry(l, c - h), c - l / 2 + h, c + l / 2 - h)
         a_l = quotient(Geometry(l + h, c), Geometry(l - h, c), c - (l - h) / 2, c + (l - h) / 2)
-        s = connection_interior(m, g)
+        s_l, s_c = connection_interior(m, l, c)
         tol = 1e-10 * (1.0 + abs(m.k) / l)
-        assert abs(s.a_c - a_c) < tol, (m, g)
-        assert abs(s.a_l - a_l) < tol, (m, g)
+        assert abs(s_c - a_c) < tol, (m, g)
+        assert abs(s_l - a_l) < tol, (m, g)
 
 
 def _narrow_polyline(rng):
@@ -345,7 +355,7 @@ def test_loop_phase_analytic_matches_connection_quadrature():
     for j in range(100):
         m = _draw_mode(rng, j)
         path = _narrow_polyline(rng)
-        ref = loop_phase_connection(m, path, connection_analytic)
+        ref = loop_phase_connection(path, lambda l, c: connection_analytic(m, l, c))
         phase = loop_phase_analytic(m, path)
         assert abs(phase - ref) < 1e-13 * (1.0 + abs(ref)), (m, path)
 
@@ -359,12 +369,12 @@ def test_reversed_orientation_negates_phases():
         fwd = ParameterPath(verts + [verts[0]])
         rev = ParameterPath(fwd.vertices, orientation=-1)
         assert loop_phase_analytic(m, rev) == -loop_phase_analytic(m, fwd)
-        phase = loop_phase_overlap(m, fwd, 64).phase
-        assert loop_phase_overlap(m, rev, 64).phase == pytest.approx(-phase, abs=1e-12)
+        [fwd_res], [rev_res] = (loop_phase_overlap_meshes(m, p, [64]) for p in (fwd, rev))
+        assert rev_res.phase == pytest.approx(-fwd_res.phase, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
-# array routes against the scalar API
+# array routes: scalars as their 0-d case, and per-node references
 
 
 def _drawn_loop(rng, m, size=None, polyline=None):
@@ -390,6 +400,9 @@ def test_extrapolation_without_positive_order_returns_last_sample():
     assert power_law_extrapolate([0.4, 0.2, 0.1], [0.0, 1.0, 3.0]) == (3.0, -1.0)
     # equal differences fit order 0, where the geometric tail diverges
     assert power_law_extrapolate([0.4, 0.2, 0.1], [0.0, 1.0, 2.0]) == (2.0, 0.0)
+    # differences alternating in sign have no power-law limit; they used to
+    # report order 8, as if the sweep had settled
+    assert power_law_extrapolate([0.4, 0.2, 0.1], [0.0, 1.0, 0.5]) == (0.5, 0.0)
     limit, order = power_law_extrapolate([0.4, 0.2, 0.1], [0.0, 1.0, 1.5])
     assert (limit, order) == (pytest.approx(2.0), pytest.approx(1.0))
 
@@ -399,13 +412,58 @@ def _drawn_mode(rng, j, n_max):
     return mode(int(rng.integers(-n_max, n_max + 1)), eta)
 
 
+def test_array_oracles_take_a_scalar_box_as_the_0d_case():
+    # a scalar box gives a 0-d array holding the length-1 array call's value
+    m = mode(3, 0.3 + 0.6j)
+    calls = {
+        "connection_analytic": lambda f: connection_analytic(m, f(1.3), f(-0.2)),
+        "connection_interior": lambda f: connection_interior(m, f(1.3), f(-0.2)),
+        "connection_interior at h": lambda f: connection_interior(m, f(1.3), f(-0.2), f(1e-3)),
+        "connection_mollified": lambda f: connection_mollified(m, f(1.3), f(-0.2), f(0.05)),
+        "curvature": lambda f: (curvature(m, f(1.3)),),
+        "state_overlaps": lambda f: (state_overlaps(m, f(1.3), f(-0.2), f(1.35), f(-0.15)),),
+    }
+    for name, call in calls.items():
+        for scalar, single in zip(call(float), call(lambda v: np.array([v]))):
+            assert scalar.shape == () and single.shape == (1,), name
+            assert scalar[()] == single[0], name
+    # axes of eps in front of the boxes' shape sweep the widths
+    eps = [0.2, 0.1, 0.05]
+    sweep = connection_mollified(m, 1.3, -0.2, eps)
+    assert all(v.shape == (3,) for v in sweep)
+    for j, e in enumerate(eps):
+        assert (sweep[0][j], sweep[1][j]) == connection_mollified(m, 1.3, -0.2, e)
+
+
+def test_array_oracles_reject_boxes_outside_the_half_plane():
+    # the check each oracle makes of its boxes, which Geometry used to make
+    m = mode(0, 1j)
+    oracles = {
+        "connection_analytic": lambda l, c: connection_analytic(m, l, c),
+        "connection_interior": lambda l, c: connection_interior(m, l, c),
+        "connection_mollified": lambda l, c: connection_mollified(m, l, c, 0.1),
+        "state_overlaps a": lambda l, c: state_overlaps(m, l, c, 1.0, 0.0),
+        "state_overlaps b": lambda l, c: state_overlaps(m, 1.0, 0.0, l, c),
+    }
+    bad_lengths = (0.0, -1.0, np.nan, np.inf)
+    for name, oracle in oracles.items():
+        for l, c in [(l, 0.0) for l in bad_lengths] + [(1.0, np.nan), (1.0, -np.inf)]:
+            for box in ((l, c), (np.array([1.0, l]), np.array([0.0, c]))):
+                with pytest.raises(ValueError, match="box"):
+                    oracle(*box)
+    for l in bad_lengths:
+        with pytest.raises(ValueError, match="box lengths"):
+            curvature(m, np.array([1.0, l]))
+
+
 def test_loop_phase_interior_matches_per_point_route():
     rng = np.random.default_rng(3101)
     for j in range(12):
         m = _drawn_mode(rng, j, 12)
         path = _drawn_loop(rng, m)
         h = float(rng.choice([1e-4, 5e-5, 1e-3]))
-        reference = loop_phase_connection(m, path, lambda mm, g: connection_interior(mm, g, h * g.l / (1.0 + abs(mm.k))))
+        reference = loop_phase_connection(
+            path, _per_node(lambda l, c: connection_interior(m, l, c, h * l / (1.0 + abs(m.k)))))
         assert abs(loop_phase_interior(m, path, h) - reference) < 1e-13, (m, path)
 
 
@@ -429,7 +487,7 @@ def test_overlap_chains_match_scalar_overlaps():
             pts = [path.point(i / n) for i in range(n)] + [path.point(0.0)]
             prod = 1.0 + 0.0j
             for a, b in zip(pts[:-1], pts[1:]):
-                ov = state_overlap(m, a, b)
+                ov = _overlap(m, a, b)
                 prod *= ov / abs(ov)
             assert abs(np.angle(np.exp(1j * (_chain_phase(m, path, n) + np.angle(prod))))) < 1e-13, (m, path, n)
 
@@ -451,12 +509,12 @@ def test_loop_phase_mollified_sweep_matches_single_widths():
         m = _drawn_mode(rng, j, 12)
         path = _drawn_loop(rng, m)
         eps_list = [0.2, 0.1, 0.05, 0.025] if j % 2 else list(rng.uniform(0.01, 0.3, 3))
-        assert loop_phase_mollified_sweep(m, path, eps_list) == [loop_phase_mollified(m, path, e) for e in eps_list]
+        assert loop_phase_mollified_sweep(m, path, eps_list) == [loop_phase_mollified_sweep(m, path, [e])[0]
+                                                                 for e in eps_list]
         # the box interior, sampled once for every width, is the embedding's own
         e = eps_list[-1]
-        reference = loop_phase_connection(m, path, lambda mm, g: ConnectionSample(
-            *_mollified_reference(mm, g, e * g.l), geometry=g, mode=mm))
-        assert loop_phase_mollified(m, path, e) == reference, (m, path)
+        reference = loop_phase_connection(path, _per_node(lambda l, c: _mollified_reference(m, Geometry(l, c), e * l)))
+        assert loop_phase_mollified_sweep(m, path, [e]) == [reference], (m, path)
 
 
 def test_too_coarse_mesh_raises_on_the_first_coarse_chain():
@@ -476,7 +534,7 @@ def test_too_coarse_mesh_raises_on_the_first_coarse_chain():
         expected = None
         for n in (16, 8):
             pts = [path.point(i / n) for i in range(n)] + [path.point(0.0)]
-            small = [abs(ov) for ov in (state_overlap(m, a, b) for a, b in zip(pts[:-1], pts[1:])) if abs(ov) < 1e-6]
+            small = [abs(ov) for ov in (_overlap(m, a, b) for a, b in zip(pts[:-1], pts[1:])) if abs(ov) < 1e-6]
             if small:
                 expected = f"|<.|.>| = {small[0]:.2e}"
                 break
@@ -493,7 +551,7 @@ def _four_phases(m, path, mesh=256):
     limit, _ = power_law_extrapolate([0.2, 0.1, 0.05, 0.025],
                                      loop_phase_mollified_sweep(m, path, [0.2, 0.1, 0.05, 0.025]))
     return {"analytic": loop_phase_analytic(m, path), "interior": loop_phase_interior(m, path, 1e-4),
-            "mollified": limit, "overlap": loop_phase_overlap(m, path, mesh).phase}
+            "mollified": limit, "overlap": loop_phase_overlap_meshes(m, path, [mesh])[0].phase}
 
 
 def _gates(path):
@@ -552,21 +610,20 @@ def test_oracle_phases_add_over_rectangles_sharing_an_edge():
 
 def test_curvature_values():
     m = mode(0, 1j)
-    assert curvature(m, UNIT).f_lc == pytest.approx(np.pi / 2.0, abs=1e-15)
-    assert curvature(m, Geometry(2.0, 0.0)).f_lc == pytest.approx(np.pi / 8.0, abs=1e-15)
+    assert curvature(m, 1.0) == pytest.approx(np.pi / 2.0, abs=1e-15)
+    assert curvature(m, 2.0) == pytest.approx(np.pi / 8.0, abs=1e-15)
     for eta in (0.0, 0.5, -2.0):
         # real eta: alpha is 0 or pi, so sin(alpha) vanishes (up to sin(pi) roundoff)
-        assert abs(curvature(mode(0, eta), UNIT).f_lc) < 1e-14
+        assert abs(curvature(mode(0, eta), 1.0)) < 1e-14
 
 
 def test_curvature_scales_with_wavenumber():
-    g = Geometry(1.3, 0.1)
     eta = 2j
-    base = curvature(mode(0, eta), g)
+    base = mode(0, eta)
     for n in (1, 2, -3):
         m = mode(n, eta)
-        ratio = curvature(m, g).f_lc / base.f_lc
-        assert ratio == pytest.approx(m.k / base.mode.k, rel=1e-14)
+        ratio = curvature(m, 1.3) / curvature(base, 1.3)
+        assert ratio == pytest.approx(m.k / base.k, rel=1e-14)
 
 
 def test_stokes_consistency():

@@ -9,6 +9,7 @@ from berrybox import (
     ETA_INF,
     BoundaryData,
     Eta,
+    as_eta,
     bc_residual,
     boundary_form,
     classify_unitary,
@@ -31,6 +32,18 @@ def eta_grid(count=100):
             phase = 2.0 * np.pi * (j + 0.5) / per
             etas.append(r * np.exp(1j * phase))
     return etas
+
+
+def test_as_eta_reads_numbers_and_text():
+    assert as_eta("0.3+0.6i") == Eta(0.3 + 0.6j)
+    assert as_eta(" -2I ") == Eta(-2j)
+    assert as_eta(0.5) == Eta(0.5)
+    for inf in ("inf", " Infinity", float("inf")):
+        assert as_eta(inf) is ETA_INF
+    # a 401-digit integer used to raise OverflowError
+    for bad in (10 ** 400, "1+", "nan", float("nan"), float("-inf"), complex(1.0, float("inf")), None):
+        with pytest.raises(ValueError, match="cannot parse eta"):
+            as_eta(bad)
 
 
 def test_named_unitaries():

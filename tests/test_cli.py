@@ -130,10 +130,13 @@ def test_berry_all_methods_agree(tmp_path):
 def test_berry_mollified_row_without_positive_order(tmp_path, monkeypatch):
     # growing differences: the eps = 0 row reports the last sample, and its
     # err_est the last step, not 0 from |limit - last sample|
-    monkeypatch.setattr(berrybox.cli, "loop_phase_mollified_sweep", lambda m, path, eps_list: [0.0, 1.0, 3.0])
+    # differences alternating in sign: the same, where err_est read 0 at order 8
     out = tmp_path / "berry.csv"
-    assert run("berry", "--method", "mollified", "--eps-list", "0.4,0.2,0.1", "--out", str(out)) == 0
-    assert read_csv(out)[1][-1][3:] == ["", "3.00000000e+00", "2.00000000e+00"]
+    for phases, row in (([0.0, 1.0, 3.0], ["", "3.00000000e+00", "2.00000000e+00"]),
+                        ([0.0, 1.0, 0.5], ["", "5.00000000e-01", "5.00000000e-01"])):
+        monkeypatch.setattr(berrybox.cli, "loop_phase_mollified_sweep", lambda m, path, eps_list: phases)
+        assert run("berry", "--method", "mollified", "--eps-list", "0.4,0.2,0.1", "--out", str(out)) == 0
+        assert read_csv(out)[1][-1][3:] == row
 
 
 def test_berry_real_eta_phases_vanish(tmp_path):
@@ -256,7 +259,7 @@ def test_berry_plot_reuses_table_phases(tmp_path, monkeypatch):
         with monkeypatch.context() as mp:
             _count_calls(mp, berrybox.cli, "loop_phase_interior", counter)
             _count_calls(mp, berrybox.cli, "loop_phase_mollified_sweep", counter)
-            _count_calls(mp, berrybox.berry, "_mollified_connection", counter)
+            _count_calls(mp, berrybox.berry, "connection_mollified", counter)
             _count_calls(mp, berrybox.berry, "_chain_phase", counter)
             assert run(*argv, *extra) == 0
         counts.append(counter)
@@ -265,7 +268,7 @@ def test_berry_plot_reuses_table_phases(tmp_path, monkeypatch):
     # of the four sides once for all widths, and the overlap chains at 8, 16,
     # 32 and 64 points
     assert counts[0] == {"loop_phase_interior": 2, "loop_phase_mollified_sweep": 1,
-                         "_mollified_connection": 4, "_chain_phase": 4}
+                         "connection_mollified": 4, "_chain_phase": 4}
 
 
 def test_berry_builds_each_gauss_rule_once(tmp_path, monkeypatch):
@@ -531,6 +534,8 @@ _NONFINITE_LOOPS = [
     pytest.param(["berry", "--method", "interior", "--h", "0"], None, id="berry-h-zero"),
     pytest.param(["berry", "--method", "interior"], {"h": -1e-4}, id="berry-config-h-negative"),
     pytest.param(["berry", "--method", "interior", "--h", "nan"], None, id="berry-h-nan"),
+    # a 401-digit eta raised OverflowError in the library's parser
+    pytest.param(["bc"], {"eta": 10 ** 400}, id="bc-config-eta-401-digits"),
 ])
 def test_unread_or_invalid_option_exits_2_before_output(tmp_path, monkeypatch, argv, config):
     monkeypatch.chdir(tmp_path)
