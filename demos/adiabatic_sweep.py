@@ -10,8 +10,6 @@ down, which is the adiabatic theorem doing its job.
 
 import sys
 
-import numpy as np
-
 from berrybox import (
     Schedule,
     loop_phase_analytic,

@@ -15,8 +15,6 @@ into an SVG.
 
 import sys
 
-import numpy as np
-
 from berrybox import (
     connection_interior,
     loop_phase_analytic,

@@ -7,6 +7,11 @@ evaluates the Berry connection/curvature/loop phases through several
 independent renormalization prescriptions, handles the degenerate
 eta = +/-1 matrix holonomy, and verifies everything dynamically by slow
 traversal of closed loops in the (length, center) parameter half-plane.
+
+The namespace loads on demand (PEP 562): `import berrybox` imports no
+submodule and no numpy, and the first read of a public name such as
+`berrybox.mode` imports the submodule that defines it.  So each `berrybox`
+command loads only the modules it runs: `bc` loads `boundary` and `cli`.
 """
 
 import os as _os
@@ -19,87 +24,46 @@ import sys as _sys
 # workload's calibrated CPU time falls 37% (median of 10 alternating pairs)
 # at the same wall time, with byte-identical outputs; beside another numpy
 # process the pooled adiabatic acceptance test took 41-56 s instead of 3.3 s.
-# OpenBLAS reads the variables when numpy loads it, so this runs before the
-# first import below and not at all once numpy is loaded.
+# OpenBLAS reads the variables when numpy loads it, so this runs before any
+# submodule imports numpy and not at all once numpy is loaded.
 if "numpy" not in _sys.modules and not any(
     v in _os.environ for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 ):
     _os.environ["OPENBLAS_NUM_THREADS"] = _os.environ["MKL_NUM_THREADS"] = "1"
 
-from .boundary import (
-    ETA_INF,
-    BCClass,
-    BoundaryData,
-    Eta,
-    as_eta,
-    bc_residual,
-    boundary_form,
-    boundary_traces,
-    classify_unitary,
-    compliant_data,
-    dilation_transport,
-    eta_to_unitary,
-    triple_identity_defect,
-)
-from .quadrature import GridFunction, oscillatory_rule, panel_rule, reference_rule
-from .spectrum import (
-    DegenerateEtaError,
-    EigenLevel,
-    Geometry,
-    Mode,
-    RootSearchError,
-    alpha_of,
-    degenerate_basis,
-    degenerate_wavenumber,
-    eigenfunction_fixed,
-    eigenfunction_fixed_dx,
-    eigenfunction_physical,
-    eigenvalue,
-    extension_physical,
-    extension_physical_grad,
-    generic_spectrum,
-    mode,
-    mode_boundary_data,
-    wavenumber,
-)
-from .paths import ParameterPath, point_loop, polyline_path, rectangle_corners, rectangle_loop
-from .berry import (
-    LoopPhaseResult,
-    MeshTooCoarseError,
-    commutator_defect,
-    connection_analytic,
-    connection_interior,
-    connection_mollified,
-    curvature,
-    loop_phase_analytic,
-    loop_phase_connection,
-    loop_phase_interior,
-    loop_phase_mollified_sweep,
-    loop_phase_overlap_meshes,
-    power_law_extrapolate,
-    require_geometric,
-    require_interior_step,
-    standard_mollifier,
-    state_overlaps,
-    stokes_defect,
-)
-from .wilczek_zee import (
-    ConnectionCheckError,
-    Holonomy,
-    MatrixConnection,
-    connection_from_basis,
-    diagonalize_in_plane_waves,
-    wz_connection,
-    wz_curvature,
-    wz_holonomy,
-)
-from .adiabatic import (
-    PhaseReport,
-    Schedule,
-    generator,
-    mode_window,
-    propagate,
-    weak_form_matrix,
-)
+# each submodule's public names: its __all__, which tests/test_imports.py
+# checks they equal
+_EXPORTS = {
+    "boundary": "Eta ETA_INF as_eta BoundaryData BCClass eta_to_unitary classify_unitary bc_residual "
+                "boundary_form triple_identity_defect dilation_transport compliant_data boundary_traces "
+                "require_unitary require_mass",
+    "quadrature": "reference_rule panel_rule oscillatory_rule GridFunction",
+    "spectrum": "DegenerateEtaError RootSearchError Geometry Mode EigenLevel alpha_of wavenumber mode "
+                "eigenfunction_fixed eigenfunction_fixed_dx eigenfunction_physical extension_physical "
+                "extension_physical_grad mode_boundary_data eigenvalue degenerate_wavenumber degenerate_basis "
+                "generic_spectrum",
+    "paths": "ParameterPath rectangle_loop polyline_path point_loop rectangle_corners",
+    "berry": "MeshTooCoarseError standard_mollifier connection_analytic connection_interior connection_mollified "
+             "LoopPhaseResult loop_phase_analytic loop_phase_connection loop_phase_interior "
+             "loop_phase_mollified_sweep loop_phase_overlap_meshes state_overlaps curvature stokes_defect "
+             "commutator_defect power_law_extrapolate require_geometric require_interior_step",
+    "wilczek_zee": "SIGMA2 ConnectionCheckError MatrixConnection Holonomy wz_connection connection_from_basis "
+                   "wz_curvature wz_holonomy diagonalize_in_plane_waves",
+    "adiabatic": "Schedule PhaseReport mode_window weak_form_matrix generator propagate",
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name):
+    # an unknown name (a submodule not yet imported, say) imports nothing
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value  # later reads bypass this hook
+    return value
+
 
 __version__ = "0.1.0"

@@ -26,28 +26,9 @@ import sys
 
 import numpy as np
 
-from . import svgplot
-from .adiabatic import Schedule, propagate
-from .berry import (
-    curvature,
-    loop_phase_analytic,
-    loop_phase_interior,
-    loop_phase_mollified_sweep,
-    loop_phase_overlap_meshes,
-    power_law_extrapolate,
-    require_geometric,
-    require_interior_step,
-)
+# every command parses eta or a unitary; each imports the rest of the package
+# where it uses it, so that a process loads only the modules its command runs
 from .boundary import Eta, as_eta, classify_unitary, eta_to_unitary, require_mass, require_unitary
-from .paths import polyline_path, rectangle_loop
-from .spectrum import (
-    Geometry,
-    degenerate_wavenumber,
-    eigenvalue,
-    generic_spectrum,
-    mode,
-)
-from .wilczek_zee import diagonalize_in_plane_waves, wz_connection, wz_curvature, wz_holonomy
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -203,6 +184,8 @@ def _resolve(args) -> dict:
 
 def _loop(cfg, args) -> "ParameterPath":
     """Apply --loop-rect and --orientation to cfg["loop"], then build the loop."""
+    from .paths import polyline_path, rectangle_loop
+
     flags = vars(args)
     if "loop_rect" in flags:
         l1, l2, c1, c2 = flags["loop_rect"]
@@ -265,6 +248,8 @@ def cmd_bc(args) -> int:
 
 
 def _spectrum_rows_degenerate(eta_pm, ns, mass, geom):
+    from .spectrum import degenerate_wavenumber
+
     rows = []
     for n in ns:
         if (eta_pm == 1 and n < 1) or (eta_pm == -1 and n < 0):
@@ -289,6 +274,8 @@ def cmd_spectrum(args) -> int:
     if n_hi < n_lo:
         raise UsageError("empty level range")
     mass = require_mass(cfg["mass"])
+    from .spectrum import Geometry, eigenvalue, generic_spectrum, mode
+
     geom = Geometry(float(cfg["geometry"]["l"]), float(cfg["geometry"]["c"]))
     eta = as_eta(cfg["eta"])
 
@@ -328,6 +315,9 @@ def _berry_phase_rows(m, path, methods, cfg):
     """Per-method convergence rows, each method's final phase, the analytic
     phase, and the unrounded (x, phases) of the overlap and mollified rows,
     which --plot draws."""
+    from .berry import (loop_phase_analytic, loop_phase_interior, loop_phase_mollified_sweep,
+                        loop_phase_overlap_meshes, power_law_extrapolate)
+
     rows, finals, curves = [], {}, {}
     analytic = loop_phase_analytic(m, path)
     if "analytic" in methods:
@@ -373,6 +363,8 @@ def cmd_berry(args) -> int:
     eta = as_eta(cfg["eta"])
     if eta.degenerate:
         raise UsageError("eta = +/-1 is degenerate; use the wz subcommand")
+    from .spectrum import mode
+
     m = mode(int(cfg["n"]), eta)
     path = _loop(cfg, args)
     if cfg["mesh"] < 1:
@@ -383,6 +375,8 @@ def cmd_berry(args) -> int:
             raise UsageError("the curvature map samples a rectangle loop's bounding box")
         if args.plot or args.tol is not None:
             raise UsageError("--plot and --tol apply to loop phases, not to the curvature map")
+        from .berry import curvature
+
         lo_l, hi_l = sorted((cfg["loop"]["l1"], cfg["loop"]["l2"]))
         lo_c, hi_c = sorted((cfg["loop"]["c1"], cfg["loop"]["c2"]))
         grid = int(cfg["mesh"]) if int(cfg["mesh"]) <= 64 else 5
@@ -399,6 +393,8 @@ def cmd_berry(args) -> int:
         bad = [s for s in methods if s not in _BERRY_METHODS]
         if bad:
             raise UsageError(f"unknown berry method(s): {bad}")
+    from .berry import require_geometric, require_interior_step
+
     if "mollified" in methods:
         try:
             require_geometric(cfg["eps_list"])
@@ -411,6 +407,8 @@ def cmd_berry(args) -> int:
     _write_resolved_config(args.out, cfg)
 
     if args.plot:
+        from . import svgplot
+
         series = []
         if "overlap" in curves:
             meshes, phases = curves["overlap"]
@@ -453,6 +451,8 @@ def cmd_wz(args) -> int:
         raise UsageError("wz requires eta = 1 or eta = -1")
     n = int(cfg["n"])
     path = _loop(cfg, args)
+    from .wilczek_zee import diagonalize_in_plane_waves, wz_connection, wz_curvature, wz_holonomy
+
     g0 = path.point(0.0)
     try:
         conn = wz_connection(pm, n, g0)
@@ -493,6 +493,7 @@ def cmd_adiabatic(args) -> int:
     t_list = [float(t) for t in cfg["T_list"]]
     if not t_list:
         raise UsageError("T_list must not be empty")
+    from .adiabatic import Schedule, propagate
 
     schedules = [Schedule(path, T, resolution) for T in t_list]
     reports = [propagate(sched, n, eta, window, mass) for sched in schedules]
@@ -506,6 +507,10 @@ def cmd_adiabatic(args) -> int:
     _write_resolved_config(args.out, cfg)
 
     if args.plot:
+        from . import svgplot
+        from .berry import loop_phase_analytic
+        from .spectrum import mode
+
         reference = loop_phase_analytic(mode(n, eta), path)
         errs = [max(abs(r.geometric_phase - reference), 1e-16) for r in reports]
         inv_t = [1.0 / T for T in t_list]

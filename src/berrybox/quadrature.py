@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+__all__ = ["reference_rule", "panel_rule", "oscillatory_rule", "GridFunction"]
+
 DEFAULT_ORDER = 16
 
 

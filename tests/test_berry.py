@@ -16,6 +16,7 @@ from berrybox import (
     connection_interior,
     connection_mollified,
     curvature,
+    eigenfunction_fixed,
     eigenfunction_physical,
     extension_physical,
     extension_physical_grad,
@@ -490,6 +491,26 @@ def test_overlap_chains_match_scalar_overlaps():
                 ov = _overlap(m, a, b)
                 prod *= ov / abs(ov)
             assert abs(np.angle(np.exp(1j * (_chain_phase(m, path, n) + np.angle(prod))))) < 1e-13, (m, path, n)
+
+
+@pytest.mark.parametrize("n, eta_abs", [(1, 0.67), (3, 2.24), (-2, 1.0)])
+def test_overlap_deficit_is_linear_in_the_wall_displacements(n, eta_abs):
+    # the walls move, so d psi / d(l, c) is not square integrable and the
+    # fidelity deficit of neighbouring states is first order in the step:
+    # 1 - |<psi(p)|psi(p + delta)>| = (w_L |d_L| + w_R |d_R|)/2 + O(delta^2),
+    # with wall densities w = |phi(wall)|^2 / l and wall displacements
+    # d_L, d_R = dc -/+ dl/2; translations, dilations and a sloped step
+    rng = np.random.default_rng(3107 + n)
+    delta = 1e-6
+    for j in range(4):
+        m = mode(n, eta_abs * np.exp(1j * rng.uniform(0.2, np.pi - 0.2) * rng.choice([-1, 1])))
+        l, c = rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0)
+        w_left, w_right = np.abs(eigenfunction_fixed(m, np.array([-0.5, 0.5]))) ** 2 / l
+        slope = rng.uniform(0.0, 2.0 * np.pi)
+        for dl, dc in ((0.0, delta), (delta, 0.0), (delta * np.cos(slope), delta * np.sin(slope))):
+            deficit = 1.0 - abs(complex(state_overlaps(m, l, c, l + dl, c + dc)))
+            law = 0.5 * (w_left * abs(dc - 0.5 * dl) + w_right * abs(dc + 0.5 * dl))
+            assert deficit == pytest.approx(law, rel=1e-3), (m, l, c, dl, dc)
 
 
 def _mollified_reference(m, g, eps):

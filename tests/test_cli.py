@@ -15,8 +15,10 @@ import dataclasses
 import numpy as np
 import pytest
 
+import berrybox.adiabatic
 import berrybox.berry
 import berrybox.cli
+import berrybox.svgplot
 from berrybox import reference_rule
 from berrybox.cli import main
 
@@ -134,7 +136,7 @@ def test_berry_mollified_row_without_positive_order(tmp_path, monkeypatch):
     out = tmp_path / "berry.csv"
     for phases, row in (([0.0, 1.0, 3.0], ["", "3.00000000e+00", "2.00000000e+00"]),
                         ([0.0, 1.0, 0.5], ["", "5.00000000e-01", "5.00000000e-01"])):
-        monkeypatch.setattr(berrybox.cli, "loop_phase_mollified_sweep", lambda m, path, eps_list: phases)
+        monkeypatch.setattr(berrybox.berry, "loop_phase_mollified_sweep", lambda m, path, eps_list: phases)
         assert run("berry", "--method", "mollified", "--eps-list", "0.4,0.2,0.1", "--out", str(out)) == 0
         assert read_csv(out)[1][-1][3:] == row
 
@@ -169,7 +171,7 @@ def test_berry_tol_compares_phases_on_the_circle(tmp_path):
 
 
 def test_berry_tol_reports_real_disagreement(tmp_path, monkeypatch, capsys):
-    real = berrybox.cli.loop_phase_overlap_meshes
+    real = berrybox.berry.loop_phase_overlap_meshes
 
     def shifted(m, path, meshes):
         return [dataclasses.replace(r, phase=r.phase + 0.1) for r in real(m, path, meshes)]
@@ -177,7 +179,7 @@ def test_berry_tol_reports_real_disagreement(tmp_path, monkeypatch, capsys):
     argv = ("berry", "--eta", "0+1i", "--n", "0", "--loop-rect", "1", "2", "0", "1",
             "--method", "analytic,overlap", "--mesh", "64", "--tol", "1e-2", "--out", str(tmp_path / "b.csv"))
     assert run(*argv) == 0
-    monkeypatch.setattr(berrybox.cli, "loop_phase_overlap_meshes", shifted)
+    monkeypatch.setattr(berrybox.berry, "loop_phase_overlap_meshes", shifted)
     assert run(*argv) == 3
     err = capsys.readouterr().err
     assert "overlap=" in err and "off by 1.0" in err
@@ -223,13 +225,13 @@ def test_berry_plot_small_mesh_draws_table_meshes(tmp_path, monkeypatch):
     # the plot used to floor its meshes at 8, below the table's 16, and the
     # 8-point half mesh of the tall loop has no neighbour overlap
     drawn = []
-    real = berrybox.cli.svgplot.line_plot
+    real = berrybox.svgplot.line_plot
 
     def capture(series, **kwargs):
         drawn.append(series)
         return real(series, **kwargs)
 
-    monkeypatch.setattr(berrybox.cli.svgplot, "line_plot", capture)
+    monkeypatch.setattr(berrybox.svgplot, "line_plot", capture)
     out, svg = tmp_path / "b.csv", tmp_path / "b.svg"
     assert run("berry", "--n", "0", "--method", "analytic,overlap", "--mesh", "12",
                "--loop-rect", "1.0", "1.2", "0.0", "1.5", "--out", str(out), "--plot", str(svg)) == 0
@@ -257,8 +259,8 @@ def test_berry_plot_reuses_table_phases(tmp_path, monkeypatch):
     for extra in ([], ["--plot", str(tmp_path / "b.svg")]):
         counter = {}
         with monkeypatch.context() as mp:
-            _count_calls(mp, berrybox.cli, "loop_phase_interior", counter)
-            _count_calls(mp, berrybox.cli, "loop_phase_mollified_sweep", counter)
+            _count_calls(mp, berrybox.berry, "loop_phase_interior", counter)
+            _count_calls(mp, berrybox.berry, "loop_phase_mollified_sweep", counter)
             _count_calls(mp, berrybox.berry, "connection_mollified", counter)
             _count_calls(mp, berrybox.berry, "_chain_phase", counter)
             assert run(*argv, *extra) == 0
@@ -350,13 +352,13 @@ def test_adiabatic_constant_loop(tmp_path):
 
 def test_adiabatic_propagates_in_order_on_calling_thread(monkeypatch, tmp_path):
     calls = []
-    propagate = berrybox.cli.propagate
+    propagate = berrybox.adiabatic.propagate
 
     def recording(schedule, *rest):
         calls.append((schedule.duration, threading.get_ident()))
         return propagate(schedule, *rest)
 
-    monkeypatch.setattr(berrybox.cli, "propagate", recording)
+    monkeypatch.setattr(berrybox.adiabatic, "propagate", recording)
     assert run("adiabatic", "--eta", "0+1i", "--n", "0", "--loop-rect", "1", "1.2", "0", "0.2",
                "--T-list", "6,2,4", "--window", "2", "--resolution", "100",
                "--out", str(tmp_path / "adia.csv")) == 0
@@ -554,7 +556,7 @@ def test_berry_h_bound_is_relative_and_checked_first(tmp_path, monkeypatch, caps
     # used to be checked only after the analytic phase was computed, and the
     # message named the absolute bound l/4
     counter = {}
-    _count_calls(monkeypatch, berrybox.cli, "loop_phase_analytic", counter)
+    _count_calls(monkeypatch, berrybox.berry, "loop_phase_analytic", counter)
     for h in ("0.65", "1"):
         assert exit_code("berry", "--method", "all", "--h", h, "--out", str(tmp_path / "b.csv")) == 2
         assert "0 < h < (1 + |k|)/4 = 0.643" in capsys.readouterr().err

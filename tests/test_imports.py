@@ -1,6 +1,9 @@
 """Importing the package, and every command, loads no scipy; none needs it.
-Importing it first sets one BLAS thread unless the caller chose a count."""
+`import berrybox` loads no submodule and no numpy, and each command loads
+only the package modules it runs.  Importing the package first sets one
+BLAS thread unless the caller chose a count."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -13,46 +16,141 @@ import berrybox
 
 SRC = str(Path(berrybox.__file__).resolve().parent.parent)
 
-# runs `main(argv)` with argv from the command line, then prints the loaded
-# scipy modules as JSON
+# imports berrybox, then runs `main(argv)` with argv from the command line,
+# or imports every submodule when that argv is --every-module, or does no
+# more when it is empty; then prints the exit code, the loaded scipy and
+# berrybox modules and whether numpy is loaded, as JSON
 _PROBE = """
-import json, sys
-from berrybox.cli import main
-code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0
-print(json.dumps([code, sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))]))
+import importlib, json, pkgutil, sys
+import berrybox
+code = 0
+if sys.argv[1:] == ["--every-module"]:
+    for info in pkgutil.iter_modules(berrybox.__path__):
+        if info.name != "__main__":
+            importlib.import_module("berrybox." + info.name)
+elif sys.argv[1:]:
+    from berrybox.cli import main
+    code = main(sys.argv[1:])
+loaded = lambda top: sorted(m for m in sys.modules if m == top or m.startswith(top + "."))
+print(json.dumps([code, loaded("scipy"), loaded("berrybox"), "numpy" in sys.modules]))
 """
 
 
-def _scipy_modules_after(*argv, prelude=""):
+def _run_probe(probe, *argv):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", prelude + _PROBE, *argv], capture_output=True, text=True, env=env)
+    proc = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    code, modules = json.loads(proc.stdout.splitlines()[-1])
-    assert code == 0, proc.stderr
-    return modules
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _modules_after(*argv, prelude=""):
+    """(scipy modules, berrybox modules, whether numpy is loaded) after `_PROBE`."""
+    code, scipy, own, numpy = _run_probe(prelude + _PROBE, *argv)
+    assert code == 0
+    return scipy, own, numpy
+
+
+def _own(*modules):
+    return sorted(["berrybox", "berrybox.boundary", "berrybox.cli"] + [f"berrybox.{m}" for m in modules])
 
 
 def test_import_loads_no_scipy():
-    assert _scipy_modules_after() == []
+    scipy, own, _ = _modules_after("--every-module")
+    assert scipy == []
+    assert "berrybox.adiabatic" in own and "berrybox.svgplot" in own
 
 
-@pytest.mark.parametrize("argv", [
-    ["bc", "--eta", "0+1i"],
-    ["spectrum", "--eta", "0.5+0.5i", "--n-min", "-1", "--n-max", "2"],
-    ["berry", "--eta", "0+1i", "--method", "analytic"],
-    pytest.param(["spectrum", "--eta", "0+1i", "--n-max", "1", "--check", "generic"], id="spectrum-generic"),
-    ["wz", "--eta", "1", "--n", "1", "--mesh", "16"],
-    ["adiabatic", "--eta", "0+1i", "--T-list", "2", "--window", "2", "--resolution", "100"],
-], ids=lambda argv: argv[0])
-def test_command_loads_no_scipy(tmp_path, argv):
-    assert _scipy_modules_after(*argv, "--out", str(tmp_path / "out")) == []
+def test_import_loads_no_numpy():
+    assert _modules_after() == ([], ["berrybox"], False)
+
+
+def test_unknown_attribute_imports_nothing():
+    prelude = """
+import berrybox
+for name in ("cli", "spectrum", "no_such_name"):
+    try:
+        getattr(berrybox, name)
+    except AttributeError:
+        continue
+    raise SystemExit(f"berrybox.{name} resolved before its import")
+"""
+    assert _modules_after(prelude=prelude) == ([], ["berrybox"], False)
+
+
+@pytest.mark.parametrize("argv, own", [
+    pytest.param(["bc", "--eta", "0+1i"], _own(), id="bc"),
+    pytest.param(["spectrum", "--eta", "0.5+0.5i", "--n-min", "-1", "--n-max", "2"],
+                 _own("quadrature", "spectrum"), id="spectrum"),
+    pytest.param(["berry", "--eta", "0+1i", "--method", "analytic"],
+                 _own("quadrature", "spectrum", "paths", "berry"), id="berry"),
+    pytest.param(["spectrum", "--eta", "0+1i", "--n-max", "1", "--check", "generic"],
+                 _own("quadrature", "spectrum"), id="spectrum-generic"),
+    pytest.param(["wz", "--eta", "1", "--n", "1", "--mesh", "16"],
+                 _own("quadrature", "spectrum", "paths", "wilczek_zee"), id="wz"),
+    pytest.param(["adiabatic", "--eta", "0+1i", "--T-list", "2", "--window", "2", "--resolution", "100"],
+                 _own("quadrature", "spectrum", "paths", "adiabatic"), id="adiabatic"),
+])
+def test_command_loads_no_scipy(tmp_path, argv, own):
+    # each command also loads only the berrybox modules it runs
+    assert _modules_after(*argv, "--out", str(tmp_path / "out"))[:2] == ([], own)
 
 
 def test_generic_check_runs_without_scipy(tmp_path):
     # a None entry in sys.modules makes every scipy import raise ImportError
-    modules = _scipy_modules_after("spectrum", "--eta", "0+1i", "--n-max", "3", "--check", "generic",
-                                   "--out", str(tmp_path / "out"), prelude="import sys; sys.modules['scipy'] = None")
-    assert modules == ["scipy"]
+    scipy, _, _ = _modules_after("spectrum", "--eta", "0+1i", "--n-max", "3", "--check", "generic",
+                                 "--out", str(tmp_path / "out"), prelude="import sys; sys.modules['scipy'] = None")
+    assert scipy == ["scipy"]
+
+
+# the names the package exported when it imported every submodule eagerly
+_EXPORTED = {
+    "boundary": "ETA_INF BCClass BoundaryData Eta as_eta bc_residual boundary_form boundary_traces "
+                "classify_unitary compliant_data dilation_transport eta_to_unitary triple_identity_defect",
+    "quadrature": "GridFunction oscillatory_rule panel_rule reference_rule",
+    "spectrum": "DegenerateEtaError EigenLevel Geometry Mode RootSearchError alpha_of degenerate_basis "
+                "degenerate_wavenumber eigenfunction_fixed eigenfunction_fixed_dx eigenfunction_physical "
+                "eigenvalue extension_physical extension_physical_grad generic_spectrum mode "
+                "mode_boundary_data wavenumber",
+    "paths": "ParameterPath point_loop polyline_path rectangle_corners rectangle_loop",
+    "berry": "LoopPhaseResult MeshTooCoarseError commutator_defect connection_analytic connection_interior "
+             "connection_mollified curvature loop_phase_analytic loop_phase_connection loop_phase_interior "
+             "loop_phase_mollified_sweep loop_phase_overlap_meshes power_law_extrapolate require_geometric "
+             "require_interior_step standard_mollifier state_overlaps stokes_defect",
+    "wilczek_zee": "ConnectionCheckError Holonomy MatrixConnection connection_from_basis "
+                   "diagonalize_in_plane_waves wz_connection wz_curvature wz_holonomy",
+    "adiabatic": "PhaseReport Schedule generator mode_window propagate weak_form_matrix",
+}
+
+# imports berrybox, then takes the modules of the JSON {module: names} given
+# in dependency order: imports each module's names from the package, and
+# prints the berrybox modules that import loaded and whether each name is
+# the submodule's object, both imported and read as an attribute
+_RESOLVE_PROBE = """
+import json, sys
+import berrybox
+steps = []
+for module, names in json.loads(sys.argv[1]).items():
+    before, ns = set(sys.modules), {}
+    exec(f"from berrybox import {', '.join(names)}", ns)
+    sub = sys.modules["berrybox." + module]
+    same = all(ns[n] is getattr(sub, n) is getattr(berrybox, n) for n in names)
+    steps.append([sorted(m for m in set(sys.modules) - before if m.startswith("berrybox.")), same])
+print(json.dumps(steps))
+"""
+
+
+def test_exported_names_load_their_submodule_on_first_read():
+    exported = {module: names.split() for module, names in _EXPORTED.items()}
+    steps = _run_probe(_RESOLVE_PROBE, json.dumps(exported))
+    assert steps == [[[f"berrybox.{module}"], True] for module in exported]
+    assert set(berrybox.__all__) >= {name for names in exported.values() for name in names}
+
+
+def test_package_exports_are_the_submodules_all():
+    # the package's name table is each submodule's __all__, in order
+    for module, names in berrybox._EXPORTS.items():
+        assert names.split() == importlib.import_module(f"berrybox.{module}").__all__, module
+    assert berrybox.__all__ == [name for names in berrybox._EXPORTS.values() for name in names.split()]
 
 
 _BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

@@ -15,7 +15,6 @@ from berrybox import (
     degenerate_basis,
     dilation_transport,
     eigenfunction_fixed,
-    eigenfunction_fixed_dx,
     eigenfunction_physical,
     eigenvalue,
     eta_to_unitary,
