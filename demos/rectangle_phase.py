@@ -42,7 +42,7 @@ def main(svg_path=None):
         phase = loop_phase_connection(rect, lambda l, c, hh=h: connection_interior(m, l, c, hh * l))
         print(f"  h/l = {h:.1e}   phase = {phase:.12f}   error = {abs(phase - exact):.2e}")
 
-    print("mollified embedding (smoothed box edge of width eps)")
+    print("mollified embedding (smoothed box edge of width eps * l)")
     eps_list = [0.2, 0.1, 0.05, 0.025]
     phases = loop_phase_mollified_sweep(m, rect, eps_list)
     for eps, phase in zip(eps_list, phases):

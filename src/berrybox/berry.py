@@ -21,8 +21,8 @@ closed form; quadrature serves the mollified embedding and `stokes_defect`.
 Every oracle takes arrays of boxes (l, c), a scalar being the 0-d case, and
 returns arrays of their shape.  `loop_phase_connection` integrates any such
 connection side by side, all of a side's Gauss nodes in one call; an overlap
-chain computes all of its pairs at once, and `loop_phase_mollified_sweep`
-samples each side's box interiors once for every width.
+chain computes all of its pairs at once, and the mollified embedding, in the
+box coordinate (x - c)/l, is integrated once per width for every box.
 Loop phases follow the convention Phi = i * contour integral of <psi|d psi>;
 for the counterclockwise axis-aligned rectangle [l1, l2] x [c1, c2] this
 gives Phi = k (1/l1 - 1/l2)(c2 - c1) sin(alpha).
@@ -187,13 +187,9 @@ def connection_interior(m: Mode, l, c, h=None):
 
 def connection_mollified(m: Mode, l, c, eps):
     """Arrays (a_l, a_c) from the smoothed-box embedding at the boxes (l, c)
-    and the regularization widths eps.
-
+    and the cutoff widths eps, relative to l: the width at a box is eps * l.
     eps has the boxes' shape, or broadcasts to it; axes it has in front of
-    that shape sweep the widths, and the results have the shape of eps.  The
-    box interior, where the cutoff is 1 at every width, is sampled once for
-    a whole sweep; each width samples only the two wall strips, where the
-    cutoff falls from 1 to 0.
+    that shape sweep the widths, and the results have the shape of eps.
 
     The eigenfunction is written as (smooth whole-line extension) times a
     normalized, mollified characteristic function of the box; the connection
@@ -201,6 +197,11 @@ def connection_mollified(m: Mode, l, c, eps):
     the square of the cutoff.  As eps -> 0 the c-component tends to
     (k/l) sin(alpha) and the l-component to zero (its limiting integrand is
     odd around the box center).
+
+    The boundary conditions are dilation invariant: each state is l^-1/2
+    phi(u) in the box coordinate u = (x - c)/l, as is the cutoff, so the
+    connection is (1/l) F(eps), F an integral over u that no box enters.  F
+    samples the interior once and the two wall strips once per distinct width.
 
     For this particular eigenfunction family the convergence is in fact
     instantaneous: Im(conj(phi) d_c phi) is constant in x and the cutoff is
@@ -211,30 +212,29 @@ def connection_mollified(m: Mode, l, c, eps):
     """
     shape, (l, c) = _boxes(l, c)
     eps = np.asarray(eps, dtype=float)
-    sweep = eps.shape[:max(eps.ndim - len(shape), 0)]
-    eps = np.broadcast_to(eps, sweep + shape).reshape(-1, l.size)
     if not np.all(np.isfinite(eps) & (eps > 0)):
         raise ValueError("eps must be finite and positive")
-    left, right = c - 0.5 * l, c + 0.5 * l
+    sweep = eps.shape[:max(eps.ndim - len(shape), 0)]
+    widths, index = np.unique(np.broadcast_to(eps, sweep + shape), return_inverse=True)
     # panels split at the box walls where the cutoff profile kicks in
     inner_panels = max(2, int(np.ceil(4.0 * abs(m.k) / (2.0 * np.pi))) + 2)
-    l, c = l[:, None], c[:, None]
     rho = standard_mollifier()
 
-    def weighted(x, w):  # integrands of the norm, a_l and a_c, times the weights w
-        ext, d_dl, d_dc = _extension_jet(m, l, c, x)
+    def weighted(u, w):  # integrands of the norm, l a_l and l a_c, times the weights w
+        ext, d_dl, d_dc = _extension_jet(m, 1.0, 0.0, u)
         bra = np.conj(ext)
         return np.stack([w * np.abs(ext) ** 2, w * np.imag(bra * d_dl), w * np.imag(bra * d_dc)])
 
-    inside = weighted(*panel_rule(left, right, inner_panels))
+    inside = weighted(*panel_rule(-0.5, 0.5, inner_panels))
     sums = []
-    for width in eps:  # one row at a time keeps the strips' arrays the size of one width's grid
-        x, w = panel_rule([left - width, right], [left, right + width], 12)
-        strips = weighted(x, w * rho((np.abs(x - c) - 0.5 * l) / width[:, None]) ** 2)
+    for width in widths:
+        u, w = panel_rule([-0.5 - width, 0.5], [-0.5, 0.5 + width], 12)
+        strips = weighted(u, w * rho((np.abs(u) - 0.5) / width) ** 2)
         # summed in grid order, wall to wall
         sums.append(np.concatenate([strips[:, 0], inside, strips[:, 1]], axis=-1).sum(axis=-1))
-    norm2, a_l, a_c = np.stack(sums, axis=1)
-    return (a_l / norm2).reshape(sweep + shape), (a_c / norm2).reshape(sweep + shape)
+    norm2, a_l, a_c = np.array(sums).T
+    index = index.reshape(-1, l.size)
+    return ((a_l / norm2)[index] / l).reshape(sweep + shape), ((a_c / norm2)[index] / l).reshape(sweep + shape)
 
 
 # ---------------------------------------------------------------------------
@@ -293,10 +293,10 @@ def loop_phase_mollified_sweep(m: Mode, path: ParameterPath, eps_list, order: in
     """`loop_phase_connection` of `connection_mollified` at each relative
     width in `eps_list`, in the order given: the cutoff width is eps * l.
 
-    Each side's box interiors are sampled once for the whole list.
+    The box-coordinate integrals are taken once, for every side.
     """
-    eps = np.asarray(eps_list, dtype=float)[:, None]
-    return [float(p) for p in loop_phase_connection(path, lambda l, c: connection_mollified(m, l, c, eps * l), order)]
+    f_l, f_c = connection_mollified(m, 1.0, 0.0, np.asarray(eps_list, dtype=float)[:, None])
+    return [float(p) for p in loop_phase_connection(path, lambda l, c: (f_l / l, f_c / l), order)]
 
 
 def loop_phase_analytic(m: Mode, path: ParameterPath) -> float:

@@ -363,12 +363,18 @@ def cmd_berry(args) -> int:
     eta = as_eta(cfg["eta"])
     if eta.degenerate:
         raise UsageError("eta = +/-1 is degenerate; use the wz subcommand")
+    if cfg["mesh"] < 1:
+        raise UsageError("mesh must be a positive integer")
+    methods = list(_BERRY_METHODS)
+    if cfg["method"] not in ("all", "curvature-map"):
+        methods = [s.strip() for s in str(cfg["method"]).split(",")]
+        bad = [s for s in methods if s not in _BERRY_METHODS]
+        if bad:
+            raise UsageError(f"unknown berry method(s): {bad}")
     from .spectrum import mode
 
     m = mode(int(cfg["n"]), eta)
     path = _loop(cfg, args)
-    if cfg["mesh"] < 1:
-        raise UsageError("mesh must be a positive integer")
 
     if cfg["method"] == "curvature-map":
         if cfg["loop"]["type"] != "rectangle":
@@ -386,13 +392,6 @@ def cmd_berry(args) -> int:
         _write_resolved_config(args.out, cfg)
         return EXIT_OK
 
-    if cfg["method"] == "all":
-        methods = list(_BERRY_METHODS)
-    else:
-        methods = [s.strip() for s in str(cfg["method"]).split(",")]
-        bad = [s for s in methods if s not in _BERRY_METHODS]
-        if bad:
-            raise UsageError(f"unknown berry method(s): {bad}")
     from .berry import require_geometric, require_interior_step
 
     if "mollified" in methods:

@@ -102,7 +102,7 @@ def test_criterion_4_connection_oracles():
                 inner_l, inner_c = connection_interior(m, l, 0.3)
                 assert abs(inner_c - exact) < 1e-6
                 assert abs(inner_l) < 1e-6
-                eps = [f * l for f in (0.2, 0.1, 0.05, 0.025)]
+                eps = [0.2, 0.1, 0.05, 0.025]
                 moll_l, moll_c = connection_mollified(m, l, 0.3, eps)
                 limit, _order = power_law_extrapolate(eps, moll_c)
                 assert abs(limit - exact) < 1e-4

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+import berrybox.berry
 from berrybox import (
     ETA_INF,
     Geometry,
@@ -165,7 +166,7 @@ def test_oracle_agreement_grid():
                 inner_l, inner_c = connection_interior(m, l, 0.3)
                 assert abs(inner_c - exact) < 1e-6
                 assert abs(inner_l) < 1e-6
-                eps = [0.2 * l, 0.1 * l, 0.05 * l, 0.025 * l]
+                eps = [0.2, 0.1, 0.05, 0.025]
                 limit, _ = power_law_extrapolate(eps, connection_mollified(m, l, 0.3, eps)[1])
                 assert abs(limit - exact) < 1e-4
 
@@ -202,7 +203,7 @@ def test_loop_phase_mollified_matches_per_point_route():
         eta = (ETA_INF, 0.3, 2j, complex(*rng.uniform(-1.0, 1.0, 2)))[trial % 4]
         m = mode(int(rng.integers(-5, 6)), eta)
         e = float(rng.choice([0.2, 0.1, 0.05, 0.025]))
-        reference = loop_phase_connection(path, _per_node(lambda l, c: connection_mollified(m, l, c, e * l)))
+        reference = loop_phase_connection(path, _per_node(lambda l, c: connection_mollified(m, l, c, e)))
         assert loop_phase_mollified_sweep(m, path, [e]) == [reference]
 
 
@@ -513,15 +514,63 @@ def test_overlap_deficit_is_linear_in_the_wall_displacements(n, eta_abs):
             assert deficit == pytest.approx(law, rel=1e-3), (m, l, c, dl, dc)
 
 
-def _mollified_reference(m, g, eps):
-    # the embedding on one grid through both walls, cutoff applied node by node
-    x, w = _embedding_grid(m, g, eps)
-    chi = np.where((x >= g.left) & (x <= g.right), 1.0, standard_mollifier()((np.abs(x - g.c) - 0.5 * g.l) / eps))
+def _mollified_in_x(m, g, width):
+    # the embedding in x on one grid through both walls, cutoff of the given
+    # width applied node by node
+    x, w = _embedding_grid(m, g, width)
+    chi = np.where((x >= g.left) & (x <= g.right), 1.0, standard_mollifier()((np.abs(x - g.c) - 0.5 * g.l) / width))
     ext, (d_dl, d_dc) = extension_physical(m, g, x), extension_physical_grad(m, g, x)
     weight = w * chi ** 2
     norm2 = np.sum(weight * np.abs(ext) ** 2)
     return (np.sum(weight * np.imag(np.conj(ext) * d_dl)) / norm2,
             np.sum(weight * np.imag(np.conj(ext) * d_dc)) / norm2)
+
+
+def _mollified_reference(m, g, eps):
+    # the same embedding in the box coordinate u = (x - c)/l at the relative
+    # width eps, scaled by 1/l
+    a_l, a_c = _mollified_in_x(m, UNIT, eps)
+    return a_l / g.l, a_c / g.l
+
+
+def test_mollified_connection_is_dilation_covariant():
+    # l a(l, c) is one function of the relative width at every box, and the
+    # box-coordinate integral is the x-coordinate one up to rounding
+    rng = np.random.default_rng(3108)
+    for j in range(9):
+        m = _drawn_mode(rng, j, 12)
+        l, c = rng.uniform(0.3, 3.0, 6), rng.uniform(-2.0, 2.0, 6)
+        eps = rng.uniform(0.01, 0.3, 3)[:, None]
+        a_l, a_c = connection_mollified(m, l, c, eps)
+        unit_l, unit_c = connection_mollified(m, 1.0, 0.0, eps)
+        assert np.array_equal(a_l, unit_l / l) and np.array_equal(a_c, unit_c / l), m
+        scale = (1.0 + abs(m.k)) / l
+        for i, e in enumerate(eps[:, 0]):
+            x_l, x_c = np.array([_mollified_in_x(m, Geometry(lj, cj), e * lj) for lj, cj in zip(l, c)]).T
+            assert np.all(np.abs(a_l[i] - x_l) <= 1e-13 * scale), (m, e)
+            assert np.all(np.abs(a_c[i] - x_c) <= 1e-13 * scale), (m, e)
+
+
+def test_mollified_sweep_integrates_once_per_width(monkeypatch):
+    # one sweep evaluates the extension on one interior grid and on the two
+    # wall strips of each width, whatever the number of sides or Gauss nodes
+    sizes = []
+    real = berrybox.berry._extension_jet
+
+    def counted(m, l, c, x):
+        sizes.append(np.size(x))
+        return real(m, l, c, x)
+
+    monkeypatch.setattr(berrybox.berry, "_extension_jet", counted)
+    for n, eta in ((0, 1j), (7, 0.3 + 0.6j)):
+        m = mode(n, eta)
+        interior = 16 * max(2, int(np.ceil(4.0 * abs(m.k) / (2.0 * np.pi))) + 2)
+        for path in (RECT, polyline_path([(1.0, 0.0), (1.3, 0.05), (1.2, 0.3), (1.1, 0.2)], close=True)):
+            for order in (8, 16):
+                for eps in ([0.2, 0.1, 0.05], [0.2, 0.1, 0.05, 0.025]):
+                    sizes.clear()
+                    loop_phase_mollified_sweep(m, path, eps, order)
+                    assert sizes == [interior] + [2 * 12 * 16] * len(eps), (m, path, order)
 
 
 def test_loop_phase_mollified_sweep_matches_single_widths():
@@ -532,10 +581,55 @@ def test_loop_phase_mollified_sweep_matches_single_widths():
         eps_list = [0.2, 0.1, 0.05, 0.025] if j % 2 else list(rng.uniform(0.01, 0.3, 3))
         assert loop_phase_mollified_sweep(m, path, eps_list) == [loop_phase_mollified_sweep(m, path, [e])[0]
                                                                  for e in eps_list]
-        # the box interior, sampled once for every width, is the embedding's own
+        # the box-coordinate integrals, taken once for every width and side, are the embedding's own
         e = eps_list[-1]
-        reference = loop_phase_connection(path, _per_node(lambda l, c: _mollified_reference(m, Geometry(l, c), e * l)))
+        reference = loop_phase_connection(path, _per_node(lambda l, c: _mollified_reference(m, Geometry(l, c), e)))
         assert loop_phase_mollified_sweep(m, path, [e]) == [reference], (m, path)
+
+
+def _chain_errors(m, path, meshes):
+    exact = loop_phase_analytic(m, path)
+    return np.array([_circle(_chain_phase(m, path, n) - exact) for n in meshes])
+
+
+def _eta_on_circle(rng, modulus):
+    return modulus * np.exp(1j * rng.uniform(0.3, np.pi - 0.3) * rng.choice([-1, 1]))
+
+
+def test_overlap_chain_is_exact_on_circle_rectangles():
+    # |psi(a)| = |eta| |psi(b)|: at |eta| = 1 both walls carry one density,
+    # and along axis-aligned sides the chain's phase is exact up to the
+    # rounding of a product of up to 256 unit factors (1.8e-15 at worst over
+    # 300 draws)
+    rng = np.random.default_rng(3109)
+    for j in range(24):
+        m = mode(int(rng.integers(-10, 11)), _eta_on_circle(rng, 1.0))
+        path = _drawn_loop(rng, m, polyline=False)
+        assert np.all(_chain_errors(m, path, (16, 64, 256)) <= 16 * np.finfo(float).eps), (m, path)
+
+
+def test_overlap_chain_is_second_order_on_rectangles_off_the_circle():
+    rng = np.random.default_rng(3110)
+    for j in range(12):
+        m = mode(int(rng.integers(-10, 11)), _eta_on_circle(rng, rng.choice([rng.uniform(0.6, 0.9),
+                                                                             rng.uniform(1.1, 2.5)])))
+        path = _drawn_loop(rng, m, polyline=False)
+        errs = _chain_errors(m, path, (64, 128, 256))
+        assert np.all((3.8 < errs[:-1] / errs[1:]) & (errs[:-1] / errs[1:] < 4.2)), (m, path, errs)
+
+
+def test_overlap_chain_is_first_order_on_sloped_sides():
+    # triangles whose three sides all move l and c together
+    rng = np.random.default_rng(3111)
+    for j in range(12):
+        m = mode(int(rng.integers(-6, 7)), _eta_on_circle(rng, (1.0, 0.67, 0.92, 1.6)[j % 4]))
+        l1, c1 = rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0)
+        dc = l1 / max(abs(m.k), 1.0)
+        verts = [(l1, c1), (l1 * rng.uniform(1.2, 1.4), c1 + dc * rng.uniform(0.1, 0.3)),
+                 (l1 * rng.uniform(1.05, 1.15), c1 + dc * rng.uniform(0.6, 1.0))]
+        path = polyline_path(verts, close=True, orientation=int(rng.choice([1, -1])))
+        errs = _chain_errors(m, path, (512, 1024))
+        assert 1.9 < errs[0] / errs[1] < 2.1, (m, path, errs)
 
 
 def test_too_coarse_mesh_raises_on_the_first_coarse_chain():

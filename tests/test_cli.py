@@ -266,11 +266,11 @@ def test_berry_plot_reuses_table_phases(tmp_path, monkeypatch):
             assert run(*argv, *extra) == 0
         counts.append(counter)
     assert counts[0] == counts[1]
-    # the interior phase at h and h/2, one mollified sweep that samples each
-    # of the four sides once for all widths, and the overlap chains at 8, 16,
-    # 32 and 64 points
+    # the interior phase at h and h/2, one mollified sweep that integrates
+    # the embedding once, in the box coordinate, for all four sides and all
+    # widths, and the overlap chains at 8, 16, 32 and 64 points
     assert counts[0] == {"loop_phase_interior": 2, "loop_phase_mollified_sweep": 1,
-                         "connection_mollified": 4, "_chain_phase": 4}
+                         "connection_mollified": 1, "_chain_phase": 4}
 
 
 def test_berry_builds_each_gauss_rule_once(tmp_path, monkeypatch):

@@ -95,6 +95,18 @@ def test_command_loads_no_scipy(tmp_path, argv, own):
     assert _modules_after(*argv, "--out", str(tmp_path / "out"))[:2] == ([], own)
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param(["--method", "overlap,fourier"], id="method"),
+    pytest.param(["--mesh", "0"], id="mesh"),
+])
+def test_berry_checks_its_options_before_any_work(tmp_path, argv):
+    # an unknown method or a mesh below 1 exits 2 before the level or the
+    # loop is built: only the modules that parse the options are loaded
+    code, scipy, own, _ = _run_probe(_PROBE, "berry", "--eta", "0+1i", *argv, "--out", str(tmp_path / "out"))
+    assert (code, scipy, own) == (2, [], _own())
+    assert not (tmp_path / "out").exists()
+
+
 def test_generic_check_runs_without_scipy(tmp_path):
     # a None entry in sys.modules makes every scipy import raise ImportError
     scipy, _, _ = _modules_after("spectrum", "--eta", "0+1i", "--n-max", "3", "--check", "generic",
