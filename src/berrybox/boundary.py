@@ -14,15 +14,15 @@ one-complex-parameter subfamily
 
 and the boundary-form bookkeeping (endpoint traces, sesquilinear defect of
 self-adjointness) used throughout the rest of the package to verify it.
-All operations are pure functions on small immutable values.
+All operations are pure functions on small immutable values: complex numbers
+and 2x2 matrices as tuples of two rows, so the module needs no numpy.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 __all__ = [
     "Eta",
@@ -42,9 +42,6 @@ __all__ = [
     "require_mass",
 ]
 
-SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-
-
 @dataclass(frozen=True)
 class Eta:
     """Extended complex parameter of the dilation-invariant family.
@@ -61,7 +58,7 @@ class Eta:
             object.__setattr__(self, "value", 0j)
         else:
             v = complex(self.value)
-            if not (np.isfinite(v.real) and np.isfinite(v.imag)):
+            if not cmath.isfinite(v):
                 raise ValueError("finite eta must have finite real and imaginary parts")
             object.__setattr__(self, "value", v)
 
@@ -124,36 +121,35 @@ class BoundaryData:
     def __post_init__(self):
         for name in ("va", "vb", "da", "db"):
             z = complex(getattr(self, name))
-            if not (np.isfinite(z.real) and np.isfinite(z.imag)):
+            if not cmath.isfinite(z):
                 raise ValueError(f"boundary datum {name} is not finite")
             object.__setattr__(self, name, z)
 
-    def values(self) -> np.ndarray:
-        return np.array([self.va, self.vb])
-
-    def outward_derivatives(self) -> np.ndarray:
-        """(-psi'(a), psi'(b)): derivatives along the outward normals."""
-        return np.array([-self.da, self.db])
-
 
 def boundary_traces(d: BoundaryData):
-    """Endpoint combinations value -/+ i * outward derivative.
+    """Endpoint combinations value +/- i * outward derivative (-psi'(a), psi'(b)).
 
-    Returns the pair (incoming, outgoing); a data set belongs to the
-    extension labelled by U exactly when outgoing = U @ incoming.
+    Returns the pair (incoming, outgoing) of (at a, at b) tuples; a data set
+    belongs to the extension labelled by U exactly when outgoing = U @ incoming.
     """
-    vals = d.values()
-    outs = d.outward_derivatives()
-    return vals + 1j * outs, vals - 1j * outs
+    return (d.va - 1j * d.da, d.vb + 1j * d.db), (d.va + 1j * d.da, d.vb - 1j * d.db)
 
 
-def require_unitary(u, tol: float = 1e-9) -> np.ndarray:
-    """Validate and return a 2x2 unitary as a complex ndarray."""
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (2, 2):
-        raise ValueError(f"boundary unitary must be 2x2, got shape {u.shape}")
-    defect = np.max(np.abs(u.conj().T @ u - np.eye(2)))
-    if defect > tol:
+def require_unitary(u, tol: float = 1e-9) -> tuple:
+    """Validate a 2x2 unitary (nested sequences or an array) with finite
+    entries; return it as a tuple of two rows of complex numbers."""
+    try:
+        u = tuple(tuple(complex(v) for v in row) for row in u)
+    except TypeError:
+        u = None
+    if u is None or len(u) != 2 or any(len(row) != 2 for row in u):
+        raise ValueError("boundary unitary must be 2x2")
+    if not all(cmath.isfinite(v) for row in u for v in row):
+        raise ValueError("boundary unitary entries must be finite")
+    # max |(U^H U - I)_ij|; written `not <=` so that a NaN defect fails too
+    defect = max(abs(u[0][i].conjugate() * u[0][j] + u[1][i].conjugate() * u[1][j] - (i == j))
+                 for i in (0, 1) for j in (0, 1))
+    if not defect <= tol:
         raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
     return u
 
@@ -166,22 +162,20 @@ def require_mass(mass) -> float:
     return mass
 
 
-def eta_to_unitary(eta) -> np.ndarray:
-    """Boundary unitary of the dilation-invariant family member eta.
+def eta_to_unitary(eta) -> tuple:
+    """Boundary unitary (two rows of complex) of the dilation-invariant family member eta.
 
     The matrix is Hermitian as well as unitary (the family is involutive).
     eta = inf is the limit diag(1, -1), i.e. psi(b) = 0 and psi'(a) = 0.
     """
     eta = as_eta(eta)
     if eta.infinite:
-        return np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+        return ((1 + 0j, 0j), (0j, -1 + 0j))
     e = eta.value
     den = 1.0 + abs(e) ** 2
-    return np.array(
-        [
-            [(abs(e) ** 2 - 1.0) / den, 2.0 * e / den],
-            [2.0 * np.conj(e) / den, (1.0 - abs(e) ** 2) / den],
-        ]
+    return (
+        (complex((abs(e) ** 2 - 1.0) / den), 2.0 * e / den),
+        (2.0 * e.conjugate() / den, complex((1.0 - abs(e) ** 2) / den)),
     )
 
 
@@ -203,29 +197,32 @@ class BCClass:
         return self.eta is not None or self.kind in ("dirichlet", "neumann")
 
 
+_NAMED = (  # matched in this order
+    ("dirichlet", ((-1, 0), (0, -1)), None),
+    ("neumann", ((1, 0), (0, 1)), None),
+    ("periodic", ((0, 1), (1, 0)), Eta(1.0)),
+    ("antiperiodic", ((0, -1), (-1, 0)), Eta(-1.0)),
+)
+
+
+def _matches(u, v, tol: float) -> bool:
+    return all(abs(a - b) <= tol for ru, rv in zip(u, v) for a, b in zip(ru, rv))
+
+
 def classify_unitary(u, tol: float = 1e-9) -> BCClass:
     """Match a boundary unitary against the named conditions and the eta family.
 
-    Matching is entrywise within `tol`; anything else is labelled 'other'
-    (still a valid self-adjoint extension, e.g. Robin-type mixing).
+    U matches a matrix V when |U_ij - V_ij| <= tol for every entry: an
+    absolute tolerance, with no relative part.  Anything else is labelled
+    'other' (still a valid self-adjoint extension, e.g. Robin-type mixing).
     """
     u = require_unitary(u, tol=tol)
-    eye = np.eye(2)
-    if np.allclose(u, -eye, atol=tol):
-        return BCClass("dirichlet")
-    if np.allclose(u, eye, atol=tol):
-        return BCClass("neumann")
-    if np.allclose(u, SIGMA1, atol=tol):
-        return BCClass("periodic", Eta(1.0))
-    if np.allclose(u, -SIGMA1, atol=tol):
-        return BCClass("antiperiodic", Eta(-1.0))
+    for kind, named, eta in _NAMED:
+        if _matches(u, named, tol):
+            return BCClass(kind, eta)
     # family inversion: u01 / (1 - u00) recovers eta; u00 -> 1 is the infinite limit
-    if abs(1.0 - u[0, 0]) < tol:
-        if np.allclose(u, eta_to_unitary(ETA_INF), atol=tol):
-            return BCClass("eta", ETA_INF)
-        return BCClass("other")
-    cand = Eta(u[0, 1] / (1.0 - u[0, 0]))
-    if np.allclose(u, eta_to_unitary(cand), atol=tol):
+    cand = ETA_INF if abs(1.0 - u[0][0]) < tol else Eta(u[0][1] / (1.0 - u[0][0]))
+    if _matches(u, eta_to_unitary(cand), tol):
         return BCClass("eta", cand)
     return BCClass("other")
 
@@ -237,9 +234,8 @@ def bc_residual(u, d: BoundaryData) -> float:
     equal to |outgoing - U incoming| in terms of the endpoint traces.
     """
     u = require_unitary(u)
-    eye = np.eye(2)
-    r = (eye - u) @ d.values() - 1j * (eye + u) @ d.outward_derivatives()
-    return float(np.linalg.norm(r))
+    incoming, outgoing = boundary_traces(d)
+    return math.hypot(*(abs(outgoing[i] - u[i][0] * incoming[0] - u[i][1] * incoming[1]) for i in (0, 1)))
 
 
 def boundary_form(psi: BoundaryData, phi: BoundaryData, mass: float = 1.0) -> complex:
@@ -250,8 +246,8 @@ def boundary_form(psi: BoundaryData, phi: BoundaryData, mass: float = 1.0) -> co
     common self-adjoint boundary condition.
     """
     mass = require_mass(mass)
-    at_b = np.conj(psi.vb) * phi.db - np.conj(psi.db) * phi.vb
-    at_a = np.conj(psi.va) * phi.da - np.conj(psi.da) * phi.va
+    at_b = psi.vb.conjugate() * phi.db - psi.db.conjugate() * phi.vb
+    at_a = psi.va.conjugate() * phi.da - psi.da.conjugate() * phi.va
     return (at_b - at_a) / (2.0 * mass)
 
 
@@ -264,8 +260,8 @@ def triple_identity_defect(psi: BoundaryData, phi: BoundaryData) -> float:
     """
     in_psi, out_psi = boundary_traces(psi)
     in_phi, out_phi = boundary_traces(phi)
-    lhs = np.vdot(in_psi, in_phi) - np.vdot(out_psi, out_phi)
-    return float(abs(lhs - 2j * boundary_form(psi, phi, mass=0.5)))
+    lhs = sum(a.conjugate() * b - c.conjugate() * d for a, b, c, d in zip(in_psi, in_phi, out_psi, out_phi))
+    return abs(lhs - 2j * boundary_form(psi, phi, mass=0.5))
 
 
 def dilation_transport(d: BoundaryData, scale: float, shift: float = 0.0) -> BoundaryData:
@@ -297,5 +293,5 @@ def compliant_data(eta, free_value: complex, free_derivative: complex) -> Bounda
         va=e * free_value,
         vb=free_value,
         da=free_derivative,
-        db=np.conj(e) * free_derivative,
+        db=e.conjugate() * free_derivative,
     )

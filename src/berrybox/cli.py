@@ -22,12 +22,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import re
 import sys
 
-import numpy as np
-
 # every command parses eta or a unitary; each imports the rest of the package
-# where it uses it, so that a process loads only the modules its command runs
+# (and numpy) where it uses it: `bc` and every usage error load no numpy
 from .boundary import Eta, as_eta, classify_unitary, eta_to_unitary, require_mass, require_unitary
 
 EXIT_OK = 0
@@ -75,7 +75,7 @@ def _fmt_complex(z: complex) -> str:
 
 
 def _fmt_matrix(m) -> list:
-    return [[_fmt_complex(v) for v in row] for row in np.asarray(m, dtype=complex)]
+    return [[_fmt_complex(v) for v in row] for row in m]
 
 
 def _eta_text(eta: Eta) -> str:
@@ -94,7 +94,7 @@ def _parse_complex_entry(v) -> complex:
     raise UsageError(f"cannot parse matrix entry {v!r}")
 
 
-def parse_unitary(matrix) -> np.ndarray:
+def parse_unitary(matrix) -> tuple:
     """Parse a 2x2 matrix given as JSON text or nested lists; entries may be
     numbers, 'a+bi' strings, or [re, im] pairs."""
     if isinstance(matrix, str):
@@ -104,7 +104,7 @@ def parse_unitary(matrix) -> np.ndarray:
             raise UsageError(f"unitary is not valid JSON: {exc}") from exc
     try:
         rows = [[_parse_complex_entry(v) for v in row] for row in matrix]
-        return require_unitary(np.array(rows, dtype=complex))
+        return require_unitary(rows)
     except (TypeError, ValueError) as exc:
         raise UsageError(str(exc)) from exc
 
@@ -230,7 +230,8 @@ def _csv(header: str, rows) -> str:
 
 def cmd_bc(args) -> int:
     cfg = _resolve(args)
-    # the config keeps the matrix as given: a 9-digit copy reruns to another eta
+    # the config keeps the matrix as given: a 9-digit copy is off by up to 5e-9,
+    # beyond the 1e-9 match, and may rerun to another eta, to 'other' or to exit 2
     if cfg["unitary"] is not None:
         u = parse_unitary(cfg["unitary"])
     else:
@@ -301,10 +302,9 @@ def cmd_spectrum(args) -> int:
         # the requested n-range need not be the lowest levels; solve deep
         # enough to cover it, then pair each row with the nearest root
         kmax = max(abs(m.k) for m in modes)
-        count = int(np.ceil(kmax / np.pi)) + 3
+        count = math.ceil(kmax / math.pi) + 3
         levels = generic_spectrum(eta_to_unitary(eta), count=count, mass=mass, geometry=geom)
-        numeric_all = np.array([lv.lam for lv in levels])
-        numeric = [numeric_all[np.argmin(np.abs(numeric_all - lam))] for lam in lams]
+        numeric = [min((lv.lam for lv in levels), key=lambda v: abs(v - lam)) for lam in lams]
         rows = [r + (_fmt(v),) for r, v in zip(rows, numeric)]
     _write_output(args.out, _csv(header, rows))
     _write_resolved_config(args.out, cfg)
@@ -358,7 +358,7 @@ def _berry_phase_rows(m, path, methods, cfg):
 
 def cmd_berry(args) -> int:
     cfg = _resolve(args)
-    if args.tol is not None and not 0 <= args.tol < np.inf:
+    if args.tol is not None and not 0 <= args.tol < math.inf:
         raise UsageError(f"--tol must be a finite number >= 0, not {args.tol}")
     eta = as_eta(cfg["eta"])
     if eta.degenerate:
@@ -381,6 +381,8 @@ def cmd_berry(args) -> int:
             raise UsageError("the curvature map samples a rectangle loop's bounding box")
         if args.plot or args.tol is not None:
             raise UsageError("--plot and --tol apply to loop phases, not to the curvature map")
+        import numpy as np
+
         from .berry import curvature
 
         lo_l, hi_l = sorted((cfg["loop"]["l1"], cfg["loop"]["l2"]))
@@ -429,8 +431,7 @@ def cmd_berry(args) -> int:
     if args.tol is not None:
         # phases are defined mod 2 pi: compare each method with the analytic
         # phase on the circle
-        devs = {k: abs(float(np.angle(np.exp(1j * (v - analytic)))))
-                for k, v in finals.items() if k != "analytic"}
+        devs = {k: abs(math.remainder(v - analytic, 2.0 * math.pi)) for k, v in finals.items() if k != "analytic"}
         worst = max(devs.values(), default=0.0)
         if worst > args.tol:
             print(
@@ -512,13 +513,10 @@ def cmd_adiabatic(args) -> int:
 
         reference = loop_phase_analytic(mode(n, eta), path)
         errs = [max(abs(r.geometric_phase - reference), 1e-16) for r in reports]
-        inv_t = [1.0 / T for T in t_list]
-        order = np.argsort(inv_t)
+        inv_t, errs = zip(*sorted(zip((1.0 / T for T in t_list), errs), key=lambda p: p[0]))
         series = [
-            {"x": list(np.array(inv_t)[order]), "y": list(np.array(errs)[order]), "label": "|geometric - analytic|"},
-            {"x": list(np.array(inv_t)[order]),
-             "y": list(errs[int(order[0])] * np.array(inv_t)[order] / inv_t[int(order[0])]),
-             "label": "O(1/T) reference", "dashed": True},
+            {"x": inv_t, "y": errs, "label": "|geometric - analytic|"},
+            {"x": inv_t, "y": [errs[0] * x / inv_t[0] for x in inv_t], "label": "O(1/T) reference", "dashed": True},
         ]
         svgplot.line_plot(series, title="adiabatic convergence", xlabel="1/T",
                           ylabel="phase error", path=args.plot, logx=True, logy=True)
@@ -533,6 +531,9 @@ def _subcommand(sub, name: str, fn, summary: str):
     """Subparser with --config and --out; a flag added without an explicit
     default is absent from the parsed namespace unless given."""
     sp = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
+    # a token that starts like a negative number ('-0.5+0.2i', '-1e-3') is a
+    # value, not an option: `--eta -0.5+0.2i` parses as `--eta=-0.5+0.2i` does
+    sp._negative_number_matcher = re.compile(r"-\.?\d")
     sp.add_argument("--config", default=None, help="JSON config file holding only this subcommand's keys")
     sp.add_argument("--out", default=None, help="output path (stdout when omitted)")
     sp.set_defaults(fn=fn)

@@ -362,7 +362,7 @@ def generic_spectrum(u, count: int, mass: float = 1.0, geometry: Geometry | None
     [-1/2, 1/2].  Raises RootSearchError if the scan cannot bracket `count`
     eigenvalues.
     """
-    u = require_unitary(u)
+    u = np.asarray(require_unitary(u))
     if count < 1:
         raise ValueError("count must be >= 1")
     if geometry is None:

@@ -16,6 +16,7 @@ from berrybox import (
     compliant_data,
     dilation_transport,
     eta_to_unitary,
+    require_unitary,
     triple_identity_defect,
 )
 
@@ -73,6 +74,8 @@ def test_unitary_at_i_by_hand():
 @pytest.mark.parametrize("eta", eta_grid() + [ETA_INF])
 def test_family_is_unitary_and_hermitian(eta):
     u = eta_to_unitary(eta)
+    assert all(type(v) is complex for row in u for v in row) and len(u) == 2 == len(u[0]) == len(u[1])
+    u = np.array(u)
     assert np.max(np.abs(u.conj().T @ u - np.eye(2))) < 1e-12
     assert np.max(np.abs(u - u.conj().T)) < 1e-12
 
@@ -108,6 +111,41 @@ def test_classification_other():
 def test_classify_rejects_nonunitary():
     with pytest.raises(ValueError):
         classify_unitary(np.array([[1.0, 0.1], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("u, message", [
+    # a NaN defect used to compare false against tol and pass the check
+    pytest.param([[complex("nan"), 0], [0, 1]], "must be finite", id="nan"),
+    pytest.param([[float("inf"), 0], [0, 1]], "must be finite", id="infinity"),
+    pytest.param([[1, 0], [0, complex(0, float("nan"))]], "must be finite", id="imaginary-nan"),
+    pytest.param([[1, 0], [0]], "must be 2x2", id="ragged"),
+    pytest.param(np.eye(3), "must be 2x2", id="3x3"),
+    pytest.param([1, 0], "must be 2x2", id="vector"),
+    pytest.param(np.eye(2)[0], "must be 2x2", id="array-vector"),
+])
+def test_require_unitary_rejects_nonfinite_or_non_2x2(u, message):
+    with pytest.raises(ValueError, match=message):
+        require_unitary(u)
+
+
+def test_require_unitary_returns_rows_of_complex():
+    assert require_unitary(np.eye(2)) == ((1, 0), (0, 1))
+    assert require_unitary([[0, 1j], [-1j, 0]]) == ((0, 1j), (-1j, 0))
+    assert all(type(v) is complex for row in require_unitary(np.eye(2)) for v in row)
+
+
+def test_classification_matches_entrywise_within_tol():
+    # np.allclose added a relative tolerance of 1e-5, so both of these used to
+    # match a named condition although they differ from it by 1e-6
+    near_dirichlet = [[-1, 0], [0, -cmath.exp(1e-6j)]]
+    assert classify_unitary(near_dirichlet).kind == "other"
+    near_periodic = eta_to_unitary(1 + 1e-6j)
+    info = classify_unitary(near_periodic)
+    assert info.kind == "eta" and not info.eta.degenerate
+    assert abs(info.eta.value - (1 + 1e-6j)) < 1e-15
+    # within the absolute tolerance a named condition still matches
+    assert classify_unitary([[-1, 0], [0, -cmath.exp(1e-10j)]]).kind == "dirichlet"
+    assert classify_unitary([[-1, 0], [0, -cmath.exp(1e-6j)]], tol=2e-6).kind == "dirichlet"
 
 
 def eta_i_mode_data(k):

@@ -538,6 +538,8 @@ _NONFINITE_LOOPS = [
     pytest.param(["berry", "--method", "interior", "--h", "nan"], None, id="berry-h-nan"),
     # a 401-digit eta raised OverflowError in the library's parser
     pytest.param(["bc"], {"eta": 10 ** 400}, id="bc-config-eta-401-digits"),
+    # a NaN entry used to pass the unitarity check with a RuntimeWarning
+    pytest.param(["bc"], {"unitary": [[1, 0], [0, float("nan")]]}, id="bc-config-unitary-nan"),
 ])
 def test_unread_or_invalid_option_exits_2_before_output(tmp_path, monkeypatch, argv, config):
     monkeypatch.chdir(tmp_path)
@@ -548,6 +550,43 @@ def test_unread_or_invalid_option_exits_2_before_output(tmp_path, monkeypatch, a
         warnings.simplefilter("error")
         assert exit_code(*argv, "--out", "o.out") == 2
     assert sorted(p.name for p in tmp_path.iterdir()) == (["cfg.json"] if config is not None else [])
+
+
+@pytest.mark.parametrize("unitary, message", [
+    pytest.param('[["nan", 0], [0, 1]]', "boundary unitary entries must be finite", id="nan"),
+    pytest.param("[[Infinity, 0], [0, 1]]", "boundary unitary entries must be finite", id="infinity"),
+    pytest.param("[[1, 0], [0]]", "boundary unitary must be 2x2", id="ragged"),
+    pytest.param("[[1, 0], [0, 1], [0, 0]]", "boundary unitary must be 2x2", id="3x2"),
+])
+def test_bc_unitary_messages_name_the_fault(tmp_path, capsys, unitary, message):
+    # the NaN matrix used to warn "invalid value encountered in scalar divide"
+    # and fail later with an unrelated message; the ragged one got numpy's
+    # "inhomogeneous shape" text
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("bc", "--unitary", unitary, "--out", str(tmp_path / "o.json")) == 2
+    assert capsys.readouterr() == ("", f"berrybox: {message}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["bc", "--eta", "-0.5+0.2i"], id="bc"),
+    pytest.param(["spectrum", "--eta", "-0.5+0.2i", "--c", "-1e-3", "--n-max", "2"], id="spectrum"),
+    # the domain scan's case, which argparse used to read as an option
+    pytest.param(["berry", "--eta", "-0.999+0.0447i", "--method", "analytic,interior"], id="berry-domain-scan"),
+    pytest.param(["wz", "--eta", "-1", "--n", "0", "--mesh", "16"], id="wz"),
+    pytest.param(["adiabatic", "--eta", "-.5-2i", "--T-list", "2", "--window", "1", "--resolution", "100"],
+                 id="adiabatic"),
+])
+def test_negative_eta_parses_with_a_space(tmp_path, argv):
+    # `--eta -0.5+0.2i` used to exit 2 with "expected one argument"
+    i = argv.index("--eta")
+    glued = argv[:i] + [f"--eta={argv[i + 1]}"] + argv[i + 2:]
+    assert run(*argv, "--out", str(tmp_path / "space")) == 0
+    assert run(*glued, "--out", str(tmp_path / "equals")) == 0
+    for suffix in ("", ".config.json"):
+        assert (tmp_path / f"space{suffix}").read_bytes() == (tmp_path / f"equals{suffix}").read_bytes()
+    assert json.loads((tmp_path / "space.config.json").read_text())["eta"] == argv[i + 1]
 
 
 def test_berry_h_bound_is_relative_and_checked_first(tmp_path, monkeypatch, capsys):

@@ -1,7 +1,8 @@
 """Importing the package, and every command, loads no scipy; none needs it.
 `import berrybox` loads no submodule and no numpy, and each command loads
-only the package modules it runs.  Importing the package first sets one
-BLAS thread unless the caller chose a count."""
+only the package modules it runs: `bc` and every usage error run on the
+standard library alone, without numpy.  Importing the package first sets
+one BLAS thread unless the caller chose a count."""
 
 import importlib
 import json
@@ -16,10 +17,11 @@ import berrybox
 
 SRC = str(Path(berrybox.__file__).resolve().parent.parent)
 
-# imports berrybox, then runs `main(argv)` with argv from the command line,
-# or imports every submodule when that argv is --every-module, or does no
-# more when it is empty; then prints the exit code, the loaded scipy and
-# berrybox modules and whether numpy is loaded, as JSON
+# imports berrybox, then runs `main(argv)` with argv from the command line
+# (an argparse error's SystemExit gives the exit code), or imports every
+# submodule when that argv is --every-module, or does no more when it is
+# empty; then prints the exit code, the loaded scipy and berrybox modules and
+# whether numpy is loaded, as JSON
 _PROBE = """
 import importlib, json, pkgutil, sys
 import berrybox
@@ -30,7 +32,10 @@ if sys.argv[1:] == ["--every-module"]:
             importlib.import_module("berrybox." + info.name)
 elif sys.argv[1:]:
     from berrybox.cli import main
-    code = main(sys.argv[1:])
+    try:
+        code = main(sys.argv[1:])
+    except SystemExit as exc:
+        code = exc.code
 loaded = lambda top: sorted(m for m in sys.modules if m == top or m.startswith(top + "."))
 print(json.dumps([code, loaded("scipy"), loaded("berrybox"), "numpy" in sys.modules]))
 """
@@ -77,8 +82,15 @@ for name in ("cli", "spectrum", "no_such_name"):
     assert _modules_after(prelude=prelude) == ([], ["berrybox"], False)
 
 
+# the 2x2 matrices of the benchmark's bc commands: a named one, and a family
+# member's entries as [re, im] pairs at full precision
+_BC_FAMILY = "[[[-0.6, 0], [0.48, 0.64]], [[0.48, -0.64], [0.6, 0]]]"
+
+
 @pytest.mark.parametrize("argv, own", [
     pytest.param(["bc", "--eta", "0+1i"], _own(), id="bc"),
+    pytest.param(["bc", "--unitary", "[[-1,0],[0,-1]]"], _own(), id="bc-unitary-named"),
+    pytest.param(["bc", "--unitary", _BC_FAMILY], _own(), id="bc-unitary-family"),
     pytest.param(["spectrum", "--eta", "0.5+0.5i", "--n-min", "-1", "--n-max", "2"],
                  _own("quadrature", "spectrum"), id="spectrum"),
     pytest.param(["berry", "--eta", "0+1i", "--method", "analytic"],
@@ -91,8 +103,27 @@ for name in ("cli", "spectrum", "no_such_name"):
                  _own("quadrature", "spectrum", "paths", "adiabatic"), id="adiabatic"),
 ])
 def test_command_loads_no_scipy(tmp_path, argv, own):
-    # each command also loads only the berrybox modules it runs
-    assert _modules_after(*argv, "--out", str(tmp_path / "out"))[:2] == ([], own)
+    # each command also loads only the berrybox modules it runs, and numpy
+    # exactly when it runs a module beyond `boundary` and `cli`
+    assert _modules_after(*argv, "--out", str(tmp_path / "out")) == ([], own, own != _own())
+
+
+# the usage errors of the benchmark's quick workload, and an option argparse
+# rejects: each exits 2 having loaded only `boundary` and `cli`, and no numpy
+@pytest.mark.parametrize("argv", [
+    ["berry", "--eta", "1", "--n", "0"],
+    ["wz", "--eta=0.3000+0.5000i", "--n", "1"],
+    ["spectrum", "--eta=0.2000+0.9000i", "--n-min", "3", "--n-max", "1"],
+    ["berry", "--eta=0.0000+1.0000i", "--method", "overlap,fourier"],
+    ["adiabatic", "--eta=-1", "--T-list", "25,50"],
+    ["bc", "--unitary", "[[1,2],[3,4]]"],
+    ["spectrum", "--no-such-option"],
+], ids=["berry-degenerate", "wz-nondegenerate", "spectrum-empty-range", "berry-method", "adiabatic-degenerate",
+        "bc-nonunitary", "argparse"])
+def test_usage_error_loads_no_numpy(tmp_path, argv):
+    code, scipy, own, numpy = _run_probe(_PROBE, *argv, "--out", str(tmp_path / "out"))
+    assert (code, scipy, own, numpy) == (2, [], _own(), False)
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -102,8 +133,8 @@ def test_command_loads_no_scipy(tmp_path, argv, own):
 def test_berry_checks_its_options_before_any_work(tmp_path, argv):
     # an unknown method or a mesh below 1 exits 2 before the level or the
     # loop is built: only the modules that parse the options are loaded
-    code, scipy, own, _ = _run_probe(_PROBE, "berry", "--eta", "0+1i", *argv, "--out", str(tmp_path / "out"))
-    assert (code, scipy, own) == (2, [], _own())
+    code, scipy, own, numpy = _run_probe(_PROBE, "berry", "--eta", "0+1i", *argv, "--out", str(tmp_path / "out"))
+    assert (code, scipy, own, numpy) == (2, [], _own(), False)
     assert not (tmp_path / "out").exists()
 
 
