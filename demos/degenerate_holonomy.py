@@ -44,15 +44,15 @@ def main():
 
     rect = rectangle_loop(1.0, 2.0, 0.0, 1.0)
     print("holonomy around l: 1 -> 2, c: 0 -> 1 (theta = 2pi * 1/2 = pi)")
-    hol = wz_holonomy(1, 1, rect, mesh=256)
+    hol = wz_holonomy(1, 1, rect)
     print(fmt_matrix(hol.matrix))
     print(f"eigenphases: {hol.eigenphases[0]:+.6f}, {hol.eigenphases[1]:+.6f}"
-          f"   (mesh {hol.mesh}, halving estimate {hol.err_estimate:.1e})")
+          f"   (theta = k times the loop integral of dc/l = {2.0 * np.pi * rect.dc_over_l():+.6f})")
     print(f"largest imaginary part in the cos/sin basis: {np.max(np.abs(hol.matrix.imag)):.1e}")
     print()
 
     quarter = rectangle_loop(1.0, 2.0, 0.0, 0.25)
-    hol = wz_holonomy(1, 1, quarter, mesh=256)
+    hol = wz_holonomy(1, 1, quarter)
     print("same loop with c: 0 -> 1/4 (theta = pi/4): a genuine rotation")
     print(fmt_matrix(hol.matrix))
     print()

@@ -302,17 +302,13 @@ def loop_phase_mollified_sweep(m: Mode, path: ParameterPath, eps_list, order: in
 def loop_phase_analytic(m: Mode, path: ParameterPath) -> float:
     """Loop phase of the closed-form connection, integrated in closed form.
 
-    Only a_c = (k/l) sin(alpha) contributes; along a straight side the
-    integral of dc/l is dc log1p(dl/l0)/dl (dc/l0 when dl = 0).  For the
+    Only a_c = (k/l) sin(alpha) contributes, so Phi = -k sin(alpha) times
+    the loop integral of dc/l (`ParameterPath.dc_over_l`).  For the
     counterclockwise rectangle [l1, l2] x [c1, c2],
     Phi = k (1/l1 - 1/l2)(c2 - c1) sin(alpha).
     """
     _require_closed(path)
-    total = 0.0
-    for (l0, c0), (l1, c1) in path.segments:
-        dl, dc = l1 - l0, c1 - c0
-        total += dc / l0 if dl == 0 else dc * np.log1p(dl / l0) / dl
-    return float(-path.orientation * m.k * np.sin(m.alpha) * total)
+    return float(-m.k * np.sin(m.alpha) * path.dc_over_l())
 
 
 def state_overlaps(m: Mode, la, ca, lb, cb):
@@ -476,19 +472,23 @@ def require_geometric(params) -> np.ndarray:
 
 
 def power_law_extrapolate(params, values):
-    """Extrapolate samples a(eps) = a* + C eps^q to eps -> 0.
+    """Extrapolate phases a(eps) = a* + C eps^q to eps -> 0.
 
-    `params` must decrease geometrically (constant ratio).  Returns
-    (limit, order); when successive differences sit at the noise floor the
-    last sample is returned with the order capped at 8.  Differences that
-    alternate in sign have no power-law limit, and a fitted order q <= 0
-    means that they do not shrink: the last sample is returned with order 0,
-    or with that q.
+    `params` must decrease geometrically (constant ratio).  The phases are
+    first unwrapped about the last sample (shifted by multiples of 2 pi to
+    within pi of it), so samples that straddle +-pi fit as one branch and
+    the limit is returned on the last sample's branch; samples already
+    within pi of the last are used unchanged.  Returns (limit, order); when
+    successive differences sit at the noise floor the last sample is
+    returned with the order capped at 8.  Differences that alternate in sign
+    have no power-law limit, and a fitted order q <= 0 means that they do
+    not shrink: the last sample is returned with order 0, or with that q.
     """
     eps = require_geometric(params)
     a = np.asarray(values, dtype=float)
     if eps.size != a.size:
         raise ValueError("need at least three matching samples")
+    a = a - 2.0 * np.pi * np.round((a - a[-1]) / (2.0 * np.pi))
     r = eps[1] / eps[0]
     d = np.diff(a)
     floor = 1e-12 * max(np.max(np.abs(a)), 1.0)

@@ -451,6 +451,10 @@ def cmd_wz(args) -> int:
         raise UsageError("wz requires eta = 1 or eta = -1")
     n = int(cfg["n"])
     path = _loop(cfg, args)
+    # the holonomy is in closed form; mesh is checked and echoed, and sets no number
+    mesh = int(cfg["mesh"])
+    if mesh < 8:
+        raise UsageError("mesh must be at least 8")
     from .wilczek_zee import diagonalize_in_plane_waves, wz_connection, wz_curvature, wz_holonomy
 
     g0 = path.point(0.0)
@@ -459,7 +463,7 @@ def cmd_wz(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     curv = wz_curvature(pm, n, g0)
-    hol = wz_holonomy(pm, n, path, int(cfg["mesh"]))
+    hol = wz_holonomy(pm, n, path)
     diag, q = diagonalize_in_plane_waves(conn)
     doc = {
         "eta": pm,
@@ -469,8 +473,8 @@ def cmd_wz(args) -> int:
         "curvature": _fmt_matrix(curv),
         "holonomy": _fmt_matrix(hol.matrix),
         "eigenphases": [_round9(p) for p in hol.eigenphases],
-        "mesh": hol.mesh,
-        "err_estimate": _round9(hol.err_estimate),
+        "mesh": mesh,
+        "err_estimate": 0.0,
         "diagonal_connection": _fmt_matrix(diag),
         "basis_change": _fmt_matrix(q),
         "offdiag_residue": _round9(float(abs(diag[0, 1]) + abs(diag[1, 0]))),

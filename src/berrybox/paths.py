@@ -75,6 +75,20 @@ class ParameterPath:
         factor = len(self.segments) * self.orientation
         return factor * dl, factor * dc
 
+    def dc_over_l(self) -> float:
+        """Line integral of dc/l along the path, in closed form.
+
+        Along a straight side it is dc log1p(dl/l0)/dl (dc/l0 when dl = 0).
+        The sides are summed in vertex order and the orientation is applied
+        to the sum.  Around a loop this one integral sets both the scalar
+        Berry phase and the degenerate holonomy angle.
+        """
+        total = 0.0
+        for (l0, c0), (l1, c1) in self.segments:
+            dl, dc = l1 - l0, c1 - c0
+            total += dc / l0 if dl == 0 else dc * np.log1p(dl / l0) / dl
+        return float(self.orientation * total)
+
     def point(self, s: float) -> Geometry:
         l, c = self.points([s])
         return Geometry(l[0], c[0])

@@ -13,14 +13,17 @@ the time-reversal invariance of these two boundary conditions.  The plane
 waves phi_I +/- i phi_II diagonalize the connection globally with one
 parameter-independent change of basis.
 
-Each step of the path-ordered holonomy is exp(i theta sigma_2) with theta
-real, which is the plane rotation [[cos theta, sin theta], [-sin theta,
-cos theta]]; it is evaluated in that closed form, with no matrix
-exponential routine.
+Because the connection commutes with itself along any loop, the holonomy is
+exp(i theta sigma_2) with theta = k_n times the loop integral of dc/l, the
+same closed-form integral that gives the scalar Berry phase (Wilczek and
+Zee, PRL 52, 2111 (1984)).  That is the plane rotation [[cos theta,
+sin theta], [-sin theta, cos theta]], evaluated once, in that closed form,
+with no matrix exponential routine and no mesh.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,19 +57,15 @@ class MatrixConnection:
 
     coeff_l: np.ndarray
     coeff_c: np.ndarray
-    geometry: Geometry
-    eta: int
-    n: int
 
 
 @dataclass(frozen=True)
 class Holonomy:
-    """Path-ordered loop transport: 2x2 unitary plus diagnostics."""
+    """Loop transport exp(i theta sigma_2) and its eigenphases (-|w|, |w|),
+    w = theta reduced to [-pi, pi]."""
 
     matrix: np.ndarray
     eigenphases: tuple[float, float]
-    mesh: int
-    err_estimate: float
 
 
 def _require_degenerate(eta: int) -> int:
@@ -75,74 +74,54 @@ def _require_degenerate(eta: int) -> int:
     return eta
 
 
-def _basis_physical_and_grad(eta: int, n: int, g: Geometry, x):
-    """Degenerate basis on the box plus its analytic (l, c) gradients.
-
-    phi_I = sqrt(2/l) cos(k u), phi_II = sqrt(2/l) sin(k u) with
-    u = (x - c)/l; the gradients follow from the chain rule.
-    """
-    k = degenerate_wavenumber(eta, n)
-    u = (x - g.c) / g.l
-    amp = np.sqrt(2.0 / g.l)
-    cos, sin = np.cos(k * u), np.sin(k * u)
-    phi = (amp * cos, amp * sin)
-    d_dc = (amp * (k / g.l) * sin, -amp * (k / g.l) * cos)
-    d_dl = (
-        amp * (-cos / (2.0 * g.l) + (k * u / g.l) * sin),
-        amp * (-sin / (2.0 * g.l) - (k * u / g.l) * cos),
-    )
-    return phi, d_dl, d_dc
-
-
 def connection_from_basis(eta: int, n: int, g: Geometry) -> MatrixConnection:
     """Matrix connection recomputed by quadrature from the explicit basis.
 
-    The raw matrices <phi_a | d phi_b> pick up a real diagonal from the norm
+    phi_I = sqrt(2/l) cos(k u), phi_II = sqrt(2/l) sin(k u) with
+    u = (x - c)/l.  Every integrand <phi_a | d phi_b> dx scales as 1/l at
+    fixed u, so the integrals run once over the unit box in u and are
+    divided by l; integrating in x would cancel digits in x - c once |c|/l
+    is large.  The raw matrices pick up a real diagonal from the norm
     flowing through the moving walls; only their anti-Hermitian part is the
     connection (times i), which is what the interior-derivative prescription
     keeps.
     """
     _require_degenerate(eta)
     k = degenerate_wavenumber(eta, n)
-    x, w = oscillatory_rule(g.left, g.right, 2.0 * k / g.l)
-    phi, d_dl, d_dc = _basis_physical_and_grad(eta, n, g, x)
+    u, w = oscillatory_rule(-0.5, 0.5, 2.0 * k)
+    amp = np.sqrt(2.0)
+    cos, sin = np.cos(k * u), np.sin(k * u)
+    phi = (amp * cos, amp * sin)
+    # (l, c) gradients of the basis at l = 1, c = 0, by the chain rule
+    d_dc = (amp * k * sin, -amp * k * cos)
+    d_dl = (amp * (-0.5 * cos + k * u * sin), amp * (-0.5 * sin - k * u * cos))
 
     def coeff(grads):
-        raw = np.array(
-            [[np.sum(w * np.conj(phi[a]) * grads[b]) for b in range(2)] for a in range(2)]
-        )
-        return 1j * 0.5 * (raw - raw.conj().T)
+        raw = np.array([[np.sum(w * phi[a] * grads[b]) for b in range(2)] for a in range(2)])
+        return 1j * 0.5 * (raw - raw.conj().T) / g.l
 
-    return MatrixConnection(
-        coeff_l=coeff(d_dl), coeff_c=coeff(d_dc), geometry=g, eta=eta, n=n
-    )
+    return MatrixConnection(coeff_l=coeff(d_dl), coeff_c=coeff(d_dc))
 
 
-def wz_connection(eta: int, n: int, g: Geometry, verify: bool = True) -> MatrixConnection:
+def wz_connection(eta: int, n: int, g: Geometry) -> MatrixConnection:
     """Closed-form matrix connection A_l = 0, A_c = (k_n / l) sigma_2.
 
-    With verify=True the coefficients are recomputed from the basis by
-    quadrature and must agree entrywise to 1e-8.
+    The coefficients are recomputed from the basis by quadrature
+    (`connection_from_basis`) and must agree entrywise to 1e-8; otherwise
+    ConnectionCheckError is raised.
     """
     _require_degenerate(eta)
     k = degenerate_wavenumber(eta, n)
-    closed = MatrixConnection(
-        coeff_l=np.zeros((2, 2), dtype=complex),
-        coeff_c=(k / g.l) * SIGMA2,
-        geometry=g,
-        eta=eta,
-        n=n,
+    closed = MatrixConnection(coeff_l=np.zeros((2, 2), dtype=complex), coeff_c=(k / g.l) * SIGMA2)
+    numeric = connection_from_basis(eta, n, g)
+    worst = max(
+        np.max(np.abs(numeric.coeff_l - closed.coeff_l)),
+        np.max(np.abs(numeric.coeff_c - closed.coeff_c)),
     )
-    if verify:
-        numeric = connection_from_basis(eta, n, g)
-        worst = max(
-            np.max(np.abs(numeric.coeff_l - closed.coeff_l)),
-            np.max(np.abs(numeric.coeff_c - closed.coeff_c)),
+    if worst > 1e-8:
+        raise ConnectionCheckError(
+            f"quadrature connection deviates from the closed form by {worst:.3e}"
         )
-        if worst > 1e-8:
-            raise ConnectionCheckError(
-                f"quadrature connection deviates from the closed form by {worst:.3e}"
-            )
     return closed
 
 
@@ -165,43 +144,26 @@ def _exp_i_sigma2(theta: float) -> np.ndarray:
 
 
 # the one matrix exponential of the holonomy, under the name instrumentation
-# wraps to count the steps
+# wraps to count holonomies; the function itself stays private, so that
+# wrapping every public function does not count each call twice
 expm = _exp_i_sigma2
 
 
-def _holonomy_matrix(eta: int, n: int, path: ParameterPath, mesh: int) -> np.ndarray:
-    k = degenerate_wavenumber(eta, n)
-    u = np.eye(2, dtype=complex)
-    s = np.arange(mesh + 1) / mesh
-    _, c = path.points(s)
-    l_mid, _ = path.points(0.5 * (s[:-1] + s[1:]))
-    for lj, c0, c1 in zip(l_mid.tolist(), c[:-1].tolist(), c[1:].tolist()):
-        # A_l = 0, so only dc moves the frame: exp(i (k / l) sigma_2 dc)
-        step = expm((k / lj) * (c1 - c0))
-        u = step @ u
-    return u
+def wz_holonomy(eta: int, n: int, path: ParameterPath) -> Holonomy:
+    """Holonomy exp(i theta sigma_2) of the connection around a closed loop.
 
-
-def wz_holonomy(eta: int, n: int, path: ParameterPath, mesh: int) -> Holonomy:
-    """Path-ordered product of exp(i A delta) around a closed loop.
-
-    Every increment is proportional to sigma_2, so the ordering is immaterial
-    and the result is exp(i theta sigma_2) with
-    theta = -k_n (1/l1 - 1/l2)(c2 - c1) for the standard counterclockwise
-    rectangle; the eigenphases come in a +/- pair either way.  In the real
-    cos/sin basis the matrix is a plane rotation (real orthogonal).
+    Every value of the connection is a multiple of sigma_2, so the path
+    ordering is immaterial and theta = k_n times the loop integral of dc/l
+    (`ParameterPath.dc_over_l`); for the standard counterclockwise rectangle
+    theta = -k_n (1/l1 - 1/l2)(c2 - c1).  In the real cos/sin basis the
+    matrix is a plane rotation (real orthogonal).
     """
     _require_degenerate(eta)
     if not path.closed:
         raise ValueError("holonomy requires a closed path")
-    if mesh < 8:
-        raise ValueError("mesh must be at least 8")
-    u = _holonomy_matrix(eta, n, path, mesh)
-    coarse = _holonomy_matrix(eta, n, path, max(mesh // 2, 4))
-    phases = np.sort(np.angle(np.linalg.eigvals(u)))
-    phases_c = np.sort(np.angle(np.linalg.eigvals(coarse)))
-    err = float(np.max(np.abs(np.angle(np.exp(1j * (phases - phases_c))))))
-    return Holonomy(matrix=u, eigenphases=(float(phases[0]), float(phases[1])), mesh=mesh, err_estimate=err)
+    theta = degenerate_wavenumber(eta, n) * path.dc_over_l()
+    w = abs(math.remainder(theta, 2.0 * math.pi))
+    return Holonomy(matrix=expm(theta), eigenphases=(-w, w))
 
 
 def diagonalize_in_plane_waves(conn: MatrixConnection):

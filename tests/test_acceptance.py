@@ -148,7 +148,7 @@ def test_criterion_6_stokes_consistency():
 
 
 def test_criterion_7_degenerate_holonomy():
-    hol = wz_holonomy(1, 1, RECT, 256)
+    hol = wz_holonomy(1, 1, RECT)
     assert np.max(np.abs(hol.matrix + np.eye(2))) < 1e-6
     for phase in hol.eigenphases:
         assert abs(abs(phase) - np.pi) < 1e-6
@@ -158,7 +158,7 @@ def test_criterion_7_degenerate_holonomy():
     q_ref = None
     for l in np.linspace(0.6, 2.4, 5):
         for c in np.linspace(-1.0, 1.0, 5):
-            conn = wz_connection(1, 1, Geometry(l, c), verify=False)
+            conn = wz_connection(1, 1, Geometry(l, c))
             diag, q = diagonalize_in_plane_waves(conn)
             assert abs(diag[0, 1]) + abs(diag[1, 0]) < 1e-12
             if q_ref is None:

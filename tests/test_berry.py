@@ -409,6 +409,36 @@ def test_extrapolation_without_positive_order_returns_last_sample():
     assert (limit, order) == (pytest.approx(2.0), pytest.approx(1.0))
 
 
+def test_extrapolation_unwraps_phases_that_straddle_pi():
+    # a first-order approach to pi - 5e-4 whose first two samples wrapped
+    # past the seam; fitted raw, they gave (3.14129265, 0.0)
+    eps = [0.4, 0.2, 0.1, 0.05]
+    wrapped = [-3.14049265, -3.14129265, 3.14149265, 3.14129265]
+    limit, order = power_law_extrapolate(eps, wrapped)
+    # the samples carry 8 decimals
+    assert limit == pytest.approx(np.pi - 5e-4, abs=1e-8)
+    assert order == pytest.approx(1.0, abs=1e-6)
+    limit, order = power_law_extrapolate(eps, [-p for p in wrapped])
+    assert (limit, order) == (pytest.approx(-np.pi + 5e-4, abs=1e-8), pytest.approx(1.0, abs=1e-6))
+    # only the last sample wrapped: the limit pi + 6e-4 is returned on its branch
+    a = [np.pi + 6e-4 - 8e-3 * e for e in eps]
+    limit, order = power_law_extrapolate(eps, a[:3] + [a[3] - 2.0 * np.pi])
+    assert (limit, order) == (pytest.approx(-np.pi + 6e-4, abs=1e-12), pytest.approx(1.0, abs=1e-9))
+
+
+def test_extrapolation_of_samples_within_pi_of_the_last_is_unchanged():
+    # no sample is shifted, so the fit is bitwise the fit of the raw values
+    rng = np.random.default_rng(16180)
+    eps = [0.4, 0.2, 0.1, 0.05]
+    for j in range(40):
+        centre = (np.pi - 0.01) * (1.0 if j % 2 else -1.0) if j < 20 else rng.uniform(-np.pi, np.pi)
+        a = centre + rng.uniform(-0.5, 0.5) * np.asarray(eps) ** rng.uniform(0.5, 3.0)
+        d = np.diff(a)
+        q = min(float(np.mean([np.log(d0 / d1) / np.log(2.0) for d0, d1 in zip(d[:-1], d[1:])])), 8.0)
+        rho = 0.5 ** q
+        assert power_law_extrapolate(eps, a) == (float(a[-1] + (a[-1] - a[-2]) * rho / (1.0 - rho)), q)
+
+
 def _drawn_mode(rng, j, n_max):
     eta = (ETA_INF, rng.uniform(-3.0, 3.0), complex(*rng.uniform(-1.5, 1.5, 2)))[j % 3]
     return mode(int(rng.integers(-n_max, n_max + 1)), eta)

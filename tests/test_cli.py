@@ -306,6 +306,18 @@ def test_wz_holonomy_json(tmp_path):
     assert doc["offdiag_residue"] < 1e-12
 
 
+def test_wz_off_centre_box_matches_the_centred_loop(tmp_path):
+    # |c|/l = 1e6: the connection check once lost digits in x - c and exited 1
+    far, near = tmp_path / "far.json", tmp_path / "near.json"
+    assert run("wz", "--eta", "1", "--n", "1", "--loop-rect", "0.001", "0.002", "1000", "1000.001",
+               "--out", str(far)) == 0
+    assert run("wz", "--eta", "1", "--n", "1", "--loop-rect", "0.001", "0.002", "-0.0005", "0.0005",
+               "--out", str(near)) == 0
+    got, want = (json.loads(p.read_text())["eigenphases"] for p in (far, near))
+    # on the circle: theta = pi here, at the +-pi seam
+    assert all(abs(np.angle(np.exp(1j * (a - b)))) < 1e-9 for a, b in zip(got, want))
+
+
 def test_wz_zero_area_identity(tmp_path):
     out = tmp_path / "wz.json"
     assert run("wz", "--eta", "1", "--n", "1", "--loop-rect", "1", "2", "0.5", "0.5",

@@ -1,18 +1,24 @@
 """Degenerate-level matrix connection, curvature, and holonomy."""
 
+import json
+import math
+
 import numpy as np
 import pytest
 
 import berrybox.wilczek_zee
 from berrybox import (
     Geometry,
+    ParameterPath,
     connection_from_basis,
+    degenerate_wavenumber,
     diagonalize_in_plane_waves,
     rectangle_loop,
     wz_connection,
     wz_curvature,
     wz_holonomy,
 )
+from berrybox.cli import main
 
 SIGMA2 = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 RECT = rectangle_loop(1.0, 2.0, 0.0, 1.0)
@@ -37,7 +43,7 @@ def test_connection_matrices_hermitian():
 
 def test_numeric_recomputation_matches():
     for eta, n, g in ((1, 1, Geometry(1.0, 0.0)), (1, 3, Geometry(0.7, 0.4)), (-1, 0, Geometry(2.2, -1.0))):
-        closed = wz_connection(eta, n, g, verify=False)
+        closed = wz_connection(eta, n, g)
         numeric = connection_from_basis(eta, n, g)
         assert np.max(np.abs(numeric.coeff_c - closed.coeff_c)) < 1e-8
         assert np.max(np.abs(numeric.coeff_l)) < 1e-8
@@ -47,7 +53,7 @@ def test_rejects_nondegenerate():
     with pytest.raises(ValueError):
         wz_connection(0, 1, Geometry(1.0, 0.0))
     with pytest.raises(ValueError):
-        wz_holonomy(2, 1, RECT, 64)
+        wz_holonomy(2, 1, RECT)
 
 
 def test_curvature():
@@ -61,46 +67,36 @@ def test_curvature():
 
 def test_holonomy_standard_rectangle():
     # theta = k (1/l1 - 1/l2)(c2 - c1) = 2 pi / 2 = pi, exp(+-i pi sigma2) = -I
-    hol = wz_holonomy(1, 1, RECT, 256)
-    assert np.max(np.abs(hol.matrix + np.eye(2))) < 1e-6
-    assert abs(abs(hol.eigenphases[0]) - np.pi) < 1e-6
-    assert abs(abs(hol.eigenphases[1]) - np.pi) < 1e-6
-    assert hol.err_estimate < 1e-6
+    hol = wz_holonomy(1, 1, RECT)
+    assert np.max(np.abs(hol.matrix + np.eye(2))) < 1e-12
+    assert abs(abs(hol.eigenphases[0]) - np.pi) < 1e-12
+    assert abs(abs(hol.eigenphases[1]) - np.pi) < 1e-12
 
 
 def test_holonomy_quarter_rectangle():
-    hol = wz_holonomy(1, 1, rectangle_loop(1.0, 2.0, 0.0, 0.25), 256)
+    hol = wz_holonomy(1, 1, rectangle_loop(1.0, 2.0, 0.0, 0.25))
     assert hol.eigenphases[0] == pytest.approx(-np.pi / 4.0, abs=1e-9)
     assert hol.eigenphases[1] == pytest.approx(np.pi / 4.0, abs=1e-9)
 
 
 def test_holonomy_zero_area():
-    hol = wz_holonomy(1, 1, rectangle_loop(1.0, 2.0, 0.5, 0.5), 64)
+    hol = wz_holonomy(1, 1, rectangle_loop(1.0, 2.0, 0.5, 0.5))
     assert np.max(np.abs(hol.matrix - np.eye(2))) < 1e-12
 
 
 def test_holonomy_unitary_and_real():
-    for mesh in (8, 64, 256):
-        hol = wz_holonomy(-1, 1, RECT, mesh)
-        u = hol.matrix
-        assert np.max(np.abs(u.conj().T @ u - np.eye(2))) < 1e-10
+    for eta, n in ((-1, 1), (1, 3)):
+        u = wz_holonomy(eta, n, RECT).matrix
+        assert np.max(np.abs(u.conj().T @ u - np.eye(2))) < 1e-14
         # in the real cos/sin basis the transport is a plane rotation
-        assert np.max(np.abs(u.imag)) < 1e-10
-
-
-def test_holonomy_mesh_stability():
-    fine = wz_holonomy(1, 1, RECT, 512)
-    coarse = wz_holonomy(1, 1, RECT, 256)
-    # compare on the circle: the rectangle phases sit at the +-pi seam
-    delta = np.array(fine.eigenphases) - np.array(coarse.eigenphases)
-    assert np.max(np.abs(np.angle(np.exp(1j * delta)))) < 1e-6
+        assert np.max(np.abs(u.imag)) == 0.0
 
 
 def test_holonomy_abelian_reduction():
     # eigenphases equal +- the scalar rectangle formula with k = k_n
     k = 2.0 * np.pi  # eta = +1, n = 1
     theta = k * (1.0 / 1.0 - 1.0 / 2.0) * 0.25
-    hol = wz_holonomy(1, 1, rectangle_loop(1.0, 2.0, 0.0, 0.25), 128)
+    hol = wz_holonomy(1, 1, rectangle_loop(1.0, 2.0, 0.0, 0.25))
     assert sorted(np.abs(hol.eigenphases)) == pytest.approx([theta, theta], abs=1e-9)
 
 
@@ -114,7 +110,7 @@ def test_plane_wave_diagonalization():
     # the same unitary works at every geometry: recompute across a grid
     for l in np.linspace(0.5, 2.5, 5):
         for c in np.linspace(-1.0, 1.0, 5):
-            conn = wz_connection(1, 1, Geometry(l, c), verify=False)
+            conn = wz_connection(1, 1, Geometry(l, c))
             d2, q2 = diagonalize_in_plane_waves(conn)
             assert np.array_equal(q2, q)
             assert abs(d2[0, 1]) + abs(d2[1, 0]) < 1e-12
@@ -129,9 +125,86 @@ def test_closed_form_step_matches_matrix_exponential():
         assert np.max(np.abs(step - expm(1j * theta * SIGMA2))) < 1e-15
 
 
+# ---------------------------------------------------------------------------
+# the holonomy in closed form
+
+
+def _sloped_polyline(rng, orientation):
+    """A closed polyline of 3-5 vertices around a drawn centre, every side sloped."""
+    angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, int(rng.integers(3, 6))))
+    l0, c0 = rng.uniform(1.0, 2.0), rng.uniform(-1.0, 1.0)
+    radius = rng.uniform(0.2, 0.6, angles.size)
+    verts = [(l0 + r * np.cos(a), c0 + r * np.sin(a)) for a, r in zip(angles, radius)]
+    return ParameterPath(verts + [verts[0]], orientation)
+
+
+def _drawn_cases(seed, count):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        eta = int(rng.choice([1, -1]))
+        n = int(rng.integers(1 if eta == 1 else 0, 6))
+        yield eta, n, _sloped_polyline(rng, int(rng.choice([1, -1])))
+
+
+def _theta(eta, n, path):
+    """k_n times the loop integral of dc/l, side by side in the log(lb/la)/(lb - la) form."""
+    total = 0.0
+    for (la, ca), (lb, cb) in path.segments:
+        total += (cb - ca) * (1.0 / la if lb == la else math.log(lb / la) / (lb - la))
+    return degenerate_wavenumber(eta, n) * path.orientation * total
+
+
+def _rotation(theta):
+    return np.array([[np.cos(theta), np.sin(theta)], [-np.sin(theta), np.cos(theta)]])
+
+
+def _midpoint_product(eta, n, path, steps):
+    """Path-ordered product of exp(i (k/l) sigma_2 dc) with l at each step's
+    midpoint, `steps` steps per side: the stepped reference, second order."""
+    k = degenerate_wavenumber(eta, n)
+    u = np.eye(2)
+    sides = path.segments if path.orientation > 0 else [(b, a) for a, b in reversed(path.segments)]
+    t = np.arange(steps + 1) / steps
+    for (la, ca), (lb, cb) in sides:
+        l_mid = la + (lb - la) * 0.5 * (t[:-1] + t[1:])
+        c = ca + (cb - ca) * t
+        for lj, dc in zip(l_mid, np.diff(c)):
+            u = _rotation(k * dc / lj) @ u
+    return u
+
+
+def test_holonomy_eigenphases_are_plus_minus_the_loop_integral():
+    for eta, n, path in _drawn_cases(20260, 40):
+        theta = _theta(eta, n, path)
+        hol = wz_holonomy(eta, n, path)
+        assert hol.eigenphases[0] == -hol.eigenphases[1] <= 0.0
+        # compare on the circle: each eigenphase is +theta or -theta mod 2 pi
+        for phase in hol.eigenphases:
+            err = min(abs(math.remainder(phase - s * theta, 2.0 * np.pi)) for s in (1.0, -1.0))
+            assert err <= 1e-12 * (1.0 + abs(theta))
+        assert np.max(np.abs(hol.matrix - _rotation(theta))) <= 1e-12 * (1.0 + abs(theta))
+
+
+def test_midpoint_product_converges_to_the_closed_form_at_second_order():
+    for eta, n, path in _drawn_cases(20261, 6):
+        closed = wz_holonomy(eta, n, path).matrix
+        errs = [np.max(np.abs(_midpoint_product(eta, n, path, steps) - closed)) for steps in (256, 512, 1024)]
+        ratios = [e0 / e1 for e0, e1 in zip(errs, errs[1:])]
+        assert all(3.8 < r < 4.2 for r in ratios), (errs, ratios)
+
+
+def test_reversed_orientation_transposes_the_holonomy():
+    for eta, n, path in _drawn_cases(20262, 20):
+        reverse = ParameterPath(path.vertices, -path.orientation)
+        fwd, rev = wz_holonomy(eta, n, path), wz_holonomy(eta, n, reverse)
+        np.testing.assert_allclose(rev.matrix, fwd.matrix.T, rtol=0.0, atol=1e-15)
+        assert rev.eigenphases == fwd.eigenphases
+
+
 @pytest.mark.parametrize("mesh", [8, 9, 64, 129])
-def test_holonomy_routes_every_step_through_expm(monkeypatch, mesh):
-    # instrumentation counts holonomy steps by wrapping this module attribute
+def test_holonomy_routes_every_step_through_expm(monkeypatch, tmp_path, mesh):
+    # one closed-form step per holonomy, whatever --mesh says; instrumentation
+    # counts holonomies by wrapping this module attribute
     calls = []
     closed_form = berrybox.wilczek_zee.expm
 
@@ -140,5 +213,29 @@ def test_holonomy_routes_every_step_through_expm(monkeypatch, mesh):
         return closed_form(theta)
 
     monkeypatch.setattr(berrybox.wilczek_zee, "expm", counting)
-    wz_holonomy(1, 1, RECT, mesh)
-    assert len(calls) == mesh + max(mesh // 2, 4)
+    points = [(1.0, 0.0), (1.6, 0.2), (1.3, 0.7), (0.8, 0.4)]
+    config, out = tmp_path / "loop.json", tmp_path / "wz.json"
+    config.write_text(json.dumps({"loop": {"type": "polyline", "points": points}}))
+    assert main(["wz", "--config", str(config), "--eta", "-1", "--n", "3", "--mesh", str(mesh),
+                 "--out", str(out)]) == 0
+    assert len(calls) == 1
+    doc = json.loads(out.read_text())
+    assert doc["mesh"] == mesh and doc["err_estimate"] == 0.0
+    # the JSON holds 9 significant digits: the closed form, rounded alike
+    theta = abs(math.remainder(_theta(-1, 3, ParameterPath(points + [points[0]])), 2.0 * np.pi))
+    assert doc["eigenphases"] == [float(f"{-theta:.8e}"), float(f"{theta:.8e}")]
+
+
+def test_connection_check_holds_far_off_centre():
+    # the quadrature runs in the box coordinate, so a centre far from the
+    # origin (|c|/l from 1e3 to 1e6) costs no digits
+    rng = np.random.default_rng(20263)
+    for _ in range(30):
+        eta = int(rng.choice([1, -1]))
+        n = int(rng.integers(1 if eta == 1 else 0, 6))
+        l = 10.0 ** rng.uniform(-3.0, 0.0)
+        g = Geometry(l, rng.choice([1.0, -1.0]) * l * 10.0 ** rng.uniform(3.0, 6.0))
+        closed = wz_connection(eta, n, g)
+        numeric = connection_from_basis(eta, n, g)
+        assert np.max(np.abs(numeric.coeff_c - closed.coeff_c)) < 1e-8
+        assert np.max(np.abs(numeric.coeff_l)) < 1e-8
