@@ -16,9 +16,8 @@ into an SVG.
 import sys
 
 from berrybox import (
-    connection_interior,
     loop_phase_analytic,
-    loop_phase_connection,
+    loop_phase_interior,
     loop_phase_mollified_sweep,
     loop_phase_overlap_meshes,
     mode,
@@ -39,7 +38,8 @@ def main(svg_path=None):
 
     print("interior prescription (finite differences inside the box)")
     for h in (1e-3, 5e-4, 2.5e-4):
-        phase = loop_phase_connection(rect, lambda l, c, hh=h: connection_interior(m, l, c, hh * l))
+        # loop_phase_interior takes the step relative to l / (1 + |k|)
+        phase = loop_phase_interior(m, rect, h * (1.0 + abs(m.k)))
         print(f"  h/l = {h:.1e}   phase = {phase:.12f}   error = {abs(phase - exact):.2e}")
 
     print("mollified embedding (smoothed box edge of width eps * l)")

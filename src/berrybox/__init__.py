@@ -44,7 +44,7 @@ _EXPORTS = {
                 "generic_spectrum",
     "paths": "ParameterPath rectangle_loop polyline_path point_loop rectangle_corners",
     "berry": "MeshTooCoarseError standard_mollifier connection_analytic connection_interior connection_mollified "
-             "LoopPhaseResult loop_phase_analytic loop_phase_connection loop_phase_interior "
+             "LoopPhaseResult loop_phase_analytic loop_phase_interior "
              "loop_phase_mollified_sweep loop_phase_overlap_meshes state_overlaps curvature stokes_defect "
              "commutator_defect power_law_extrapolate require_geometric require_interior_step",
     "wilczek_zee": "SIGMA2 ConnectionCheckError MatrixConnection Holonomy wz_connection connection_from_basis "

@@ -19,10 +19,11 @@ Each eigenfunction is two plane waves and each loop a polyline, so the
 overlaps, the interior windows and the analytic loop phase are integrated in
 closed form; quadrature serves the mollified embedding and `stokes_defect`.
 Every oracle takes arrays of boxes (l, c), a scalar being the 0-d case, and
-returns arrays of their shape.  `loop_phase_connection` integrates any such
-connection side by side, all of a side's Gauss nodes in one call; an overlap
-chain computes all of its pairs at once, and the mollified embedding, in the
-box coordinate (x - c)/l, is integrated once per width for every box.
+returns arrays of their shape; an overlap chain computes all of its pairs at
+once.  The interior and mollified oracles use dilation covariance once: each
+regulator scales with the box, so the connection is F/l with F evaluated at
+the unit box, and around a closed loop their phases are -F_c times the
+closed-form loop integral of dc/l, as the analytic phase is.
 Loop phases follow the convention Phi = i * contour integral of <psi|d psi>;
 for the counterclockwise axis-aligned rectangle [l1, l2] x [c1, c2] this
 gives Phi = k (1/l1 - 1/l2)(c2 - c1) sin(alpha).
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .paths import ParameterPath, rectangle_corners
-from .quadrature import GridFunction, panel_rule, reference_rule
+from .quadrature import GridFunction, panel_rule
 from .spectrum import Mode, _extension_jet
 
 __all__ = [
@@ -47,7 +48,6 @@ __all__ = [
     "connection_mollified",
     "LoopPhaseResult",
     "loop_phase_analytic",
-    "loop_phase_connection",
     "loop_phase_interior",
     "loop_phase_mollified_sweep",
     "loop_phase_overlap_meshes",
@@ -148,6 +148,36 @@ def _window_integral(m: Mode, la, ca, lb, cb, lo, hi):
     return 2.0 * half * total / np.sqrt(la * lb)
 
 
+def _from_unit_box(l, c, rel, unit):
+    """Arrays (a_l, a_c) = F(rel)/l at the boxes (l, c), where l, c and the
+    relative regulators rel broadcast together and F = `unit(regulators)`
+    is evaluated once per distinct regulator, at the unit box (1, 0).
+
+    The boundary conditions are dilation invariant, so each state is
+    l^-1/2 phi((x - c)/l), and a prescription whose regulator scales with the
+    box (a step h = rel * l, a cutoff width eps * l) gives the connection
+    F(rel)/l, F an integral over the box coordinate u = (x - c)/l that no box
+    enters.  No x - c is formed, which would cancel digits once |c|/l is large.
+    """
+    l, c, rel = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (l, c, rel)))
+    shape, (l, _) = _boxes(l, c)
+    regulators, index = np.unique(rel.ravel(), return_inverse=True)
+    f_l, f_c = unit(regulators)
+    return (f_l[index] / l).reshape(shape), (f_c[index] / l).reshape(shape)
+
+
+def _interior_at_unit_box(m: Mode, r):
+    """Arrays (F_l, F_c) at the relative steps r: the shifted states sit at
+    c = +-r or l = 1 +- r, and every window is centred on u = 0."""
+    if not np.all((0 < r) & (r < 0.25)):
+        raise ValueError("need 0 < h < l/4")
+    one, zero = np.ones_like(r), np.zeros_like(r)
+    lo = np.stack([r - 0.5] * 3 + [0.5 * (r - 1.0)] * 3)
+    w = _window_integral(m, 1.0, 0.0, np.stack([one, one, one, 1.0 + r, 1.0 - r, one]),
+                         np.stack([r, -r, zero, zero, zero, zero]), lo, -lo)
+    return (w[3] - w[4]).imag / (2.0 * r) / w[5].real, (w[0] - w[1]).imag / (2.0 * r) / w[2].real
+
+
 def connection_interior(m: Mode, l, c, h=None):
     """Arrays (a_l, a_c) from parameter finite differences, integrated inside
     each box (l, c), at the steps h (one per box, or one for all).
@@ -158,64 +188,23 @@ def connection_interior(m: Mode, l, c, h=None):
     normalized by the norm captured in the same window: the window clips an
     O(h) sliver off the box, and without the renormalization that sliver
     would dominate the finite-difference truncation error.  Converges to the
-    closed form at second order in h.  All six windows of every box (two
-    shifted states and the norm, for each component) are integrated in one
-    call.
+    closed form at second order in h.  The quotients are taken at the unit
+    box, at the relative step h/l (`_from_unit_box`).
 
     The default step 1e-4 l / (1 + |k|) shrinks with the wavenumber: the
     truncation error grows like h^2 k^3, so a k-independent step loses the
     high modes long before roundoff becomes relevant.
     """
-    shape, (l, c) = _boxes(l, c)
-    if h is None:
-        h = 1e-4 * l / (1.0 + abs(m.k))
-    else:
-        h = np.broadcast_to(np.asarray(h, dtype=float), shape).ravel()
-    if not np.all((0 < h) & (h < l / 4)):
-        raise ValueError("need 0 < h < l/4")
-    lo_c, hi_c = c - l / 2 + h, c + l / 2 - h
-    lo_l, hi_l = c - (l - h) / 2, c + (l - h) / 2
-    w = _window_integral(
-        m, np.tile(l, 6), np.tile(c, 6),
-        np.concatenate([l, l, l, l + h, l - h, l]), np.concatenate([c + h, c - h, c, c, c, c]),
-        np.concatenate([lo_c] * 3 + [lo_l] * 3), np.concatenate([hi_c] * 3 + [hi_l] * 3),
-    ).reshape(6, -1)
-    a_c = (w[0] - w[1]).imag / (2.0 * h) / w[2].real
-    a_l = (w[3] - w[4]).imag / (2.0 * h) / w[5].real
-    return a_l.reshape(shape), a_c.reshape(shape)
+    with np.errstate(divide="ignore", invalid="ignore"):  # `_from_unit_box` rejects such boxes
+        rel = 1e-4 / (1.0 + abs(m.k)) if h is None else np.divide(h, l)
+    return _from_unit_box(l, c, rel, lambda r: _interior_at_unit_box(m, r))
 
 
-def connection_mollified(m: Mode, l, c, eps):
-    """Arrays (a_l, a_c) from the smoothed-box embedding at the boxes (l, c)
-    and the cutoff widths eps, relative to l: the width at a box is eps * l.
-    eps has the boxes' shape, or broadcasts to it; axes it has in front of
-    that shape sweep the widths, and the results have the shape of eps.
-
-    The eigenfunction is written as (smooth whole-line extension) times a
-    normalized, mollified characteristic function of the box; the connection
-    integrand uses the analytic parameter derivative of the extension and
-    the square of the cutoff.  As eps -> 0 the c-component tends to
-    (k/l) sin(alpha) and the l-component to zero (its limiting integrand is
-    odd around the box center).
-
-    The boundary conditions are dilation invariant: each state is l^-1/2
-    phi(u) in the box coordinate u = (x - c)/l, as is the cutoff, so the
-    connection is (1/l) F(eps), F an integral over u that no box enters.  F
-    samples the interior once and the two wall strips once per distinct width.
-
-    For this particular eigenfunction family the convergence is in fact
-    instantaneous: Im(conj(phi) d_c phi) is constant in x and the cutoff is
-    reflection symmetric about the box center, so the normalization quotient
-    cancels the eps dependence exactly and every width returns the limit up
-    to quadrature error.  The sweep over eps still exercises the embedding
-    end to end.
-    """
-    shape, (l, c) = _boxes(l, c)
-    eps = np.asarray(eps, dtype=float)
-    if not np.all(np.isfinite(eps) & (eps > 0)):
+def _mollified_at_unit_box(m: Mode, widths):
+    """Arrays (F_l, F_c) at the relative cutoff widths: the interior is
+    sampled once, the two wall strips once per width."""
+    if not np.all(np.isfinite(widths) & (widths > 0)):
         raise ValueError("eps must be finite and positive")
-    sweep = eps.shape[:max(eps.ndim - len(shape), 0)]
-    widths, index = np.unique(np.broadcast_to(eps, sweep + shape), return_inverse=True)
     # panels split at the box walls where the cutoff profile kicks in
     inner_panels = max(2, int(np.ceil(4.0 * abs(m.k) / (2.0 * np.pi))) + 2)
     rho = standard_mollifier()
@@ -232,9 +221,32 @@ def connection_mollified(m: Mode, l, c, eps):
         strips = weighted(u, w * rho((np.abs(u) - 0.5) / width) ** 2)
         # summed in grid order, wall to wall
         sums.append(np.concatenate([strips[:, 0], inside, strips[:, 1]], axis=-1).sum(axis=-1))
-    norm2, a_l, a_c = np.array(sums).T
-    index = index.reshape(-1, l.size)
-    return ((a_l / norm2)[index] / l).reshape(sweep + shape), ((a_c / norm2)[index] / l).reshape(sweep + shape)
+    norm2, f_l, f_c = np.array(sums).T
+    return f_l / norm2, f_c / norm2
+
+
+def connection_mollified(m: Mode, l, c, eps):
+    """Arrays (a_l, a_c) from the smoothed-box embedding at the boxes (l, c)
+    and the cutoff widths eps, relative to l: the width at a box is eps * l.
+    l, c and eps broadcast together, so axes of eps in front of the boxes'
+    shape sweep the widths.
+
+    The eigenfunction is written as (smooth whole-line extension) times a
+    normalized, mollified characteristic function of the box; the connection
+    integrand uses the analytic parameter derivative of the extension and
+    the square of the cutoff.  As eps -> 0 the c-component tends to
+    (k/l) sin(alpha) and the l-component to zero (its limiting integrand is
+    odd around the box center).  The integrals are taken at the unit box
+    (`_from_unit_box`).
+
+    For this particular eigenfunction family the convergence is in fact
+    instantaneous: Im(conj(phi) d_c phi) is constant in x and the cutoff is
+    reflection symmetric about the box center, so the normalization quotient
+    cancels the eps dependence exactly and every width returns the limit up
+    to quadrature error.  The sweep over eps still exercises the embedding
+    end to end.
+    """
+    return _from_unit_box(l, c, eps, lambda widths: _mollified_at_unit_box(m, widths))
 
 
 # ---------------------------------------------------------------------------
@@ -244,31 +256,6 @@ def connection_mollified(m: Mode, l, c, eps):
 def _require_closed(path: ParameterPath):
     if not path.closed:
         raise ValueError("loop phase requires a closed parameter path")
-
-
-def loop_phase_connection(path: ParameterPath, connection, order: int = 16):
-    """Line integral Phi = -contour integral of (a_l dl + a_c dc) by `order`
-    Gauss nodes per side.
-
-    `connection(l, c) -> (a_l, a_c)` supplies the components at the nodes of
-    one side, given as arrays, with the nodes along the last axis of the
-    result; leading axes (one entry per width of a sweep) carry through to
-    the phase.  The minus sign converts Im<psi|d psi> into i<psi|d psi>.  The
-    sum runs node by node in path order.
-    """
-    _require_closed(path)
-    nseg = len(path.segments)
-    xg, wg = reference_rule(order)
-    total = 0.0
-    for i in range(nseg):
-        s0, s1 = i / nseg, (i + 1) / nseg
-        mid, half = 0.5 * (s0 + s1), 0.5 * (s1 - s0)
-        s = mid + half * xg
-        a_l, a_c = connection(*path.points(s))
-        vl, vc = path.velocities(s)
-        for wj, al, ac, vlj, vcj in zip(wg, a_l.T, a_c.T, vl.tolist(), vc.tolist()):
-            total += wj * half * (al * vlj + ac * vcj)
-    return -total
 
 
 def require_interior_step(m: Mode, h_rel) -> float:
@@ -281,22 +268,26 @@ def require_interior_step(m: Mode, h_rel) -> float:
     return h_rel
 
 
-def loop_phase_interior(m: Mode, path: ParameterPath, h_rel: float, order: int = 16) -> float:
-    """`loop_phase_connection` of `connection_interior` at the step
-    h_rel * l / (1 + |k|)."""
-    h_rel = require_interior_step(m, h_rel)
-    return float(loop_phase_connection(
-        path, lambda l, c: connection_interior(m, l, c, h_rel * l / (1.0 + abs(m.k))), order))
+def loop_phase_interior(m: Mode, path: ParameterPath, h_rel: float) -> float:
+    """Loop phase of `connection_interior` at the step h_rel * l / (1 + |k|).
 
-
-def loop_phase_mollified_sweep(m: Mode, path: ParameterPath, eps_list, order: int = 16) -> list[float]:
-    """`loop_phase_connection` of `connection_mollified` at each relative
-    width in `eps_list`, in the order given: the cutoff width is eps * l.
-
-    The box-coordinate integrals are taken once, for every side.
+    That step is one relative step at every box, so the connection is
+    (F_l, F_c)/l; around a closed loop F_l multiplies the loop integral of
+    dl/l, which vanishes, and Phi = -F_c times that of dc/l (`dc_over_l`).
     """
-    f_l, f_c = connection_mollified(m, 1.0, 0.0, np.asarray(eps_list, dtype=float)[:, None])
-    return [float(p) for p in loop_phase_connection(path, lambda l, c: (f_l / l, f_c / l), order)]
+    h_rel = require_interior_step(m, h_rel)
+    _require_closed(path)
+    _, f_c = connection_interior(m, 1.0, 0.0, h_rel / (1.0 + abs(m.k)))
+    return float(-f_c * path.dc_over_l())
+
+
+def loop_phase_mollified_sweep(m: Mode, path: ParameterPath, eps_list) -> list[float]:
+    """Loop phases -F_c(eps) times the loop integral of dc/l of
+    `connection_mollified`, as for `loop_phase_interior`, at each relative
+    width in `eps_list`, in the order given."""
+    _require_closed(path)
+    _, f_c = connection_mollified(m, 1.0, 0.0, eps_list)
+    return (-f_c * path.dc_over_l()).tolist()
 
 
 def loop_phase_analytic(m: Mode, path: ParameterPath) -> float:

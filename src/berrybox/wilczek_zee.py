@@ -106,23 +106,22 @@ def connection_from_basis(eta: int, n: int, g: Geometry) -> MatrixConnection:
 def wz_connection(eta: int, n: int, g: Geometry) -> MatrixConnection:
     """Closed-form matrix connection A_l = 0, A_c = (k_n / l) sigma_2.
 
-    The coefficients are recomputed from the basis by quadrature
-    (`connection_from_basis`) and must agree entrywise to 1e-8; otherwise
-    ConnectionCheckError is raised.
+    The connection is dilation covariant: l A at the box g is A at the unit
+    box.  So the coefficients are recomputed from the basis by quadrature
+    (`connection_from_basis`) once, at Geometry(1, 0), and must agree with
+    k_n sigma_2 entrywise to 1e-8; otherwise ConnectionCheckError is raised.
+    Checked at g itself, the absolute gate would meet rounding of entries
+    of size k_n / l.
     """
     _require_degenerate(eta)
     k = degenerate_wavenumber(eta, n)
-    closed = MatrixConnection(coeff_l=np.zeros((2, 2), dtype=complex), coeff_c=(k / g.l) * SIGMA2)
-    numeric = connection_from_basis(eta, n, g)
-    worst = max(
-        np.max(np.abs(numeric.coeff_l - closed.coeff_l)),
-        np.max(np.abs(numeric.coeff_c - closed.coeff_c)),
-    )
+    unit = connection_from_basis(eta, n, Geometry(1.0, 0.0))
+    worst = max(np.max(np.abs(unit.coeff_l)), np.max(np.abs(unit.coeff_c - k * SIGMA2)))
     if worst > 1e-8:
         raise ConnectionCheckError(
             f"quadrature connection deviates from the closed form by {worst:.3e}"
         )
-    return closed
+    return MatrixConnection(coeff_l=np.zeros((2, 2), dtype=complex), coeff_c=(k / g.l) * SIGMA2)
 
 
 def wz_curvature(eta: int, n: int, g: Geometry) -> np.ndarray:

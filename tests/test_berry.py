@@ -1,6 +1,7 @@
 """Connection oracles, loop phases, curvature, and the dilation commutator."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from berrybox import (
     extension_physical,
     extension_physical_grad,
     loop_phase_analytic,
-    loop_phase_connection,
     loop_phase_interior,
     loop_phase_mollified_sweep,
     loop_phase_overlap_meshes,
@@ -33,6 +33,7 @@ from berrybox import (
     polyline_path,
     power_law_extrapolate,
     rectangle_loop,
+    reference_rule,
     require_interior_step,
     standard_mollifier,
     state_overlaps,
@@ -49,10 +50,25 @@ def _overlap(m, ga, gb):
     return complex(state_overlaps(m, ga.l, ga.c, gb.l, gb.c))
 
 
+def _loop_integral(path, connection):
+    """Reference line integral -contour integral of (a_l dl + a_c dc) by 16
+    Gauss nodes per side, summed node by node in path order;
+    `connection(l, c)` takes the nodes of one side as arrays."""
+    nseg = len(path.segments)
+    xg, wg = reference_rule(16)
+    total = 0.0
+    for i in range(nseg):
+        s = (i + 0.5 + 0.5 * xg) / nseg
+        a_l, a_c = connection(*path.points(s))
+        vl, vc = path.velocities(s)
+        for wj, al, ac, vlj, vcj in zip(wg, a_l, a_c, vl, vc):
+            total += wj * (0.5 / nseg) * (al * vlj + ac * vcj)
+    return -total
+
+
 def _per_node(connection):
-    """A side connection for `loop_phase_connection` that calls
-    `connection(l, c)` once per Gauss node, with scalars: the per-point
-    route the array passes must reproduce."""
+    """A side connection for `_loop_integral` that calls `connection(l, c)`
+    once per Gauss node, with scalars: the per-point route."""
 
     def side(l, c):
         pairs = [connection(lj, cj) for lj, cj in zip(l.tolist(), c.tolist())]
@@ -190,7 +206,8 @@ def test_rectangle_phase_analytic():
 
 
 def test_loop_phase_mollified_matches_per_point_route():
-    # one sampling grid per side, one row per node, against one connection_mollified per node
+    # -F_c times the loop integral of dc/l, against Gauss nodes along each
+    # side with one connection_mollified per node
     rng = np.random.default_rng(41)
     for trial in range(12):
         if trial % 2:
@@ -203,8 +220,9 @@ def test_loop_phase_mollified_matches_per_point_route():
         eta = (ETA_INF, 0.3, 2j, complex(*rng.uniform(-1.0, 1.0, 2)))[trial % 4]
         m = mode(int(rng.integers(-5, 6)), eta)
         e = float(rng.choice([0.2, 0.1, 0.05, 0.025]))
-        reference = loop_phase_connection(path, _per_node(lambda l, c: connection_mollified(m, l, c, e)))
-        assert loop_phase_mollified_sweep(m, path, [e]) == [reference]
+        reference = _loop_integral(path, _per_node(lambda l, c: connection_mollified(m, l, c, e)))
+        [phase] = loop_phase_mollified_sweep(m, path, [e])
+        assert abs(phase - reference) < 1e-13, (m, path)
 
 
 def test_loop_phase_overlap_converges():
@@ -320,23 +338,41 @@ def test_state_overlap_matches_quadrature():
 
 
 def test_connection_interior_matches_quadrature():
+    # the finite-difference quotients by panel quadrature in the box
+    # coordinate u = (x - c)/l, at the relative step r = h/l, scaled by 1/l:
+    # in x, the states at the shifted boxes lose digits to x - c once |c|/l
+    # is large
     rng = np.random.default_rng(2025)
     for j in range(150):
         m = _draw_mode(rng, j)
-        g = Geometry(rng.uniform(0.3, 3.0), rng.uniform(-1.0, 1.0))
-        l, c = g.l, g.c
-        h = 1e-4 * l / (1.0 + abs(m.k))
+        l = rng.uniform(0.3, 3.0)
+        c = rng.choice([1.0, -1.0]) * l * 10.0 ** rng.uniform(-3.0, 6.0)
+        r = 1e-4 / (1.0 + abs(m.k))
 
         def quotient(plus, minus, lo, hi):
-            diff = _quadrature_window(m, g, plus, lo, hi) - _quadrature_window(m, g, minus, lo, hi)
-            return diff.imag / (2.0 * h) / _quadrature_window(m, g, g, lo, hi).real
+            diff = _quadrature_window(m, UNIT, plus, lo, hi) - _quadrature_window(m, UNIT, minus, lo, hi)
+            return diff.imag / (2.0 * r) / _quadrature_window(m, UNIT, UNIT, lo, hi).real / l
 
-        a_c = quotient(Geometry(l, c + h), Geometry(l, c - h), c - l / 2 + h, c + l / 2 - h)
-        a_l = quotient(Geometry(l + h, c), Geometry(l - h, c), c - (l - h) / 2, c + (l - h) / 2)
+        a_c = quotient(Geometry(1.0, r), Geometry(1.0, -r), r - 0.5, 0.5 - r)
+        a_l = quotient(Geometry(1.0 + r, 0.0), Geometry(1.0 - r, 0.0), 0.5 * (r - 1.0), 0.5 * (1.0 - r))
         s_l, s_c = connection_interior(m, l, c)
         tol = 1e-10 * (1.0 + abs(m.k) / l)
-        assert abs(s_c - a_c) < tol, (m, g)
-        assert abs(s_l - a_l) < tol, (m, g)
+        assert abs(s_c - a_c) < tol, (m, l, c)
+        assert abs(s_l - a_l) < tol, (m, l, c)
+
+
+def test_interior_connection_is_dilation_covariant():
+    # l a(l, c) at the step h is the unit box's connection at the relative
+    # step h/l, bitwise, wherever the box sits
+    rng = np.random.default_rng(2028)
+    for j in range(20):
+        m = _drawn_mode(rng, j, 30)
+        l = 10.0 ** rng.uniform(-3.0, 3.0, 6)
+        c = l * rng.choice([1.0, -1.0], 6) * 10.0 ** rng.uniform(-3.0, 6.0, 6)
+        h = l * rng.uniform(1e-6, 0.2, 6)
+        a_l, a_c = connection_interior(m, l, c, h)
+        unit_l, unit_c = connection_interior(m, 1.0, 0.0, h / l)
+        assert np.array_equal(a_l, unit_l / l) and np.array_equal(a_c, unit_c / l), m
 
 
 def _narrow_polyline(rng):
@@ -357,7 +393,7 @@ def test_loop_phase_analytic_matches_connection_quadrature():
     for j in range(100):
         m = _draw_mode(rng, j)
         path = _narrow_polyline(rng)
-        ref = loop_phase_connection(path, lambda l, c: connection_analytic(m, l, c))
+        ref = _loop_integral(path, lambda l, c: connection_analytic(m, l, c))
         phase = loop_phase_analytic(m, path)
         assert abs(phase - ref) < 1e-13 * (1.0 + abs(ref)), (m, path)
 
@@ -486,6 +522,11 @@ def test_array_oracles_reject_boxes_outside_the_half_plane():
     for l in bad_lengths:
         with pytest.raises(ValueError, match="box lengths"):
             curvature(m, np.array([1.0, l]))
+        # an explicit step is made relative to the box only after the check
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="box lengths"):
+                connection_interior(m, l, 0.0, 1e-3)
 
 
 def test_loop_phase_interior_matches_per_point_route():
@@ -494,7 +535,7 @@ def test_loop_phase_interior_matches_per_point_route():
         m = _drawn_mode(rng, j, 12)
         path = _drawn_loop(rng, m)
         h = float(rng.choice([1e-4, 5e-5, 1e-3]))
-        reference = loop_phase_connection(
+        reference = _loop_integral(
             path, _per_node(lambda l, c: connection_interior(m, l, c, h * l / (1.0 + abs(m.k)))))
         assert abs(loop_phase_interior(m, path, h) - reference) < 1e-13, (m, path)
 
@@ -583,7 +624,7 @@ def test_mollified_connection_is_dilation_covariant():
 
 def test_mollified_sweep_integrates_once_per_width(monkeypatch):
     # one sweep evaluates the extension on one interior grid and on the two
-    # wall strips of each width, whatever the number of sides or Gauss nodes
+    # wall strips of each width, whatever the number of sides
     sizes = []
     real = berrybox.berry._extension_jet
 
@@ -596,11 +637,10 @@ def test_mollified_sweep_integrates_once_per_width(monkeypatch):
         m = mode(n, eta)
         interior = 16 * max(2, int(np.ceil(4.0 * abs(m.k) / (2.0 * np.pi))) + 2)
         for path in (RECT, polyline_path([(1.0, 0.0), (1.3, 0.05), (1.2, 0.3), (1.1, 0.2)], close=True)):
-            for order in (8, 16):
-                for eps in ([0.2, 0.1, 0.05], [0.2, 0.1, 0.05, 0.025]):
-                    sizes.clear()
-                    loop_phase_mollified_sweep(m, path, eps, order)
-                    assert sizes == [interior] + [2 * 12 * 16] * len(eps), (m, path, order)
+            for eps in ([0.2, 0.1, 0.05], [0.2, 0.1, 0.05, 0.025]):
+                sizes.clear()
+                loop_phase_mollified_sweep(m, path, eps)
+                assert sizes == [interior] + [2 * 12 * 16] * len(eps), (m, path)
 
 
 def test_loop_phase_mollified_sweep_matches_single_widths():
@@ -611,10 +651,11 @@ def test_loop_phase_mollified_sweep_matches_single_widths():
         eps_list = [0.2, 0.1, 0.05, 0.025] if j % 2 else list(rng.uniform(0.01, 0.3, 3))
         assert loop_phase_mollified_sweep(m, path, eps_list) == [loop_phase_mollified_sweep(m, path, [e])[0]
                                                                  for e in eps_list]
-        # the box-coordinate integrals, taken once for every width and side, are the embedding's own
+        # the box-coordinate integrals, taken once for every width, are the embedding's own
         e = eps_list[-1]
-        reference = loop_phase_connection(path, _per_node(lambda l, c: _mollified_reference(m, Geometry(l, c), e)))
-        assert loop_phase_mollified_sweep(m, path, [e]) == [reference], (m, path)
+        reference = _loop_integral(path, _per_node(lambda l, c: _mollified_reference(m, Geometry(l, c), e)))
+        [phase] = loop_phase_mollified_sweep(m, path, [e])
+        assert abs(phase - reference) < 1e-13, (m, path)
 
 
 def _chain_errors(m, path, meshes):

@@ -185,6 +185,18 @@ def test_berry_tol_reports_real_disagreement(tmp_path, monkeypatch, capsys):
     assert "overlap=" in err and "off by 1.0" in err
 
 
+def test_berry_interior_agrees_far_off_centre(tmp_path):
+    # |c|/l = 1e7: the interior windows once formed x - c, lost digits and
+    # exited 3, off by 3.6e-5 while the overlap row agreed to 1e-16
+    out = tmp_path / "far.csv"
+    assert run("berry", "--eta", "0+1i", "--n", "0", "--loop-rect", "0.0001", "0.0002", "1000", "1000.0001",
+               "--method", "analytic,interior,overlap", "--mesh", "64", "--tol", "1e-6", "--out", str(out)) == 0
+    _, rows = read_csv(out)
+    assert [r[0] for r in rows] == ["analytic", "interior", "interior", "overlap", "overlap", "overlap"]
+    # the CSV carries 9 significant digits
+    assert all(abs(float(r[4]) - np.pi / 4.0) < 1e-8 for r in rows)
+
+
 @pytest.mark.parametrize("n", [20, 50])
 def test_berry_interior_step_shrinks_with_k(tmp_path, n):
     out = tmp_path / "interior.csv"

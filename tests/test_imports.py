@@ -156,7 +156,7 @@ _EXPORTED = {
                 "mode_boundary_data wavenumber",
     "paths": "ParameterPath point_loop polyline_path rectangle_corners rectangle_loop",
     "berry": "LoopPhaseResult MeshTooCoarseError commutator_defect connection_analytic connection_interior "
-             "connection_mollified curvature loop_phase_analytic loop_phase_connection loop_phase_interior "
+             "connection_mollified curvature loop_phase_analytic loop_phase_interior "
              "loop_phase_mollified_sweep loop_phase_overlap_meshes power_law_extrapolate require_geometric "
              "require_interior_step standard_mollifier state_overlaps stokes_defect",
     "wilczek_zee": "ConnectionCheckError Holonomy MatrixConnection connection_from_basis "

@@ -239,3 +239,18 @@ def test_connection_check_holds_far_off_centre():
         numeric = connection_from_basis(eta, n, g)
         assert np.max(np.abs(numeric.coeff_c - closed.coeff_c)) < 1e-8
         assert np.max(np.abs(numeric.coeff_l)) < 1e-8
+
+
+def test_connection_check_holds_on_small_boxes_at_high_levels():
+    # the entries are of size k/l, up to 6e9 here: checked at the box itself,
+    # rounding alone tripped the absolute 1e-8 gate (wz --eta 1 --n 100 on a
+    # box of length 1e-6 exited 1); the check runs once, at the unit box
+    rng = np.random.default_rng(20264)
+    draws = [(1, 100, 1e-6)] + [(int(e), int(rng.integers(1 if e == 1 else 0, 1001)), 10.0 ** rng.uniform(-6.0, 3.0))
+                                for e in rng.choice([1, -1], 24)]
+    for eta, n, l in draws:
+        g = Geometry(l, rng.uniform(-1.0, 1.0))
+        k = degenerate_wavenumber(eta, n)
+        conn = wz_connection(eta, n, g)
+        assert np.max(np.abs(conn.coeff_c - (k / l) * SIGMA2)) <= 1e-15 * abs(k) / l, (eta, n, l)
+        assert np.max(np.abs(conn.coeff_l)) == 0.0
