@@ -35,8 +35,8 @@ def main():
     print("eta = +1, n = 1 (levels n and -n coalesce)")
     print("dc coefficient of the connection (closed form, k/l * sigma2):")
     print(fmt_matrix(conn.coeff_c))
-    numeric = connection_from_basis(1, 1, g)
-    drift = np.max(np.abs(numeric.coeff_c - conn.coeff_c))
+    numeric = connection_from_basis(1, 1)  # l A at the unit box
+    drift = np.max(np.abs(numeric.coeff_c / g.l - conn.coeff_c))
     print(f"quadrature recomputation from the basis deviates by {drift:.2e}")
     print("curvature coefficient (k/l^2 * sigma2):")
     print(fmt_matrix(wz_curvature(1, 1, g)))

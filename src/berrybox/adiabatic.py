@@ -122,7 +122,7 @@ def weak_form_matrix(modes):
     with np.errstate(divide="ignore", invalid="ignore"):
         sinc = np.where(z == 0, 1.0, np.sin(z) / z)
         xp = np.where(dn == 0, 0.0, -0.5j * z * (-1.0) ** dn / (np.pi * dn))
-    p = np.diag(-k * np.sin(alpha)) - 0.5j * np.cos(alpha) * (k - k[:, None]) * sinc
+    p = np.diag(-k * modes[0].sin_alpha) - 0.5j * np.cos(alpha) * (k - k[:, None]) * sinc
     p.setflags(write=False)
     xp.setflags(write=False)
     return p, xp

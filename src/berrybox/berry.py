@@ -18,12 +18,15 @@ and cross-checked against the closed form a_c = (k/l) sin(alpha), a_l = 0:
 Each eigenfunction is two plane waves and each loop a polyline, so the
 overlaps, the interior windows and the analytic loop phase are integrated in
 closed form; quadrature serves the mollified embedding and `stokes_defect`.
-Every oracle takes arrays of boxes (l, c), a scalar being the 0-d case, and
-returns arrays of their shape; an overlap chain computes all of its pairs at
-once.  The interior and mollified oracles use dilation covariance once: each
-regulator scales with the box, so the connection is F/l with F evaluated at
-the unit box, and around a closed loop their phases are -F_c times the
-closed-form loop integral of dc/l, as the analytic phase is.
+The boundary conditions are dilation invariant, so every state is
+l^-1/2 phi((x - c)/l), and a prescription whose regulator scales with the box
+(the interior step, the cutoff width) gives a connection F/l.  Each connection
+oracle therefore takes only the mode and its relative regulator and returns
+F = l a, the connection at the unit box, integrated in the box coordinate
+u = (x - c)/l where no box enters; around a closed loop every phase is -F_c
+times the closed-form loop integral of dc/l.  `state_overlaps` and `curvature`
+take arrays of boxes, a scalar being the 0-d case, and an overlap chain
+computes all of its pairs at once.
 Loop phases follow the convention Phi = i * contour integral of <psi|d psi>;
 for the counterclockwise axis-aligned rectangle [l1, l2] x [c1, c2] this
 gives Phi = k (1/l1 - 1/l2)(c2 - c1) sin(alpha).
@@ -111,14 +114,15 @@ def _boxes(*lc):
     return arrays[0].shape, [v.ravel() for v in arrays]
 
 
-def connection_analytic(m: Mode, l, c):
-    """Closed-form connection: arrays a_l = 0 and a_c = (k/l) sin(alpha).
+def connection_analytic(m: Mode):
+    """Closed-form connection at the unit box: (F_l, F_c) = (0, k sin(alpha)),
+    so a_l = 0 and a_c = (k/l) sin(alpha) at a box of length l.
 
-    Real eta has sin(alpha) = 0 and the connection vanishes identically
-    (time-reversal-invariant boundary conditions carry no geometric phase).
+    Real and infinite eta have sin(alpha) = 0 exactly (`Mode.sin_alpha`), and
+    the connection vanishes: time-reversal-invariant boundary conditions carry
+    no geometric phase.
     """
-    shape, (l, c) = _boxes(l, c)
-    return np.zeros(shape), (m.k / l * np.sin(m.alpha)).reshape(shape)
+    return 0.0, m.k * m.sin_alpha
 
 
 def _window_integral(m: Mode, la, ca, lb, cb, lo, hi):
@@ -148,39 +152,19 @@ def _window_integral(m: Mode, la, ca, lb, cb, lo, hi):
     return 2.0 * half * total / np.sqrt(la * lb)
 
 
-def _from_unit_box(l, c, rel, unit):
-    """Arrays (a_l, a_c) = F(rel)/l at the boxes (l, c), where l, c and the
-    relative regulators rel broadcast together and F = `unit(regulators)`
-    is evaluated once per distinct regulator, at the unit box (1, 0).
-
-    The boundary conditions are dilation invariant, so each state is
-    l^-1/2 phi((x - c)/l), and a prescription whose regulator scales with the
-    box (a step h = rel * l, a cutoff width eps * l) gives the connection
-    F(rel)/l, F an integral over the box coordinate u = (x - c)/l that no box
-    enters.  No x - c is formed, which would cancel digits once |c|/l is large.
-    """
-    l, c, rel = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (l, c, rel)))
-    shape, (l, _) = _boxes(l, c)
-    regulators, index = np.unique(rel.ravel(), return_inverse=True)
-    f_l, f_c = unit(regulators)
-    return (f_l[index] / l).reshape(shape), (f_c[index] / l).reshape(shape)
+def require_interior_step(m: Mode, h_rel) -> float:
+    """`h_rel` if 0 < h_rel < (1 + |k|)/4, the relative form of the interior
+    bound 0 < h < l/4 at the step h_rel * l / (1 + |k|); raises ValueError
+    otherwise."""
+    bound = (1.0 + abs(m.k)) / 4.0
+    if not 0 < h_rel < bound:
+        raise ValueError(f"h must satisfy 0 < h < (1 + |k|)/4 = {bound:.3g} at this level, not {h_rel}")
+    return h_rel
 
 
-def _interior_at_unit_box(m: Mode, r):
-    """Arrays (F_l, F_c) at the relative steps r: the shifted states sit at
-    c = +-r or l = 1 +- r, and every window is centred on u = 0."""
-    if not np.all((0 < r) & (r < 0.25)):
-        raise ValueError("need 0 < h < l/4")
-    one, zero = np.ones_like(r), np.zeros_like(r)
-    lo = np.stack([r - 0.5] * 3 + [0.5 * (r - 1.0)] * 3)
-    w = _window_integral(m, 1.0, 0.0, np.stack([one, one, one, 1.0 + r, 1.0 - r, one]),
-                         np.stack([r, -r, zero, zero, zero, zero]), lo, -lo)
-    return (w[3] - w[4]).imag / (2.0 * r) / w[5].real, (w[0] - w[1]).imag / (2.0 * r) / w[2].real
-
-
-def connection_interior(m: Mode, l, c, h=None):
-    """Arrays (a_l, a_c) from parameter finite differences, integrated inside
-    each box (l, c), at the steps h (one per box, or one for all).
+def connection_interior(m: Mode, h_rel=1e-4):
+    """(F_l, F_c) = l (a_l, a_c) from parameter finite differences integrated
+    inside the box, at the step h = h_rel * l / (1 + |k|).
 
     The derivative is formed from the eigenfunction at parameters +/- h, and
     the integral, in closed form, runs strictly inside the intersection of
@@ -188,56 +172,28 @@ def connection_interior(m: Mode, l, c, h=None):
     normalized by the norm captured in the same window: the window clips an
     O(h) sliver off the box, and without the renormalization that sliver
     would dominate the finite-difference truncation error.  Converges to the
-    closed form at second order in h.  The quotients are taken at the unit
-    box, at the relative step h/l (`_from_unit_box`).
-
-    The default step 1e-4 l / (1 + |k|) shrinks with the wavenumber: the
-    truncation error grows like h^2 k^3, so a k-independent step loses the
-    high modes long before roundoff becomes relevant.
+    closed form at second order in h.  The step shrinks with the wavenumber:
+    the truncation error grows like h^2 k^3.  At the unit box the shifted
+    states sit at c = +-r or l = 1 +- r, r = h_rel / (1 + |k|).
     """
-    with np.errstate(divide="ignore", invalid="ignore"):  # `_from_unit_box` rejects such boxes
-        rel = 1e-4 / (1.0 + abs(m.k)) if h is None else np.divide(h, l)
-    return _from_unit_box(l, c, rel, lambda r: _interior_at_unit_box(m, r))
+    r = require_interior_step(m, h_rel) / (1.0 + abs(m.k))
+    lo = np.array([r - 0.5] * 3 + [0.5 * (r - 1.0)] * 3)
+    w = _window_integral(m, 1.0, 0.0, np.array([1.0, 1.0, 1.0, 1.0 + r, 1.0 - r, 1.0]),
+                         np.array([r, -r, 0.0, 0.0, 0.0, 0.0]), lo, -lo)
+    return (w[3] - w[4]).imag / (2.0 * r) / w[5].real, (w[0] - w[1]).imag / (2.0 * r) / w[2].real
 
 
-def _mollified_at_unit_box(m: Mode, widths):
-    """Arrays (F_l, F_c) at the relative cutoff widths: the interior is
-    sampled once, the two wall strips once per width."""
-    if not np.all(np.isfinite(widths) & (widths > 0)):
-        raise ValueError("eps must be finite and positive")
-    # panels split at the box walls where the cutoff profile kicks in
-    inner_panels = max(2, int(np.ceil(4.0 * abs(m.k) / (2.0 * np.pi))) + 2)
-    rho = standard_mollifier()
-
-    def weighted(u, w):  # integrands of the norm, l a_l and l a_c, times the weights w
-        ext, d_dl, d_dc = _extension_jet(m, 1.0, 0.0, u)
-        bra = np.conj(ext)
-        return np.stack([w * np.abs(ext) ** 2, w * np.imag(bra * d_dl), w * np.imag(bra * d_dc)])
-
-    inside = weighted(*panel_rule(-0.5, 0.5, inner_panels))
-    sums = []
-    for width in widths:
-        u, w = panel_rule([-0.5 - width, 0.5], [-0.5, 0.5 + width], 12)
-        strips = weighted(u, w * rho((np.abs(u) - 0.5) / width) ** 2)
-        # summed in grid order, wall to wall
-        sums.append(np.concatenate([strips[:, 0], inside, strips[:, 1]], axis=-1).sum(axis=-1))
-    norm2, f_l, f_c = np.array(sums).T
-    return f_l / norm2, f_c / norm2
-
-
-def connection_mollified(m: Mode, l, c, eps):
-    """Arrays (a_l, a_c) from the smoothed-box embedding at the boxes (l, c)
-    and the cutoff widths eps, relative to l: the width at a box is eps * l.
-    l, c and eps broadcast together, so axes of eps in front of the boxes'
-    shape sweep the widths.
+def connection_mollified(m: Mode, eps):
+    """Arrays (F_l, F_c) = l (a_l, a_c) from the smoothed-box embedding at the
+    cutoff widths eps, relative to l (the width at a box is eps * l), of the
+    shape of eps.
 
     The eigenfunction is written as (smooth whole-line extension) times a
     normalized, mollified characteristic function of the box; the connection
     integrand uses the analytic parameter derivative of the extension and
-    the square of the cutoff.  As eps -> 0 the c-component tends to
-    (k/l) sin(alpha) and the l-component to zero (its limiting integrand is
-    odd around the box center).  The integrals are taken at the unit box
-    (`_from_unit_box`).
+    the square of the cutoff.  As eps -> 0, F_c tends to k sin(alpha) and
+    F_l to zero (its limiting integrand is odd around the box center).  The
+    interior is sampled once, the two wall strips once per width.
 
     For this particular eigenfunction family the convergence is in fact
     instantaneous: Im(conj(phi) d_c phi) is constant in x and the cutoff is
@@ -246,7 +202,27 @@ def connection_mollified(m: Mode, l, c, eps):
     to quadrature error.  The sweep over eps still exercises the embedding
     end to end.
     """
-    return _from_unit_box(l, c, eps, lambda widths: _mollified_at_unit_box(m, widths))
+    widths = np.asarray(eps, dtype=float)
+    if not np.all(np.isfinite(widths) & (widths > 0)):
+        raise ValueError("eps must be finite and positive")
+    # panels split at the box walls where the cutoff profile kicks in
+    inner_panels = max(2, int(np.ceil(4.0 * abs(m.k) / (2.0 * np.pi))) + 2)
+    rho = standard_mollifier()
+
+    def weighted(u, w):  # integrands of the norm, F_l and F_c, times the weights w
+        ext, d_dl, d_dc = _extension_jet(m, 1.0, 0.0, u)
+        bra = np.conj(ext)
+        return np.stack([w * np.abs(ext) ** 2, w * np.imag(bra * d_dl), w * np.imag(bra * d_dc)])
+
+    inside = weighted(*panel_rule(-0.5, 0.5, inner_panels))
+    sums = []
+    for width in widths.flat:
+        u, w = panel_rule([-0.5 - width, 0.5], [-0.5, 0.5 + width], 12)
+        strips = weighted(u, w * rho((np.abs(u) - 0.5) / width) ** 2)
+        # summed in grid order, wall to wall
+        sums.append(np.concatenate([strips[:, 0], inside, strips[:, 1]], axis=-1).sum(axis=-1))
+    norm2, f_l, f_c = np.reshape(np.transpose(sums), (3,) + widths.shape)
+    return f_l / norm2, f_c / norm2
 
 
 # ---------------------------------------------------------------------------
@@ -258,26 +234,15 @@ def _require_closed(path: ParameterPath):
         raise ValueError("loop phase requires a closed parameter path")
 
 
-def require_interior_step(m: Mode, h_rel) -> float:
-    """`h_rel` if 0 < h_rel < (1 + |k|)/4, the relative form of the interior
-    bound 0 < h < l/4 at the step h_rel * l / (1 + |k|); raises ValueError
-    otherwise."""
-    bound = (1.0 + abs(m.k)) / 4.0
-    if not 0 < h_rel < bound:
-        raise ValueError(f"h must satisfy 0 < h < (1 + |k|)/4 = {bound:.3g} at this level, not {h_rel}")
-    return h_rel
-
-
 def loop_phase_interior(m: Mode, path: ParameterPath, h_rel: float) -> float:
     """Loop phase of `connection_interior` at the step h_rel * l / (1 + |k|).
 
-    That step is one relative step at every box, so the connection is
-    (F_l, F_c)/l; around a closed loop F_l multiplies the loop integral of
-    dl/l, which vanishes, and Phi = -F_c times that of dc/l (`dc_over_l`).
+    The connection is (F_l, F_c)/l; around a closed loop F_l multiplies the
+    loop integral of dl/l, which vanishes, and Phi = -F_c times that of dc/l
+    (`ParameterPath.dc_over_l`).
     """
-    h_rel = require_interior_step(m, h_rel)
     _require_closed(path)
-    _, f_c = connection_interior(m, 1.0, 0.0, h_rel / (1.0 + abs(m.k)))
+    _, f_c = connection_interior(m, h_rel)
     return float(-f_c * path.dc_over_l())
 
 
@@ -286,20 +251,18 @@ def loop_phase_mollified_sweep(m: Mode, path: ParameterPath, eps_list) -> list[f
     `connection_mollified`, as for `loop_phase_interior`, at each relative
     width in `eps_list`, in the order given."""
     _require_closed(path)
-    _, f_c = connection_mollified(m, 1.0, 0.0, eps_list)
+    _, f_c = connection_mollified(m, eps_list)
     return (-f_c * path.dc_over_l()).tolist()
 
 
 def loop_phase_analytic(m: Mode, path: ParameterPath) -> float:
-    """Loop phase of the closed-form connection, integrated in closed form.
-
-    Only a_c = (k/l) sin(alpha) contributes, so Phi = -k sin(alpha) times
-    the loop integral of dc/l (`ParameterPath.dc_over_l`).  For the
-    counterclockwise rectangle [l1, l2] x [c1, c2],
-    Phi = k (1/l1 - 1/l2)(c2 - c1) sin(alpha).
+    """Loop phase of the closed-form connection, -F_c times the loop integral
+    of dc/l, as for `loop_phase_interior`.  For the counterclockwise rectangle
+    [l1, l2] x [c1, c2], Phi = k (1/l1 - 1/l2)(c2 - c1) sin(alpha).
     """
     _require_closed(path)
-    return float(-m.k * np.sin(m.alpha) * path.dc_over_l())
+    _, f_c = connection_analytic(m)
+    return float(-f_c * path.dc_over_l())
 
 
 def state_overlaps(m: Mode, la, ca, lb, cb):
@@ -381,11 +344,12 @@ def curvature(m: Mode, l):
     """Array of the curvature two-form coefficient f_lc = (k/l^2) sin(alpha)
     at the box lengths l.
 
-    This is k sin(alpha) times the hyperbolic area density 1/l^2 of the
-    (l, c) half-plane, and vanishes for every real eta.
+    This is F_c = k sin(alpha) (`connection_analytic`) times the hyperbolic
+    area density 1/l^2 of the (l, c) half-plane, and is exactly 0 for real
+    and infinite eta.
     """
     shape, (l, _) = _boxes(l, 0.0)
-    return (m.k * np.sin(m.alpha) / l ** 2).reshape(shape)
+    return (connection_analytic(m)[1] / l ** 2).reshape(shape)
 
 
 def stokes_defect(m: Mode, rect: ParameterPath) -> float:

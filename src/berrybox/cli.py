@@ -14,8 +14,8 @@ flag given overrides the key it maps to.  Every run with --out also writes
 that dict, resolved, to <out>.config.json so the run can be reproduced from
 that file alone.  All subcommands take --config and --out; berry and
 adiabatic also take --plot, and berry takes --tol.
-Floating-point output is scientific with 9 significant digits, so identical
-configurations produce byte-identical files.
+Floating-point output is scientific with 9 significant digits, with no -0,
+so identical configurations produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -61,8 +61,9 @@ class UsageError(ValueError):
 # formatting
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.8e}"
+def _fmt(x: float, sign: str = "") -> str:
+    # + 0.0 turns -0.0 into 0.0 and leaves every other value as it is
+    return f"{float(x) + 0.0:{sign}.8e}"
 
 
 def _round9(x: float) -> float:
@@ -71,7 +72,7 @@ def _round9(x: float) -> float:
 
 def _fmt_complex(z: complex) -> str:
     z = complex(z)
-    return f"{z.real:.8e}{z.imag:+.8e}i"
+    return f"{_fmt(z.real)}{_fmt(z.imag, '+')}i"
 
 
 def _fmt_matrix(m) -> list:

@@ -102,8 +102,8 @@ def _nondegenerate(eta) -> Eta:
 def alpha_of(eta) -> float:
     """Phase angle Arg((1 + eta)/(1 - eta)) in (-pi, pi].
 
-    eta = inf gives pi; real eta gives 0 or pi (sin alpha = 0, the
-    time-reversal-invariant members).  eta = +/-1 is rejected.
+    eta = inf gives pi; real eta gives 0 or pi (the time-reversal-invariant
+    members, where `Mode.sin_alpha` is exactly 0).  eta = +/-1 is rejected.
     """
     eta = _nondegenerate(eta)
     if eta.infinite:
@@ -133,6 +133,11 @@ class Mode:
     eta: Eta
     k: float
     alpha: float
+
+    @property
+    def sin_alpha(self) -> float:
+        """sin(alpha); exactly 0 for real and infinite eta, not np.sin(pi)."""
+        return 0.0 if self.eta.infinite or self.eta.value.imag == 0 else np.sin(self.alpha)
 
 
 def mode(n: int, eta) -> Mode:

@@ -74,14 +74,14 @@ def _require_degenerate(eta: int) -> int:
     return eta
 
 
-def connection_from_basis(eta: int, n: int, g: Geometry) -> MatrixConnection:
-    """Matrix connection recomputed by quadrature from the explicit basis.
+def connection_from_basis(eta: int, n: int) -> MatrixConnection:
+    """Matrix connection l A at the unit box, recomputed by quadrature from
+    the explicit basis; the connection at a box of length l is this over l.
 
     phi_I = sqrt(2/l) cos(k u), phi_II = sqrt(2/l) sin(k u) with
     u = (x - c)/l.  Every integrand <phi_a | d phi_b> dx scales as 1/l at
-    fixed u, so the integrals run once over the unit box in u and are
-    divided by l; integrating in x would cancel digits in x - c once |c|/l
-    is large.  The raw matrices pick up a real diagonal from the norm
+    fixed u, so the integrals run once over the unit box in u, where no
+    x - c is formed.  The raw matrices pick up a real diagonal from the norm
     flowing through the moving walls; only their anti-Hermitian part is the
     connection (times i), which is what the interior-derivative prescription
     keeps.
@@ -98,7 +98,7 @@ def connection_from_basis(eta: int, n: int, g: Geometry) -> MatrixConnection:
 
     def coeff(grads):
         raw = np.array([[np.sum(w * phi[a] * grads[b]) for b in range(2)] for a in range(2)])
-        return 1j * 0.5 * (raw - raw.conj().T) / g.l
+        return 1j * 0.5 * (raw - raw.conj().T)
 
     return MatrixConnection(coeff_l=coeff(d_dl), coeff_c=coeff(d_dc))
 
@@ -106,16 +106,14 @@ def connection_from_basis(eta: int, n: int, g: Geometry) -> MatrixConnection:
 def wz_connection(eta: int, n: int, g: Geometry) -> MatrixConnection:
     """Closed-form matrix connection A_l = 0, A_c = (k_n / l) sigma_2.
 
-    The connection is dilation covariant: l A at the box g is A at the unit
-    box.  So the coefficients are recomputed from the basis by quadrature
-    (`connection_from_basis`) once, at Geometry(1, 0), and must agree with
-    k_n sigma_2 entrywise to 1e-8; otherwise ConnectionCheckError is raised.
-    Checked at g itself, the absolute gate would meet rounding of entries
-    of size k_n / l.
+    The connection is dilation covariant, so the quadrature check runs once,
+    at the unit box: `connection_from_basis` must agree with k_n sigma_2
+    entrywise to 1e-8, or ConnectionCheckError is raised.  Checked at g
+    itself, the absolute gate would meet rounding of entries of size k_n / l.
     """
     _require_degenerate(eta)
     k = degenerate_wavenumber(eta, n)
-    unit = connection_from_basis(eta, n, Geometry(1.0, 0.0))
+    unit = connection_from_basis(eta, n)
     worst = max(np.max(np.abs(unit.coeff_l)), np.max(np.abs(unit.coeff_c - k * SIGMA2)))
     if worst > 1e-8:
         raise ConnectionCheckError(

@@ -98,12 +98,12 @@ def test_criterion_4_connection_oracles():
         for n in range(-4, 5):
             for l in (1.0, 1.6):
                 m = mode(n, eta)
-                exact = connection_analytic(m, l, 0.3)[1]
-                inner_l, inner_c = connection_interior(m, l, 0.3)
+                exact = connection_analytic(m)[1] / l
+                inner_l, inner_c = (f / l for f in connection_interior(m))
                 assert abs(inner_c - exact) < 1e-6
                 assert abs(inner_l) < 1e-6
                 eps = [0.2, 0.1, 0.05, 0.025]
-                moll_l, moll_c = connection_mollified(m, l, 0.3, eps)
+                moll_l, moll_c = (f / l for f in connection_mollified(m, eps))
                 limit, _order = power_law_extrapolate(eps, moll_c)
                 assert abs(limit - exact) < 1e-4
                 assert abs(moll_l[-1]) < 1e-4

@@ -1,7 +1,6 @@
 """Connection oracles, loop phases, curvature, and the dilation commutator."""
 
 import re
-import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +26,7 @@ from berrybox import (
     loop_phase_mollified_sweep,
     loop_phase_overlap_meshes,
     mode,
+    mode_window,
     oscillatory_rule,
     panel_rule,
     point_loop,
@@ -38,6 +38,7 @@ from berrybox import (
     standard_mollifier,
     state_overlaps,
     stokes_defect,
+    weak_form_matrix,
 )
 from berrybox.berry import _chain_phase
 
@@ -66,15 +67,10 @@ def _loop_integral(path, connection):
     return -total
 
 
-def _per_node(connection):
-    """A side connection for `_loop_integral` that calls `connection(l, c)`
-    once per Gauss node, with scalars: the per-point route."""
-
-    def side(l, c):
-        pairs = [connection(lj, cj) for lj, cj in zip(l.tolist(), c.tolist())]
-        return tuple(np.array([float(v) for v in part]) for part in zip(*pairs))
-
-    return side
+def _over_l(f):
+    """A side connection for `_loop_integral`: the unit-box connection
+    f = (F_l, F_c) of an oracle, divided by l at each node."""
+    return lambda l, c: (f[0] / l, f[1] / l)
 
 
 # ---------------------------------------------------------------------------
@@ -111,38 +107,48 @@ def test_mollifier_flat_at_zero():
 
 def test_connection_analytic_values():
     m = mode(0, 1j)
-    a_l, a_c = connection_analytic(m, 1.0, 0.0)
+    a_l, a_c = connection_analytic(m)
     assert a_c == pytest.approx(np.pi / 2.0, abs=1e-15)
     assert a_l == 0.0
-    for eta in (0.0, 0.5, -2.0):
-        _, a_c = connection_analytic(mode(0, eta), 1.0, 0.0)
-        assert abs(a_c) < 1e-15
+
+
+@pytest.mark.parametrize("eta", [2.0, -3.0, ETA_INF, 0.5])
+def test_time_reversal_invariant_eta_carries_exactly_zero(eta):
+    # alpha is pi (or 0), and np.sin(pi) = 1.2e-16 used to leak into the
+    # connection, the curvature, the p diagonal and the loop phase
+    for n in (-2, 0, 1):
+        m = mode(n, eta)
+        assert m.sin_alpha == 0.0
+        assert connection_analytic(m)[1] == 0.0
+        assert np.all(curvature(m, np.array([0.5, 1.0, 2.0])) == 0.0)
+        assert loop_phase_analytic(m, RECT) == 0.0
+    assert np.all(np.diag(weak_form_matrix(mode_window(eta, 2))[0]) == 0.0)
 
 
 def test_connection_interior_matches_closed_form():
     m = mode(0, 1j)
-    a_l, a_c = connection_interior(m, 1.0, 0.0, h=1e-4)
+    a_l, a_c = connection_interior(m)
     assert abs(a_c - np.pi / 2.0) < 1e-6
     assert abs(a_l) < 1e-6
-    a_l, a_c = connection_interior(mode(0, 0.0), 1.0, 0.0, h=1e-4)
+    a_l, a_c = connection_interior(mode(0, 0.0))
     assert abs(a_c) < 1e-8 and abs(a_l) < 1e-8
     with pytest.raises(ValueError):
-        connection_interior(m, 1.0, 0.0, h=0.5)
+        connection_interior(m, 1.0)
 
 
 def test_connection_interior_second_order():
     m = mode(1, -0.3 + 0.4j)
-    exact = connection_analytic(m, 1.4, 0.2)[1]
-    errs = [abs(connection_interior(m, 1.4, 0.2, h=h)[1] - exact) for h in (2e-3, 1e-3, 5e-4)]
+    exact = connection_analytic(m)[1]
+    errs = [abs(connection_interior(m, h_rel)[1] - exact) for h_rel in (2e-2, 1e-2, 5e-3)]
     assert errs[0] / errs[1] > 3.0
     assert errs[1] / errs[2] > 3.0
 
 
 def test_connection_mollified_converges():
     m = mode(0, 2j)
-    exact = connection_analytic(m, 1.0, 0.3)[1]
+    exact = connection_analytic(m)[1]
     eps = [0.2, 0.1, 0.05]
-    a_l, a_c = connection_mollified(m, 1.0, 0.3, eps)
+    a_l, a_c = connection_mollified(m, eps)
     limit, order = power_law_extrapolate(eps, a_c)
     assert order >= 1.0
     assert abs(limit - exact) < 1e-4
@@ -178,12 +184,12 @@ def test_oracle_agreement_grid():
         for n in (-1, 0, 2):
             for l in (0.8, 1.6):
                 m = mode(n, eta)
-                exact = connection_analytic(m, l, 0.3)[1]
-                inner_l, inner_c = connection_interior(m, l, 0.3)
+                exact = connection_analytic(m)[1] / l
+                inner_l, inner_c = (f / l for f in connection_interior(m))
                 assert abs(inner_c - exact) < 1e-6
                 assert abs(inner_l) < 1e-6
                 eps = [0.2, 0.1, 0.05, 0.025]
-                limit, _ = power_law_extrapolate(eps, connection_mollified(m, l, 0.3, eps)[1])
+                limit, _ = power_law_extrapolate(eps, connection_mollified(m, eps)[1] / l)
                 assert abs(limit - exact) < 1e-4
 
 
@@ -200,14 +206,14 @@ def test_rectangle_phase_analytic():
     flat = rectangle_loop(1.5, 1.5, 0.0, 1.0)
     assert abs(loop_phase_analytic(m, flat)) < 1e-12
     for eta in (0.0, 0.5, -2.0):
-        assert abs(loop_phase_analytic(mode(0, eta), RECT)) < 1e-12
+        assert loop_phase_analytic(mode(0, eta), RECT) == 0.0
     with pytest.raises(ValueError):
         loop_phase_analytic(m, polyline_path([(1.0, 0.0), (2.0, 1.0)]))
 
 
 def test_loop_phase_mollified_matches_per_point_route():
     # -F_c times the loop integral of dc/l, against Gauss nodes along each
-    # side with one connection_mollified per node
+    # side with the connection F/l at each node
     rng = np.random.default_rng(41)
     for trial in range(12):
         if trial % 2:
@@ -220,7 +226,7 @@ def test_loop_phase_mollified_matches_per_point_route():
         eta = (ETA_INF, 0.3, 2j, complex(*rng.uniform(-1.0, 1.0, 2)))[trial % 4]
         m = mode(int(rng.integers(-5, 6)), eta)
         e = float(rng.choice([0.2, 0.1, 0.05, 0.025]))
-        reference = _loop_integral(path, _per_node(lambda l, c: connection_mollified(m, l, c, e)))
+        reference = _loop_integral(path, _over_l(connection_mollified(m, e)))
         [phase] = loop_phase_mollified_sweep(m, path, [e])
         assert abs(phase - reference) < 1e-13, (m, path)
 
@@ -337,42 +343,47 @@ def test_state_overlap_matches_quadrature():
         assert abs(_overlap(m, ga, gb) - ref) < 1e-13, (m, ga, gb)
 
 
+def _interior_quotients(m, g, h):
+    """(a_l, a_c) from the finite-difference quotients of the states at the
+    box g by panel quadrature over the windows of `connection_interior`."""
+
+    def quotient(plus, minus, half):
+        lo, hi = g.c - half, g.c + half
+        diff = _quadrature_window(m, g, plus, lo, hi) - _quadrature_window(m, g, minus, lo, hi)
+        return diff.imag / (2.0 * h) / _quadrature_window(m, g, g, lo, hi).real
+
+    return (quotient(Geometry(g.l + h, g.c), Geometry(g.l - h, g.c), 0.5 * (g.l - h)),
+            quotient(Geometry(g.l, g.c + h), Geometry(g.l, g.c - h), 0.5 * g.l - h))
+
+
 def test_connection_interior_matches_quadrature():
-    # the finite-difference quotients by panel quadrature in the box
-    # coordinate u = (x - c)/l, at the relative step r = h/l, scaled by 1/l:
-    # in x, the states at the shifted boxes lose digits to x - c once |c|/l
-    # is large
+    # the quotients at the unit box, where x is the box coordinate u
     rng = np.random.default_rng(2025)
     for j in range(150):
         m = _draw_mode(rng, j)
-        l = rng.uniform(0.3, 3.0)
-        c = rng.choice([1.0, -1.0]) * l * 10.0 ** rng.uniform(-3.0, 6.0)
-        r = 1e-4 / (1.0 + abs(m.k))
-
-        def quotient(plus, minus, lo, hi):
-            diff = _quadrature_window(m, UNIT, plus, lo, hi) - _quadrature_window(m, UNIT, minus, lo, hi)
-            return diff.imag / (2.0 * r) / _quadrature_window(m, UNIT, UNIT, lo, hi).real / l
-
-        a_c = quotient(Geometry(1.0, r), Geometry(1.0, -r), r - 0.5, 0.5 - r)
-        a_l = quotient(Geometry(1.0 + r, 0.0), Geometry(1.0 - r, 0.0), 0.5 * (r - 1.0), 0.5 * (1.0 - r))
-        s_l, s_c = connection_interior(m, l, c)
-        tol = 1e-10 * (1.0 + abs(m.k) / l)
-        assert abs(s_c - a_c) < tol, (m, l, c)
-        assert abs(s_l - a_l) < tol, (m, l, c)
+        a_l, a_c = _interior_quotients(m, UNIT, 1e-4 / (1.0 + abs(m.k)))
+        s_l, s_c = connection_interior(m)
+        tol = 1e-10 * (1.0 + abs(m.k))
+        assert abs(s_c - a_c) < tol, m
+        assert abs(s_l - a_l) < tol, m
 
 
-def test_interior_connection_is_dilation_covariant():
-    # l a(l, c) at the step h is the unit box's connection at the relative
-    # step h/l, bitwise, wherever the box sits
+def test_connection_interior_is_dilation_covariant_in_x():
+    # the quotients in x at drawn boxes are F/l at the relative step: the
+    # premise of every interior loop phase
     rng = np.random.default_rng(2028)
-    for j in range(20):
-        m = _drawn_mode(rng, j, 30)
-        l = 10.0 ** rng.uniform(-3.0, 3.0, 6)
-        c = l * rng.choice([1.0, -1.0], 6) * 10.0 ** rng.uniform(-3.0, 6.0, 6)
-        h = l * rng.uniform(1e-6, 0.2, 6)
-        a_l, a_c = connection_interior(m, l, c, h)
-        unit_l, unit_c = connection_interior(m, 1.0, 0.0, h / l)
-        assert np.array_equal(a_l, unit_l / l) and np.array_equal(a_c, unit_c / l), m
+    for j in range(60):
+        m = _draw_mode(rng, j)
+        l = 10.0 ** rng.uniform(-3.0, 3.0)
+        g = Geometry(l, rng.uniform(-10.0, 10.0) * l)
+        h_rel = float(rng.choice([1e-4, 1e-3, 1e-2]))
+        a_l, a_c = _interior_quotients(m, g, h_rel * l / (1.0 + abs(m.k)))
+        f_l, f_c = connection_interior(m, h_rel)
+        # the rounding of window integrals at phases k (1 + |c|/l), over the
+        # step; over 300 draws the error reached 0.09 of this
+        tol = 1e-15 * (1.0 + abs(m.k)) ** 2 * (1.0 + abs(g.c) / l) / (h_rel * l)
+        assert abs(f_c / l - a_c) < tol, (m, g, h_rel)
+        assert abs(f_l / l - a_l) < tol, (m, g, h_rel)
 
 
 def _narrow_polyline(rng):
@@ -393,7 +404,7 @@ def test_loop_phase_analytic_matches_connection_quadrature():
     for j in range(100):
         m = _draw_mode(rng, j)
         path = _narrow_polyline(rng)
-        ref = _loop_integral(path, lambda l, c: connection_analytic(m, l, c))
+        ref = _loop_integral(path, _over_l(connection_analytic(m)))
         phase = loop_phase_analytic(m, path)
         assert abs(phase - ref) < 1e-13 * (1.0 + abs(ref)), (m, path)
 
@@ -484,32 +495,19 @@ def test_array_oracles_take_a_scalar_box_as_the_0d_case():
     # a scalar box gives a 0-d array holding the length-1 array call's value
     m = mode(3, 0.3 + 0.6j)
     calls = {
-        "connection_analytic": lambda f: connection_analytic(m, f(1.3), f(-0.2)),
-        "connection_interior": lambda f: connection_interior(m, f(1.3), f(-0.2)),
-        "connection_interior at h": lambda f: connection_interior(m, f(1.3), f(-0.2), f(1e-3)),
-        "connection_mollified": lambda f: connection_mollified(m, f(1.3), f(-0.2), f(0.05)),
-        "curvature": lambda f: (curvature(m, f(1.3)),),
-        "state_overlaps": lambda f: (state_overlaps(m, f(1.3), f(-0.2), f(1.35), f(-0.15)),),
+        "curvature": lambda f: curvature(m, f(1.3)),
+        "state_overlaps": lambda f: state_overlaps(m, f(1.3), f(-0.2), f(1.35), f(-0.15)),
     }
     for name, call in calls.items():
-        for scalar, single in zip(call(float), call(lambda v: np.array([v]))):
-            assert scalar.shape == () and single.shape == (1,), name
-            assert scalar[()] == single[0], name
-    # axes of eps in front of the boxes' shape sweep the widths
-    eps = [0.2, 0.1, 0.05]
-    sweep = connection_mollified(m, 1.3, -0.2, eps)
-    assert all(v.shape == (3,) for v in sweep)
-    for j, e in enumerate(eps):
-        assert (sweep[0][j], sweep[1][j]) == connection_mollified(m, 1.3, -0.2, e)
+        scalar, single = call(float), call(lambda v: np.array([v]))
+        assert scalar.shape == () and single.shape == (1,), name
+        assert scalar[()] == single[0], name
 
 
 def test_array_oracles_reject_boxes_outside_the_half_plane():
     # the check each oracle makes of its boxes, which Geometry used to make
     m = mode(0, 1j)
     oracles = {
-        "connection_analytic": lambda l, c: connection_analytic(m, l, c),
-        "connection_interior": lambda l, c: connection_interior(m, l, c),
-        "connection_mollified": lambda l, c: connection_mollified(m, l, c, 0.1),
         "state_overlaps a": lambda l, c: state_overlaps(m, l, c, 1.0, 0.0),
         "state_overlaps b": lambda l, c: state_overlaps(m, 1.0, 0.0, l, c),
     }
@@ -522,11 +520,6 @@ def test_array_oracles_reject_boxes_outside_the_half_plane():
     for l in bad_lengths:
         with pytest.raises(ValueError, match="box lengths"):
             curvature(m, np.array([1.0, l]))
-        # an explicit step is made relative to the box only after the check
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="box lengths"):
-                connection_interior(m, l, 0.0, 1e-3)
 
 
 def test_loop_phase_interior_matches_per_point_route():
@@ -535,8 +528,7 @@ def test_loop_phase_interior_matches_per_point_route():
         m = _drawn_mode(rng, j, 12)
         path = _drawn_loop(rng, m)
         h = float(rng.choice([1e-4, 5e-5, 1e-3]))
-        reference = _loop_integral(
-            path, _per_node(lambda l, c: connection_interior(m, l, c, h * l / (1.0 + abs(m.k)))))
+        reference = _loop_integral(path, _over_l(connection_interior(m, h)))
         assert abs(loop_phase_interior(m, path, h) - reference) < 1e-13, (m, path)
 
 
@@ -597,29 +589,19 @@ def _mollified_in_x(m, g, width):
             np.sum(weight * np.imag(np.conj(ext) * d_dc)) / norm2)
 
 
-def _mollified_reference(m, g, eps):
-    # the same embedding in the box coordinate u = (x - c)/l at the relative
-    # width eps, scaled by 1/l
-    a_l, a_c = _mollified_in_x(m, UNIT, eps)
-    return a_l / g.l, a_c / g.l
-
-
 def test_mollified_connection_is_dilation_covariant():
-    # l a(l, c) is one function of the relative width at every box, and the
-    # box-coordinate integral is the x-coordinate one up to rounding
+    # F/l at the relative width eps is the embedding in x at every box, up
+    # to rounding
     rng = np.random.default_rng(3108)
     for j in range(9):
         m = _drawn_mode(rng, j, 12)
         l, c = rng.uniform(0.3, 3.0, 6), rng.uniform(-2.0, 2.0, 6)
-        eps = rng.uniform(0.01, 0.3, 3)[:, None]
-        a_l, a_c = connection_mollified(m, l, c, eps)
-        unit_l, unit_c = connection_mollified(m, 1.0, 0.0, eps)
-        assert np.array_equal(a_l, unit_l / l) and np.array_equal(a_c, unit_c / l), m
+        eps = rng.uniform(0.01, 0.3, 3)
         scale = (1.0 + abs(m.k)) / l
-        for i, e in enumerate(eps[:, 0]):
+        for e, f_l, f_c in zip(eps, *connection_mollified(m, eps)):
             x_l, x_c = np.array([_mollified_in_x(m, Geometry(lj, cj), e * lj) for lj, cj in zip(l, c)]).T
-            assert np.all(np.abs(a_l[i] - x_l) <= 1e-13 * scale), (m, e)
-            assert np.all(np.abs(a_c[i] - x_c) <= 1e-13 * scale), (m, e)
+            assert np.all(np.abs(f_l / l - x_l) <= 1e-13 * scale), (m, e)
+            assert np.all(np.abs(f_c / l - x_c) <= 1e-13 * scale), (m, e)
 
 
 def test_mollified_sweep_integrates_once_per_width(monkeypatch):
@@ -653,7 +635,7 @@ def test_loop_phase_mollified_sweep_matches_single_widths():
                                                                  for e in eps_list]
         # the box-coordinate integrals, taken once for every width, are the embedding's own
         e = eps_list[-1]
-        reference = _loop_integral(path, _per_node(lambda l, c: _mollified_reference(m, Geometry(l, c), e)))
+        reference = _loop_integral(path, _over_l(_mollified_in_x(m, UNIT, e)))
         [phase] = loop_phase_mollified_sweep(m, path, [e])
         assert abs(phase - reference) < 1e-13, (m, path)
 
@@ -799,8 +781,8 @@ def test_curvature_values():
     assert curvature(m, 1.0) == pytest.approx(np.pi / 2.0, abs=1e-15)
     assert curvature(m, 2.0) == pytest.approx(np.pi / 8.0, abs=1e-15)
     for eta in (0.0, 0.5, -2.0):
-        # real eta: alpha is 0 or pi, so sin(alpha) vanishes (up to sin(pi) roundoff)
-        assert abs(curvature(mode(0, eta), 1.0)) < 1e-14
+        # real eta: alpha is 0 or pi, and sin(alpha) is exactly 0
+        assert curvature(mode(0, eta), 1.0) == 0.0
 
 
 def test_curvature_scales_with_wavenumber():

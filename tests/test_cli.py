@@ -149,6 +149,21 @@ def test_berry_real_eta_phases_vanish(tmp_path):
     assert all(abs(float(r[4])) < 1e-4 for r in rows)
 
 
+def test_outputs_hold_no_negative_zero_and_exact_zeros_at_eta_inf(tmp_path):
+    cli = berrybox.cli
+    assert (cli._fmt(-0.0), cli._fmt_complex(complex(-0.0, -0.0)), repr(cli._round9(-0.0))) == (
+        "0.00000000e+00", "0.00000000e+00+0.00000000e+00i", "0.0")
+    rect = ["--loop-rect", "1", "2", "0", "1"]
+    for name, argv in (("real", ["berry", "--eta", "0.5", "--n", "1", *rect, "--method", "all", "--mesh", "64"]),
+                       ("inf", ["berry", "--eta", "inf", "--n", "1", *rect, "--method", "all", "--mesh", "64"]),
+                       ("map", ["berry", "--eta", "inf", "--n", "2", *rect, "--curvature-map", "--mesh", "3"]),
+                       ("wz", ["wz", "--eta", "1", "--n", "1", "--loop-rect", "1", "1", "0", "1"])):
+        assert run(*argv, "--out", str(tmp_path / name)) == 0
+        assert not re.search(r"-0\.0+(?![0-9])", (tmp_path / name).read_text()), name
+    assert read_csv(tmp_path / "inf")[1][0] == ["analytic", "", "", "", "0.00000000e+00", ""]
+    assert {r[2] for r in read_csv(tmp_path / "map")[1]} == {"0.00000000e+00"}
+
+
 def test_berry_tol_gate_exit3(tmp_path):
     out = tmp_path / "berry.csv"
     code = run("berry", "--eta", "0+2i", "--n", "0", "--loop-rect", "1", "2", "0", "1",

@@ -44,9 +44,9 @@ def test_connection_matrices_hermitian():
 def test_numeric_recomputation_matches():
     for eta, n, g in ((1, 1, Geometry(1.0, 0.0)), (1, 3, Geometry(0.7, 0.4)), (-1, 0, Geometry(2.2, -1.0))):
         closed = wz_connection(eta, n, g)
-        numeric = connection_from_basis(eta, n, g)
-        assert np.max(np.abs(numeric.coeff_c - closed.coeff_c)) < 1e-8
-        assert np.max(np.abs(numeric.coeff_l)) < 1e-8
+        numeric = connection_from_basis(eta, n)
+        assert np.max(np.abs(numeric.coeff_c / g.l - closed.coeff_c)) < 1e-8
+        assert np.max(np.abs(numeric.coeff_l / g.l)) < 1e-8
 
 
 def test_rejects_nondegenerate():
@@ -227,8 +227,8 @@ def test_holonomy_routes_every_step_through_expm(monkeypatch, tmp_path, mesh):
 
 
 def test_connection_check_holds_far_off_centre():
-    # the quadrature runs in the box coordinate, so a centre far from the
-    # origin (|c|/l from 1e3 to 1e6) costs no digits
+    # the quadrature runs once, in the box coordinate, so F/l matches the
+    # closed form at centres far from the origin (|c|/l from 1e3 to 1e6)
     rng = np.random.default_rng(20263)
     for _ in range(30):
         eta = int(rng.choice([1, -1]))
@@ -236,9 +236,9 @@ def test_connection_check_holds_far_off_centre():
         l = 10.0 ** rng.uniform(-3.0, 0.0)
         g = Geometry(l, rng.choice([1.0, -1.0]) * l * 10.0 ** rng.uniform(3.0, 6.0))
         closed = wz_connection(eta, n, g)
-        numeric = connection_from_basis(eta, n, g)
-        assert np.max(np.abs(numeric.coeff_c - closed.coeff_c)) < 1e-8
-        assert np.max(np.abs(numeric.coeff_l)) < 1e-8
+        numeric = connection_from_basis(eta, n)
+        assert np.max(np.abs(numeric.coeff_c / g.l - closed.coeff_c)) < 1e-8
+        assert np.max(np.abs(numeric.coeff_l / g.l)) < 1e-8
 
 
 def test_connection_check_holds_on_small_boxes_at_high_levels():
