@@ -41,8 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boundary import require_mass
+from .closed_form import Mode, mode
 from .paths import ParameterPath
-from .spectrum import Mode, mode
 
 __all__ = [
     "Schedule",

@@ -1,9 +1,11 @@
-"""Berry connection, curvature and loop phases for the nondegenerate levels.
+"""Berry connection oracles and loop phases for the nondegenerate levels.
 
 Since the box eigenfunctions stop abruptly at the walls, the naive parameter
 derivative of an eigenfunction is not square integrable and the connection
 integral needs a prescription.  Three independent evaluations are provided
-and cross-checked against the closed form a_c = (k/l) sin(alpha), a_l = 0:
+and cross-checked against the closed form a_c = (k/l) sin(alpha), a_l = 0
+(`closed_form.connection_analytic`, with the curvature and the analytic loop
+phase):
 
 * `connection_interior`        - differentiate the smooth extension and
                                  integrate strictly inside the box (finite
@@ -16,17 +18,17 @@ and cross-checked against the closed form a_c = (k/l) sin(alpha), a_l = 0:
                                  which never differentiates anything.
 
 Each eigenfunction is two plane waves and each loop a polyline, so the
-overlaps, the interior windows and the analytic loop phase are integrated in
-closed form; quadrature serves the mollified embedding and `stokes_defect`.
+overlaps and the interior windows are integrated in closed form; quadrature
+serves the mollified embedding and `stokes_defect`.
 The boundary conditions are dilation invariant, so every state is
 l^-1/2 phi((x - c)/l), and a prescription whose regulator scales with the box
 (the interior step, the cutoff width) gives a connection F/l.  Each connection
 oracle therefore takes only the mode and its relative regulator and returns
 F = l a, the connection at the unit box, integrated in the box coordinate
 u = (x - c)/l where no box enters; around a closed loop every phase is -F_c
-times the closed-form loop integral of dc/l.  `state_overlaps` and `curvature`
-take arrays of boxes, a scalar being the 0-d case, and an overlap chain
-computes all of its pairs at once.
+times the closed-form loop integral of dc/l.  `state_overlaps` takes arrays
+of boxes, a scalar being the 0-d case, and an overlap chain computes all of
+its pairs at once.
 Loop phases follow the convention Phi = i * contour integral of <psi|d psi>;
 for the counterclockwise axis-aligned rectangle [l1, l2] x [c1, c2] this
 gives Phi = k (1/l1 - 1/l2)(c2 - c1) sin(alpha).
@@ -39,23 +41,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .closed_form import Mode, _require_closed, curvature, loop_phase_analytic
 from .paths import ParameterPath, rectangle_corners
 from .quadrature import GridFunction, panel_rule
-from .spectrum import Mode, _extension_jet
+from .spectrum import _extension_jet
 
 __all__ = [
     "MeshTooCoarseError",
     "standard_mollifier",
-    "connection_analytic",
     "connection_interior",
     "connection_mollified",
     "LoopPhaseResult",
-    "loop_phase_analytic",
     "loop_phase_interior",
     "loop_phase_mollified_sweep",
     "loop_phase_overlap_meshes",
     "state_overlaps",
-    "curvature",
     "stokes_defect",
     "commutator_defect",
     "power_law_extrapolate",
@@ -112,17 +112,6 @@ def _boxes(*lc):
     if not all(np.all(np.isfinite(c)) for c in arrays[1::2]):
         raise ValueError("box centers must be finite")
     return arrays[0].shape, [v.ravel() for v in arrays]
-
-
-def connection_analytic(m: Mode):
-    """Closed-form connection at the unit box: (F_l, F_c) = (0, k sin(alpha)),
-    so a_l = 0 and a_c = (k/l) sin(alpha) at a box of length l.
-
-    Real and infinite eta have sin(alpha) = 0 exactly (`Mode.sin_alpha`), and
-    the connection vanishes: time-reversal-invariant boundary conditions carry
-    no geometric phase.
-    """
-    return 0.0, m.k * m.sin_alpha
 
 
 def _window_integral(m: Mode, la, ca, lb, cb, lo, hi):
@@ -229,11 +218,6 @@ def connection_mollified(m: Mode, eps):
 # loop phases
 
 
-def _require_closed(path: ParameterPath):
-    if not path.closed:
-        raise ValueError("loop phase requires a closed parameter path")
-
-
 def loop_phase_interior(m: Mode, path: ParameterPath, h_rel: float) -> float:
     """Loop phase of `connection_interior` at the step h_rel * l / (1 + |k|).
 
@@ -253,16 +237,6 @@ def loop_phase_mollified_sweep(m: Mode, path: ParameterPath, eps_list) -> list[f
     _require_closed(path)
     _, f_c = connection_mollified(m, eps_list)
     return (-f_c * path.dc_over_l()).tolist()
-
-
-def loop_phase_analytic(m: Mode, path: ParameterPath) -> float:
-    """Loop phase of the closed-form connection, -F_c times the loop integral
-    of dc/l, as for `loop_phase_interior`.  For the counterclockwise rectangle
-    [l1, l2] x [c1, c2], Phi = k (1/l1 - 1/l2)(c2 - c1) sin(alpha).
-    """
-    _require_closed(path)
-    _, f_c = connection_analytic(m)
-    return float(-f_c * path.dc_over_l())
 
 
 def state_overlaps(m: Mode, la, ca, lb, cb):
@@ -337,19 +311,7 @@ def loop_phase_overlap_meshes(m: Mode, path: ParameterPath, meshes) -> list[Loop
 
 
 # ---------------------------------------------------------------------------
-# curvature
-
-
-def curvature(m: Mode, l):
-    """Array of the curvature two-form coefficient f_lc = (k/l^2) sin(alpha)
-    at the box lengths l.
-
-    This is F_c = k sin(alpha) (`connection_analytic`) times the hyperbolic
-    area density 1/l^2 of the (l, c) half-plane, and is exactly 0 for real
-    and infinite eta.
-    """
-    shape, (l, _) = _boxes(l, 0.0)
-    return (connection_analytic(m)[1] / l ** 2).reshape(shape)
+# Stokes check
 
 
 def stokes_defect(m: Mode, rect: ParameterPath) -> float:
@@ -364,7 +326,7 @@ def stokes_defect(m: Mode, rect: ParameterPath) -> float:
         return abs(line)
     xl, wl = panel_rule(lmin, lmax, 8)
     xc, wc = panel_rule(cmin, cmax, 2)
-    f = np.outer(curvature(m, xl), np.ones_like(xc))
+    f = np.outer([curvature(m, l) for l in xl], np.ones_like(xc))
     flux = float(wl @ f @ wc)
     return abs(line - sign * flux)
 

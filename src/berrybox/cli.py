@@ -27,7 +27,9 @@ import re
 import sys
 
 # every command parses eta or a unitary; each imports the rest of the package
-# (and numpy) where it uses it: `bc` and every usage error load no numpy
+# where it uses it, and numpy only with a module that runs on arrays: `bc`, the
+# closed forms (`spectrum` without --check, `berry --method analytic`, the
+# curvature map) and every usage error load no numpy
 from .boundary import Eta, as_eta, classify_unitary, eta_to_unitary, require_mass, require_unitary
 
 EXIT_OK = 0
@@ -216,13 +218,29 @@ def _write_output(out_path, text: str):
 def _write_resolved_config(out_path, cfg: dict):
     if not out_path:
         return
+    # a zero given with a minus sign is written as 0.0, as in every output
+    plain = json.loads(json.dumps(cfg), parse_float=lambda text: float(text) + 0.0)
     with open(f"{out_path}.config.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(cfg, fh, indent=2, sort_keys=True)
+        json.dump(plain, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def _csv(header: str, rows) -> str:
     return "\n".join([header] + [",".join(r) for r in rows]) + "\n"
+
+
+def _linspace(lo, hi, num: int) -> list:
+    """np.linspace(lo, hi, num) in plain floats, bit for bit: lo + i*step with
+    step = (hi - lo)/(num - 1), the last point hi; where the step underflows
+    to 0, numpy forms (i/(num - 1))*(hi - lo) instead of i*step."""
+    lo, hi = float(lo), float(hi)
+    delta, div = hi - lo, num - 1
+    if div == 0:
+        return [0.0 * delta + lo]
+    step = delta / div
+    points = [(i / div * delta if step == 0 else i * step) + lo for i in range(num)]
+    points[-1] = hi
+    return points
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +268,7 @@ def cmd_bc(args) -> int:
 
 
 def _spectrum_rows_degenerate(eta_pm, ns, mass, geom):
-    from .spectrum import degenerate_wavenumber
+    from .closed_form import degenerate_wavenumber
 
     rows = []
     for n in ns:
@@ -276,7 +294,7 @@ def cmd_spectrum(args) -> int:
     if n_hi < n_lo:
         raise UsageError("empty level range")
     mass = require_mass(cfg["mass"])
-    from .spectrum import Geometry, eigenvalue, generic_spectrum, mode
+    from .closed_form import Geometry, eigenvalue, mode
 
     geom = Geometry(float(cfg["geometry"]["l"]), float(cfg["geometry"]["c"]))
     eta = as_eta(cfg["eta"])
@@ -302,6 +320,8 @@ def cmd_spectrum(args) -> int:
         header += ",lambda_numeric"
         # the requested n-range need not be the lowest levels; solve deep
         # enough to cover it, then pair each row with the nearest root
+        from .spectrum import generic_spectrum
+
         kmax = max(abs(m.k) for m in modes)
         count = math.ceil(kmax / math.pi) + 3
         levels = generic_spectrum(eta_to_unitary(eta), count=count, mass=mass, geometry=geom)
@@ -316,8 +336,8 @@ def _berry_phase_rows(m, path, methods, cfg):
     """Per-method convergence rows, each method's final phase, the analytic
     phase, and the unrounded (x, phases) of the overlap and mollified rows,
     which --plot draws."""
-    from .berry import (loop_phase_analytic, loop_phase_interior, loop_phase_mollified_sweep,
-                        loop_phase_overlap_meshes, power_law_extrapolate)
+    # the closed form runs on the standard library, each oracle on numpy
+    from .closed_form import loop_phase_analytic
 
     rows, finals, curves = [], {}, {}
     analytic = loop_phase_analytic(m, path)
@@ -325,6 +345,8 @@ def _berry_phase_rows(m, path, methods, cfg):
         rows.append(("analytic", "", "", "", _fmt(analytic), ""))
         finals["analytic"] = analytic
     if "interior" in methods:
+        from .berry import loop_phase_interior
+
         h0 = cfg["h"] if cfg["h"] is not None else 1e-4
         prev = None
         for h in (h0, h0 / 2.0):
@@ -335,6 +357,8 @@ def _berry_phase_rows(m, path, methods, cfg):
             prev = phase
         finals["interior"] = prev
     if "mollified" in methods:
+        from .berry import loop_phase_mollified_sweep, power_law_extrapolate
+
         eps_list = [float(e) for e in cfg["eps_list"]]
         phases = loop_phase_mollified_sweep(m, path, eps_list)
         rows.extend(("mollified", "", _fmt(eps), "", _fmt(phase), "") for eps, phase in zip(eps_list, phases))
@@ -345,6 +369,8 @@ def _berry_phase_rows(m, path, methods, cfg):
         finals["mollified"] = limit
         curves["mollified"] = (eps_list, phases)
     if "overlap" in methods:
+        from .berry import loop_phase_overlap_meshes
+
         mesh = int(cfg["mesh"])
         # floor of 16 keeps the internal half-mesh error estimate away from
         # degenerate samplings where neighboring boxes stop overlapping
@@ -372,7 +398,7 @@ def cmd_berry(args) -> int:
         bad = [s for s in methods if s not in _BERRY_METHODS]
         if bad:
             raise UsageError(f"unknown berry method(s): {bad}")
-    from .spectrum import mode
+    from .closed_form import curvature, mode
 
     m = mode(int(cfg["n"]), eta)
     path = _loop(cfg, args)
@@ -382,27 +408,25 @@ def cmd_berry(args) -> int:
             raise UsageError("the curvature map samples a rectangle loop's bounding box")
         if args.plot or args.tol is not None:
             raise UsageError("--plot and --tol apply to loop phases, not to the curvature map")
-        import numpy as np
-
-        from .berry import curvature
-
         lo_l, hi_l = sorted((cfg["loop"]["l1"], cfg["loop"]["l2"]))
         lo_c, hi_c = sorted((cfg["loop"]["c1"], cfg["loop"]["c2"]))
         grid = int(cfg["mesh"]) if int(cfg["mesh"]) <= 64 else 5
-        ls, cs = np.linspace(lo_l, hi_l, grid), np.linspace(lo_c, hi_c, grid)
-        rows = [(_fmt(l), _fmt(c), _fmt(f)) for l, f in zip(ls, curvature(m, ls)) for c in cs]
+        ls, cs = _linspace(lo_l, hi_l, grid), _linspace(lo_c, hi_c, grid)
+        rows = [(_fmt(l), _fmt(c), _fmt(f)) for l, f in zip(ls, [curvature(m, l) for l in ls]) for c in cs]
         _write_output(args.out, _csv("l,c,f_lc", rows))
         _write_resolved_config(args.out, cfg)
         return EXIT_OK
 
-    from .berry import require_geometric, require_interior_step
-
     if "mollified" in methods:
+        from .berry import require_geometric
+
         try:
             require_geometric(cfg["eps_list"])
         except ValueError as exc:
             raise UsageError(f"eps_list: {exc}") from None
     if "interior" in methods and cfg["h"] is not None:
+        from .berry import require_interior_step
+
         require_interior_step(m, cfg["h"])  # ValueError: exit 2 before any output
     rows, finals, analytic, curves = _berry_phase_rows(m, path, methods, cfg)
     _write_output(args.out, _csv("method,mesh,eps,h,phase,err_est", rows))
@@ -513,8 +537,7 @@ def cmd_adiabatic(args) -> int:
 
     if args.plot:
         from . import svgplot
-        from .berry import loop_phase_analytic
-        from .spectrum import mode
+        from .closed_form import loop_phase_analytic, mode
 
         reference = loop_phase_analytic(mode(n, eta), path)
         errs = [max(abs(r.geometric_phase - reference), 1e-16) for r in reports]

@@ -1,12 +1,16 @@
-"""Polyline parameter paths in the (l, c) half-plane, given by their vertices."""
+"""Polyline parameter paths in the (l, c) half-plane, given by their vertices.
+
+A path is built, tested for closure and integrated (`dc_over_l`) on the
+standard library; only the evaluation at an array of s (`points`,
+`velocities`) imports numpy, where it runs.
+"""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .spectrum import Geometry
+from .closed_form import Geometry
 
 __all__ = ["ParameterPath", "rectangle_loop", "polyline_path", "point_loop", "rectangle_corners"]
 
@@ -27,8 +31,6 @@ class ParameterPath:
     vertices: tuple
     orientation: int = 1
     segments: tuple = field(init=False, repr=False, compare=False)
-    _starts: np.ndarray = field(init=False, repr=False, compare=False)
-    _steps: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         verts = tuple((float(l), float(c)) for l, c in self.vertices)
@@ -36,42 +38,42 @@ class ParameterPath:
             raise ValueError("path needs at least two vertices")
         if self.orientation not in (1, -1):
             raise ValueError("orientation must be +1 or -1")
-        if not np.all(np.isfinite(verts)):
+        if not all(math.isfinite(v) for vertex in verts for v in vertex):
             raise ValueError("path vertices must be finite")
         if min(l for l, _ in verts) <= 0:
             raise ValueError("path leaves the l > 0 half-plane")
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "segments", tuple(zip(verts[:-1], verts[1:])))
-        # side i runs from _starts[i] by _steps[i]; rows are (l, c)
-        table = np.array(verts)
-        for name, value in (("_starts", table[:-1]), ("_steps", table[1:] - table[:-1])):
-            value.setflags(write=False)
-            object.__setattr__(self, name, value)
 
     @property
     def closed(self) -> bool:
-        gap = np.hypot(*(np.subtract(self.vertices[-1], self.vertices[0])))
-        return gap <= _CLOSURE_TOL
+        (l0, c0), (l1, c1) = self.vertices[0], self.vertices[-1]
+        return math.hypot(l1 - l0, c1 - c0) <= _CLOSURE_TOL
 
     def _locate(self, s):
-        """Side index and position t in [0, 1] along it, for an array of s."""
-        s = np.asarray(s, dtype=float)
+        """Side index and position t in [0, 1] along it, for a numpy array of s."""
         if self.orientation < 0:
             s = 1.0 - s
-        sigma = np.clip(s, 0.0, 1.0) * len(self.segments)
-        i = np.minimum(sigma.astype(int), len(self.segments) - 1)
+        sigma = s.clip(0.0, 1.0) * len(self.segments)
+        i = sigma.astype(int).clip(max=len(self.segments) - 1)
         return i, sigma - i
 
     def points(self, s):
         """Arrays (l, c) of the path at the parameter values in the array s."""
-        i, t = self._locate(s)
-        (l0, c0), (dl, dc) = self._starts[i].T, self._steps[i].T
+        import numpy as np
+
+        i, t = self._locate(np.asarray(s, dtype=float))
+        table = np.array(self.vertices)
+        (l0, c0), (dl, dc) = table[i].T, (table[i + 1] - table[i]).T
         return l0 + dl * t, c0 + dc * t
 
     def velocities(self, s):
         """Arrays of d(l, c)/ds at s, including the side-count and orientation factors."""
-        i, _ = self._locate(s)
-        dl, dc = self._steps[i].T
+        import numpy as np
+
+        i, _ = self._locate(np.asarray(s, dtype=float))
+        table = np.array(self.vertices)
+        dl, dc = (table[i + 1] - table[i]).T
         factor = len(self.segments) * self.orientation
         return factor * dl, factor * dc
 
@@ -86,8 +88,8 @@ class ParameterPath:
         total = 0.0
         for (l0, c0), (l1, c1) in self.segments:
             dl, dc = l1 - l0, c1 - c0
-            total += dc / l0 if dl == 0 else dc * np.log1p(dl / l0) / dl
-        return float(self.orientation * total)
+            total += dc / l0 if dl == 0 else dc * math.log1p(dl / l0) / dl
+        return self.orientation * total
 
     def point(self, s: float) -> Geometry:
         l, c = self.points([s])

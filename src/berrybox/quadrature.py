@@ -12,9 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["reference_rule", "panel_rule", "oscillatory_rule", "GridFunction"]
+__all__ = ["reference_rule", "panel_rule", "oscillatory_rule", "oscillatory_blocks", "GridFunction"]
 
 DEFAULT_ORDER = 16
+_BLOCK = 128  # panels per run of `oscillatory_blocks`: 2048 nodes, 16 kB per array
 
 
 @functools.lru_cache(maxsize=None)
@@ -50,6 +51,11 @@ def panel_rule(a, b, panels: int, order: int = DEFAULT_ORDER):
     return nodes, weights
 
 
+def _oscillatory_panels(a: float, b: float, wavenumber: float) -> int:
+    cycles = abs(wavenumber) * (b - a) / (2.0 * np.pi)
+    return max(2, int(np.ceil(4.0 * cycles)) + 2)
+
+
 def oscillatory_rule(a: float, b: float, wavenumber: float, order: int = DEFAULT_ORDER):
     """Panel rule sized for trigonometric integrands exp(i*wavenumber*x).
 
@@ -57,9 +63,19 @@ def oscillatory_rule(a: float, b: float, wavenumber: float, order: int = DEFAULT
     default order), which is well past the accuracy knee of Gauss-Legendre
     for oscillatory integrands.
     """
-    cycles = abs(wavenumber) * (b - a) / (2.0 * np.pi)
-    panels = max(2, int(np.ceil(4.0 * cycles)) + 2)
-    return panel_rule(a, b, panels, order=order)
+    return panel_rule(a, b, _oscillatory_panels(a, b, wavenumber), order=order)
+
+
+def oscillatory_blocks(a: float, b: float, wavenumber: float):
+    """`oscillatory_rule`'s panels, at most 128 at a time: yields the
+    (nodes, weights) of each run of panels in turn, so a sum over the rule
+    holds a bounded grid however large the wavenumber.  The run edges sit
+    where `np.linspace` puts the rule's panel edges."""
+    panels = _oscillatory_panels(a, b, wavenumber)
+    step = (b - a) / panels
+    for i in range(0, panels, _BLOCK):
+        j = min(i + _BLOCK, panels)
+        yield panel_rule(i * step + a, b if j == panels else j * step + a, j - i)
 
 
 @dataclass(frozen=True)

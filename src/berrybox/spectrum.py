@@ -1,19 +1,11 @@
-"""Spectrum and eigenfunctions of the box with dilation-invariant walls.
+"""Eigenfunctions of the box with dilation-invariant walls, and a generic solver.
 
-After mapping the moving box [c - l/2, c + l/2] to the reference interval
-I = [-1/2, 1/2], the Hamiltonian becomes p^2/(2 m l^2) on the fixed domain
-carrying the eta-family boundary conditions.  For eta away from +/-1 the
-spectrum is simple, with
-
-    k_n = 2 n pi + 2 arctan|(1 - eta)/(1 + eta)|,  n in Z,
-    alpha = Arg((1 + eta)/(1 - eta)),
-    phi_n(x) = sin(k_n x) + exp(i alpha) cos(k_n x),
-    lambda_n = k_n^2 / (2 m l^2).
-
-The closed forms live here together with the degenerate eta = +/-1 bases and
-a generic eigensolver for arbitrary U(2) boundary conditions, used throughout
-the tests as an independent cross-check of the closed forms.  For a
-self-adjoint condition the determinant of the 2x2 boundary residual is a
+The eigenfunctions phi_n(x) = sin(k_n x) + exp(i alpha) cos(k_n x) of the
+closed-form levels (`closed_form`) are evaluated here on arrays of points,
+on [-1/2, 1/2] or transported to a box, with the degenerate eta = +/-1 bases
+and a generic eigensolver for arbitrary U(2) boundary conditions, used
+throughout the tests as an independent cross-check of the closed forms.  For
+a self-adjoint condition the determinant of the 2x2 boundary residual is a
 constant phase times one real secular function of the energy E,
 
     F(E) = a C S + b C^2 + c E S^2 + d E S C,  C = cos(q/2), S = sin(q/2)/q,
@@ -27,123 +19,30 @@ doubly degenerate level if the residual matrix vanishes there.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import BoundaryData, Eta, as_eta, require_mass, require_unitary
+from .boundary import BoundaryData, require_mass, require_unitary
+from .closed_form import Geometry, Mode, degenerate_wavenumber
 from .quadrature import GridFunction, oscillatory_rule
 
 __all__ = [
-    "DegenerateEtaError",
     "RootSearchError",
-    "Geometry",
-    "Mode",
     "EigenLevel",
-    "alpha_of",
-    "wavenumber",
-    "mode",
     "eigenfunction_fixed",
     "eigenfunction_fixed_dx",
     "eigenfunction_physical",
     "extension_physical",
     "extension_physical_grad",
     "mode_boundary_data",
-    "eigenvalue",
-    "degenerate_wavenumber",
     "degenerate_basis",
     "generic_spectrum",
 ]
 
 
-class DegenerateEtaError(ValueError):
-    """Raised when eta = +/-1 is passed to the nondegenerate machinery."""
-
-
 class RootSearchError(RuntimeError):
     """Raised when the transcendental eigenvalue search fails to converge."""
-
-
-@dataclass(frozen=True)
-class Geometry:
-    """A box in the (l, c) half-plane: length l > 0 and center c."""
-
-    l: float = 1.0
-    c: float = 0.0
-
-    def __post_init__(self):
-        l, c = float(self.l), float(self.c)
-        if not (l > 0 and math.isfinite(l)):
-            raise ValueError(f"box length must be finite and positive, not {l}")
-        if not math.isfinite(c):
-            raise ValueError(f"box center must be finite, not {c}")
-        object.__setattr__(self, "l", l)
-        object.__setattr__(self, "c", c)
-
-    @property
-    def left(self) -> float:
-        return self.c - 0.5 * self.l
-
-    @property
-    def right(self) -> float:
-        return self.c + 0.5 * self.l
-
-
-def _nondegenerate(eta) -> Eta:
-    eta = as_eta(eta)
-    if eta.degenerate:
-        raise DegenerateEtaError(
-            "eta = +/-1 has a doubly degenerate spectrum; use the degenerate basis"
-        )
-    return eta
-
-
-def alpha_of(eta) -> float:
-    """Phase angle Arg((1 + eta)/(1 - eta)) in (-pi, pi].
-
-    eta = inf gives pi; real eta gives 0 or pi (the time-reversal-invariant
-    members, where `Mode.sin_alpha` is exactly 0).  eta = +/-1 is rejected.
-    """
-    eta = _nondegenerate(eta)
-    if eta.infinite:
-        return np.pi
-    return float(np.angle((1.0 + eta.value) / (1.0 - eta.value)))
-
-
-def wavenumber(n: int, eta) -> float:
-    """Closed-form wavenumber k_n = 2 n pi + 2 arctan|(1-eta)/(1+eta)|.
-
-    The arctan branch lies in (0, pi/2) for every nondegenerate eta, so the
-    map n -> k_n over the integers is injective.
-    """
-    eta = _nondegenerate(eta)
-    if eta.infinite:
-        ratio = 1.0
-    else:
-        ratio = abs((1.0 - eta.value) / (1.0 + eta.value))
-    return 2.0 * np.pi * n + 2.0 * np.arctan(ratio)
-
-
-@dataclass(frozen=True)
-class Mode:
-    """One nondegenerate eigenlevel: index n, wavenumber k, angle alpha."""
-
-    n: int
-    eta: Eta
-    k: float
-    alpha: float
-
-    @property
-    def sin_alpha(self) -> float:
-        """sin(alpha); exactly 0 for real and infinite eta, not np.sin(pi)."""
-        return 0.0 if self.eta.infinite or self.eta.value.imag == 0 else np.sin(self.alpha)
-
-
-def mode(n: int, eta) -> Mode:
-    """Build the Mode record for level n of the family member eta."""
-    eta = _nondegenerate(eta)
-    return Mode(n=int(n), eta=eta, k=wavenumber(n, eta), alpha=alpha_of(eta))
 
 
 def eigenfunction_fixed(m: Mode, x):
@@ -217,11 +116,6 @@ def mode_boundary_data(m: Mode, g: Geometry | None = None) -> BoundaryData:
     return BoundaryData(vals[0], vals[1], ders[0], ders[1])
 
 
-def eigenvalue(m: Mode, g: Geometry, mass: float = 1.0) -> float:
-    """Dispersion lambda = k^2 / (2 m l^2); translations are isospectral."""
-    return m.k ** 2 / (2.0 * require_mass(mass) * g.l ** 2)
-
-
 @dataclass(frozen=True)
 class EigenLevel:
     """An eigenvalue with its provenance and, optionally, a sampled eigenfunction."""
@@ -231,19 +125,6 @@ class EigenLevel:
     mass: float
     eigenfunction: GridFunction | None = None
     multiplicity: int = 1
-
-
-def degenerate_wavenumber(eta: int, n: int) -> float:
-    """Wavenumber of the doubly degenerate level: 2 pi n (eta=+1) or (2n+1) pi (eta=-1)."""
-    if eta == 1:
-        if n < 1:
-            raise ValueError("eta=+1 degenerate levels require n >= 1")
-        return 2.0 * np.pi * n
-    if eta == -1:
-        if n < 0:
-            raise ValueError("eta=-1 degenerate levels require n >= 0")
-        return (2 * n + 1) * np.pi
-    raise ValueError("degenerate basis exists only for eta = +1 or -1")
 
 
 def degenerate_basis(eta: int, n: int, x):

@@ -28,9 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .closed_form import Geometry, degenerate_wavenumber
 from .paths import ParameterPath
-from .quadrature import oscillatory_rule
-from .spectrum import Geometry, degenerate_wavenumber
+from .quadrature import oscillatory_blocks
 
 __all__ = [
     "SIGMA2",
@@ -88,19 +88,20 @@ def connection_from_basis(eta: int, n: int) -> MatrixConnection:
     """
     _require_degenerate(eta)
     k = degenerate_wavenumber(eta, n)
-    u, w = oscillatory_rule(-0.5, 0.5, 2.0 * k)
     amp = np.sqrt(2.0)
-    cos, sin = np.cos(k * u), np.sin(k * u)
-    phi = (amp * cos, amp * sin)
-    # (l, c) gradients of the basis at l = 1, c = 0, by the chain rule
-    d_dc = (amp * k * sin, -amp * k * cos)
-    d_dl = (amp * (-0.5 * cos + k * u * sin), amp * (-0.5 * sin - k * u * cos))
+    # raw[0] = <phi_a | d_l phi_b>, raw[1] = <phi_a | d_c phi_b>, summed over
+    # the rule's panels a block at a time, so memory does not grow with k
+    raw = np.zeros((2, 2, 2))
+    for u, w in oscillatory_blocks(-0.5, 0.5, 2.0 * k):
+        cos, sin = np.cos(k * u), np.sin(k * u)
+        phi = (amp * cos, amp * sin)
+        # (l, c) gradients of the basis at l = 1, c = 0, by the chain rule
+        d_dc = (amp * k * sin, -amp * k * cos)
+        d_dl = (amp * (-0.5 * cos + k * u * sin), amp * (-0.5 * sin - k * u * cos))
+        raw += [[[np.sum(w * phi[a] * grads[b]) for b in range(2)] for a in range(2)] for grads in (d_dl, d_dc)]
 
-    def coeff(grads):
-        raw = np.array([[np.sum(w * phi[a] * grads[b]) for b in range(2)] for a in range(2)])
-        return 1j * 0.5 * (raw - raw.conj().T)
-
-    return MatrixConnection(coeff_l=coeff(d_dl), coeff_c=coeff(d_dc))
+    connection = 1j * 0.5 * (raw - raw.transpose(0, 2, 1))  # i times the anti-Hermitian part
+    return MatrixConnection(coeff_l=connection[0], coeff_c=connection[1])
 
 
 def wz_connection(eta: int, n: int, g: Geometry) -> MatrixConnection:

@@ -18,6 +18,7 @@ import pytest
 import berrybox.adiabatic
 import berrybox.berry
 import berrybox.cli
+import berrybox.closed_form
 import berrybox.svgplot
 from berrybox import reference_rule
 from berrybox.cli import main
@@ -162,6 +163,39 @@ def test_outputs_hold_no_negative_zero_and_exact_zeros_at_eta_inf(tmp_path):
         assert not re.search(r"-0\.0+(?![0-9])", (tmp_path / name).read_text()), name
     assert read_csv(tmp_path / "inf")[1][0] == ["analytic", "", "", "", "0.00000000e+00", ""]
     assert {r[2] for r in read_csv(tmp_path / "map")[1]} == {"0.00000000e+00"}
+
+
+_POLYLINE_NEG = {"loop": {"type": "polyline", "points": [[1.0, -0.0], [1.3, 0.05], [1.1, 0.2]]}}
+
+
+@pytest.mark.parametrize("argv, config", [
+    pytest.param(["berry", "--eta", "0+1i", "--loop-rect", "1", "2", "-0", "1", "--method", "analytic"], None,
+                 id="berry-rect"),
+    pytest.param(["berry", "--eta", "0+1i", "--method", "analytic"], _POLYLINE_NEG, id="berry-polyline"),
+    pytest.param(["berry", "--eta", "0.3+0.6i", "--loop-rect", "1", "2", "-0.0", "1", "--curvature-map",
+                  "--mesh", "3"], None, id="curvature-map"),
+    pytest.param(["spectrum", "--eta", "0.5+0.5i", "--c", "-0"], None, id="spectrum"),
+])
+def test_resolved_config_holds_no_negative_zero(tmp_path, argv, config):
+    # a zero given with a minus sign was echoed as -0.0 in <out>.config.json
+    if config is not None:
+        (tmp_path / "given.json").write_text(json.dumps(config))
+        argv = argv + ["--config", str(tmp_path / "given.json")]
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert run(*argv, "--out", str(first)) == 0
+    text = (tmp_path / "first.config.json").read_text()
+    assert not re.search(r"-0\.0+(?![0-9])", text)
+    assert run(argv[0], "--config", str(tmp_path / "first.config.json"), "--out", str(again)) == 0
+    assert first.read_bytes() == again.read_bytes()
+    assert (tmp_path / "again.config.json").read_text() == text
+
+
+@pytest.mark.parametrize("lo, hi", [(1.0, 2.0), (-0.0, 1.0), (-1.3, 0.7), (0.1, 0.3), (1e-3, 1e3), (2.5, 2.5),
+                                    (0.0, 1.5e-323), (-7.25, -1e-9)])
+def test_curvature_grid_is_np_linspace_bit_for_bit(lo, hi):
+    # the curvature map builds its grid in plain floats, as np.linspace does
+    for num in range(1, 65):
+        assert np.array(berrybox.cli._linspace(lo, hi, num)).tobytes() == np.linspace(lo, hi, num).tobytes(), num
 
 
 def test_berry_tol_gate_exit3(tmp_path):
@@ -634,7 +668,7 @@ def test_berry_h_bound_is_relative_and_checked_first(tmp_path, monkeypatch, caps
     # used to be checked only after the analytic phase was computed, and the
     # message named the absolute bound l/4
     counter = {}
-    _count_calls(monkeypatch, berrybox.berry, "loop_phase_analytic", counter)
+    _count_calls(monkeypatch, berrybox.closed_form, "loop_phase_analytic", counter)
     for h in ("0.65", "1"):
         assert exit_code("berry", "--method", "all", "--h", h, "--out", str(tmp_path / "b.csv")) == 2
         assert "0 < h < (1 + |k|)/4 = 0.643" in capsys.readouterr().err

@@ -1,8 +1,11 @@
 """Importing the package, and every command, loads no scipy; none needs it.
 `import berrybox` loads no submodule and no numpy, and each command loads
-only the package modules it runs: `bc` and every usage error run on the
-standard library alone, without numpy.  Importing the package first sets
-one BLAS thread unless the caller chose a count."""
+only the package modules it runs.  `bc`, every usage error and the commands
+that print only closed forms (`spectrum` without --check, `berry --method
+analytic`, the curvature map) run on the standard library alone, without
+numpy; the commands that run arrays (the generic check, `wz`, `adiabatic`,
+the berry oracles) load it.  Importing the package first sets one BLAS
+thread unless the caller chose a count."""
 
 import importlib
 import json
@@ -87,25 +90,41 @@ for name in ("cli", "spectrum", "no_such_name"):
 _BC_FAMILY = "[[[-0.6, 0], [0.48, 0.64]], [[0.48, -0.64], [0.6, 0]]]"
 
 
-@pytest.mark.parametrize("argv, own", [
-    pytest.param(["bc", "--eta", "0+1i"], _own(), id="bc"),
-    pytest.param(["bc", "--unitary", "[[-1,0],[0,-1]]"], _own(), id="bc-unitary-named"),
-    pytest.param(["bc", "--unitary", _BC_FAMILY], _own(), id="bc-unitary-family"),
-    pytest.param(["spectrum", "--eta", "0.5+0.5i", "--n-min", "-1", "--n-max", "2"],
-                 _own("quadrature", "spectrum"), id="spectrum"),
-    pytest.param(["berry", "--eta", "0+1i", "--method", "analytic"],
-                 _own("quadrature", "spectrum", "paths", "berry"), id="berry"),
-    pytest.param(["spectrum", "--eta", "0+1i", "--n-max", "1", "--check", "generic"],
-                 _own("quadrature", "spectrum"), id="spectrum-generic"),
-    pytest.param(["wz", "--eta", "1", "--n", "1", "--mesh", "16"],
-                 _own("quadrature", "spectrum", "paths", "wilczek_zee"), id="wz"),
-    pytest.param(["adiabatic", "--eta", "0+1i", "--T-list", "2", "--window", "2", "--resolution", "100"],
-                 _own("quadrature", "spectrum", "paths", "adiabatic"), id="adiabatic"),
+_POLYLINE = {"loop": {"type": "polyline", "points": [[1, 0], [1.3, 0.05], [1.1, 0.2]], "orientation": -1}}
+_CLOSED_FORMS = _own("closed_form", "paths")
+
+
+@pytest.mark.parametrize("argv, config, own, numpy", [
+    pytest.param(["bc", "--eta", "0+1i"], None, _own(), False, id="bc"),
+    pytest.param(["bc", "--unitary", "[[-1,0],[0,-1]]"], None, _own(), False, id="bc-unitary-named"),
+    pytest.param(["bc", "--unitary", _BC_FAMILY], None, _own(), False, id="bc-unitary-family"),
+    pytest.param(["spectrum", "--eta", "0.5+0.5i", "--n-min", "-1", "--n-max", "2"], None,
+                 _own("closed_form"), False, id="spectrum"),
+    pytest.param(["spectrum", "--eta", "1", "--n-max", "2"], None, _own("closed_form"), False,
+                 id="spectrum-degenerate"),
+    pytest.param(["berry", "--eta", "0+1i", "--method", "analytic"], None, _CLOSED_FORMS, False, id="berry"),
+    pytest.param(["berry", "--eta", "0.3+0.6i", "--n", "1", "--method", "analytic"], _POLYLINE, _CLOSED_FORMS,
+                 False, id="berry-polyline"),
+    pytest.param(["berry", "--eta", "0+1i", "--method", "analytic", "--tol", "0"], None, _CLOSED_FORMS, False,
+                 id="berry-tol"),
+    pytest.param(["berry", "--eta", "0.3+0.6i", "--n", "2", "--curvature-map", "--mesh", "5"], None,
+                 _CLOSED_FORMS, False, id="curvature-map"),
+    pytest.param(["spectrum", "--eta", "0+1i", "--n-max", "1", "--check", "generic"], None,
+                 _own("closed_form", "quadrature", "spectrum"), True, id="spectrum-generic"),
+    pytest.param(["wz", "--eta", "1", "--n", "1", "--mesh", "16"], None,
+                 _own("closed_form", "paths", "quadrature", "wilczek_zee"), True, id="wz"),
+    pytest.param(["adiabatic", "--eta", "0+1i", "--T-list", "2", "--window", "2", "--resolution", "100"], None,
+                 _own("closed_form", "paths", "adiabatic"), True, id="adiabatic"),
+    pytest.param(["berry", "--eta", "0+1i", "--method", "overlap", "--mesh", "16"], None,
+                 _own("closed_form", "paths", "quadrature", "spectrum", "berry"), True, id="berry-overlap"),
 ])
-def test_command_loads_no_scipy(tmp_path, argv, own):
+def test_command_loads_no_scipy(tmp_path, argv, config, own, numpy):
     # each command also loads only the berrybox modules it runs, and numpy
-    # exactly when it runs a module beyond `boundary` and `cli`
-    assert _modules_after(*argv, "--out", str(tmp_path / "out")) == ([], own, own != _own())
+    # as listed: not for bc or a closed form, always for an array method
+    if config is not None:
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        argv = argv + ["--config", str(tmp_path / "config.json")]
+    assert _modules_after(*argv, "--out", str(tmp_path / "out")) == ([], own, numpy)
 
 
 # the usage errors of the benchmark's quick workload, and an option argparse
@@ -145,20 +164,21 @@ def test_generic_check_runs_without_scipy(tmp_path):
     assert scipy == ["scipy"]
 
 
-# the names the package exported when it imported every submodule eagerly
+# the names the package exported when it imported every submodule eagerly,
+# under the module that defines each now, in dependency order
 _EXPORTED = {
     "boundary": "ETA_INF BCClass BoundaryData Eta as_eta bc_residual boundary_form boundary_traces "
                 "classify_unitary compliant_data dilation_transport eta_to_unitary triple_identity_defect",
     "quadrature": "GridFunction oscillatory_rule panel_rule reference_rule",
-    "spectrum": "DegenerateEtaError EigenLevel Geometry Mode RootSearchError alpha_of degenerate_basis "
-                "degenerate_wavenumber eigenfunction_fixed eigenfunction_fixed_dx eigenfunction_physical "
-                "eigenvalue extension_physical extension_physical_grad generic_spectrum mode "
-                "mode_boundary_data wavenumber",
+    "closed_form": "DegenerateEtaError Geometry Mode alpha_of connection_analytic curvature degenerate_wavenumber "
+                   "eigenvalue loop_phase_analytic mode wavenumber",
+    "spectrum": "EigenLevel RootSearchError degenerate_basis eigenfunction_fixed eigenfunction_fixed_dx "
+                "eigenfunction_physical extension_physical extension_physical_grad generic_spectrum "
+                "mode_boundary_data",
     "paths": "ParameterPath point_loop polyline_path rectangle_corners rectangle_loop",
-    "berry": "LoopPhaseResult MeshTooCoarseError commutator_defect connection_analytic connection_interior "
-             "connection_mollified curvature loop_phase_analytic loop_phase_interior "
-             "loop_phase_mollified_sweep loop_phase_overlap_meshes power_law_extrapolate require_geometric "
-             "require_interior_step standard_mollifier state_overlaps stokes_defect",
+    "berry": "LoopPhaseResult MeshTooCoarseError commutator_defect connection_interior connection_mollified "
+             "loop_phase_interior loop_phase_mollified_sweep loop_phase_overlap_meshes power_law_extrapolate "
+             "require_geometric require_interior_step standard_mollifier state_overlaps stokes_defect",
     "wilczek_zee": "ConnectionCheckError Holonomy MatrixConnection connection_from_basis "
                    "diagonalize_in_plane_waves wz_connection wz_curvature wz_holonomy",
     "adiabatic": "PhaseReport Schedule generator mode_window propagate weak_form_matrix",

@@ -1,5 +1,7 @@
 """Closed-form spectrum against quadrature and the generic root-finder."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -10,6 +12,7 @@ from berrybox import (
     ETA_INF,
     Geometry,
     alpha_of,
+    as_eta,
     bc_residual,
     boundary_form,
     degenerate_basis,
@@ -22,6 +25,7 @@ from berrybox import (
     mode,
     mode_boundary_data,
     oscillatory_rule,
+    polyline_path,
     wavenumber,
 )
 
@@ -51,6 +55,44 @@ def test_wavenumber_values():
     for eta in (1j, 0.5, -0.3 + 0.4j):
         ks = [wavenumber(n, eta) for n in range(-6, 7)]
         assert len(set(np.round(ks, 12))) == len(ks)
+
+
+def _drawn_etas(rng):
+    """eta on and off the unit circle, within 1e-6 of +-1, real and inf."""
+    circle = np.exp(1j * rng.uniform(-np.pi, np.pi, 12))
+    off = rng.uniform(-3.0, 3.0, 12) + 1j * rng.uniform(-3.0, 3.0, 12)
+    near = [s + 1e-6 * complex(*rng.uniform(-1.0, 1.0, 2)) for s in (1.0, -1.0) for _ in range(4)]
+    real = rng.uniform(-5.0, 5.0, 6)
+    return [*circle, *off, *near, *real, 1.0 + 1e-9, -1.0 - 1e-9, 0.0, ETA_INF]
+
+
+def test_closed_forms_match_the_numpy_expressions_they_replace():
+    # mode() and dc_over_l run on math and cmath; the numpy forms they
+    # replaced (np.arctan, np.angle, np.log1p) round differently, here by at
+    # most one unit in the last place
+    rng = np.random.default_rng(2020)
+    for eta in _drawn_etas(rng):
+        e = as_eta(eta)
+        if e.infinite:
+            ratio, alpha = 1.0, np.pi
+        else:
+            ratio = abs((1.0 - e.value) / (1.0 + e.value))
+            alpha = float(np.angle((1.0 + e.value) / (1.0 - e.value)))
+        for n in [-30, 0, 30, *rng.integers(-30, 31, 6)]:
+            m = mode(n, eta)
+            k = float(2.0 * np.pi * n + 2.0 * np.arctan(ratio))
+            assert abs(m.k - k) <= math.ulp(k), (eta, n)
+            assert abs(m.alpha - alpha) <= math.ulp(alpha), (eta, n)
+    for _ in range(200):
+        points = np.column_stack([rng.uniform(0.05, 3.0, 6), rng.uniform(-2.0, 2.0, 6)])
+        path = polyline_path(points[: rng.integers(2, 7)], close=True, orientation=int(rng.choice([1, -1])))
+        terms = [dc / l0 if dl == 0 else dc * np.log1p(dl / l0) / dl
+                 for (l0, c0), (l1, c1) in path.segments for dl, dc in [(l1 - l0, c1 - c0)]]
+        # the sides are summed in the same order, so only the log1p roundings
+        # differ: within a few units in the last place of the largest side's
+        # term (at most 4 over 15000 drawn loops)
+        scale = max(abs(t) for t in terms)
+        assert abs(path.dc_over_l() - path.orientation * float(sum(terms))) <= 8 * math.ulp(scale)
 
 
 def test_eigenfunction_endpoint_value():

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -254,3 +255,21 @@ def test_connection_check_holds_on_small_boxes_at_high_levels():
         conn = wz_connection(eta, n, g)
         assert np.max(np.abs(conn.coeff_c - (k / l) * SIGMA2)) <= 1e-15 * abs(k) / l, (eta, n, l)
         assert np.max(np.abs(conn.coeff_l)) == 0.0
+
+
+def test_connection_check_memory_does_not_grow_with_the_level():
+    # at n = 1e4 the rule has 80002 panels, 1.28e6 nodes: one array over all
+    # of them takes 10 MB, and the check held a dozen such arrays at once;
+    # summed 128 panels at a time, it peaks within 0.5 MB of the n = 1 level
+    connection_from_basis(1, 1)  # builds the cached Gauss rule
+    peaks = {}
+    for n in (1, 10_000):
+        tracemalloc.start()
+        try:
+            numeric = connection_from_basis(1, n)
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        k = degenerate_wavenumber(1, n)
+        assert np.max(np.abs(numeric.coeff_c - k * SIGMA2)) <= 1e-8, n
+    assert peaks[10_000] < peaks[1] + 512 * 1024, peaks
