@@ -12,9 +12,9 @@ The namespace loads on demand (PEP 562): `import berrybox` imports no
 submodule and no numpy, and the first read of a public name such as
 `berrybox.mode` imports the submodule that defines it.  So each `berrybox`
 command loads only the modules it runs, and numpy only with a module that
-runs on arrays: `bc` loads `boundary` and `cli`, and the closed forms
-(`spectrum` without --check, `berry --method analytic`, the curvature map)
-add `closed_form` and `paths`, which run on the standard library.
+runs on arrays: `bc` loads `boundary` and `cli`; `spectrum` without --check
+adds `closed_form`; every `berry` command adds `paths`, with `quadrature` and
+`berry` for the oracles and `svgplot` for --plot, all on the standard library.
 """
 
 import os as _os
@@ -40,14 +40,14 @@ _EXPORTS = {
     "boundary": "Eta ETA_INF as_eta BoundaryData BCClass eta_to_unitary classify_unitary bc_residual "
                 "boundary_form triple_identity_defect dilation_transport compliant_data boundary_traces "
                 "require_unitary require_mass",
-    "quadrature": "reference_rule panel_rule oscillatory_rule oscillatory_blocks GridFunction",
+    "quadrature": "gauss_legendre reference_rule panel_nodes panel_rule oscillatory_rule oscillatory_blocks GridFunction",
     "closed_form": "DegenerateEtaError Geometry Mode alpha_of wavenumber mode eigenvalue degenerate_wavenumber "
                    "connection_analytic loop_phase_analytic curvature",
     "spectrum": "RootSearchError EigenLevel eigenfunction_fixed eigenfunction_fixed_dx eigenfunction_physical "
                 "extension_physical extension_physical_grad mode_boundary_data degenerate_basis generic_spectrum",
     "paths": "ParameterPath rectangle_loop polyline_path point_loop rectangle_corners",
     "berry": "MeshTooCoarseError standard_mollifier connection_interior connection_mollified LoopPhaseResult "
-             "loop_phase_interior loop_phase_mollified_sweep loop_phase_overlap_meshes state_overlaps stokes_defect "
+             "loop_phase_interior loop_phase_mollified_sweep loop_phase_overlap_meshes state_overlap stokes_defect "
              "commutator_defect power_law_extrapolate require_geometric require_interior_step",
     "wilczek_zee": "SIGMA2 ConnectionCheckError MatrixConnection Holonomy wz_connection connection_from_basis "
                    "wz_curvature wz_holonomy diagonalize_in_plane_waves",

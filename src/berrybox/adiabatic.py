@@ -40,8 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import require_mass
-from .closed_form import Mode, mode
+from .closed_form import Mode, eigenvalue, mode
 from .paths import ParameterPath
 
 __all__ = [
@@ -132,11 +131,10 @@ def generator(modes, kappa, lcdot, mass=1.0):
     """p^2/(2m) - kappa x o p - (l cdot) p on a tuple of modes: l^2 times the
     moving-frame Hamiltonian, with kappa = l ldot.  At kappa = l cdot = 0 it
     is diag(k_n^2 / (2m)), l^2 times the static spectrum."""
-    mass = require_mass(mass)
     pmat, xpmat = weak_form_matrix(modes)
-    # Python's x ** 2, as in spectrum.eigenvalue: numpy's square rounds a
-    # few squares in ten thousand differently
-    return np.diag([m.k ** 2 / (2.0 * mass) for m in modes]) - kappa * xpmat - lcdot * pmat
+    # the scalar closed form: numpy's square rounds a few squares in ten
+    # thousand differently from Python's x ** 2
+    return np.diag([eigenvalue(m.k, 1.0, mass) for m in modes]) - kappa * xpmat - lcdot * pmat
 
 
 def _sides(schedule: Schedule):
@@ -197,7 +195,7 @@ def propagate(
 
     overlap = np.vdot(psi0, psi)
     total = float(np.angle(overlap))
-    dynamical = -modes[idx].k ** 2 / (2.0 * mass) * sum(tau for _, _, tau in sides)
+    dynamical = -eigenvalue(modes[idx].k, 1.0, mass) * sum(tau for _, _, tau in sides)
     geometric = float(np.angle(np.exp(1j * (total - dynamical))))
     fidelity = float(abs(overlap))
     return PhaseReport(

@@ -18,17 +18,17 @@ phase):
                                  which never differentiates anything.
 
 Each eigenfunction is two plane waves and each loop a polyline, so the
-overlaps and the interior windows are integrated in closed form; quadrature
-serves the mollified embedding and `stokes_defect`.
+overlaps, the interior windows and the mollified embedding's interior are
+integrated in closed form; Gauss quadrature serves only the embedding's two
+wall strips and `stokes_defect`.  Everything but the test-only
+`commutator_defect` runs on the standard library, one box at a time.
 The boundary conditions are dilation invariant, so every state is
 l^-1/2 phi((x - c)/l), and a prescription whose regulator scales with the box
 (the interior step, the cutoff width) gives a connection F/l.  Each connection
 oracle therefore takes only the mode and its relative regulator and returns
 F = l a, the connection at the unit box, integrated in the box coordinate
 u = (x - c)/l where no box enters; around a closed loop every phase is -F_c
-times the closed-form loop integral of dc/l.  `state_overlaps` takes arrays
-of boxes, a scalar being the 0-d case, and an overlap chain computes all of
-its pairs at once.
+times the closed-form loop integral of dc/l.
 Loop phases follow the convention Phi = i * contour integral of <psi|d psi>;
 for the counterclockwise axis-aligned rectangle [l1, l2] x [c1, c2] this
 gives Phi = k (1/l1 - 1/l2)(c2 - c1) sin(alpha).
@@ -37,14 +37,12 @@ gives Phi = k (1/l1 - 1/l2)(c2 - c1) sin(alpha).
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .closed_form import Mode, _require_closed, curvature, loop_phase_analytic
 from .paths import ParameterPath, rectangle_corners
-from .quadrature import GridFunction, panel_rule
-from .spectrum import _extension_jet
+from .quadrature import GridFunction, panel_nodes
 
 __all__ = [
     "MeshTooCoarseError",
@@ -55,7 +53,7 @@ __all__ = [
     "loop_phase_interior",
     "loop_phase_mollified_sweep",
     "loop_phase_overlap_meshes",
-    "state_overlaps",
+    "state_overlap",
     "stokes_defect",
     "commutator_defect",
     "power_law_extrapolate",
@@ -72,13 +70,6 @@ class MeshTooCoarseError(ValueError):
 # mollifier
 
 
-def _flat_exp(t):
-    """exp(-1/t) for t > 0, zero otherwise; flat to all orders at t = 0."""
-    t = np.asarray(t, dtype=float)
-    with np.errstate(divide="ignore", over="ignore"):
-        return np.where(t > 0.0, np.exp(-1.0 / np.where(t > 0.0, t, 1.0)), 0.0)
-
-
 def standard_mollifier():
     """The standard smooth partition profile rho(t) = f(1-t)/(f(t) + f(1-t)).
 
@@ -89,10 +80,9 @@ def standard_mollifier():
     that flatness requirement at t = 0.
     """
 
-    def rho(t):
-        t = np.asarray(t, dtype=float)
-        up = _flat_exp(1.0 - t)
-        down = _flat_exp(t)
+    def rho(t: float) -> float:
+        up = math.exp(-1.0 / (1.0 - t)) if t < 1.0 else 0.0
+        down = math.exp(-1.0 / t) if t > 0.0 else 0.0
         return up / (up + down + 1e-300)
 
     return rho
@@ -102,43 +92,40 @@ def standard_mollifier():
 # connection oracles
 
 
-def _boxes(*lc):
-    """The common shape of the boxes (l, c), (l, c), ... and their arrays,
-    broadcast together and flattened; raises ValueError unless every l is
-    finite and positive and every c finite."""
-    arrays = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in lc))
-    if not all(np.all(np.isfinite(l) & (l > 0)) for l in arrays[0::2]):
-        raise ValueError("box lengths must be finite and positive")
-    if not all(np.all(np.isfinite(c)) for c in arrays[1::2]):
-        raise ValueError("box centers must be finite")
-    return arrays[0].shape, [v.ravel() for v in arrays]
+def _amplitudes(m: Mode):
+    """The amplitudes (e^{i alpha} - s i)/2 of the plane waves e^{s iku},
+    s = +1, -1, of phi = sin(ku) + e^{i alpha} cos(ku); e^{i alpha} is
+    exactly real for real and infinite eta (`Mode.sin_alpha`)."""
+    e = complex(math.cos(m.alpha), m.sin_alpha)
+    return {1.0: (e - 1j) / 2.0, -1.0: (e + 1j) / 2.0}
 
 
-def _window_integral(m: Mode, la, ca, lb, cb, lo, hi):
+def _pairs(term):
+    # for real eta the terms are conjugate in pairs; summing each pair first
+    # keeps the integral of two real functions exactly real
+    return (term(1.0, 1.0) + term(-1.0, -1.0)) + (term(1.0, -1.0) + term(-1.0, 1.0))
+
+
+def _window_integral(m: Mode, la, ca, lb, cb, lo, hi) -> complex:
     """Int_lo^hi conj(psi_a) psi_b dx for the smooth extensions at the boxes
-    (la, ca) and (lb, cb): arrays of one shape, one window per entry.
+    (la, ca) and (lb, cb).
 
-    Each extension is l^-1/2 sum_s ((e^{i alpha} - s i)/2) e^{s iku} over
-    s = +-1, with u = (x - c)/l, so the integrand is four plane waves
+    Each extension is l^-1/2 sum_s A_s e^{s iku} over s = +-1 (`_amplitudes`),
+    with u = (x - c)/l, so the integrand is four plane waves
     e^{i(w x + b)}, each integrating to e^{i(w mid + b)} (hi - lo) sin(z)/z,
     z = w (hi - lo)/2: a form that stays accurate as w -> 0, where
     neighbouring loop points of nearly equal l sit.
     """
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    e = cmath.exp(1j * m.alpha)
+    amp = _amplitudes(m)
     ua, ub = m.k * (mid - ca) / la, m.k * (mid - cb) / lb
     wa, wb = m.k / la, m.k / lb
 
     def term(s, t):  # plane wave s of psi_a, conjugated, times plane wave t of psi_b
         z = half * (t * wb - s * wa)
-        amp = ((e - s * 1j) / 2.0).conjugate() * ((e - t * 1j) / 2.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return amp * np.exp(1j * (t * ub - s * ua)) * np.where(z == 0, 1.0, np.sin(z) / z)
+        return amp[s].conjugate() * amp[t] * cmath.exp(1j * (t * ub - s * ua)) * (math.sin(z) / z if z else 1.0)
 
-    # for real eta the terms are conjugate in pairs; summing each pair first
-    # keeps the integral of two real functions exactly real
-    total = (term(1.0, 1.0) + term(-1.0, -1.0)) + (term(1.0, -1.0) + term(-1.0, 1.0))
-    return 2.0 * half * total / np.sqrt(la * lb)
+    return 2.0 * half * _pairs(term) / math.sqrt(la * lb)
 
 
 def require_interior_step(m: Mode, h_rel) -> float:
@@ -166,51 +153,75 @@ def connection_interior(m: Mode, h_rel=1e-4):
     states sit at c = +-r or l = 1 +- r, r = h_rel / (1 + |k|).
     """
     r = require_interior_step(m, h_rel) / (1.0 + abs(m.k))
-    lo = np.array([r - 0.5] * 3 + [0.5 * (r - 1.0)] * 3)
-    w = _window_integral(m, 1.0, 0.0, np.array([1.0, 1.0, 1.0, 1.0 + r, 1.0 - r, 1.0]),
-                         np.array([r, -r, 0.0, 0.0, 0.0, 0.0]), lo, -lo)
-    return (w[3] - w[4]).imag / (2.0 * r) / w[5].real, (w[0] - w[1]).imag / (2.0 * r) / w[2].real
+    # windows [-half, half] inside the boxes shifted in c, then in l
+    w_c = [_window_integral(m, 1.0, 0.0, 1.0, c, r - 0.5, 0.5 - r) for c in (r, -r, 0.0)]
+    w_l = [_window_integral(m, 1.0, 0.0, l, 0.0, 0.5 * (r - 1.0), 0.5 * (1.0 - r)) for l in (1.0 + r, 1.0 - r, 1.0)]
+    return (w_l[0] - w_l[1]).imag / (2.0 * r) / w_l[2].real, (w_c[0] - w_c[1]).imag / (2.0 * r) / w_c[2].real
 
 
-def connection_mollified(m: Mode, eps):
-    """Arrays (F_l, F_c) = l (a_l, a_c) from the smoothed-box embedding at the
-    cutoff widths eps, relative to l (the width at a box is eps * l), of the
-    shape of eps.
+def _unit_box_moments(m: Mode):
+    """Int_{-1/2}^{1/2} of conj(phi) phi, conj(phi) phi' and u conj(phi) phi'
+    in closed form: with phi = sum_s A_s e^{s iku} (`_amplitudes`), sums of
+    conj(A_s) A_t (i t k)^d Int u^j e^{iwu} du at w = (t - s) k, j, d in
+    {0, 1}, that is (sin z)/z and i (sin z - z cos z)/(2 z^2) at z = w/2, the
+    latter by its series where it cancels."""
+    amp = _amplitudes(m)
+
+    def moment(j, d):
+        def term(s, t):
+            z = 0.5 * (t - s) * m.k
+            if j == 0:
+                f = math.sin(z) / z if z else 1.0
+            elif abs(z) < 0.05:
+                f = 1j * z * (1.0 / 6.0 - z * z * (1.0 / 60.0 - z * z * (1.0 / 1680.0 - z * z / 90720.0)))
+            else:
+                f = 1j * (math.sin(z) - z * math.cos(z)) / (2.0 * z * z)
+            return amp[s].conjugate() * amp[t] * (1j * t * m.k) ** d * f
+
+        return _pairs(term)
+
+    return moment(0, 0), moment(0, 1), moment(1, 1)
+
+
+def _jet(m: Mode, u: float):
+    """phi(u) and the derivatives (d/dl, d/dc) of the extension
+    l^-1/2 phi((x - c)/l) at the unit box, at x = u: -phi/2 - u phi', -phi'."""
+    e, sin, cos = complex(math.cos(m.alpha), m.sin_alpha), math.sin(m.k * u), math.cos(m.k * u)
+    val, der = sin + e * cos, m.k * (cos - e * sin)
+    return val, -0.5 * val - der * u, -der
+
+
+def connection_mollified(m: Mode, eps: float):
+    """(F_l, F_c) = l (a_l, a_c) from the smoothed-box embedding at the
+    cutoff width eps, relative to l (the width at a box is eps * l).
 
     The eigenfunction is written as (smooth whole-line extension) times a
     normalized, mollified characteristic function of the box; the connection
     integrand uses the analytic parameter derivative of the extension and
     the square of the cutoff.  As eps -> 0, F_c tends to k sin(alpha) and
     F_l to zero (its limiting integrand is odd around the box center).  The
-    interior is sampled once, the two wall strips once per width.
+    box interior, where the cutoff is 1, is integrated in closed form
+    (`_unit_box_moments`); only the two wall strips of width eps take a
+    Gauss rule, of 12 panels each, so the work does not grow with the level.
 
     For this particular eigenfunction family the convergence is in fact
     instantaneous: Im(conj(phi) d_c phi) is constant in x and the cutoff is
     reflection symmetric about the box center, so the normalization quotient
     cancels the eps dependence exactly and every width returns the limit up
-    to quadrature error.  The sweep over eps still exercises the embedding
-    end to end.
+    to rounding.
     """
-    widths = np.asarray(eps, dtype=float)
-    if not np.all(np.isfinite(widths) & (widths > 0)):
+    if not (math.isfinite(eps) and eps > 0):
         raise ValueError("eps must be finite and positive")
-    # panels split at the box walls where the cutoff profile kicks in
-    inner_panels = max(2, int(np.ceil(4.0 * abs(m.k) / (2.0 * np.pi))) + 2)
     rho = standard_mollifier()
-
-    def weighted(u, w):  # integrands of the norm, F_l and F_c, times the weights w
-        ext, d_dl, d_dc = _extension_jet(m, 1.0, 0.0, u)
-        bra = np.conj(ext)
-        return np.stack([w * np.abs(ext) ** 2, w * np.imag(bra * d_dl), w * np.imag(bra * d_dc)])
-
-    inside = weighted(*panel_rule(-0.5, 0.5, inner_panels))
-    sums = []
-    for width in widths.flat:
-        u, w = panel_rule([-0.5 - width, 0.5], [-0.5, 0.5 + width], 12)
-        strips = weighted(u, w * rho((np.abs(u) - 0.5) / width) ** 2)
-        # summed in grid order, wall to wall
-        sums.append(np.concatenate([strips[:, 0], inside, strips[:, 1]], axis=-1).sum(axis=-1))
-    norm2, f_l, f_c = np.reshape(np.transpose(sums), (3,) + widths.shape)
+    norm, p, q = _unit_box_moments(m)
+    # d/dl phi = -phi/2 - u phi', d/dc phi = -phi'
+    norm2, f_l, f_c = norm.real, (-0.5 * norm - q).imag, -p.imag
+    for t, w in panel_nodes(0.0, 1.0, 12):  # t = (|u| - 1/2)/eps across either strip
+        weight = eps * w * rho(t) ** 2
+        for val, d_dl, d_dc in (_jet(m, -0.5 - eps * t), _jet(m, 0.5 + eps * t)):
+            norm2 += weight * abs(val) ** 2
+            f_l += weight * (val.conjugate() * d_dl).imag
+            f_c += weight * (val.conjugate() * d_dc).imag
     return f_l / norm2, f_c / norm2
 
 
@@ -235,21 +246,25 @@ def loop_phase_mollified_sweep(m: Mode, path: ParameterPath, eps_list) -> list[f
     `connection_mollified`, as for `loop_phase_interior`, at each relative
     width in `eps_list`, in the order given."""
     _require_closed(path)
-    _, f_c = connection_mollified(m, eps_list)
-    return (-f_c * path.dc_over_l()).tolist()
+    dc_over_l = path.dc_over_l()
+    return [-connection_mollified(m, eps)[1] * dc_over_l for eps in eps_list]
 
 
-def state_overlaps(m: Mode, la, ca, lb, cb):
-    """Array of the L2(R) overlaps <psi(la, ca)|psi(lb, cb)> of the
-    eigenfunction at two arrays of boxes, one per entry.
+def state_overlap(m: Mode, la: float, ca: float, lb: float, cb: float) -> complex:
+    """The L2(R) overlap <psi(la, ca)|psi(lb, cb)> of the eigenfunction at
+    two boxes; raises ValueError unless both lengths are finite and positive
+    and both centers finite.
 
-    Both states vanish outside their boxes, so each integral runs over the
+    Both states vanish outside their boxes, so the integral runs over the
     box intersection only, where it has a closed form; disjoint boxes give 0.
     """
-    shape, (la, ca, lb, cb) = _boxes(la, ca, lb, cb)
-    lo = np.maximum(ca - 0.5 * la, cb - 0.5 * lb)
-    hi = np.minimum(ca + 0.5 * la, cb + 0.5 * lb)
-    return np.where(hi - lo > 0, _window_integral(m, la, ca, lb, cb, lo, hi), 0.0).reshape(shape)
+    if not all(math.isfinite(l) and l > 0 for l in (la, lb)):
+        raise ValueError("box lengths must be finite and positive")
+    if not all(math.isfinite(c) for c in (ca, cb)):
+        raise ValueError("box centers must be finite")
+    lo = max(ca - 0.5 * la, cb - 0.5 * lb)
+    hi = min(ca + 0.5 * la, cb + 0.5 * lb)
+    return _window_integral(m, la, ca, lb, cb, lo, hi) if hi - lo > 0 else 0j
 
 
 @dataclass(frozen=True)
@@ -263,16 +278,18 @@ class LoopPhaseResult:
 
 def _chain_phase(m: Mode, path: ParameterPath, n: int) -> float:
     """-Arg prod_j <psi(p_j)|psi(p_j+1)> over the closed chain of the n points
-    p_j = path(j/n), every overlap of the chain computed at once."""
-    ls, cs = path.points(np.arange(n) / n)
-    ov = state_overlaps(m, ls, cs, np.roll(ls, -1), np.roll(cs, -1))
-    size = np.abs(ov)
-    coarse = np.flatnonzero(size < 1e-6)
-    if coarse.size:
-        raise MeshTooCoarseError(
-            f"neighboring states overlap only |<.|.>| = {size[coarse[0]]:.2e}; refine the mesh"
-        )
-    return float(-np.angle(np.prod(ov / size)))
+    p_j = path(j/n), as one running product of unit factors."""
+    first = a = path.point(0.0)
+    product = 1.0 + 0.0j
+    for j in range(1, n + 1):
+        b = path.point(j / n) if j < n else first
+        ov = state_overlap(m, a.l, a.c, b.l, b.c)
+        size = abs(ov)
+        if size < 1e-6:
+            raise MeshTooCoarseError(f"neighboring states overlap only |<.|.>| = {size:.2e}; refine the mesh")
+        product *= ov / size
+        a = b
+    return -cmath.phase(product)
 
 
 def loop_phase_overlap_meshes(m: Mode, path: ParameterPath, meshes) -> list[LoopPhaseResult]:
@@ -295,19 +312,12 @@ def loop_phase_overlap_meshes(m: Mode, path: ParameterPath, meshes) -> list[Loop
     if any(mesh < 8 for mesh in meshes):
         raise ValueError("mesh must be at least 8")
     chains = {}
-
-    def chain(n):
+    for n in (n for mesh in meshes for n in (mesh, mesh // 2)):
         if n not in chains:
             chains[n] = _chain_phase(m, path, n)
-        return chains[n]
-
-    results = []
-    for mesh in meshes:
-        phase = chain(mesh)
-        coarse = chain(mesh // 2)
-        delta = np.angle(np.exp(1j * (phase - coarse)))
-        results.append(LoopPhaseResult(phase=phase, mesh=mesh, err_estimate=float(abs(delta))))
-    return results
+    return [LoopPhaseResult(phase=chains[mesh], mesh=mesh,
+                            err_estimate=abs(cmath.phase(cmath.exp(1j * (chains[mesh] - chains[mesh // 2])))))
+            for mesh in meshes]
 
 
 # ---------------------------------------------------------------------------
@@ -324,10 +334,9 @@ def stokes_defect(m: Mode, rect: ParameterPath) -> float:
     line = loop_phase_analytic(m, rect)
     if lmax - lmin <= 0 or cmax - cmin <= 0:
         return abs(line)
-    xl, wl = panel_rule(lmin, lmax, 8)
-    xc, wc = panel_rule(cmin, cmax, 2)
-    f = np.outer([curvature(m, l) for l in xl], np.ones_like(xc))
-    flux = float(wl @ f @ wc)
+    # f_lc does not depend on c: the tensor rule is a product of two sums
+    flux = sum(w * curvature(m, l) for l, w in panel_nodes(lmin, lmax, 8)) * sum(
+        w for _, w in panel_nodes(cmin, cmax, 2))
     return abs(line - sign * flux)
 
 
@@ -343,6 +352,8 @@ def commutator_defect(sample: GridFunction) -> float:
     the defect decays like the squared grid step.  The sample must be
     smooth and supported away from the grid edges.
     """
+    import numpy as np
+
     x, f = sample.nodes, sample.values
     steps = np.diff(x)
     h = steps[0]
@@ -373,17 +384,20 @@ def commutator_defect(sample: GridFunction) -> float:
 # extrapolation helper
 
 
-def require_geometric(params) -> np.ndarray:
-    """`params` as an array, checked to be at least three finite positive
-    values that decrease at a constant ratio, as `power_law_extrapolate`
-    needs; raises ValueError otherwise."""
-    eps = np.asarray(params, dtype=float)
-    if eps.ndim != 1 or eps.size < 3:
+def require_geometric(params) -> list[float]:
+    """`params` as a list of floats, checked to be at least three finite
+    positive values that decrease at a constant ratio, as
+    `power_law_extrapolate` needs; raises ValueError otherwise."""
+    try:
+        eps = [float(v) for v in params]
+    except TypeError:  # a scalar, or nested lists
+        eps = []
+    if len(eps) < 3:
         raise ValueError("need at least three samples")
-    if not np.all(np.isfinite(eps) & (eps > 0)):
+    if not all(math.isfinite(e) and e > 0 for e in eps):
         raise ValueError("params must be finite and positive")
-    ratios = eps[1:] / eps[:-1]
-    if np.any(ratios >= 1.0) or np.max(np.abs(ratios - ratios[0])) > 1e-8:
+    ratios = [b / a for a, b in zip(eps, eps[1:])]
+    if max(ratios) >= 1.0 or max(abs(r - ratios[0]) for r in ratios) > 1e-8:
         raise ValueError("params must decrease at a constant ratio")
     return eps
 
@@ -402,23 +416,22 @@ def power_law_extrapolate(params, values):
     not shrink: the last sample is returned with order 0, or with that q.
     """
     eps = require_geometric(params)
-    a = np.asarray(values, dtype=float)
-    if eps.size != a.size:
+    a = [float(v) for v in values]
+    if len(eps) != len(a):
         raise ValueError("need at least three matching samples")
-    a = a - 2.0 * np.pi * np.round((a - a[-1]) / (2.0 * np.pi))
+    a = [v - 2.0 * math.pi * round((v - a[-1]) / (2.0 * math.pi)) for v in a]
     r = eps[1] / eps[0]
-    d = np.diff(a)
-    floor = 1e-12 * max(np.max(np.abs(a)), 1.0)
-    if np.max(np.abs(d)) < floor:
-        return float(a[-1]), 8.0
-    pairs = [(d0, d1) for d0, d1 in zip(d[:-1], d[1:]) if abs(d0) >= floor and abs(d1) >= floor]
-    qs = [np.log(d0 / d1) / np.log(1.0 / r) for d0, d1 in pairs if d0 * d1 > 0]
+    d = [a1 - a0 for a0, a1 in zip(a, a[1:])]
+    floor = 1e-12 * max(max(map(abs, a)), 1.0)
+    if max(map(abs, d)) < floor:
+        return a[-1], 8.0
+    pairs = [(d0, d1) for d0, d1 in zip(d, d[1:]) if abs(d0) >= floor and abs(d1) >= floor]
+    qs = [math.log(d0 / d1) / math.log(1.0 / r) for d0, d1 in pairs if d0 * d1 > 0]
     if not qs:
         # the pairs above the floor, if any, all alternate in sign
-        return float(a[-1]), 0.0 if pairs else 8.0
-    q = min(float(np.mean(qs)), 8.0)
+        return a[-1], 0.0 if pairs else 8.0
+    q = min(sum(qs) / len(qs), 8.0)
     if q <= 0.0:
-        return float(a[-1]), q
+        return a[-1], q
     rho = r ** q
-    limit = a[-1] + (a[-1] - a[-2]) * rho / (1.0 - rho)
-    return float(limit), q
+    return a[-1] + (a[-1] - a[-2]) * rho / (1.0 - rho), q

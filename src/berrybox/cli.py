@@ -27,9 +27,9 @@ import re
 import sys
 
 # every command parses eta or a unitary; each imports the rest of the package
-# where it uses it, and numpy only with a module that runs on arrays: `bc`, the
-# closed forms (`spectrum` without --check, `berry --method analytic`, the
-# curvature map) and every usage error load no numpy
+# where it uses it, and numpy only with a module that runs on arrays: `bc`,
+# `spectrum` without --check, every `berry` command and every usage error
+# load no numpy
 from .boundary import Eta, as_eta, classify_unitary, eta_to_unitary, require_mass, require_unitary
 
 EXIT_OK = 0
@@ -268,15 +268,14 @@ def cmd_bc(args) -> int:
 
 
 def _spectrum_rows_degenerate(eta_pm, ns, mass, geom):
-    from .closed_form import degenerate_wavenumber
+    from .closed_form import degenerate_wavenumber, eigenvalue
 
     rows = []
     for n in ns:
         if (eta_pm == 1 and n < 1) or (eta_pm == -1 and n < 0):
             continue
         k = degenerate_wavenumber(eta_pm, n)
-        lam = k ** 2 / (2.0 * mass * geom.l ** 2)
-        rows.append((str(n), _fmt(k), "nan", _fmt(lam)))
+        rows.append((str(n), _fmt(k), "nan", _fmt(eigenvalue(k, geom.l, mass))))
     return rows
 
 
@@ -311,7 +310,7 @@ def cmd_spectrum(args) -> int:
 
     ns = list(range(n_lo, n_hi + 1))
     modes = [mode(n, eta) for n in ns]
-    lams = [eigenvalue(m, geom, mass) for m in modes]
+    lams = [eigenvalue(m.k, geom.l, mass) for m in modes]
     rows = [
         (str(m.n), _fmt(m.k), _fmt(m.alpha), _fmt(lam))
         for m, lam in zip(modes, lams)
@@ -334,9 +333,9 @@ def cmd_spectrum(args) -> int:
 
 def _berry_phase_rows(m, path, methods, cfg):
     """Per-method convergence rows, each method's final phase, the analytic
-    phase, and the unrounded (x, phases) of the overlap and mollified rows,
-    which --plot draws."""
-    # the closed form runs on the standard library, each oracle on numpy
+    phase, and the (x, unrounded phases) of the overlap and mollified rows,
+    x being the mesh or 1/eps, which --plot draws."""
+    # the closed form and every oracle run on the standard library
     from .closed_form import loop_phase_analytic
 
     rows, finals, curves = [], {}, {}
@@ -367,7 +366,7 @@ def _berry_phase_rows(m, path, methods, cfg):
         err = abs(limit - phases[-1]) if order > 0 else abs(phases[-1] - phases[-2])
         rows.append(("mollified", "", _fmt(0.0), "", _fmt(limit), _fmt(err)))
         finals["mollified"] = limit
-        curves["mollified"] = (eps_list, phases)
+        curves["mollified"] = ([1.0 / e for e in eps_list], phases)
     if "overlap" in methods:
         from .berry import loop_phase_overlap_meshes
 
@@ -435,20 +434,18 @@ def cmd_berry(args) -> int:
     if args.plot:
         from . import svgplot
 
-        series = []
-        if "overlap" in curves:
-            meshes, phases = curves["overlap"]
-            series.append({"x": meshes, "y": [max(abs(p - analytic), 1e-16) for p in phases],
-                           "label": "overlap |error|"})
-        if "mollified" in curves:
-            eps_list, phases = curves["mollified"]
-            series.append({"x": [1.0 / e for e in eps_list], "y": [max(abs(p - analytic), 1e-16) for p in phases],
-                           "label": "mollified |error| vs 1/eps"})
+        # the errors of the 9-digit phases the CSV holds, floored at about half a
+        # unit of their last digit: the plot draws the CSV, not rounding noise
+        reference = _round9(analytic)
+        floor = 5e-9 * max(abs(reference), 1.0)
+        labels = {"overlap": "overlap |error|", "mollified": "mollified |error| vs 1/eps"}
+        series = [{"x": curves[k][0], "y": [max(abs(_round9(p) - reference), floor) for p in curves[k][1]],
+                   "label": label} for k, label in labels.items() if k in curves]
         if not series:
-            series.append({"x": [1, 10], "y": [abs(analytic)] * 2, "label": "analytic phase"})
+            series.append({"x": [1, 10], "y": [abs(reference)] * 2, "label": "analytic phase"})
             svgplot.line_plot(series, title="loop phase", xlabel="mesh", ylabel="phase", path=args.plot)
         else:
-            series.append({"x": series[0]["x"], "y": [1e-16] * len(series[0]["x"]),
+            series.append({"x": series[0]["x"], "y": [floor] * len(series[0]["x"]),
                            "label": "analytic reference", "dashed": True})
             svgplot.line_plot(series, title="loop-phase convergence", xlabel="mesh / inverse width",
                               ylabel="|phase - analytic|", path=args.plot, logx=True, logy=True)

@@ -121,9 +121,10 @@ def mode(n: int, eta) -> Mode:
     return Mode(n=int(n), eta=eta, k=wavenumber(n, eta), alpha=alpha_of(eta))
 
 
-def eigenvalue(m: Mode, g: Geometry, mass: float = 1.0) -> float:
-    """Dispersion lambda = k^2 / (2 m l^2); translations are isospectral."""
-    return m.k ** 2 / (2.0 * require_mass(mass) * g.l ** 2)
+def eigenvalue(k: float, l: float = 1.0, mass: float = 1.0) -> float:
+    """Dispersion lambda = k^2 / (2 m l^2) of a simple (`Mode.k`) or degenerate
+    (`degenerate_wavenumber`) level; translations are isospectral."""
+    return k ** 2 / (2.0 * require_mass(mass) * Geometry(l).l ** 2)
 
 
 def degenerate_wavenumber(eta: int, n: int) -> float:

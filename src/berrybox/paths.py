@@ -1,8 +1,7 @@
 """Polyline parameter paths in the (l, c) half-plane, given by their vertices.
 
-A path is built, tested for closure and integrated (`dc_over_l`) on the
-standard library; only the evaluation at an array of s (`points`,
-`velocities`) imports numpy, where it runs.
+A path is built, tested for closure, evaluated at one s at a time (`point`,
+`velocity`) and integrated (`dc_over_l`) on the standard library.
 """
 
 from __future__ import annotations
@@ -50,32 +49,13 @@ class ParameterPath:
         (l0, c0), (l1, c1) = self.vertices[0], self.vertices[-1]
         return math.hypot(l1 - l0, c1 - c0) <= _CLOSURE_TOL
 
-    def _locate(self, s):
-        """Side index and position t in [0, 1] along it, for a numpy array of s."""
+    def _locate(self, s: float):
+        """The side (start, end) and the position t in [0, 1] along it at s."""
         if self.orientation < 0:
             s = 1.0 - s
-        sigma = s.clip(0.0, 1.0) * len(self.segments)
-        i = sigma.astype(int).clip(max=len(self.segments) - 1)
-        return i, sigma - i
-
-    def points(self, s):
-        """Arrays (l, c) of the path at the parameter values in the array s."""
-        import numpy as np
-
-        i, t = self._locate(np.asarray(s, dtype=float))
-        table = np.array(self.vertices)
-        (l0, c0), (dl, dc) = table[i].T, (table[i + 1] - table[i]).T
-        return l0 + dl * t, c0 + dc * t
-
-    def velocities(self, s):
-        """Arrays of d(l, c)/ds at s, including the side-count and orientation factors."""
-        import numpy as np
-
-        i, _ = self._locate(np.asarray(s, dtype=float))
-        table = np.array(self.vertices)
-        dl, dc = (table[i + 1] - table[i]).T
-        factor = len(self.segments) * self.orientation
-        return factor * dl, factor * dc
+        sigma = min(max(s, 0.0), 1.0) * len(self.segments)
+        i = min(int(sigma), len(self.segments) - 1)
+        return self.segments[i], sigma - i
 
     def dc_over_l(self) -> float:
         """Line integral of dc/l along the path, in closed form.
@@ -92,13 +72,15 @@ class ParameterPath:
         return self.orientation * total
 
     def point(self, s: float) -> Geometry:
-        l, c = self.points([s])
-        return Geometry(l[0], c[0])
+        """The box (l, c) at the parameter s."""
+        ((l0, c0), (l1, c1)), t = self._locate(s)
+        return Geometry(l0 + (l1 - l0) * t, c0 + (c1 - c0) * t)
 
     def velocity(self, s: float) -> tuple[float, float]:
-        """d(l, c)/ds at one s; see `velocities`."""
-        vl, vc = self.velocities([s])
-        return (float(vl[0]), float(vc[0]))
+        """d(l, c)/ds at s, including the side-count and orientation factors."""
+        ((l0, c0), (l1, c1)), _ = self._locate(s)
+        factor = len(self.segments) * self.orientation
+        return factor * (l1 - l0), factor * (c1 - c0)
 
 
 def rectangle_loop(l1: float, l2: float, c1: float, c2: float, orientation: int = 1) -> ParameterPath:

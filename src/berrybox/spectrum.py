@@ -72,26 +72,11 @@ def extension_physical(m: Mode, g: Geometry, x):
 
 
 def extension_physical_grad(m: Mode, g: Geometry, x):
-    """Parameter gradient (d/dl, d/dc) of the smooth extension at fixed x."""
-    return _extension_jet(m, g.l, g.c, x)[1:]
-
-
-def _extension_jet(m: Mode, l, c, x):
-    """The smooth extension and its gradient (d/dl, d/dc) at fixed x.
-
-    l and c may be arrays that broadcast against x, one box per entry.
-    """
-    x = np.asarray(x, dtype=float)
-    u = (x - c) / l
-    inv_sqrt = 1.0 / np.sqrt(l)
-    # eigenfunction_fixed and its derivative, from one sin and one cos
-    sin, cos = np.sin(m.k * u), np.cos(m.k * u)
-    e = np.exp(1j * m.alpha)
-    val = sin + e * cos
-    der = m.k * (cos - e * sin)
-    d_dc = -inv_sqrt * der / l
-    d_dl = -0.5 * inv_sqrt * val / l - inv_sqrt * der * u / l
-    return val / np.sqrt(l), d_dl, d_dc
+    """Parameter gradient (d/dl, d/dc) of the smooth extension at fixed x:
+    -l^-3/2 (phi(u)/2 + u phi'(u)) and -l^-3/2 phi'(u), u = (x - c)/l."""
+    u = (np.asarray(x, dtype=float) - g.c) / g.l
+    der, scale = eigenfunction_fixed_dx(m, u), -1.0 / (g.l * np.sqrt(g.l))
+    return scale * (0.5 * eigenfunction_fixed(m, u) + u * der), scale * der
 
 
 def eigenfunction_physical(m: Mode, g: Geometry, x):

@@ -1,8 +1,9 @@
-"""Minimal self-contained SVG line plots (no rendering stack required)."""
+"""Minimal self-contained SVG line plots (no rendering stack required), on
+the standard library."""
 
 from __future__ import annotations
 
-import numpy as np
+import math
 
 __all__ = ["line_plot"]
 
@@ -10,18 +11,11 @@ _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#17becf"]
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 72, 24, 40, 56
 
 
-def _transform(v, lo, hi, log):
-    v = np.asarray(v, dtype=float)
-    if log:
-        return np.log10(v), np.log10(lo), np.log10(hi)
-    return v, lo, hi
-
-
 def _ticks(lo, hi, log):
     if log:
-        lo_d, hi_d = int(np.floor(np.log10(lo))), int(np.ceil(np.log10(hi)))
-        return [10.0 ** d for d in range(lo_d, hi_d + 1)]
-    return list(np.linspace(lo, hi, 5))
+        return [10.0 ** d for d in range(math.floor(math.log10(lo)), math.ceil(math.log10(hi)) + 1)]
+    step = (hi - lo) / 4.0  # np.linspace(lo, hi, 5), bit for bit
+    return [lo + i * step for i in range(4)] + [hi]
 
 
 def _fmt(v):
@@ -34,16 +28,16 @@ def line_plot(series, title="", xlabel="", ylabel="", path=None, logx=False, log
     `series` is a list of dicts with keys x, y, label and optional dashed;
     returns the SVG text and writes it to `path` when given.
     """
-    xs = np.concatenate([np.asarray(s["x"], dtype=float) for s in series])
-    ys = np.concatenate([np.asarray(s["y"], dtype=float) for s in series])
-    if logx and np.any(xs <= 0):
+    xs = [float(v) for s in series for v in s["x"]]
+    ys = [float(v) for s in series for v in s["y"]]
+    if logx and min(xs) <= 0:
         raise ValueError("log x axis requires positive abscissae")
     if logy:
-        ys = ys[ys > 0]
-        if ys.size == 0:
+        ys = [v for v in ys if v > 0]
+        if not ys:
             raise ValueError("log y axis requires positive values")
-    x_lo, x_hi = float(np.min(xs)), float(np.max(xs))
-    y_lo, y_hi = float(np.min(ys)), float(np.max(ys))
+    x_lo, x_hi = min(xs), max(xs)
+    y_lo, y_hi = min(ys), max(ys)
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
     if y_hi == y_lo:
@@ -55,11 +49,11 @@ def line_plot(series, title="", xlabel="", ylabel="", path=None, logx=False, log
     plot_w = width - _MARGIN_L - _MARGIN_R
     plot_h = height - _MARGIN_T - _MARGIN_B
 
+    fx, fy = (math.log10 if logx else float), (math.log10 if logy else float)
+
     def to_px(xv, yv):
-        xv, xa, xb = _transform(xv, x_lo, x_hi, logx)
-        yv, ya, yb = _transform(yv, y_lo, y_hi, logy)
-        px = _MARGIN_L + (xv - xa) / (xb - xa) * plot_w
-        py = _MARGIN_T + (yb - yv) / (yb - ya) * plot_h
+        px = _MARGIN_L + (fx(xv) - fx(x_lo)) / (fx(x_hi) - fx(x_lo)) * plot_w
+        py = _MARGIN_T + (fy(y_hi) - fy(yv)) / (fy(y_hi) - fy(y_lo)) * plot_h
         return px, py
 
     out = [
@@ -70,23 +64,17 @@ def line_plot(series, title="", xlabel="", ylabel="", path=None, logx=False, log
         'fill="none" stroke="#333" stroke-width="1"/>',
     ]
     if title:
-        out.append(
-            f'<text x="{width / 2:.1f}" y="24" text-anchor="middle" font-size="15">{title}</text>'
-        )
+        out.append(f'<text x="{width / 2:.1f}" y="24" text-anchor="middle" font-size="15">{title}</text>')
 
     for tv in _ticks(x_lo, x_hi, logx):
-        px, _ = to_px(tv, y_hi if not logy else y_hi)
+        px, _ = to_px(tv, y_hi)
         py = _MARGIN_T + plot_h
         out.append(f'<line x1="{px:.2f}" y1="{py}" x2="{px:.2f}" y2="{py + 5}" stroke="#333"/>')
-        out.append(
-            f'<text x="{px:.2f}" y="{py + 18}" text-anchor="middle" font-size="11">{_fmt(tv)}</text>'
-        )
+        out.append(f'<text x="{px:.2f}" y="{py + 18}" text-anchor="middle" font-size="11">{_fmt(tv)}</text>')
     for tv in _ticks(y_lo, y_hi, logy):
         _, py = to_px(x_lo, tv)
         out.append(f'<line x1="{_MARGIN_L - 5}" y1="{py:.2f}" x2="{_MARGIN_L}" y2="{py:.2f}" stroke="#333"/>')
-        out.append(
-            f'<text x="{_MARGIN_L - 8}" y="{py + 4:.2f}" text-anchor="end" font-size="11">{_fmt(tv)}</text>'
-        )
+        out.append(f'<text x="{_MARGIN_L - 8}" y="{py + 4:.2f}" text-anchor="end" font-size="11">{_fmt(tv)}</text>')
     if xlabel:
         out.append(
             f'<text x="{_MARGIN_L + plot_w / 2:.1f}" y="{height - 14}" text-anchor="middle" font-size="12">{xlabel}</text>'
@@ -101,19 +89,9 @@ def line_plot(series, title="", xlabel="", ylabel="", path=None, logx=False, log
     for i, s in enumerate(series):
         color = _PALETTE[i % len(_PALETTE)]
         dash = ' stroke-dasharray="6 4"' if s.get("dashed") else ""
-        sx = np.asarray(s["x"], dtype=float)
-        sy = np.asarray(s["y"], dtype=float)
-        keep = np.ones(sx.size, dtype=bool)
-        if logy:
-            keep &= sy > 0
-        if logx:
-            keep &= sx > 0
-        pts = " ".join(
-            f"{px:.2f},{py:.2f}" for px, py in (to_px(a, b) for a, b in zip(sx[keep], sy[keep]))
-        )
-        out.append(
-            f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.6"{dash}/>'
-        )
+        kept = [(float(a), float(b)) for a, b in zip(s["x"], s["y"]) if (a > 0 or not logx) and (b > 0 or not logy)]
+        pts = " ".join(f"{px:.2f},{py:.2f}" for px, py in (to_px(a, b) for a, b in kept))
+        out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.6"{dash}/>')
         lx, ly = _MARGIN_L + plot_w - 150, _MARGIN_T + 16 + 16 * i
         out.append(f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" y2="{ly - 4}" stroke="{color}" stroke-width="1.6"{dash}/>')
         out.append(f'<text x="{lx + 28}" y="{ly}" font-size="11">{s.get("label", "")}</text>')

@@ -32,7 +32,7 @@ def test_static_hamiltonian_is_diagonal():
     modes = mode_window(1j, 4)
     g = Geometry(1.3, 0.0)
     h = generator(modes, 0.0, 0.0, mass=0.9) / g.l ** 2
-    lam = np.array([eigenvalue(m, g, 0.9) for m in modes])
+    lam = np.array([eigenvalue(m.k, g.l, 0.9) for m in modes])
     assert np.max(np.abs(h - np.diag(lam))) < 1e-12
 
 
@@ -76,7 +76,7 @@ def test_length_scaling_of_static_block():
     modes = mode_window(1j, 3)
     h = generator(modes, 0.0, 0.0)
     for l in (1.0, 2.0):
-        lam = np.array([eigenvalue(m, Geometry(l, 0.0)) for m in modes])
+        lam = np.array([eigenvalue(m.k, l) for m in modes])
         assert np.allclose(h / l ** 2, np.diag(lam), atol=1e-13)
 
 
@@ -151,7 +151,7 @@ def _midpoint_overlap(schedule, start_mode, eta, window, mass, steps_per_side):
     built from spectrum.eigenvalue."""
     modes = mode_window(eta, window)
     pmat, xpmat = weak_form_matrix(modes)
-    lam1 = np.array([eigenvalue(m, Geometry(1.0, 0.0), mass) for m in modes])
+    lam1 = np.array([eigenvalue(m.k, 1.0, mass) for m in modes])
     path = schedule.path
     segs = path.segments if path.orientation > 0 else [(b, a) for a, b in reversed(path.segments)]
     t_side = schedule.duration / len(segs)
@@ -221,7 +221,7 @@ def test_dynamical_phase_is_conformal_time():
     rep = propagate(Schedule(NO_VERTICAL, 15.0, 400), 1, -0.3 + 0.4j, 4, mass=mass)
     xg, wg = np.polynomial.legendre.leggauss(40)
     t = 2.5 * (1.0 + xg)
-    integral = sum(wg @ [2.5 * eigenvalue(mode(1, -0.3 + 0.4j), Geometry(np.sqrt(l0 ** 2 + (l1 ** 2 - l0 ** 2) * tj / 5.0), 0.0), mass)
+    integral = sum(wg @ [2.5 * eigenvalue(mode(1, -0.3 + 0.4j).k, np.sqrt(l0 ** 2 + (l1 ** 2 - l0 ** 2) * tj / 5.0), mass)
                          for tj in t]
                    for (l0, _), (l1, _) in NO_VERTICAL.segments)
     assert rep.dynamical_phase == pytest.approx(-integral, rel=1e-13)

@@ -1,5 +1,8 @@
 """Connection oracles, loop phases, curvature, and the dilation commutator."""
 
+import json
+import math
+import pathlib
 import re
 
 import numpy as np
@@ -36,7 +39,7 @@ from berrybox import (
     reference_rule,
     require_interior_step,
     standard_mollifier,
-    state_overlaps,
+    state_overlap,
     stokes_defect,
     weak_form_matrix,
 )
@@ -48,22 +51,22 @@ RECT = rectangle_loop(1.0, 2.0, 0.0, 1.0)
 
 def _overlap(m, ga, gb):
     """The overlap of the states at the boxes of two Geometry records."""
-    return complex(state_overlaps(m, ga.l, ga.c, gb.l, gb.c))
+    return state_overlap(m, ga.l, ga.c, gb.l, gb.c)
 
 
 def _loop_integral(path, connection):
     """Reference line integral -contour integral of (a_l dl + a_c dc) by 16
     Gauss nodes per side, summed node by node in path order;
-    `connection(l, c)` takes the nodes of one side as arrays."""
+    `connection(l, c)` takes the box at one node."""
     nseg = len(path.segments)
     xg, wg = reference_rule(16)
     total = 0.0
     for i in range(nseg):
-        s = (i + 0.5 + 0.5 * xg) / nseg
-        a_l, a_c = connection(*path.points(s))
-        vl, vc = path.velocities(s)
-        for wj, al, ac, vlj, vcj in zip(wg, a_l, a_c, vl, vc):
-            total += wj * (0.5 / nseg) * (al * vlj + ac * vcj)
+        for xj, wj in zip(xg, wg):
+            s = (i + 0.5 + 0.5 * xj) / nseg
+            g, (vl, vc) = path.point(s), path.velocity(s)
+            al, ac = connection(g.l, g.c)
+            total += wj * (0.5 / nseg) * (al * vl + ac * vc)
     return -total
 
 
@@ -81,11 +84,10 @@ def test_mollifier_shape():
     rho = standard_mollifier()
     assert rho(0.0) == pytest.approx(1.0, abs=1e-15)
     assert rho(1.0) == pytest.approx(0.0, abs=1e-15)
-    t = np.linspace(0.0, 1.0, 201)
-    vals = rho(t)
+    vals = np.array([rho(t) for t in np.linspace(0.0, 1.0, 201)])
     assert np.all(vals >= 0.0)
     assert np.all(np.diff(vals) <= 1e-15)
-    assert np.all(rho(np.linspace(1.0, 3.0, 20)) == 0.0)
+    assert all(rho(t) == 0.0 for t in np.linspace(1.0, 3.0, 20))
 
 
 def test_mollifier_flat_at_zero():
@@ -93,7 +95,7 @@ def test_mollifier_flat_at_zero():
     # the step must keep every sample in the exp(-1/t)-flat zone
     rho = standard_mollifier()
     h = 0.01
-    f = rho(np.arange(0.0, 5.0) * h)
+    f = [rho(j * h) for j in range(5)]
     d1 = (f[1] - f[0]) / h
     d2 = (f[2] - 2 * f[1] + f[0]) / h ** 2
     d3 = (f[3] - 3 * f[2] + 3 * f[1] - f[0]) / h ** 3
@@ -148,11 +150,16 @@ def test_connection_mollified_converges():
     m = mode(0, 2j)
     exact = connection_analytic(m)[1]
     eps = [0.2, 0.1, 0.05]
-    a_l, a_c = connection_mollified(m, eps)
+    a_l, a_c = zip(*(connection_mollified(m, e) for e in eps))
     limit, order = power_law_extrapolate(eps, a_c)
     assert order >= 1.0
     assert abs(limit - exact) < 1e-4
     assert np.all(np.abs(a_l) < 1e-10)
+
+
+def _rho(t):
+    """The mollifier profile at each entry of the array t."""
+    return np.vectorize(standard_mollifier())(t)
 
 
 def _embedding_grid(m, g, eps):
@@ -168,11 +175,10 @@ def test_mollified_normalization():
     # the embedded state is normalized by construction for every eps
     m = mode(0, 2j)
     g = Geometry(1.3, -0.2)
-    rho = standard_mollifier()
     for eps in (0.3, 0.1):
         x, w = _embedding_grid(m, g, eps)
         chi = np.where((x >= g.left) & (x <= g.right), 1.0,
-                       rho((np.abs(x - g.c) - g.l / 2) / eps))
+                       _rho((np.abs(x - g.c) - g.l / 2) / eps))
         ext = extension_physical(m, g, x)
         norm2 = np.sum(w * chi ** 2 * np.abs(ext) ** 2)
         xi = chi / np.sqrt(norm2)
@@ -189,7 +195,7 @@ def test_oracle_agreement_grid():
                 assert abs(inner_c - exact) < 1e-6
                 assert abs(inner_l) < 1e-6
                 eps = [0.2, 0.1, 0.05, 0.025]
-                limit, _ = power_law_extrapolate(eps, connection_mollified(m, eps)[1] / l)
+                limit, _ = power_law_extrapolate(eps, [connection_mollified(m, e)[1] / l for e in eps])
                 assert abs(limit - exact) < 1e-4
 
 
@@ -276,8 +282,8 @@ def test_gauge_invariance_of_overlap_product():
     # multiplying each sampled state by a phase drops out of the product
     m = mode(0, 2j)
     mesh = 32
-    ls, cs = RECT.points(np.append(np.arange(mesh), 0) / mesh)
-    ovs = state_overlaps(m, ls[:-1], cs[:-1], ls[1:], cs[1:])
+    pts = [RECT.point(j / mesh) for j in range(mesh)] + [RECT.point(0.0)]
+    ovs = [_overlap(m, a, b) for a, b in zip(pts[:-1], pts[1:])]
     base = -np.angle(np.prod([o / abs(o) for o in ovs]))
     rng = np.random.default_rng(17)
     thetas = rng.uniform(-np.pi, np.pi, mesh + 1)
@@ -481,7 +487,8 @@ def test_extrapolation_of_samples_within_pi_of_the_last_is_unchanged():
         centre = (np.pi - 0.01) * (1.0 if j % 2 else -1.0) if j < 20 else rng.uniform(-np.pi, np.pi)
         a = centre + rng.uniform(-0.5, 0.5) * np.asarray(eps) ** rng.uniform(0.5, 3.0)
         d = np.diff(a)
-        q = min(float(np.mean([np.log(d0 / d1) / np.log(2.0) for d0, d1 in zip(d[:-1], d[1:])])), 8.0)
+        qs = [math.log(d0 / d1) / math.log(2.0) for d0, d1 in zip(d[:-1], d[1:])]
+        q = min(sum(qs) / len(qs), 8.0)
         rho = 0.5 ** q
         assert power_law_extrapolate(eps, a) == (float(a[-1] + (a[-1] - a[-2]) * rho / (1.0 - rho)), q)
 
@@ -491,31 +498,18 @@ def _drawn_mode(rng, j, n_max):
     return mode(int(rng.integers(-n_max, n_max + 1)), eta)
 
 
-def test_array_oracles_take_a_scalar_box_as_the_0d_case():
-    # a scalar box gives a 0-d array holding the length-1 array call's value
-    m = mode(3, 0.3 + 0.6j)
-    calls = {
-        "state_overlaps": lambda f: state_overlaps(m, f(1.3), f(-0.2), f(1.35), f(-0.15)),
-    }
-    for name, call in calls.items():
-        scalar, single = call(float), call(lambda v: np.array([v]))
-        assert scalar.shape == () and single.shape == (1,), name
-        assert scalar[()] == single[0], name
-
-
-def test_array_oracles_reject_boxes_outside_the_half_plane():
-    # the check each oracle makes of its boxes, which Geometry used to make
+def test_state_overlap_rejects_boxes_outside_the_half_plane():
+    # the check the overlap makes of each box, which Geometry used to make
     m = mode(0, 1j)
     oracles = {
-        "state_overlaps a": lambda l, c: state_overlaps(m, l, c, 1.0, 0.0),
-        "state_overlaps b": lambda l, c: state_overlaps(m, 1.0, 0.0, l, c),
+        "state_overlap a": lambda l, c: state_overlap(m, l, c, 1.0, 0.0),
+        "state_overlap b": lambda l, c: state_overlap(m, 1.0, 0.0, l, c),
     }
     bad_lengths = (0.0, -1.0, np.nan, np.inf)
     for name, oracle in oracles.items():
         for l, c in [(l, 0.0) for l in bad_lengths] + [(1.0, np.nan), (1.0, -np.inf)]:
-            for box in ((l, c), (np.array([1.0, l]), np.array([0.0, c]))):
-                with pytest.raises(ValueError, match="box"):
-                    oracle(*box)
+            with pytest.raises(ValueError, match="box"):
+                oracle(l, c)
     # the closed-form curvature takes one box length, checked as Geometry checks it
     for l in bad_lengths:
         with pytest.raises(ValueError, match="box length"):
@@ -572,7 +566,7 @@ def test_overlap_deficit_is_linear_in_the_wall_displacements(n, eta_abs):
         w_left, w_right = np.abs(eigenfunction_fixed(m, np.array([-0.5, 0.5]))) ** 2 / l
         slope = rng.uniform(0.0, 2.0 * np.pi)
         for dl, dc in ((0.0, delta), (delta, 0.0), (delta * np.cos(slope), delta * np.sin(slope))):
-            deficit = 1.0 - abs(complex(state_overlaps(m, l, c, l + dl, c + dc)))
+            deficit = 1.0 - abs(state_overlap(m, l, c, l + dl, c + dc))
             law = 0.5 * (w_left * abs(dc - 0.5 * dl) + w_right * abs(dc + 0.5 * dl))
             assert deficit == pytest.approx(law, rel=1e-3), (m, l, c, dl, dc)
 
@@ -581,7 +575,7 @@ def _mollified_in_x(m, g, width):
     # the embedding in x on one grid through both walls, cutoff of the given
     # width applied node by node
     x, w = _embedding_grid(m, g, width)
-    chi = np.where((x >= g.left) & (x <= g.right), 1.0, standard_mollifier()((np.abs(x - g.c) - 0.5 * g.l) / width))
+    chi = np.where((x >= g.left) & (x <= g.right), 1.0, _rho((np.abs(x - g.c) - 0.5 * g.l) / width))
     ext, (d_dl, d_dc) = extension_physical(m, g, x), extension_physical_grad(m, g, x)
     weight = w * chi ** 2
     norm2 = np.sum(weight * np.abs(ext) ** 2)
@@ -598,31 +592,52 @@ def test_mollified_connection_is_dilation_covariant():
         l, c = rng.uniform(0.3, 3.0, 6), rng.uniform(-2.0, 2.0, 6)
         eps = rng.uniform(0.01, 0.3, 3)
         scale = (1.0 + abs(m.k)) / l
-        for e, f_l, f_c in zip(eps, *connection_mollified(m, eps)):
+        for e in eps:
+            f_l, f_c = connection_mollified(m, e)
             x_l, x_c = np.array([_mollified_in_x(m, Geometry(lj, cj), e * lj) for lj, cj in zip(l, c)]).T
             assert np.all(np.abs(f_l / l - x_l) <= 1e-13 * scale), (m, e)
             assert np.all(np.abs(f_c / l - x_c) <= 1e-13 * scale), (m, e)
 
 
+def _count_strip_nodes(monkeypatch):
+    """The list of the mollified oracle's evaluations of the state, which grows
+    by one entry per node."""
+    nodes = []
+    real = berrybox.berry._jet
+
+    def counted(m, u):
+        nodes.append(u)
+        return real(m, u)
+
+    monkeypatch.setattr(berrybox.berry, "_jet", counted)
+    return nodes
+
+
 def test_mollified_sweep_integrates_once_per_width(monkeypatch):
-    # one sweep evaluates the extension on one interior grid and on the two
-    # wall strips of each width, whatever the number of sides
-    sizes = []
-    real = berrybox.berry._extension_jet
-
-    def counted(m, l, c, x):
-        sizes.append(np.size(x))
-        return real(m, l, c, x)
-
-    monkeypatch.setattr(berrybox.berry, "_extension_jet", counted)
+    # one sweep evaluates the state on the two wall strips of each width and
+    # nowhere inside the box, whatever the number of sides
+    nodes = _count_strip_nodes(monkeypatch)
     for n, eta in ((0, 1j), (7, 0.3 + 0.6j)):
         m = mode(n, eta)
-        interior = 16 * max(2, int(np.ceil(4.0 * abs(m.k) / (2.0 * np.pi))) + 2)
         for path in (RECT, polyline_path([(1.0, 0.0), (1.3, 0.05), (1.2, 0.3), (1.1, 0.2)], close=True)):
             for eps in ([0.2, 0.1, 0.05], [0.2, 0.1, 0.05, 0.025]):
-                sizes.clear()
+                nodes.clear()
                 loop_phase_mollified_sweep(m, path, eps)
-                assert sizes == [interior] + [2 * 12 * 16] * len(eps), (m, path)
+                assert len(nodes) == 2 * 12 * 16 * len(eps), (m, path)
+                assert all(abs(u) >= 0.5 for u in nodes)
+
+
+def test_mollified_work_does_not_grow_with_the_level(monkeypatch):
+    # the interior used to be one grid of O(|k|) nodes: 119 MB at n = 10000
+    nodes = _count_strip_nodes(monkeypatch)
+    for n in (0, 100, 10000):
+        m = mode(n, 0.3 + 0.6j)
+        for eps in (0.2, 0.025):
+            nodes.clear()
+            f_l, f_c = connection_mollified(m, eps)
+            assert len(nodes) == 2 * 12 * 16, n
+            assert abs(f_c - connection_analytic(m)[1]) < 1e-13 * (1.0 + abs(m.k)), n
+            assert abs(f_l) < 1e-13 * (1.0 + abs(m.k)), n
 
 
 def test_loop_phase_mollified_sweep_matches_single_widths():
@@ -770,6 +785,33 @@ def test_oracle_phases_add_over_rectangles_sharing_an_edge():
         for method in whole:
             gate = sum(_gates(p)[method] for p in (*parts, union))
             assert _circle(left[method] + right[method] - whole[method]) <= gate, (method, m, union)
+
+
+def _pinned_cases():
+    path = pathlib.Path(__file__).parent / "data" / "berry_phases_pinned.json"
+    return json.loads(path.read_text(encoding="utf-8"))["cases"]
+
+
+@pytest.mark.parametrize("case", _pinned_cases(), ids=lambda c: f"{c['eta']}-n{c['n']}-{c['loop']['type']}"
+                         + ("-reversed" if c["loop"]["orientation"] < 0 else ""))
+def test_method_all_phases_are_pinned(case):
+    # every phase row of `berry --method all` (the CLI's calls, at its default
+    # widths, steps and meshes) as the array implementation computed it, to
+    # 1e-13 on the circle: eta = inf, real, on the circle and off it
+    eta = ETA_INF if case["eta"] == "inf" else complex(case["eta"].replace("i", "j"))
+    m, loop = mode(case["n"], eta), case["loop"]
+    if loop["type"] == "rectangle":
+        path = rectangle_loop(loop["l1"], loop["l2"], loop["c1"], loop["c2"], loop["orientation"])
+    else:
+        path = polyline_path(loop["points"], close=True, orientation=loop["orientation"])
+    eps = [0.2, 0.1, 0.05, 0.025]
+    mollified = loop_phase_mollified_sweep(m, path, eps)
+    phases = ([loop_phase_analytic(m, path)] + [loop_phase_interior(m, path, h) for h in (1e-4, 5e-5)]
+              + mollified + [power_law_extrapolate(eps, mollified)[0]]
+              + [r.phase for r in loop_phase_overlap_meshes(m, path, [64, 128, 256])])
+    assert len(phases) == len(case["phases"])
+    for j, (phase, pinned) in enumerate(zip(phases, case["phases"])):
+        assert abs(math.remainder(phase - pinned, 2.0 * math.pi)) <= 1e-13, (j, phase, pinned)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ import berrybox.berry
 import berrybox.cli
 import berrybox.closed_form
 import berrybox.svgplot
-from berrybox import reference_rule
+from berrybox import gauss_legendre
 from berrybox.cli import main
 
 
@@ -328,28 +328,49 @@ def test_berry_plot_reuses_table_phases(tmp_path, monkeypatch):
         counts.append(counter)
     assert counts[0] == counts[1]
     # the interior phase at h and h/2, one mollified sweep that integrates
-    # the embedding once, in the box coordinate, for all four sides and all
-    # widths, and the overlap chains at 8, 16, 32 and 64 points
+    # the embedding once per width, in the box coordinate, for all four sides,
+    # and the overlap chains at 8, 16, 32 and 64 points
     assert counts[0] == {"loop_phase_interior": 2, "loop_phase_mollified_sweep": 1,
-                         "connection_mollified": 1, "_chain_phase": 4}
+                         "connection_mollified": 4, "_chain_phase": 4}
+
+
+def test_berry_plot_draws_the_csv_digits(tmp_path, monkeypatch):
+    # the chain, mollified and analytic phases moved apart below the 9th
+    # significant digit leave the CSV, and so the SVG, byte-identical: the plot
+    # draws the CSV's digits, not the rounding noise of the mollified rows
+    argv = ["berry", "--eta", "0.3+0.6i", "--n", "1", "--loop-rect", "1", "1.3", "0", "0.2",
+            "--method", "all", "--mesh", "64"]
+    hooked = ((berrybox.berry, "_chain_phase"), (berrybox.berry, "loop_phase_mollified_sweep"),
+              (berrybox.closed_form, "loop_phase_analytic"))
+    outputs = []
+    for shifts in ((0.0, 0.0, 0.0), (3e-15, -2e-15, 1e-15), (-2e-15, 3e-15, -3e-15)):
+        with monkeypatch.context() as mp:
+            for (owner, attr), shift in zip(hooked, shifts):
+                def moved(*args, real=getattr(owner, attr), factor=1.0 + shift):
+                    value = real(*args)
+                    return [v * factor for v in value] if isinstance(value, list) else value * factor
+
+                mp.setattr(owner, attr, moved)
+            out, svg = tmp_path / "b.csv", tmp_path / "b.svg"
+            assert run(*argv, "--out", str(out), "--plot", str(svg)) == 0
+        outputs.append((out.read_bytes(), svg.read_bytes()))
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
 
 def test_berry_builds_each_gauss_rule_once(tmp_path, monkeypatch):
-    calls = []
-    real = np.polynomial.legendre.leggauss
+    # on the standard library: numpy's leggauss is never called
+    def refused(order):
+        raise AssertionError("berry called numpy's leggauss")
 
-    def counted(order):
-        calls.append(order)
-        return real(order)
-
-    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
-    reference_rule.cache_clear()
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", refused)
+    gauss_legendre.cache_clear()
     try:
         assert run("berry", "--method", "all", "--mesh", "64", "--out", str(tmp_path / "b.csv"),
                    "--plot", str(tmp_path / "b.svg")) == 0
+        info = gauss_legendre.cache_info()
     finally:
-        reference_rule.cache_clear()
-    assert calls and len(calls) == len(set(calls))
+        gauss_legendre.cache_clear()
+    assert info.misses == info.currsize == 1 and info.hits > 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,11 @@
 """Importing the package, and every command, loads no scipy; none needs it.
 `import berrybox` loads no submodule and no numpy, and each command loads
-only the package modules it runs.  `bc`, every usage error and the commands
-that print only closed forms (`spectrum` without --check, `berry --method
-analytic`, the curvature map) run on the standard library alone, without
-numpy; the commands that run arrays (the generic check, `wz`, `adiabatic`,
-the berry oracles) load it.  Importing the package first sets one BLAS
-thread unless the caller chose a count."""
+only the package modules it runs.  `bc`, every usage error, `spectrum`
+without --check and every `berry` command (each method, --plot and the
+curvature map included) run on the standard library alone, without numpy;
+the commands that run arrays (the generic check, `wz`, `adiabatic`) load it.
+Importing the package first sets one BLAS thread unless the caller chose a
+count."""
 
 import importlib
 import json
@@ -92,6 +92,7 @@ _BC_FAMILY = "[[[-0.6, 0], [0.48, 0.64]], [[0.48, -0.64], [0.6, 0]]]"
 
 _POLYLINE = {"loop": {"type": "polyline", "points": [[1, 0], [1.3, 0.05], [1.1, 0.2]], "orientation": -1}}
 _CLOSED_FORMS = _own("closed_form", "paths")
+_ORACLES = _own("closed_form", "paths", "quadrature", "berry")
 
 
 @pytest.mark.parametrize("argv, config, own, numpy", [
@@ -115,12 +116,21 @@ _CLOSED_FORMS = _own("closed_form", "paths")
                  _own("closed_form", "paths", "quadrature", "wilczek_zee"), True, id="wz"),
     pytest.param(["adiabatic", "--eta", "0+1i", "--T-list", "2", "--window", "2", "--resolution", "100"], None,
                  _own("closed_form", "paths", "adiabatic"), True, id="adiabatic"),
-    pytest.param(["berry", "--eta", "0+1i", "--method", "overlap", "--mesh", "16"], None,
-                 _own("closed_form", "paths", "quadrature", "spectrum", "berry"), True, id="berry-overlap"),
+    pytest.param(["berry", "--eta", "0+1i", "--method", "overlap", "--mesh", "16"], None, _ORACLES, False,
+                 id="berry-overlap"),
+    pytest.param(["berry", "--eta", "0.3+0.6i", "--n", "1", "--method", "all", "--mesh", "16"], None, _ORACLES,
+                 False, id="berry-all"),
+    pytest.param(["berry", "--eta", "0.3+0.6i", "--n", "1", "--loop-rect", "1", "1.3", "0", "0.2", "--method", "all",
+                  "--mesh", "64", "--tol", "1e-3", "--plot", "berry.svg"], None, sorted(_ORACLES + ["berrybox.svgplot"]),
+                 False, id="berry-all-plot"),
+    pytest.param(["berry", "--eta", "0.3+0.6i", "--n", "1", "--method", "all", "--mesh", "64"], _POLYLINE, _ORACLES,
+                 False, id="berry-all-polyline"),
 ])
 def test_command_loads_no_scipy(tmp_path, argv, config, own, numpy):
     # each command also loads only the berrybox modules it runs, and numpy
-    # as listed: not for bc or a closed form, always for an array method
+    # as listed: not for bc, spectrum's closed forms or berry, always for an
+    # array method
+    argv = [str(tmp_path / a) if a.endswith(".svg") else a for a in argv]
     if config is not None:
         (tmp_path / "config.json").write_text(json.dumps(config))
         argv = argv + ["--config", str(tmp_path / "config.json")]
@@ -178,7 +188,7 @@ _EXPORTED = {
     "paths": "ParameterPath point_loop polyline_path rectangle_corners rectangle_loop",
     "berry": "LoopPhaseResult MeshTooCoarseError commutator_defect connection_interior connection_mollified "
              "loop_phase_interior loop_phase_mollified_sweep loop_phase_overlap_meshes power_law_extrapolate "
-             "require_geometric require_interior_step standard_mollifier state_overlaps stokes_defect",
+             "require_geometric require_interior_step standard_mollifier state_overlap stokes_defect",
     "wilczek_zee": "ConnectionCheckError Holonomy MatrixConnection connection_from_basis "
                    "diagonalize_in_plane_waves wz_connection wz_curvature wz_holonomy",
     "adiabatic": "PhaseReport Schedule generator mode_window propagate weak_form_matrix",

@@ -84,29 +84,22 @@ def test_rectangle_corners_rejects_slanted():
         rectangle_corners(slanted)
 
 
-def _scalar_point(path, s):
-    """The per-point arithmetic in Python floats: flip, clamp, side, position."""
-    if path.orientation < 0:
-        s = 1.0 - s
-    n = len(path.segments)
-    sigma = min(max(s, 0.0), 1.0) * n
-    i = min(int(sigma), n - 1)
-    t = sigma - i
-    (l0, c0), (l1, c1) = path.segments[i]
-    factor = n * path.orientation
-    return l0 + (l1 - l0) * t, c0 + (c1 - c0) * t, factor * (l1 - l0), factor * (c1 - c0)
-
-
 @pytest.mark.parametrize("orientation", [1, -1])
-def test_array_form_matches_per_point_bit_for_bit(orientation):
+def test_point_lands_on_vertices_and_clamps(orientation):
+    # s = i/n is vertex i (counted from the end when reversed), to rounding;
+    # s outside [0, 1] is clamped to 0 or 1, exactly; the velocity is the
+    # side's displacement times the side count and the orientation
     rng = np.random.default_rng(23)
     for _ in range(20):
         pts = rng.uniform([0.3, -2.0], [3.0, 2.0], size=(int(rng.integers(2, 7)), 2))
         path = polyline_path(pts, close=bool(rng.integers(2)), orientation=orientation)
         n = len(path.segments)
-        s = np.concatenate([rng.uniform(0.0, 1.0, 40), np.arange(n + 1) / n, [0.0, 1.0]])
-        l, c = path.points(s)
-        vl, vc = path.velocities(s)
-        for j, sj in enumerate(s.tolist()):
-            g, v = path.point(sj), path.velocity(sj)
-            assert (l[j], c[j], vl[j], vc[j]) == (g.l, g.c) + v == _scalar_point(path, sj)
+        verts = path.vertices if orientation > 0 else path.vertices[::-1]
+        for i in range(n + 1):
+            g = path.point(i / n)
+            assert (g.l, g.c) == pytest.approx(verts[i], rel=0.0, abs=2e-15)
+        assert path.point(-0.5) == path.point(0.0) and path.point(1.5) == path.point(1.0)
+        for s in rng.uniform(0.0, 1.0, 40).tolist():
+            i = min(int((s if orientation > 0 else 1.0 - s) * n), n - 1)
+            (l0, c0), (l1, c1) = path.segments[i]
+            assert path.velocity(s) == (n * orientation * (l1 - l0), n * orientation * (c1 - c0))

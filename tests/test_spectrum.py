@@ -16,6 +16,7 @@ from berrybox import (
     bc_residual,
     boundary_form,
     degenerate_basis,
+    degenerate_wavenumber,
     dilation_transport,
     eigenfunction_fixed,
     eigenfunction_physical,
@@ -132,7 +133,7 @@ def test_eigen_residual():
         for n in (-2, 0, 1):
             m = mode(n, eta)
             g = Geometry(1.7, 0.0)
-            lam = eigenvalue(m, g, mass=1.3)
+            lam = eigenvalue(m.k, g.l, mass=1.3)
             phi = eigenfunction_fixed(m, x)
             residual = -(-m.k ** 2 * phi) / (2.0 * 1.3 * g.l ** 2) - lam * phi
             assert np.sqrt(np.sum(w * np.abs(residual) ** 2)) < 1e-8
@@ -184,7 +185,7 @@ def test_mass_must_be_finite_and_positive(mass):
     m = mode(0, 1j)
     data = mode_boundary_data(m)
     calls = [
-        lambda: eigenvalue(m, UNIT, mass),
+        lambda: eigenvalue(m.k, 1.0, mass),
         lambda: generic_spectrum(eta_to_unitary(1j), count=2, mass=mass),
         lambda: boundary_form(data, data, mass=mass),
     ]
@@ -195,12 +196,15 @@ def test_mass_must_be_finite_and_positive(mass):
 
 def test_eigenvalue_scaling():
     m = mode(0, 1j)
-    assert eigenvalue(m, UNIT, 1.0) == pytest.approx(np.pi ** 2 / 8.0, abs=1e-12)
-    lam1 = eigenvalue(m, Geometry(1.0, 0.0), 1.0)
+    assert eigenvalue(m.k) == pytest.approx(np.pi ** 2 / 8.0, abs=1e-12)
+    lam1 = eigenvalue(m.k, 1.0, 1.0)
     for l in (0.5, 2.0, 3.7):
-        assert eigenvalue(m, Geometry(l, 0.0), 1.0) == pytest.approx(lam1 / l ** 2, rel=1e-14)
-    for c in (-2.0, 0.3):
-        assert eigenvalue(m, Geometry(1.0, c), 1.0) == lam1
+        assert eigenvalue(m.k, l, 1.0) == pytest.approx(lam1 / l ** 2, rel=1e-14)
+    # a degenerate level has no Mode: its wavenumber is all the closed form reads
+    assert eigenvalue(degenerate_wavenumber(1, 1), 2.0, 0.5) == np.pi ** 2
+    for l in (0.0, -1.0, np.nan):
+        with pytest.raises(ValueError, match="box length"):
+            eigenvalue(m.k, l)
 
 
 def test_degenerate_basis():
@@ -234,7 +238,7 @@ def test_generic_spectrum_dirichlet():
 def test_generic_spectrum_matches_closed_form():
     for eta in (1j, 0.0, 0.5, 2j, -0.3 + 0.4j):
         closed = sorted(
-            eigenvalue(mode(n, eta), Geometry(1.2, 0.0), 0.7) for n in range(-4, 5)
+            eigenvalue(mode(n, eta).k, 1.2, 0.7) for n in range(-4, 5)
         )
         levels = generic_spectrum(eta_to_unitary(eta), count=9, mass=0.7, geometry=Geometry(1.2, 0.0))
         for lv, ex in zip(levels, closed):
@@ -291,7 +295,7 @@ def test_generic_spectrum_no_spurious_zero_level():
 ])
 def test_generic_spectrum_near_degenerate_eta(eta, ns):
     # levels 2 pi n +- k_0 (or (2n+1) pi +- (pi - k_0)) form close pairs
-    closed = sorted(eigenvalue(mode(n, eta), UNIT, 1.0) for n in ns)
+    closed = sorted(eigenvalue(mode(n, eta).k, 1.0, 1.0) for n in ns)
     numeric = np.array([lv.lam for lv in generic_spectrum(eta_to_unitary(eta), count=17)])
     for lam in closed:
         assert numeric[np.argmin(np.abs(numeric - lam))] == pytest.approx(lam, rel=1e-9)
