@@ -7,6 +7,10 @@ evaluates the Berry connection/curvature/loop phases through several
 independent renormalization prescriptions, handles the degenerate
 eta = +/-1 matrix holonomy, and verifies everything dynamically by slow
 traversal of closed loops in the (length, center) parameter half-plane.
+Each state those checks integrate is one record of two plane waves at one
+wavenumber (`PlaneWaves`, from a `Mode` or `degenerate_waves`), and every
+overlap of two of them, over any window, is one closed form
+(`window_integral`).
 
 The namespace loads on demand (PEP 562): `import berrybox` imports no
 submodule and no numpy, and the first read of a public name such as
@@ -40,11 +44,11 @@ _EXPORTS = {
     "boundary": "Eta ETA_INF as_eta BoundaryData BCClass eta_to_unitary classify_unitary bc_residual "
                 "boundary_form triple_identity_defect dilation_transport compliant_data boundary_traces "
                 "require_unitary require_mass",
-    "quadrature": "gauss_legendre reference_rule panel_nodes panel_rule oscillatory_rule oscillatory_blocks GridFunction",
-    "closed_form": "DegenerateEtaError Geometry Mode alpha_of wavenumber mode eigenvalue degenerate_wavenumber "
-                   "connection_analytic loop_phase_analytic curvature",
-    "spectrum": "RootSearchError EigenLevel eigenfunction_fixed eigenfunction_fixed_dx eigenfunction_physical "
-                "extension_physical extension_physical_grad mode_boundary_data degenerate_basis generic_spectrum",
+    "quadrature": "gauss_legendre reference_rule panel_nodes panel_rule oscillatory_rule GridFunction",
+    "closed_form": "DegenerateEtaError Geometry Mode PlaneWaves alpha_of wavenumber mode eigenvalue "
+                   "degenerate_wavenumber degenerate_waves window_integral connection_analytic "
+                   "loop_phase_analytic curvature",
+    "spectrum": "RootSearchError EigenLevel generic_spectrum",
     "paths": "ParameterPath rectangle_loop polyline_path point_loop rectangle_corners",
     "berry": "MeshTooCoarseError standard_mollifier connection_interior connection_mollified LoopPhaseResult "
              "loop_phase_interior loop_phase_mollified_sweep loop_phase_overlap_meshes state_overlap stokes_defect "

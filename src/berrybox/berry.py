@@ -17,11 +17,12 @@ phase):
                                  of neighboring eigenfunctions along the loop,
                                  which never differentiates anything.
 
-Each eigenfunction is two plane waves and each loop a polyline, so the
-overlaps, the interior windows and the mollified embedding's interior are
-integrated in closed form; Gauss quadrature serves only the embedding's two
-wall strips and `stokes_defect`.  Everything but the test-only
-`commutator_defect` runs on the standard library, one box at a time.
+Each eigenfunction is two plane waves (`Mode.waves`) and each loop a
+polyline, so the overlaps, the interior windows and the mollified
+embedding's interior are one closed form (`closed_form.window_integral`);
+Gauss quadrature serves only the embedding's two wall strips and
+`stokes_defect`.  Everything but the test-only `commutator_defect` runs on
+the standard library, one box at a time.
 The boundary conditions are dilation invariant, so every state is
 l^-1/2 phi((x - c)/l), and a prescription whose regulator scales with the box
 (the interior step, the cutoff width) gives a connection F/l.  Each connection
@@ -40,7 +41,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .closed_form import Mode, _require_closed, curvature, loop_phase_analytic
+from .closed_form import Mode, _require_closed, curvature, loop_phase_analytic, window_integral
 from .paths import ParameterPath, rectangle_corners
 from .quadrature import GridFunction, panel_nodes
 
@@ -92,42 +93,6 @@ def standard_mollifier():
 # connection oracles
 
 
-def _amplitudes(m: Mode):
-    """The amplitudes (e^{i alpha} - s i)/2 of the plane waves e^{s iku},
-    s = +1, -1, of phi = sin(ku) + e^{i alpha} cos(ku); e^{i alpha} is
-    exactly real for real and infinite eta (`Mode.sin_alpha`)."""
-    e = complex(math.cos(m.alpha), m.sin_alpha)
-    return {1.0: (e - 1j) / 2.0, -1.0: (e + 1j) / 2.0}
-
-
-def _pairs(term):
-    # for real eta the terms are conjugate in pairs; summing each pair first
-    # keeps the integral of two real functions exactly real
-    return (term(1.0, 1.0) + term(-1.0, -1.0)) + (term(1.0, -1.0) + term(-1.0, 1.0))
-
-
-def _window_integral(m: Mode, la, ca, lb, cb, lo, hi) -> complex:
-    """Int_lo^hi conj(psi_a) psi_b dx for the smooth extensions at the boxes
-    (la, ca) and (lb, cb).
-
-    Each extension is l^-1/2 sum_s A_s e^{s iku} over s = +-1 (`_amplitudes`),
-    with u = (x - c)/l, so the integrand is four plane waves
-    e^{i(w x + b)}, each integrating to e^{i(w mid + b)} (hi - lo) sin(z)/z,
-    z = w (hi - lo)/2: a form that stays accurate as w -> 0, where
-    neighbouring loop points of nearly equal l sit.
-    """
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    amp = _amplitudes(m)
-    ua, ub = m.k * (mid - ca) / la, m.k * (mid - cb) / lb
-    wa, wb = m.k / la, m.k / lb
-
-    def term(s, t):  # plane wave s of psi_a, conjugated, times plane wave t of psi_b
-        z = half * (t * wb - s * wa)
-        return amp[s].conjugate() * amp[t] * cmath.exp(1j * (t * ub - s * ua)) * (math.sin(z) / z if z else 1.0)
-
-    return 2.0 * half * _pairs(term) / math.sqrt(la * lb)
-
-
 def require_interior_step(m: Mode, h_rel) -> float:
     """`h_rel` if 0 < h_rel < (1 + |k|)/4, the relative form of the interior
     bound 0 < h < l/4 at the step h_rel * l / (1 + |k|); raises ValueError
@@ -154,41 +119,10 @@ def connection_interior(m: Mode, h_rel=1e-4):
     """
     r = require_interior_step(m, h_rel) / (1.0 + abs(m.k))
     # windows [-half, half] inside the boxes shifted in c, then in l
-    w_c = [_window_integral(m, 1.0, 0.0, 1.0, c, r - 0.5, 0.5 - r) for c in (r, -r, 0.0)]
-    w_l = [_window_integral(m, 1.0, 0.0, l, 0.0, 0.5 * (r - 1.0), 0.5 * (1.0 - r)) for l in (1.0 + r, 1.0 - r, 1.0)]
+    psi = m.waves
+    w_c = [window_integral(psi, psi, r - 0.5, 0.5 - r, cb=c) for c in (r, -r, 0.0)]
+    w_l = [window_integral(psi, psi, 0.5 * (r - 1.0), 0.5 * (1.0 - r), lb=l) for l in (1.0 + r, 1.0 - r, 1.0)]
     return (w_l[0] - w_l[1]).imag / (2.0 * r) / w_l[2].real, (w_c[0] - w_c[1]).imag / (2.0 * r) / w_c[2].real
-
-
-def _unit_box_moments(m: Mode):
-    """Int_{-1/2}^{1/2} of conj(phi) phi, conj(phi) phi' and u conj(phi) phi'
-    in closed form: with phi = sum_s A_s e^{s iku} (`_amplitudes`), sums of
-    conj(A_s) A_t (i t k)^d Int u^j e^{iwu} du at w = (t - s) k, j, d in
-    {0, 1}, that is (sin z)/z and i (sin z - z cos z)/(2 z^2) at z = w/2, the
-    latter by its series where it cancels."""
-    amp = _amplitudes(m)
-
-    def moment(j, d):
-        def term(s, t):
-            z = 0.5 * (t - s) * m.k
-            if j == 0:
-                f = math.sin(z) / z if z else 1.0
-            elif abs(z) < 0.05:
-                f = 1j * z * (1.0 / 6.0 - z * z * (1.0 / 60.0 - z * z * (1.0 / 1680.0 - z * z / 90720.0)))
-            else:
-                f = 1j * (math.sin(z) - z * math.cos(z)) / (2.0 * z * z)
-            return amp[s].conjugate() * amp[t] * (1j * t * m.k) ** d * f
-
-        return _pairs(term)
-
-    return moment(0, 0), moment(0, 1), moment(1, 1)
-
-
-def _jet(m: Mode, u: float):
-    """phi(u) and the derivatives (d/dl, d/dc) of the extension
-    l^-1/2 phi((x - c)/l) at the unit box, at x = u: -phi/2 - u phi', -phi'."""
-    e, sin, cos = complex(math.cos(m.alpha), m.sin_alpha), math.sin(m.k * u), math.cos(m.k * u)
-    val, der = sin + e * cos, m.k * (cos - e * sin)
-    return val, -0.5 * val - der * u, -der
 
 
 def connection_mollified(m: Mode, eps: float):
@@ -201,8 +135,8 @@ def connection_mollified(m: Mode, eps: float):
     the square of the cutoff.  As eps -> 0, F_c tends to k sin(alpha) and
     F_l to zero (its limiting integrand is odd around the box center).  The
     box interior, where the cutoff is 1, is integrated in closed form
-    (`_unit_box_moments`); only the two wall strips of width eps take a
-    Gauss rule, of 12 panels each, so the work does not grow with the level.
+    (`window_integral`); only the two wall strips of width eps take a Gauss
+    rule, of 12 panels each, so the work does not grow with the level.
 
     For this particular eigenfunction family the convergence is in fact
     instantaneous: Im(conj(phi) d_c phi) is constant in x and the cutoff is
@@ -213,15 +147,19 @@ def connection_mollified(m: Mode, eps: float):
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError("eps must be finite and positive")
     rho = standard_mollifier()
-    norm, p, q = _unit_box_moments(m)
+    psi = m.waves
+    der = psi.derivative()
+    norm = window_integral(psi, psi, -0.5, 0.5)
+    p, q = (window_integral(psi, der, -0.5, 0.5, j) for j in (0, 1))
     # d/dl phi = -phi/2 - u phi', d/dc phi = -phi'
     norm2, f_l, f_c = norm.real, (-0.5 * norm - q).imag, -p.imag
     for t, w in panel_nodes(0.0, 1.0, 12):  # t = (|u| - 1/2)/eps across either strip
         weight = eps * w * rho(t) ** 2
-        for val, d_dl, d_dc in (_jet(m, -0.5 - eps * t), _jet(m, 0.5 + eps * t)):
+        for u in (-0.5 - eps * t, 0.5 + eps * t):
+            val, d_du = psi.at(u)
             norm2 += weight * abs(val) ** 2
-            f_l += weight * (val.conjugate() * d_dl).imag
-            f_c += weight * (val.conjugate() * d_dc).imag
+            f_l += weight * (val.conjugate() * (-0.5 * val - d_du * u)).imag
+            f_c += weight * (val.conjugate() * -d_du).imag
     return f_l / norm2, f_c / norm2
 
 
@@ -264,7 +202,8 @@ def state_overlap(m: Mode, la: float, ca: float, lb: float, cb: float) -> comple
         raise ValueError("box centers must be finite")
     lo = max(ca - 0.5 * la, cb - 0.5 * lb)
     hi = min(ca + 0.5 * la, cb + 0.5 * lb)
-    return _window_integral(m, la, ca, lb, cb, lo, hi) if hi - lo > 0 else 0j
+    psi = m.waves
+    return window_integral(psi, psi, lo, hi, 0, la, ca, lb, cb) if hi - lo > 0 else 0j
 
 
 @dataclass(frozen=True)

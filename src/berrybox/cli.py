@@ -477,13 +477,17 @@ def cmd_wz(args) -> int:
     mesh = int(cfg["mesh"])
     if mesh < 8:
         raise UsageError("mesh must be at least 8")
-    from .wilczek_zee import diagonalize_in_plane_waves, wz_connection, wz_curvature, wz_holonomy
+    from .wilczek_zee import (ConnectionCheckError, diagonalize_in_plane_waves, wz_connection, wz_curvature,
+                              wz_holonomy)
 
     g0 = path.point(0.0)
     try:
         conn = wz_connection(pm, n, g0)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    except ConnectionCheckError as exc:
+        print(f"berrybox: {exc}", file=sys.stderr)
+        return EXIT_MISMATCH
     curv = wz_curvature(pm, n, g0)
     hol = wz_holonomy(pm, n, path)
     diag, q = diagonalize_in_plane_waves(conn)

@@ -9,13 +9,20 @@ For eta away from +/-1 the box [c - l/2, c + l/2] has the simple levels
 with the Berry connection a = (k/l) sin(alpha) dc, its curvature
 f_lc = k sin(alpha)/l^2 and the loop phase -k sin(alpha) times the loop
 integral of dc/l.  Each is a few `math`/`cmath` calls, so this module imports
-no numpy; the array evaluators, the connection oracles, the generic solver
-and the propagator call these same functions.
+no numpy; the connection oracles, the generic solver and the propagator call
+these same functions.
+
+Every state the oracles integrate is two plane waves at one wavenumber in the
+box coordinate u = (x - c)/l (`PlaneWaves`): a level phi_n (`Mode.waves`) or
+the degenerate pair sqrt(2) cos(ku), sqrt(2) sin(ku) (`degenerate_waves`).
+One closed form, `window_integral`, integrates conj(psi_a) psi_b, or x times
+it, over a window between two boxes.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -25,11 +32,14 @@ __all__ = [
     "DegenerateEtaError",
     "Geometry",
     "Mode",
+    "PlaneWaves",
     "alpha_of",
     "wavenumber",
     "mode",
     "eigenvalue",
     "degenerate_wavenumber",
+    "degenerate_waves",
+    "window_integral",
     "connection_analytic",
     "loop_phase_analytic",
     "curvature",
@@ -114,6 +124,14 @@ class Mode:
         """sin(alpha); exactly 0 for real and infinite eta, not sin(pi) = 1.2e-16."""
         return 0.0 if self.eta.infinite or self.eta.value.imag == 0 else math.sin(self.alpha)
 
+    @functools.cached_property
+    def waves(self) -> "PlaneWaves":
+        """phi = sin(ku) + e^{i alpha} cos(ku) as the plane waves e^{+-iku}, with
+        amplitudes (e^{i alpha} -+ i)/2; e^{i alpha} is exactly real for real
+        and infinite eta (`sin_alpha`).  Built once per Mode."""
+        e = complex(math.cos(self.alpha), self.sin_alpha)
+        return PlaneWaves(self.k, (e - 1j) / 2.0, (e + 1j) / 2.0)
+
 
 def mode(n: int, eta) -> Mode:
     """Build the Mode record for level n of the family member eta."""
@@ -138,6 +156,72 @@ def degenerate_wavenumber(eta: int, n: int) -> float:
             raise ValueError("eta=-1 degenerate levels require n >= 0")
         return (2 * n + 1) * math.pi
     raise ValueError("degenerate basis exists only for eta = +1 or -1")
+
+
+@dataclass(frozen=True)
+class PlaneWaves:
+    """The state psi(u) = plus e^{iku} + minus e^{-iku} in the box coordinate
+    u = (x - c)/l; at the box (l, c) it is l^-1/2 psi((x - c)/l)."""
+
+    k: float
+    plus: complex
+    minus: complex
+
+    def at(self, u: float):
+        """psi(u) and psi'(u)."""
+        e = cmath.exp(1j * (self.k * u))
+        ep, em = self.plus * e, self.minus * e.conjugate()
+        return ep + em, 1j * self.k * (ep - em)
+
+    def derivative(self) -> "PlaneWaves":
+        """psi' as plane waves: amplitudes +-ik times psi's."""
+        return PlaneWaves(self.k, 1j * self.k * self.plus, -1j * self.k * self.minus)
+
+
+def degenerate_waves(eta: int, n: int):
+    """The orthonormal pair sqrt(2) cos(ku), sqrt(2) sin(ku) spanning the n-th
+    degenerate eigenspace at eta = +1 or -1 (`degenerate_wavenumber`)."""
+    k, r = degenerate_wavenumber(eta, n), math.sqrt(0.5)
+    return PlaneWaves(k, complex(r, 0.0), complex(r, 0.0)), PlaneWaves(k, complex(0.0, -r), complex(0.0, r))
+
+
+def _moment(j: int, mid: float, half: float, z: float):
+    """Int_{-half}^{half} (mid + t)^j e^{iwt} dt / (2 half) at z = w half, j = 0
+    or 1: sin(z)/z, and for j = 1 mid sin(z)/z + half i (sin z - z cos z)/z^2,
+    the latter by its series where it cancels."""
+    sinc = math.sin(z) / z if z else 1.0
+    if j == 0:
+        return sinc
+    if abs(z) < 0.05:
+        odd = 1j * z * (1.0 / 3.0 - z * z * (1.0 / 30.0 - z * z * (1.0 / 840.0 - z * z / 45360.0)))
+    else:
+        odd = 1j * (math.sin(z) - z * math.cos(z)) / (z * z)
+    return mid * sinc + half * odd
+
+
+def window_integral(a: PlaneWaves, b: PlaneWaves, lo: float, hi: float, j: int = 0,
+                    la: float = 1.0, ca: float = 0.0, lb: float = 1.0, cb: float = 0.0) -> complex:
+    """Int_lo^hi x^j conj(psi_a) psi_b dx, j = 0 or 1, for the states a at the
+    box (la, ca) and b at (lb, cb), each extended smoothly past its walls;
+    at the default unit boxes x is the box coordinate u.
+
+    The integrand is four plane waves e^{i(w x + p)}, each integrating to
+    e^{i(w mid + p)} (hi - lo) times `_moment` at z = w (hi - lo)/2: sin(z)/z
+    stays accurate as w -> 0, where neighbouring loop points of nearly equal
+    l sit.  The terms are summed in conjugate pairs first, which keeps the
+    integral of two real functions exactly real.
+    """
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    ua, ub = a.k * (mid - ca) / la, b.k * (mid - cb) / lb
+    wa, wb = a.k / la, b.k / lb
+
+    def term(s, t, amp_a, amp_b):  # plane wave s of psi_a, conjugated, times plane wave t of psi_b
+        z = half * (t * wb - s * wa)
+        return amp_a.conjugate() * amp_b * cmath.exp(1j * (t * ub - s * ua)) * _moment(j, mid, half, z)
+
+    pairs = ((term(1.0, 1.0, a.plus, b.plus) + term(-1.0, -1.0, a.minus, b.minus))
+             + (term(1.0, -1.0, a.plus, b.minus) + term(-1.0, 1.0, a.minus, b.plus)))
+    return 2.0 * half * pairs / math.sqrt(la * lb)
 
 
 def connection_analytic(m: Mode):

@@ -13,11 +13,9 @@ import functools
 import math
 from dataclasses import dataclass
 
-__all__ = ["gauss_legendre", "reference_rule", "panel_nodes", "panel_rule", "oscillatory_rule",
-           "oscillatory_blocks", "GridFunction"]
+__all__ = ["gauss_legendre", "reference_rule", "panel_nodes", "panel_rule", "oscillatory_rule", "GridFunction"]
 
 DEFAULT_ORDER = 16
-_BLOCK = 128  # panels per run of `oscillatory_blocks`: 2048 nodes, 16 kB per array
 
 
 def _legendre(order: int, x: float):
@@ -91,11 +89,6 @@ def panel_rule(a: float, b: float, panels: int, order: int = DEFAULT_ORDER):
     return (mid + half * xg).ravel(), (half * wg).ravel()
 
 
-def _oscillatory_panels(a: float, b: float, wavenumber: float) -> int:
-    cycles = abs(wavenumber) * (b - a) / (2.0 * math.pi)
-    return max(2, math.ceil(4.0 * cycles) + 2)
-
-
 def oscillatory_rule(a: float, b: float, wavenumber: float, order: int = DEFAULT_ORDER):
     """Panel rule sized for trigonometric integrands exp(i*wavenumber*x).
 
@@ -103,19 +96,8 @@ def oscillatory_rule(a: float, b: float, wavenumber: float, order: int = DEFAULT
     default order), which is well past the accuracy knee of Gauss-Legendre
     for oscillatory integrands.
     """
-    return panel_rule(a, b, _oscillatory_panels(a, b, wavenumber), order=order)
-
-
-def oscillatory_blocks(a: float, b: float, wavenumber: float):
-    """`oscillatory_rule`'s panels, at most 128 at a time: yields the
-    (nodes, weights) of each run of panels in turn, so a sum over the rule
-    holds a bounded grid however large the wavenumber.  The run edges sit
-    where `np.linspace` puts the rule's panel edges."""
-    panels = _oscillatory_panels(a, b, wavenumber)
-    step = (b - a) / panels
-    for i in range(0, panels, _BLOCK):
-        j = min(i + _BLOCK, panels)
-        yield panel_rule(i * step + a, b if j == panels else j * step + a, j - i)
+    cycles = abs(wavenumber) * (b - a) / (2.0 * math.pi)
+    return panel_rule(a, b, max(2, math.ceil(4.0 * cycles) + 2), order=order)
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,10 @@
-"""Eigenfunctions of the box with dilation-invariant walls, and a generic solver.
+"""A generic eigensolver for the box with arbitrary U(2) boundary conditions.
 
-The eigenfunctions phi_n(x) = sin(k_n x) + exp(i alpha) cos(k_n x) of the
-closed-form levels (`closed_form`) are evaluated here on arrays of points,
-on [-1/2, 1/2] or transported to a box, with the degenerate eta = +/-1 bases
-and a generic eigensolver for arbitrary U(2) boundary conditions, used
-throughout the tests as an independent cross-check of the closed forms.  For
-a self-adjoint condition the determinant of the 2x2 boundary residual is a
-constant phase times one real secular function of the energy E,
+It finds the levels and eigenfunctions of any self-adjoint wall condition
+without the closed forms of `closed_form`, and so serves throughout the
+tests, and in `spectrum --check generic`, as an independent cross-check of
+them.  For a self-adjoint condition the determinant of the 2x2 boundary
+residual is a constant phase times one real secular function of the energy E,
 
     F(E) = a C S + b C^2 + c E S^2 + d E S C,  C = cos(q/2), S = sin(q/2)/q,
     E = q^2,
@@ -23,82 +21,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import BoundaryData, require_mass, require_unitary
-from .closed_form import Geometry, Mode, degenerate_wavenumber
+from .boundary import require_mass, require_unitary
+from .closed_form import Geometry
 from .quadrature import GridFunction, oscillatory_rule
 
-__all__ = [
-    "RootSearchError",
-    "EigenLevel",
-    "eigenfunction_fixed",
-    "eigenfunction_fixed_dx",
-    "eigenfunction_physical",
-    "extension_physical",
-    "extension_physical_grad",
-    "mode_boundary_data",
-    "degenerate_basis",
-    "generic_spectrum",
-]
+__all__ = ["RootSearchError", "EigenLevel", "generic_spectrum"]
 
 
 class RootSearchError(RuntimeError):
     """Raised when the transcendental eigenvalue search fails to converge."""
-
-
-def eigenfunction_fixed(m: Mode, x):
-    """Normalized eigenfunction sin(kx) + exp(i alpha) cos(kx) on [-1/2, 1/2].
-
-    The sin/cos cross term integrates to zero on the symmetric interval, so
-    the expression has unit L2 norm without any extra constant.
-    """
-    x = np.asarray(x, dtype=float)
-    return np.sin(m.k * x) + np.exp(1j * m.alpha) * np.cos(m.k * x)
-
-
-def eigenfunction_fixed_dx(m: Mode, x):
-    """Spatial derivative of the fixed-interval eigenfunction."""
-    x = np.asarray(x, dtype=float)
-    return m.k * (np.cos(m.k * x) - np.exp(1j * m.alpha) * np.sin(m.k * x))
-
-
-def extension_physical(m: Mode, g: Geometry, x):
-    """Smooth whole-line extension l**-0.5 phi_n((x - c)/l) of the eigenfunction.
-
-    This is the closed-form trig expression evaluated on all of R; the
-    physical eigenfunction is its restriction to the box.
-    """
-    x = np.asarray(x, dtype=float)
-    return eigenfunction_fixed(m, (x - g.c) / g.l) / np.sqrt(g.l)
-
-
-def extension_physical_grad(m: Mode, g: Geometry, x):
-    """Parameter gradient (d/dl, d/dc) of the smooth extension at fixed x:
-    -l^-3/2 (phi(u)/2 + u phi'(u)) and -l^-3/2 phi'(u), u = (x - c)/l."""
-    u = (np.asarray(x, dtype=float) - g.c) / g.l
-    der, scale = eigenfunction_fixed_dx(m, u), -1.0 / (g.l * np.sqrt(g.l))
-    return scale * (0.5 * eigenfunction_fixed(m, u) + u * der), scale * der
-
-
-def eigenfunction_physical(m: Mode, g: Geometry, x):
-    """Eigenfunction transported to the box [c - l/2, c + l/2]; zero outside.
-
-    Unit L2(R) norm: the transport x -> l**-0.5 phi((x - c)/l) is unitary.
-    """
-    x = np.asarray(x, dtype=float)
-    inside = (x >= g.left) & (x <= g.right)
-    return np.where(inside, extension_physical(m, g, x), 0.0 + 0.0j)
-
-
-def mode_boundary_data(m: Mode, g: Geometry | None = None) -> BoundaryData:
-    """Endpoint data of the eigenfunction, on I or on a physical box."""
-    if g is None:
-        g = Geometry(1.0, 0.0)
-    ends = np.array([g.left, g.right])
-    vals = extension_physical(m, g, ends)
-    ders = (
-        eigenfunction_fixed_dx(m, (ends - g.c) / g.l) / g.l ** 1.5
-    )
-    return BoundaryData(vals[0], vals[1], ders[0], ders[1])
 
 
 @dataclass(frozen=True)
@@ -110,18 +41,6 @@ class EigenLevel:
     mass: float
     eigenfunction: GridFunction | None = None
     multiplicity: int = 1
-
-
-def degenerate_basis(eta: int, n: int, x):
-    """Orthonormal pair spanning the n-th degenerate eigenspace on [-1/2, 1/2].
-
-    Returns (sqrt(2) cos(kx), sqrt(2) sin(kx)) with k = 2 pi n for eta = +1
-    (periodic) and k = (2n+1) pi for eta = -1 (antiperiodic).
-    """
-    k = degenerate_wavenumber(eta, n)
-    x = np.asarray(x, dtype=float)
-    root2 = np.sqrt(2.0)
-    return root2 * np.cos(k * x), root2 * np.sin(k * x)
 
 
 # ---------------------------------------------------------------------------

@@ -28,9 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closed_form import Geometry, degenerate_wavenumber
+from .closed_form import Geometry, degenerate_wavenumber, degenerate_waves, window_integral
 from .paths import ParameterPath
-from .quadrature import oscillatory_blocks
 
 __all__ = [
     "SIGMA2",
@@ -48,7 +47,7 @@ SIGMA2 = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 
 
 class ConnectionCheckError(RuntimeError):
-    """Raised when the quadrature recomputation disagrees with the closed form."""
+    """Raised when the recomputation from the explicit basis disagrees with the closed form."""
 
 
 @dataclass(frozen=True)
@@ -68,38 +67,25 @@ class Holonomy:
     eigenphases: tuple[float, float]
 
 
-def _require_degenerate(eta: int) -> int:
-    if eta not in (1, -1):
-        raise ValueError("matrix connection exists only for eta = +1 or -1")
-    return eta
-
-
 def connection_from_basis(eta: int, n: int) -> MatrixConnection:
-    """Matrix connection l A at the unit box, recomputed by quadrature from
-    the explicit basis; the connection at a box of length l is this over l.
+    """Matrix connection l A at the unit box, recomputed from the explicit
+    basis; the connection at a box of length l is this over l.
 
     phi_I = sqrt(2/l) cos(k u), phi_II = sqrt(2/l) sin(k u) with
     u = (x - c)/l.  Every integrand <phi_a | d phi_b> dx scales as 1/l at
-    fixed u, so the integrals run once over the unit box in u, where no
-    x - c is formed.  The raw matrices pick up a real diagonal from the norm
-    flowing through the moving walls; only their anti-Hermitian part is the
-    connection (times i), which is what the interior-derivative prescription
-    keeps.
+    fixed u, so the integrals run once over the unit box in u, where the
+    (l, c) gradients are d_l phi = -phi/2 - u phi' and d_c phi = -phi', and
+    each is a plane-wave integral in closed form (`window_integral`), at the
+    same cost at every level.  The raw matrices pick up a real diagonal from
+    the norm flowing through the moving walls; only their anti-Hermitian part
+    is the connection (times i), which is what the interior-derivative
+    prescription keeps.
     """
-    _require_degenerate(eta)
-    k = degenerate_wavenumber(eta, n)
-    amp = np.sqrt(2.0)
-    # raw[0] = <phi_a | d_l phi_b>, raw[1] = <phi_a | d_c phi_b>, summed over
-    # the rule's panels a block at a time, so memory does not grow with k
-    raw = np.zeros((2, 2, 2))
-    for u, w in oscillatory_blocks(-0.5, 0.5, 2.0 * k):
-        cos, sin = np.cos(k * u), np.sin(k * u)
-        phi = (amp * cos, amp * sin)
-        # (l, c) gradients of the basis at l = 1, c = 0, by the chain rule
-        d_dc = (amp * k * sin, -amp * k * cos)
-        d_dl = (amp * (-0.5 * cos + k * u * sin), amp * (-0.5 * sin - k * u * cos))
-        raw += [[[np.sum(w * phi[a] * grads[b]) for b in range(2)] for a in range(2)] for grads in (d_dl, d_dc)]
-
+    basis = degenerate_waves(eta, n)
+    # raw[0] = <phi_a | d_l phi_b>, raw[1] = <phi_a | d_c phi_b>
+    raw = np.array([[[-0.5 * window_integral(a, b, -0.5, 0.5) - window_integral(a, b.derivative(), -0.5, 0.5, 1)
+                      for b in basis] for a in basis],
+                    [[-window_integral(a, b.derivative(), -0.5, 0.5) for b in basis] for a in basis]])
     connection = 1j * 0.5 * (raw - raw.transpose(0, 2, 1))  # i times the anti-Hermitian part
     return MatrixConnection(coeff_l=connection[0], coeff_c=connection[1])
 
@@ -107,18 +93,17 @@ def connection_from_basis(eta: int, n: int) -> MatrixConnection:
 def wz_connection(eta: int, n: int, g: Geometry) -> MatrixConnection:
     """Closed-form matrix connection A_l = 0, A_c = (k_n / l) sigma_2.
 
-    The connection is dilation covariant, so the quadrature check runs once,
+    The connection is dilation covariant, so the check runs once,
     at the unit box: `connection_from_basis` must agree with k_n sigma_2
     entrywise to 1e-8, or ConnectionCheckError is raised.  Checked at g
     itself, the absolute gate would meet rounding of entries of size k_n / l.
     """
-    _require_degenerate(eta)
     k = degenerate_wavenumber(eta, n)
     unit = connection_from_basis(eta, n)
     worst = max(np.max(np.abs(unit.coeff_l)), np.max(np.abs(unit.coeff_c - k * SIGMA2)))
     if worst > 1e-8:
         raise ConnectionCheckError(
-            f"quadrature connection deviates from the closed form by {worst:.3e}"
+            f"recomputed connection deviates from the closed form by {worst:.3e}"
         )
     return MatrixConnection(coeff_l=np.zeros((2, 2), dtype=complex), coeff_c=(k / g.l) * SIGMA2)
 
@@ -156,10 +141,10 @@ def wz_holonomy(eta: int, n: int, path: ParameterPath) -> Holonomy:
     theta = -k_n (1/l1 - 1/l2)(c2 - c1).  In the real cos/sin basis the
     matrix is a plane rotation (real orthogonal).
     """
-    _require_degenerate(eta)
+    k = degenerate_wavenumber(eta, n)
     if not path.closed:
         raise ValueError("holonomy requires a closed path")
-    theta = degenerate_wavenumber(eta, n) * path.dc_over_l()
+    theta = k * path.dc_over_l()
     w = abs(math.remainder(theta, 2.0 * math.pi))
     return Holonomy(matrix=expm(theta), eigenphases=(-w, w))
 

@@ -7,8 +7,6 @@ from berrybox import (
     DegenerateEtaError,
     Geometry,
     Schedule,
-    eigenfunction_fixed,
-    eigenfunction_fixed_dx,
     eigenvalue,
     generator,
     loop_phase_analytic,
@@ -20,6 +18,7 @@ from berrybox import (
     propagate,
     rectangle_loop,
     weak_form_matrix,
+    window_integral,
 )
 
 RECT = rectangle_loop(1.0, 2.0, 0.0, 1.0)
@@ -50,15 +49,21 @@ def test_velocity_blocks_hermitian():
 @pytest.mark.parametrize("eta", [1j, np.exp(0.3j), 2j, -0.3 + 0.4j, 0.5, 0.0, -3.0, 1.0 + 1e-7, -1.0 - 1e-7])
 @pytest.mark.parametrize("window", [4, 8])
 def test_velocity_blocks_match_quadrature(eta, window):
-    # the closed-form blocks against the symmetrized weak form by Gauss-Legendre:
-    # |eta| = 1, |eta| != 1, real eta and eta near +-1, where k_n + k_m
-    # nearly cancels for n + m = 0 or -1
+    # the closed-form blocks against the symmetrized weak form
+    # -(i/2) Int u^j (conj(phi_m) phi_n' - conj(phi_m') phi_n), j = 0 for p and
+    # 1 for x o p, by the one plane-wave overlap and by Gauss-Legendre on the
+    # record's plane waves: |eta| = 1, |eta| != 1, real eta and eta near +-1,
+    # where k_n + k_m nearly cancels for n + m = 0 or -1
     modes = mode_window(eta, window)
+    waves = [m.waves for m in modes]
+    ders = [psi.derivative() for psi in waves]
     x, w = oscillatory_rule(-0.5, 0.5, 2.0 * max(abs(m.k) for m in modes))
-    vals = np.array([eigenfunction_fixed(m, x) for m in modes])
-    ders = np.array([eigenfunction_fixed_dx(m, x) for m in modes])
-    for weight, block in zip((1.0, x), weak_form_matrix(modes)):
-        a = (vals.conj() * (w * weight)) @ ders.T
+    vals = np.array([psi.plus * np.exp(1j * psi.k * x) + psi.minus * np.exp(-1j * psi.k * x) for psi in waves])
+    slopes = np.array([d.plus * np.exp(1j * d.k * x) + d.minus * np.exp(-1j * d.k * x) for d in ders])
+    for j, weight, block in zip((0, 1), (1.0, x), weak_form_matrix(modes)):
+        a = np.array([[window_integral(pm, dn, -0.5, 0.5, j) for dn in ders] for pm in waves])
+        assert np.max(np.abs(block - (-0.5j) * (a - a.conj().T))) < 1e-13
+        a = (vals.conj() * (w * weight)) @ slopes.T
         assert np.max(np.abs(block - (-0.5j) * (a - a.conj().T))) < 1e-13
 
 

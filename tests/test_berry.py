@@ -1,5 +1,6 @@
 """Connection oracles, loop phases, curvature, and the dilation commutator."""
 
+import functools
 import json
 import math
 import pathlib
@@ -8,7 +9,6 @@ import re
 import numpy as np
 import pytest
 
-import berrybox.berry
 from berrybox import (
     ETA_INF,
     Geometry,
@@ -20,10 +20,10 @@ from berrybox import (
     connection_interior,
     connection_mollified,
     curvature,
-    eigenfunction_fixed,
-    eigenfunction_physical,
-    extension_physical,
-    extension_physical_grad,
+    degenerate_wavenumber,
+    degenerate_waves,
+    eta_to_unitary,
+    generic_spectrum,
     loop_phase_analytic,
     loop_phase_interior,
     loop_phase_mollified_sweep,
@@ -42,11 +42,30 @@ from berrybox import (
     state_overlap,
     stokes_defect,
     weak_form_matrix,
+    window_integral,
 )
 from berrybox.berry import _chain_phase
+from berrybox.closed_form import PlaneWaves
+from berrybox.spectrum import _residual_matrix, _secular_parts
 
 UNIT = Geometry(1.0, 0.0)
 RECT = rectangle_loop(1.0, 2.0, 0.0, 1.0)
+
+
+def _phi(m, u):
+    """phi = sin(ku) + e^{i alpha} cos(ku) and phi' at each point of the array u."""
+    e = np.exp(1j * m.alpha)
+    return np.sin(m.k * u) + e * np.cos(m.k * u), m.k * (np.cos(m.k * u) - e * np.sin(m.k * u))
+
+
+def _extension(m, g, x):
+    """The smooth extension l^-1/2 phi((x - c)/l) of the eigenfunction at the
+    box g, and its gradient (d/dl, d/dc) at fixed x, at each point of the
+    array x: -l^-3/2 (phi/2 + u phi') and -l^-3/2 phi', u = (x - c)/l."""
+    u = (np.asarray(x, dtype=float) - g.c) / g.l
+    val, der = _phi(m, u)
+    scale = -1.0 / (g.l * np.sqrt(g.l))
+    return val / np.sqrt(g.l), (scale * (0.5 * val + u * der), scale * der)
 
 
 def _overlap(m, ga, gb):
@@ -179,7 +198,7 @@ def test_mollified_normalization():
         x, w = _embedding_grid(m, g, eps)
         chi = np.where((x >= g.left) & (x <= g.right), 1.0,
                        _rho((np.abs(x - g.c) - g.l / 2) / eps))
-        ext = extension_physical(m, g, x)
+        ext = _extension(m, g, x)[0]
         norm2 = np.sum(w * chi ** 2 * np.abs(ext) ** 2)
         xi = chi / np.sqrt(norm2)
         assert np.sum(w * np.abs(ext * xi) ** 2) == pytest.approx(1.0, abs=1e-12)
@@ -336,7 +355,7 @@ def _draw_pair(rng, j):
 def _quadrature_window(m, ga, gb, lo, hi):
     # panel quadrature of conj(psi_a) psi_b over [lo, hi], four panels per wavelength
     x, w = oscillatory_rule(lo, hi, abs(m.k) / ga.l + abs(m.k) / gb.l)
-    return complex(np.sum(w * np.conj(eigenfunction_physical(m, ga, x)) * eigenfunction_physical(m, gb, x)))
+    return complex(np.sum(w * np.conj(_extension(m, ga, x)[0]) * _extension(m, gb, x)[0]))
 
 
 def test_state_overlap_matches_quadrature():
@@ -347,6 +366,79 @@ def test_state_overlap_matches_quadrature():
         lo, hi = max(ga.left, gb.left), min(ga.right, gb.right)
         ref = _quadrature_window(m, ga, gb, lo, hi) if hi > lo else 0.0
         assert abs(_overlap(m, ga, gb) - ref) < 1e-13, (m, ga, gb)
+
+
+def _mode_states(n, eta):
+    m = mode(n, eta)
+    return [(m.waves, lambda u: _phi(m, u))]
+
+
+def _degenerate_states(eta, n):
+    k, root2 = degenerate_wavenumber(eta, n), np.sqrt(2.0)
+    cos, sin = degenerate_waves(eta, n)
+    return [(cos, lambda u: (root2 * np.cos(k * u), -root2 * k * np.sin(k * u))),
+            (sin, lambda u: (root2 * np.sin(k * u), root2 * k * np.cos(k * u)))]
+
+
+def _null_vector_states(unitary, level):
+    """The generic solver's eigenfunction v0 cos(qu) + v1 sin(qu)/q at E = q^2 > 0,
+    from the null vector v of its residual matrix, as plane waves built here."""
+    unitary = np.asarray(unitary)
+    lam = generic_spectrum(unitary, level + 1)[level].lam
+    assert lam > 0.0
+    q = np.sqrt(2.0 * lam)
+    v = np.linalg.svd(_residual_matrix(_secular_parts(unitary)[0], q * q))[2][-1].conj()
+    psi = PlaneWaves(q, complex(v[0] / 2.0 + v[1] / (2j * q)), complex(v[0] / 2.0 - v[1] / (2j * q)))
+    return [(psi, lambda u: (v[0] * np.cos(q * u) + v[1] * np.sin(q * u) / q,
+                             -v[0] * q * np.sin(q * u) + v[1] * np.cos(q * u)))]
+
+
+def _random_unitary(seed):
+    z = np.random.default_rng(seed).standard_normal((2, 2, 2)) @ [1.0, 1j]
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+# each case builds its states, as (record, u -> (psi(u), psi'(u)) by the
+# state's own defining formula)
+_STATES = [pytest.param(functools.partial(_mode_states, n, eta), id=f"mode-{kind}-{n}")
+           for kind, eta in (("circle", np.exp(0.7j)), ("off", 1.8 * np.exp(-2.3j)), ("real", -2.5), ("inf", ETA_INF))
+           for n in (-7, 0, 1, 30)]
+_STATES += [pytest.param(functools.partial(_degenerate_states, 1, 3), id="degenerate+1"),
+            pytest.param(functools.partial(_degenerate_states, -1, 2), id="degenerate-1"),
+            pytest.param(functools.partial(_null_vector_states, eta_to_unitary(0.3 + 0.6j), 3), id="null-vector-eta"),
+            pytest.param(functools.partial(_null_vector_states, _random_unitary(7), 2), id="null-vector-random")]
+
+
+@pytest.mark.parametrize("states", _STATES)
+def test_window_integral_matches_quadrature(states):
+    # Int x^j conj(psi_a) psi_b dx for every ordered pair of the states and
+    # their derivatives (the records of `PlaneWaves.derivative`): j = 0 over
+    # windows between two boxes, nearly equal ones among them, and j = 0, 1
+    # over windows of the unit box
+    built = states()
+    kinds = [(psi, lambda u, f=f: f(u)[0]) for psi, f in built]
+    kinds += [(psi.derivative(), lambda u, f=f: f(u)[1]) for psi, f in built]
+    rng = np.random.default_rng(2026)
+    boxes = [((1.0, 0.0), (1.0, 0.0))]
+    for i in range(4):
+        la, ca = rng.uniform(0.3, 3.0), rng.uniform(-1.0, 1.0)
+        near = (la * (1.0 + 1e-9), ca + 1e-9 * rng.uniform(-1.0, 1.0))
+        boxes.append(((la, ca), near if i == 0 else (rng.uniform(0.3, 3.0), ca + rng.uniform(-0.5, 0.5) * la)))
+    for a, fa in kinds:
+        for b, fb in kinds:
+            # to 1e-14 of the amplitudes' product; the largest deviation is 1.4e-15
+            scale = 1e-14 * (abs(a.plus) + abs(a.minus)) * (abs(b.plus) + abs(b.minus))
+            for (la, ca), (lb, cb) in boxes:
+                lo, hi = max(ca - 0.5 * la, cb - 0.5 * lb), min(ca + 0.5 * la, cb + 0.5 * lb)
+                x, w = oscillatory_rule(lo, hi, abs(a.k) / la + abs(b.k) / lb)
+                ref = np.sum(w * np.conj(fa((x - ca) / la)) * fb((x - cb) / lb)) / np.sqrt(la * lb)
+                assert abs(window_integral(a, b, lo, hi, 0, la, ca, lb, cb) - ref) <= scale, (la, ca, lb, cb)
+            for lo, hi in ((-0.5, 0.5), (-0.3, 0.45)):
+                x, w = oscillatory_rule(lo, hi, abs(a.k) + abs(b.k))
+                for j in (0, 1):
+                    ref = np.sum(w * x ** j * np.conj(fa(x)) * fb(x))
+                    assert abs(window_integral(a, b, lo, hi, j) - ref) <= scale, (lo, hi, j)
 
 
 def _interior_quotients(m, g, h):
@@ -563,7 +655,7 @@ def test_overlap_deficit_is_linear_in_the_wall_displacements(n, eta_abs):
     for j in range(4):
         m = mode(n, eta_abs * np.exp(1j * rng.uniform(0.2, np.pi - 0.2) * rng.choice([-1, 1])))
         l, c = rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0)
-        w_left, w_right = np.abs(eigenfunction_fixed(m, np.array([-0.5, 0.5]))) ** 2 / l
+        w_left, w_right = np.abs(_phi(m, np.array([-0.5, 0.5]))[0]) ** 2 / l
         slope = rng.uniform(0.0, 2.0 * np.pi)
         for dl, dc in ((0.0, delta), (delta, 0.0), (delta * np.cos(slope), delta * np.sin(slope))):
             deficit = 1.0 - abs(state_overlap(m, l, c, l + dl, c + dc))
@@ -576,7 +668,7 @@ def _mollified_in_x(m, g, width):
     # width applied node by node
     x, w = _embedding_grid(m, g, width)
     chi = np.where((x >= g.left) & (x <= g.right), 1.0, _rho((np.abs(x - g.c) - 0.5 * g.l) / width))
-    ext, (d_dl, d_dc) = extension_physical(m, g, x), extension_physical_grad(m, g, x)
+    ext, (d_dl, d_dc) = _extension(m, g, x)
     weight = w * chi ** 2
     norm2 = np.sum(weight * np.abs(ext) ** 2)
     return (np.sum(weight * np.imag(np.conj(ext) * d_dl)) / norm2,
@@ -603,13 +695,13 @@ def _count_strip_nodes(monkeypatch):
     """The list of the mollified oracle's evaluations of the state, which grows
     by one entry per node."""
     nodes = []
-    real = berrybox.berry._jet
+    real = PlaneWaves.at
 
-    def counted(m, u):
+    def counted(psi, u):
         nodes.append(u)
-        return real(m, u)
+        return real(psi, u)
 
-    monkeypatch.setattr(berrybox.berry, "_jet", counted)
+    monkeypatch.setattr(PlaneWaves, "at", counted)
     return nodes
 
 

@@ -416,6 +416,26 @@ def test_wz_rejects_nondegenerate(tmp_path):
     assert not out.exists() and not (tmp_path / "wz.json.config.json").exists()
 
 
+def test_wz_failed_connection_check_exits_3(tmp_path, monkeypatch, capsys):
+    # a recomputation that disagrees with the closed form is a real
+    # disagreement: exit 3 with one line on stderr and no output, not a
+    # traceback
+    import berrybox.wilczek_zee as wz
+
+    real = wz.connection_from_basis
+
+    def shifted(eta, n):
+        conn = real(eta, n)
+        return wz.MatrixConnection(coeff_l=conn.coeff_l, coeff_c=conn.coeff_c + 1e-6)
+
+    monkeypatch.setattr(wz, "connection_from_basis", shifted)
+    out = tmp_path / "wz.json"
+    assert run("wz", "--eta", "1", "--n", "1", "--out", str(out)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("berrybox: recomputed connection deviates") and err.count("\n") == 1
+    assert not out.exists() and not (tmp_path / "wz.json.config.json").exists()
+
+
 @pytest.mark.parametrize("near, exact", [("1.0000000000000002", "1"), ("-0.9999999999999998", "-1")])
 def test_wz_accepts_eta_within_degeneracy_tolerance(tmp_path, near, exact):
     # berry rejects these eta as degenerate, so wz must take them

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from berrybox import gauss_legendre, oscillatory_blocks, oscillatory_rule, panel_nodes, panel_rule, reference_rule
+from berrybox import gauss_legendre, panel_nodes, panel_rule, reference_rule
 
 
 def test_gauss_legendre_matches_leggauss():
@@ -49,20 +49,3 @@ def test_panel_rule_matches_direct_leggauss():
     assert np.array_equal(weights, (half[:, None] * wg[None, :]).ravel())
     assert nodes.flags.writeable
     assert panel_nodes(-0.3, 1.7, 5, order=12) == list(zip(nodes.tolist(), weights.tolist()))
-
-
-@pytest.mark.parametrize("wavenumber", [0.0, 2.0 * np.pi, 1e3, 1e4])
-def test_oscillatory_blocks_tile_the_oscillatory_rule(wavenumber):
-    # the blocks hold the rule's panels in order, at most 128 at a time; each
-    # block's own linspace places the inner edges, and so the nodes and the
-    # panel widths, to rounding of numbers of size 1
-    nodes, weights = oscillatory_rule(-0.5, 0.5, wavenumber)
-    blocks = list(oscillatory_blocks(-0.5, 0.5, wavenumber))
-    assert [b[0].size for b in blocks[:-1]] == [16 * 128] * (len(blocks) - 1)
-    assert len(blocks) == -(-nodes.size // (16 * 128))
-    joined = [np.concatenate(part) for part in zip(*blocks)]
-    assert np.allclose(joined[0], nodes, rtol=0.0, atol=1e-15)
-    assert np.allclose(joined[1], weights, rtol=0.0, atol=1e-16)
-    assert np.all(np.diff(joined[0]) > 0)
-    if len(blocks) == 1:
-        assert np.array_equal(joined[0], nodes) and np.array_equal(joined[1], weights)

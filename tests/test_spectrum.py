@@ -15,22 +15,38 @@ from berrybox import (
     as_eta,
     bc_residual,
     boundary_form,
-    degenerate_basis,
     degenerate_wavenumber,
+    degenerate_waves,
     dilation_transport,
-    eigenfunction_fixed,
-    eigenfunction_physical,
     eigenvalue,
     eta_to_unitary,
     generic_spectrum,
     mode,
-    mode_boundary_data,
     oscillatory_rule,
     polyline_path,
     wavenumber,
 )
 
 UNIT = Geometry(1.0, 0.0)
+
+
+def _values(w, u):
+    """psi(u) of the plane-wave record w at each point of the array u."""
+    u = np.asarray(u, dtype=float)
+    return w.plus * np.exp(1j * w.k * u) + w.minus * np.exp(-1j * w.k * u)
+
+
+def _physical(m, g, x):
+    """The eigenfunction l^-1/2 phi((x - c)/l) at the box g, zero outside it."""
+    x = np.asarray(x, dtype=float)
+    inside = (x >= g.left) & (x <= g.right)
+    return np.where(inside, _values(m.waves, (x - g.c) / g.l) / np.sqrt(g.l), 0.0 + 0.0j)
+
+
+def _boundary_data(m, g=UNIT):
+    """Endpoint values and x-derivatives of the eigenfunction at the box g."""
+    (va, da), (vb, db) = (m.waves.at(u) for u in (-0.5, 0.5))
+    return BoundaryData(va / np.sqrt(g.l), vb / np.sqrt(g.l), da / g.l ** 1.5, db / g.l ** 1.5)
 
 
 def test_alpha_values():
@@ -98,7 +114,25 @@ def test_closed_forms_match_the_numpy_expressions_they_replace():
 
 def test_eigenfunction_endpoint_value():
     m = mode(0, 1j)
-    assert eigenfunction_fixed(m, 0.5) == pytest.approx((1 + 1j) / np.sqrt(2.0), abs=1e-14)
+    assert m.waves.at(0.5)[0] == pytest.approx((1 + 1j) / np.sqrt(2.0), abs=1e-14)
+
+
+def test_mode_waves_are_the_closed_form_eigenfunction():
+    # the record's two plane waves are phi = sin(ku) + e^{i alpha} cos(ku) and
+    # its derivative; real and infinite eta give exactly real values
+    rng = np.random.default_rng(2022)
+    u = np.concatenate([[-0.5, 0.0, 0.5], rng.uniform(-0.7, 0.7, 20)])
+    for eta in _drawn_etas(rng):
+        for n in (-7, 0, 1, 30):
+            m = mode(n, eta)
+            e = np.exp(1j * m.alpha)
+            for x in u:
+                val, der = m.waves.at(x)
+                assert abs(val - (np.sin(m.k * x) + e * np.cos(m.k * x))) <= 1e-14 * (1 + abs(m.k * x)), (eta, n, x)
+                assert abs(der - m.k * (np.cos(m.k * x) - e * np.sin(m.k * x))) <= 1e-14 * (1 + abs(m.k)) ** 2
+                if m.sin_alpha == 0.0:
+                    assert val.imag == 0.0 and der.imag == 0.0, (eta, n, x)
+            assert m.waves is m.waves
 
 
 def eta_test_grid():
@@ -113,7 +147,7 @@ def test_unit_norm_and_orthogonality():
     x, w = oscillatory_rule(-0.5, 0.5, 2.0 * abs(wavenumber(-6, 1j)))
     for eta in (1j, 0.5, -0.3 + 0.4j, ETA_INF):
         modes = [mode(n, eta) for n in range(-6, 7)]
-        vals = np.array([eigenfunction_fixed(m, x) for m in modes])
+        vals = np.array([_values(m.waves, x) for m in modes])
         gram = (vals.conj() * w) @ vals.T
         assert np.max(np.abs(gram - np.eye(len(modes)))) < 1e-10
 
@@ -122,7 +156,7 @@ def test_boundary_condition_compliance_grid():
     for eta in eta_test_grid():
         u = eta_to_unitary(eta)
         for n in (-2, 0, 3):
-            d = mode_boundary_data(mode(n, eta))
+            d = _boundary_data(mode(n, eta))
             assert bc_residual(u, d) < 1e-10
 
 
@@ -134,7 +168,7 @@ def test_eigen_residual():
             m = mode(n, eta)
             g = Geometry(1.7, 0.0)
             lam = eigenvalue(m.k, g.l, mass=1.3)
-            phi = eigenfunction_fixed(m, x)
+            phi = _values(m.waves, x)
             residual = -(-m.k ** 2 * phi) / (2.0 * 1.3 * g.l ** 2) - lam * phi
             assert np.sqrt(np.sum(w * np.abs(residual) ** 2)) < 1e-8
 
@@ -142,17 +176,17 @@ def test_eigen_residual():
 def test_physical_eigenfunction():
     m = mode(0, 1j)
     x = np.linspace(-0.5, 0.5, 64)
-    assert np.allclose(eigenfunction_physical(m, UNIT, x), eigenfunction_fixed(m, x))
+    assert np.allclose(_physical(m, UNIT, x), np.sin(m.k * x) + np.exp(1j * m.alpha) * np.cos(m.k * x))
     # a doubled box evaluated at the center
-    got = eigenfunction_physical(m, Geometry(2.0, 0.0), 0.0)
+    got = _physical(m, Geometry(2.0, 0.0), 0.0)
     assert got == pytest.approx(np.exp(1j * m.alpha) / np.sqrt(2.0), abs=1e-14)
     # zero outside the support
-    assert eigenfunction_physical(m, Geometry(2.0, 0.0), 1.5) == 0.0
+    assert _physical(m, Geometry(2.0, 0.0), 1.5) == 0.0
     rng = np.random.default_rng(5)
     for _ in range(4):
         g = Geometry(float(rng.uniform(0.5, 3.0)), float(rng.uniform(-1.0, 1.0)))
         x, w = oscillatory_rule(g.left, g.right, 2 * m.k / g.l)
-        nrm = np.sqrt(np.sum(w * np.abs(eigenfunction_physical(m, g, x)) ** 2))
+        nrm = np.sqrt(np.sum(w * np.abs(_physical(m, g, x)) ** 2))
         assert nrm == pytest.approx(1.0, abs=1e-12)
 
 
@@ -161,11 +195,11 @@ def test_dilation_covariance():
     m = mode(1, -0.3 + 0.4j)
     g = Geometry(1.8, -0.4)
     x = np.linspace(g.left, g.right, 101)
-    manual = eigenfunction_fixed(m, (x - g.c) / g.l) / np.sqrt(g.l)
-    assert np.max(np.abs(eigenfunction_physical(m, g, x) - manual)) < 1e-12
+    manual = np.array([m.waves.at(u)[0] for u in (x - g.c) / g.l]) / np.sqrt(g.l)
+    assert np.max(np.abs(_physical(m, g, x) - manual)) < 1e-12
     # endpoint data follow the same transport
-    ref = mode_boundary_data(m)
-    moved = mode_boundary_data(m, g)
+    ref = _boundary_data(m)
+    moved = _boundary_data(m, g)
     scaled = dilation_transport(ref, g.l, g.c)
     for f in ("va", "vb", "da", "db"):
         assert getattr(moved, f) == pytest.approx(getattr(scaled, f), abs=1e-12)
@@ -183,7 +217,7 @@ def test_geometry_must_be_finite(l, c):
 def test_mass_must_be_finite_and_positive(mass):
     # every routine that takes a mass checks it with one predicate
     m = mode(0, 1j)
-    data = mode_boundary_data(m)
+    data = _boundary_data(m)
     calls = [
         lambda: eigenvalue(m.k, 1.0, mass),
         lambda: generic_spectrum(eta_to_unitary(1j), count=2, mass=mass),
@@ -208,20 +242,28 @@ def test_eigenvalue_scaling():
 
 
 def test_degenerate_basis():
+    # degenerate_waves is the pair sqrt(2) cos(ku), sqrt(2) sin(ku): real,
+    # orthonormal, at the degenerate wavenumber
     x, w = oscillatory_rule(-0.5, 0.5, 8 * np.pi)
-    ci, si = degenerate_basis(1, 1, 0.0)
+    ci, si = (f.at(0.0)[0] for f in degenerate_waves(1, 1))
     assert ci == pytest.approx(np.sqrt(2.0)) and si == 0.0
-    ci, si = degenerate_basis(-1, 0, 0.0)
+    ci, si = (f.at(0.0)[0] for f in degenerate_waves(-1, 0))
     assert ci == pytest.approx(np.sqrt(2.0)) and si == 0.0
     for eta, n in ((1, 1), (1, 3), (-1, 0), (-1, 2)):
-        fi, fii = degenerate_basis(eta, n, x)
+        pair = degenerate_waves(eta, n)
+        k = degenerate_wavenumber(eta, n)
+        assert all(f.k == k for f in pair)
+        fi, fii = (_values(f, x) for f in pair)
+        assert np.max(np.abs(fi - np.sqrt(2.0) * np.cos(k * x))) < 1e-14
+        assert np.max(np.abs(fii - np.sqrt(2.0) * np.sin(k * x))) < 1e-14
+        assert all(f.at(u)[0].imag == 0.0 for f in pair for u in (-0.5, 0.1, 0.5))
         assert abs(np.sum(w * fi * fii)) < 1e-12
-        assert np.sum(w * fi ** 2) == pytest.approx(1.0, abs=1e-12)
-        assert np.sum(w * fii ** 2) == pytest.approx(1.0, abs=1e-12)
+        assert np.sum(w * np.abs(fi) ** 2) == pytest.approx(1.0, abs=1e-12)
+        assert np.sum(w * np.abs(fii) ** 2) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError):
-        degenerate_basis(2, 1, 0.0)
+        degenerate_waves(2, 1)
     with pytest.raises(ValueError):
-        degenerate_basis(1, 0, 0.0)
+        degenerate_waves(1, 0)
 
 
 def test_generic_spectrum_dirichlet():

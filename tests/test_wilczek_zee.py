@@ -258,18 +258,21 @@ def test_connection_check_holds_on_small_boxes_at_high_levels():
 
 
 def test_connection_check_memory_does_not_grow_with_the_level():
-    # at n = 1e4 the rule has 80002 panels, 1.28e6 nodes: one array over all
-    # of them takes 10 MB, and the check held a dozen such arrays at once;
-    # summed 128 panels at a time, it peaks within 0.5 MB of the n = 1 level
-    connection_from_basis(1, 1)  # builds the cached Gauss rule
-    peaks = {}
-    for n in (1, 10_000):
-        tracemalloc.start()
-        try:
-            numeric = connection_from_basis(1, n)
-            peaks[n] = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        k = degenerate_wavenumber(1, n)
-        assert np.max(np.abs(numeric.coeff_c - k * SIGMA2)) <= 1e-8, n
-    assert peaks[10_000] < peaks[1] + 512 * 1024, peaks
+    # the recomputation is a closed form: it passes the unchanged 1e-8 gate
+    # at n = 1e4 and 1e6 for both signs (the Gauss rule it replaced missed it
+    # at n = 1e6, by 3e-8), and its peak memory at those levels is that of n = 1
+    for eta in (1, -1):
+        wz_connection(eta, 1, Geometry(1.0, 0.0))
+        peaks = {}
+        for n in (1, 10_000, 1_000_000):
+            tracemalloc.start()
+            try:
+                wz_connection(eta, n, Geometry(1.0, 0.0))
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            k = degenerate_wavenumber(eta, n)
+            numeric = connection_from_basis(eta, n)
+            assert np.max(np.abs(numeric.coeff_c - k * SIGMA2)) <= 1e-8, (eta, n)
+            assert np.max(np.abs(numeric.coeff_l)) <= 1e-8, (eta, n)
+        assert max(peaks.values()) <= peaks[1] + 4096, (eta, peaks)
