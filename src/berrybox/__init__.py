@@ -15,10 +15,12 @@ overlap of two of them, over any window, is one closed form
 The namespace loads on demand (PEP 562): `import berrybox` imports no
 submodule and no numpy, and the first read of a public name such as
 `berrybox.mode` imports the submodule that defines it.  So each `berrybox`
-command loads only the modules it runs, and numpy only with a module that
-runs on arrays: `bc` loads `boundary` and `cli`; `spectrum` without --check
-adds `closed_form`; every `berry` command adds `paths`, with `quadrature` and
-`berry` for the oracles and `svgplot` for --plot, all on the standard library.
+command loads only the modules it runs, and numpy only with `adiabatic`, the
+one module that runs on arrays: `bc` loads `boundary` and `cli`; `spectrum`
+adds `closed_form`, and `spectrum` for --check generic; every `berry` command
+adds `paths`, with `quadrature` and `berry` for the oracles and `svgplot` for
+--plot; `wz` adds `paths` and `wilczek_zee`; all of them on the standard
+library.
 """
 
 import os as _os

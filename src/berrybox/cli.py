@@ -13,7 +13,8 @@ the config keys it reads: --config (JSON) may set only those keys, and each
 flag given overrides the key it maps to.  Every run with --out also writes
 that dict, resolved, to <out>.config.json so the run can be reproduced from
 that file alone.  All subcommands take --config and --out; berry and
-adiabatic also take --plot, and berry takes --tol.
+adiabatic also take --plot, and berry and `spectrum --check generic` take
+--tol, a flag that is no config key: beyond it they exit 3.
 Floating-point output is scientific with 9 significant digits, with no -0,
 so identical configurations produce byte-identical files.
 """
@@ -27,9 +28,8 @@ import re
 import sys
 
 # every command parses eta or a unitary; each imports the rest of the package
-# where it uses it, and numpy only with a module that runs on arrays: `bc`,
-# `spectrum` without --check, every `berry` command and every usage error
-# load no numpy
+# where it uses it, and numpy only with `adiabatic`, the one module that runs
+# on arrays: every other command, and every usage error, loads no numpy
 from .boundary import Eta, as_eta, classify_unitary, eta_to_unitary, require_mass, require_unitary
 
 EXIT_OK = 0
@@ -243,6 +243,11 @@ def _linspace(lo, hi, num: int) -> list:
     return points
 
 
+def _require_tol(tol):
+    if tol is not None and not 0 <= tol < math.inf:
+        raise UsageError(f"--tol must be a finite number >= 0, not {tol}")
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -289,6 +294,9 @@ def cmd_spectrum(args) -> int:
     cfg["geometry"] = {key: flags.get(key, value) for key, value in cfg["geometry"].items()}
     if cfg["method"] not in ("all", "generic"):
         raise UsageError(f"spectrum method must be 'all' or 'generic', not {cfg['method']!r}")
+    _require_tol(args.tol)
+    if args.tol is not None and cfg["method"] != "generic":
+        raise UsageError("--tol bounds the generic check; give --check generic")
     n_lo, n_hi = int(cfg["n"][0]), int(cfg["n"][1])
     if n_hi < n_lo:
         raise UsageError("empty level range")
@@ -328,6 +336,15 @@ def cmd_spectrum(args) -> int:
         rows = [r + (_fmt(v),) for r, v in zip(rows, numeric)]
     _write_output(args.out, _csv(header, rows))
     _write_resolved_config(args.out, cfg)
+    if args.tol is not None:
+        # lambda underflows to 0 at a huge mass times l^2
+        devs = [abs(v / lam - 1.0) if lam else abs(v) for lam, v in zip(lams, numeric)]
+        worst = max(devs)
+        if worst > args.tol:
+            i = devs.index(worst)
+            print(f"generic check disagreement {worst:.3e} exceeds tolerance {args.tol:.3e} at n={ns[i]}: "
+                  f"lambda={lams[i]:.9e}, lambda_numeric={numeric[i]:.9e}", file=sys.stderr)
+            return EXIT_MISMATCH
     return EXIT_OK
 
 
@@ -384,8 +401,7 @@ def _berry_phase_rows(m, path, methods, cfg):
 
 def cmd_berry(args) -> int:
     cfg = _resolve(args)
-    if args.tol is not None and not 0 <= args.tol < math.inf:
-        raise UsageError(f"--tol must be a finite number >= 0, not {args.tol}")
+    _require_tol(args.tol)
     eta = as_eta(cfg["eta"])
     if eta.degenerate:
         raise UsageError("eta = +/-1 is degenerate; use the wz subcommand")
@@ -503,7 +519,7 @@ def cmd_wz(args) -> int:
         "err_estimate": 0.0,
         "diagonal_connection": _fmt_matrix(diag),
         "basis_change": _fmt_matrix(q),
-        "offdiag_residue": _round9(float(abs(diag[0, 1]) + abs(diag[1, 0]))),
+        "offdiag_residue": _round9(abs(diag[0][1]) + abs(diag[1][0])),
     }
     _write_output(args.out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
     _write_resolved_config(args.out, cfg)
@@ -595,6 +611,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n-min", type=int)
     sp.add_argument("--n-max", type=int)
     sp.add_argument("--check", dest="method", choices=["generic"], help="append an independent numeric column")
+    sp.add_argument("--tol", type=float, default=None,
+                    help="largest |lambda_numeric/lambda - 1| of the generic check (exit 3 beyond it)")
 
     sp = _subcommand(sub, "berry", cmd_berry, "loop phases and curvature maps")
     sp.add_argument("--plot", default=None, help="write an SVG convergence plot to this path")

@@ -141,8 +141,18 @@ def mode(n: int, eta) -> Mode:
 
 def eigenvalue(k: float, l: float = 1.0, mass: float = 1.0) -> float:
     """Dispersion lambda = k^2 / (2 m l^2) of a simple (`Mode.k`) or degenerate
-    (`degenerate_wavenumber`) level; translations are isospectral."""
-    return k ** 2 / (2.0 * require_mass(mass) * Geometry(l).l ** 2)
+    (`degenerate_wavenumber`) level; translations are isospectral.
+
+    Raises ValueError when lambda is not finite: where k^2 overflows, or
+    2 m l^2 underflows (l = 1e-170, or a subnormal mass)."""
+    mass, l = require_mass(mass), Geometry(l).l
+    try:
+        lam = k ** 2 / (2.0 * mass * l ** 2)
+    except (OverflowError, ZeroDivisionError):
+        lam = math.inf
+    if not math.isfinite(lam):
+        raise ValueError(f"lambda = k^2/(2 m l^2) is not finite at k = {k}, l = {l}, mass = {mass}")
+    return lam
 
 
 def degenerate_wavenumber(eta: int, n: int) -> float:

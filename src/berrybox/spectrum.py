@@ -10,20 +10,22 @@ residual is a constant phase times one real secular function of the energy E,
     E = q^2,
 
 so eigenvalues are its sign changes, bracketed on a grid in t with E = t|t|
-and bisected with numpy alone.  A cell where |F| dips without changing sign
-holds two close simple roots if F changes sign at the dip's extremum, or one
-doubly degenerate level if the residual matrix vanishes there.
+and bisected, one scalar at a time on `cmath`.  A cell where |F| dips
+without changing sign holds two close simple roots if F changes sign at the
+dip's extremum, or one doubly degenerate level if the residual matrix
+vanishes there.  The module imports no numpy: only an eigenfunction, sampled
+when first read, loads it.
 """
 
 from __future__ import annotations
 
+import cmath
+import functools
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .boundary import require_mass, require_unitary
 from .closed_form import Geometry
-from .quadrature import GridFunction, oscillatory_rule
 
 __all__ = ["RootSearchError", "EigenLevel", "generic_spectrum"]
 
@@ -34,13 +36,37 @@ class RootSearchError(RuntimeError):
 
 @dataclass(frozen=True)
 class EigenLevel:
-    """An eigenvalue with its provenance and, optionally, a sampled eigenfunction."""
+    """An eigenvalue with its provenance and the root it was found at.
+
+    At the unit box the level sits at E = t|t| and its eigenfunction is
+    v0 cos(qu) + v1 sin(qu)/q, q^2 = E, with (v0, v1) = `coefficients`, a
+    unit null vector of the residual matrix.  The two entries of a double
+    level take (1, 0) and (0, 1): cos(qu) and sin(qu)/q, of opposite parity.
+    """
 
     lam: float
     geometry: Geometry
     mass: float
-    eigenfunction: GridFunction | None = None
-    multiplicity: int = 1
+    multiplicity: int
+    t: float
+    coefficients: tuple[complex, complex]
+
+    @functools.cached_property
+    def eigenfunction(self):
+        """The eigenfunction as a `GridFunction` on a quadrature grid of
+        [-1/2, 1/2], sampled on first read: unit norm, with its largest
+        sample real and positive."""
+        import numpy as np
+
+        from .quadrature import GridFunction, oscillatory_rule
+
+        q = np.sqrt(complex(self.t * abs(self.t)))
+        nodes, weights = oscillatory_rule(-0.5, 0.5, 2.0 * max(self.t, np.pi))
+        v0, v1 = self.coefficients
+        f = v0 * np.cos(q * nodes) + v1 * nodes * np.sinc(q * nodes / np.pi)
+        f = f / np.sqrt(np.sum(weights * np.abs(f) ** 2))
+        j = int(np.argmax(np.abs(f)))
+        return GridFunction(nodes=nodes, values=f * (np.abs(f[j]) / f[j]), weights=weights)
 
 
 # ---------------------------------------------------------------------------
@@ -49,41 +75,64 @@ class EigenLevel:
 
 def _cos_sinc(e):
     """C = cos(q/2) and S = sin(q/2)/q at energy e = q^2; both are entire in e."""
-    q = np.sqrt(np.asarray(e, dtype=complex))
-    return np.cos(q / 2.0), 0.5 * np.sinc(q / (2.0 * np.pi))
+    q = cmath.sqrt(e)
+    return cmath.cos(q / 2.0), (cmath.sin(q / 2.0) / q if q else 0.5)
 
 
 def _residual_matrix(cols, e):
-    """Columns (I - U)(psi(a), psi(b)) - i(I + U)(-psi'(a), psi'(b)) for psi = cos(qx),
-    sin(qx)/q, e = q^2, on [a, b] = [-1/2, 1/2], over the norm of the endpoint data;
-    `cols` holds (I - U) and (I + U) applied to (1, 1), then to (-1, 1)."""
+    """Rows of the 2x2 matrix with columns (I - U)(psi(a), psi(b)) - i(I + U)(-psi'(a), psi'(b))
+    for psi = cos(qx), sin(qx)/q, e = q^2, on [a, b] = [-1/2, 1/2], over the norm of the
+    endpoint data; `cols` holds (I - U) and (I + U) applied to (1, 1), then to (-1, 1)."""
     am, ap, bm, bp = cols
     c, s = _cos_sinc(e)
-    m = np.column_stack([c * am + 1j * e * s * ap, s * bm - 1j * c * bp])
-    return m / np.sqrt(4.0 * abs(c) ** 2 + 2.0 * abs(e * s) ** 2 + 2.0 * abs(s) ** 2)
+    scale = math.sqrt(4.0 * abs(c) ** 2 + 2.0 * abs(e * s) ** 2 + 2.0 * abs(s) ** 2)
+    return tuple(((c * am[i] + 1j * e * s * ap[i]) / scale, (s * bm[i] - 1j * c * bp[i]) / scale) for i in (0, 1))
+
+
+def _largest_singular_value(m) -> float:
+    """sigma_max of a 2x2 matrix: the larger root of s^4 - |M|_F^2 s^2 + |det M|^2."""
+    (p, q), (r, s) = m
+    fro = abs(p) ** 2 + abs(q) ** 2 + abs(r) ** 2 + abs(s) ** 2
+    det = abs(p * s - q * r)
+    return math.sqrt(0.5 * (fro + math.sqrt(max(fro * fro - 4.0 * det * det, 0.0))))
+
+
+def _null_vector(m):
+    """Unit x with M x = 0 for a 2x2 M of rank one: orthogonal to the conjugate
+    of M's larger row."""
+    p, q = max(m, key=lambda row: abs(row[0]) ** 2 + abs(row[1]) ** 2)
+    norm = math.hypot(abs(p), abs(q))
+    return q / norm, -p / norm
 
 
 def _secular_parts(u):
     """`cols` of `_residual_matrix` and the real (a, b, c, d) of the secular function."""
-    cols = [(np.eye(2) + sign * u) @ v for v in ([1.0, 1.0], [-1.0, 1.0]) for sign in (-1.0, 1.0)]
+
+    def apply(sign, v):  # (I + sign U) v
+        return tuple(((i == 0) + sign * u[i][0]) * v[0] + ((i == 1) + sign * u[i][1]) * v[1] for i in (0, 1))
+
+    cols = [apply(sign, v) for v in ((1.0, 1.0), (-1.0, 1.0)) for sign in (-1.0, 1.0)]
     am, ap, bm, bp = cols
     det = lambda x, y: x[0] * y[1] - x[1] * y[0]
-    z = np.array([det(am, bm), -1j * det(am, bp), 1j * det(ap, bm), det(ap, bp)])
-    return cols, (z * np.exp(-0.5j * np.angle(det(u[:, 0], u[:, 1])))).real
+    z = (det(am, bm), -1j * det(am, bp), 1j * det(ap, bm), det(ap, bp))
+    phase = cmath.exp(-0.5j * cmath.phase(u[0][0] * u[1][1] - u[1][0] * u[0][1]))
+    return cols, tuple((zi * phase).real for zi in z)
 
 
 def _bisect(fun, lo, hi):
-    """Shrink every bracket [lo, hi] of a sign change of `fun` to adjacent floats."""
+    """Shrink the bracket [lo, hi] of a sign change of `fun` to adjacent floats."""
     lo_pos = fun(lo) > 0
     while True:
         mid = 0.5 * (lo + hi)
-        live = (mid != lo) & (mid != hi)
-        if not live.any():
+        if mid == lo or mid == hi:
             return mid
         f = fun(mid)
-        right = live & ((f > 0) == lo_pos) & (f != 0)
-        lo = np.where(right | (live & (f == 0)), mid, lo)
-        hi = np.where(live & ~right, mid, hi)
+        if f == 0:
+            return mid
+        if (f > 0) == lo_pos:
+            lo = mid
+        else:
+            hi = mid
 
 
 def _roots(cols, coef, t_max):
@@ -91,43 +140,29 @@ def _roots(cols, coef, t_max):
     a, b, c, d = coef
 
     def secular(t, h=0.0):  # F(E + h); with h = 1e-20 i, Im F has the sign of F'(E)
-        e = t * np.abs(t) + h
+        e = t * abs(t) + h
         cc, s = _cos_sinc(e)
         return a * cc * s + b * cc * cc + e * s * (c * s + d * cc)
 
     f, df = (lambda t: secular(t).real), (lambda t: secular(t, 1e-20j).imag)
-    t = np.arange(-60.0, t_max, np.pi / 16.0)
-    ft = f(t)
-    grows = ft * df(t) > 0
-    change = (ft[:-1] > 0) != (ft[1:] > 0)
-    dip = ~change & ~grows[:-1] & grows[1:]
-    lo, hi = t[:-1][dip], t[1:][dip]
-    tx = _bisect(df, lo, hi)
-    split = (f(tx) > 0) != (ft[:-1][dip] > 0)
-    simple = _bisect(f, np.concatenate([t[:-1][change], lo[split], tx[split]]),
-                     np.concatenate([t[1:][change], tx[split], hi[split]]))
-    double = [x for x in tx[~split]
-              if np.linalg.svd(_residual_matrix(cols, x * abs(x)), compute_uv=False)[0] < 1e-6]
+    # delta = (-60 + pi/16) + 60, not pi/16: the grid points of np.arange(-60, t_max, pi/16),
+    # which the array solver scanned, so that both bisect the same brackets
+    delta = (-60.0 + math.pi / 16.0) + 60.0
+    t = [-60.0 + i * delta for i in range(math.ceil((t_max + 60.0) / (math.pi / 16.0)))]
+    ft = [f(x) for x in t]
+    grows = [fx * df(x) > 0 for x, fx in zip(t, ft)]
+    simple, double = [], []
+    for i in range(len(t) - 1):
+        lo, hi = t[i], t[i + 1]
+        if (ft[i] > 0) != (ft[i + 1] > 0):
+            simple.append(_bisect(f, lo, hi))
+        elif not grows[i] and grows[i + 1]:  # |F| dips: its extremum tx splits the cell
+            tx = _bisect(df, lo, hi)
+            if (f(tx) > 0) != (ft[i] > 0):
+                simple += [_bisect(f, lo, tx), _bisect(f, tx, hi)]
+            elif _largest_singular_value(_residual_matrix(cols, tx * abs(tx))) < 1e-6:
+                double.append(tx)
     return sorted([(x, 1) for x in simple] + [(x, 2) for x in double])
-
-
-def _eigenfunctions(cols, t, mult):
-    """Orthonormal eigenfunctions from the null space of the residual matrix,
-    each with its largest sample real and positive."""
-    e = t * abs(t)
-    vh = np.linalg.svd(_residual_matrix(cols, e))[2]
-    q = np.sqrt(complex(e))
-    nodes, weights = oscillatory_rule(-0.5, 0.5, 2.0 * max(t, np.pi))
-    basis = np.array([np.cos(q * nodes), nodes * np.sinc(q * nodes / np.pi)])
-    functions = []
-    for v in vh[::-1][:mult]:
-        f = v.conj() @ basis
-        for g in functions:
-            f = f - np.sum(weights * np.conj(g.values) * f) * g.values
-        f = f / np.sqrt(np.sum(weights * np.abs(f) ** 2))
-        j = int(np.argmax(np.abs(f)))
-        functions.append(GridFunction(nodes=nodes, values=f * (np.abs(f[j]) / f[j]), weights=weights))
-    return functions
 
 
 def generic_spectrum(u, count: int, mass: float = 1.0, geometry: Geometry | None = None):
@@ -144,22 +179,22 @@ def generic_spectrum(u, count: int, mass: float = 1.0, geometry: Geometry | None
     (the top doubles until `count` levels are found), and each sign change is
     bisected to adjacent floats.  Where |F| dips without a sign change, its
     extremum (a root of the complex-step F') holds two simple roots if F
-    changes sign there, or one double level if M vanishes there; its two
-    entries get orthonormal eigenfunctions from the two null vectors of M.
+    changes sign there, or one double level if M vanishes there (its largest
+    singular value is below 1e-6).  A simple level takes the null vector of
+    M as its `EigenLevel.coefficients`.
 
-    Returns `count` EigenLevels in ascending order, lambda = E / (2 m l^2),
-    each with a unit-norm eigenfunction sampled on a quadrature grid of
-    [-1/2, 1/2].  Raises RootSearchError if the scan cannot bracket `count`
-    eigenvalues.
+    Returns `count` EigenLevels in ascending order, lambda = E / (2 m l^2);
+    none samples its eigenfunction until it is read.  Raises RootSearchError
+    if the scan cannot bracket `count` eigenvalues.
     """
-    u = np.asarray(require_unitary(u))
+    u = require_unitary(u)
     if count < 1:
         raise ValueError("count must be >= 1")
     if geometry is None:
         geometry = Geometry(1.0, 0.0)
     mass = require_mass(mass)
     cols, coef = _secular_parts(u)
-    t_max = (count + 3) * np.pi
+    t_max = (count + 3) * math.pi
     for _attempt in range(4):
         roots = _roots(cols, coef, t_max)
         if sum(mult for _, mult in roots) >= count:
@@ -172,7 +207,7 @@ def generic_spectrum(u, count: int, mass: float = 1.0, geometry: Geometry | None
     for t, mult in roots:
         if len(levels) >= count:
             break
-        levels += [EigenLevel(lam=t * abs(t) / (2.0 * mass * geometry.l ** 2), geometry=geometry,
-                              mass=mass, eigenfunction=fn, multiplicity=mult)
-                   for fn in _eigenfunctions(cols, t, mult)]
+        vectors = [(1.0 + 0j, 0j), (0j, 1.0 + 0j)] if mult == 2 else [_null_vector(_residual_matrix(cols, t * abs(t)))]
+        levels += [EigenLevel(lam=t * abs(t) / (2.0 * mass * geometry.l ** 2), geometry=geometry, mass=mass,
+                              multiplicity=mult, t=t, coefficients=v) for v in vectors]
     return levels[:count]

@@ -18,15 +18,14 @@ exp(i theta sigma_2) with theta = k_n times the loop integral of dc/l, the
 same closed-form integral that gives the scalar Berry phase (Wilczek and
 Zee, PRL 52, 2111 (1984)).  That is the plane rotation [[cos theta,
 sin theta], [-sin theta, cos theta]], evaluated once, in that closed form,
-with no matrix exponential routine and no mesh.
+with no matrix exponential routine and no mesh.  Every matrix is a tuple of
+two rows, as in `boundary`, so the module runs on the standard library.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .closed_form import Geometry, degenerate_wavenumber, degenerate_waves, window_integral
 from .paths import ParameterPath
@@ -43,7 +42,25 @@ __all__ = [
     "diagonalize_in_plane_waves",
 ]
 
-SIGMA2 = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+SIGMA2 = ((0j, -1j), (1j, 0j))
+_ZERO = ((0j, 0j), (0j, 0j))
+
+
+def _scaled(x: float, m) -> tuple:
+    return tuple(tuple(x * v for v in row) for row in m)
+
+
+def _product(a, b) -> tuple:
+    return tuple(tuple(a[i][0] * b[0][j] + a[i][1] * b[1][j] for j in (0, 1)) for i in (0, 1))
+
+
+def _dagger(m) -> tuple:
+    return tuple(tuple(m[j][i].conjugate() for j in (0, 1)) for i in (0, 1))
+
+
+def _deviation(a, b) -> float:
+    """max |a_ij - b_ij|."""
+    return max(abs(x - y) for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
 class ConnectionCheckError(RuntimeError):
@@ -54,8 +71,8 @@ class ConnectionCheckError(RuntimeError):
 class MatrixConnection:
     """Hermitian coefficient matrices of the matrix one-form A_l dl + A_c dc."""
 
-    coeff_l: np.ndarray
-    coeff_c: np.ndarray
+    coeff_l: tuple
+    coeff_c: tuple
 
 
 @dataclass(frozen=True)
@@ -63,7 +80,7 @@ class Holonomy:
     """Loop transport exp(i theta sigma_2) and its eigenphases (-|w|, |w|),
     w = theta reduced to [-pi, pi]."""
 
-    matrix: np.ndarray
+    matrix: tuple
     eigenphases: tuple[float, float]
 
 
@@ -83,11 +100,13 @@ def connection_from_basis(eta: int, n: int) -> MatrixConnection:
     """
     basis = degenerate_waves(eta, n)
     # raw[0] = <phi_a | d_l phi_b>, raw[1] = <phi_a | d_c phi_b>
-    raw = np.array([[[-0.5 * window_integral(a, b, -0.5, 0.5) - window_integral(a, b.derivative(), -0.5, 0.5, 1)
-                      for b in basis] for a in basis],
-                    [[-window_integral(a, b.derivative(), -0.5, 0.5) for b in basis] for a in basis]])
-    connection = 1j * 0.5 * (raw - raw.transpose(0, 2, 1))  # i times the anti-Hermitian part
-    return MatrixConnection(coeff_l=connection[0], coeff_c=connection[1])
+    raw_l = [[-0.5 * window_integral(a, b, -0.5, 0.5) - window_integral(a, b.derivative(), -0.5, 0.5, 1)
+              for b in basis] for a in basis]
+    raw_c = [[-window_integral(a, b.derivative(), -0.5, 0.5) for b in basis] for a in basis]
+    # i times the anti-Hermitian part
+    coeff_l, coeff_c = (tuple(tuple(0.5j * (raw[i][j] - raw[j][i]) for j in (0, 1)) for i in (0, 1))
+                        for raw in (raw_l, raw_c))
+    return MatrixConnection(coeff_l=coeff_l, coeff_c=coeff_c)
 
 
 def wz_connection(eta: int, n: int, g: Geometry) -> MatrixConnection:
@@ -100,15 +119,15 @@ def wz_connection(eta: int, n: int, g: Geometry) -> MatrixConnection:
     """
     k = degenerate_wavenumber(eta, n)
     unit = connection_from_basis(eta, n)
-    worst = max(np.max(np.abs(unit.coeff_l)), np.max(np.abs(unit.coeff_c - k * SIGMA2)))
+    worst = max(_deviation(unit.coeff_l, _ZERO), _deviation(unit.coeff_c, _scaled(k, SIGMA2)))
     if worst > 1e-8:
         raise ConnectionCheckError(
             f"recomputed connection deviates from the closed form by {worst:.3e}"
         )
-    return MatrixConnection(coeff_l=np.zeros((2, 2), dtype=complex), coeff_c=(k / g.l) * SIGMA2)
+    return MatrixConnection(coeff_l=_ZERO, coeff_c=_scaled(k / g.l, SIGMA2))
 
 
-def wz_curvature(eta: int, n: int, g: Geometry) -> np.ndarray:
+def wz_curvature(eta: int, n: int, g: Geometry) -> tuple:
     """Curvature coefficient (k_n / l^2) sigma_2 of the degenerate connection.
 
     The commutator term [A_l, A_c] vanishes identically, since A_l = 0 (A has
@@ -117,13 +136,13 @@ def wz_curvature(eta: int, n: int, g: Geometry) -> np.ndarray:
     +k sin(alpha)/l^2, i.e. the value returned is -d/dl of the dc coefficient.
     """
     k = degenerate_wavenumber(eta, n)
-    return (k / g.l ** 2) * SIGMA2
+    return _scaled(k / g.l ** 2, SIGMA2)
 
 
-def _exp_i_sigma2(theta: float) -> np.ndarray:
+def _exp_i_sigma2(theta: float) -> tuple:
     """exp(i theta sigma_2) = cos(theta) I + i sin(theta) sigma_2, a plane rotation."""
-    c, s = np.cos(theta), np.sin(theta)
-    return np.array([[c, s], [-s, c]])
+    c, s = math.cos(theta), math.sin(theta)
+    return ((c, s), (-s, c))
 
 
 # the one matrix exponential of the holonomy, under the name instrumentation
@@ -160,6 +179,6 @@ def diagonalize_in_plane_waves(conn: MatrixConnection):
     Returns (diagonal matrix, change-of-basis unitary Q) with the convention
     diag = Q^dagger A_c Q.
     """
-    q = np.array([[1.0, 1.0], [1.0j, -1.0j]]) / np.sqrt(2.0)
-    diag = q.conj().T @ conn.coeff_c @ q
-    return diag, q
+    r = math.sqrt(0.5)
+    q = ((complex(r), complex(r)), (1j * r, -1j * r))
+    return _product(_product(_dagger(q), conn.coeff_c), q), q

@@ -95,6 +95,37 @@ def test_spectrum_generic_check_column(tmp_path):
         assert lam_num == pytest.approx(lam, rel=1e-9)
 
 
+def test_spectrum_generic_tol_catches_a_wrong_wavenumber(tmp_path, monkeypatch, capsys):
+    # every closed-form level 0.01 off in k: the table alone exits 0, --tol
+    # 1e-9 exits 3 with one line on stderr, after writing the table
+    argv = ("spectrum", "--eta", "0.3+0.6i", "--n-min", "-3", "--n-max", "3", "--check", "generic")
+    assert run(*argv, "--tol", "1e-9", "--out", str(tmp_path / "right.csv")) == 0
+    wavenumber = berrybox.closed_form.wavenumber
+    monkeypatch.setattr(berrybox.closed_form, "wavenumber", lambda n, eta: wavenumber(n, eta) + 0.01)
+    assert run(*argv, "--out", str(tmp_path / "plain.csv")) == 0
+    capsys.readouterr()
+    out = tmp_path / "wrong.csv"
+    assert run(*argv, "--tol", "1e-9", "--out", str(out)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("generic check disagreement") and err.count("\n") == 1
+    assert out.exists() and "tol" not in json.loads((tmp_path / "wrong.csv.config.json").read_text())
+
+
+def test_spectrum_generic_check_samples_no_eigenfunction(tmp_path, monkeypatch):
+    # the CLI reads only each level's lambda: no eigenfunction is sampled,
+    # so a thousand levels cost no quadrature grid
+    import berrybox.quadrature
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an eigenfunction was sampled")
+
+    monkeypatch.setattr(berrybox.quadrature, "oscillatory_rule", refuse)
+    out = tmp_path / "spec.csv"
+    assert run("spectrum", "--eta", "0.3+0.6i", "--n-min", "-500", "--n-max", "500", "--check", "generic",
+               "--tol", "1e-9", "--out", str(out)) == 0
+    assert len(read_csv(out)[1]) == 1001
+
+
 def test_spectrum_degenerate(tmp_path):
     # eta = +-1 selects the paired-basis table by itself, so its config
     # reruns (the removed --degenerate flag was not a config key)
@@ -426,7 +457,8 @@ def test_wz_failed_connection_check_exits_3(tmp_path, monkeypatch, capsys):
 
     def shifted(eta, n):
         conn = real(eta, n)
-        return wz.MatrixConnection(coeff_l=conn.coeff_l, coeff_c=conn.coeff_c + 1e-6)
+        return wz.MatrixConnection(coeff_l=conn.coeff_l, coeff_c=tuple(tuple(v + 1e-6 for v in row)
+                                                                         for row in conn.coeff_c))
 
     monkeypatch.setattr(wz, "connection_from_basis", shifted)
     out = tmp_path / "wz.json"
@@ -597,6 +629,13 @@ _NONFINITE_LOOPS = [
     pytest.param(["wz", "--eta", "1", "--n", "1", "--plot", "x.svg"], None, id="wz-plot"),
     pytest.param(["adiabatic", "--tol", "1e-3"], None, id="adiabatic-tol"),
     pytest.param(["spectrum", "--tol", "1"], None, id="spectrum-tol"),
+    pytest.param(["spectrum", "--check", "generic", "--tol", "nan"], None, id="spectrum-generic-tol-nan"),
+    pytest.param(["spectrum", "--check", "generic", "--tol", "-1"], None, id="spectrum-generic-tol-negative"),
+    # l ** 2 underflowed: a ZeroDivisionError traceback (exit 1); a subnormal
+    # mass printed lambda = inf with numpy warnings (exit 0)
+    pytest.param(["spectrum", "--eta", "0.3+0.6i", "--l", "1e-170"], None, id="spectrum-l-underflow"),
+    pytest.param(["spectrum", "--mass", "1e-320", "--check", "generic"], None, id="spectrum-generic-mass-subnormal"),
+    pytest.param(["spectrum", "--eta", "1", "--n-max", "2", "--l", "1e-170"], None, id="spectrum-degenerate-l-underflow"),
     pytest.param(["spectrum", "--eta", "1", "--degenerate"], None, id="spectrum-degenerate"),
     pytest.param(["spectrum", "--eta", "-1", "--check", "generic"], None, id="spectrum-degenerate-generic"),
     pytest.param(["bc", "--plot", "x.svg"], None, id="bc-plot"),

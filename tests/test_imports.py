@@ -1,11 +1,10 @@
 """Importing the package, and every command, loads no scipy; none needs it.
 `import berrybox` loads no submodule and no numpy, and each command loads
-only the package modules it runs.  `bc`, every usage error, `spectrum`
-without --check and every `berry` command (each method, --plot and the
-curvature map included) run on the standard library alone, without numpy;
-the commands that run arrays (the generic check, `wz`, `adiabatic`) load it.
-Importing the package first sets one BLAS thread unless the caller chose a
-count."""
+only the package modules it runs.  Only `adiabatic`, which runs on arrays,
+loads numpy: `bc`, every usage error, `spectrum` (its generic check
+included), `wz` and every `berry` command (each method, --plot and the
+curvature map included) run on the standard library alone.  Importing the
+package first sets one BLAS thread unless the caller chose a count."""
 
 import importlib
 import json
@@ -111,9 +110,13 @@ _ORACLES = _own("closed_form", "paths", "quadrature", "berry")
     pytest.param(["berry", "--eta", "0.3+0.6i", "--n", "2", "--curvature-map", "--mesh", "5"], None,
                  _CLOSED_FORMS, False, id="curvature-map"),
     pytest.param(["spectrum", "--eta", "0+1i", "--n-max", "1", "--check", "generic"], None,
-                 _own("closed_form", "quadrature", "spectrum"), True, id="spectrum-generic"),
+                 _own("closed_form", "spectrum"), False, id="spectrum-generic"),
+    pytest.param(["spectrum", "--eta", "0.3+0.6i", "--n-min", "-3", "--n-max", "3", "--check", "generic",
+                  "--tol", "1e-9"], None, _own("closed_form", "spectrum"), False, id="spectrum-generic-tol"),
     pytest.param(["wz", "--eta", "1", "--n", "1", "--mesh", "16"], None,
-                 _own("closed_form", "paths", "wilczek_zee"), True, id="wz"),
+                 _own("closed_form", "paths", "wilczek_zee"), False, id="wz"),
+    pytest.param(["wz", "--eta", "-1", "--n", "2", "--mesh", "16"], _POLYLINE,
+                 _own("closed_form", "paths", "wilczek_zee"), False, id="wz-polyline"),
     pytest.param(["adiabatic", "--eta", "0+1i", "--T-list", "2", "--window", "2", "--resolution", "100"], None,
                  _own("closed_form", "paths", "adiabatic"), True, id="adiabatic"),
     pytest.param(["berry", "--eta", "0+1i", "--method", "overlap", "--mesh", "16"], None, _ORACLES, False,
@@ -128,8 +131,7 @@ _ORACLES = _own("closed_form", "paths", "quadrature", "berry")
 ])
 def test_command_loads_no_scipy(tmp_path, argv, config, own, numpy):
     # each command also loads only the berrybox modules it runs, and numpy
-    # as listed: not for bc, spectrum's closed forms or berry, always for an
-    # array method
+    # as listed: for adiabatic alone
     argv = [str(tmp_path / a) if a.endswith(".svg") else a for a in argv]
     if config is not None:
         (tmp_path / "config.json").write_text(json.dumps(config))

@@ -1,11 +1,14 @@
 """Closed-form spectrum against quadrature and the generic root-finder."""
 
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+import berrybox.quadrature
 from berrybox import (
     BoundaryData,
     DegenerateEtaError,
@@ -241,6 +244,16 @@ def test_eigenvalue_scaling():
             eigenvalue(m.k, l)
 
 
+def test_eigenvalue_must_be_finite():
+    # l ** 2 underflowed to 0 at l = 1e-170 (ZeroDivisionError), and a
+    # subnormal mass gave lambda = inf
+    m = mode(0, 0.3 + 0.6j)
+    for k, l, mass in ((m.k, 1e-170, 1.0), (m.k, 1.0, 1e-320), (1e200, 1.0, 1.0)):
+        with pytest.raises(ValueError, match="not finite"):
+            eigenvalue(k, l, mass)
+    assert eigenvalue(m.k, 1e-150, 1.0) == pytest.approx(m.k ** 2 / 2e-300, rel=1e-15)
+
+
 def test_degenerate_basis():
     # degenerate_waves is the pair sqrt(2) cos(ku), sqrt(2) sin(ku): real,
     # orthonormal, at the degenerate wavenumber
@@ -374,3 +387,38 @@ def test_generic_spectrum_random_unitaries():
         for lv in levels:
             assert lv.eigenfunction.norm() == pytest.approx(1.0, abs=1e-10)
             assert bc_residual(u, _fitted_boundary_data(lv)) < 1e-8
+
+
+def _pinned_generic_cases():
+    path = pathlib.Path(__file__).parent / "data" / "generic_spectrum_pinned.json"
+    return json.loads(path.read_text())["cases"]
+
+
+@pytest.mark.parametrize("case", _pinned_generic_cases(), ids=lambda c: c["name"])
+def test_generic_spectrum_matches_the_pinned_levels(case):
+    # the scalar solver against the levels of the array solver it replaced
+    u = [[complex(*v) for v in row] for row in case["unitary"]]
+    levels = generic_spectrum(u, count=case["count"])
+    assert [lv.multiplicity for lv in levels] == case["multiplicity"]
+    for lv, pinned in zip(levels, case["lam"]):
+        assert abs(lv.lam - pinned) <= 1e-13 * abs(pinned), (lv.lam, pinned)
+
+
+def test_eigenfunctions_are_sampled_on_first_read(monkeypatch):
+    # generic_spectrum finds the levels alone; each level samples its
+    # eigenfunction once, when it is first read
+    rule = berrybox.quadrature.oscillatory_rule
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return rule(*args, **kwargs)
+
+    monkeypatch.setattr(berrybox.quadrature, "oscillatory_rule", counting)
+    levels = generic_spectrum(eta_to_unitary(0.3 + 0.6j), count=40)
+    assert calls == []
+    fn = levels[3].eigenfunction
+    assert levels[3].eigenfunction is fn and len(calls) == 1
+    assert fn.norm() == pytest.approx(1.0, abs=1e-12)
+    j = int(np.argmax(np.abs(fn.values)))
+    assert fn.values[j].real > 0.0 and abs(fn.values[j].imag) <= 1e-15 * fn.values[j].real
