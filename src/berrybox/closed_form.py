@@ -143,15 +143,17 @@ def eigenvalue(k: float, l: float = 1.0, mass: float = 1.0) -> float:
     """Dispersion lambda = k^2 / (2 m l^2) of a simple (`Mode.k`) or degenerate
     (`degenerate_wavenumber`) level; translations are isospectral.
 
-    Raises ValueError when lambda is not finite: where k^2 overflows, or
-    2 m l^2 underflows (l = 1e-170, or a subnormal mass)."""
+    Products, not `**`, so that a square out of the float range is inf or 0
+    rather than an OverflowError: where l^2 or m l^2 overflows (l = 1e160,
+    mass = 1e300), lambda underflows to 0.  Raises ValueError when lambda is
+    not finite: where k^2 overflows, or 2 m l^2 is too small for it
+    (l = 1e-170, or a subnormal mass)."""
     mass, l = require_mass(mass), Geometry(l).l
-    try:
-        lam = k ** 2 / (2.0 * mass * l ** 2)
-    except (OverflowError, ZeroDivisionError):
-        lam = math.inf
+    scale = 2.0 * mass * (l * l)
+    lam = k * k / scale if scale else math.inf
     if not math.isfinite(lam):
-        raise ValueError(f"lambda = k^2/(2 m l^2) is not finite at k = {k}, l = {l}, mass = {mass}")
+        raise ValueError(f"lambda = k^2/(2 m l^2) is not finite at k = {k}, l = {l}, mass = {mass}: "
+                         f"k^2 is beyond the float range or 2 m l^2 too small for it")
     return lam
 
 

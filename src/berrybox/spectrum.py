@@ -1,10 +1,11 @@
 """A generic eigensolver for the box with arbitrary U(2) boundary conditions.
 
 It finds the levels and eigenfunctions of any self-adjoint wall condition
-without the closed forms of `closed_form`, and so serves throughout the
-tests, and in `spectrum --check generic`, as an independent cross-check of
-them.  For a self-adjoint condition the determinant of the 2x2 boundary
-residual is a constant phase times one real secular function of the energy E,
+without the closed forms of `closed_form` (it shares only the dispersion
+lambda = E / (2 m l^2)), and so serves throughout the tests, and in
+`spectrum --check generic`, as an independent cross-check of them.  For a
+self-adjoint condition the determinant of the 2x2 boundary residual is a
+constant phase times one real secular function of the energy E,
 
     F(E) = a C S + b C^2 + c E S^2 + d E S C,  C = cos(q/2), S = sin(q/2)/q,
     E = q^2,
@@ -13,19 +14,17 @@ so eigenvalues are its sign changes, bracketed on a grid in t with E = t|t|
 and bisected, one scalar at a time on `cmath`.  A cell where |F| dips
 without changing sign holds two close simple roots if F changes sign at the
 dip's extremum, or one doubly degenerate level if the residual matrix
-vanishes there.  The module imports no numpy: only an eigenfunction, sampled
-when first read, loads it.
+vanishes there.  The module imports no numpy.
 """
 
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 
 from .boundary import require_mass, require_unitary
-from .closed_form import Geometry
+from .closed_form import Geometry, eigenvalue
 
 __all__ = ["RootSearchError", "EigenLevel", "generic_spectrum"]
 
@@ -50,23 +49,6 @@ class EigenLevel:
     multiplicity: int
     t: float
     coefficients: tuple[complex, complex]
-
-    @functools.cached_property
-    def eigenfunction(self):
-        """The eigenfunction as a `GridFunction` on a quadrature grid of
-        [-1/2, 1/2], sampled on first read: unit norm, with its largest
-        sample real and positive."""
-        import numpy as np
-
-        from .quadrature import GridFunction, oscillatory_rule
-
-        q = np.sqrt(complex(self.t * abs(self.t)))
-        nodes, weights = oscillatory_rule(-0.5, 0.5, 2.0 * max(self.t, np.pi))
-        v0, v1 = self.coefficients
-        f = v0 * np.cos(q * nodes) + v1 * nodes * np.sinc(q * nodes / np.pi)
-        f = f / np.sqrt(np.sum(weights * np.abs(f) ** 2))
-        j = int(np.argmax(np.abs(f)))
-        return GridFunction(nodes=nodes, values=f * (np.abs(f[j]) / f[j]), weights=weights)
 
 
 # ---------------------------------------------------------------------------
@@ -183,8 +165,8 @@ def generic_spectrum(u, count: int, mass: float = 1.0, geometry: Geometry | None
     singular value is below 1e-6).  A simple level takes the null vector of
     M as its `EigenLevel.coefficients`.
 
-    Returns `count` EigenLevels in ascending order, lambda = E / (2 m l^2);
-    none samples its eigenfunction until it is read.  Raises RootSearchError
+    Returns `count` EigenLevels in ascending order, lambda = E / (2 m l^2)
+    (`closed_form.eigenvalue` with the sign of E).  Raises RootSearchError
     if the scan cannot bracket `count` eigenvalues.
     """
     u = require_unitary(u)
@@ -208,6 +190,7 @@ def generic_spectrum(u, count: int, mass: float = 1.0, geometry: Geometry | None
         if len(levels) >= count:
             break
         vectors = [(1.0 + 0j, 0j), (0j, 1.0 + 0j)] if mult == 2 else [_null_vector(_residual_matrix(cols, t * abs(t)))]
-        levels += [EigenLevel(lam=t * abs(t) / (2.0 * mass * geometry.l ** 2), geometry=geometry, mass=mass,
-                              multiplicity=mult, t=t, coefficients=v) for v in vectors]
+        lam = math.copysign(eigenvalue(t, geometry.l, mass), t)
+        levels += [EigenLevel(lam=lam, geometry=geometry, mass=mass, multiplicity=mult, t=t, coefficients=v)
+                   for v in vectors]
     return levels[:count]

@@ -95,35 +95,45 @@ def test_spectrum_generic_check_column(tmp_path):
         assert lam_num == pytest.approx(lam, rel=1e-9)
 
 
-def test_spectrum_generic_tol_catches_a_wrong_wavenumber(tmp_path, monkeypatch, capsys):
-    # every closed-form level 0.01 off in k: the table alone exits 0, --tol
-    # 1e-9 exits 3 with one line on stderr, after writing the table
-    argv = ("spectrum", "--eta", "0.3+0.6i", "--n-min", "-3", "--n-max", "3", "--check", "generic")
-    assert run(*argv, "--tol", "1e-9", "--out", str(tmp_path / "right.csv")) == 0
+def test_spectrum_generic_check_catches_a_wrong_wavenumber(tmp_path, monkeypatch, capsys):
+    # every closed-form level 0.01 off in k: the table alone exits 0, the
+    # generic check exits 3 with one line on stderr, after writing the table
+    argv = ("spectrum", "--eta", "0.3+0.6i", "--n-min", "-3", "--n-max", "3")
+    assert run(*argv, "--check", "generic", "--out", str(tmp_path / "right.csv")) == 0
     wavenumber = berrybox.closed_form.wavenumber
     monkeypatch.setattr(berrybox.closed_form, "wavenumber", lambda n, eta: wavenumber(n, eta) + 0.01)
     assert run(*argv, "--out", str(tmp_path / "plain.csv")) == 0
     capsys.readouterr()
     out = tmp_path / "wrong.csv"
-    assert run(*argv, "--tol", "1e-9", "--out", str(out)) == 3
+    assert run(*argv, "--check", "generic", "--out", str(out)) == 3
     err = capsys.readouterr().err
     assert err.startswith("generic check disagreement") and err.count("\n") == 1
-    assert out.exists() and "tol" not in json.loads((tmp_path / "wrong.csv.config.json").read_text())
+    assert out.exists()
 
 
-def test_spectrum_generic_check_samples_no_eigenfunction(tmp_path, monkeypatch):
-    # the CLI reads only each level's lambda: no eigenfunction is sampled,
-    # so a thousand levels cost no quadrature grid
+def test_spectrum_generic_check_builds_no_quadrature_grid(tmp_path, monkeypatch):
+    # the CLI reads only each level's lambda, so a thousand levels cost no
+    # quadrature grid
     import berrybox.quadrature
 
     def refuse(*args, **kwargs):
-        raise AssertionError("an eigenfunction was sampled")
+        raise AssertionError("a quadrature grid was built")
 
     monkeypatch.setattr(berrybox.quadrature, "oscillatory_rule", refuse)
     out = tmp_path / "spec.csv"
     assert run("spectrum", "--eta", "0.3+0.6i", "--n-min", "-500", "--n-max", "500", "--check", "generic",
-               "--tol", "1e-9", "--out", str(out)) == 0
+               "--out", str(out)) == 0
     assert len(read_csv(out)[1]) == 1001
+
+
+def test_spectrum_huge_box_underflows_lambda_to_zero(tmp_path):
+    # l ** 2 raised OverflowError at l = 1e160 (exit 1); lambda underflows
+    # to 0 there, as it does where m l^2 overflows
+    for extra in ((), ("--check", "generic")):
+        out = tmp_path / f"spec{len(extra)}.csv"
+        assert run("spectrum", "--eta", "0.3+0.6i", "--n-min", "-1", "--n-max", "1", "--l", "1e160",
+                   *extra, "--out", str(out)) == 0
+        assert all(float(r) == 0.0 for row in read_csv(out)[1] for r in row[3:])
 
 
 def test_spectrum_degenerate(tmp_path):
@@ -629,8 +639,6 @@ _NONFINITE_LOOPS = [
     pytest.param(["wz", "--eta", "1", "--n", "1", "--plot", "x.svg"], None, id="wz-plot"),
     pytest.param(["adiabatic", "--tol", "1e-3"], None, id="adiabatic-tol"),
     pytest.param(["spectrum", "--tol", "1"], None, id="spectrum-tol"),
-    pytest.param(["spectrum", "--check", "generic", "--tol", "nan"], None, id="spectrum-generic-tol-nan"),
-    pytest.param(["spectrum", "--check", "generic", "--tol", "-1"], None, id="spectrum-generic-tol-negative"),
     # l ** 2 underflowed: a ZeroDivisionError traceback (exit 1); a subnormal
     # mass printed lambda = inf with numpy warnings (exit 0)
     pytest.param(["spectrum", "--eta", "0.3+0.6i", "--l", "1e-170"], None, id="spectrum-l-underflow"),

@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-import berrybox.quadrature
 from berrybox import (
     BoundaryData,
     DegenerateEtaError,
     ETA_INF,
     Geometry,
+    GridFunction,
     alpha_of,
     as_eta,
     bc_residual,
@@ -44,6 +44,18 @@ def _physical(m, g, x):
     x = np.asarray(x, dtype=float)
     inside = (x >= g.left) & (x <= g.right)
     return np.where(inside, _values(m.waves, (x - g.c) / g.l) / np.sqrt(g.l), 0.0 + 0.0j)
+
+
+def _sampled(level):
+    """The generic level's eigenfunction v0 cos(qu) + v1 sin(qu)/q on a quadrature
+    grid of [-1/2, 1/2]: unit norm, with its largest sample real and positive."""
+    q = np.sqrt(complex(level.t * abs(level.t)))
+    nodes, weights = oscillatory_rule(-0.5, 0.5, 2.0 * max(level.t, np.pi))
+    v0, v1 = level.coefficients
+    f = v0 * np.cos(q * nodes) + v1 * nodes * np.sinc(q * nodes / np.pi)
+    f = f / np.sqrt(np.sum(weights * np.abs(f) ** 2))
+    j = int(np.argmax(np.abs(f)))
+    return GridFunction(nodes=nodes, values=f * (np.abs(f[j]) / f[j]), weights=weights)
 
 
 def _boundary_data(m, g=UNIT):
@@ -252,6 +264,11 @@ def test_eigenvalue_must_be_finite():
         with pytest.raises(ValueError, match="not finite"):
             eigenvalue(k, l, mass)
     assert eigenvalue(m.k, 1e-150, 1.0) == pytest.approx(m.k ** 2 / 2e-300, rel=1e-15)
+    # where l^2 or m l^2 overflows, lambda underflows to 0 alike: l ** 2
+    # raised OverflowError at l = 1e160
+    for l, mass in ((1e160, 1.0), (1e10, 1e300), (1e150, 1e10)):
+        assert eigenvalue(m.k, l, mass) == 0.0
+    assert eigenvalue(m.k, 1e100, 1.0) == pytest.approx(m.k ** 2 / 2e200, rel=1e-15)
 
 
 def test_degenerate_basis():
@@ -283,11 +300,11 @@ def test_generic_spectrum_dirichlet():
     levels = generic_spectrum(-np.eye(2), count=3)
     for j, lv in zip((1, 2, 3), levels):
         assert lv.lam == pytest.approx(j ** 2 * np.pi ** 2 / 2.0, rel=1e-9)
-        assert lv.eigenfunction.norm() == pytest.approx(1.0, abs=1e-10)
+        fn = _sampled(lv)
+        assert fn.norm() == pytest.approx(1.0, abs=1e-10)
         # textbook profile sqrt(2) |sin(j pi (x + 1/2))| up to a global phase
-        x = lv.eigenfunction.nodes
-        expected = np.sqrt(2.0) * np.abs(np.sin(j * np.pi * (x + 0.5)))
-        assert np.max(np.abs(np.abs(lv.eigenfunction.values) - expected)) < 1e-7
+        expected = np.sqrt(2.0) * np.abs(np.sin(j * np.pi * (fn.nodes + 0.5)))
+        assert np.max(np.abs(np.abs(fn.values) - expected)) < 1e-7
 
 
 def test_generic_spectrum_matches_closed_form():
@@ -307,7 +324,7 @@ def test_generic_spectrum_periodic_degeneracy():
     assert levels[1].lam == pytest.approx((2 * np.pi) ** 2 / 2.0, rel=1e-9)
     assert levels[1].lam == pytest.approx(levels[2].lam, rel=1e-12)
     # the two degenerate eigenfunctions are orthonormal
-    f1, f2 = levels[1].eigenfunction, levels[2].eigenfunction
+    f1, f2 = _sampled(levels[1]), _sampled(levels[2])
     assert abs(f1.inner(f2)) < 1e-8
     assert f1.norm() == pytest.approx(1.0, abs=1e-10)
 
@@ -365,7 +382,7 @@ def _fitted_boundary_data(level):
         fns, ders = (np.cos, np.sin), (lambda z: -np.sin(z), np.cos)
     else:
         fns, ders = (np.cosh, np.sinh), (np.sinh, np.cosh)
-    fn = level.eigenfunction
+    fn = _sampled(level)
     basis = np.column_stack([f(k * fn.nodes) for f in fns])
     coef = np.linalg.lstsq(basis, fn.values, rcond=None)[0]
     assert np.max(np.abs(basis @ coef - fn.values)) < 1e-9
@@ -385,7 +402,7 @@ def test_generic_spectrum_random_unitaries():
         lams = [lv.lam for lv in levels]
         assert lams == sorted(lams)
         for lv in levels:
-            assert lv.eigenfunction.norm() == pytest.approx(1.0, abs=1e-10)
+            assert _sampled(lv).norm() == pytest.approx(1.0, abs=1e-10)
             assert bc_residual(u, _fitted_boundary_data(lv)) < 1e-8
 
 
@@ -402,23 +419,3 @@ def test_generic_spectrum_matches_the_pinned_levels(case):
     assert [lv.multiplicity for lv in levels] == case["multiplicity"]
     for lv, pinned in zip(levels, case["lam"]):
         assert abs(lv.lam - pinned) <= 1e-13 * abs(pinned), (lv.lam, pinned)
-
-
-def test_eigenfunctions_are_sampled_on_first_read(monkeypatch):
-    # generic_spectrum finds the levels alone; each level samples its
-    # eigenfunction once, when it is first read
-    rule = berrybox.quadrature.oscillatory_rule
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return rule(*args, **kwargs)
-
-    monkeypatch.setattr(berrybox.quadrature, "oscillatory_rule", counting)
-    levels = generic_spectrum(eta_to_unitary(0.3 + 0.6j), count=40)
-    assert calls == []
-    fn = levels[3].eigenfunction
-    assert levels[3].eigenfunction is fn and len(calls) == 1
-    assert fn.norm() == pytest.approx(1.0, abs=1e-12)
-    j = int(np.argmax(np.abs(fn.values)))
-    assert fn.values[j].real > 0.0 and abs(fn.values[j].imag) <= 1e-15 * fn.values[j].real
