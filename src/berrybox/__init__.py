@@ -46,7 +46,7 @@ _EXPORTS = {
     "boundary": "Eta ETA_INF as_eta BoundaryData BCClass eta_to_unitary classify_unitary bc_residual "
                 "boundary_form triple_identity_defect dilation_transport compliant_data boundary_traces "
                 "require_unitary require_mass",
-    "quadrature": "gauss_legendre reference_rule panel_nodes panel_rule oscillatory_rule GridFunction",
+    "quadrature": "gauss_legendre panel_nodes",
     "closed_form": "DegenerateEtaError Geometry Mode PlaneWaves alpha_of wavenumber mode eigenvalue "
                    "degenerate_wavenumber degenerate_waves window_integral connection_analytic "
                    "loop_phase_analytic curvature",
@@ -54,7 +54,7 @@ _EXPORTS = {
     "paths": "ParameterPath rectangle_loop polyline_path point_loop rectangle_corners",
     "berry": "MeshTooCoarseError standard_mollifier connection_interior connection_mollified LoopPhaseResult "
              "loop_phase_interior loop_phase_mollified_sweep loop_phase_overlap_meshes state_overlap stokes_defect "
-             "commutator_defect power_law_extrapolate require_geometric require_interior_step",
+             "power_law_extrapolate require_geometric require_interior_step",
     "wilczek_zee": "SIGMA2 ConnectionCheckError MatrixConnection Holonomy wz_connection connection_from_basis "
                    "wz_curvature wz_holonomy diagonalize_in_plane_waves",
     "adiabatic": "Schedule PhaseReport mode_window weak_form_matrix generator propagate",

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -53,42 +53,32 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class Schedule:
     """A closed parameter loop traversed in total time T; `resolution` states
     per traversal are sampled for the diagnostics (see `propagate`)."""
 
-    path: ParameterPath
-    duration: float
-    resolution: int = 1000
+    __slots__ = ("path", "duration", "resolution")
 
-    def __post_init__(self):
-        if not 0 < self.duration < math.inf:
+    def __init__(self, path: ParameterPath, duration: float, resolution: int = 1000):
+        if not 0 < duration < math.inf:
             raise ValueError("traversal time must be finite and positive")
-        if self.resolution < 100:
+        if resolution < 100:
             raise ValueError("resolution must be at least 100 steps")
-        if not self.path.closed:
+        if not path.closed:
             raise ValueError("adiabatic schedules must traverse closed loops")
+        self.path, self.duration, self.resolution = path, duration, resolution
 
 
-@dataclass(frozen=True)
-class PhaseReport:
-    """Phases accumulated over one traversal.
+PhaseReport = namedtuple("PhaseReport", "total_phase dynamical_phase geometric_phase fidelity norm_drift "
+                                        "edge_weight adiabatic_warning")
+PhaseReport.__doc__ = """Phases accumulated over one traversal.
 
-    geometric_phase = total_phase - dynamical_phase (mod 2 pi); fidelity is
-    the modulus of the return overlap and gates the phase's meaning, so an
-    adiabaticity warning is carried here rather than raised.  norm_drift and
-    edge_weight are propagation diagnostics (unitarity defect and the largest
-    amplitude reaching the mode-window edge).
-    """
-
-    total_phase: float
-    dynamical_phase: float
-    geometric_phase: float
-    fidelity: float
-    norm_drift: float
-    edge_weight: float
-    adiabatic_warning: bool
+geometric_phase = total_phase - dynamical_phase (mod 2 pi); fidelity is
+the modulus of the return overlap and gates the phase's meaning, so an
+adiabaticity warning is carried here rather than raised.  norm_drift and
+edge_weight are propagation diagnostics (unitarity defect and the largest
+amplitude reaching the mode-window edge).
+"""
 
 
 def mode_window(eta, size: int) -> tuple[Mode, ...]:

@@ -21,8 +21,8 @@ Each eigenfunction is two plane waves (`Mode.waves`) and each loop a
 polyline, so the overlaps, the interior windows and the mollified
 embedding's interior are one closed form (`closed_form.window_integral`);
 Gauss quadrature serves only the embedding's two wall strips and
-`stokes_defect`.  Everything but the test-only `commutator_defect` runs on
-the standard library, one box at a time.
+`stokes_defect`.  Everything runs on the standard library, one box at a
+time.
 The boundary conditions are dilation invariant, so every state is
 l^-1/2 phi((x - c)/l), and a prescription whose regulator scales with the box
 (the interior step, the cutoff width) gives a connection F/l.  Each connection
@@ -39,11 +39,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .closed_form import Mode, _require_closed, curvature, loop_phase_analytic, window_integral
 from .paths import ParameterPath, rectangle_corners
-from .quadrature import GridFunction, panel_nodes
+from .quadrature import panel_nodes
 
 __all__ = [
     "MeshTooCoarseError",
@@ -56,7 +56,6 @@ __all__ = [
     "loop_phase_overlap_meshes",
     "state_overlap",
     "stokes_defect",
-    "commutator_defect",
     "power_law_extrapolate",
     "require_geometric",
     "require_interior_step",
@@ -206,13 +205,8 @@ def state_overlap(m: Mode, la: float, ca: float, lb: float, cb: float) -> comple
     return window_integral(psi, psi, lo, hi, 0, la, ca, lb, cb) if hi - lo > 0 else 0j
 
 
-@dataclass(frozen=True)
-class LoopPhaseResult:
-    """Discrete loop phase with its mesh and a mesh-halving error estimate."""
-
-    phase: float
-    mesh: int
-    err_estimate: float
+LoopPhaseResult = namedtuple("LoopPhaseResult", "phase mesh err_estimate")
+LoopPhaseResult.__doc__ = "Discrete loop phase with its mesh and a mesh-halving error estimate."
 
 
 def _chain_phase(m: Mode, path: ParameterPath, n: int) -> float:
@@ -277,46 +271,6 @@ def stokes_defect(m: Mode, rect: ParameterPath) -> float:
     flux = sum(w * curvature(m, l) for l, w in panel_nodes(lmin, lmax, 8)) * sum(
         w for _, w in panel_nodes(cmin, cmax, 2))
     return abs(line - sign * flux)
-
-
-# ---------------------------------------------------------------------------
-# dilation-generator commutator check
-
-
-def commutator_defect(sample: GridFunction) -> float:
-    """Grid norm of ([x o p, p] - i p) applied to a test function.
-
-    x o p = (xp + px)/2 is the dilation generator; the identity
-    [x o p, p] = i p is checked with second-order central differences, so
-    the defect decays like the squared grid step.  The sample must be
-    smooth and supported away from the grid edges.
-    """
-    import numpy as np
-
-    x, f = sample.nodes, sample.values
-    steps = np.diff(x)
-    h = steps[0]
-    if not np.allclose(steps, h, rtol=1e-10, atol=0.0):
-        raise ValueError("commutator check needs a uniform grid")
-    edge = max(5, int(0.02 * x.size))
-    tail = max(np.max(np.abs(f[:edge])), np.max(np.abs(f[-edge:])))
-    if tail > 1e-10 * max(np.max(np.abs(f)), 1e-300):
-        raise ValueError("test function support touches the grid boundary")
-
-    def ddx(arr):
-        return (arr[2:] - arr[:-2]) / (2.0 * h)
-
-    def momentum(arr):
-        return -1j * ddx(arr)
-
-    def dilation(arr, nodes):
-        return -1j * (nodes[1:-1] * ddx(arr) + 0.5 * arr[1:-1])
-
-    pf = momentum(f)                      # on x[1:-1]
-    xpf = dilation(f, x)                  # on x[1:-1]
-    lhs = dilation(pf, x[1:-1]) - momentum(xpf)   # on x[2:-2]
-    rhs = 1j * pf[1:-1]
-    return float(np.sqrt(h * np.sum(np.abs(lhs - rhs) ** 2)))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 __all__ = [
     "Eta",
@@ -42,25 +41,33 @@ __all__ = [
     "require_mass",
 ]
 
-@dataclass(frozen=True)
+
 class Eta:
     """Extended complex parameter of the dilation-invariant family.
 
     Finite values select psi(a) = eta psi(b), conj(eta) psi'(a) = psi'(b).
     The point at infinity (``ETA_INF``) is the limit psi(b) = 0, psi'(a) = 0.
+    Two Etas are equal when their value and infinite flag are.
     """
 
-    value: complex = 0j
-    infinite: bool = False
+    __slots__ = ("value", "infinite")
 
-    def __post_init__(self):
-        if self.infinite:
-            object.__setattr__(self, "value", 0j)
+    def __init__(self, value: complex = 0j, infinite: bool = False):
+        if infinite:
+            value = 0j
         else:
-            v = complex(self.value)
-            if not cmath.isfinite(v):
+            value = complex(value)
+            if not cmath.isfinite(value):
                 raise ValueError("finite eta must have finite real and imaginary parts")
-            object.__setattr__(self, "value", v)
+        self.value, self.infinite = value, infinite
+
+    def __eq__(self, other):
+        if other.__class__ is not Eta:
+            return NotImplemented
+        return (self.value, self.infinite) == (other.value, other.infinite)
+
+    def __hash__(self):
+        return hash((self.value, self.infinite))
 
     @property
     def degenerate_sign(self) -> int | None:
@@ -109,21 +116,17 @@ def as_eta(eta) -> Eta:
         raise ValueError(f"cannot parse eta {eta!r}: use 'a+bi' or 'inf'") from exc
 
 
-@dataclass(frozen=True)
 class BoundaryData:
     """Endpoint data (psi(a), psi(b), psi'(a), psi'(b)) of a wave function."""
 
-    va: complex
-    vb: complex
-    da: complex
-    db: complex
+    __slots__ = ("va", "vb", "da", "db")
 
-    def __post_init__(self):
-        for name in ("va", "vb", "da", "db"):
-            z = complex(getattr(self, name))
+    def __init__(self, va: complex, vb: complex, da: complex, db: complex):
+        for name, z in (("va", va), ("vb", vb), ("da", da), ("db", db)):
+            z = complex(z)
             if not cmath.isfinite(z):
                 raise ValueError(f"boundary datum {name} is not finite")
-            object.__setattr__(self, name, z)
+            setattr(self, name, z)
 
 
 def boundary_traces(d: BoundaryData):
@@ -179,7 +182,6 @@ def eta_to_unitary(eta) -> tuple:
     )
 
 
-@dataclass(frozen=True)
 class BCClass:
     """Classification of a boundary unitary.
 
@@ -188,8 +190,10 @@ class BCClass:
     one-parameter family (periodic/antiperiodic carry eta = +/-1).
     """
 
-    kind: str
-    eta: Eta | None = None
+    __slots__ = ("kind", "eta")
+
+    def __init__(self, kind: str, eta: Eta | None = None):
+        self.kind, self.eta = kind, eta
 
     @property
     def dilation_invariant(self) -> bool:

@@ -40,6 +40,9 @@ EXIT_MISMATCH = 3
 # to 1e-13, or 1.1e-10 at eta = 1 - 1e-6
 GENERIC_CHECK_TOL = 1e-9
 
+# the most levels one `spectrum` table lists (about 50 MB of CSV)
+MAX_LEVELS = 10 ** 6
+
 _LOOP = {"type": "rectangle", "l1": 1.0, "l2": 2.0, "c1": 0.0, "c2": 1.0, "orientation": 1}
 _LOOP_RECT_KEYS = set(_LOOP)
 _LOOP_POLY_KEYS = {"type", "points", "orientation"}
@@ -296,6 +299,8 @@ def cmd_spectrum(args) -> int:
     n_lo, n_hi = int(cfg["n"][0]), int(cfg["n"][1])
     if n_hi < n_lo:
         raise UsageError("empty level range")
+    if n_hi - n_lo >= MAX_LEVELS:
+        raise UsageError(f"a level range holds at most {MAX_LEVELS} levels")
     mass = require_mass(cfg["mass"])
     from .closed_form import Geometry, eigenvalue, mode
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
 
 from .boundary import Eta, as_eta, require_mass
 
@@ -50,21 +49,24 @@ class DegenerateEtaError(ValueError):
     """Raised when eta = +/-1 is passed to the nondegenerate machinery."""
 
 
-@dataclass(frozen=True)
 class Geometry:
-    """A box in the (l, c) half-plane: length l > 0 and center c."""
+    """A box in the (l, c) half-plane: length l > 0 and center c.  Two
+    Geometries are equal when their l and c are."""
 
-    l: float = 1.0
-    c: float = 0.0
+    __slots__ = ("l", "c")
 
-    def __post_init__(self):
-        l, c = float(self.l), float(self.c)
+    def __init__(self, l: float = 1.0, c: float = 0.0):
+        l, c = float(l), float(c)
         if not (l > 0 and math.isfinite(l)):
             raise ValueError(f"box length must be finite and positive, not {l}")
         if not math.isfinite(c):
             raise ValueError(f"box center must be finite, not {c}")
-        object.__setattr__(self, "l", l)
-        object.__setattr__(self, "c", c)
+        self.l, self.c = l, c
+
+    def __eq__(self, other):
+        if other.__class__ is not Geometry:
+            return NotImplemented
+        return (self.l, self.c) == (other.l, other.c)
 
     @property
     def left(self) -> float:
@@ -110,14 +112,22 @@ def wavenumber(n: int, eta) -> float:
     return 2.0 * math.pi * n + 2.0 * math.atan(ratio)
 
 
-@dataclass(frozen=True)
 class Mode:
-    """One nondegenerate eigenlevel: index n, wavenumber k, angle alpha."""
+    """One nondegenerate eigenlevel: index n, wavenumber k, angle alpha.
 
-    n: int
-    eta: Eta
-    k: float
-    alpha: float
+    Two Modes are equal, and hash alike, when n, eta, k and alpha are, so
+    that a rebuilt mode window hits `adiabatic.weak_form_matrix`'s cache."""
+
+    def __init__(self, n: int, eta: Eta, k: float, alpha: float):
+        self.n, self.eta, self.k, self.alpha = n, eta, k, alpha
+
+    def __eq__(self, other):
+        if other.__class__ is not Mode:
+            return NotImplemented
+        return (self.n, self.eta, self.k, self.alpha) == (other.n, other.eta, other.k, other.alpha)
+
+    def __hash__(self):
+        return hash((self.n, self.eta, self.k, self.alpha))
 
     @property
     def sin_alpha(self) -> float:
@@ -170,14 +180,14 @@ def degenerate_wavenumber(eta: int, n: int) -> float:
     raise ValueError("degenerate basis exists only for eta = +1 or -1")
 
 
-@dataclass(frozen=True)
 class PlaneWaves:
     """The state psi(u) = plus e^{iku} + minus e^{-iku} in the box coordinate
     u = (x - c)/l; at the box (l, c) it is l^-1/2 psi((x - c)/l)."""
 
-    k: float
-    plus: complex
-    minus: complex
+    __slots__ = ("k", "plus", "minus")
+
+    def __init__(self, k: float, plus: complex, minus: complex):
+        self.k, self.plus, self.minus = k, plus, minus
 
     def at(self, u: float):
         """psi(u) and psi'(u)."""

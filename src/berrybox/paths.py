@@ -7,7 +7,6 @@ A path is built, tested for closure, evaluated at one s at a time (`point`,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from .closed_form import Geometry
 
@@ -16,7 +15,6 @@ __all__ = ["ParameterPath", "rectangle_loop", "polyline_path", "point_loop", "re
 _CLOSURE_TOL = 1e-12
 
 
-@dataclass(frozen=True)
 class ParameterPath:
     """Polyline through `vertices`, traversed over the global parameter s in [0, 1].
 
@@ -27,22 +25,20 @@ class ParameterPath:
     (start, end) vertex pairs in vertex order.
     """
 
-    vertices: tuple
-    orientation: int = 1
-    segments: tuple = field(init=False, repr=False, compare=False)
+    __slots__ = ("vertices", "orientation", "segments")
 
-    def __post_init__(self):
-        verts = tuple((float(l), float(c)) for l, c in self.vertices)
+    def __init__(self, vertices, orientation: int = 1):
+        verts = tuple((float(l), float(c)) for l, c in vertices)
         if len(verts) < 2:
             raise ValueError("path needs at least two vertices")
-        if self.orientation not in (1, -1):
+        if orientation not in (1, -1):
             raise ValueError("orientation must be +1 or -1")
         if not all(math.isfinite(v) for vertex in verts for v in vertex):
             raise ValueError("path vertices must be finite")
         if min(l for l, _ in verts) <= 0:
             raise ValueError("path leaves the l > 0 half-plane")
-        object.__setattr__(self, "vertices", verts)
-        object.__setattr__(self, "segments", tuple(zip(verts[:-1], verts[1:])))
+        self.vertices, self.orientation = verts, orientation
+        self.segments = tuple(zip(verts[:-1], verts[1:]))
 
     @property
     def closed(self) -> bool:

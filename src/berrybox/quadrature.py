@@ -1,19 +1,16 @@
-"""Composite Gauss-Legendre rules and sampled functions on quadrature grids.
+"""Composite Gauss-Legendre rules on the standard library.
 
-The Gauss-Legendre rule on [-1, 1] is built once per order on the standard
-library (`gauss_legendre`) and mapped affinely onto every panel, as floats
-(`panel_nodes`) or as arrays; numpy is imported only inside the array
-functions, and their cached rule is read-only, so no caller can corrupt the
-rule another caller gets.
+The Gauss-Legendre rule on [-1, 1] is built once per order
+(`gauss_legendre`) and mapped affinely onto every panel as (node, weight)
+pairs of floats (`panel_nodes`).
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
-__all__ = ["gauss_legendre", "reference_rule", "panel_nodes", "panel_rule", "oscillatory_rule", "GridFunction"]
+__all__ = ["gauss_legendre", "panel_nodes"]
 
 DEFAULT_ORDER = 16
 
@@ -54,91 +51,11 @@ def gauss_legendre(order: int):
     return tuple(x for x, _ in rule), tuple(w for _, w in rule)
 
 
-@functools.lru_cache(maxsize=None)
-def reference_rule(order: int):
-    """`gauss_legendre` as read-only numpy arrays, shared between callers."""
-    import numpy as np
-
-    nodes, weights = (np.array(v) for v in gauss_legendre(order))
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
-
-
 def panel_nodes(a: float, b: float, panels: int, order: int = DEFAULT_ORDER):
-    """`panel_rule` for scalar a < b, as a list of (node, weight) pairs."""
+    """Composite Gauss-Legendre rule on [a, b], a < b, split into equal
+    panels, as a list of (node, weight) pairs with increasing nodes."""
     xg, wg = gauss_legendre(order)
     step = (b - a) / panels
     edges = [a + i * step for i in range(panels)] + [b]
     return [(0.5 * (lo + hi) + 0.5 * (hi - lo) * x, 0.5 * (hi - lo) * w)
             for lo, hi in zip(edges, edges[1:]) for x, w in zip(xg, wg)]
-
-
-def panel_rule(a: float, b: float, panels: int, order: int = DEFAULT_ORDER):
-    """Composite Gauss-Legendre rule on [a, b] split into equal panels, as
-    arrays (nodes, weights); nodes are strictly increasing."""
-    import numpy as np
-
-    if not b > a:
-        raise ValueError(f"empty integration interval [{a}, {b}]")
-    if panels < 1:
-        raise ValueError("panels must be >= 1")
-    xg, wg = reference_rule(order)
-    edges = np.linspace(a, b, panels + 1)
-    half, mid = 0.5 * np.diff(edges)[:, None], 0.5 * (edges[:-1] + edges[1:])[:, None]
-    return (mid + half * xg).ravel(), (half * wg).ravel()
-
-
-def oscillatory_rule(a: float, b: float, wavenumber: float, order: int = DEFAULT_ORDER):
-    """Panel rule sized for trigonometric integrands exp(i*wavenumber*x).
-
-    At least four panels per wavelength (64+ nodes per wavelength at the
-    default order), which is well past the accuracy knee of Gauss-Legendre
-    for oscillatory integrands.
-    """
-    cycles = abs(wavenumber) * (b - a) / (2.0 * math.pi)
-    return panel_rule(a, b, max(2, math.ceil(4.0 * cycles) + 2), order=order)
-
-
-@dataclass(frozen=True)
-class GridFunction:
-    """Complex samples of a function on a fixed quadrature grid.
-
-    Invariants: at least two strictly increasing nodes, positive weights,
-    matching array lengths.
-    """
-
-    nodes: np.ndarray
-    values: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        import numpy as np
-
-        nodes = np.asarray(self.nodes, dtype=float)
-        values = np.asarray(self.values, dtype=complex)
-        weights = np.asarray(self.weights, dtype=float)
-        if nodes.size < 2:
-            raise ValueError("grid needs at least two nodes")
-        if nodes.shape != values.shape or nodes.shape != weights.shape:
-            raise ValueError("nodes, values and weights must have equal shapes")
-        if np.any(np.diff(nodes) <= 0):
-            raise ValueError("nodes must be strictly increasing")
-        if np.any(weights <= 0):
-            raise ValueError("quadrature weights must be positive")
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "weights", weights)
-
-    def inner(self, other: "GridFunction") -> complex:
-        """L2 inner product <self|other>, conjugate-linear in self."""
-        import numpy as np
-
-        if not np.array_equal(self.nodes, other.nodes):
-            raise ValueError("grid functions live on different grids")
-        return complex(np.sum(self.weights * np.conj(self.values) * other.values))
-
-    def norm(self) -> float:
-        import numpy as np
-
-        return float(np.sqrt(np.sum(self.weights * np.abs(self.values) ** 2)))

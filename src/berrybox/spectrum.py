@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .boundary import require_mass, require_unitary
 from .closed_form import Geometry, eigenvalue
@@ -33,22 +33,14 @@ class RootSearchError(RuntimeError):
     """Raised when the transcendental eigenvalue search fails to converge."""
 
 
-@dataclass(frozen=True)
-class EigenLevel:
-    """An eigenvalue with its provenance and the root it was found at.
+EigenLevel = namedtuple("EigenLevel", "lam geometry mass multiplicity t coefficients")
+EigenLevel.__doc__ = """An eigenvalue with its provenance and the root it was found at.
 
-    At the unit box the level sits at E = t|t| and its eigenfunction is
-    v0 cos(qu) + v1 sin(qu)/q, q^2 = E, with (v0, v1) = `coefficients`, a
-    unit null vector of the residual matrix.  The two entries of a double
-    level take (1, 0) and (0, 1): cos(qu) and sin(qu)/q, of opposite parity.
-    """
-
-    lam: float
-    geometry: Geometry
-    mass: float
-    multiplicity: int
-    t: float
-    coefficients: tuple[complex, complex]
+At the unit box the level sits at E = t|t| and its eigenfunction is
+v0 cos(qu) + v1 sin(qu)/q, q^2 = E, with (v0, v1) = `coefficients`, a
+unit null vector of the residual matrix.  The two entries of a double
+level take (1, 0) and (0, 1): cos(qu) and sin(qu)/q, of opposite parity.
+"""
 
 
 # ---------------------------------------------------------------------------

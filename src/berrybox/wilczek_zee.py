@@ -25,7 +25,7 @@ two rows, as in `boundary`, so the module runs on the standard library.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .closed_form import Geometry, degenerate_wavenumber, degenerate_waves, window_integral
 from .paths import ParameterPath
@@ -67,21 +67,12 @@ class ConnectionCheckError(RuntimeError):
     """Raised when the recomputation from the explicit basis disagrees with the closed form."""
 
 
-@dataclass(frozen=True)
-class MatrixConnection:
-    """Hermitian coefficient matrices of the matrix one-form A_l dl + A_c dc."""
+MatrixConnection = namedtuple("MatrixConnection", "coeff_l coeff_c")
+MatrixConnection.__doc__ = "Hermitian coefficient matrices of the matrix one-form A_l dl + A_c dc."
 
-    coeff_l: tuple
-    coeff_c: tuple
-
-
-@dataclass(frozen=True)
-class Holonomy:
-    """Loop transport exp(i theta sigma_2) and its eigenphases (-|w|, |w|),
-    w = theta reduced to [-pi, pi]."""
-
-    matrix: tuple
-    eigenphases: tuple[float, float]
+Holonomy = namedtuple("Holonomy", "matrix eigenphases")
+Holonomy.__doc__ = """Loop transport exp(i theta sigma_2) and its eigenphases (-|w|, |w|),
+w = theta reduced to [-pi, pi]."""
 
 
 def connection_from_basis(eta: int, n: int) -> MatrixConnection:

@@ -8,14 +8,13 @@ the supporting unit tests live in the sibling modules.
 import numpy as np
 import pytest
 
+from array_rules import GridFunction, commutator_defect
 from berrybox import (
     BoundaryData,
     ETA_INF,
     Geometry,
-    GridFunction,
     Schedule,
     classify_unitary,
-    commutator_defect,
     connection_analytic,
     connection_interior,
     connection_mollified,

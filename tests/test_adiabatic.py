@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from array_rules import oscillatory_rule
 from berrybox import (
     DegenerateEtaError,
     Geometry,
@@ -12,7 +13,6 @@ from berrybox import (
     loop_phase_analytic,
     mode,
     mode_window,
-    oscillatory_rule,
     point_loop,
     polyline_path,
     propagate,
@@ -74,6 +74,18 @@ def test_diagonal_momentum_matches_connection():
         p = weak_form_matrix(modes)[0]
         for i, m in enumerate(modes):
             assert p[i, i].real == pytest.approx(-m.k * np.sin(m.alpha), abs=1e-10)
+
+
+def test_rebuilt_mode_window_hits_the_weak_form_cache():
+    # Modes compare and hash by value, so the window `propagate` rebuilds for
+    # each T of a sweep finds the matrices built for the first
+    first = mode_window(0.3 + 0.6j, 3)
+    weak_form_matrix(first)
+    hits = weak_form_matrix.cache_info().hits
+    again = mode_window(0.3 + 0.6j, 3)
+    assert again == first and hash(again) == hash(first) and again[0] is not first[0]
+    assert weak_form_matrix(again) is weak_form_matrix(first)
+    assert weak_form_matrix.cache_info().hits == hits + 2
 
 
 def test_length_scaling_of_static_block():

@@ -9,13 +9,12 @@ import re
 import numpy as np
 import pytest
 
+from array_rules import GridFunction, commutator_defect, oscillatory_rule, panel_rule, reference_rule
 from berrybox import (
     ETA_INF,
     Geometry,
     ParameterPath,
-    GridFunction,
     MeshTooCoarseError,
-    commutator_defect,
     connection_analytic,
     connection_interior,
     connection_mollified,
@@ -30,13 +29,10 @@ from berrybox import (
     loop_phase_overlap_meshes,
     mode,
     mode_window,
-    oscillatory_rule,
-    panel_rule,
     point_loop,
     polyline_path,
     power_law_extrapolate,
     rectangle_loop,
-    reference_rule,
     require_interior_step,
     standard_mollifier,
     state_overlap,

@@ -10,8 +10,6 @@ import sys
 import threading
 import warnings
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -20,7 +18,7 @@ import berrybox.berry
 import berrybox.cli
 import berrybox.closed_form
 import berrybox.svgplot
-from berrybox import gauss_legendre
+from berrybox import LoopPhaseResult, gauss_legendre
 from berrybox.cli import main
 
 
@@ -119,7 +117,7 @@ def test_spectrum_generic_check_builds_no_quadrature_grid(tmp_path, monkeypatch)
     def refuse(*args, **kwargs):
         raise AssertionError("a quadrature grid was built")
 
-    monkeypatch.setattr(berrybox.quadrature, "oscillatory_rule", refuse)
+    monkeypatch.setattr(berrybox.quadrature, "panel_nodes", refuse)
     out = tmp_path / "spec.csv"
     assert run("spectrum", "--eta", "0.3+0.6i", "--n-min", "-500", "--n-max", "500", "--check", "generic",
                "--out", str(out)) == 0
@@ -264,7 +262,7 @@ def test_berry_tol_reports_real_disagreement(tmp_path, monkeypatch, capsys):
     real = berrybox.berry.loop_phase_overlap_meshes
 
     def shifted(m, path, meshes):
-        return [dataclasses.replace(r, phase=r.phase + 0.1) for r in real(m, path, meshes)]
+        return [LoopPhaseResult(r.phase + 0.1, r.mesh, r.err_estimate) for r in real(m, path, meshes)]
 
     argv = ("berry", "--eta", "0+1i", "--n", "0", "--loop-rect", "1", "2", "0", "1",
             "--method", "analytic,overlap", "--mesh", "64", "--tol", "1e-2", "--out", str(tmp_path / "b.csv"))
@@ -697,6 +695,11 @@ _NONFINITE_LOOPS = [
     pytest.param(["berry", "--method", "interior", "--h", "0"], None, id="berry-h-zero"),
     pytest.param(["berry", "--method", "interior"], {"h": -1e-4}, id="berry-config-h-negative"),
     pytest.param(["berry", "--method", "interior", "--h", "nan"], None, id="berry-h-nan"),
+    # a 160-digit --n-max raised OverflowError building the level range;
+    # a range is bounded at a million levels, checked before any work
+    pytest.param(["spectrum", "--n-max", str(10 ** 160)], None, id="spectrum-n-max-160-digits"),
+    pytest.param(["spectrum", "--n-min", "-1", "--n-max", "999999"], None, id="spectrum-range-above-bound"),
+    pytest.param(["spectrum", "--eta", "1"], {"n": [1, 10 ** 160]}, id="spectrum-degenerate-config-n-160-digits"),
     # a 401-digit eta raised OverflowError in the library's parser
     pytest.param(["bc"], {"eta": 10 ** 400}, id="bc-config-eta-401-digits"),
     # a NaN entry used to pass the unitarity check with a RuntimeWarning

@@ -3,8 +3,9 @@
 only the package modules it runs.  Only `adiabatic`, which runs on arrays,
 loads numpy: `bc`, every usage error, `spectrum` (its generic check
 included), `wz` and every `berry` command (each method, --plot and the
-curvature map included) run on the standard library alone.  Importing the
-package first sets one BLAS thread unless the caller chose a count."""
+curvature map included) run on the standard library alone, and load neither
+`dataclasses` nor `inspect`.  Importing the package first sets one BLAS
+thread unless the caller chose a count."""
 
 import importlib
 import json
@@ -22,8 +23,9 @@ SRC = str(Path(berrybox.__file__).resolve().parent.parent)
 # imports berrybox, then runs `main(argv)` with argv from the command line
 # (an argparse error's SystemExit gives the exit code), or imports every
 # submodule when that argv is --every-module, or does no more when it is
-# empty; then prints the exit code, the loaded scipy and berrybox modules and
-# whether numpy is loaded, as JSON
+# empty; then prints the exit code, the loaded scipy and berrybox modules,
+# whether numpy is loaded and which of dataclasses and inspect are, as JSON;
+# the probe's own imports load none of these
 _PROBE = """
 import importlib, json, pkgutil, sys
 import berrybox
@@ -39,7 +41,8 @@ elif sys.argv[1:]:
     except SystemExit as exc:
         code = exc.code
 loaded = lambda top: sorted(m for m in sys.modules if m == top or m.startswith(top + "."))
-print(json.dumps([code, loaded("scipy"), loaded("berrybox"), "numpy" in sys.modules]))
+print(json.dumps([code, loaded("scipy"), loaded("berrybox"), "numpy" in sys.modules,
+                  [m for m in ("dataclasses", "inspect") if m in sys.modules]]))
 """
 
 
@@ -51,10 +54,11 @@ def _run_probe(probe, *argv):
 
 
 def _modules_after(*argv, prelude=""):
-    """(scipy modules, berrybox modules, whether numpy is loaded) after `_PROBE`."""
-    code, scipy, own, numpy = _run_probe(prelude + _PROBE, *argv)
+    """(scipy modules, berrybox modules, whether numpy is loaded, which of
+    dataclasses and inspect are) after `_PROBE`."""
+    code, scipy, own, numpy, introspection = _run_probe(prelude + _PROBE, *argv)
     assert code == 0
-    return scipy, own, numpy
+    return scipy, own, numpy, introspection
 
 
 def _own(*modules):
@@ -62,13 +66,13 @@ def _own(*modules):
 
 
 def test_import_loads_no_scipy():
-    scipy, own, _ = _modules_after("--every-module")
+    scipy, own, *_ = _modules_after("--every-module")
     assert scipy == []
     assert "berrybox.adiabatic" in own and "berrybox.svgplot" in own
 
 
 def test_import_loads_no_numpy():
-    assert _modules_after() == ([], ["berrybox"], False)
+    assert _modules_after() == ([], ["berrybox"], False, [])
 
 
 def test_unknown_attribute_imports_nothing():
@@ -81,7 +85,7 @@ for name in ("cli", "spectrum", "no_such_name"):
         continue
     raise SystemExit(f"berrybox.{name} resolved before its import")
 """
-    assert _modules_after(prelude=prelude) == ([], ["berrybox"], False)
+    assert _modules_after(prelude=prelude) == ([], ["berrybox"], False, [])
 
 
 # the 2x2 matrices of the benchmark's bc commands: a named one, and a family
@@ -131,16 +135,21 @@ _ORACLES = _own("closed_form", "paths", "quadrature", "berry")
 ])
 def test_command_loads_no_scipy(tmp_path, argv, config, own, numpy):
     # each command also loads only the berrybox modules it runs, and numpy
-    # as listed: for adiabatic alone
+    # as listed: for adiabatic alone.  The package's records are plain
+    # classes and namedtuples, so no command loads dataclasses or inspect
+    # but adiabatic, where numpy itself loads inspect
     argv = [str(tmp_path / a) if a.endswith(".svg") else a for a in argv]
     if config is not None:
         (tmp_path / "config.json").write_text(json.dumps(config))
         argv = argv + ["--config", str(tmp_path / "config.json")]
-    assert _modules_after(*argv, "--out", str(tmp_path / "out")) == ([], own, numpy)
+    scipy, loaded, numpy_loaded, introspection = _modules_after(*argv, "--out", str(tmp_path / "out"))
+    assert (scipy, loaded, numpy_loaded) == ([], own, numpy)
+    assert numpy or introspection == []
 
 
 # the usage errors of the benchmark's quick workload, and an option argparse
-# rejects: each exits 2 having loaded only `boundary` and `cli`, and no numpy
+# rejects: each exits 2 having loaded only `boundary` and `cli`, and no numpy,
+# dataclasses or inspect
 @pytest.mark.parametrize("argv", [
     ["berry", "--eta", "1", "--n", "0"],
     ["wz", "--eta=0.3000+0.5000i", "--n", "1"],
@@ -152,8 +161,7 @@ def test_command_loads_no_scipy(tmp_path, argv, config, own, numpy):
 ], ids=["berry-degenerate", "wz-nondegenerate", "spectrum-empty-range", "berry-method", "adiabatic-degenerate",
         "bc-nonunitary", "argparse"])
 def test_usage_error_loads_no_numpy(tmp_path, argv):
-    code, scipy, own, numpy = _run_probe(_PROBE, *argv, "--out", str(tmp_path / "out"))
-    assert (code, scipy, own, numpy) == (2, [], _own(), False)
+    assert _run_probe(_PROBE, *argv, "--out", str(tmp_path / "out")) == [2, [], _own(), False, []]
     assert not (tmp_path / "out").exists()
 
 
@@ -164,31 +172,32 @@ def test_usage_error_loads_no_numpy(tmp_path, argv):
 def test_berry_checks_its_options_before_any_work(tmp_path, argv):
     # an unknown method or a mesh below 1 exits 2 before the level or the
     # loop is built: only the modules that parse the options are loaded
-    code, scipy, own, numpy = _run_probe(_PROBE, "berry", "--eta", "0+1i", *argv, "--out", str(tmp_path / "out"))
-    assert (code, scipy, own, numpy) == (2, [], _own(), False)
+    probe = _run_probe(_PROBE, "berry", "--eta", "0+1i", *argv, "--out", str(tmp_path / "out"))
+    assert probe == [2, [], _own(), False, []]
     assert not (tmp_path / "out").exists()
 
 
 def test_generic_check_runs_without_scipy(tmp_path):
     # a None entry in sys.modules makes every scipy import raise ImportError
-    scipy, _, _ = _modules_after("spectrum", "--eta", "0+1i", "--n-max", "3", "--check", "generic",
-                                 "--out", str(tmp_path / "out"), prelude="import sys; sys.modules['scipy'] = None")
+    scipy, *_ = _modules_after("spectrum", "--eta", "0+1i", "--n-max", "3", "--check", "generic",
+                               "--out", str(tmp_path / "out"), prelude="import sys; sys.modules['scipy'] = None")
     assert scipy == ["scipy"]
 
 
 # the names the package exported when it imported every submodule eagerly,
-# less those since deleted and with the plane-wave names added, under the
-# module that defines each now, in dependency order
+# less those since deleted or moved to the tests' `array_rules`, with the
+# plane-wave names and the standard-library rules added, under the module
+# that defines each now, in dependency order
 _EXPORTED = {
     "boundary": "ETA_INF BCClass BoundaryData Eta as_eta bc_residual boundary_form boundary_traces "
                 "classify_unitary compliant_data dilation_transport eta_to_unitary triple_identity_defect",
-    "quadrature": "GridFunction oscillatory_rule panel_rule reference_rule",
+    "quadrature": "gauss_legendre panel_nodes",
     "closed_form": "DegenerateEtaError Geometry Mode PlaneWaves alpha_of connection_analytic curvature "
                    "degenerate_wavenumber degenerate_waves eigenvalue loop_phase_analytic mode wavenumber "
                    "window_integral",
     "spectrum": "EigenLevel RootSearchError generic_spectrum",
     "paths": "ParameterPath point_loop polyline_path rectangle_corners rectangle_loop",
-    "berry": "LoopPhaseResult MeshTooCoarseError commutator_defect connection_interior connection_mollified "
+    "berry": "LoopPhaseResult MeshTooCoarseError connection_interior connection_mollified "
              "loop_phase_interior loop_phase_mollified_sweep loop_phase_overlap_meshes power_law_extrapolate "
              "require_geometric require_interior_step standard_mollifier state_overlap stokes_defect",
     "wilczek_zee": "ConnectionCheckError Holonomy MatrixConnection connection_from_basis "

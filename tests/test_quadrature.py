@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from berrybox import gauss_legendre, panel_nodes, panel_rule, reference_rule
+from array_rules import panel_rule, reference_rule
+from berrybox import gauss_legendre, panel_nodes
 
 
 def test_gauss_legendre_matches_leggauss():

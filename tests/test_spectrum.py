@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from array_rules import GridFunction, oscillatory_rule
 from berrybox import (
     BoundaryData,
     DegenerateEtaError,
     ETA_INF,
     Geometry,
-    GridFunction,
     alpha_of,
     as_eta,
     bc_residual,
@@ -25,7 +25,6 @@ from berrybox import (
     eta_to_unitary,
     generic_spectrum,
     mode,
-    oscillatory_rule,
     polyline_path,
     wavenumber,
 )
