@@ -16,11 +16,15 @@ The namespace loads on demand (PEP 562): `import berrybox` imports no
 submodule and no numpy, and the first read of a public name such as
 `berrybox.mode` imports the submodule that defines it.  So each `berrybox`
 command loads only the modules it runs, and numpy only with `adiabatic`, the
-one module that runs on arrays: `bc` loads `boundary` and `cli`; `spectrum`
-adds `closed_form`, and `spectrum` for --check generic; every `berry` command
-adds `paths`, with `quadrature` and `berry` for the oracles and `svgplot` for
---plot; `wz` adds `paths` and `wilczek_zee`; all of them on the standard
-library.
+one module that runs on arrays.  Each loads `boundary`, the CLI front `cli`
+and its own module of the CLI (`cli.bc`, `cli.spectrum`, ...), never
+another command's: `bc` loads no more; `spectrum` adds `closed_form`, and
+`spectrum` for --check generic; every `berry` command adds `closed_form` and
+`paths`, with `quadrature` and `berry` for the oracles and `svgplot` for
+--plot; `wz` adds `closed_form`, `paths` and `wilczek_zee`; all of them on
+the standard library.  `adiabatic` adds `closed_form`, `paths` and
+`adiabatic`, with numpy.  No command loads the boundary-triple identities
+(`boundary_triple`).
 """
 
 import os as _os
@@ -43,9 +47,9 @@ if "numpy" not in _sys.modules and not any(
 # each submodule's public names: its __all__, which tests/test_imports.py
 # checks they equal
 _EXPORTS = {
-    "boundary": "Eta ETA_INF as_eta BoundaryData BCClass eta_to_unitary classify_unitary bc_residual "
-                "boundary_form triple_identity_defect dilation_transport compliant_data boundary_traces "
-                "require_unitary require_mass",
+    "boundary": "Eta ETA_INF as_eta BCClass eta_to_unitary classify_unitary require_unitary require_mass",
+    "boundary_triple": "BoundaryData bc_residual boundary_form triple_identity_defect dilation_transport "
+                       "compliant_data boundary_traces",
     "quadrature": "gauss_legendre panel_nodes",
     "closed_form": "DegenerateEtaError Geometry Mode PlaneWaves alpha_of wavenumber mode eigenvalue "
                    "degenerate_wavenumber degenerate_waves window_integral connection_analytic "

@@ -12,10 +12,11 @@ one-complex-parameter subfamily
 
     psi(a) = eta psi(b),   conj(eta) psi'(a) = psi'(b),
 
-and the boundary-form bookkeeping (endpoint traces, sesquilinear defect of
-self-adjointness) used throughout the rest of the package to verify it.
-All operations are pure functions on small immutable values: complex numbers
-and 2x2 matrices as tuples of two rows, so the module needs no numpy.
+and its classification.  The boundary-form bookkeeping that verifies it
+(endpoint traces, sesquilinear defect of self-adjointness) is in
+`boundary_triple`, which no command loads.  All operations are pure
+functions on small immutable values: complex numbers and 2x2 matrices as
+tuples of two rows, so the module needs no numpy.
 """
 
 from __future__ import annotations
@@ -27,16 +28,9 @@ __all__ = [
     "Eta",
     "ETA_INF",
     "as_eta",
-    "BoundaryData",
     "BCClass",
     "eta_to_unitary",
     "classify_unitary",
-    "bc_residual",
-    "boundary_form",
-    "triple_identity_defect",
-    "dilation_transport",
-    "compliant_data",
-    "boundary_traces",
     "require_unitary",
     "require_mass",
 ]
@@ -114,28 +108,6 @@ def as_eta(eta) -> Eta:
         return Eta(complex(text.replace("i", "j")) if text is not None else eta)
     except (OverflowError, TypeError, ValueError) as exc:
         raise ValueError(f"cannot parse eta {eta!r}: use 'a+bi' or 'inf'") from exc
-
-
-class BoundaryData:
-    """Endpoint data (psi(a), psi(b), psi'(a), psi'(b)) of a wave function."""
-
-    __slots__ = ("va", "vb", "da", "db")
-
-    def __init__(self, va: complex, vb: complex, da: complex, db: complex):
-        for name, z in (("va", va), ("vb", vb), ("da", da), ("db", db)):
-            z = complex(z)
-            if not cmath.isfinite(z):
-                raise ValueError(f"boundary datum {name} is not finite")
-            setattr(self, name, z)
-
-
-def boundary_traces(d: BoundaryData):
-    """Endpoint combinations value +/- i * outward derivative (-psi'(a), psi'(b)).
-
-    Returns the pair (incoming, outgoing) of (at a, at b) tuples; a data set
-    belongs to the extension labelled by U exactly when outgoing = U @ incoming.
-    """
-    return (d.va - 1j * d.da, d.vb + 1j * d.db), (d.va + 1j * d.da, d.vb - 1j * d.db)
 
 
 def require_unitary(u, tol: float = 1e-9) -> tuple:
@@ -229,73 +201,3 @@ def classify_unitary(u, tol: float = 1e-9) -> BCClass:
     if _matches(u, eta_to_unitary(cand), tol):
         return BCClass("eta", cand)
     return BCClass("other")
-
-
-def bc_residual(u, d: BoundaryData) -> float:
-    """Euclidean norm of (I-U)(psi(a),psi(b))^T - i(I+U)(-psi'(a),psi'(b))^T.
-
-    Zero exactly when the data satisfy the boundary condition labelled by U;
-    equal to |outgoing - U incoming| in terms of the endpoint traces.
-    """
-    u = require_unitary(u)
-    incoming, outgoing = boundary_traces(d)
-    return math.hypot(*(abs(outgoing[i] - u[i][0] * incoming[0] - u[i][1] * incoming[1]) for i in (0, 1)))
-
-
-def boundary_form(psi: BoundaryData, phi: BoundaryData, mass: float = 1.0) -> complex:
-    """Sesquilinear boundary form <H psi|phi> - <psi|H phi> from endpoint data.
-
-    Integration by parts reduces it to (1/2m) [conj(psi) phi' - conj(psi') phi]
-    evaluated at b minus at a.  It vanishes whenever both data sets satisfy a
-    common self-adjoint boundary condition.
-    """
-    mass = require_mass(mass)
-    at_b = psi.vb.conjugate() * phi.db - psi.db.conjugate() * phi.vb
-    at_a = psi.va.conjugate() * phi.da - psi.da.conjugate() * phi.va
-    return (at_b - at_a) / (2.0 * mass)
-
-
-def triple_identity_defect(psi: BoundaryData, phi: BoundaryData) -> float:
-    """Defect of <in_psi|in_phi> - <out_psi|out_phi> = 2i Gamma(psi, phi).
-
-    The identity between the endpoint traces and the boundary form holds
-    exactly in the 2m = 1 convention, which is fixed here; it is an algebraic
-    identity, so the defect must vanish for arbitrary data.
-    """
-    in_psi, out_psi = boundary_traces(psi)
-    in_phi, out_phi = boundary_traces(phi)
-    lhs = sum(a.conjugate() * b - c.conjugate() * d for a, b, c, d in zip(in_psi, in_phi, out_psi, out_phi))
-    return abs(lhs - 2j * boundary_form(psi, phi, mass=0.5))
-
-
-def dilation_transport(d: BoundaryData, scale: float, shift: float = 0.0) -> BoundaryData:
-    """Endpoint data of x -> scale**-0.5 * psi((x - shift)/scale).
-
-    The transported interval is scale*[a, b] + shift; values pick up
-    scale**-0.5 and derivatives scale**-1.5, so membership in the eta family
-    is preserved with the same eta (the scale factors cancel in both
-    conditions).  The data themselves do not depend on the shift.
-    """
-    if not scale > 0:
-        raise ValueError("scale must be positive")
-    sv = scale ** -0.5
-    sd = scale ** -1.5
-    return BoundaryData(sv * d.va, sv * d.vb, sd * d.da, sd * d.db)
-
-
-def compliant_data(eta, free_value: complex, free_derivative: complex) -> BoundaryData:
-    """Boundary data satisfying the eta-family condition, from its free values.
-
-    For finite eta the free values are (psi(b), psi'(a)); for eta = inf they
-    are (psi(a), psi'(b)) since the condition pins psi(b) = 0, psi'(a) = 0.
-    """
-    eta = as_eta(eta)
-    if eta.infinite:
-        return BoundaryData(va=free_value, vb=0.0, da=0.0, db=free_derivative)
-    e = eta.value
-    return BoundaryData(
-        va=e * free_value,
-        vb=free_value,
-        da=free_derivative,
-        db=e.conjugate() * free_derivative,
-    )

@@ -1,0 +1,269 @@
+"""Batch command-line interface.
+
+Subcommands::
+
+    berrybox bc         classify a boundary condition (JSON)
+    berrybox spectrum   tabulate the closed-form spectrum (CSV)
+    berrybox berry      loop phases by one or more prescriptions (CSV [+ SVG])
+    berrybox wz         degenerate matrix connection and holonomy (JSON)
+    berrybox adiabatic  slow-traversal phase sweep over T (CSV [+ SVG])
+
+Each subcommand has one dict of defaults (`_DEFAULTS`), which is the list of
+the config keys it reads: --config (JSON) may set only those keys, and each
+flag given overrides the key it maps to.  Every run with --out also writes
+that dict, resolved, to <out>.config.json so the run can be reproduced from
+that file alone.  All subcommands take --config and --out; berry and
+adiabatic also take --plot, and berry takes --tol.
+Each subcommand's flags and handler are this package's module of its name
+(`berrybox.cli.bc`, ...), and a process imports only the one it runs.
+Floating-point output is scientific with 9 significant digits, with no -0,
+so identical configurations produce byte-identical files.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import re
+import sys
+
+EXIT_OK = 0
+EXIT_USAGE = 2
+EXIT_MISMATCH = 3
+
+_LOOP = {"type": "rectangle", "l1": 1.0, "l2": 2.0, "c1": 0.0, "c2": 1.0, "orientation": 1}
+_LOOP_RECT_KEYS = set(_LOOP)
+_LOOP_POLY_KEYS = {"type", "points", "orientation"}
+
+# the config keys each subcommand reads, with their defaults; the parser's
+# config-key flags are named after (or mapped onto) these keys
+_DEFAULTS = {
+    "bc": {"eta": "0+1i", "unitary": None},
+    "spectrum": {"eta": "0+1i", "mass": 1.0, "n": 0, "geometry": {"l": 1.0, "c": 0.0}, "method": "all"},
+    "berry": {"eta": "0+1i", "n": 0, "loop": _LOOP, "method": "all", "mesh": 256,
+              "eps_list": [0.2, 0.1, 0.05, 0.025], "h": None},
+    "wz": {"eta": "-1", "n": 0, "loop": _LOOP, "mesh": 256},
+    "adiabatic": {"eta": "0+1i", "mass": 1.0, "n": 0, "loop": _LOOP,
+                  "T_list": [25.0, 50.0, 100.0, 200.0], "window": 8, "resolution": 4000},
+}
+
+# each subcommand's summary, in the order --help lists them; its flags
+# (`add_arguments`) and its handler (`run`) live in this package's module of
+# the same name, which only a parser that holds the subcommand imports
+_SUMMARIES = {
+    "bc": "classify a boundary condition",
+    "spectrum": "tabulate the spectrum",
+    "berry": "loop phases and curvature maps",
+    "wz": "degenerate matrix connection and holonomy",
+    "adiabatic": "slow-traversal phase sweep",
+}
+
+
+class UsageError(ValueError):
+    """Invalid input: reported on stderr with exit code 2."""
+
+
+# ---------------------------------------------------------------------------
+# formatting
+
+
+def _fmt(x: float, sign: str = "") -> str:
+    # + 0.0 turns -0.0 into 0.0 and leaves every other value as it is
+    return f"{float(x) + 0.0:{sign}.8e}"
+
+
+def _round9(x: float) -> float:
+    return float(_fmt(x))
+
+
+def _fmt_complex(z: complex) -> str:
+    z = complex(z)
+    return f"{_fmt(z.real)}{_fmt(z.imag, '+')}i"
+
+
+def _fmt_matrix(m) -> list:
+    return [[_fmt_complex(v) for v in row] for row in m]
+
+
+# ---------------------------------------------------------------------------
+# config plumbing
+
+
+def _number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _integer(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _numbers(v) -> bool:
+    return isinstance(v, list) and all(map(_number, v))
+
+
+# the JSON value each config key takes, checked before any value is used
+_VALUE_TYPES = {
+    "eta": (lambda v: isinstance(v, str) or _number(v), "a string 'a+bi' or 'inf', or a number"),
+    "unitary": (lambda v: v is None or isinstance(v, (str, list)), "a 2x2 matrix, as nested lists or JSON text"),
+    "mass": (_number, "a number"),
+    "n": (_integer, "an integer"),
+    "geometry": (lambda v: isinstance(v, dict) and set(v) == {"l", "c"} and all(map(_number, v.values())),
+                 "an object with numbers l and c"),
+    "loop": (lambda v: isinstance(v, dict) and v.get("type") in ("rectangle", "polyline"),
+             "an object with 'type' rectangle or polyline"),
+    "method": (lambda v: isinstance(v, str), "a string"),
+    "mesh": (_integer, "an integer"),
+    "eps_list": (_numbers, "a list of numbers"),
+    "h": (lambda v: v is None or _number(v), "a number or null"),
+    "T_list": (_numbers, "a list of numbers"),
+    "window": (_integer, "an integer"),
+    "resolution": (_integer, "an integer"),
+}
+_SPECTRUM_N = (lambda v: _integer(v) or (isinstance(v, list) and len(v) == 2 and all(map(_integer, v))),
+               "an integer or a [min, max] pair of integers")
+
+
+def _validate_config(raw: dict, command: str) -> dict:
+    if not isinstance(raw, dict):
+        raise UsageError("config must be a JSON object")
+    keys = _DEFAULTS[command]
+    unknown = set(raw) - set(keys)
+    if unknown:
+        raise UsageError(f"unknown config keys: {sorted(unknown)}; this subcommand reads {sorted(keys)}")
+    for key, value in raw.items():
+        valid, what = _SPECTRUM_N if (command, key) == ("spectrum", "n") else _VALUE_TYPES[key]
+        if not valid(value):
+            raise UsageError(f"config key {key!r} must be {what}, not {json.dumps(value)}")
+    if "loop" in raw:
+        loop = raw["loop"]
+        bad = set(loop) - (_LOOP_RECT_KEYS if loop["type"] == "rectangle" else _LOOP_POLY_KEYS)
+        if bad:
+            raise UsageError(f"unknown loop keys: {sorted(bad)}")
+    return raw
+
+
+def _resolve(args) -> dict:
+    """The subcommand's defaults, updated by its config file, then by the flags given."""
+    cfg = dict(_DEFAULTS[args.command])
+    if args.config:
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                cfg.update(_validate_config(json.load(fh), args.command))
+        except OSError as exc:
+            raise UsageError(f"cannot read config: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise UsageError(f"config is not valid JSON: {exc}") from exc
+    # flags default to argparse.SUPPRESS, so vars(args) holds only those given
+    cfg.update((key, value) for key, value in vars(args).items() if key in cfg)
+    return cfg
+
+
+def _loop(cfg, args) -> "ParameterPath":
+    """Apply --loop-rect and --orientation to cfg["loop"], then build the loop."""
+    from ..paths import polyline_path, rectangle_loop
+
+    flags = vars(args)
+    if "loop_rect" in flags:
+        l1, l2, c1, c2 = flags["loop_rect"]
+        cfg["loop"] = {"type": "rectangle", "l1": l1, "l2": l2, "c1": c1, "c2": c2, "orientation": 1}
+    if "orientation" in flags:
+        cfg["loop"] = {**cfg["loop"], "orientation": flags["orientation"]}
+    loop = cfg["loop"]
+    try:
+        if loop["type"] == "rectangle":
+            return rectangle_loop(
+                float(loop["l1"]), float(loop["l2"]), float(loop["c1"]), float(loop["c2"]),
+                orientation=int(loop.get("orientation", 1)),
+            )
+        return polyline_path(loop["points"], close=True, orientation=int(loop.get("orientation", 1)))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise UsageError(f"invalid loop definition: {exc}") from exc
+
+
+def _write_output(out_path, text: str):
+    if out_path:
+        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
+def _write_resolved_config(out_path, cfg: dict):
+    if not out_path:
+        return
+    # a zero given with a minus sign is written as 0.0, as in every output
+    plain = json.loads(json.dumps(cfg), parse_float=lambda text: float(text) + 0.0)
+    with open(f"{out_path}.config.json", "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(plain, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _csv(header: str, rows) -> str:
+    return "\n".join([header] + [",".join(r) for r in rows]) + "\n"
+
+
+def _linspace(lo, hi, num: int) -> list:
+    """np.linspace(lo, hi, num) in plain floats, bit for bit: lo + i*step with
+    step = (hi - lo)/(num - 1), the last point hi; where the step underflows
+    to 0, numpy forms (i/(num - 1))*(hi - lo) instead of i*step."""
+    lo, hi = float(lo), float(hi)
+    delta, div = hi - lo, num - 1
+    if div == 0:
+        return [0.0 * delta + lo]
+    step = delta / div
+    points = [(i / div * delta if step == 0 else i * step) + lo for i in range(num)]
+    points[-1] = hi
+    return points
+
+
+# ---------------------------------------------------------------------------
+# parser
+
+
+def _subcommand(sub, name: str, fn, summary: str):
+    """Subparser with --config and --out; a flag added without an explicit
+    default is absent from the parsed namespace unless given."""
+    sp = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
+    # a token that starts like a negative number ('-0.5+0.2i', '-1e-3') is a
+    # value, not an option: `--eta -0.5+0.2i` parses as `--eta=-0.5+0.2i` does
+    sp._negative_number_matcher = re.compile(r"-\.?\d")
+    sp.add_argument("--config", default=None, help="JSON config file holding only this subcommand's keys")
+    sp.add_argument("--out", default=None, help="output path (stdout when omitted)")
+    sp.set_defaults(fn=fn)
+    return sp
+
+
+def _add_loop(sp):
+    sp.add_argument("--loop-rect", nargs=4, type=float, metavar=("L1", "L2", "C1", "C2"),
+                    help="rectangle loop, counterclockwise unless --orientation -1")
+    sp.add_argument("--orientation", type=int, choices=[1, -1], help="orientation of the loop, however given")
+
+
+def _float_list(text):
+    return [float(v) for v in text.split(",")]
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of `command` alone, which imports only that subcommand's
+    module; with no known command (--help, a misspelt or a missing one), the
+    parser of every subcommand."""
+    known = command in _SUMMARIES
+    p = argparse.ArgumentParser(prog="berrybox", description=__doc__.splitlines()[0])
+    # the usage line lists every subcommand, however many are built
+    sub = p.add_subparsers(dest="command", required=True, metavar="{%s}" % ",".join(_SUMMARIES) if known else None)
+    for name in [command] if known else _SUMMARIES:
+        # an import through __import__, unlike importlib's, shows in -X importtime
+        module = __import__(f"{__name__}.{name}", fromlist=["run"])
+        module.add_arguments(_subcommand(sub, name, module.run, _SUMMARIES[name]))
+    return p
+
+
+def main(argv=None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    try:
+        return args.fn(args)
+    except ValueError as exc:  # UsageError included
+        print(f"berrybox: {exc}", file=sys.stderr)
+        return EXIT_USAGE

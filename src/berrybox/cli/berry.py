@@ -1,0 +1,162 @@
+"""`berrybox berry`: loop phases by one or more prescriptions (CSV [+ SVG])."""
+
+from __future__ import annotations
+
+import math
+import sys
+
+from ..boundary import as_eta
+from . import (EXIT_MISMATCH, EXIT_OK, UsageError, _add_loop, _csv, _float_list, _fmt, _linspace, _loop, _resolve,
+               _round9, _write_output, _write_resolved_config)
+
+_BERRY_METHODS = ("analytic", "interior", "mollified", "overlap")
+
+
+def add_arguments(sp):
+    sp.add_argument("--plot", default=None, help="write an SVG convergence plot to this path")
+    sp.add_argument("--tol", type=float, default=None, help="cross-method disagreement tolerance (exit 3 beyond it)")
+    sp.add_argument("--eta")
+    sp.add_argument("--n", type=int)
+    _add_loop(sp)
+    what = sp.add_mutually_exclusive_group()
+    what.add_argument("--method", help="comma list of analytic,interior,mollified,overlap or 'all'")
+    what.add_argument("--curvature-map", dest="method", action="store_const", const="curvature-map",
+                      help="sample f_lc over the loop bounding box")
+    sp.add_argument("--mesh", type=int)
+    sp.add_argument("--eps-list", type=_float_list)
+    sp.add_argument("--h", type=float, help="interior finite-difference step, relative to l/(1+|k|)")
+
+
+def _berry_phase_rows(m, path, methods, cfg):
+    """Per-method convergence rows, each method's final phase, the analytic
+    phase, and the (x, unrounded phases) of the overlap and mollified rows,
+    x being the mesh or 1/eps, which --plot draws."""
+    # the closed form and every oracle run on the standard library
+    from ..closed_form import loop_phase_analytic
+
+    rows, finals, curves = [], {}, {}
+    analytic = loop_phase_analytic(m, path)
+    if "analytic" in methods:
+        rows.append(("analytic", "", "", "", _fmt(analytic), ""))
+        finals["analytic"] = analytic
+    if "interior" in methods:
+        from ..berry import loop_phase_interior
+
+        h0 = cfg["h"] if cfg["h"] is not None else 1e-4
+        prev = None
+        for h in (h0, h0 / 2.0):
+            # the step is relative to l / (1 + |k|), the library's default scale
+            phase = loop_phase_interior(m, path, h)
+            err = "" if prev is None else _fmt(abs(phase - prev))
+            rows.append(("interior", "", "", _fmt(h), _fmt(phase), err))
+            prev = phase
+        finals["interior"] = prev
+    if "mollified" in methods:
+        from ..berry import loop_phase_mollified_sweep, power_law_extrapolate
+
+        eps_list = [float(e) for e in cfg["eps_list"]]
+        phases = loop_phase_mollified_sweep(m, path, eps_list)
+        rows.extend(("mollified", "", _fmt(eps), "", _fmt(phase), "") for eps, phase in zip(eps_list, phases))
+        limit, order = power_law_extrapolate(eps_list, phases)
+        # without a positive order the limit is the last sample, and the last step its error scale
+        err = abs(limit - phases[-1]) if order > 0 else abs(phases[-1] - phases[-2])
+        rows.append(("mollified", "", _fmt(0.0), "", _fmt(limit), _fmt(err)))
+        finals["mollified"] = limit
+        curves["mollified"] = ([1.0 / e for e in eps_list], phases)
+    if "overlap" in methods:
+        from ..berry import loop_phase_overlap_meshes
+
+        mesh = int(cfg["mesh"])
+        # floor of 16 keeps the internal half-mesh error estimate away from
+        # degenerate samplings where neighboring boxes stop overlapping
+        meshes = sorted({max(mesh // 4, 16), max(mesh // 2, 16), max(mesh, 16)})
+        results = loop_phase_overlap_meshes(m, path, meshes)
+        for res in results:
+            rows.append(("overlap", str(res.mesh), "", "", _fmt(res.phase), _fmt(res.err_estimate)))
+        finals["overlap"] = results[-1].phase
+        curves["overlap"] = (meshes, [res.phase for res in results])
+    return rows, finals, analytic, curves
+
+
+def run(args) -> int:
+    cfg = _resolve(args)
+    if args.tol is not None and not 0 <= args.tol < math.inf:
+        raise UsageError(f"--tol must be a finite number >= 0, not {args.tol}")
+    eta = as_eta(cfg["eta"])
+    if eta.degenerate:
+        raise UsageError("eta = +/-1 is degenerate; use the wz subcommand")
+    if cfg["mesh"] < 1:
+        raise UsageError("mesh must be a positive integer")
+    methods = list(_BERRY_METHODS)
+    if cfg["method"] not in ("all", "curvature-map"):
+        methods = [s.strip() for s in str(cfg["method"]).split(",")]
+        bad = [s for s in methods if s not in _BERRY_METHODS]
+        if bad:
+            raise UsageError(f"unknown berry method(s): {bad}")
+    from ..closed_form import curvature, mode
+
+    m = mode(int(cfg["n"]), eta)
+    path = _loop(cfg, args)
+
+    if cfg["method"] == "curvature-map":
+        if cfg["loop"]["type"] != "rectangle":
+            raise UsageError("the curvature map samples a rectangle loop's bounding box")
+        if args.plot or args.tol is not None:
+            raise UsageError("--plot and --tol apply to loop phases, not to the curvature map")
+        lo_l, hi_l = sorted((cfg["loop"]["l1"], cfg["loop"]["l2"]))
+        lo_c, hi_c = sorted((cfg["loop"]["c1"], cfg["loop"]["c2"]))
+        grid = int(cfg["mesh"]) if int(cfg["mesh"]) <= 64 else 5
+        ls, cs = _linspace(lo_l, hi_l, grid), _linspace(lo_c, hi_c, grid)
+        rows = [(_fmt(l), _fmt(c), _fmt(f)) for l, f in zip(ls, [curvature(m, l) for l in ls]) for c in cs]
+        _write_output(args.out, _csv("l,c,f_lc", rows))
+        _write_resolved_config(args.out, cfg)
+        return EXIT_OK
+
+    if "mollified" in methods:
+        from ..berry import require_geometric
+
+        try:
+            require_geometric(cfg["eps_list"])
+        except ValueError as exc:
+            raise UsageError(f"eps_list: {exc}") from None
+    if "interior" in methods and cfg["h"] is not None:
+        from ..berry import require_interior_step
+
+        require_interior_step(m, cfg["h"])  # ValueError: exit 2 before any output
+    rows, finals, analytic, curves = _berry_phase_rows(m, path, methods, cfg)
+    _write_output(args.out, _csv("method,mesh,eps,h,phase,err_est", rows))
+    _write_resolved_config(args.out, cfg)
+
+    if args.plot:
+        from .. import svgplot
+
+        # the errors of the 9-digit phases the CSV holds, floored at about half a
+        # unit of their last digit: the plot draws the CSV, not rounding noise
+        reference = _round9(analytic)
+        floor = 5e-9 * max(abs(reference), 1.0)
+        labels = {"overlap": "overlap |error|", "mollified": "mollified |error| vs 1/eps"}
+        series = [{"x": curves[k][0], "y": [max(abs(_round9(p) - reference), floor) for p in curves[k][1]],
+                   "label": label} for k, label in labels.items() if k in curves]
+        if not series:
+            series.append({"x": [1, 10], "y": [abs(reference)] * 2, "label": "analytic phase"})
+            svgplot.line_plot(series, title="loop phase", xlabel="mesh", ylabel="phase", path=args.plot)
+        else:
+            series.append({"x": series[0]["x"], "y": [floor] * len(series[0]["x"]),
+                           "label": "analytic reference", "dashed": True})
+            svgplot.line_plot(series, title="loop-phase convergence", xlabel="mesh / inverse width",
+                              ylabel="|phase - analytic|", path=args.plot, logx=True, logy=True)
+
+    if args.tol is not None:
+        # phases are defined mod 2 pi: compare each method with the analytic
+        # phase on the circle
+        devs = {k: abs(math.remainder(v - analytic, 2.0 * math.pi)) for k, v in finals.items() if k != "analytic"}
+        worst = max(devs.values(), default=0.0)
+        if worst > args.tol:
+            print(
+                f"oracle disagreement {worst:.3e} exceeds tolerance {args.tol:.3e} "
+                f"against analytic={analytic:.9e}: "
+                + ", ".join(f"{k}={finals[k]:.9e} (off by {d:.3e})" for k, d in devs.items()),
+                file=sys.stderr,
+            )
+            return EXIT_MISMATCH
+    return EXIT_OK

@@ -98,6 +98,18 @@ def alpha_of(eta) -> float:
     return cmath.phase((1.0 + eta.value) / (1.0 - eta.value))
 
 
+def _finite_wavenumber(k_of) -> float:
+    """The wavenumber k_of() of a level; ValueError where its index is beyond
+    the float range (too large to convert, or k = inf)."""
+    try:
+        k = k_of()
+    except OverflowError:
+        k = math.inf
+    if not math.isfinite(k):
+        raise ValueError("the level index is beyond the float range: its wavenumber is not finite")
+    return k
+
+
 def wavenumber(n: int, eta) -> float:
     """Closed-form wavenumber k_n = 2 n pi + 2 arctan|(1-eta)/(1+eta)|.
 
@@ -109,7 +121,7 @@ def wavenumber(n: int, eta) -> float:
         ratio = 1.0
     else:
         ratio = abs((1.0 - eta.value) / (1.0 + eta.value))
-    return 2.0 * math.pi * n + 2.0 * math.atan(ratio)
+    return _finite_wavenumber(lambda: 2.0 * math.pi * n + 2.0 * math.atan(ratio))
 
 
 class Mode:
@@ -172,11 +184,11 @@ def degenerate_wavenumber(eta: int, n: int) -> float:
     if eta == 1:
         if n < 1:
             raise ValueError("eta=+1 degenerate levels require n >= 1")
-        return 2.0 * math.pi * n
+        return _finite_wavenumber(lambda: 2.0 * math.pi * n)
     if eta == -1:
         if n < 0:
             raise ValueError("eta=-1 degenerate levels require n >= 0")
-        return (2 * n + 1) * math.pi
+        return _finite_wavenumber(lambda: (2 * n + 1) * math.pi)
     raise ValueError("degenerate basis exists only for eta = +1 or -1")
 
 

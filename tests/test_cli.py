@@ -16,6 +16,7 @@ import pytest
 import berrybox.adiabatic
 import berrybox.berry
 import berrybox.cli
+import berrybox.cli.adiabatic
 import berrybox.closed_form
 import berrybox.svgplot
 from berrybox import LoopPhaseResult, gauss_legendre
@@ -702,6 +703,21 @@ _NONFINITE_LOOPS = [
     pytest.param(["spectrum", "--eta", "1"], {"n": [1, 10 ** 160]}, id="spectrum-degenerate-config-n-160-digits"),
     # a 401-digit eta raised OverflowError in the library's parser
     pytest.param(["bc"], {"eta": 10 ** 400}, id="bc-config-eta-401-digits"),
+    # a 401-digit level raised OverflowError converting it to a wavenumber
+    # (exit 1 with a traceback); a level whose wavenumber is inf printed an
+    # analytic phase of inf (exit 0)
+    pytest.param(["berry", "--method", "analytic", "--n", str(10 ** 400)], None, id="berry-n-401-digits"),
+    pytest.param(["wz", "--eta", "1", "--n", str(10 ** 400)], None, id="wz-n-401-digits"),
+    pytest.param(["spectrum", "--n-min", str(10 ** 400), "--n-max", str(10 ** 400)], None,
+                 id="spectrum-n-401-digits"),
+    pytest.param(["spectrum", "--eta", "1", "--n-min", str(10 ** 400), "--n-max", str(10 ** 400)], None,
+                 id="spectrum-degenerate-n-401-digits"),
+    pytest.param(["berry", "--method", "analytic", "--n", str(3 * 10 ** 307)], None, id="berry-k-inf"),
+    # a window of 100000 asked numpy for 298 GiB (exit 1), one of 3000 ran
+    # for minutes
+    pytest.param(["adiabatic", "--window", str(berrybox.cli.adiabatic.MAX_WINDOW + 1), "--T-list", "2"], None,
+                 id="adiabatic-window-above-bound"),
+    pytest.param(["adiabatic"], {"window": 100000}, id="adiabatic-config-window-100000"),
     # a NaN entry used to pass the unitarity check with a RuntimeWarning
     pytest.param(["bc"], {"unitary": [[1, 0], [0, float("nan")]]}, id="bc-config-unitary-nan"),
 ])
@@ -820,13 +836,19 @@ def test_readme_commands_parse():
         parser.parse_args(words[1:])
 
 
-def test_readme_lists_each_subcommand_options_and_keys():
-    # the table rows read: | `name` | `--flag`, ... | `key`, ... |
+def _readme_table():
+    """{subcommand: [its flags, its config keys]} from README's table, whose
+    rows read: | `name` | `--flag`, ... | `key`, ... |"""
     rows = {}
     for line in _readme_command_section().splitlines():
         cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
         if len(cells) == 3 and cells[0].strip("`") in berrybox.cli._DEFAULTS:
             rows[cells[0].strip("`")] = [set(re.findall(r"`([^`]+)`", cell)) for cell in cells[1:]]
+    return rows
+
+
+def test_readme_lists_each_subcommand_options_and_keys():
+    rows = _readme_table()
     parser = berrybox.cli.build_parser()
     subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
     assert set(rows) == set(berrybox.cli._DEFAULTS)
@@ -834,3 +856,24 @@ def test_readme_lists_each_subcommand_options_and_keys():
         parsed = {s for a in subparsers[name]._actions for s in a.option_strings} - {"-h", "--help", "--config", "--out"}
         assert flags == parsed, name
         assert keys == set(berrybox.cli._DEFAULTS[name]), name
+
+
+def test_help_lists_every_subcommand_and_each_subcommand_its_flags(capsys):
+    # `berrybox --help` builds every subcommand; `berrybox CMD --help` builds
+    # CMD's alone, and lists exactly README's flags for it
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    listed = re.findall(r"^    (\w+) +\S", capsys.readouterr().out, re.M)
+    assert listed == list(berrybox.cli._DEFAULTS)
+    for name, (flags, _) in _readme_table().items():
+        parser = berrybox.cli.build_parser(name)
+        assert list(next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices) == [name]
+        with pytest.raises(SystemExit) as exc:
+            main([name, "--help"])
+        assert exc.value.code == 0
+        # an option line starts with two spaces; its flags precede the help text
+        options = [line.strip().split("  ")[0] for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("  -")]
+        shown = {flag for option in options for flag in re.findall(r"(?<![\w-])--?[a-zA-Z][\w-]*", option)}
+        assert shown - {"-h", "--help", "--config", "--out"} == flags, name

@@ -1,6 +1,8 @@
 """Importing the package, and every command, loads no scipy; none needs it.
 `import berrybox` loads no submodule and no numpy, and each command loads
-only the package modules it runs.  Only `adiabatic`, which runs on arrays,
+only the package modules it runs: of the CLI, the front `berrybox.cli` and
+the module of the one subcommand run, and never the boundary-triple
+identities, which no command runs.  Only `adiabatic`, which runs on arrays,
 loads numpy: `bc`, every usage error, `spectrum` (its generic check
 included), `wz` and every `berry` command (each method, --plot and the
 curvature map included) run on the standard library alone, and load neither
@@ -31,9 +33,9 @@ import importlib, json, pkgutil, sys
 import berrybox
 code = 0
 if sys.argv[1:] == ["--every-module"]:
-    for info in pkgutil.iter_modules(berrybox.__path__):
-        if info.name != "__main__":
-            importlib.import_module("berrybox." + info.name)
+    for info in pkgutil.walk_packages(berrybox.__path__, "berrybox."):
+        if not info.name.endswith(".__main__"):
+            importlib.import_module(info.name)
 elif sys.argv[1:]:
     from berrybox.cli import main
     try:
@@ -61,14 +63,21 @@ def _modules_after(*argv, prelude=""):
     return scipy, own, numpy, introspection
 
 
-def _own(*modules):
-    return sorted(["berrybox", "berrybox.boundary", "berrybox.cli"] + [f"berrybox.{m}" for m in modules])
+def _own(command, *modules):
+    """The package modules `command` loads: the CLI front and the command's
+    own module, `boundary`, and `modules`."""
+    return sorted(["berrybox", "berrybox.boundary", "berrybox.cli", f"berrybox.cli.{command}"]
+                  + [f"berrybox.{m}" for m in modules])
+
+
+_COMMANDS = ("bc", "spectrum", "berry", "wz", "adiabatic")
 
 
 def test_import_loads_no_scipy():
     scipy, own, *_ = _modules_after("--every-module")
     assert scipy == []
-    assert "berrybox.adiabatic" in own and "berrybox.svgplot" in own
+    assert {"berrybox.adiabatic", "berrybox.svgplot", "berrybox.boundary_triple"} <= set(own)
+    assert {f"berrybox.cli.{command}" for command in _COMMANDS} <= set(own)
 
 
 def test_import_loads_no_numpy():
@@ -94,17 +103,17 @@ _BC_FAMILY = "[[[-0.6, 0], [0.48, 0.64]], [[0.48, -0.64], [0.6, 0]]]"
 
 
 _POLYLINE = {"loop": {"type": "polyline", "points": [[1, 0], [1.3, 0.05], [1.1, 0.2]], "orientation": -1}}
-_CLOSED_FORMS = _own("closed_form", "paths")
-_ORACLES = _own("closed_form", "paths", "quadrature", "berry")
+_CLOSED_FORMS = _own("berry", "closed_form", "paths")
+_ORACLES = _own("berry", "closed_form", "paths", "quadrature", "berry")
 
 
 @pytest.mark.parametrize("argv, config, own, numpy", [
-    pytest.param(["bc", "--eta", "0+1i"], None, _own(), False, id="bc"),
-    pytest.param(["bc", "--unitary", "[[-1,0],[0,-1]]"], None, _own(), False, id="bc-unitary-named"),
-    pytest.param(["bc", "--unitary", _BC_FAMILY], None, _own(), False, id="bc-unitary-family"),
+    pytest.param(["bc", "--eta", "0+1i"], None, _own("bc"), False, id="bc"),
+    pytest.param(["bc", "--unitary", "[[-1,0],[0,-1]]"], None, _own("bc"), False, id="bc-unitary-named"),
+    pytest.param(["bc", "--unitary", _BC_FAMILY], None, _own("bc"), False, id="bc-unitary-family"),
     pytest.param(["spectrum", "--eta", "0.5+0.5i", "--n-min", "-1", "--n-max", "2"], None,
-                 _own("closed_form"), False, id="spectrum"),
-    pytest.param(["spectrum", "--eta", "1", "--n-max", "2"], None, _own("closed_form"), False,
+                 _own("spectrum", "closed_form"), False, id="spectrum"),
+    pytest.param(["spectrum", "--eta", "1", "--n-max", "2"], None, _own("spectrum", "closed_form"), False,
                  id="spectrum-degenerate"),
     pytest.param(["berry", "--eta", "0+1i", "--method", "analytic"], None, _CLOSED_FORMS, False, id="berry"),
     pytest.param(["berry", "--eta", "0.3+0.6i", "--n", "1", "--method", "analytic"], _POLYLINE, _CLOSED_FORMS,
@@ -114,15 +123,15 @@ _ORACLES = _own("closed_form", "paths", "quadrature", "berry")
     pytest.param(["berry", "--eta", "0.3+0.6i", "--n", "2", "--curvature-map", "--mesh", "5"], None,
                  _CLOSED_FORMS, False, id="curvature-map"),
     pytest.param(["spectrum", "--eta", "0+1i", "--n-max", "1", "--check", "generic"], None,
-                 _own("closed_form", "spectrum"), False, id="spectrum-generic"),
+                 _own("spectrum", "closed_form", "spectrum"), False, id="spectrum-generic"),
     pytest.param(["spectrum", "--eta", "0.3+0.6i", "--n-min", "-3", "--n-max", "3", "--check", "generic"], None,
-                 _own("closed_form", "spectrum"), False, id="spectrum-generic-negative-levels"),
+                 _own("spectrum", "closed_form", "spectrum"), False, id="spectrum-generic-negative-levels"),
     pytest.param(["wz", "--eta", "1", "--n", "1", "--mesh", "16"], None,
-                 _own("closed_form", "paths", "wilczek_zee"), False, id="wz"),
+                 _own("wz", "closed_form", "paths", "wilczek_zee"), False, id="wz"),
     pytest.param(["wz", "--eta", "-1", "--n", "2", "--mesh", "16"], _POLYLINE,
-                 _own("closed_form", "paths", "wilczek_zee"), False, id="wz-polyline"),
+                 _own("wz", "closed_form", "paths", "wilczek_zee"), False, id="wz-polyline"),
     pytest.param(["adiabatic", "--eta", "0+1i", "--T-list", "2", "--window", "2", "--resolution", "100"], None,
-                 _own("closed_form", "paths", "adiabatic"), True, id="adiabatic"),
+                 _own("adiabatic", "closed_form", "paths", "adiabatic"), True, id="adiabatic"),
     pytest.param(["berry", "--eta", "0+1i", "--method", "overlap", "--mesh", "16"], None, _ORACLES, False,
                  id="berry-overlap"),
     pytest.param(["berry", "--eta", "0.3+0.6i", "--n", "1", "--method", "all", "--mesh", "16"], None, _ORACLES,
@@ -135,7 +144,8 @@ _ORACLES = _own("closed_form", "paths", "quadrature", "berry")
 ])
 def test_command_loads_no_scipy(tmp_path, argv, config, own, numpy):
     # each command also loads only the berrybox modules it runs, and numpy
-    # as listed: for adiabatic alone.  The package's records are plain
+    # as listed: for adiabatic alone.  Of the CLI it loads the front and its
+    # own module, never another command's, nor the boundary-triple module.  The package's records are plain
     # classes and namedtuples, so no command loads dataclasses or inspect
     # but adiabatic, where numpy itself loads inspect
     argv = [str(tmp_path / a) if a.endswith(".svg") else a for a in argv]
@@ -145,11 +155,13 @@ def test_command_loads_no_scipy(tmp_path, argv, config, own, numpy):
     scipy, loaded, numpy_loaded, introspection = _modules_after(*argv, "--out", str(tmp_path / "out"))
     assert (scipy, loaded, numpy_loaded) == ([], own, numpy)
     assert numpy or introspection == []
+    assert [m for m in loaded if m.startswith("berrybox.cli.") or m == "berrybox.boundary_triple"] == \
+        [f"berrybox.cli.{argv[0]}"]
 
 
 # the usage errors of the benchmark's quick workload, and an option argparse
-# rejects: each exits 2 having loaded only `boundary` and `cli`, and no numpy,
-# dataclasses or inspect
+# rejects: each exits 2 having loaded only `boundary`, the CLI front and the
+# command's own module, and no numpy, dataclasses or inspect
 @pytest.mark.parametrize("argv", [
     ["berry", "--eta", "1", "--n", "0"],
     ["wz", "--eta=0.3000+0.5000i", "--n", "1"],
@@ -161,8 +173,17 @@ def test_command_loads_no_scipy(tmp_path, argv, config, own, numpy):
 ], ids=["berry-degenerate", "wz-nondegenerate", "spectrum-empty-range", "berry-method", "adiabatic-degenerate",
         "bc-nonunitary", "argparse"])
 def test_usage_error_loads_no_numpy(tmp_path, argv):
-    assert _run_probe(_PROBE, *argv, "--out", str(tmp_path / "out")) == [2, [], _own(), False, []]
+    assert _run_probe(_PROBE, *argv, "--out", str(tmp_path / "out")) == [2, [], _own(argv[0]), False, []]
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [["bcc", "--eta", "1"], ["--no-such-option"]], ids=["misspelt", "option"])
+def test_usage_error_without_a_command_loads_no_library_module(tmp_path, argv):
+    # argparse rejects these before any subcommand runs: the parser holds
+    # every subcommand's flags, so each command module loads, and nothing
+    # they would run
+    own = sorted(["berrybox", "berrybox.boundary", "berrybox.cli"] + [f"berrybox.cli.{c}" for c in _COMMANDS])
+    assert _run_probe(_PROBE, *argv, "--out", str(tmp_path / "out")) == [2, [], own, False, []]
 
 
 @pytest.mark.parametrize("argv", [
@@ -173,7 +194,7 @@ def test_berry_checks_its_options_before_any_work(tmp_path, argv):
     # an unknown method or a mesh below 1 exits 2 before the level or the
     # loop is built: only the modules that parse the options are loaded
     probe = _run_probe(_PROBE, "berry", "--eta", "0+1i", *argv, "--out", str(tmp_path / "out"))
-    assert probe == [2, [], _own(), False, []]
+    assert probe == [2, [], _own("berry"), False, []]
     assert not (tmp_path / "out").exists()
 
 
@@ -187,10 +208,12 @@ def test_generic_check_runs_without_scipy(tmp_path):
 # the names the package exported when it imported every submodule eagerly,
 # less those since deleted or moved to the tests' `array_rules`, with the
 # plane-wave names and the standard-library rules added, under the module
-# that defines each now, in dependency order
+# that defines each now (the boundary-triple identities moved out of
+# `boundary`), in dependency order
 _EXPORTED = {
-    "boundary": "ETA_INF BCClass BoundaryData Eta as_eta bc_residual boundary_form boundary_traces "
-                "classify_unitary compliant_data dilation_transport eta_to_unitary triple_identity_defect",
+    "boundary": "ETA_INF BCClass Eta as_eta classify_unitary eta_to_unitary",
+    "boundary_triple": "BoundaryData bc_residual boundary_form boundary_traces compliant_data dilation_transport "
+                       "triple_identity_defect",
     "quadrature": "gauss_legendre panel_nodes",
     "closed_form": "DegenerateEtaError Geometry Mode PlaneWaves alpha_of connection_analytic curvature "
                    "degenerate_wavenumber degenerate_waves eigenvalue loop_phase_analytic mode wavenumber "
