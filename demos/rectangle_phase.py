@@ -66,7 +66,7 @@ def main(svg_path=None):
                  "label": "second-order reference", "dashed": True},
             ],
             title="overlap loop-phase convergence",
-            xlabel="mesh points",
+            xlabel="mesh (links around the loop)",
             ylabel="|phase - closed form|",
             path=svg_path,
             logx=True,

@@ -71,9 +71,8 @@ def __getattr__(name):
     # an unknown name (a submodule not yet imported, say) imports nothing
     if name not in _MODULE_OF:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from importlib import import_module
-
-    value = getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
+    # an import through __import__, unlike importlib's, shows in -X importtime
+    value = getattr(__import__(f"{__name__}.{_MODULE_OF[name]}", fromlist=[name]), name)
     globals()[name] = value  # later reads bypass this hook
     return value
 

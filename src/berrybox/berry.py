@@ -29,7 +29,9 @@ l^-1/2 phi((x - c)/l), and a prescription whose regulator scales with the box
 oracle therefore takes only the mode and its relative regulator and returns
 F = l a, the connection at the unit box, integrated in the box coordinate
 u = (x - c)/l where no box enters; around a closed loop every phase is -F_c
-times the closed-form loop integral of dc/l.
+times the closed-form loop integral of dc/l.  The overlap of two states, too,
+depends only on (l'/l, (c' - c)/l), so along a side sampled geometrically in
+l every neighbour overlap is one number and a chain costs one per side.
 Loop phases follow the convention Phi = i * contour integral of <psi|d psi>;
 for the counterclockwise axis-aligned rectangle [l1, l2] x [c1, c2] this
 gives Phi = k (1/l1 - 1/l2)(c2 - c1) sin(alpha).
@@ -39,6 +41,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from collections import namedtuple
 
 from .closed_form import Mode, _require_closed, curvature, loop_phase_analytic, window_integral
@@ -210,47 +213,43 @@ LoopPhaseResult.__doc__ = "Discrete loop phase with its mesh and a mesh-halving 
 
 
 def _chain_phase(m: Mode, path: ParameterPath, n: int) -> float:
-    """-Arg prod_j <psi(p_j)|psi(p_j+1)> over the closed chain of the n points
-    p_j = path(j/n), as one running product of unit factors."""
-    first = a = path.point(0.0)
-    product = 1.0 + 0.0j
-    for j in range(1, n + 1):
-        b = path.point(j / n) if j < n else first
-        ov = state_overlap(m, a.l, a.c, b.l, b.c)
+    """-Arg prod_j <psi(p_j)|psi(p_j+1)> over a closed chain of n links,
+    lifted: the sides share them in vertex order (n // sides each, one more
+    for the first n % sides, at least one), sampled geometrically in l with c
+    linear in l, or uniformly in c where l is constant, so that by dilation
+    covariance a side's N links are one overlap at the unit box, and the side
+    adds -N Arg of it."""
+    sides, total = len(path.segments), 0.0
+    for i, ((l0, c0), (l1, c1)) in enumerate(path.segments):
+        links, dl, dc = max(n // sides + (i < n % sides), 1), l1 - l0, c1 - c0
+        # l_j+1 / l_j - 1, to which (l1/l0) ** (1/N) - 1 loses digits as dl -> 0
+        g = math.expm1(math.log1p(dl / l0) / links)
+        ov = state_overlap(m, 1.0, 0.0, 1.0 + g, dc / (l0 * links) if dl == 0 else (dc / dl) * g)
         size = abs(ov)
         if size < 1e-6:
             raise MeshTooCoarseError(f"neighboring states overlap only |<.|.>| = {size:.2e}; refine the mesh")
-        product *= ov / size
-        a = b
-    return -cmath.phase(product)
+        total -= links * cmath.phase(ov)
+    return path.orientation * total
 
 
 def loop_phase_overlap_meshes(m: Mode, path: ParameterPath, meshes) -> list[LoopPhaseResult]:
     """Gauge-invariant discrete loop phases from neighboring-state overlaps,
     one per mesh in `meshes`, in the order given.
 
-    The path is sampled at `mesh` points p_j and the phase is
+    The loop is sampled at `mesh` links and the phase is the lifted
     -Arg prod_j <psi(p_j)|psi(p_j+1)>; multiplying any sampled state by a
     phase cancels between the two factors it enters, so the product is
-    exactly gauge invariant.  The error estimate compares against the
-    half-mesh evaluation.
-
-    Each mesh needs the chains at `mesh` and `mesh // 2`; a chain shared
-    between meshes (the half mesh of one is often another mesh) is
-    evaluated once, so [64, 128, 256] costs the 32-, 64-, 128- and 256-point
-    chains.  Chains are evaluated mesh by mesh in the order given, so the
-    first too-coarse chain raises the error.
+    exactly gauge invariant.  A chain costs one overlap per side at any
+    mesh.  The error estimate compares, on the circle, against the half-mesh
+    chain.  Chains run mesh by mesh in the order given, so the first
+    too-coarse chain raises the error.
     """
     _require_closed(path)
-    if any(mesh < 8 for mesh in meshes):
-        raise ValueError("mesh must be at least 8")
-    chains = {}
-    for n in (n for mesh in meshes for n in (mesh, mesh // 2)):
-        if n not in chains:
-            chains[n] = _chain_phase(m, path, n)
-    return [LoopPhaseResult(phase=chains[mesh], mesh=mesh,
-                            err_estimate=abs(cmath.phase(cmath.exp(1j * (chains[mesh] - chains[mesh // 2])))))
-            for mesh in meshes]
+    if any(not 8 <= mesh <= sys.float_info.max for mesh in meshes):
+        raise ValueError("mesh must be at least 8 and within the float range")
+    chains = [(mesh, _chain_phase(m, path, mesh), _chain_phase(m, path, mesh // 2)) for mesh in meshes]
+    return [LoopPhaseResult(phase=phase, mesh=mesh, err_estimate=abs(cmath.phase(cmath.exp(1j * (phase - half)))))
+            for mesh, phase, half in chains]
 
 
 # ---------------------------------------------------------------------------

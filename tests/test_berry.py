@@ -40,6 +40,7 @@ from berrybox import (
     weak_form_matrix,
     window_integral,
 )
+import berrybox.berry
 from berrybox.berry import _chain_phase
 from berrybox.closed_form import PlaneWaves
 from berrybox.spectrum import _residual_matrix, _secular_parts
@@ -625,18 +626,88 @@ def test_interior_step_bound_is_relative():
     assert loop_phase_interior(m, RECT, 0.64) == pytest.approx(np.pi / 4.0, abs=0.1)
 
 
+def _side_samples(path, n):
+    """The chain's boxes as explicit (l, c) points, one list per side in vertex
+    order: each side takes n // sides links (the first n % sides one more, at
+    least one), sampled geometrically in l with c linear in l, or uniformly
+    in c where l is constant.  The fraction t_j = (l_j - l0)/dl is formed
+    with expm1 and log1p, so that a side with a tiny dl keeps its c steps."""
+    sides = len(path.segments)
+    for i, ((l0, c0), (l1, c1)) in enumerate(path.segments):
+        links = max(n // sides + (i < n % sides), 1)
+        dl, dc = l1 - l0, c1 - c0
+        ts = [j / links if dl == 0 else math.expm1(j / links * math.log1p(dl / l0)) / (dl / l0)
+              for j in range(links + 1)]
+        yield [Geometry(l0 + dl * t, c0 + dc * t) for t in ts[:-1]] + [Geometry(l1, c1)]
+
+
 def test_overlap_chains_match_scalar_overlaps():
     rng = np.random.default_rng(3102)
     for j in range(12):
         m = _drawn_mode(rng, j, 12)
         path = _drawn_loop(rng, m)
         for n in (8, 17, 64):
-            pts = [path.point(i / n) for i in range(n)] + [path.point(0.0)]
+            pts = [g for side in _side_samples(path, n) for g in side[:-1]]
+            pts = (pts + pts[:1])[::path.orientation]
             prod = 1.0 + 0.0j
             for a, b in zip(pts[:-1], pts[1:]):
                 ov = _overlap(m, a, b)
                 prod *= ov / abs(ov)
             assert abs(np.angle(np.exp(1j * (_chain_phase(m, path, n) + np.angle(prod))))) < 1e-13, (m, path, n)
+
+
+def _spy_overlaps(monkeypatch):
+    """The list of the overlaps the chain computes, one entry per call."""
+    links = []
+    real = berrybox.berry.state_overlap
+
+    def spied(*args):
+        links.append(real(*args))
+        return links[-1]
+
+    monkeypatch.setattr(berrybox.berry, "state_overlap", spied)
+    return links
+
+
+def test_chain_computes_one_overlap_per_side(monkeypatch):
+    links = _spy_overlaps(monkeypatch)
+    pentagon = polyline_path([(1.0, 0.0), (1.4, 0.1), (1.5, 0.4), (1.2, 0.6), (0.9, 0.3)], close=True)
+    for path in (RECT, pentagon):
+        for n in (16, 2 ** 20):
+            links.clear()
+            _chain_phase(mode(1, 0.3 + 0.6j), path, n)
+            assert len(links) == len(path.segments), (path, n)
+
+
+def test_every_neighbour_overlap_on_a_side_is_its_unit_box_link(monkeypatch):
+    # dilation covariance: <psi(l, c)|psi(l', c')> depends only on l'/l and
+    # (c' - c)/l, and along a geometric side both are constant
+    links = _spy_overlaps(monkeypatch)
+    rng = np.random.default_rng(3112)
+    for j in range(12):
+        m = _drawn_mode(rng, j, 12)
+        path = _drawn_loop(rng, m, polyline=True)
+        for n in (16, 61):
+            links.clear()
+            _chain_phase(m, path, n)
+            for link, side in zip(links, _side_samples(path, n), strict=True):
+                assert all(abs(_overlap(m, a, b) - link) < 1e-13 for a, b in zip(side[:-1], side[1:])), (m, path)
+
+
+def test_chain_link_keeps_its_precision_as_dl_goes_to_zero():
+    # a side with dl = 1e-12 l and dc = l: the ratio (l1/l0) ** (1/N) - 1
+    # cancels to a few digits (to none at all at 2^22 links), which put the
+    # chain at n = 1, eta = 0.3+0.6i off by 0.16 rad at mesh 1024 and 6.75 rad
+    # at 2^22; expm1 and log1p keep the step's digits, and the side tends to
+    # its dl = 0 twin
+    near = polyline_path([(1.0, 0.0), (1.0 + 1e-12, 1.0), (2.0, 1.0), (2.0, 0.0)], close=True)
+    rect = polyline_path([(1.0, 0.0), (1.0, 1.0), (2.0, 1.0), (2.0, 0.0)], close=True)
+    for m in (mode(0, 1j), mode(1, 0.3 + 0.6j), mode(-3, 2.0 - 1.0j)):
+        for n in (1024, 2 ** 22):
+            assert abs(_chain_phase(m, near, n) - _chain_phase(m, rect, n)) < 1e-10, (m, n)
+    # on the circle the rectangle's chain is exact, and so the near one meets its closed form
+    m = mode(0, 1j)
+    assert abs(_chain_phase(m, near, 2 ** 22) - loop_phase_analytic(m, near)) < 1e-9
 
 
 @pytest.mark.parametrize("n, eta_abs", [(1, 0.67), (3, 2.24), (-2, 1.0)])
@@ -755,8 +826,8 @@ def _eta_on_circle(rng, modulus):
 def test_overlap_chain_is_exact_on_circle_rectangles():
     # |psi(a)| = |eta| |psi(b)|: at |eta| = 1 both walls carry one density,
     # and along axis-aligned sides the chain's phase is exact up to the
-    # rounding of a product of up to 256 unit factors (1.8e-15 at worst over
-    # 300 draws)
+    # rounding of each side's -N Arg of its one link, which grows with the
+    # side's phase (2.6e-15 at worst over these draws, 4.5e-15 over 300)
     rng = np.random.default_rng(3109)
     for j in range(24):
         m = mode(int(rng.integers(-10, 11)), _eta_on_circle(rng, 1.0))
@@ -790,26 +861,29 @@ def test_overlap_chain_is_first_order_on_sloped_sides():
 
 def test_too_coarse_mesh_raises_on_the_first_coarse_chain():
     # the chains run in the order loop_phase_overlap would run them mesh by
-    # mesh; the error names the first too-small overlap of the first chain
-    # that has one, as the pair-by-pair route finds it.  On the last side the
-    # 16-point chain steps c by l1 - w0 while l grows by up to delta, so its
-    # boxes share windows of distinct widths near w0 and the 8-point chain's
-    # boxes are disjoint
+    # mesh; the error names the link of the first side that has a too-small
+    # one, in vertex order, as the explicit neighbour overlaps find it.  The
+    # two sloped sides of the 16-link chain step c by about l1 - w0 while l
+    # grows by a few w0, so their boxes share windows near w0, of distinct
+    # widths on the two sides; the 8-link chain's boxes are disjoint
     rng = np.random.default_rng(3104)
     for j in range(8):
         m = mode(int(rng.integers(-3, 4)), complex(*rng.uniform(-1.5, 1.5, 2)))
         l1, w0 = rng.uniform(0.5, 2.0), 10.0 ** rng.uniform(-9.0, -8.0)
-        delta, c2 = rng.uniform(1.0, 4.0) * w0, 4.0 * (l1 - w0)
-        verts = [(l1, 0.0), (1.3 * l1, 0.0), (1.3 * l1, c2), (l1 + delta, c2), (l1, 0.0)]
+        d1, d2, c2 = rng.uniform(1.0, 4.0) * w0, rng.uniform(1.0, 4.0) * w0, 4.0 * (l1 - w0)
+        verts = [(l1, 0.0), (l1 + d1, c2), (l1 + d1 + d2, 0.0), (1.3 * l1, 0.0), (l1, 0.0)]
         path = ParameterPath(verts, orientation=int(rng.choice([1, -1])))
         expected = None
         for n in (16, 8):
-            pts = [path.point(i / n) for i in range(n)] + [path.point(0.0)]
-            small = [abs(ov) for ov in (_overlap(m, a, b) for a, b in zip(pts[:-1], pts[1:])) if abs(ov) < 1e-6]
+            small = [[abs(_overlap(m, a, b)) for a, b in zip(side[:-1], side[1:])] for side in _side_samples(path, n)]
+            small = [side for side in small if max(side) < 1e-6]
             if small:
-                expected = f"|<.|.>| = {small[0]:.2e}"
+                expected = f"|<.|.>| = {small[0][0]:.2e}"
                 break
-        assert expected is not None and small[0] > 0.0 and len(set(f"{v:.2e}" for v in small)) > 1
+        assert expected is not None and small[0][0] > 0.0 and len(small) == 2
+        # each side's links are one number, and the two sides' differ
+        assert all(len({f"{v:.2e}" for v in side}) == 1 for side in small)
+        assert f"{small[0][0]:.2e}" != f"{small[1][0]:.2e}"
         with pytest.raises(MeshTooCoarseError, match=re.escape(expected)):
             loop_phase_overlap_meshes(m, path, [16])
 

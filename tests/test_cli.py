@@ -250,8 +250,11 @@ def test_berry_tol_zero_is_the_strictest_valid_tolerance(tmp_path):
     assert run("berry", "--method", "analytic", "--tol", "0", "--out", str(tmp_path / "b.csv")) == 0
 
 
-def test_berry_tol_compares_phases_on_the_circle(tmp_path):
-    # overlap and analytic differ by 6 pi at n = 5; the raw spread exited 3
+def test_berry_tol_compares_phases_on_the_circle(tmp_path, monkeypatch):
+    # the chain shifted by 6 pi, as the chain reduced to (-pi, pi] was at
+    # n = 5: the raw spread exited 3
+    real = berrybox.berry._chain_phase
+    monkeypatch.setattr(berrybox.berry, "_chain_phase", lambda m, path, n: real(m, path, n) + 6.0 * np.pi)
     out = tmp_path / "berry.csv"
     assert run("berry", "--n", "5", "--method", "all", "--tol", "1e-3", "--out", str(out)) == 0
     _, rows = read_csv(out)
@@ -322,9 +325,8 @@ def test_berry_plot(tmp_path):
     assert "polyline" in text and "</svg>" in text
 
 
-def test_berry_plot_small_mesh_draws_table_meshes(tmp_path, monkeypatch):
-    # the plot used to floor its meshes at 8, below the table's 16, and the
-    # 8-point half mesh of the tall loop has no neighbour overlap
+def _drawn_series(monkeypatch):
+    """The list of the series lists `svgplot.line_plot` draws, one entry per plot."""
     drawn = []
     real = berrybox.svgplot.line_plot
 
@@ -333,6 +335,13 @@ def test_berry_plot_small_mesh_draws_table_meshes(tmp_path, monkeypatch):
         return real(series, **kwargs)
 
     monkeypatch.setattr(berrybox.svgplot, "line_plot", capture)
+    return drawn
+
+
+def test_berry_plot_small_mesh_draws_table_meshes(tmp_path, monkeypatch):
+    # the plot used to floor its meshes at 8, below the table's 16, and the
+    # 8-point half mesh of the tall loop has no neighbour overlap
+    drawn = _drawn_series(monkeypatch)
     out, svg = tmp_path / "b.csv", tmp_path / "b.svg"
     assert run("berry", "--n", "0", "--method", "analytic,overlap", "--mesh", "12",
                "--loop-rect", "1.0", "1.2", "0.0", "1.5", "--out", str(out), "--plot", str(svg)) == 0
@@ -341,6 +350,19 @@ def test_berry_plot_small_mesh_draws_table_meshes(tmp_path, monkeypatch):
     assert meshes == [16]
     assert [s["x"] for s in drawn[0] if s["label"] == "overlap |error|"] == [meshes]
     assert svg.read_text(encoding="utf-8").rstrip().endswith("</svg>")
+
+
+def test_berry_plot_draws_overlap_errors_on_the_analytic_branch(tmp_path, monkeypatch):
+    # the phase is 3.376, above pi: the chain reduced to (-pi, pi] wrote
+    # -2.84 to -2.90 and drew errors of 6.21, 6.26 and 6.28, exiting 0
+    drawn = _drawn_series(monkeypatch)
+    out, svg = tmp_path / "b.csv", tmp_path / "b.svg"
+    assert run("berry", "--eta=0.3+0.6i", "--n", "1", "--method", "analytic,overlap", "--plot", str(svg),
+               "--tol", "1e-2", "--out", str(out)) == 0
+    _, rows = read_csv(out)
+    assert float(rows[0][4]) > np.pi
+    [errors] = [s["y"] for s in drawn[0] if s["label"] == "overlap |error|"]
+    assert len(errors) == 3 and max(errors) < 0.1
 
 
 def _count_calls(monkeypatch, owner, attr, counter):
@@ -369,9 +391,9 @@ def test_berry_plot_reuses_table_phases(tmp_path, monkeypatch):
     assert counts[0] == counts[1]
     # the interior phase at h and h/2, one mollified sweep that integrates
     # the embedding once per width, in the box coordinate, for all four sides,
-    # and the overlap chains at 8, 16, 32 and 64 points
+    # and the overlap chains at 16, 32 and 64 links with their half meshes
     assert counts[0] == {"loop_phase_interior": 2, "loop_phase_mollified_sweep": 1,
-                         "connection_mollified": 4, "_chain_phase": 4}
+                         "connection_mollified": 4, "_chain_phase": 6}
 
 
 def test_berry_plot_draws_the_csv_digits(tmp_path, monkeypatch):
@@ -713,6 +735,10 @@ _NONFINITE_LOOPS = [
     pytest.param(["spectrum", "--eta", "1", "--n-min", str(10 ** 400), "--n-max", str(10 ** 400)], None,
                  id="spectrum-degenerate-n-401-digits"),
     pytest.param(["berry", "--method", "analytic", "--n", str(3 * 10 ** 307)], None, id="berry-k-inf"),
+    # a 401-digit mesh never finished walking the loop point by point, and
+    # overflowed converting the links per side to a float
+    pytest.param(["berry", "--method", "overlap", "--mesh", str(10 ** 400)], None, id="berry-mesh-401-digits"),
+    pytest.param(["berry", "--method", "all"], {"mesh": 10 ** 400}, id="berry-config-mesh-401-digits"),
     # a window of 100000 asked numpy for 298 GiB (exit 1), one of 3000 ran
     # for minutes
     pytest.param(["adiabatic", "--window", str(berrybox.cli.adiabatic.MAX_WINDOW + 1), "--T-list", "2"], None,

@@ -97,6 +97,18 @@ for name in ("cli", "spectrum", "no_such_name"):
     assert _modules_after(prelude=prelude) == ([], ["berrybox"], False, [])
 
 
+def test_namespace_reads_show_their_imports_in_importtime():
+    # the namespace loaded submodules through importlib, which -X importtime
+    # does not log: `berrybox.mode` loaded berrybox.closed_form unlisted
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    code = "import berrybox; berrybox.mode; berrybox.polyline_path"
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    # the last column of each line names the module loaded
+    logged = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+    assert {"berrybox", "berrybox.closed_form", "berrybox.paths"} <= logged
+
+
 # the 2x2 matrices of the benchmark's bc commands: a named one, and a family
 # member's entries as [re, im] pairs at full precision
 _BC_FAMILY = "[[[-0.6, 0], [0.48, 0.64]], [[0.48, -0.64], [0.6, 0]]]"
