@@ -13,36 +13,19 @@ overlap of two of them, over any window, is one closed form
 (`window_integral`).
 
 The namespace loads on demand (PEP 562): `import berrybox` imports no
-submodule and no numpy, and the first read of a public name such as
-`berrybox.mode` imports the submodule that defines it.  So each `berrybox`
-command loads only the modules it runs, and numpy only with `adiabatic`, the
-one module that runs on arrays.  Each loads `boundary`, the CLI front `cli`
-and its own module of the CLI (`cli.bc`, `cli.spectrum`, ...), never
-another command's: `bc` loads no more; `spectrum` adds `closed_form`, and
-`spectrum` for --check generic; every `berry` command adds `closed_form` and
-`paths`, with `quadrature` and `berry` for the oracles and `svgplot` for
---plot; `wz` adds `closed_form`, `paths` and `wilczek_zee`; all of them on
-the standard library.  `adiabatic` adds `closed_form`, `paths` and
-`adiabatic`, with numpy.  No command loads the boundary-triple identities
-(`boundary_triple`).
+submodule, and the first read of a public name such as `berrybox.mode`
+imports the submodule that defines it.  So each `berrybox` command loads
+only the modules it runs, all of them on the standard library: no module
+of the package imports numpy or scipy.  Each loads `boundary`, the CLI
+front `cli` and its own module of the CLI (`cli.bc`, `cli.spectrum`, ...),
+never another command's: `bc` loads no more; `spectrum` adds `closed_form`,
+and `spectrum` for --check generic; every `berry` command adds
+`closed_form` and `paths`, with `quadrature` and `berry` for the oracles
+and `svgplot` for --plot; `wz` adds `closed_form`, `paths` and
+`wilczek_zee`; `adiabatic` adds `closed_form`, `paths` and `adiabatic`,
+whose eigensolver is Householder reduction and implicit QL on tuples of
+rows.  No command loads the boundary-triple identities (`boundary_triple`).
 """
-
-import os as _os
-import sys as _sys
-
-# One BLAS thread unless the caller chose otherwise.  The hot linear algebra
-# is stacked eigh of at most 33x33 Hamiltonians, where OpenBLAS's default pool
-# buys no wall time and busy-waits on every other core.  Measured on 2 cores,
-# OpenBLAS 0.3.31 (BENCH_one_blas_thread.json): the `adiabatic` benchmark
-# workload's calibrated CPU time falls 37% (median of 10 alternating pairs)
-# at the same wall time, with byte-identical outputs; beside another numpy
-# process the pooled adiabatic acceptance test took 41-56 s instead of 3.3 s.
-# OpenBLAS reads the variables when numpy loads it, so this runs before any
-# submodule imports numpy and not at all once numpy is loaded.
-if "numpy" not in _sys.modules and not any(
-    v in _os.environ for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-):
-    _os.environ["OPENBLAS_NUM_THREADS"] = _os.environ["MKL_NUM_THREADS"] = "1"
 
 # each submodule's public names: its __all__, which tests/test_imports.py
 # checks they equal
@@ -61,7 +44,7 @@ _EXPORTS = {
              "power_law_extrapolate require_geometric require_interior_step",
     "wilczek_zee": "SIGMA2 ConnectionCheckError MatrixConnection Holonomy wz_connection connection_from_basis "
                    "wz_curvature wz_holonomy diagonalize_in_plane_waves",
-    "adiabatic": "Schedule PhaseReport mode_window weak_form_matrix generator propagate",
+    "adiabatic": "Schedule PhaseReport mode_window weak_form_matrix generator eigh propagate",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 __all__ = list(_MODULE_OF)

@@ -18,27 +18,35 @@ time tau = Int dt / l^2 the equation becomes
 
     i d psi/dtau = [ p^2/(2 m) - kappa (x o p) - (l cdot) p ] psi,
 
-with a generator constant on the side, so one eigh evolves the whole side
-exactly as V exp(-i Lambda tau_side) V^H, where tau_side = ln(l1/l0)/kappa,
-or T_side/l^2 at constant l: no time step and no step error.  This is the
-scaling and time change used for expanding boxes (Berry and Klein,
-J. Phys. A 17, 1805 (1984)); the adiabatic limit, and with it the geometric
-phase, does not depend on the speed profile.
+with a generator constant on the side, so one eigendecomposition evolves the
+whole side exactly as V exp(-i Lambda tau_side) V^H, where
+tau_side = ln(l1/l0)/kappa, or T_side/l^2 at constant l: no time step and no
+step error.  This is the scaling and time change used for expanding boxes
+(Berry and Klein, J. Phys. A 17, 1805 (1984)); the adiabatic limit, and with
+it the geometric phase, does not depend on the speed profile.
 
 The operators are truncated to a symmetric window of static eigenmodes.  The
 p and x o p blocks take the symmetrized (weak) form
 -(i/2) Int (conj(phi) phi' - conj(phi)' phi), Hermitian for every boundary
 parameter and equal to <phi|-i phi'> when |eta| = 1; each eigenfunction is
 two plane waves, so the blocks are built in closed form, once per window.
+
+Everything runs on the standard library, every matrix a tuple of rows of
+complex numbers.  The eigendecomposition (`eigh`) is the textbook one for a
+dense Hermitian matrix: Householder reduction to a tridiagonal, a diagonal
+phase that makes it real, and implicit-shift QL on that (Wilkinson and
+Reinsch, Handbook for Automatic Computation II, 1971; Golub and Van Loan,
+Matrix Computations, 8.3).  V is kept as its factors and applied to the few
+vectors a side needs, never formed.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from collections import namedtuple
-
-import numpy as np
+from operator import mul
 
 from .closed_form import Mode, eigenvalue, mode
 from .paths import ParameterPath
@@ -49,13 +57,19 @@ __all__ = [
     "mode_window",
     "weak_form_matrix",
     "generator",
+    "eigh",
     "propagate",
 ]
 
+# implicit QL sweeps allowed per eigenvalue, as in EISPACK's tql2; it takes
+# one to three
+QL_SWEEPS = 30
+
 
 class Schedule:
-    """A closed parameter loop traversed in total time T; `resolution` states
-    per traversal are sampled for the diagnostics (see `propagate`)."""
+    """A closed parameter loop traversed in total time T.  `resolution`, at
+    least 100, is validated and kept for callers; `propagate` does not read
+    it."""
 
     __slots__ = ("path", "duration", "resolution")
 
@@ -76,8 +90,8 @@ PhaseReport.__doc__ = """Phases accumulated over one traversal.
 geometric_phase = total_phase - dynamical_phase (mod 2 pi); fidelity is
 the modulus of the return overlap and gates the phase's meaning, so an
 adiabaticity warning is carried here rather than raised.  norm_drift and
-edge_weight are propagation diagnostics (unitarity defect and the largest
-amplitude reaching the mode-window edge).
+edge_weight are propagation diagnostics (unitarity defect at the side ends,
+and a bound on the amplitude reaching the mode-window edge; see `propagate`).
 """
 
 
@@ -101,30 +115,164 @@ def weak_form_matrix(modes):
         (x o p)_mn = -i (k_n + k_m) (-1)^(n-m) / (4 pi (n - m)),  0 at m = n,
 
     with z = (k_n + k_m)/2: the sin(z)/z form stays accurate as k_n -> -k_m,
-    near eta = +-1.  Built once per mode window; the cached arrays are shared
-    and read-only.
+    near eta = +-1.  Built once per mode window, as tuples of rows of
+    complex numbers, shared by every caller.
     """
-    k = np.array([m.k for m in modes])
-    n = np.array([m.n for m in modes])
-    alpha = modes[0].alpha
-    z, dn = 0.5 * (k + k[:, None]), n - n[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sinc = np.where(z == 0, 1.0, np.sin(z) / z)
-        xp = np.where(dn == 0, 0.0, -0.5j * z * (-1.0) ** dn / (np.pi * dn))
-    p = np.diag(-k * modes[0].sin_alpha) - 0.5j * np.cos(alpha) * (k - k[:, None]) * sinc
-    p.setflags(write=False)
-    xp.setflags(write=False)
-    return p, xp
+    minus_half_i_cos = -0.5j * math.cos(modes[0].alpha)
+    sin_alpha = modes[0].sin_alpha
+    p, xp = [], []
+    for a in modes:
+        prow, xrow = [], []
+        for b in modes:
+            z, dn = 0.5 * (b.k + a.k), b.n - a.n
+            sinc = math.sin(z) / z if z else 1.0
+            prow.append(minus_half_i_cos * (b.k - a.k) * sinc - (a.k * sin_alpha if dn == 0 else 0.0))
+            xrow.append(-0.5j * z * (-1.0) ** dn / (math.pi * dn) if dn else 0j)
+        p.append(tuple(prow))
+        xp.append(tuple(xrow))
+    return tuple(p), tuple(xp)
 
 
 def generator(modes, kappa, lcdot, mass=1.0):
-    """p^2/(2m) - kappa x o p - (l cdot) p on a tuple of modes: l^2 times the
-    moving-frame Hamiltonian, with kappa = l ldot.  At kappa = l cdot = 0 it
-    is diag(k_n^2 / (2m)), l^2 times the static spectrum."""
+    """p^2/(2m) - kappa x o p - (l cdot) p on a tuple of modes, as a tuple of
+    rows: l^2 times the moving-frame Hamiltonian, with kappa = l ldot.  At
+    kappa = l cdot = 0 it is diag(k_n^2 / (2m)), l^2 times the static
+    spectrum."""
     pmat, xpmat = weak_form_matrix(modes)
-    # the scalar closed form: numpy's square rounds a few squares in ten
-    # thousand differently from Python's x ** 2
-    return np.diag([eigenvalue(m.k, 1.0, mass) for m in modes]) - kappa * xpmat - lcdot * pmat
+    rows = []
+    for i, (m, prow, xrow) in enumerate(zip(modes, pmat, xpmat)):
+        row = [-kappa * x - lcdot * p for x, p in zip(xrow, prow)]
+        row[i] += eigenvalue(m.k, 1.0, mass)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+class Eigenbasis:
+    """h = V diag(values) V^H for a Hermitian h, with V = Q D W kept as its
+    factors: the Householder reflectors of Q, the diagonal phases D and the
+    Givens rotations of W, so V applies to a vector in O(n^2) work and is
+    never formed.  `values` are in no particular order; `coordinates` and
+    `vector` pair them index by index."""
+
+    __slots__ = ("values", "_reflectors", "_phases", "_rotations")
+
+    def __init__(self, values, reflectors, phases, rotations):
+        self.values, self._reflectors, self._phases, self._rotations = values, reflectors, phases, rotations
+
+    def coordinates(self, v):
+        """V^H v: the components of the vector v in the eigenbasis."""
+        v = _reflect(list(v), self._reflectors)
+        v = [x * d.conjugate() for x, d in zip(v, self._phases)]
+        for i, c, s in self._rotations:
+            a, b = v[i], v[i + 1]
+            v[i], v[i + 1] = c * a - s * b, s * a + c * b
+        return v
+
+    def vector(self, coords):
+        """V coords: the vector with these components in the eigenbasis."""
+        v = list(coords)
+        for i, c, s in reversed(self._rotations):
+            a, b = v[i], v[i + 1]
+            v[i], v[i + 1] = c * a + s * b, c * b - s * a
+        return _reflect([x * d for x, d in zip(v, self._phases)], reversed(self._reflectors))
+
+
+def _reflect(v, reflectors):
+    """Apply each (k, beta, u, conj u), I - beta u u^H on entries k.., to the list v in turn."""
+    for k, beta, u, uc in reflectors:
+        f = beta * sum(map(mul, uc, v[k:]))
+        v[k:] = [x - f * y for x, y in zip(v[k:], u)]
+    return v
+
+
+def eigh(h) -> Eigenbasis:
+    """Eigendecomposition of the Hermitian matrix h, a sequence of rows.
+
+    Householder reflections H_k = I - beta u u^H reduce h to a Hermitian
+    tridiagonal T = Q^H h Q, column by column; a diagonal phase D makes its
+    off-diagonal real and nonnegative, and implicit QL with Wilkinson's
+    shift diagonalizes that real tridiagonal by Givens rotations W.  Raises
+    ArithmeticError when an eigenvalue takes more than QL_SWEEPS sweeps, as
+    a NaN entry makes it.
+    """
+    rows = [list(row) for row in h]
+    diag, off, reflectors = [], [], []
+    for k in range(1, len(rows)):
+        # the trailing block's first column below its diagonal, then the block without it
+        x = [row[0] for row in rows[1:]]
+        diag.append(rows[0][0].real)
+        rows = [row[1:] for row in rows[1:]]
+        x0, a0 = x[0], abs(x[0])
+        tail = math.hypot(*map(abs, x[1:]))
+        if tail == 0.0:
+            off.append(x0)
+            continue
+        norm = math.hypot(a0, tail)
+        alpha = -(x0 / a0 if a0 else 1.0) * norm
+        u = [x0 - alpha] + x[1:]
+        uc = [y.conjugate() for y in u]
+        beta = 1.0 / (norm * (norm + a0))
+        # the block becomes H B H = B - u w^H - w u^H
+        p = [beta * sum(map(mul, row, u)) for row in rows]
+        half = 0.5 * beta * sum(map(mul, uc, p)).real
+        w = [y - half * z for y, z in zip(p, u)]
+        wc = [y.conjugate() for y in w]
+        rows = [[b - ui * wj - wi * uj for b, wj, uj in zip(row, wc, uc)] for row, ui, wi in zip(rows, u, w)]
+        off.append(alpha)
+        reflectors.append((k, beta, u, uc))
+    diag.append(rows[0][0].real)
+
+    phases, sub = [1.0 + 0j], []
+    for e in off:
+        a = abs(e)
+        phases.append(phases[-1] * e / a if a else phases[-1])
+        sub.append(a)
+    return Eigenbasis(diag, reflectors, phases, _tridiagonal_ql(diag, sub + [0.0]))
+
+
+def _tridiagonal_ql(d, e):
+    """Implicit QL with Wilkinson's shift on the real symmetric tridiagonal
+    of diagonal d and subdiagonal e (e[-1] = 0), both overwritten: d ends as
+    the eigenvalues.  Returns the Givens rotations (i, c, s), in the order
+    applied, whose product W (each acting on columns i, i + 1) holds the
+    eigenvectors; as in tqli (Press et al., Numerical Recipes, 11.3)."""
+    n, rotations = len(d), []
+    for l in range(n):
+        for sweep in range(QL_SWEEPS + 1):
+            m = l
+            while m < n - 1:
+                dd = abs(d[m]) + abs(d[m + 1])
+                if abs(e[m]) + dd == dd:
+                    break
+                m += 1
+            if m == l:
+                break
+            if sweep == QL_SWEEPS:
+                raise ArithmeticError(f"implicit QL did not converge in {QL_SWEEPS} sweeps")
+            g = (d[l + 1] - d[l]) / (2.0 * e[l])
+            r = math.hypot(g, 1.0)
+            g = d[m] - d[l] + e[l] / (g + math.copysign(r, g))
+            s = c = 1.0
+            p = 0.0
+            for i in range(m - 1, l - 1, -1):
+                f, b = s * e[i], c * e[i]
+                r = e[i + 1] = math.hypot(f, g)
+                if r == 0.0:
+                    # the sweep split the matrix: deflate and start again
+                    d[i + 1] -= p
+                    e[m] = 0.0
+                    break
+                s, c = f / r, g / r
+                g = d[i + 1] - p
+                r = (d[i] - g) * s + 2.0 * c * b
+                p = s * r
+                d[i + 1] = g + p
+                g = c * r - b
+                rotations.append((i, c, s))
+            else:
+                d[l] -= p
+                e[l], e[m] = g, 0.0
+    return rotations
 
 
 def _sides(schedule: Schedule):
@@ -153,12 +301,13 @@ def propagate(
 
     The state starts on level `start_mode` (times exp(i initial_phase),
     which cancels from every reported quantity).  Each side, in traversal
-    order, is evolved exactly in conformal time by one eigh of its constant
-    generator.  `schedule.resolution` sets only the diagnostics:
-    ceil(resolution / nseg) states per side, evenly spaced in conformal
-    time and the last at the side's end, are formed by one
-    (samples x modes) product, and norm_drift and edge_weight are their
-    largest unitarity defect and window-edge amplitude.
+    order, is evolved exactly in conformal time by one `eigh` of its
+    constant generator: psi -> V exp(-i Lambda tau_side) V^H psi.
+    norm_drift is the largest | ||psi|| - 1 | at the side ends.  The
+    window-edge amplitude at any instant of a side is
+    |sum_j <edge|v_j> e^(-i lambda_j tau) <v_j|psi>|, so edge_weight, the
+    largest sum_j |<edge|v_j><v_j|psi>| over sides and both edges, bounds it
+    from above all along the loop.
     Returns the total return phase Arg<psi(0)|psi(T)>, the dynamical phase
     -Int lambda dt = -k^2/(2m) sum tau_side, and their difference mod 2 pi
     as the geometric phase.  A fidelity below 0.9 sets the adiabaticity
@@ -169,25 +318,26 @@ def propagate(
         raise ValueError("start mode lies outside the window")
     idx = start_mode + window
     sides = list(_sides(schedule))
-    samples = -(-schedule.resolution // len(sides))
-    fractions = np.arange(1, samples + 1) / samples
 
-    psi = np.zeros(len(modes), dtype=complex)
-    psi[idx] = np.exp(1j * initial_phase)
-    psi0 = psi.copy()
+    size = len(modes)
+    psi = [0j] * size
+    psi[idx] = cmath.exp(1j * initial_phase)
+    psi0 = psi
+    edges = [[1.0 + 0j] + [0j] * (size - 1), [0j] * (size - 1) + [1.0 + 0j]]
     norm_drift = edge_weight = 0.0
     for kappa, lcdot, tau in sides:
-        evals, vecs = np.linalg.eigh(generator(modes, kappa, lcdot, mass))
-        trail = (np.exp(-1j * tau * np.outer(fractions, evals)) * (vecs.conj().T @ psi)) @ vecs.T
-        psi = trail[-1]
-        norm_drift = max(norm_drift, float(np.max(np.abs(np.linalg.norm(trail, axis=1) - 1.0))))
-        edge_weight = max(edge_weight, float(np.max(np.abs(trail[:, [0, -1]]))))
+        basis = eigh(generator(modes, kappa, lcdot, mass))
+        coords = basis.coordinates(psi)
+        for edge in edges:
+            edge_weight = max(edge_weight, sum(abs(a) * abs(b) for a, b in zip(basis.coordinates(edge), coords)))
+        psi = basis.vector([cmath.exp(-1j * tau * lam) * z for lam, z in zip(basis.values, coords)])
+        norm_drift = max(norm_drift, abs(math.hypot(*map(abs, psi)) - 1.0))
 
-    overlap = np.vdot(psi0, psi)
-    total = float(np.angle(overlap))
+    overlap = sum(a.conjugate() * b for a, b in zip(psi0, psi))
+    total = cmath.phase(overlap)
     dynamical = -eigenvalue(modes[idx].k, 1.0, mass) * sum(tau for _, _, tau in sides)
-    geometric = float(np.angle(np.exp(1j * (total - dynamical))))
-    fidelity = float(abs(overlap))
+    geometric = cmath.phase(cmath.exp(1j * (total - dynamical)))
+    fidelity = abs(overlap)
     return PhaseReport(
         total_phase=total,
         dynamical_phase=dynamical,

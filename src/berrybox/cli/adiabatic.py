@@ -6,9 +6,10 @@ from ..boundary import as_eta, require_mass
 from . import (EXIT_OK, UsageError, _add_loop, _csv, _float_list, _fmt, _loop, _resolve, _write_output,
                _write_resolved_config)
 
-# the widest mode window, N: each propagator step diagonalizes a
-# (2N + 1) x (2N + 1) matrix, and the default sweep takes about 5 s at N = 256
-MAX_WINDOW = 256
+# the widest mode window, N: each loop side diagonalizes a (2N + 1) x (2N + 1)
+# matrix in pure Python, O(N^3), and the default four-T sweep takes 3.5-3.8 s at
+# N = 64 (5.8 s at N = 72) on 2 cores
+MAX_WINDOW = 64
 
 
 def add_arguments(sp):
@@ -19,7 +20,8 @@ def add_arguments(sp):
     _add_loop(sp)
     sp.add_argument("--T-list", type=_float_list)
     sp.add_argument("--window", type=int, help="mode window half-width N")
-    sp.add_argument("--resolution", type=int, help="states per traversal sampled for the norm and edge diagnostics")
+    sp.add_argument("--resolution", type=int,
+                    help="at least 100; kept in the resolved config, while no output depends on it")
 
 
 def run(args) -> int:

@@ -2,12 +2,11 @@
 `import berrybox` loads no submodule and no numpy, and each command loads
 only the package modules it runs: of the CLI, the front `berrybox.cli` and
 the module of the one subcommand run, and never the boundary-triple
-identities, which no command runs.  Only `adiabatic`, which runs on arrays,
-loads numpy: `bc`, every usage error, `spectrum` (its generic check
-included), `wz` and every `berry` command (each method, --plot and the
-curvature map included) run on the standard library alone, and load neither
-`dataclasses` nor `inspect`.  Importing the package first sets one BLAS
-thread unless the caller chose a count."""
+identities, which no command runs.  No command loads numpy: `bc`, every
+usage error, `spectrum` (its generic check included), `wz`, every `berry`
+command (each method, --plot and the curvature map included) and
+`adiabatic` run on the standard library alone, and load neither
+`dataclasses` nor `inspect`."""
 
 import importlib
 import json
@@ -119,54 +118,52 @@ _CLOSED_FORMS = _own("berry", "closed_form", "paths")
 _ORACLES = _own("berry", "closed_form", "paths", "quadrature", "berry")
 
 
-@pytest.mark.parametrize("argv, config, own, numpy", [
-    pytest.param(["bc", "--eta", "0+1i"], None, _own("bc"), False, id="bc"),
-    pytest.param(["bc", "--unitary", "[[-1,0],[0,-1]]"], None, _own("bc"), False, id="bc-unitary-named"),
-    pytest.param(["bc", "--unitary", _BC_FAMILY], None, _own("bc"), False, id="bc-unitary-family"),
+@pytest.mark.parametrize("argv, config, own", [
+    pytest.param(["bc", "--eta", "0+1i"], None, _own("bc"), id="bc"),
+    pytest.param(["bc", "--unitary", "[[-1,0],[0,-1]]"], None, _own("bc"), id="bc-unitary-named"),
+    pytest.param(["bc", "--unitary", _BC_FAMILY], None, _own("bc"), id="bc-unitary-family"),
     pytest.param(["spectrum", "--eta", "0.5+0.5i", "--n-min", "-1", "--n-max", "2"], None,
-                 _own("spectrum", "closed_form"), False, id="spectrum"),
-    pytest.param(["spectrum", "--eta", "1", "--n-max", "2"], None, _own("spectrum", "closed_form"), False,
+                 _own("spectrum", "closed_form"), id="spectrum"),
+    pytest.param(["spectrum", "--eta", "1", "--n-max", "2"], None, _own("spectrum", "closed_form"),
                  id="spectrum-degenerate"),
-    pytest.param(["berry", "--eta", "0+1i", "--method", "analytic"], None, _CLOSED_FORMS, False, id="berry"),
+    pytest.param(["berry", "--eta", "0+1i", "--method", "analytic"], None, _CLOSED_FORMS, id="berry"),
     pytest.param(["berry", "--eta", "0.3+0.6i", "--n", "1", "--method", "analytic"], _POLYLINE, _CLOSED_FORMS,
-                 False, id="berry-polyline"),
-    pytest.param(["berry", "--eta", "0+1i", "--method", "analytic", "--tol", "0"], None, _CLOSED_FORMS, False,
+                 id="berry-polyline"),
+    pytest.param(["berry", "--eta", "0+1i", "--method", "analytic", "--tol", "0"], None, _CLOSED_FORMS,
                  id="berry-tol"),
     pytest.param(["berry", "--eta", "0.3+0.6i", "--n", "2", "--curvature-map", "--mesh", "5"], None,
-                 _CLOSED_FORMS, False, id="curvature-map"),
+                 _CLOSED_FORMS, id="curvature-map"),
     pytest.param(["spectrum", "--eta", "0+1i", "--n-max", "1", "--check", "generic"], None,
-                 _own("spectrum", "closed_form", "spectrum"), False, id="spectrum-generic"),
+                 _own("spectrum", "closed_form", "spectrum"), id="spectrum-generic"),
     pytest.param(["spectrum", "--eta", "0.3+0.6i", "--n-min", "-3", "--n-max", "3", "--check", "generic"], None,
-                 _own("spectrum", "closed_form", "spectrum"), False, id="spectrum-generic-negative-levels"),
+                 _own("spectrum", "closed_form", "spectrum"), id="spectrum-generic-negative-levels"),
     pytest.param(["wz", "--eta", "1", "--n", "1", "--mesh", "16"], None,
-                 _own("wz", "closed_form", "paths", "wilczek_zee"), False, id="wz"),
+                 _own("wz", "closed_form", "paths", "wilczek_zee"), id="wz"),
     pytest.param(["wz", "--eta", "-1", "--n", "2", "--mesh", "16"], _POLYLINE,
-                 _own("wz", "closed_form", "paths", "wilczek_zee"), False, id="wz-polyline"),
+                 _own("wz", "closed_form", "paths", "wilczek_zee"), id="wz-polyline"),
     pytest.param(["adiabatic", "--eta", "0+1i", "--T-list", "2", "--window", "2", "--resolution", "100"], None,
-                 _own("adiabatic", "closed_form", "paths", "adiabatic"), True, id="adiabatic"),
-    pytest.param(["berry", "--eta", "0+1i", "--method", "overlap", "--mesh", "16"], None, _ORACLES, False,
+                 _own("adiabatic", "closed_form", "paths", "adiabatic"), id="adiabatic"),
+    pytest.param(["berry", "--eta", "0+1i", "--method", "overlap", "--mesh", "16"], None, _ORACLES,
                  id="berry-overlap"),
     pytest.param(["berry", "--eta", "0.3+0.6i", "--n", "1", "--method", "all", "--mesh", "16"], None, _ORACLES,
-                 False, id="berry-all"),
+                 id="berry-all"),
     pytest.param(["berry", "--eta", "0.3+0.6i", "--n", "1", "--loop-rect", "1", "1.3", "0", "0.2", "--method", "all",
                   "--mesh", "64", "--tol", "1e-3", "--plot", "berry.svg"], None, sorted(_ORACLES + ["berrybox.svgplot"]),
-                 False, id="berry-all-plot"),
+                 id="berry-all-plot"),
     pytest.param(["berry", "--eta", "0.3+0.6i", "--n", "1", "--method", "all", "--mesh", "64"], _POLYLINE, _ORACLES,
-                 False, id="berry-all-polyline"),
+                 id="berry-all-polyline"),
 ])
-def test_command_loads_no_scipy(tmp_path, argv, config, own, numpy):
-    # each command also loads only the berrybox modules it runs, and numpy
-    # as listed: for adiabatic alone.  Of the CLI it loads the front and its
-    # own module, never another command's, nor the boundary-triple module.  The package's records are plain
-    # classes and namedtuples, so no command loads dataclasses or inspect
-    # but adiabatic, where numpy itself loads inspect
+def test_command_loads_no_scipy(tmp_path, argv, config, own):
+    # each command also loads only the berrybox modules it runs, and no
+    # numpy.  Of the CLI it loads the front and its own module, never another
+    # command's, nor the boundary-triple module.  The package's records are
+    # plain classes and namedtuples, so no command loads dataclasses or inspect
     argv = [str(tmp_path / a) if a.endswith(".svg") else a for a in argv]
     if config is not None:
         (tmp_path / "config.json").write_text(json.dumps(config))
         argv = argv + ["--config", str(tmp_path / "config.json")]
     scipy, loaded, numpy_loaded, introspection = _modules_after(*argv, "--out", str(tmp_path / "out"))
-    assert (scipy, loaded, numpy_loaded) == ([], own, numpy)
-    assert numpy or introspection == []
+    assert (scipy, loaded, numpy_loaded, introspection) == ([], own, False, [])
     assert [m for m in loaded if m.startswith("berrybox.cli.") or m == "berrybox.boundary_triple"] == \
         [f"berrybox.cli.{argv[0]}"]
 
@@ -237,7 +234,7 @@ _EXPORTED = {
              "require_geometric require_interior_step standard_mollifier state_overlap stokes_defect",
     "wilczek_zee": "ConnectionCheckError Holonomy MatrixConnection connection_from_basis "
                    "diagonalize_in_plane_waves wz_connection wz_curvature wz_holonomy",
-    "adiabatic": "PhaseReport Schedule generator mode_window propagate weak_form_matrix",
+    "adiabatic": "PhaseReport Schedule eigh generator mode_window propagate weak_form_matrix",
 }
 
 # imports berrybox, then takes the modules of the JSON {module: names} given
@@ -270,51 +267,3 @@ def test_package_exports_are_the_submodules_all():
     for module, names in berrybox._EXPORTS.items():
         assert names.split() == importlib.import_module(f"berrybox.{module}").__all__, module
     assert berrybox.__all__ == [name for names in berrybox._EXPORTS.values() for name in names.split()]
-
-
-_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-# imports berrybox (after `prelude`), then prints the BLAS variables, the
-# process's thread count (None off Linux) and whether numpy links OpenBLAS
-_THREAD_PROBE = """
-import json, os
-import berrybox, numpy
-try:
-    with open("/proc/self/status") as fh:
-        threads = next(int(line.split()[1]) for line in fh if line.startswith("Threads:"))
-except OSError:
-    threads = None
-try:
-    blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
-except TypeError:  # numpy < 1.26 prints its config only
-    blas = ""
-print(json.dumps([{v: os.environ.get(v) for v in %r}, threads, "openblas" in blas.lower()]))
-""" % (_BLAS_VARS,)
-
-
-def _blas_state_after_import(prelude="", **given):
-    env = {k: v for k, v in os.environ.items() if k not in _BLAS_VARS}
-    env.update(given, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", prelude + _THREAD_PROBE], capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.splitlines()[-1])
-
-
-def test_import_sets_one_blas_thread():
-    env, threads, openblas = _blas_state_after_import()
-    assert env == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None, "MKL_NUM_THREADS": "1"}
-    if threads is None or not openblas:
-        pytest.skip("thread count is checked on Linux with OpenBLAS-backed numpy")
-    assert threads == 1
-
-
-@pytest.mark.parametrize("given", [{"OPENBLAS_NUM_THREADS": "2"}, {"OMP_NUM_THREADS": "2"}],
-                         ids=lambda given: next(iter(given)))
-def test_caller_blas_setting_wins(given):
-    env, _, _ = _blas_state_after_import(**given)
-    assert env == {**dict.fromkeys(_BLAS_VARS), **given}
-
-
-def test_numpy_imported_first_keeps_its_setting():
-    env, _, _ = _blas_state_after_import(prelude="import numpy\n")
-    assert env == dict.fromkeys(_BLAS_VARS)
