@@ -5,8 +5,9 @@ Every 2x2 unitary U labels one way to make the kinetic operator
 self-adjoint on the interval; a one-complex-parameter slice of them (the
 dilation-invariant family) is what survives when the walls are allowed to
 move.  This script prints the named members, recovers eta from the matrix,
-and spot-checks the boundary-triple identity that underpins the whole
-classification.  It runs on the standard library: each matrix is a tuple of
+checks that a dilation of the box keeps compliant data compliant (so the
+moving walls keep the motion unitary), and spot-checks the boundary-triple
+identity that underpins the whole classification.  It runs on the standard library: each matrix is a tuple of
 rows.
 """
 
@@ -19,6 +20,7 @@ from berrybox import (
     bc_residual,
     classify_unitary,
     compliant_data,
+    dilation_transport,
     eta_to_unitary,
     triple_identity_defect,
 )
@@ -50,6 +52,13 @@ def main():
         d = compliant_data(eta, 0.8 - 0.3j, 1.1 + 0.7j)
         r = bc_residual(eta_to_unitary(eta), d)
         print(f"eta={str(eta):<12} residual of compliant data: {r:.2e}")
+    # the family is dilation invariant: data moved to the box s [a, b] + 0.3 still comply
+    worst = 0.0
+    for eta in (1j, 0.5 - 0.25j, ETA_INF):
+        for s in (0.5, 2.0, 7.0):
+            moved = dilation_transport(compliant_data(eta, 0.8 - 0.3j, 1.1 + 0.7j), s, 0.3)
+            worst = max(worst, bc_residual(eta_to_unitary(eta), moved))
+    print(f"largest residual after dilations x -> s x + 0.3, s = 0.5, 2, 7: {worst:.2e}")
 
     print()
     print("boundary-triple identity <in|in> - <out|out> = 2i Gamma (2m = 1)")

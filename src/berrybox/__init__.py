@@ -6,7 +6,8 @@ eta family in closed form and by a generic transcendental root finder,
 evaluates the Berry connection/curvature/loop phases through several
 independent renormalization prescriptions, handles the degenerate
 eta = +/-1 matrix holonomy, and verifies everything dynamically by slow
-traversal of closed loops in the (length, center) parameter half-plane.
+traversal of loops in the (length, center) parameter half-plane.  A loop
+(`ParameterPath`) closes itself, so no routine tests for closure.
 Each state those checks integrate is one record of two plane waves at one
 wavenumber (`PlaneWaves`, from a `Mode` or `degenerate_waves`), and every
 overlap of two of them, over any window, is one closed form
@@ -24,7 +25,8 @@ and `spectrum` for --check generic; every `berry` command adds
 and `svgplot` for --plot; `wz` adds `closed_form`, `paths` and
 `wilczek_zee`; `adiabatic` adds `closed_form`, `paths` and `adiabatic`,
 whose eigensolver is Householder reduction and implicit QL on tuples of
-rows.  No command loads the boundary-triple identities (`boundary_triple`).
+rows.  No command loads the boundary-triple identities (`boundary_triple`);
+the boundary tour demo prints them.
 """
 
 # each submodule's public names: its __all__, which tests/test_imports.py
@@ -38,9 +40,9 @@ _EXPORTS = {
                    "degenerate_wavenumber degenerate_waves window_integral connection_analytic "
                    "loop_phase_analytic curvature",
     "spectrum": "RootSearchError EigenLevel generic_spectrum",
-    "paths": "ParameterPath rectangle_loop polyline_path point_loop rectangle_corners",
+    "paths": "ParameterPath rectangle_loop",
     "berry": "MeshTooCoarseError standard_mollifier connection_interior connection_mollified LoopPhaseResult "
-             "loop_phase_interior loop_phase_mollified_sweep loop_phase_overlap_meshes state_overlap stokes_defect "
+             "loop_phase_interior loop_phase_mollified_sweep loop_phase_overlap_meshes state_overlap "
              "power_law_extrapolate require_geometric require_interior_step",
     "wilczek_zee": "SIGMA2 ConnectionCheckError MatrixConnection Holonomy wz_connection connection_from_basis "
                    "wz_curvature wz_holonomy diagonalize_in_plane_waves",

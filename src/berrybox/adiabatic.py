@@ -67,7 +67,7 @@ QL_SWEEPS = 30
 
 
 class Schedule:
-    """A closed parameter loop traversed in total time T.  `resolution`, at
+    """A parameter loop traversed in total time T.  `resolution`, at
     least 100, is validated and kept for callers; `propagate` does not read
     it."""
 
@@ -78,8 +78,6 @@ class Schedule:
             raise ValueError("traversal time must be finite and positive")
         if resolution < 100:
             raise ValueError("resolution must be at least 100 steps")
-        if not path.closed:
-            raise ValueError("adiabatic schedules must traverse closed loops")
         self.path, self.duration, self.resolution = path, duration, resolution
 
 
@@ -189,9 +187,11 @@ def eigh(h) -> Eigenbasis:
     """Eigendecomposition of the Hermitian matrix h, a sequence of rows.
 
     Householder reflections H_k = I - beta u u^H reduce h to a Hermitian
-    tridiagonal T = Q^H h Q, column by column; a diagonal phase D makes its
-    off-diagonal real and nonnegative, and implicit QL with Wilkinson's
-    shift diagonalizes that real tridiagonal by Givens rotations W.  Raises
+    tridiagonal T = Q^H h Q, column by column, each column first divided by
+    a power of two near its norm: an exact scaling, so h may have any scale
+    the float range holds; a diagonal phase D makes its off-diagonal real
+    and nonnegative, and implicit QL with Wilkinson's shift diagonalizes
+    that real tridiagonal by Givens rotations W.  Raises
     ArithmeticError when an eigenvalue takes more than QL_SWEEPS sweeps, as
     a NaN entry makes it.
     """
@@ -208,8 +208,12 @@ def eigh(h) -> Eigenbasis:
             off.append(x0)
             continue
         norm = math.hypot(a0, tail)
+        # the column over a power of two near its norm, an exact division, so
+        # that beta = 1/(norm (norm + |x0|)) neither overflows nor underflows
+        scale = 2.0 ** -max(math.frexp(norm)[1], -1021)
+        x0, a0, norm = x0 * scale, a0 * scale, norm * scale
         alpha = -(x0 / a0 if a0 else 1.0) * norm
-        u = [x0 - alpha] + x[1:]
+        u = [x0 - alpha] + [y * scale for y in x[1:]]
         uc = [y.conjugate() for y in u]
         beta = 1.0 / (norm * (norm + a0))
         # the block becomes H B H = B - u w^H - w u^H
@@ -218,7 +222,7 @@ def eigh(h) -> Eigenbasis:
         w = [y - half * z for y, z in zip(p, u)]
         wc = [y.conjugate() for y in w]
         rows = [[b - ui * wj - wi * uj for b, wj, uj in zip(row, wc, uc)] for row, ui, wi in zip(rows, u, w)]
-        off.append(alpha)
+        off.append(alpha / scale)
         reflectors.append((k, beta, u, uc))
     diag.append(rows[0][0].real)
 
@@ -295,12 +299,10 @@ def propagate(
     eta,
     window: int,
     mass: float = 1.0,
-    initial_phase: float = 0.0,
 ) -> PhaseReport:
     """Integrate the moving-frame Schrodinger equation around the loop.
 
-    The state starts on level `start_mode` (times exp(i initial_phase),
-    which cancels from every reported quantity).  Each side, in traversal
+    The state starts on level `start_mode`.  Each side, in traversal
     order, is evolved exactly in conformal time by one `eigh` of its
     constant generator: psi -> V exp(-i Lambda tau_side) V^H psi.
     norm_drift is the largest | ||psi|| - 1 | at the side ends.  The
@@ -321,7 +323,7 @@ def propagate(
 
     size = len(modes)
     psi = [0j] * size
-    psi[idx] = cmath.exp(1j * initial_phase)
+    psi[idx] = 1.0 + 0j
     psi0 = psi
     edges = [[1.0 + 0j] + [0j] * (size - 1), [0j] * (size - 1) + [1.0 + 0j]]
     norm_drift = edge_weight = 0.0

@@ -20,18 +20,18 @@ phase):
 Each eigenfunction is two plane waves (`Mode.waves`) and each loop a
 polyline, so the overlaps, the interior windows and the mollified
 embedding's interior are one closed form (`closed_form.window_integral`);
-Gauss quadrature serves only the embedding's two wall strips and
-`stokes_defect`.  Everything runs on the standard library, one box at a
-time.
+Gauss quadrature serves only the embedding's two wall strips.  Everything
+runs on the standard library, one box at a time.
 The boundary conditions are dilation invariant, so every state is
 l^-1/2 phi((x - c)/l), and a prescription whose regulator scales with the box
 (the interior step, the cutoff width) gives a connection F/l.  Each connection
 oracle therefore takes only the mode and its relative regulator and returns
 F = l a, the connection at the unit box, integrated in the box coordinate
-u = (x - c)/l where no box enters; around a closed loop every phase is -F_c
-times the closed-form loop integral of dc/l.  The overlap of two states, too,
-depends only on (l'/l, (c' - c)/l), so along a side sampled geometrically in
-l every neighbour overlap is one number and a chain costs one per side.
+u = (x - c)/l where no box enters; around a loop (every `ParameterPath`
+closes itself) every phase is -F_c times the closed-form loop integral of
+dc/l.  The overlap of two states, too, depends only on (l'/l, (c' - c)/l),
+so along a side sampled geometrically in l every neighbour overlap is one
+number and a chain costs one per side.
 Loop phases follow the convention Phi = i * contour integral of <psi|d psi>;
 for the counterclockwise axis-aligned rectangle [l1, l2] x [c1, c2] this
 gives Phi = k (1/l1 - 1/l2)(c2 - c1) sin(alpha).
@@ -44,8 +44,8 @@ import math
 import sys
 from collections import namedtuple
 
-from .closed_form import Mode, _require_closed, curvature, loop_phase_analytic, window_integral
-from .paths import ParameterPath, rectangle_corners
+from .closed_form import Mode, window_integral
+from .paths import ParameterPath
 from .quadrature import panel_nodes
 
 __all__ = [
@@ -58,7 +58,6 @@ __all__ = [
     "loop_phase_mollified_sweep",
     "loop_phase_overlap_meshes",
     "state_overlap",
-    "stokes_defect",
     "power_law_extrapolate",
     "require_geometric",
     "require_interior_step",
@@ -176,7 +175,6 @@ def loop_phase_interior(m: Mode, path: ParameterPath, h_rel: float) -> float:
     loop integral of dl/l, which vanishes, and Phi = -F_c times that of dc/l
     (`ParameterPath.dc_over_l`).
     """
-    _require_closed(path)
     _, f_c = connection_interior(m, h_rel)
     return float(-f_c * path.dc_over_l())
 
@@ -185,7 +183,6 @@ def loop_phase_mollified_sweep(m: Mode, path: ParameterPath, eps_list) -> list[f
     """Loop phases -F_c(eps) times the loop integral of dc/l of
     `connection_mollified`, as for `loop_phase_interior`, at each relative
     width in `eps_list`, in the order given."""
-    _require_closed(path)
     dc_over_l = path.dc_over_l()
     return [-connection_mollified(m, eps)[1] * dc_over_l for eps in eps_list]
 
@@ -244,32 +241,11 @@ def loop_phase_overlap_meshes(m: Mode, path: ParameterPath, meshes) -> list[Loop
     chain.  Chains run mesh by mesh in the order given, so the first
     too-coarse chain raises the error.
     """
-    _require_closed(path)
     if any(not 8 <= mesh <= sys.float_info.max for mesh in meshes):
         raise ValueError("mesh must be at least 8 and within the float range")
     chains = [(mesh, _chain_phase(m, path, mesh), _chain_phase(m, path, mesh // 2)) for mesh in meshes]
     return [LoopPhaseResult(phase=phase, mesh=mesh, err_estimate=abs(cmath.phase(cmath.exp(1j * (phase - half)))))
             for mesh, phase, half in chains]
-
-
-# ---------------------------------------------------------------------------
-# Stokes check
-
-
-def stokes_defect(m: Mode, rect: ParameterPath) -> float:
-    """|loop phase - enclosed curvature flux| for an axis-aligned rectangle.
-
-    The loop phase, in closed form, and the tensor Gauss quadrature of f_lc
-    over the enclosed area must agree up to quadrature error.
-    """
-    lmin, lmax, cmin, cmax, sign = rectangle_corners(rect)
-    line = loop_phase_analytic(m, rect)
-    if lmax - lmin <= 0 or cmax - cmin <= 0:
-        return abs(line)
-    # f_lc does not depend on c: the tensor rule is a product of two sums
-    flux = sum(w * curvature(m, l) for l, w in panel_nodes(lmin, lmax, 8)) * sum(
-        w for _, w in panel_nodes(cmin, cmax, 2))
-    return abs(line - sign * flux)
 
 
 # ---------------------------------------------------------------------------

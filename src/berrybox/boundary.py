@@ -35,6 +35,10 @@ __all__ = [
     "require_mass",
 ]
 
+# the absolute entrywise tolerance of the unitarity check and of matching a
+# boundary unitary against a named condition or an eta-family member
+TOL = 1e-9
+
 
 class Eta:
     """Extended complex parameter of the dilation-invariant family.
@@ -110,9 +114,10 @@ def as_eta(eta) -> Eta:
         raise ValueError(f"cannot parse eta {eta!r}: use 'a+bi' or 'inf'") from exc
 
 
-def require_unitary(u, tol: float = 1e-9) -> tuple:
+def require_unitary(u) -> tuple:
     """Validate a 2x2 unitary (nested sequences or an array) with finite
-    entries; return it as a tuple of two rows of complex numbers."""
+    entries, to within `TOL` entrywise in U^H U - I; return it as a tuple of
+    two rows of complex numbers."""
     try:
         u = tuple(tuple(complex(v) for v in row) for row in u)
     except TypeError:
@@ -124,7 +129,7 @@ def require_unitary(u, tol: float = 1e-9) -> tuple:
     # max |(U^H U - I)_ij|; written `not <=` so that a NaN defect fails too
     defect = max(abs(u[0][i].conjugate() * u[0][j] + u[1][i].conjugate() * u[1][j] - (i == j))
                  for i in (0, 1) for j in (0, 1))
-    if not defect <= tol:
+    if not defect <= TOL:
         raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
     return u
 
@@ -181,23 +186,23 @@ _NAMED = (  # matched in this order
 )
 
 
-def _matches(u, v, tol: float) -> bool:
-    return all(abs(a - b) <= tol for ru, rv in zip(u, v) for a, b in zip(ru, rv))
+def _matches(u, v) -> bool:
+    return all(abs(a - b) <= TOL for ru, rv in zip(u, v) for a, b in zip(ru, rv))
 
 
-def classify_unitary(u, tol: float = 1e-9) -> BCClass:
+def classify_unitary(u) -> BCClass:
     """Match a boundary unitary against the named conditions and the eta family.
 
-    U matches a matrix V when |U_ij - V_ij| <= tol for every entry: an
+    U matches a matrix V when |U_ij - V_ij| <= TOL for every entry: an
     absolute tolerance, with no relative part.  Anything else is labelled
     'other' (still a valid self-adjoint extension, e.g. Robin-type mixing).
     """
-    u = require_unitary(u, tol=tol)
+    u = require_unitary(u)
     for kind, named, eta in _NAMED:
-        if _matches(u, named, tol):
+        if _matches(u, named):
             return BCClass(kind, eta)
     # family inversion: u01 / (1 - u00) recovers eta; u00 -> 1 is the infinite limit
-    cand = ETA_INF if abs(1.0 - u[0][0]) < tol else Eta(u[0][1] / (1.0 - u[0][0]))
-    if _matches(u, eta_to_unitary(cand), tol):
+    cand = ETA_INF if abs(1.0 - u[0][0]) < TOL else Eta(u[0][1] / (1.0 - u[0][0]))
+    if _matches(u, eta_to_unitary(cand)):
         return BCClass("eta", cand)
     return BCClass("other")

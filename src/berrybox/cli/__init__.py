@@ -160,7 +160,7 @@ def _resolve(args) -> dict:
 
 def _loop(cfg, args) -> "ParameterPath":
     """Apply --loop-rect and --orientation to cfg["loop"], then build the loop."""
-    from ..paths import polyline_path, rectangle_loop
+    from ..paths import ParameterPath, rectangle_loop
 
     flags = vars(args)
     if "loop_rect" in flags:
@@ -175,7 +175,7 @@ def _loop(cfg, args) -> "ParameterPath":
                 float(loop["l1"]), float(loop["l2"]), float(loop["c1"]), float(loop["c2"]),
                 orientation=int(loop.get("orientation", 1)),
             )
-        return polyline_path(loop["points"], close=True, orientation=int(loop.get("orientation", 1)))
+        return ParameterPath(loop["points"], orientation=int(loop.get("orientation", 1)))
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"invalid loop definition: {exc}") from exc
 

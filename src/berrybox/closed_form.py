@@ -68,14 +68,6 @@ class Geometry:
             return NotImplemented
         return (self.l, self.c) == (other.l, other.c)
 
-    @property
-    def left(self) -> float:
-        return self.c - 0.5 * self.l
-
-    @property
-    def right(self) -> float:
-        return self.c + 0.5 * self.l
-
 
 def _nondegenerate(eta) -> Eta:
     eta = as_eta(eta)
@@ -269,19 +261,13 @@ def connection_analytic(m: Mode):
     return 0.0, m.k * m.sin_alpha
 
 
-def _require_closed(path):
-    if not path.closed:
-        raise ValueError("loop phase requires a closed parameter path")
-
-
 def loop_phase_analytic(m: Mode, path) -> float:
-    """Loop phase of the closed-form connection around the closed
+    """Loop phase of the closed-form connection around the loop
     `ParameterPath` path: F_l multiplies the loop integral of dl/l, which
     vanishes, so Phi = -F_c times that of dc/l (`ParameterPath.dc_over_l`).
     For the counterclockwise rectangle [l1, l2] x [c1, c2],
     Phi = k (1/l1 - 1/l2)(c2 - c1) sin(alpha).
     """
-    _require_closed(path)
     _, f_c = connection_analytic(m)
     return -f_c * path.dc_over_l()
 
@@ -292,9 +278,14 @@ def curvature(m: Mode, l: float) -> float:
 
     This is F_c = k sin(alpha) (`connection_analytic`) times the hyperbolic
     area density 1/l^2 of the (l, c) half-plane, and is exactly 0 for real
-    and infinite eta.
+    and infinite eta.  Raises ValueError where f_lc is not finite: where l^2
+    is too small for k sin(alpha), or underflows to 0 (l = 1e-170).
     """
     l = Geometry(l).l
     # l * l, as numpy squares an array: l ** 2 calls pow, which rounds a few
     # squares in ten thousand differently
-    return connection_analytic(m)[1] / (l * l)
+    square = l * l
+    f_lc = connection_analytic(m)[1] / square if square else math.inf
+    if not math.isfinite(f_lc):
+        raise ValueError(f"f_lc = k sin(alpha)/l^2 is not finite at l = {l}: l^2 is too small for it")
+    return f_lc

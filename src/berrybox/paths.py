@@ -1,7 +1,8 @@
-"""Polyline parameter paths in the (l, c) half-plane, given by their vertices.
+"""Closed polyline loops in the (l, c) half-plane, given by their vertices.
 
-A path is built, tested for closure, evaluated at one s at a time (`point`,
-`velocity`) and integrated (`dc_over_l`) on the standard library.
+A loop is built from its vertices, closed back to the first, evaluated at
+one s at a time (`point`, `velocity`) and integrated (`dc_over_l`) on the
+standard library.
 """
 
 from __future__ import annotations
@@ -10,40 +11,37 @@ import math
 
 from .closed_form import Geometry
 
-__all__ = ["ParameterPath", "rectangle_loop", "polyline_path", "point_loop", "rectangle_corners"]
-
-_CLOSURE_TOL = 1e-12
+__all__ = ["ParameterPath", "rectangle_loop"]
 
 
 class ParameterPath:
-    """Polyline through `vertices`, traversed over the global parameter s in [0, 1].
+    """Closed polyline through `vertices`, traversed over the global parameter s in [0, 1].
 
-    Each side takes an equal share of s; orientation = -1 traverses the
-    vertices backwards.  Every vertex must be finite with l > 0, which keeps
-    l > 0 along the straight sides between them; integrals along a side (of
-    dc/l, of dt/l^2) have closed forms.  `segments` holds the sides as
-    (start, end) vertex pairs in vertex order.
+    The loop closes itself: the first vertex is appended when the last one
+    differs, so a single vertex is a point loop.  Each side takes an equal
+    share of s; orientation = -1 traverses the vertices backwards.  Every
+    vertex must be finite with l > 0, which keeps l > 0 along the straight
+    sides between them; integrals along a side (of dc/l, of dt/l^2) have
+    closed forms.  `segments` holds the sides as (start, end) vertex pairs in
+    vertex order.
     """
 
     __slots__ = ("vertices", "orientation", "segments")
 
     def __init__(self, vertices, orientation: int = 1):
         verts = tuple((float(l), float(c)) for l, c in vertices)
-        if len(verts) < 2:
-            raise ValueError("path needs at least two vertices")
+        if not verts:
+            raise ValueError("a loop needs at least one vertex")
         if orientation not in (1, -1):
             raise ValueError("orientation must be +1 or -1")
         if not all(math.isfinite(v) for vertex in verts for v in vertex):
             raise ValueError("path vertices must be finite")
         if min(l for l, _ in verts) <= 0:
             raise ValueError("path leaves the l > 0 half-plane")
+        if len(verts) == 1 or verts[-1] != verts[0]:
+            verts += verts[:1]
         self.vertices, self.orientation = verts, orientation
         self.segments = tuple(zip(verts[:-1], verts[1:]))
-
-    @property
-    def closed(self) -> bool:
-        (l0, c0), (l1, c1) = self.vertices[0], self.vertices[-1]
-        return math.hypot(l1 - l0, c1 - c0) <= _CLOSURE_TOL
 
     def _locate(self, s: float):
         """The side (start, end) and the position t in [0, 1] along it at s."""
@@ -83,41 +81,7 @@ def rectangle_loop(l1: float, l2: float, c1: float, c2: float, orientation: int 
     """Axis-aligned rectangle (l1, c1) -> (l2, c1) -> (l2, c2) -> (l1, c2) -> close.
 
     orientation = +1 is counterclockwise in the (l, c) plane with l drawn
-    horizontally; -1 reverses the traversal.
+    horizontally; -1 reverses the traversal.  The closing vertex is given, so
+    that a zero-area rectangle keeps its four sides.
     """
     return ParameterPath([(l1, c1), (l2, c1), (l2, c2), (l1, c2), (l1, c1)], orientation)
-
-
-def polyline_path(points, close: bool = False, orientation: int = 1) -> ParameterPath:
-    """Polyline through the given (l, c) points, optionally closed."""
-    pts = [tuple(map(float, p)) for p in points]
-    if close and pts and pts[0] != pts[-1]:
-        pts.append(pts[0])
-    return ParameterPath(pts, orientation)
-
-
-def point_loop(l: float, c: float) -> ParameterPath:
-    """Degenerate closed path sitting at a single parameter point."""
-    return ParameterPath([(l, c), (l, c)])
-
-
-def rectangle_corners(path: ParameterPath):
-    """Bounds and signed orientation of an axis-aligned rectangular loop.
-
-    Returns (lmin, lmax, cmin, cmax, sign) where sign = +1 for a
-    counterclockwise traversal.  Raises ValueError if the path is not a
-    closed axis-aligned rectangle (zero-area rectangles are accepted).
-    """
-    if not path.closed:
-        raise ValueError("not a closed path")
-    for (l0, c0), (l1, c1) in path.segments:
-        if abs(l1 - l0) > _CLOSURE_TOL and abs(c1 - c0) > _CLOSURE_TOL:
-            raise ValueError("rectangle segments must be axis-aligned")
-    ls = sorted({round(l, 12) for l, _ in path.vertices[:-1]})
-    cs = sorted({round(c, 12) for _, c in path.vertices[:-1]})
-    if len(ls) > 2 or len(cs) > 2:
-        raise ValueError("path is not a rectangle")
-    # shoelace over the vertex chain, reversed traversal flips the sign
-    area = sum(l0 * c1 - l1 * c0 for (l0, c0), (l1, c1) in path.segments)
-    sign = 1 if area * path.orientation >= 0 else -1
-    return ls[0], ls[-1], cs[0], cs[-1], sign

@@ -12,7 +12,8 @@ import math
 
 __all__ = ["gauss_legendre", "panel_nodes"]
 
-DEFAULT_ORDER = 16
+# the Gauss-Legendre order of every panel
+ORDER = 16
 
 
 def _legendre(order: int, x: float):
@@ -51,10 +52,11 @@ def gauss_legendre(order: int):
     return tuple(x for x, _ in rule), tuple(w for _, w in rule)
 
 
-def panel_nodes(a: float, b: float, panels: int, order: int = DEFAULT_ORDER):
-    """Composite Gauss-Legendre rule on [a, b], a < b, split into equal
-    panels, as a list of (node, weight) pairs with increasing nodes."""
-    xg, wg = gauss_legendre(order)
+def panel_nodes(a: float, b: float, panels: int):
+    """Composite Gauss-Legendre rule of order `ORDER` on [a, b], a < b, split
+    into equal panels, as a list of (node, weight) pairs with increasing
+    nodes."""
+    xg, wg = gauss_legendre(ORDER)
     step = (b - a) / panels
     edges = [a + i * step for i in range(panels)] + [b]
     return [(0.5 * (lo + hi) + 0.5 * (hi - lo) * x, 0.5 * (hi - lo) * w)

@@ -149,17 +149,20 @@ def generic_spectrum(u, count: int, mass: float = 1.0, geometry: Geometry | None
 
         F(E) = a C S + b C^2 + c E S^2 + d E S C,  C = cos(q/2), S = sin(q/2)/q.
 
-    F is sampled at E = t|t|, t from -60 to (count + 3) pi in steps of pi/16
-    (the top doubles until `count` levels are found), and each sign change is
-    bisected to adjacent floats.  Where |F| dips without a sign change, its
-    extremum (a root of the complex-step F') holds two simple roots if F
-    changes sign there, or one double level if M vanishes there (its largest
-    singular value is below 1e-6).  A simple level takes the null vector of
+    F is sampled at E = t|t|, t from -60 to (count + 3) pi in steps of pi/16,
+    once, and each sign change is bisected to adjacent floats.  The Dirichlet
+    (Friedrichs) extension is the largest self-adjoint one (Reed and Simon,
+    Methods of Modern Mathematical Physics II, Thm X.23), so level j of any
+    wall condition lies at or below t = (j + 1) pi, and a wider scan could
+    find no level the first one missed.  Where |F| dips without a sign
+    change, its extremum (a root of the complex-step F') holds two simple
+    roots if F changes sign there, or one double level if M vanishes there
+    (its largest singular value is below 1e-6).  A simple level takes the null vector of
     M as its `EigenLevel.coefficients`.
 
     Returns `count` EigenLevels in ascending order, lambda = E / (2 m l^2)
     (`closed_form.eigenvalue` with the sign of E).  Raises RootSearchError
-    if the scan cannot bracket `count` eigenvalues.
+    if the scan brackets fewer than `count` eigenvalues.
     """
     u = require_unitary(u)
     if count < 1:
@@ -169,14 +172,11 @@ def generic_spectrum(u, count: int, mass: float = 1.0, geometry: Geometry | None
     mass = require_mass(mass)
     cols, coef = _secular_parts(u)
     t_max = (count + 3) * math.pi
-    for _attempt in range(4):
-        roots = _roots(cols, coef, t_max)
-        if sum(mult for _, mult in roots) >= count:
-            break
-        t_max *= 2.0
-    else:
-        raise RootSearchError(f"found only {sum(mult for _, mult in roots)} eigenvalues "
-                              f"with -60 < t < {t_max / 2.0:.1f}, E = t|t|; requested {count}")
+    roots = _roots(cols, coef, t_max)
+    found = sum(mult for _, mult in roots)
+    if found < count:
+        raise RootSearchError(f"found only {found} eigenvalues with -60 < t < {t_max:.1f}, E = t|t|; "
+                              f"requested {count}")
     levels = []
     for t, mult in roots:
         if len(levels) >= count:

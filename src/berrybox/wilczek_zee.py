@@ -125,9 +125,18 @@ def wz_curvature(eta: int, n: int, g: Geometry) -> tuple:
     only a dc component), so the curvature is the exterior derivative alone;
     the sign convention pairs it with the scalar-case density
     +k sin(alpha)/l^2, i.e. the value returned is -d/dl of the dc coefficient.
+    Raises ValueError where k_n / l^2 is not finite: where l^2 is too small
+    for k_n, or underflows to 0 (l = 1e-170).
     """
     k = degenerate_wavenumber(eta, n)
-    return _scaled(k / g.l ** 2, SIGMA2)
+    try:
+        square = g.l ** 2
+    except OverflowError:  # pow raises where l^2 overflows, and k_n / l^2 underflows to 0
+        square = math.inf
+    f = k / square if square else math.inf
+    if not math.isfinite(f):
+        raise ValueError(f"the curvature k_n / l^2 is not finite at l = {g.l}: l^2 is too small for it")
+    return _scaled(f, SIGMA2)
 
 
 def _exp_i_sigma2(theta: float) -> tuple:
@@ -143,7 +152,7 @@ expm = _exp_i_sigma2
 
 
 def wz_holonomy(eta: int, n: int, path: ParameterPath) -> Holonomy:
-    """Holonomy exp(i theta sigma_2) of the connection around a closed loop.
+    """Holonomy exp(i theta sigma_2) of the connection around the loop `path`.
 
     Every value of the connection is a multiple of sigma_2, so the path
     ordering is immaterial and theta = k_n times the loop integral of dc/l
@@ -152,8 +161,6 @@ def wz_holonomy(eta: int, n: int, path: ParameterPath) -> Holonomy:
     matrix is a plane rotation (real orthogonal).
     """
     k = degenerate_wavenumber(eta, n)
-    if not path.closed:
-        raise ValueError("holonomy requires a closed path")
     theta = k * path.dc_over_l()
     w = abs(math.remainder(theta, 2.0 * math.pi))
     return Holonomy(matrix=expm(theta), eigenphases=(-w, w))

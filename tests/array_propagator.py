@@ -9,7 +9,7 @@ from berrybox.adiabatic import PhaseReport, _sides, generator, mode_window
 from berrybox.closed_form import eigenvalue
 
 
-def propagate_arrays(schedule, start_mode, eta, window, mass=1.0, initial_phase=0.0) -> PhaseReport:
+def propagate_arrays(schedule, start_mode, eta, window, mass=1.0) -> PhaseReport:
     """`berrybox.propagate` on numpy arrays; norm_drift and edge_weight are
     the largest unitarity defect and window-edge amplitude of the sampled
     states."""
@@ -22,7 +22,7 @@ def propagate_arrays(schedule, start_mode, eta, window, mass=1.0, initial_phase=
     fractions = np.arange(1, samples + 1) / samples
 
     psi = np.zeros(len(modes), dtype=complex)
-    psi[idx] = np.exp(1j * initial_phase)
+    psi[idx] = 1.0
     psi0 = psi.copy()
     norm_drift = edge_weight = 0.0
     for kappa, lcdot, tau in sides:

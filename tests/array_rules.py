@@ -8,7 +8,8 @@ import math
 
 import numpy as np
 
-from berrybox.quadrature import DEFAULT_ORDER, gauss_legendre
+from berrybox import curvature
+from berrybox.quadrature import ORDER, gauss_legendre
 
 
 @functools.lru_cache(maxsize=None)
@@ -20,7 +21,7 @@ def reference_rule(order: int):
     return nodes, weights
 
 
-def panel_rule(a: float, b: float, panels: int, order: int = DEFAULT_ORDER):
+def panel_rule(a: float, b: float, panels: int, order: int = ORDER):
     """Composite Gauss-Legendre rule on [a, b] split into equal panels, as
     arrays (nodes, weights); nodes are strictly increasing."""
     if not b > a:
@@ -33,7 +34,7 @@ def panel_rule(a: float, b: float, panels: int, order: int = DEFAULT_ORDER):
     return (mid + half * xg).ravel(), (half * wg).ravel()
 
 
-def oscillatory_rule(a: float, b: float, wavenumber: float, order: int = DEFAULT_ORDER):
+def oscillatory_rule(a: float, b: float, wavenumber: float, order: int = ORDER):
     """Panel rule sized for trigonometric integrands exp(i*wavenumber*x).
 
     At least four panels per wavelength (64+ nodes per wavelength at the
@@ -42,6 +43,14 @@ def oscillatory_rule(a: float, b: float, wavenumber: float, order: int = DEFAULT
     """
     cycles = abs(wavenumber) * (b - a) / (2.0 * math.pi)
     return panel_rule(a, b, max(2, math.ceil(4.0 * cycles) + 2), order=order)
+
+
+def curvature_flux(m, l1: float, l2: float, c1: float, c2: float) -> float:
+    """Int f_lc dl dc over [l1, l2] x [c1, c2], l1 < l2, of `berrybox.curvature`
+    by the Gauss rule of 8 panels in l; f_lc does not depend on c.  By
+    Stokes it equals the counterclockwise rectangle's loop phase."""
+    nodes, weights = panel_rule(l1, l2, 8)
+    return sum(w * curvature(m, l) for l, w in zip(nodes.tolist(), weights.tolist())) * (c2 - c1)
 
 
 class GridFunction:

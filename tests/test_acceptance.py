@@ -8,7 +8,7 @@ the supporting unit tests live in the sibling modules.
 import numpy as np
 import pytest
 
-from array_rules import GridFunction, commutator_defect
+from array_rules import GridFunction, commutator_defect, curvature_flux
 from berrybox import (
     BoundaryData,
     ETA_INF,
@@ -29,7 +29,6 @@ from berrybox import (
     power_law_extrapolate,
     propagate,
     rectangle_loop,
-    stokes_defect,
     triple_identity_defect,
     wz_connection,
     wz_holonomy,
@@ -133,9 +132,11 @@ def test_criterion_6_stokes_consistency():
     for _ in range(10):
         l1, l2 = np.sort(rng.uniform(0.5, 3.0, 2) + [0.0, 1e-3])
         c1, c2 = np.sort(rng.uniform(-1.0, 1.0, 2) + [0.0, 1e-3])
-        rect = rectangle_loop(float(l1), float(l2), float(c1), float(c2),
-                              orientation=int(rng.choice([1, -1])))
-        assert stokes_defect(m, rect) < 1e-8
+        orientation = int(rng.choice([1, -1]))
+        rect = rectangle_loop(float(l1), float(l2), float(c1), float(c2), orientation=orientation)
+        # the loop phase against the curvature flux through the rectangle
+        flux = curvature_flux(m, float(l1), float(l2), float(c1), float(c2))
+        assert abs(loop_phase_analytic(m, rect) - orientation * flux) < 1e-8
     # exact ratio: f_lc equals k sin(alpha) times the hyperbolic density 1/l^2
     m2 = mode(0, 2j)
     expected = m2.k * np.sin(m2.alpha)

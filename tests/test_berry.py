@@ -9,7 +9,7 @@ import re
 import numpy as np
 import pytest
 
-from array_rules import GridFunction, commutator_defect, oscillatory_rule, panel_rule, reference_rule
+from array_rules import GridFunction, commutator_defect, curvature_flux, oscillatory_rule, panel_rule, reference_rule
 from berrybox import (
     ETA_INF,
     Geometry,
@@ -29,14 +29,11 @@ from berrybox import (
     loop_phase_overlap_meshes,
     mode,
     mode_window,
-    point_loop,
-    polyline_path,
     power_law_extrapolate,
     rectangle_loop,
     require_interior_step,
     standard_mollifier,
     state_overlap,
-    stokes_defect,
     weak_form_matrix,
     window_integral,
 )
@@ -182,8 +179,8 @@ def _embedding_grid(m, g, eps):
     """(nodes, weights) of the embedding: the left wall strip, the box
     interior and the right wall strip, in that order."""
     inner = max(2, int(np.ceil(4.0 * abs(m.k) / (2.0 * np.pi))) + 2)
-    pieces = (panel_rule(g.left - eps, g.left, 12), panel_rule(g.left, g.right, inner),
-              panel_rule(g.right, g.right + eps, 12))
+    left, right = g.c - 0.5 * g.l, g.c + 0.5 * g.l
+    pieces = (panel_rule(left - eps, left, 12), panel_rule(left, right, inner), panel_rule(right, right + eps, 12))
     return tuple(np.concatenate(part) for part in zip(*pieces))
 
 
@@ -193,7 +190,7 @@ def test_mollified_normalization():
     g = Geometry(1.3, -0.2)
     for eps in (0.3, 0.1):
         x, w = _embedding_grid(m, g, eps)
-        chi = np.where((x >= g.left) & (x <= g.right), 1.0,
+        chi = np.where((x >= g.c - 0.5 * g.l) & (x <= g.c + 0.5 * g.l), 1.0,
                        _rho((np.abs(x - g.c) - g.l / 2) / eps))
         ext = _extension(m, g, x)[0]
         norm2 = np.sum(w * chi ** 2 * np.abs(ext) ** 2)
@@ -229,8 +226,6 @@ def test_rectangle_phase_analytic():
     assert abs(loop_phase_analytic(m, flat)) < 1e-12
     for eta in (0.0, 0.5, -2.0):
         assert loop_phase_analytic(mode(0, eta), RECT) == 0.0
-    with pytest.raises(ValueError):
-        loop_phase_analytic(m, polyline_path([(1.0, 0.0), (2.0, 1.0)]))
 
 
 def test_loop_phase_mollified_matches_per_point_route():
@@ -243,8 +238,8 @@ def test_loop_phase_mollified_matches_per_point_route():
             path = rectangle_loop(l1, l1 + rng.uniform(0.05, 1.0), c1, c1 + rng.uniform(0.05, 1.0),
                                   orientation=int(rng.choice([1, -1])))
         else:
-            path = polyline_path(rng.uniform([0.5, -1.0], [2.0, 1.0], size=(int(rng.integers(3, 6)), 2)),
-                                 close=True, orientation=int(rng.choice([1, -1])))
+            path = ParameterPath(rng.uniform([0.5, -1.0], [2.0, 1.0], size=(int(rng.integers(3, 6)), 2)),
+                                 orientation=int(rng.choice([1, -1])))
         eta = (ETA_INF, 0.3, 2j, complex(*rng.uniform(-1.0, 1.0, 2)))[trial % 4]
         m = mode(int(rng.integers(-5, 6)), eta)
         e = float(rng.choice([0.2, 0.1, 0.05, 0.025]))
@@ -268,7 +263,7 @@ def test_loop_phase_overlap_converges():
 
 def test_loop_phase_overlap_trivial_cases():
     m = mode(0, 1j)
-    [res] = loop_phase_overlap_meshes(m, point_loop(1.0, 0.0), [16])
+    [res] = loop_phase_overlap_meshes(m, ParameterPath([(1.0, 0.0)]), [16])
     assert res.phase == pytest.approx(0.0, abs=1e-14)
     [res] = loop_phase_overlap_meshes(mode(0, 0.0), RECT, [256])
     assert abs(res.phase) < 1e-4
@@ -278,7 +273,7 @@ def test_loop_phase_overlap_trivial_cases():
 
 def test_loop_phase_overlap_meshes_equals_single_mesh_calls():
     m = mode(1, -0.3 + 0.4j)
-    tri = polyline_path([(1.0, 0.0), (1.5, 0.1), (1.2, 0.4)], close=True)
+    tri = ParameterPath([(1.0, 0.0), (1.5, 0.1), (1.2, 0.4)])
     for path, meshes in ((RECT, [16, 32, 64]), (tri, [64, 17, 32, 64])):
         assert loop_phase_overlap_meshes(m, path, meshes) == [loop_phase_overlap_meshes(m, path, [mm])[0]
                                                               for mm in meshes]
@@ -360,7 +355,7 @@ def test_state_overlap_matches_quadrature():
     for j in range(300):
         m = _draw_mode(rng, j)
         ga, gb = _draw_pair(rng, j)
-        lo, hi = max(ga.left, gb.left), min(ga.right, gb.right)
+        lo, hi = max(ga.c - 0.5 * ga.l, gb.c - 0.5 * gb.l), min(ga.c + 0.5 * ga.l, gb.c + 0.5 * gb.l)
         ref = _quadrature_window(m, ga, gb, lo, hi) if hi > lo else 0.0
         assert abs(_overlap(m, ga, gb) - ref) < 1e-13, (m, ga, gb)
 
@@ -491,7 +486,7 @@ def _narrow_polyline(rng):
     cs = rng.uniform(-1.0, 1.0, count) * l_min
     verts = [(l, c) for l, c in zip(ls, cs)]
     verts.insert(1, (l_min * (1.0 + 1e-12), cs[0] + 0.3 * l_min))
-    return ParameterPath(verts + [verts[0]], int(rng.choice([1, -1])))
+    return ParameterPath(verts, int(rng.choice([1, -1])))
 
 
 def test_loop_phase_analytic_matches_connection_quadrature():
@@ -510,7 +505,7 @@ def test_reversed_orientation_negates_phases():
         m = mode(int(rng.integers(-3, 4)), _draw_eta(rng, ("circle", "off", "near")[j % 3]))
         l_min = rng.uniform(0.5, 2.0)
         verts = [(l_min * (1.0 + rng.uniform(0.0, 0.3)), l_min * rng.uniform(-0.3, 0.3)) for _ in range(4)]
-        fwd = ParameterPath(verts + [verts[0]])
+        fwd = ParameterPath(verts)
         rev = ParameterPath(fwd.vertices, orientation=-1)
         assert loop_phase_analytic(m, rev) == -loop_phase_analytic(m, fwd)
         [fwd_res], [rev_res] = (loop_phase_overlap_meshes(m, p, [64]) for p in (fwd, rev))
@@ -535,7 +530,7 @@ def _drawn_loop(rng, m, size=None, polyline=None):
     per = sum(abs(b[0] - a[0]) + abs(b[1] - a[1]) for a, b in zip(verts, verts[1:] + verts[:1]))
     f = 1.0 if size is None else size * l_min / per
     verts = [(l_min + f * l, f * c) for l, c in verts]
-    return ParameterPath(verts + [verts[0]], orientation)
+    return ParameterPath(verts, orientation)
 
 
 def test_extrapolation_without_positive_order_returns_last_sample():
@@ -671,7 +666,7 @@ def _spy_overlaps(monkeypatch):
 
 def test_chain_computes_one_overlap_per_side(monkeypatch):
     links = _spy_overlaps(monkeypatch)
-    pentagon = polyline_path([(1.0, 0.0), (1.4, 0.1), (1.5, 0.4), (1.2, 0.6), (0.9, 0.3)], close=True)
+    pentagon = ParameterPath([(1.0, 0.0), (1.4, 0.1), (1.5, 0.4), (1.2, 0.6), (0.9, 0.3)])
     for path in (RECT, pentagon):
         for n in (16, 2 ** 20):
             links.clear()
@@ -700,8 +695,8 @@ def test_chain_link_keeps_its_precision_as_dl_goes_to_zero():
     # chain at n = 1, eta = 0.3+0.6i off by 0.16 rad at mesh 1024 and 6.75 rad
     # at 2^22; expm1 and log1p keep the step's digits, and the side tends to
     # its dl = 0 twin
-    near = polyline_path([(1.0, 0.0), (1.0 + 1e-12, 1.0), (2.0, 1.0), (2.0, 0.0)], close=True)
-    rect = polyline_path([(1.0, 0.0), (1.0, 1.0), (2.0, 1.0), (2.0, 0.0)], close=True)
+    near = ParameterPath([(1.0, 0.0), (1.0 + 1e-12, 1.0), (2.0, 1.0), (2.0, 0.0)])
+    rect = ParameterPath([(1.0, 0.0), (1.0, 1.0), (2.0, 1.0), (2.0, 0.0)])
     for m in (mode(0, 1j), mode(1, 0.3 + 0.6j), mode(-3, 2.0 - 1.0j)):
         for n in (1024, 2 ** 22):
             assert abs(_chain_phase(m, near, n) - _chain_phase(m, rect, n)) < 1e-10, (m, n)
@@ -734,7 +729,8 @@ def _mollified_in_x(m, g, width):
     # the embedding in x on one grid through both walls, cutoff of the given
     # width applied node by node
     x, w = _embedding_grid(m, g, width)
-    chi = np.where((x >= g.left) & (x <= g.right), 1.0, _rho((np.abs(x - g.c) - 0.5 * g.l) / width))
+    inside = (x >= g.c - 0.5 * g.l) & (x <= g.c + 0.5 * g.l)
+    chi = np.where(inside, 1.0, _rho((np.abs(x - g.c) - 0.5 * g.l) / width))
     ext, (d_dl, d_dc) = _extension(m, g, x)
     weight = w * chi ** 2
     norm2 = np.sum(weight * np.abs(ext) ** 2)
@@ -778,7 +774,7 @@ def test_mollified_sweep_integrates_once_per_width(monkeypatch):
     nodes = _count_strip_nodes(monkeypatch)
     for n, eta in ((0, 1j), (7, 0.3 + 0.6j)):
         m = mode(n, eta)
-        for path in (RECT, polyline_path([(1.0, 0.0), (1.3, 0.05), (1.2, 0.3), (1.1, 0.2)], close=True)):
+        for path in (RECT, ParameterPath([(1.0, 0.0), (1.3, 0.05), (1.2, 0.3), (1.1, 0.2)])):
             for eps in ([0.2, 0.1, 0.05], [0.2, 0.1, 0.05, 0.025]):
                 nodes.clear()
                 loop_phase_mollified_sweep(m, path, eps)
@@ -854,7 +850,7 @@ def test_overlap_chain_is_first_order_on_sloped_sides():
         dc = l1 / max(abs(m.k), 1.0)
         verts = [(l1, c1), (l1 * rng.uniform(1.2, 1.4), c1 + dc * rng.uniform(0.1, 0.3)),
                  (l1 * rng.uniform(1.05, 1.15), c1 + dc * rng.uniform(0.6, 1.0))]
-        path = polyline_path(verts, close=True, orientation=int(rng.choice([1, -1])))
+        path = ParameterPath(verts, orientation=int(rng.choice([1, -1])))
         errs = _chain_errors(m, path, (512, 1024))
         assert 1.9 < errs[0] / errs[1] < 2.1, (m, path, errs)
 
@@ -965,7 +961,7 @@ def test_method_all_phases_are_pinned(case):
     if loop["type"] == "rectangle":
         path = rectangle_loop(loop["l1"], loop["l2"], loop["c1"], loop["c2"], loop["orientation"])
     else:
-        path = polyline_path(loop["points"], close=True, orientation=loop["orientation"])
+        path = ParameterPath(loop["points"], orientation=loop["orientation"])
     eps = [0.2, 0.1, 0.05, 0.025]
     mollified = loop_phase_mollified_sweep(m, path, eps)
     phases = ([loop_phase_analytic(m, path)] + [loop_phase_interior(m, path, h) for h in (1e-4, 5e-5)]
@@ -999,17 +995,20 @@ def test_curvature_scales_with_wavenumber():
 
 
 def test_stokes_consistency():
+    # the loop phase against the curvature flux through the rectangle, whose
+    # sign the orientation sets
     m = mode(0, 1j)
-    assert stokes_defect(m, RECT) < 1e-10
-    assert stokes_defect(m, rectangle_loop(1.0, 1.0, 0.0, 1.0)) < 1e-14
+    assert abs(loop_phase_analytic(m, RECT) - curvature_flux(m, 1.0, 2.0, 0.0, 1.0)) < 1e-10
+    assert abs(loop_phase_analytic(m, rectangle_loop(1.0, 1.0, 0.0, 1.0))) < 1e-14
     rng = np.random.default_rng(42)
     m2 = mode(1, -0.3 + 0.4j)
     for _ in range(10):
         l1, l2 = np.sort(rng.uniform(0.5, 3.0, 2))
         c1, c2 = np.sort(rng.uniform(-1.0, 1.0, 2))
-        rect = rectangle_loop(l1, l2 + 1e-3, c1, c2 + 1e-3,
-                              orientation=int(rng.choice([1, -1])))
-        assert stokes_defect(m2, rect) < 1e-8
+        orientation = int(rng.choice([1, -1]))
+        rect = rectangle_loop(l1, l2 + 1e-3, c1, c2 + 1e-3, orientation=orientation)
+        flux = curvature_flux(m2, l1, l2 + 1e-3, c1, c2 + 1e-3)
+        assert abs(loop_phase_analytic(m2, rect) - orientation * flux) < 1e-8
 
 
 # ---------------------------------------------------------------------------

@@ -145,7 +145,6 @@ def test_classification_matches_entrywise_within_tol():
     assert abs(info.eta.value - (1 + 1e-6j)) < 1e-15
     # within the absolute tolerance a named condition still matches
     assert classify_unitary([[-1, 0], [0, -cmath.exp(1e-10j)]]).kind == "dirichlet"
-    assert classify_unitary([[-1, 0], [0, -cmath.exp(1e-6j)]], tol=2e-6).kind == "dirichlet"
 
 
 def eta_i_mode_data(k):

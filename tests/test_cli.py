@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import math
 import pathlib
 import re
 import shlex
@@ -13,13 +14,14 @@ import warnings
 import numpy as np
 import pytest
 
+from array_propagator import propagate_arrays
 import berrybox.adiabatic
 import berrybox.berry
 import berrybox.cli
 import berrybox.cli.adiabatic
 import berrybox.closed_form
 import berrybox.svgplot
-from berrybox import LoopPhaseResult, gauss_legendre
+from berrybox import LoopPhaseResult, Schedule, gauss_legendre, rectangle_loop
 from berrybox.cli import main
 
 
@@ -565,6 +567,26 @@ def test_adiabatic_real_eta_geometric_column(tmp_path):
     assert geos[1] < 1e-3
 
 
+@pytest.mark.parametrize("flag, value", [("--mass", "1e-200"), ("--mass", "1e-300"), ("--T-list", "1e-300"),
+                                         ("--T-list", "1e200"), ("--T-list", "1e300")])
+def test_adiabatic_at_the_ends_of_the_float_range(tmp_path, flag, value):
+    # the Householder step formed 1/(norm (norm + |x0|)), which overflowed for
+    # column norms above about 1e154 and underflowed below 1e-154: the first
+    # two exited 1 with ArithmeticError (QL on NaN), the last two with
+    # ZeroDivisionError; the default loop, level and window, against the
+    # numpy propagator the standard-library one replaced
+    out = tmp_path / "adia.csv"
+    assert run("adiabatic", flag, value, "--out", str(out)) == 0
+    mass = float(value) if flag == "--mass" else 1.0
+    t_list = [float(value)] if flag == "--T-list" else [25.0, 50.0, 100.0, 200.0]
+    _, rows = read_csv(out)
+    assert [float(r[0]) for r in rows] == t_list
+    for r, T in zip(rows, t_list):
+        want = propagate_arrays(Schedule(rectangle_loop(1.0, 2.0, 0.0, 1.0), T), 0, 1j, 8, mass)
+        assert r[2] == berrybox.cli._fmt(want.dynamical_phase)
+        assert abs(math.remainder(float(r[3]) - want.geometric_phase, 2.0 * math.pi)) < 1e-8
+
+
 # ---------------------------------------------------------------------------
 # determinism and config round-trip
 
@@ -665,6 +687,14 @@ _NONFINITE_LOOPS = [
     pytest.param(["spectrum", "--eta", "0.3+0.6i", "--l", "1e-170"], None, id="spectrum-l-underflow"),
     pytest.param(["spectrum", "--mass", "1e-320", "--check", "generic"], None, id="spectrum-generic-mass-subnormal"),
     pytest.param(["spectrum", "--eta", "1", "--n-max", "2", "--l", "1e-170"], None, id="spectrum-degenerate-l-underflow"),
+    # l * l underflowed in the curvature: f_lc = inf printed (exit 0), or a
+    # ZeroDivisionError traceback (exit 1); the loop phases at 1e-300 exit 2
+    pytest.param(["berry", "--curvature-map", "--loop-rect", "1e-160", "1", "0", "1", "--mesh", "3"], None,
+                 id="berry-map-l-1e-160"),
+    pytest.param(["berry", "--curvature-map", "--loop-rect", "1e-300", "1", "0", "1", "--mesh", "3"], None,
+                 id="berry-map-l-1e-300"),
+    pytest.param(["wz", "--eta", "1", "--n", "1", "--loop-rect", "1e-300", "1", "0", "1"], None, id="wz-l-1e-300"),
+    pytest.param(["berry", "--loop-rect", "1e-300", "1", "0", "1", "--method", "all"], None, id="berry-all-l-1e-300"),
     pytest.param(["spectrum", "--eta", "1", "--degenerate"], None, id="spectrum-degenerate"),
     pytest.param(["spectrum", "--eta", "-1", "--check", "generic"], None, id="spectrum-degenerate-generic"),
     pytest.param(["bc", "--plot", "x.svg"], None, id="bc-plot"),

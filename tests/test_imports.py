@@ -8,6 +8,7 @@ command (each method, --plot and the curvature map included) and
 `adiabatic` run on the standard library alone, and load neither
 `dataclasses` nor `inspect`."""
 
+import ast
 import importlib
 import json
 import os
@@ -100,7 +101,7 @@ def test_namespace_reads_show_their_imports_in_importtime():
     # the namespace loaded submodules through importlib, which -X importtime
     # does not log: `berrybox.mode` loaded berrybox.closed_form unlisted
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-    code = "import berrybox; berrybox.mode; berrybox.polyline_path"
+    code = "import berrybox; berrybox.mode; berrybox.rectangle_loop"
     proc = subprocess.run([sys.executable, "-X", "importtime", "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     # the last column of each line names the module loaded
@@ -215,7 +216,8 @@ def test_generic_check_runs_without_scipy(tmp_path):
 
 
 # the names the package exported when it imported every submodule eagerly,
-# less those since deleted or moved to the tests' `array_rules`, with the
+# less those since deleted (the helpers only tests read among them) or moved
+# to the tests' `array_rules`, with the
 # plane-wave names and the standard-library rules added, under the module
 # that defines each now (the boundary-triple identities moved out of
 # `boundary`), in dependency order
@@ -228,10 +230,10 @@ _EXPORTED = {
                    "degenerate_wavenumber degenerate_waves eigenvalue loop_phase_analytic mode wavenumber "
                    "window_integral",
     "spectrum": "EigenLevel RootSearchError generic_spectrum",
-    "paths": "ParameterPath point_loop polyline_path rectangle_corners rectangle_loop",
+    "paths": "ParameterPath rectangle_loop",
     "berry": "LoopPhaseResult MeshTooCoarseError connection_interior connection_mollified "
              "loop_phase_interior loop_phase_mollified_sweep loop_phase_overlap_meshes power_law_extrapolate "
-             "require_geometric require_interior_step standard_mollifier state_overlap stokes_defect",
+             "require_geometric require_interior_step standard_mollifier state_overlap",
     "wilczek_zee": "ConnectionCheckError Holonomy MatrixConnection connection_from_basis "
                    "diagonalize_in_plane_waves wz_connection wz_curvature wz_holonomy",
     "adiabatic": "PhaseReport Schedule eigh generator mode_window propagate weak_form_matrix",
@@ -267,3 +269,55 @@ def test_package_exports_are_the_submodules_all():
     for module, names in berrybox._EXPORTS.items():
         assert names.split() == importlib.import_module(f"berrybox.{module}").__all__, module
     assert berrybox.__all__ == [name for names in berrybox._EXPORTS.values() for name in names.split()]
+
+
+def _bound(stmt) -> set:
+    """The names a top-level statement defines: a def's or class's name, or
+    the root name of each assignment target (`X.__doc__ = ...` defines X)."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
+    roots = set()
+    for target in targets:
+        while isinstance(target, (ast.Attribute, ast.Subscript)):
+            target = target.value
+        if isinstance(target, ast.Name):
+            roots.add(target.id)
+    return roots
+
+
+def _readers(path) -> set:
+    """The names the code of a module reads, as a name, an attribute or an
+    import, each outside the top-level statement that defines it; a string,
+    such as a docstring or an entry of `__all__`, reads no name."""
+    read = set()
+    for stmt in ast.parse(Path(path).read_text(encoding="utf-8")).body:
+        here = set()
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                here.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                here.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                here.update(alias.name for alias in node.names)
+        read |= here - _bound(stmt)
+    return read
+
+
+def test_every_exported_name_is_read_by_the_package_or_a_demo():
+    # ROADMAP item 12: the library holds what the commands and the demos
+    # run.  Each name of `_EXPORTS` is read by the package's code outside its
+    # own definition, or imported by a demo; `stokes_defect` and `point_loop`
+    # were read by tests alone, and `dilation_transport` before the boundary
+    # tour printed its dilation check
+    package = Path(berrybox.__file__).resolve().parent
+    read = set().union(*(_readers(path) for path in package.rglob("*.py")))
+    demos = package.parent.parent / "demos"
+    assert demos.is_dir(), demos
+    for path in demos.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "berrybox":
+                read.update(alias.name for alias in node.names)
+    unread = [name for names in berrybox._EXPORTS.values() for name in names.split() if name not in read]
+    assert unread == []
+

@@ -1,21 +1,21 @@
-"""Parameter-path plumbing: traversal, orientation, rectangle detection."""
+"""Parameter-path plumbing: closure, traversal, orientation."""
 
 import numpy as np
 import pytest
 
-from berrybox import ParameterPath, point_loop, polyline_path, rectangle_corners, rectangle_loop
+from berrybox import ParameterPath, rectangle_loop
 
 
 def test_rectangle_loop_closed_and_oriented():
     path = rectangle_loop(1.0, 2.0, 0.0, 1.0)
-    assert path.closed
+    assert path.vertices == ((1.0, 0.0), (2.0, 0.0), (2.0, 1.0), (1.0, 1.0), (1.0, 0.0))
     g0 = path.point(0.0)
     assert (g0.l, g0.c) == (1.0, 0.0)
     # quarter way around: end of the first edge
     g = path.point(0.25)
     assert (g.l, g.c) == pytest.approx((2.0, 0.0))
-    assert rectangle_corners(path) == (1.0, 2.0, 0.0, 1.0, 1)
-    assert rectangle_corners(rectangle_loop(1.0, 2.0, 0.0, 1.0, orientation=-1))[-1] == -1
+    # a zero-area rectangle keeps its four sides
+    assert len(rectangle_loop(1.0, 2.0, 0.5, 0.5).segments) == 4
 
 
 def test_orientation_reversal():
@@ -27,7 +27,7 @@ def test_orientation_reversal():
 
 
 def test_velocity_matches_finite_difference():
-    path = polyline_path([(1.0, 0.0), (2.0, 0.5), (1.5, -0.2)])
+    path = ParameterPath([(1.0, 0.0), (2.0, 0.5), (1.5, -0.2)])
     eps = 1e-7
     for s in (0.2, 0.4, 0.8):
         vl, vc = path.velocity(s)
@@ -38,50 +38,47 @@ def test_velocity_matches_finite_difference():
 
 def test_positive_length_enforced():
     with pytest.raises(ValueError):
-        polyline_path([(1.0, 0.0), (-1.0, 0.0)])
+        ParameterPath([(1.0, 0.0), (-1.0, 0.0)])
     with pytest.raises(ValueError):
         rectangle_loop(0.0, 2.0, 0.0, 1.0)
 
 
 def test_segments_are_vertex_pairs():
+    # the loop closes itself: the first vertex is appended, and the closing side with it
     path = ParameterPath([(1, 0), (2, 0), (2, 1)], orientation=-1)
-    assert path.vertices == ((1.0, 0.0), (2.0, 0.0), (2.0, 1.0))
-    assert path.segments == (((1.0, 0.0), (2.0, 0.0)), ((2.0, 0.0), (2.0, 1.0)))
-    # s runs backwards through the same vertices
-    g = path.point(0.25)
+    assert path.vertices == ((1.0, 0.0), (2.0, 0.0), (2.0, 1.0), (1.0, 0.0))
+    assert path.segments == (((1.0, 0.0), (2.0, 0.0)), ((2.0, 0.0), (2.0, 1.0)), ((2.0, 1.0), (1.0, 0.0)))
+    # s runs backwards through the same vertices, the closing side first
+    g = path.point(1.0 / 6.0)
+    assert (g.l, g.c) == pytest.approx((1.5, 0.5), rel=0.0, abs=1e-15)
+    assert path.velocity(1.0 / 6.0) == (3.0, 3.0)
+    g = path.point(0.5)
     assert (g.l, g.c) == (2.0, 0.5)
-    assert path.velocity(0.25) == (0.0, -2.0)
+    assert path.velocity(0.5) == (0.0, -3.0)
+    # a given closing vertex is not repeated
+    assert ParameterPath(path.vertices).vertices == path.vertices
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 def test_nonfinite_vertex_rejected(bad):
     # nan slipped past the l > 0 check, since nan <= 0 is false
     with pytest.raises(ValueError, match="finite"):
-        polyline_path([(1.0, 0.0), (2.0, bad), (1.5, 1.0)], close=True)
+        ParameterPath([(1.0, 0.0), (2.0, bad), (1.5, 1.0)])
     with pytest.raises(ValueError, match="finite"):
         rectangle_loop(1.0, 2.0, bad, 1.0)
     with pytest.raises(ValueError, match="finite"):
-        point_loop(bad, 0.0)
+        ParameterPath([(bad, 0.0)])
 
 
 def test_point_loop():
-    loop = point_loop(1.0, 0.3)
-    assert loop.closed
+    # a single vertex is a loop of one side that stays put
+    loop = ParameterPath([(1.0, 0.3)])
+    assert loop.segments == (((1.0, 0.3), (1.0, 0.3)),)
     g = loop.point(0.5)
     assert (g.l, g.c) == (1.0, 0.3)
-
-
-def test_open_polyline_not_closed():
-    path = polyline_path([(1.0, 0.0), (2.0, 1.0)])
-    assert not path.closed
-    path = polyline_path([(1.0, 0.0), (2.0, 1.0)], close=True)
-    assert path.closed
-
-
-def test_rectangle_corners_rejects_slanted():
-    slanted = polyline_path([(1.0, 0.0), (2.0, 1.0), (1.0, 1.0)], close=True)
-    with pytest.raises(ValueError):
-        rectangle_corners(slanted)
+    assert loop.velocity(0.5) == (0.0, 0.0) and loop.dc_over_l() == 0.0
+    with pytest.raises(ValueError, match="at least one vertex"):
+        ParameterPath([])
 
 
 @pytest.mark.parametrize("orientation", [1, -1])
@@ -92,7 +89,7 @@ def test_point_lands_on_vertices_and_clamps(orientation):
     rng = np.random.default_rng(23)
     for _ in range(20):
         pts = rng.uniform([0.3, -2.0], [3.0, 2.0], size=(int(rng.integers(2, 7)), 2))
-        path = polyline_path(pts, close=bool(rng.integers(2)), orientation=orientation)
+        path = ParameterPath(pts, orientation=orientation)
         n = len(path.segments)
         verts = path.vertices if orientation > 0 else path.vertices[::-1]
         for i in range(n + 1):

@@ -49,4 +49,6 @@ def test_panel_rule_matches_direct_leggauss():
     assert np.array_equal(nodes, (mid[:, None] + half[:, None] * xg[None, :]).ravel())
     assert np.array_equal(weights, (half[:, None] * wg[None, :]).ravel())
     assert nodes.flags.writeable
-    assert panel_nodes(-0.3, 1.7, 5, order=12) == list(zip(nodes.tolist(), weights.tolist()))
+    # `panel_nodes` is the rule of order ORDER = 16
+    nodes, weights = panel_rule(-0.3, 1.7, 5)
+    assert panel_nodes(-0.3, 1.7, 5) == list(zip(nodes.tolist(), weights.tolist()))

@@ -14,6 +14,8 @@ from berrybox import (
     DegenerateEtaError,
     ETA_INF,
     Geometry,
+    ParameterPath,
+    RootSearchError,
     alpha_of,
     as_eta,
     bc_residual,
@@ -25,9 +27,9 @@ from berrybox import (
     eta_to_unitary,
     generic_spectrum,
     mode,
-    polyline_path,
     wavenumber,
 )
+import berrybox.spectrum
 
 UNIT = Geometry(1.0, 0.0)
 
@@ -41,7 +43,7 @@ def _values(w, u):
 def _physical(m, g, x):
     """The eigenfunction l^-1/2 phi((x - c)/l) at the box g, zero outside it."""
     x = np.asarray(x, dtype=float)
-    inside = (x >= g.left) & (x <= g.right)
+    inside = (x >= g.c - 0.5 * g.l) & (x <= g.c + 0.5 * g.l)
     return np.where(inside, _values(m.waves, (x - g.c) / g.l) / np.sqrt(g.l), 0.0 + 0.0j)
 
 
@@ -116,7 +118,7 @@ def test_closed_forms_match_the_numpy_expressions_they_replace():
             assert abs(m.alpha - alpha) <= math.ulp(alpha), (eta, n)
     for _ in range(200):
         points = np.column_stack([rng.uniform(0.05, 3.0, 6), rng.uniform(-2.0, 2.0, 6)])
-        path = polyline_path(points[: rng.integers(2, 7)], close=True, orientation=int(rng.choice([1, -1])))
+        path = ParameterPath(points[: rng.integers(2, 7)], orientation=int(rng.choice([1, -1])))
         terms = [dc / l0 if dl == 0 else dc * np.log1p(dl / l0) / dl
                  for (l0, c0), (l1, c1) in path.segments for dl, dc in [(l1 - l0, c1 - c0)]]
         # the sides are summed in the same order, so only the log1p roundings
@@ -199,7 +201,7 @@ def test_physical_eigenfunction():
     rng = np.random.default_rng(5)
     for _ in range(4):
         g = Geometry(float(rng.uniform(0.5, 3.0)), float(rng.uniform(-1.0, 1.0)))
-        x, w = oscillatory_rule(g.left, g.right, 2 * m.k / g.l)
+        x, w = oscillatory_rule(g.c - 0.5 * g.l, g.c + 0.5 * g.l, 2 * m.k / g.l)
         nrm = np.sqrt(np.sum(w * np.abs(_physical(m, g, x)) ** 2))
         assert nrm == pytest.approx(1.0, abs=1e-12)
 
@@ -208,7 +210,7 @@ def test_dilation_covariance():
     # the physical eigenfunction is the unitary transport of the reference one
     m = mode(1, -0.3 + 0.4j)
     g = Geometry(1.8, -0.4)
-    x = np.linspace(g.left, g.right, 101)
+    x = np.linspace(g.c - 0.5 * g.l, g.c + 0.5 * g.l, 101)
     manual = np.array([m.waves.at(u)[0] for u in (x - g.c) / g.l]) / np.sqrt(g.l)
     assert np.max(np.abs(_physical(m, g, x) - manual)) < 1e-12
     # endpoint data follow the same transport
@@ -418,3 +420,20 @@ def test_generic_spectrum_matches_the_pinned_levels(case):
     assert [lv.multiplicity for lv in levels] == case["multiplicity"]
     for lv, pinned in zip(levels, case["lam"]):
         assert abs(lv.lam - pinned) <= 1e-13 * abs(pinned), (lv.lam, pinned)
+
+
+def test_generic_spectrum_scans_once(monkeypatch):
+    # level j of any wall condition lies at or below t = (j + 1) pi (the
+    # Dirichlet extension is the largest), so one scan to (count + 3) pi
+    # spans every level asked for; a scan that finds fewer raises, where the
+    # retry used to widen it and pad the list with higher levels
+    scans = []
+    roots = berrybox.spectrum._roots
+    monkeypatch.setattr(berrybox.spectrum, "_roots", lambda *args: scans.append(args[-1]) or roots(*args))
+    assert len(generic_spectrum(eta_to_unitary(0.3 + 0.6j), 5)) == 5
+    assert scans == [8 * math.pi]
+    monkeypatch.setattr(berrybox.spectrum, "_roots", lambda *args: scans.append(args[-1]) or roots(*args)[:4])
+    with pytest.raises(RootSearchError, match="found only 4 eigenvalues"):
+        generic_spectrum(eta_to_unitary(0.3 + 0.6j), 5)
+    assert scans == [8 * math.pi] * 2
+

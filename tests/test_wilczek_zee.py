@@ -12,8 +12,10 @@ from berrybox import (
     Geometry,
     ParameterPath,
     connection_from_basis,
+    curvature,
     degenerate_wavenumber,
     diagonalize_in_plane_waves,
+    mode,
     rectangle_loop,
     wz_connection,
     wz_curvature,
@@ -64,6 +66,21 @@ def test_curvature():
     # 1/l^2 scaling
     curv2 = wz_curvature(1, 1, Geometry(2.0, 0.0))
     assert np.allclose(curv2, 0.5 * np.pi * SIGMA2, atol=1e-13)
+
+
+@pytest.mark.parametrize("l", [1e-160, 1e-300])
+def test_curvature_beyond_the_float_range_raises(l):
+    # l ** 2 underflowed: k / l^2 was inf, or a ZeroDivisionError traceback
+    with pytest.raises(ValueError, match="not finite"):
+        wz_curvature(1, 1, Geometry(l, 0.0))
+    with pytest.raises(ValueError, match="not finite"):
+        curvature(mode(0, 1j), l)
+
+
+def test_curvature_underflows_to_zero_at_a_huge_box():
+    # l ** 2 overflowed with an OverflowError traceback; k_n / l^2 is 0
+    assert wz_curvature(1, 1, Geometry(1e200, 0.0)) == ((0j, 0j), (0j, 0j))
+    assert curvature(mode(0, 1j), 1e200) == 0.0
 
 
 def test_holonomy_standard_rectangle():
@@ -136,7 +153,7 @@ def _sloped_polyline(rng, orientation):
     l0, c0 = rng.uniform(1.0, 2.0), rng.uniform(-1.0, 1.0)
     radius = rng.uniform(0.2, 0.6, angles.size)
     verts = [(l0 + r * np.cos(a), c0 + r * np.sin(a)) for a, r in zip(angles, radius)]
-    return ParameterPath(verts + [verts[0]], orientation)
+    return ParameterPath(verts, orientation)
 
 
 def _drawn_cases(seed, count):
@@ -223,7 +240,7 @@ def test_holonomy_routes_every_step_through_expm(monkeypatch, tmp_path, mesh):
     doc = json.loads(out.read_text())
     assert doc["mesh"] == mesh and doc["err_estimate"] == 0.0
     # the JSON holds 9 significant digits: the closed form, rounded alike
-    theta = abs(math.remainder(_theta(-1, 3, ParameterPath(points + [points[0]])), 2.0 * np.pi))
+    theta = abs(math.remainder(_theta(-1, 3, ParameterPath(points)), 2.0 * np.pi))
     assert doc["eigenphases"] == [float(f"{-theta:.8e}"), float(f"{theta:.8e}")]
 
 
