@@ -12,7 +12,6 @@ the parameter half-plane.
 import math
 
 from berrybox import (
-    Geometry,
     connection_from_basis,
     diagonalize_in_plane_waves,
     rectangle_loop,
@@ -30,16 +29,16 @@ def fmt_matrix(mat):
 
 
 def main():
-    g = Geometry(1.0, 0.0)
-    conn = wz_connection(1, 1, g)
+    l = 1.0
+    conn = wz_connection(1, 1, l)
     print("eta = +1, n = 1 (levels n and -n coalesce)")
     print("dc coefficient of the connection (closed form, k/l * sigma2):")
     print(fmt_matrix(conn.coeff_c))
     numeric = connection_from_basis(1, 1)  # l A at the unit box
-    drift = max(abs(a / g.l - b) for ra, rb in zip(numeric.coeff_c, conn.coeff_c) for a, b in zip(ra, rb))
+    drift = max(abs(a / l - b) for ra, rb in zip(numeric.coeff_c, conn.coeff_c) for a, b in zip(ra, rb))
     print(f"recomputation from the basis deviates by {drift:.2e}")
     print("curvature coefficient (k/l^2 * sigma2):")
-    print(fmt_matrix(wz_curvature(1, 1, g)))
+    print(fmt_matrix(wz_curvature(1, 1, l)))
     print()
 
     rect = rectangle_loop(1.0, 2.0, 0.0, 1.0)

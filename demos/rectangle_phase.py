@@ -16,9 +16,9 @@ into an SVG.
 import sys
 
 from berrybox import (
+    connection_interior,
+    connection_mollified,
     loop_phase_analytic,
-    loop_phase_interior,
-    loop_phase_mollified_sweep,
     loop_phase_overlap_meshes,
     mode,
     power_law_extrapolate,
@@ -35,16 +35,19 @@ def main(svg_path=None):
     print(f"eta = {eta}, level n = 0, rectangle l: 1 -> 2, c: 0 -> 1")
     print(f"closed-form loop phase: {exact:.12f}")
     print()
+    # each prescription gives the connection F/l; around the loop its phase is
+    # -F_c times the loop integral of dc/l
+    dc_over_l = rect.dc_over_l()
 
     print("interior prescription (finite differences inside the box)")
     for h in (1e-3, 5e-4, 2.5e-4):
-        # loop_phase_interior takes the step relative to l / (1 + |k|)
-        phase = loop_phase_interior(m, rect, h * (1.0 + abs(m.k)))
+        # connection_interior takes the step relative to l / (1 + |k|)
+        phase = -connection_interior(m, h * (1.0 + abs(m.k)))[1] * dc_over_l
         print(f"  h/l = {h:.1e}   phase = {phase:.12f}   error = {abs(phase - exact):.2e}")
 
     print("mollified embedding (smoothed box edge of width eps * l)")
     eps_list = [0.2, 0.1, 0.05, 0.025]
-    phases = loop_phase_mollified_sweep(m, rect, eps_list)
+    phases = [-connection_mollified(m, eps)[1] * dc_over_l for eps in eps_list]
     for eps, phase in zip(eps_list, phases):
         print(f"  eps/l = {eps:<6} phase = {phase:.12f}   error = {abs(phase - exact):.2e}")
     limit, order = power_law_extrapolate(eps_list, phases)

@@ -8,10 +8,11 @@ independent renormalization prescriptions, handles the degenerate
 eta = +/-1 matrix holonomy, and verifies everything dynamically by slow
 traversal of loops in the (length, center) parameter half-plane.  A loop
 (`ParameterPath`) closes itself, so no routine tests for closure.
-Each state those checks integrate is one record of two plane waves at one
-wavenumber (`PlaneWaves`, from a `Mode` or `degenerate_waves`), and every
-overlap of two of them, over any window, is one closed form
-(`window_integral`).
+The walls are dilation invariant, so the unit box is the one frame: a box is
+its length l, and each state those checks integrate is one record of two
+plane waves at one wavenumber in the box coordinate (`PlaneWaves`, from a
+`Mode` or `degenerate_waves`), whose overlap with another at any box (l, c),
+over any window, is one closed form (`window_integral`).
 
 The namespace loads on demand (PEP 562): `import berrybox` imports no
 submodule, and the first read of a public name such as `berrybox.mode`
@@ -36,14 +37,13 @@ _EXPORTS = {
     "boundary_triple": "BoundaryData bc_residual boundary_form triple_identity_defect dilation_transport "
                        "compliant_data boundary_traces",
     "quadrature": "gauss_legendre panel_nodes",
-    "closed_form": "DegenerateEtaError Geometry Mode PlaneWaves alpha_of wavenumber mode eigenvalue "
+    "closed_form": "DegenerateEtaError require_length Mode PlaneWaves alpha_of wavenumber mode eigenvalue "
                    "degenerate_wavenumber degenerate_waves window_integral connection_analytic "
                    "loop_phase_analytic curvature",
     "spectrum": "RootSearchError EigenLevel generic_spectrum",
-    "paths": "ParameterPath rectangle_loop",
+    "paths": "ParameterPath rectangle_loop log_ratio",
     "berry": "MeshTooCoarseError standard_mollifier connection_interior connection_mollified LoopPhaseResult "
-             "loop_phase_interior loop_phase_mollified_sweep loop_phase_overlap_meshes state_overlap "
-             "power_law_extrapolate require_geometric require_interior_step",
+             "loop_phase_overlap_meshes state_overlap power_law_extrapolate require_geometric require_interior_step",
     "wilczek_zee": "SIGMA2 ConnectionCheckError MatrixConnection Holonomy wz_connection connection_from_basis "
                    "wz_curvature wz_holonomy diagonalize_in_plane_waves",
     "adiabatic": "Schedule PhaseReport mode_window weak_form_matrix generator eigh propagate",

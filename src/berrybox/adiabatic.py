@@ -49,7 +49,7 @@ from collections import namedtuple
 from operator import mul
 
 from .closed_form import Mode, eigenvalue, mode
-from .paths import ParameterPath
+from .paths import ParameterPath, log_ratio
 
 __all__ = [
     "Schedule",
@@ -282,15 +282,26 @@ def _tridiagonal_ql(d, e):
 def _sides(schedule: Schedule):
     """(kappa, l cdot, tau_side) of each side, in traversal order.
 
-    A side (l0, c0) -> (l1, c1) takes T/nseg with l^2 linear in t.
+    A side (l0, c0) -> (l1, c1) takes T/nseg with l^2 linear in t; a side
+    where one of the three is not finite raises ValueError naming it.
     """
     path = schedule.path
     segs = path.segments if path.orientation > 0 else [(b, a) for a, b in reversed(path.segments)]
     t_side = schedule.duration / len(segs)
     for (l0, c0), (l1, c1) in segs:
         kappa = (l1 - l0) * (l1 + l0) / (2.0 * t_side)
-        tau = t_side / l0 ** 2 if l0 == l1 else math.log1p((l1 - l0) / l0) / kappa
-        yield kappa, (c1 - c0) * (l1 + l0) / (2.0 * t_side), tau
+        lcdot = (c1 - c0) * (l1 + l0) / (2.0 * t_side)
+        try:
+            tau = log_ratio(l0, l1) / kappa if l0 != l1 else t_side / l0 ** 2
+        except OverflowError:  # pow raises where l^2 overflows: t_side / l^2 underflows
+            tau = 0.0
+        except ZeroDivisionError:  # l^2 or kappa underflows to 0
+            tau = math.inf
+        if not all(map(math.isfinite, (kappa, lcdot, tau))):
+            raise ValueError(f"the loop side (l, c) = ({l0}, {c0}) -> ({l1}, {c1}) leaves the float range at "
+                             f"T = {schedule.duration}: kappa = l ldot = {kappa}, l cdot = {lcdot} and the "
+                             f"conformal time {tau} must all be finite")
+        yield kappa, lcdot, tau
 
 
 def propagate(
@@ -313,7 +324,7 @@ def propagate(
     Returns the total return phase Arg<psi(0)|psi(T)>, the dynamical phase
     -Int lambda dt = -k^2/(2m) sum tau_side, and their difference mod 2 pi
     as the geometric phase.  A fidelity below 0.9 sets the adiabaticity
-    warning instead of raising.
+    warning instead of raising.  A side out of the float range raises ValueError.
     """
     modes = mode_window(eta, window)
     if abs(start_mode) > window:
@@ -327,8 +338,12 @@ def propagate(
     psi0 = psi
     edges = [[1.0 + 0j] + [0j] * (size - 1), [0j] * (size - 1) + [1.0 + 0j]]
     norm_drift = edge_weight = 0.0
-    for kappa, lcdot, tau in sides:
-        basis = eigh(generator(modes, kappa, lcdot, mass))
+    for i, (kappa, lcdot, tau) in enumerate(sides):
+        try:
+            basis = eigh(generator(modes, kappa, lcdot, mass))
+        except ArithmeticError as exc:  # QL meets inf or NaN where the generator nears the float range's end
+            raise ValueError(f"loop side {i + 1} in traversal order moves too fast for the float range at this "
+                             f"window: kappa = l ldot = {kappa}, l cdot = {lcdot} ({exc})") from None
         coords = basis.coordinates(psi)
         for edge in edges:
             edge_weight = max(edge_weight, sum(abs(a) * abs(b) for a, b in zip(basis.coordinates(edge), coords)))

@@ -23,14 +23,14 @@ embedding's interior are one closed form (`closed_form.window_integral`);
 Gauss quadrature serves only the embedding's two wall strips.  Everything
 runs on the standard library, one box at a time.
 The boundary conditions are dilation invariant, so every state is
-l^-1/2 phi((x - c)/l), and a prescription whose regulator scales with the box
-(the interior step, the cutoff width) gives a connection F/l.  Each connection
-oracle therefore takes only the mode and its relative regulator and returns
-F = l a, the connection at the unit box, integrated in the box coordinate
-u = (x - c)/l where no box enters; around a loop (every `ParameterPath`
-closes itself) every phase is -F_c times the closed-form loop integral of
-dc/l.  The overlap of two states, too, depends only on (l'/l, (c' - c)/l),
-so along a side sampled geometrically in l every neighbour overlap is one
+l^-1/2 phi((x - c)/l), the unit box is the one frame, and a prescription whose
+regulator scales with the box (the interior step, the cutoff width) gives a
+connection F/l.  Each connection oracle takes only the mode and its relative
+regulator and returns F = l a, the connection at the unit box; around a loop
+F_l meets the loop integral of dl/l, which vanishes, so the phase is -F_c
+times that of dc/l (`ParameterPath.dc_over_l`).  The overlap of two states
+depends only on (l'/l, (c' - c)/l) and is taken against the unit box, so
+along a side sampled geometrically in l every neighbour overlap is one
 number and a chain costs one per side.
 Loop phases follow the convention Phi = i * contour integral of <psi|d psi>;
 for the counterclockwise axis-aligned rectangle [l1, l2] x [c1, c2] this
@@ -44,8 +44,8 @@ import math
 import sys
 from collections import namedtuple
 
-from .closed_form import Mode, window_integral
-from .paths import ParameterPath
+from .closed_form import Mode, require_length, window_integral
+from .paths import ParameterPath, log_ratio
 from .quadrature import panel_nodes
 
 __all__ = [
@@ -54,8 +54,6 @@ __all__ = [
     "connection_interior",
     "connection_mollified",
     "LoopPhaseResult",
-    "loop_phase_interior",
-    "loop_phase_mollified_sweep",
     "loop_phase_overlap_meshes",
     "state_overlap",
     "power_law_extrapolate",
@@ -121,8 +119,8 @@ def connection_interior(m: Mode, h_rel=1e-4):
     r = require_interior_step(m, h_rel) / (1.0 + abs(m.k))
     # windows [-half, half] inside the boxes shifted in c, then in l
     psi = m.waves
-    w_c = [window_integral(psi, psi, r - 0.5, 0.5 - r, cb=c) for c in (r, -r, 0.0)]
-    w_l = [window_integral(psi, psi, 0.5 * (r - 1.0), 0.5 * (1.0 - r), lb=l) for l in (1.0 + r, 1.0 - r, 1.0)]
+    w_c = [window_integral(psi, psi, r - 0.5, 0.5 - r, c=c) for c in (r, -r, 0.0)]
+    w_l = [window_integral(psi, psi, 0.5 * (r - 1.0), 0.5 * (1.0 - r), l=l) for l in (1.0 + r, 1.0 - r, 1.0)]
     return (w_l[0] - w_l[1]).imag / (2.0 * r) / w_l[2].real, (w_c[0] - w_c[1]).imag / (2.0 * r) / w_c[2].real
 
 
@@ -168,41 +166,21 @@ def connection_mollified(m: Mode, eps: float):
 # loop phases
 
 
-def loop_phase_interior(m: Mode, path: ParameterPath, h_rel: float) -> float:
-    """Loop phase of `connection_interior` at the step h_rel * l / (1 + |k|).
-
-    The connection is (F_l, F_c)/l; around a closed loop F_l multiplies the
-    loop integral of dl/l, which vanishes, and Phi = -F_c times that of dc/l
-    (`ParameterPath.dc_over_l`).
-    """
-    _, f_c = connection_interior(m, h_rel)
-    return float(-f_c * path.dc_over_l())
-
-
-def loop_phase_mollified_sweep(m: Mode, path: ParameterPath, eps_list) -> list[float]:
-    """Loop phases -F_c(eps) times the loop integral of dc/l of
-    `connection_mollified`, as for `loop_phase_interior`, at each relative
-    width in `eps_list`, in the order given."""
-    dc_over_l = path.dc_over_l()
-    return [-connection_mollified(m, eps)[1] * dc_over_l for eps in eps_list]
-
-
-def state_overlap(m: Mode, la: float, ca: float, lb: float, cb: float) -> complex:
-    """The L2(R) overlap <psi(la, ca)|psi(lb, cb)> of the eigenfunction at
-    two boxes; raises ValueError unless both lengths are finite and positive
-    and both centers finite.
+def state_overlap(m: Mode, l: float, c: float) -> complex:
+    """The L2(R) overlap <psi(1, 0)|psi(l, c)> of the eigenfunction at the unit
+    box and at the box (l, c), l finite and positive and c finite, or
+    ValueError.  By dilation covariance the overlap <psi(la, ca)|psi(lb, cb)>
+    of any two boxes is this at (lb/la, (cb - ca)/la).
 
     Both states vanish outside their boxes, so the integral runs over the
     box intersection only, where it has a closed form; disjoint boxes give 0.
     """
-    if not all(math.isfinite(l) and l > 0 for l in (la, lb)):
-        raise ValueError("box lengths must be finite and positive")
-    if not all(math.isfinite(c) for c in (ca, cb)):
-        raise ValueError("box centers must be finite")
-    lo = max(ca - 0.5 * la, cb - 0.5 * lb)
-    hi = min(ca + 0.5 * la, cb + 0.5 * lb)
+    l = require_length(l)
+    if not math.isfinite(c):
+        raise ValueError(f"box center must be finite, not {c}")
+    lo, hi = max(-0.5, c - 0.5 * l), min(0.5, c + 0.5 * l)
     psi = m.waves
-    return window_integral(psi, psi, lo, hi, 0, la, ca, lb, cb) if hi - lo > 0 else 0j
+    return window_integral(psi, psi, lo, hi, 0, l, c) if hi - lo > 0 else 0j
 
 
 LoopPhaseResult = namedtuple("LoopPhaseResult", "phase mesh err_estimate")
@@ -220,8 +198,13 @@ def _chain_phase(m: Mode, path: ParameterPath, n: int) -> float:
     for i, ((l0, c0), (l1, c1)) in enumerate(path.segments):
         links, dl, dc = max(n // sides + (i < n % sides), 1), l1 - l0, c1 - c0
         # l_j+1 / l_j - 1, to which (l1/l0) ** (1/N) - 1 loses digits as dl -> 0
-        g = math.expm1(math.log1p(dl / l0) / links)
-        ov = state_overlap(m, 1.0, 0.0, 1.0 + g, dc / (l0 * links) if dl == 0 else (dc / dl) * g)
+        try:
+            g = math.expm1(log_ratio(l0, l1) / links)
+        except OverflowError:
+            g = math.inf
+        c = dc / (l0 * links) if dl == 0 else (dc / dl) * g
+        # a link that grows or shrinks l beyond the float range ends at a box of length inf or 0: no overlap
+        ov = state_overlap(m, 1.0 + g, c) if -1.0 < g < math.inf else 0j
         size = abs(ov)
         if size < 1e-6:
             raise MeshTooCoarseError(f"neighboring states overlap only |<.|.>| = {size:.2e}; refine the mesh")

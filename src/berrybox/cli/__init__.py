@@ -13,7 +13,8 @@ the config keys it reads: --config (JSON) may set only those keys, and each
 flag given overrides the key it maps to.  Every run with --out also writes
 that dict, resolved, to <out>.config.json so the run can be reproduced from
 that file alone.  All subcommands take --config and --out; berry and
-adiabatic also take --plot, and berry takes --tol.
+adiabatic also take --plot, and berry takes --tol.  An option is spelt out
+in full: argparse's prefix abbreviations are off.
 Each subcommand's flags and handler are this package's module of its name
 (`berrybox.cli.bc`, ...), and a process imports only the one it runs.
 Floating-point output is scientific with 9 significant digits, with no -0,
@@ -39,7 +40,7 @@ _LOOP_POLY_KEYS = {"type", "points", "orientation"}
 # config-key flags are named after (or mapped onto) these keys
 _DEFAULTS = {
     "bc": {"eta": "0+1i", "unitary": None},
-    "spectrum": {"eta": "0+1i", "mass": 1.0, "n": 0, "geometry": {"l": 1.0, "c": 0.0}, "method": "all"},
+    "spectrum": {"eta": "0+1i", "mass": 1.0, "n": 0, "l": 1.0, "method": "all"},
     "berry": {"eta": "0+1i", "n": 0, "loop": _LOOP, "method": "all", "mesh": 256,
               "eps_list": [0.2, 0.1, 0.05, 0.025], "h": None},
     "wz": {"eta": "-1", "n": 0, "loop": _LOOP, "mesh": 256},
@@ -107,8 +108,7 @@ _VALUE_TYPES = {
     "unitary": (lambda v: v is None or isinstance(v, (str, list)), "a 2x2 matrix, as nested lists or JSON text"),
     "mass": (_number, "a number"),
     "n": (_integer, "an integer"),
-    "geometry": (lambda v: isinstance(v, dict) and set(v) == {"l", "c"} and all(map(_number, v.values())),
-                 "an object with numbers l and c"),
+    "l": (_number, "a number"),
     "loop": (lambda v: isinstance(v, dict) and v.get("type") in ("rectangle", "polyline"),
              "an object with 'type' rectangle or polyline"),
     "method": (lambda v: isinstance(v, str), "a string"),
@@ -223,7 +223,7 @@ def _linspace(lo, hi, num: int) -> list:
 def _subcommand(sub, name: str, fn, summary: str):
     """Subparser with --config and --out; a flag added without an explicit
     default is absent from the parsed namespace unless given."""
-    sp = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
+    sp = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS, allow_abbrev=False)
     # a token that starts like a negative number ('-0.5+0.2i', '-1e-3') is a
     # value, not an option: `--eta -0.5+0.2i` parses as `--eta=-0.5+0.2i` does
     sp._negative_number_matcher = re.compile(r"-\.?\d")
@@ -248,7 +248,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     module; with no known command (--help, a misspelt or a missing one), the
     parser of every subcommand."""
     known = command in _SUMMARIES
-    p = argparse.ArgumentParser(prog="berrybox", description=__doc__.splitlines()[0])
+    p = argparse.ArgumentParser(prog="berrybox", description=__doc__.splitlines()[0], allow_abbrev=False)
     # the usage line lists every subcommand, however many are built
     sub = p.add_subparsers(dest="command", required=True, metavar="{%s}" % ",".join(_SUMMARIES) if known else None)
     for name in [command] if known else _SUMMARIES:

@@ -36,26 +36,28 @@ def _berry_phase_rows(m, path, methods, cfg):
 
     rows, finals, curves = [], {}, {}
     analytic = loop_phase_analytic(m, path)
+    # an oracle's phase is -F_c, of its connection F at the unit box, times the loop integral of dc/l
+    dc_over_l = path.dc_over_l()
     if "analytic" in methods:
         rows.append(("analytic", "", "", "", _fmt(analytic), ""))
         finals["analytic"] = analytic
     if "interior" in methods:
-        from ..berry import loop_phase_interior
+        from ..berry import connection_interior
 
         h0 = cfg["h"] if cfg["h"] is not None else 1e-4
         prev = None
         for h in (h0, h0 / 2.0):
             # the step is relative to l / (1 + |k|), the library's default scale
-            phase = loop_phase_interior(m, path, h)
+            phase = -connection_interior(m, h)[1] * dc_over_l
             err = "" if prev is None else _fmt(abs(phase - prev))
             rows.append(("interior", "", "", _fmt(h), _fmt(phase), err))
             prev = phase
         finals["interior"] = prev
     if "mollified" in methods:
-        from ..berry import loop_phase_mollified_sweep, power_law_extrapolate
+        from ..berry import connection_mollified, power_law_extrapolate
 
         eps_list = [float(e) for e in cfg["eps_list"]]
-        phases = loop_phase_mollified_sweep(m, path, eps_list)
+        phases = [-connection_mollified(m, eps)[1] * dc_over_l for eps in eps_list]
         rows.extend(("mollified", "", _fmt(eps), "", _fmt(phase), "") for eps, phase in zip(eps_list, phases))
         limit, order = power_law_extrapolate(eps_list, phases)
         # without a positive order the limit is the last sample, and the last step its error scale

@@ -22,14 +22,13 @@ def add_arguments(sp):
     sp.add_argument("--eta")
     sp.add_argument("--mass", type=float)
     sp.add_argument("--l", type=float, help="box length")
-    sp.add_argument("--c", type=float, help="box center")
     sp.add_argument("--n-min", type=int)
     sp.add_argument("--n-max", type=int)
     sp.add_argument("--check", dest="method", choices=["generic"],
                     help="append an independent numeric column (exit 3 where it departs from lambda)")
 
 
-def _spectrum_rows_degenerate(eta_pm, ns, mass, geom):
+def _spectrum_rows_degenerate(eta_pm, ns, mass, l):
     from ..closed_form import degenerate_wavenumber, eigenvalue
 
     rows = []
@@ -37,7 +36,7 @@ def _spectrum_rows_degenerate(eta_pm, ns, mass, geom):
         if (eta_pm == 1 and n < 1) or (eta_pm == -1 and n < 0):
             continue
         k = degenerate_wavenumber(eta_pm, n)
-        rows.append((str(n), _fmt(k), "nan", _fmt(eigenvalue(k, geom.l, mass))))
+        rows.append((str(n), _fmt(k), "nan", _fmt(eigenvalue(k, l, mass))))
     return rows
 
 
@@ -48,7 +47,6 @@ def run(args) -> int:
     if isinstance(n, int):
         n = [0, n] if n >= 0 else [n, 0]
     cfg["n"] = [flags.get("n_min", n[0]), flags.get("n_max", n[1])]
-    cfg["geometry"] = {key: flags.get(key, value) for key, value in cfg["geometry"].items()}
     if cfg["method"] not in ("all", "generic"):
         raise UsageError(f"spectrum method must be 'all' or 'generic', not {cfg['method']!r}")
     n_lo, n_hi = int(cfg["n"][0]), int(cfg["n"][1])
@@ -57,9 +55,9 @@ def run(args) -> int:
     if n_hi - n_lo >= MAX_LEVELS:
         raise UsageError(f"a level range holds at most {MAX_LEVELS} levels")
     mass = require_mass(cfg["mass"])
-    from ..closed_form import Geometry, eigenvalue, mode
+    from ..closed_form import eigenvalue, mode, require_length
 
-    geom = Geometry(float(cfg["geometry"]["l"]), float(cfg["geometry"]["c"]))
+    l = require_length(cfg["l"])
     eta = as_eta(cfg["eta"])
 
     header = "n,k,alpha,lambda"
@@ -67,14 +65,14 @@ def run(args) -> int:
     if pm is not None:
         if cfg["method"] == "generic":
             raise UsageError("the generic check covers nondegenerate eta only")
-        rows = _spectrum_rows_degenerate(pm, range(n_lo, n_hi + 1), mass, geom)
+        rows = _spectrum_rows_degenerate(pm, range(n_lo, n_hi + 1), mass, l)
         _write_output(args.out, _csv(header, rows))
         _write_resolved_config(args.out, cfg)
         return EXIT_OK
 
     ns = list(range(n_lo, n_hi + 1))
     modes = [mode(n, eta) for n in ns]
-    lams = [eigenvalue(m.k, geom.l, mass) for m in modes]
+    lams = [eigenvalue(m.k, l, mass) for m in modes]
     rows = [
         (str(m.n), _fmt(m.k), _fmt(m.alpha), _fmt(lam))
         for m, lam in zip(modes, lams)
@@ -87,7 +85,7 @@ def run(args) -> int:
 
         kmax = max(abs(m.k) for m in modes)
         count = math.ceil(kmax / math.pi) + 3
-        levels = generic_spectrum(eta_to_unitary(eta), count=count, mass=mass, geometry=geom)
+        levels = generic_spectrum(eta_to_unitary(eta), count=count, mass=mass, l=l)
         numeric = [min((lv.lam for lv in levels), key=lambda v: abs(v - lam)) for lam in lams]
         rows = [r + (_fmt(v),) for r, v in zip(rows, numeric)]
     _write_output(args.out, _csv(header, rows))

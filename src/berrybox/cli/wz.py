@@ -31,21 +31,21 @@ def run(args) -> int:
     from ..wilczek_zee import (ConnectionCheckError, diagonalize_in_plane_waves, wz_connection, wz_curvature,
                                wz_holonomy)
 
-    g0 = path.point(0.0)
+    l0, c0 = path.point(0.0)
     try:
-        conn = wz_connection(pm, n, g0)
+        conn = wz_connection(pm, n, l0)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     except ConnectionCheckError as exc:
         print(f"berrybox: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
-    curv = wz_curvature(pm, n, g0)
+    curv = wz_curvature(pm, n, l0)
     hol = wz_holonomy(pm, n, path)
     diag, q = diagonalize_in_plane_waves(conn)
     doc = {
         "eta": pm,
         "n": n,
-        "geometry": {"l": _round9(g0.l), "c": _round9(g0.c)},
+        "geometry": {"l": _round9(l0), "c": _round9(c0)},
         "connection": {"coeff_l": _fmt_matrix(conn.coeff_l), "coeff_c": _fmt_matrix(conn.coeff_c)},
         "curvature": _fmt_matrix(curv),
         "holonomy": _fmt_matrix(hol.matrix),

@@ -12,11 +12,12 @@ integral of dc/l.  Each is a few `math`/`cmath` calls, so this module imports
 no numpy; the connection oracles, the generic solver and the propagator call
 these same functions.
 
-Every state the oracles integrate is two plane waves at one wavenumber in the
+The unit box is the one frame: a box is its length l (`require_length`), and
+every state the oracles integrate is two plane waves at one wavenumber in the
 box coordinate u = (x - c)/l (`PlaneWaves`): a level phi_n (`Mode.waves`) or
 the degenerate pair sqrt(2) cos(ku), sqrt(2) sin(ku) (`degenerate_waves`).
 One closed form, `window_integral`, integrates conj(psi_a) psi_b, or x times
-it, over a window between two boxes.
+it, over a window, psi_a at the unit box and psi_b at any box (l, c).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .boundary import Eta, as_eta, require_mass
 
 __all__ = [
     "DegenerateEtaError",
-    "Geometry",
+    "require_length",
     "Mode",
     "PlaneWaves",
     "alpha_of",
@@ -49,24 +50,12 @@ class DegenerateEtaError(ValueError):
     """Raised when eta = +/-1 is passed to the nondegenerate machinery."""
 
 
-class Geometry:
-    """A box in the (l, c) half-plane: length l > 0 and center c.  Two
-    Geometries are equal when their l and c are."""
-
-    __slots__ = ("l", "c")
-
-    def __init__(self, l: float = 1.0, c: float = 0.0):
-        l, c = float(l), float(c)
-        if not (l > 0 and math.isfinite(l)):
-            raise ValueError(f"box length must be finite and positive, not {l}")
-        if not math.isfinite(c):
-            raise ValueError(f"box center must be finite, not {c}")
-        self.l, self.c = l, c
-
-    def __eq__(self, other):
-        if other.__class__ is not Geometry:
-            return NotImplemented
-        return (self.l, self.c) == (other.l, other.c)
+def require_length(l) -> float:
+    """Validate and return a box length: a finite number > 0."""
+    l = float(l)
+    if not (l > 0 and math.isfinite(l)):
+        raise ValueError(f"box length must be finite and positive, not {l}")
+    return l
 
 
 def _nondegenerate(eta) -> Eta:
@@ -162,7 +151,7 @@ def eigenvalue(k: float, l: float = 1.0, mass: float = 1.0) -> float:
     mass = 1e300), lambda underflows to 0.  Raises ValueError when lambda is
     not finite: where k^2 overflows, or 2 m l^2 is too small for it
     (l = 1e-170, or a subnormal mass)."""
-    mass, l = require_mass(mass), Geometry(l).l
+    mass, l = require_mass(mass), require_length(l)
     scale = 2.0 * mass * (l * l)
     lam = k * k / scale if scale else math.inf
     if not math.isfinite(lam):
@@ -226,10 +215,12 @@ def _moment(j: int, mid: float, half: float, z: float):
 
 
 def window_integral(a: PlaneWaves, b: PlaneWaves, lo: float, hi: float, j: int = 0,
-                    la: float = 1.0, ca: float = 0.0, lb: float = 1.0, cb: float = 0.0) -> complex:
-    """Int_lo^hi x^j conj(psi_a) psi_b dx, j = 0 or 1, for the states a at the
-    box (la, ca) and b at (lb, cb), each extended smoothly past its walls;
-    at the default unit boxes x is the box coordinate u.
+                    l: float = 1.0, c: float = 0.0) -> complex:
+    """Int_lo^hi x^j conj(psi_a) psi_b dx, j = 0 or 1, for the state a at the
+    unit box and b at the box (l, c), each extended smoothly past its walls;
+    x is the unit box's coordinate u.  By dilation covariance (x = ca + la u),
+    states at the boxes (la, ca) and (lb, cb) give W_0 and ca W_0 + la W_1 over
+    [lo, hi], W_j being this over [(lo - ca)/la, (hi - ca)/la] at (lb/la, (cb - ca)/la).
 
     The integrand is four plane waves e^{i(w x + p)}, each integrating to
     e^{i(w mid + p)} (hi - lo) times `_moment` at z = w (hi - lo)/2: sin(z)/z
@@ -238,8 +229,8 @@ def window_integral(a: PlaneWaves, b: PlaneWaves, lo: float, hi: float, j: int =
     integral of two real functions exactly real.
     """
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    ua, ub = a.k * (mid - ca) / la, b.k * (mid - cb) / lb
-    wa, wb = a.k / la, b.k / lb
+    ua, ub = a.k * mid, b.k * (mid - c) / l
+    wa, wb = a.k, b.k / l
 
     def term(s, t, amp_a, amp_b):  # plane wave s of psi_a, conjugated, times plane wave t of psi_b
         z = half * (t * wb - s * wa)
@@ -247,7 +238,7 @@ def window_integral(a: PlaneWaves, b: PlaneWaves, lo: float, hi: float, j: int =
 
     pairs = ((term(1.0, 1.0, a.plus, b.plus) + term(-1.0, -1.0, a.minus, b.minus))
              + (term(1.0, -1.0, a.plus, b.minus) + term(-1.0, 1.0, a.minus, b.plus)))
-    return 2.0 * half * pairs / math.sqrt(la * lb)
+    return 2.0 * half * pairs / math.sqrt(l)
 
 
 def connection_analytic(m: Mode):
@@ -281,7 +272,7 @@ def curvature(m: Mode, l: float) -> float:
     and infinite eta.  Raises ValueError where f_lc is not finite: where l^2
     is too small for k sin(alpha), or underflows to 0 (l = 1e-170).
     """
-    l = Geometry(l).l
+    l = require_length(l)
     # l * l, as numpy squares an array: l ** 2 calls pow, which rounds a few
     # squares in ten thousand differently
     square = l * l

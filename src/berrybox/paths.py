@@ -2,16 +2,21 @@
 
 A loop is built from its vertices, closed back to the first, evaluated at
 one s at a time (`point`, `velocity`) and integrated (`dc_over_l`) on the
-standard library.
+standard library.  A point is the pair (l, c); a side's ln(l1/l0) is `log_ratio`.
 """
 
 from __future__ import annotations
 
 import math
 
-from .closed_form import Geometry
+__all__ = ["ParameterPath", "rectangle_loop", "log_ratio"]
 
-__all__ = ["ParameterPath", "rectangle_loop"]
+
+def log_ratio(l0: float, l1: float) -> float:
+    """ln(l1/l0): log1p((l1 - l0)/l0), which keeps its digits as l1 -> l0, unless
+    that quotient rounds to -1 (l1 < 1.1e-16 l0) or overflows: ln(l1) - ln(l0)."""
+    x = (l1 - l0) / l0
+    return math.log1p(x) if -1.0 < x < math.inf else math.log(l1) - math.log(l0)
 
 
 class ParameterPath:
@@ -54,7 +59,7 @@ class ParameterPath:
     def dc_over_l(self) -> float:
         """Line integral of dc/l along the path, in closed form.
 
-        Along a straight side it is dc log1p(dl/l0)/dl (dc/l0 when dl = 0).
+        Along a straight side it is dc ln(l1/l0)/dl (dc/l0 when dl = 0).
         The sides are summed in vertex order and the orientation is applied
         to the sum.  Around a loop this one integral sets both the scalar
         Berry phase and the degenerate holonomy angle.
@@ -62,13 +67,13 @@ class ParameterPath:
         total = 0.0
         for (l0, c0), (l1, c1) in self.segments:
             dl, dc = l1 - l0, c1 - c0
-            total += dc / l0 if dl == 0 else dc * math.log1p(dl / l0) / dl
+            total += dc / l0 if dl == 0 else dc * log_ratio(l0, l1) / dl
         return self.orientation * total
 
-    def point(self, s: float) -> Geometry:
+    def point(self, s: float) -> tuple[float, float]:
         """The box (l, c) at the parameter s."""
         ((l0, c0), (l1, c1)), t = self._locate(s)
-        return Geometry(l0 + (l1 - l0) * t, c0 + (c1 - c0) * t)
+        return l0 + (l1 - l0) * t, c0 + (c1 - c0) * t
 
     def velocity(self, s: float) -> tuple[float, float]:
         """d(l, c)/ds at s, including the side-count and orientation factors."""

@@ -24,7 +24,7 @@ import math
 from collections import namedtuple
 
 from .boundary import require_mass, require_unitary
-from .closed_form import Geometry, eigenvalue
+from .closed_form import eigenvalue, require_length
 
 __all__ = ["RootSearchError", "EigenLevel", "generic_spectrum"]
 
@@ -33,8 +33,8 @@ class RootSearchError(RuntimeError):
     """Raised when the transcendental eigenvalue search fails to converge."""
 
 
-EigenLevel = namedtuple("EigenLevel", "lam geometry mass multiplicity t coefficients")
-EigenLevel.__doc__ = """An eigenvalue with its provenance and the root it was found at.
+EigenLevel = namedtuple("EigenLevel", "lam multiplicity t coefficients")
+EigenLevel.__doc__ = """An eigenvalue, its multiplicity and the root it was found at.
 
 At the unit box the level sits at E = t|t| and its eigenfunction is
 v0 cos(qu) + v1 sin(qu)/q, q^2 = E, with (v0, v1) = `coefficients`, a
@@ -139,7 +139,7 @@ def _roots(cols, coef, t_max):
     return sorted([(x, 1) for x in simple] + [(x, 2) for x in double])
 
 
-def generic_spectrum(u, count: int, mass: float = 1.0, geometry: Geometry | None = None):
+def generic_spectrum(u, count: int, mass: float = 1.0, l: float = 1.0):
     """Lowest eigenvalues of the box for an arbitrary U(2) boundary condition.
 
     In the basis c(x) = cos(qx), s(x) = sin(qx)/q, E = q^2, entire in E and so
@@ -161,15 +161,13 @@ def generic_spectrum(u, count: int, mass: float = 1.0, geometry: Geometry | None
     M as its `EigenLevel.coefficients`.
 
     Returns `count` EigenLevels in ascending order, lambda = E / (2 m l^2)
-    (`closed_form.eigenvalue` with the sign of E).  Raises RootSearchError
+    (`closed_form.eigenvalue` with the sign of E) at the box length l.  Raises RootSearchError
     if the scan brackets fewer than `count` eigenvalues.
     """
     u = require_unitary(u)
     if count < 1:
         raise ValueError("count must be >= 1")
-    if geometry is None:
-        geometry = Geometry(1.0, 0.0)
-    mass = require_mass(mass)
+    mass, l = require_mass(mass), require_length(l)
     cols, coef = _secular_parts(u)
     t_max = (count + 3) * math.pi
     roots = _roots(cols, coef, t_max)
@@ -182,7 +180,6 @@ def generic_spectrum(u, count: int, mass: float = 1.0, geometry: Geometry | None
         if len(levels) >= count:
             break
         vectors = [(1.0 + 0j, 0j), (0j, 1.0 + 0j)] if mult == 2 else [_null_vector(_residual_matrix(cols, t * abs(t)))]
-        lam = math.copysign(eigenvalue(t, geometry.l, mass), t)
-        levels += [EigenLevel(lam=lam, geometry=geometry, mass=mass, multiplicity=mult, t=t, coefficients=v)
-                   for v in vectors]
+        lam = math.copysign(eigenvalue(t, l, mass), t)
+        levels += [EigenLevel(lam=lam, multiplicity=mult, t=t, coefficients=v) for v in vectors]
     return levels[:count]

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .closed_form import Geometry, degenerate_wavenumber, degenerate_waves, window_integral
+from .closed_form import degenerate_wavenumber, degenerate_waves, require_length, window_integral
 from .paths import ParameterPath
 
 __all__ = [
@@ -100,26 +100,26 @@ def connection_from_basis(eta: int, n: int) -> MatrixConnection:
     return MatrixConnection(coeff_l=coeff_l, coeff_c=coeff_c)
 
 
-def wz_connection(eta: int, n: int, g: Geometry) -> MatrixConnection:
-    """Closed-form matrix connection A_l = 0, A_c = (k_n / l) sigma_2.
+def wz_connection(eta: int, n: int, l: float) -> MatrixConnection:
+    """Closed-form matrix connection A_l = 0, A_c = (k_n / l) sigma_2 at the box length l.
 
     The connection is dilation covariant, so the check runs once,
     at the unit box: `connection_from_basis` must agree with k_n sigma_2
-    entrywise to 1e-8, or ConnectionCheckError is raised.  Checked at g
+    entrywise to 1e-8, or ConnectionCheckError is raised.  Checked at l
     itself, the absolute gate would meet rounding of entries of size k_n / l.
     """
-    k = degenerate_wavenumber(eta, n)
+    k, l = degenerate_wavenumber(eta, n), require_length(l)
     unit = connection_from_basis(eta, n)
     worst = max(_deviation(unit.coeff_l, _ZERO), _deviation(unit.coeff_c, _scaled(k, SIGMA2)))
     if worst > 1e-8:
         raise ConnectionCheckError(
             f"recomputed connection deviates from the closed form by {worst:.3e}"
         )
-    return MatrixConnection(coeff_l=_ZERO, coeff_c=_scaled(k / g.l, SIGMA2))
+    return MatrixConnection(coeff_l=_ZERO, coeff_c=_scaled(k / l, SIGMA2))
 
 
-def wz_curvature(eta: int, n: int, g: Geometry) -> tuple:
-    """Curvature coefficient (k_n / l^2) sigma_2 of the degenerate connection.
+def wz_curvature(eta: int, n: int, l: float) -> tuple:
+    """Curvature coefficient (k_n / l^2) sigma_2 of the degenerate connection at l.
 
     The commutator term [A_l, A_c] vanishes identically, since A_l = 0 (A has
     only a dc component), so the curvature is the exterior derivative alone;
@@ -128,14 +128,14 @@ def wz_curvature(eta: int, n: int, g: Geometry) -> tuple:
     Raises ValueError where k_n / l^2 is not finite: where l^2 is too small
     for k_n, or underflows to 0 (l = 1e-170).
     """
-    k = degenerate_wavenumber(eta, n)
+    k, l = degenerate_wavenumber(eta, n), require_length(l)
     try:
-        square = g.l ** 2
+        square = l ** 2
     except OverflowError:  # pow raises where l^2 overflows, and k_n / l^2 underflows to 0
         square = math.inf
     f = k / square if square else math.inf
     if not math.isfinite(f):
-        raise ValueError(f"the curvature k_n / l^2 is not finite at l = {g.l}: l^2 is too small for it")
+        raise ValueError(f"the curvature k_n / l^2 is not finite at l = {l}: l^2 is too small for it")
     return _scaled(f, SIGMA2)
 
 

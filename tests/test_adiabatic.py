@@ -12,7 +12,6 @@ from array_propagator import propagate_arrays
 from array_rules import oscillatory_rule
 from berrybox import (
     DegenerateEtaError,
-    Geometry,
     ParameterPath,
     Schedule,
     eigenvalue,
@@ -36,9 +35,9 @@ POINT = ParameterPath([(1.3, 0.2)])
 
 def test_static_hamiltonian_is_diagonal():
     modes = mode_window(1j, 4)
-    g = Geometry(1.3, 0.0)
-    h = np.array(generator(modes, 0.0, 0.0, mass=0.9)) / g.l ** 2
-    lam = np.array([eigenvalue(m.k, g.l, 0.9) for m in modes])
+    l = 1.3
+    h = np.array(generator(modes, 0.0, 0.0, mass=0.9)) / l ** 2
+    lam = np.array([eigenvalue(m.k, l, 0.9) for m in modes])
     assert np.max(np.abs(h - np.diag(lam))) < 1e-12
 
 

@@ -12,7 +12,6 @@ import pytest
 from array_rules import GridFunction, commutator_defect, curvature_flux, oscillatory_rule, panel_rule, reference_rule
 from berrybox import (
     ETA_INF,
-    Geometry,
     ParameterPath,
     MeshTooCoarseError,
     connection_analytic,
@@ -24,8 +23,6 @@ from berrybox import (
     eta_to_unitary,
     generic_spectrum,
     loop_phase_analytic,
-    loop_phase_interior,
-    loop_phase_mollified_sweep,
     loop_phase_overlap_meshes,
     mode,
     mode_window,
@@ -39,10 +36,11 @@ from berrybox import (
 )
 import berrybox.berry
 from berrybox.berry import _chain_phase
+from berrybox.cli.berry import _berry_phase_rows
 from berrybox.closed_form import PlaneWaves
 from berrybox.spectrum import _residual_matrix, _secular_parts
 
-UNIT = Geometry(1.0, 0.0)
+UNIT = (1.0, 0.0)
 RECT = rectangle_loop(1.0, 2.0, 0.0, 1.0)
 
 
@@ -54,17 +52,20 @@ def _phi(m, u):
 
 def _extension(m, g, x):
     """The smooth extension l^-1/2 phi((x - c)/l) of the eigenfunction at the
-    box g, and its gradient (d/dl, d/dc) at fixed x, at each point of the
-    array x: -l^-3/2 (phi/2 + u phi') and -l^-3/2 phi', u = (x - c)/l."""
-    u = (np.asarray(x, dtype=float) - g.c) / g.l
+    box g = (l, c), and its gradient (d/dl, d/dc) at fixed x, at each point of
+    the array x: -l^-3/2 (phi/2 + u phi') and -l^-3/2 phi', u = (x - c)/l."""
+    l, c = g
+    u = (np.asarray(x, dtype=float) - c) / l
     val, der = _phi(m, u)
-    scale = -1.0 / (g.l * np.sqrt(g.l))
-    return val / np.sqrt(g.l), (scale * (0.5 * val + u * der), scale * der)
+    scale = -1.0 / (l * np.sqrt(l))
+    return val / np.sqrt(l), (scale * (0.5 * val + u * der), scale * der)
 
 
 def _overlap(m, ga, gb):
-    """The overlap of the states at the boxes of two Geometry records."""
-    return state_overlap(m, ga.l, ga.c, gb.l, gb.c)
+    """The overlap of the states at two boxes (l, c), by dilation covariance:
+    `state_overlap` at (lb/la, (cb - ca)/la)."""
+    (la, ca), (lb, cb) = ga, gb
+    return state_overlap(m, lb / la, (cb - ca) / la)
 
 
 def _loop_integral(path, connection):
@@ -77,8 +78,8 @@ def _loop_integral(path, connection):
     for i in range(nseg):
         for xj, wj in zip(xg, wg):
             s = (i + 0.5 + 0.5 * xj) / nseg
-            g, (vl, vc) = path.point(s), path.velocity(s)
-            al, ac = connection(g.l, g.c)
+            al, ac = connection(*path.point(s))
+            vl, vc = path.velocity(s)
             total += wj * (0.5 / nseg) * (al * vl + ac * vc)
     return -total
 
@@ -87,6 +88,17 @@ def _over_l(f):
     """A side connection for `_loop_integral`: the unit-box connection
     f = (F_l, F_c) of an oracle, divided by l at each node."""
     return lambda l, c: (f[0] / l, f[1] / l)
+
+
+def _loop_phase(f, path):
+    """The loop phase of the unit-box connection f = (F_l, F_c), as `berry`
+    forms it: -F_c times the loop integral of dc/l."""
+    return -f[1] * path.dc_over_l()
+
+
+def _mollified_sweep(m, path, eps_list):
+    """The unrounded phases of `berry`'s mollified rows, one per width."""
+    return _berry_phase_rows(m, path, ["mollified"], {"eps_list": eps_list})[3]["mollified"][1]
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +191,8 @@ def _embedding_grid(m, g, eps):
     """(nodes, weights) of the embedding: the left wall strip, the box
     interior and the right wall strip, in that order."""
     inner = max(2, int(np.ceil(4.0 * abs(m.k) / (2.0 * np.pi))) + 2)
-    left, right = g.c - 0.5 * g.l, g.c + 0.5 * g.l
+    l, c = g
+    left, right = c - 0.5 * l, c + 0.5 * l
     pieces = (panel_rule(left - eps, left, 12), panel_rule(left, right, inner), panel_rule(right, right + eps, 12))
     return tuple(np.concatenate(part) for part in zip(*pieces))
 
@@ -187,11 +200,10 @@ def _embedding_grid(m, g, eps):
 def test_mollified_normalization():
     # the embedded state is normalized by construction for every eps
     m = mode(0, 2j)
-    g = Geometry(1.3, -0.2)
+    l, c = g = (1.3, -0.2)
     for eps in (0.3, 0.1):
         x, w = _embedding_grid(m, g, eps)
-        chi = np.where((x >= g.c - 0.5 * g.l) & (x <= g.c + 0.5 * g.l), 1.0,
-                       _rho((np.abs(x - g.c) - g.l / 2) / eps))
+        chi = np.where((x >= c - 0.5 * l) & (x <= c + 0.5 * l), 1.0, _rho((np.abs(x - c) - l / 2) / eps))
         ext = _extension(m, g, x)[0]
         norm2 = np.sum(w * chi ** 2 * np.abs(ext) ** 2)
         xi = chi / np.sqrt(norm2)
@@ -243,9 +255,8 @@ def test_loop_phase_mollified_matches_per_point_route():
         eta = (ETA_INF, 0.3, 2j, complex(*rng.uniform(-1.0, 1.0, 2)))[trial % 4]
         m = mode(int(rng.integers(-5, 6)), eta)
         e = float(rng.choice([0.2, 0.1, 0.05, 0.025]))
-        reference = _loop_integral(path, _over_l(connection_mollified(m, e)))
-        [phase] = loop_phase_mollified_sweep(m, path, [e])
-        assert abs(phase - reference) < 1e-13, (m, path)
+        f = connection_mollified(m, e)
+        assert abs(_loop_phase(f, path) - _loop_integral(path, _over_l(f))) < 1e-13, (m, path)
 
 
 def test_loop_phase_overlap_converges():
@@ -338,24 +349,26 @@ def _draw_mode(rng, j):
 
 def _draw_pair(rng, j):
     la = rng.uniform(0.3, 3.0)
-    ga = Geometry(la, rng.uniform(-1.0, 1.0))
+    ca = rng.uniform(-1.0, 1.0)
     if j % 3 == 0:
-        return ga, Geometry(la * (1.0 + 1e-9), ga.c + rng.uniform(-1e-9, 1e-9))
-    return ga, Geometry(rng.uniform(0.3, 3.0), ga.c + rng.uniform(-0.5, 0.5) * la)
+        return (la, ca), (la * (1.0 + 1e-9), ca + rng.uniform(-1e-9, 1e-9))
+    return (la, ca), (rng.uniform(0.3, 3.0), ca + rng.uniform(-0.5, 0.5) * la)
 
 
 def _quadrature_window(m, ga, gb, lo, hi):
     # panel quadrature of conj(psi_a) psi_b over [lo, hi], four panels per wavelength
-    x, w = oscillatory_rule(lo, hi, abs(m.k) / ga.l + abs(m.k) / gb.l)
+    x, w = oscillatory_rule(lo, hi, abs(m.k) / ga[0] + abs(m.k) / gb[0])
     return complex(np.sum(w * np.conj(_extension(m, ga, x)[0]) * _extension(m, gb, x)[0]))
 
 
 def test_state_overlap_matches_quadrature():
+    # the overlap of two drawn boxes, taken against the unit box by dilation
+    # covariance, against quadrature over the two boxes' intersection
     rng = np.random.default_rng(2024)
     for j in range(300):
         m = _draw_mode(rng, j)
-        ga, gb = _draw_pair(rng, j)
-        lo, hi = max(ga.c - 0.5 * ga.l, gb.c - 0.5 * gb.l), min(ga.c + 0.5 * ga.l, gb.c + 0.5 * gb.l)
+        ga, gb = (la, ca), (lb, cb) = _draw_pair(rng, j)
+        lo, hi = max(ca - 0.5 * la, cb - 0.5 * lb), min(ca + 0.5 * la, cb + 0.5 * lb)
         ref = _quadrature_window(m, ga, gb, lo, hi) if hi > lo else 0.0
         assert abs(_overlap(m, ga, gb) - ref) < 1e-13, (m, ga, gb)
 
@@ -405,9 +418,11 @@ _STATES += [pytest.param(functools.partial(_degenerate_states, 1, 3), id="degene
 @pytest.mark.parametrize("states", _STATES)
 def test_window_integral_matches_quadrature(states):
     # Int x^j conj(psi_a) psi_b dx for every ordered pair of the states and
-    # their derivatives (the records of `PlaneWaves.derivative`): j = 0 over
-    # windows between two boxes, nearly equal ones among them, and j = 0, 1
-    # over windows of the unit box
+    # their derivatives (the records of `PlaneWaves.derivative`): j = 0, 1
+    # over windows between two boxes, nearly equal ones among them, by
+    # dilation covariance (x = ca + la u: W_0 and ca W_0 + la W_1 of the
+    # unit-box call at (lb/la, (cb - ca)/la)), and j = 0, 1 over windows of
+    # the unit box
     built = states()
     kinds = [(psi, lambda u, f=f: f(u)[0]) for psi, f in built]
     kinds += [(psi.derivative(), lambda u, f=f: f(u)[1]) for psi, f in built]
@@ -424,8 +439,12 @@ def test_window_integral_matches_quadrature(states):
             for (la, ca), (lb, cb) in boxes:
                 lo, hi = max(ca - 0.5 * la, cb - 0.5 * lb), min(ca + 0.5 * la, cb + 0.5 * lb)
                 x, w = oscillatory_rule(lo, hi, abs(a.k) / la + abs(b.k) / lb)
-                ref = np.sum(w * np.conj(fa((x - ca) / la)) * fb((x - cb) / lb)) / np.sqrt(la * lb)
-                assert abs(window_integral(a, b, lo, hi, 0, la, ca, lb, cb) - ref) <= scale, (la, ca, lb, cb)
+                ref = [np.sum(w * x ** j * np.conj(fa((x - ca) / la)) * fb((x - cb) / lb)) / np.sqrt(la * lb)
+                       for j in (0, 1)]
+                w_0, w_1 = (window_integral(a, b, (lo - ca) / la, (hi - ca) / la, j, lb / la, (cb - ca) / la)
+                            for j in (0, 1))
+                assert abs(w_0 - ref[0]) <= scale, (la, ca, lb, cb)
+                assert abs(ca * w_0 + la * w_1 - ref[1]) <= scale * max(abs(lo), abs(hi), 1.0), (la, ca, lb, cb)
             for lo, hi in ((-0.5, 0.5), (-0.3, 0.45)):
                 x, w = oscillatory_rule(lo, hi, abs(a.k) + abs(b.k))
                 for j in (0, 1):
@@ -435,15 +454,16 @@ def test_window_integral_matches_quadrature(states):
 
 def _interior_quotients(m, g, h):
     """(a_l, a_c) from the finite-difference quotients of the states at the
-    box g by panel quadrature over the windows of `connection_interior`."""
+    box g = (l, c) by panel quadrature over the windows of `connection_interior`."""
+    l, c = g
 
     def quotient(plus, minus, half):
-        lo, hi = g.c - half, g.c + half
+        lo, hi = c - half, c + half
         diff = _quadrature_window(m, g, plus, lo, hi) - _quadrature_window(m, g, minus, lo, hi)
         return diff.imag / (2.0 * h) / _quadrature_window(m, g, g, lo, hi).real
 
-    return (quotient(Geometry(g.l + h, g.c), Geometry(g.l - h, g.c), 0.5 * (g.l - h)),
-            quotient(Geometry(g.l, g.c + h), Geometry(g.l, g.c - h), 0.5 * g.l - h))
+    return (quotient((l + h, c), (l - h, c), 0.5 * (l - h)),
+            quotient((l, c + h), (l, c - h), 0.5 * l - h))
 
 
 def test_connection_interior_matches_quadrature():
@@ -465,13 +485,14 @@ def test_connection_interior_is_dilation_covariant_in_x():
     for j in range(60):
         m = _draw_mode(rng, j)
         l = 10.0 ** rng.uniform(-3.0, 3.0)
-        g = Geometry(l, rng.uniform(-10.0, 10.0) * l)
+        c = rng.uniform(-10.0, 10.0) * l
+        g = (l, c)
         h_rel = float(rng.choice([1e-4, 1e-3, 1e-2]))
         a_l, a_c = _interior_quotients(m, g, h_rel * l / (1.0 + abs(m.k)))
         f_l, f_c = connection_interior(m, h_rel)
         # the rounding of window integrals at phases k (1 + |c|/l), over the
         # step; over 300 draws the error reached 0.09 of this
-        tol = 1e-15 * (1.0 + abs(m.k)) ** 2 * (1.0 + abs(g.c) / l) / (h_rel * l)
+        tol = 1e-15 * (1.0 + abs(m.k)) ** 2 * (1.0 + abs(c) / l) / (h_rel * l)
         assert abs(f_c / l - a_c) < tol, (m, g, h_rel)
         assert abs(f_l / l - a_l) < tol, (m, g, h_rel)
 
@@ -583,18 +604,13 @@ def _drawn_mode(rng, j, n_max):
 
 
 def test_state_overlap_rejects_boxes_outside_the_half_plane():
-    # the check the overlap makes of each box, which Geometry used to make
+    # the check the overlap makes of its box, relative to the unit box
     m = mode(0, 1j)
-    oracles = {
-        "state_overlap a": lambda l, c: state_overlap(m, l, c, 1.0, 0.0),
-        "state_overlap b": lambda l, c: state_overlap(m, 1.0, 0.0, l, c),
-    }
     bad_lengths = (0.0, -1.0, np.nan, np.inf)
-    for name, oracle in oracles.items():
-        for l, c in [(l, 0.0) for l in bad_lengths] + [(1.0, np.nan), (1.0, -np.inf)]:
-            with pytest.raises(ValueError, match="box"):
-                oracle(l, c)
-    # the closed-form curvature takes one box length, checked as Geometry checks it
+    for l, c in [(l, 0.0) for l in bad_lengths] + [(1.0, np.nan), (1.0, -np.inf)]:
+        with pytest.raises(ValueError, match="box"):
+            state_overlap(m, l, c)
+    # the closed-form curvature takes one box length, checked by require_length
     for l in bad_lengths:
         with pytest.raises(ValueError, match="box length"):
             curvature(m, l)
@@ -606,8 +622,8 @@ def test_loop_phase_interior_matches_per_point_route():
         m = _drawn_mode(rng, j, 12)
         path = _drawn_loop(rng, m)
         h = float(rng.choice([1e-4, 5e-5, 1e-3]))
-        reference = _loop_integral(path, _over_l(connection_interior(m, h)))
-        assert abs(loop_phase_interior(m, path, h) - reference) < 1e-13, (m, path)
+        f = connection_interior(m, h)
+        assert abs(_loop_phase(f, path) - _loop_integral(path, _over_l(f))) < 1e-13, (m, path)
 
 
 def test_interior_step_bound_is_relative():
@@ -616,9 +632,9 @@ def test_interior_step_bound_is_relative():
     m = mode(0, 1j)
     for h in (1.0, 0.65, 0.0, -1e-4, float("nan")):
         with pytest.raises(ValueError, match=r"0 < h < \(1 \+ \|k\|\)/4 = 0.643"):
-            loop_phase_interior(m, RECT, h)
+            connection_interior(m, h)
     assert require_interior_step(m, 0.64) == 0.64
-    assert loop_phase_interior(m, RECT, 0.64) == pytest.approx(np.pi / 4.0, abs=0.1)
+    assert _loop_phase(connection_interior(m, 0.64), RECT) == pytest.approx(np.pi / 4.0, abs=0.1)
 
 
 def _side_samples(path, n):
@@ -633,7 +649,7 @@ def _side_samples(path, n):
         dl, dc = l1 - l0, c1 - c0
         ts = [j / links if dl == 0 else math.expm1(j / links * math.log1p(dl / l0)) / (dl / l0)
               for j in range(links + 1)]
-        yield [Geometry(l0 + dl * t, c0 + dc * t) for t in ts[:-1]] + [Geometry(l1, c1)]
+        yield [(l0 + dl * t, c0 + dc * t) for t in ts[:-1]] + [(l1, c1)]
 
 
 def test_overlap_chains_match_scalar_overlaps():
@@ -720,7 +736,7 @@ def test_overlap_deficit_is_linear_in_the_wall_displacements(n, eta_abs):
         w_left, w_right = np.abs(_phi(m, np.array([-0.5, 0.5]))[0]) ** 2 / l
         slope = rng.uniform(0.0, 2.0 * np.pi)
         for dl, dc in ((0.0, delta), (delta, 0.0), (delta * np.cos(slope), delta * np.sin(slope))):
-            deficit = 1.0 - abs(state_overlap(m, l, c, l + dl, c + dc))
+            deficit = 1.0 - abs(_overlap(m, (l, c), (l + dl, c + dc)))
             law = 0.5 * (w_left * abs(dc - 0.5 * dl) + w_right * abs(dc + 0.5 * dl))
             assert deficit == pytest.approx(law, rel=1e-3), (m, l, c, dl, dc)
 
@@ -728,9 +744,10 @@ def test_overlap_deficit_is_linear_in_the_wall_displacements(n, eta_abs):
 def _mollified_in_x(m, g, width):
     # the embedding in x on one grid through both walls, cutoff of the given
     # width applied node by node
+    l, c = g
     x, w = _embedding_grid(m, g, width)
-    inside = (x >= g.c - 0.5 * g.l) & (x <= g.c + 0.5 * g.l)
-    chi = np.where(inside, 1.0, _rho((np.abs(x - g.c) - 0.5 * g.l) / width))
+    inside = (x >= c - 0.5 * l) & (x <= c + 0.5 * l)
+    chi = np.where(inside, 1.0, _rho((np.abs(x - c) - 0.5 * l) / width))
     ext, (d_dl, d_dc) = _extension(m, g, x)
     weight = w * chi ** 2
     norm2 = np.sum(weight * np.abs(ext) ** 2)
@@ -749,7 +766,7 @@ def test_mollified_connection_is_dilation_covariant():
         scale = (1.0 + abs(m.k)) / l
         for e in eps:
             f_l, f_c = connection_mollified(m, e)
-            x_l, x_c = np.array([_mollified_in_x(m, Geometry(lj, cj), e * lj) for lj, cj in zip(l, c)]).T
+            x_l, x_c = np.array([_mollified_in_x(m, (lj, cj), e * lj) for lj, cj in zip(l, c)]).T
             assert np.all(np.abs(f_l / l - x_l) <= 1e-13 * scale), (m, e)
             assert np.all(np.abs(f_c / l - x_c) <= 1e-13 * scale), (m, e)
 
@@ -769,15 +786,15 @@ def _count_strip_nodes(monkeypatch):
 
 
 def test_mollified_sweep_integrates_once_per_width(monkeypatch):
-    # one sweep evaluates the state on the two wall strips of each width and
-    # nowhere inside the box, whatever the number of sides
+    # the mollified rows of `berry` evaluate the state on the two wall strips
+    # of each width and nowhere inside the box, whatever the number of sides
     nodes = _count_strip_nodes(monkeypatch)
     for n, eta in ((0, 1j), (7, 0.3 + 0.6j)):
         m = mode(n, eta)
         for path in (RECT, ParameterPath([(1.0, 0.0), (1.3, 0.05), (1.2, 0.3), (1.1, 0.2)])):
             for eps in ([0.2, 0.1, 0.05], [0.2, 0.1, 0.05, 0.025]):
                 nodes.clear()
-                loop_phase_mollified_sweep(m, path, eps)
+                _mollified_sweep(m, path, eps)
                 assert len(nodes) == 2 * 12 * 16 * len(eps), (m, path)
                 assert all(abs(u) >= 0.5 for u in nodes)
 
@@ -800,14 +817,15 @@ def test_loop_phase_mollified_sweep_matches_single_widths():
     for j in range(5):
         m = _drawn_mode(rng, j, 12)
         path = _drawn_loop(rng, m)
-        eps_list = [0.2, 0.1, 0.05, 0.025] if j % 2 else list(rng.uniform(0.01, 0.3, 3))
-        assert loop_phase_mollified_sweep(m, path, eps_list) == [loop_phase_mollified_sweep(m, path, [e])[0]
-                                                                 for e in eps_list]
+        # the widths `berry` takes: at least three, at a constant ratio
+        ratio = rng.uniform(0.3, 0.7)
+        eps_list = [0.2, 0.1, 0.05, 0.025] if j % 2 else list(rng.uniform(0.1, 0.3) * ratio ** np.arange(3))
+        phases = _mollified_sweep(m, path, eps_list)
+        assert phases == [_loop_phase(connection_mollified(m, e), path) for e in eps_list]
         # the box-coordinate integrals, taken once for every width, are the embedding's own
-        e = eps_list[-1]
-        reference = _loop_integral(path, _over_l(_mollified_in_x(m, UNIT, e)))
-        [phase] = loop_phase_mollified_sweep(m, path, [e])
-        assert abs(phase - reference) < 1e-13, (m, path)
+        for e, phase in zip(eps_list, phases):
+            reference = _loop_integral(path, _over_l(_mollified_in_x(m, UNIT, e)))
+            assert abs(phase - reference) < 1e-13, (m, path, e)
 
 
 def _chain_errors(m, path, meshes):
@@ -855,6 +873,14 @@ def test_overlap_chain_is_first_order_on_sloped_sides():
         assert 1.9 < errs[0] / errs[1] < 2.1, (m, path, errs)
 
 
+def test_a_link_beyond_the_float_range_is_too_coarse():
+    # one link of the first side multiplies l by 1e310: expm1 of its log
+    # raised OverflowError (a traceback, exit 1), where the boxes share nothing
+    grow = ParameterPath([(1e-300, 0.0)] + [(1e10, float(i)) for i in range(16)] + [(1.0, 16.0)])
+    with pytest.raises(MeshTooCoarseError, match=re.escape("|<.|.>| = 0.00e+00; refine the mesh")):
+        loop_phase_overlap_meshes(mode(0, 1j), grow, [16])
+
+
 def test_too_coarse_mesh_raises_on_the_first_coarse_chain():
     # the chains run in the order loop_phase_overlap would run them mesh by
     # mesh; the error names the link of the first side that has a too-small
@@ -889,9 +915,8 @@ def test_too_coarse_mesh_raises_on_the_first_coarse_chain():
 
 
 def _four_phases(m, path, mesh=256):
-    limit, _ = power_law_extrapolate([0.2, 0.1, 0.05, 0.025],
-                                     loop_phase_mollified_sweep(m, path, [0.2, 0.1, 0.05, 0.025]))
-    return {"analytic": loop_phase_analytic(m, path), "interior": loop_phase_interior(m, path, 1e-4),
+    limit, _ = power_law_extrapolate([0.2, 0.1, 0.05, 0.025], _mollified_sweep(m, path, [0.2, 0.1, 0.05, 0.025]))
+    return {"analytic": loop_phase_analytic(m, path), "interior": _loop_phase(connection_interior(m, 1e-4), path),
             "mollified": limit, "overlap": loop_phase_overlap_meshes(m, path, [mesh])[0].phase}
 
 
@@ -963,8 +988,8 @@ def test_method_all_phases_are_pinned(case):
     else:
         path = ParameterPath(loop["points"], orientation=loop["orientation"])
     eps = [0.2, 0.1, 0.05, 0.025]
-    mollified = loop_phase_mollified_sweep(m, path, eps)
-    phases = ([loop_phase_analytic(m, path)] + [loop_phase_interior(m, path, h) for h in (1e-4, 5e-5)]
+    mollified = _mollified_sweep(m, path, eps)
+    phases = ([loop_phase_analytic(m, path)] + [_loop_phase(connection_interior(m, h), path) for h in (1e-4, 5e-5)]
               + mollified + [power_law_extrapolate(eps, mollified)[0]]
               + [r.phase for r in loop_phase_overlap_meshes(m, path, [64, 128, 256])])
     assert len(phases) == len(case["phases"])

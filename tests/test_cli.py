@@ -176,10 +176,13 @@ def test_berry_mollified_row_without_positive_order(tmp_path, monkeypatch):
     # growing differences: the eps = 0 row reports the last sample, and its
     # err_est the last step, not 0 from |limit - last sample|
     # differences alternating in sign: the same, where err_est read 0 at order 8
+    # each width's phase is -F_c times the default loop's integral of dc/l, -1/2
     out = tmp_path / "berry.csv"
+    dc_over_l = rectangle_loop(1.0, 2.0, 0.0, 1.0).dc_over_l()
     for phases, row in (([0.0, 1.0, 3.0], ["", "3.00000000e+00", "2.00000000e+00"]),
                         ([0.0, 1.0, 0.5], ["", "5.00000000e-01", "5.00000000e-01"])):
-        monkeypatch.setattr(berrybox.berry, "loop_phase_mollified_sweep", lambda m, path, eps_list: phases)
+        f_c = iter([-phase / dc_over_l for phase in phases])
+        monkeypatch.setattr(berrybox.berry, "connection_mollified", lambda m, eps: (0.0, next(f_c)))
         assert run("berry", "--method", "mollified", "--eps-list", "0.4,0.2,0.1", "--out", str(out)) == 0
         assert read_csv(out)[1][-1][3:] == row
 
@@ -216,7 +219,6 @@ _POLYLINE_NEG = {"loop": {"type": "polyline", "points": [[1.0, -0.0], [1.3, 0.05
     pytest.param(["berry", "--eta", "0+1i", "--method", "analytic"], _POLYLINE_NEG, id="berry-polyline"),
     pytest.param(["berry", "--eta", "0.3+0.6i", "--loop-rect", "1", "2", "-0.0", "1", "--curvature-map",
                   "--mesh", "3"], None, id="curvature-map"),
-    pytest.param(["spectrum", "--eta", "0.5+0.5i", "--c", "-0"], None, id="spectrum"),
 ])
 def test_resolved_config_holds_no_negative_zero(tmp_path, argv, config):
     # a zero given with a minus sign was echoed as -0.0 in <out>.config.json
@@ -384,18 +386,16 @@ def test_berry_plot_reuses_table_phases(tmp_path, monkeypatch):
     for extra in ([], ["--plot", str(tmp_path / "b.svg")]):
         counter = {}
         with monkeypatch.context() as mp:
-            _count_calls(mp, berrybox.berry, "loop_phase_interior", counter)
-            _count_calls(mp, berrybox.berry, "loop_phase_mollified_sweep", counter)
+            _count_calls(mp, berrybox.berry, "connection_interior", counter)
             _count_calls(mp, berrybox.berry, "connection_mollified", counter)
             _count_calls(mp, berrybox.berry, "_chain_phase", counter)
             assert run(*argv, *extra) == 0
         counts.append(counter)
     assert counts[0] == counts[1]
-    # the interior phase at h and h/2, one mollified sweep that integrates
-    # the embedding once per width, in the box coordinate, for all four sides,
-    # and the overlap chains at 16, 32 and 64 links with their half meshes
-    assert counts[0] == {"loop_phase_interior": 2, "loop_phase_mollified_sweep": 1,
-                         "connection_mollified": 4, "_chain_phase": 6}
+    # the interior connection at h and h/2, the embedding once per width, in
+    # the box coordinate, for all four sides, and the overlap chains at 16, 32
+    # and 64 links with their half meshes
+    assert counts[0] == {"connection_interior": 2, "connection_mollified": 4, "_chain_phase": 6}
 
 
 def test_berry_plot_draws_the_csv_digits(tmp_path, monkeypatch):
@@ -404,7 +404,7 @@ def test_berry_plot_draws_the_csv_digits(tmp_path, monkeypatch):
     # draws the CSV's digits, not the rounding noise of the mollified rows
     argv = ["berry", "--eta", "0.3+0.6i", "--n", "1", "--loop-rect", "1", "1.3", "0", "0.2",
             "--method", "all", "--mesh", "64"]
-    hooked = ((berrybox.berry, "_chain_phase"), (berrybox.berry, "loop_phase_mollified_sweep"),
+    hooked = ((berrybox.berry, "_chain_phase"), (berrybox.berry, "connection_mollified"),
               (berrybox.closed_form, "loop_phase_analytic"))
     outputs = []
     for shifts in ((0.0, 0.0, 0.0), (3e-15, -2e-15, 1e-15), (-2e-15, 3e-15, -3e-15)):
@@ -412,7 +412,7 @@ def test_berry_plot_draws_the_csv_digits(tmp_path, monkeypatch):
             for (owner, attr), shift in zip(hooked, shifts):
                 def moved(*args, real=getattr(owner, attr), factor=1.0 + shift):
                     value = real(*args)
-                    return [v * factor for v in value] if isinstance(value, list) else value * factor
+                    return tuple(v * factor for v in value) if isinstance(value, tuple) else value * factor
 
                 mp.setattr(owner, attr, moved)
             out, svg = tmp_path / "b.csv", tmp_path / "b.svg"
@@ -587,6 +587,42 @@ def test_adiabatic_at_the_ends_of_the_float_range(tmp_path, flag, value):
         assert abs(math.remainder(float(r[3]) - want.geometric_phase, 2.0 * math.pi)) < 1e-8
 
 
+@pytest.mark.parametrize("argv, code, message", [
+    # dl/l0 rounds to -1 on the side from l = 1 to 1e-300: log1p(-1) exited 2
+    # with the bare "math domain error"; the phase is -k sin(alpha) (1 - 1e300)
+    pytest.param(["berry", "--loop-rect", "1e-300", "1", "0", "1", "--method", "analytic"], 0, "",
+                 id="berry-analytic-l-1e-300"),
+    pytest.param(["berry", "--loop-rect", "1e-300", "1", "0", "1", "--method", "all"], 2, "refine the mesh",
+                 id="berry-all-l-1e-300"),
+    # the first side shrinks l to 1e-300: each of its 4 links ends at a box of length 0 in floats
+    pytest.param(["berry", "--loop-rect", "1", "1e-300", "0", "1", "--method", "overlap", "--mesh", "16"], 2,
+                 "overlap only |<.|.>| = 0.00e+00; refine the mesh", id="berry-overlap-shrinking-side"),
+    # the side at l = 1e-300 met log1p(-1) ("math domain error"), and behind it
+    # l0 ** 2 underflowing to 0 (ZeroDivisionError); at l = 1e200 l0 ** 2
+    # overflowed (OverflowError, exit 1), and kappa is inf
+    pytest.param(["adiabatic", "--loop-rect", "1e-300", "1", "0", "1", "--T-list", "1"], 2,
+                 "the loop side (l, c) = (1e-300, 1.0) -> (1e-300, 0.0) leaves the float range",
+                 id="adiabatic-l-1e-300"),
+    pytest.param(["adiabatic", "--loop-rect", "1e200", "2e200", "0", "1", "--T-list", "1"], 2,
+                 "the loop side (l, c) = (1e+200, 0.0) -> (2e+200, 0.0) leaves the float range",
+                 id="adiabatic-l-1e200"),
+    # kappa = 2.2e307 is finite, but QL met inf within the generator (ArithmeticError, exit 1)
+    pytest.param(["adiabatic", "--loop-rect", "5e153", "6e153", "0", "1", "--T-list", "1"], 2,
+                 "loop side 1 in traversal order moves too fast for the float range", id="adiabatic-l-5e153"),
+])
+def test_extreme_loop_sides_exit_0_or_2_with_a_message(tmp_path, capsys, argv, code, message):
+    out = tmp_path / "o.csv"
+    assert run(*argv, "--out", str(out)) == code
+    err = capsys.readouterr().err
+    assert "math domain error" not in err
+    if code:
+        assert err.startswith("berrybox: ") and message in err and err.count("\n") == 1, err
+        assert list(tmp_path.iterdir()) == []
+    else:
+        assert err == ""
+        assert read_csv(out)[1] == [["analytic", "", "", "", "1.57079633e+300", ""]]
+
+
 # ---------------------------------------------------------------------------
 # determinism and config round-trip
 
@@ -608,8 +644,8 @@ _UNITARY = ("[[[0.18242147301324535, 0.0], [-0.5891470865466554, 0.7871646057828
 @pytest.mark.parametrize("argv, keys, values", [
     pytest.param(("bc", "--unitary", _UNITARY), {"eta", "unitary"}, {"unitary": _UNITARY}, id="bc"),
     pytest.param(("spectrum", "--eta", "0.5+0.5i", "--mass", "1.3", "--l", "1.7", "--n-min", "-1", "--n-max", "2"),
-                 {"eta", "mass", "n", "geometry", "method"},
-                 {"mass": 1.3, "geometry": {"l": 1.7, "c": 0.0}, "n": [-1, 2]}, id="spectrum"),
+                 {"eta", "mass", "n", "l", "method"},
+                 {"mass": 1.3, "l": 1.7, "n": [-1, 2]}, id="spectrum"),
     pytest.param(("berry", "--eta", "0.3+0.6i", "--n", "1", "--loop-rect", "1", "1.3", "0", "0.2",
                   "--orientation", "-1", "--method", "analytic,overlap", "--mesh", "32"),
                  {"eta", "n", "loop", "method", "mesh", "eps_list", "h"},
@@ -637,22 +673,40 @@ def test_config_roundtrip(tmp_path, argv, keys, values):
 
 
 def test_spectrum_flags_override_config_components(tmp_path):
-    # --n-min and --c used to replace the whole range and geometry, with
-    # their own defaults (n max 5, l 1) in place of the config's values
+    # --n-min used to replace the whole range, with its own default (n max 5)
+    # in place of the config's value; --l sets the key l, as each flag sets its own
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"n": 3, "geometry": {"l": 2.0, "c": 0.5}}))
+    cfg.write_text(json.dumps({"n": 3, "l": 2.0}))
     out = tmp_path / "spec.csv"
-    assert run("spectrum", "--config", str(cfg), "--n-min", "1", "--c", "0", "--out", str(out)) == 0
+    assert run("spectrum", "--config", str(cfg), "--n-min", "1", "--out", str(out)) == 0
     written = json.loads((tmp_path / "spec.csv.config.json").read_text())
     assert written["n"] == [1, 3]
-    assert written["geometry"] == {"l": 2.0, "c": 0.0}
+    assert written["l"] == 2.0
     assert [r[0] for r in read_csv(out)[1]] == ["1", "2", "3"]
+    assert run("spectrum", "--config", str(cfg), "--l", "0.5", "--out", str(out)) == 0
+    assert json.loads((tmp_path / "spec.csv.config.json").read_text())["l"] == 0.5
 
 
 def test_unknown_config_key_rejected(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"bogus": 1}))
     assert run("spectrum", "--config", str(bad)) == 2
+
+
+@pytest.mark.parametrize("argv, unknown", [
+    # argparse's prefix matching ran these as --T-list 25 --window 2
+    pytest.param(["adiabatic", "--T", "25", "--win", "2"], "--T 25 --win 2", id="adiabatic-prefixes"),
+    pytest.param(["adiabatic", "--T", "25"], "--T 25", id="adiabatic-T"),
+    # --c set the box center, which set no level; as a prefix it would be
+    # ambiguous between --config and --check
+    pytest.param(["spectrum", "--c", "0"], "--c 0", id="spectrum-c"),
+    pytest.param(["berry", "--meth", "analytic"], "--meth analytic", id="berry-prefix"),
+])
+def test_options_take_no_abbreviations(tmp_path, monkeypatch, capsys, argv, unknown):
+    monkeypatch.chdir(tmp_path)
+    assert exit_code(*argv, "--out", "o.out") == 2
+    assert capsys.readouterr().err.endswith(f"berrybox: error: unrecognized arguments: {unknown}\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def exit_code(*argv):
@@ -704,13 +758,17 @@ _NONFINITE_LOOPS = [
     pytest.param(["wz", "--eta", "1", "--n", "1"], {"method": "all"}, id="wz-config-method"),
     pytest.param(["spectrum"], {"seed": None}, id="spectrum-config-seed"),
     pytest.param(["spectrum"], {"method": "overlap"}, id="spectrum-config-berry-method"),
+    # the box was the key geometry, {l, c}, until the center, which sets no
+    # level, went: a config that holds it exits 2 as an unknown key
     pytest.param(["spectrum"], {"geometry": {"l": 2.0}}, id="spectrum-config-geometry-without-c"),
+    pytest.param(["spectrum"], {"geometry": {"l": 2.0, "c": 0.0}}, id="spectrum-config-geometry"),
     pytest.param(["berry", "--curvature-map"], {"loop": _POLYGON}, id="berry-map-polyline"),
     # config values of the wrong JSON type used to crash with a traceback (exit 1)
     pytest.param(["spectrum"], {"n": 2.5}, id="spectrum-config-n-float"),
     pytest.param(["wz", "--eta", "1", "--n", "1"], {"mesh": [1]}, id="wz-config-mesh-list"),
     pytest.param(["adiabatic"], {"T_list": 5}, id="adiabatic-config-T_list-number"),
     pytest.param(["spectrum"], {"geometry": {"l": [2.0], "c": 0.0}}, id="spectrum-config-geometry-list"),
+    pytest.param(["spectrum"], {"l": [2.0]}, id="spectrum-config-l-list"),
     # a nonpositive mesh used to collapse to one mesh-16 overlap row, or to
     # an empty curvature map
     pytest.param(["berry", "--method", "overlap", "--mesh", "-4"], None, id="berry-overlap-mesh-negative"),
@@ -734,7 +792,7 @@ _NONFINITE_LOOPS = [
     pytest.param(["adiabatic", "--mass", "inf", "--T-list", "2", "--window", "1", "--resolution", "100"], None,
                  id="adiabatic-mass-inf"),
     # an infinite box length used to print lambda = 0, a non-finite center
-    # to exit 0
+    # to exit 0; --c is no option now
     *[pytest.param(["spectrum", "--eta", eta, "--n-max", "2", flag, value], None, id=f"spectrum-{eta}-{flag[2:]}-{value}")
       for eta in ("1", "0+1i") for flag, value in (("--l", "inf"), ("--l", "nan"), ("--c", "nan"), ("--c", "inf"))],
     # --tol nan used to switch the check off (exit 0), a negative --tol to
@@ -807,7 +865,7 @@ def test_bc_unitary_messages_name_the_fault(tmp_path, capsys, unitary, message):
 
 @pytest.mark.parametrize("argv", [
     pytest.param(["bc", "--eta", "-0.5+0.2i"], id="bc"),
-    pytest.param(["spectrum", "--eta", "-0.5+0.2i", "--c", "-1e-3", "--n-max", "2"], id="spectrum"),
+    pytest.param(["spectrum", "--eta", "-0.5+0.2i", "--n-max", "2"], id="spectrum"),
     # the domain scan's case, which argparse used to read as an option
     pytest.param(["berry", "--eta", "-0.999+0.0447i", "--method", "analytic,interior"], id="berry-domain-scan"),
     pytest.param(["wz", "--eta", "-1", "--n", "0", "--mesh", "16"], id="wz"),

@@ -216,9 +216,10 @@ def test_generic_check_runs_without_scipy(tmp_path):
 
 
 # the names the package exported when it imported every submodule eagerly,
-# less those since deleted (the helpers only tests read among them) or moved
+# less those since deleted (the helpers only tests read among them, the box
+# record and the loop-phase wrappers of two oracles) or moved
 # to the tests' `array_rules`, with the
-# plane-wave names and the standard-library rules added, under the module
+# plane-wave names, the standard-library rules and the length checks added, under the module
 # that defines each now (the boundary-triple identities moved out of
 # `boundary`), in dependency order
 _EXPORTED = {
@@ -226,14 +227,14 @@ _EXPORTED = {
     "boundary_triple": "BoundaryData bc_residual boundary_form boundary_traces compliant_data dilation_transport "
                        "triple_identity_defect",
     "quadrature": "gauss_legendre panel_nodes",
-    "closed_form": "DegenerateEtaError Geometry Mode PlaneWaves alpha_of connection_analytic curvature "
-                   "degenerate_wavenumber degenerate_waves eigenvalue loop_phase_analytic mode wavenumber "
-                   "window_integral",
+    "closed_form": "DegenerateEtaError Mode PlaneWaves alpha_of connection_analytic curvature "
+                   "degenerate_wavenumber degenerate_waves eigenvalue loop_phase_analytic mode require_length "
+                   "wavenumber window_integral",
     "spectrum": "EigenLevel RootSearchError generic_spectrum",
-    "paths": "ParameterPath rectangle_loop",
+    "paths": "ParameterPath log_ratio rectangle_loop",
     "berry": "LoopPhaseResult MeshTooCoarseError connection_interior connection_mollified "
-             "loop_phase_interior loop_phase_mollified_sweep loop_phase_overlap_meshes power_law_extrapolate "
-             "require_geometric require_interior_step standard_mollifier state_overlap",
+             "loop_phase_overlap_meshes power_law_extrapolate require_geometric require_interior_step "
+             "standard_mollifier state_overlap",
     "wilczek_zee": "ConnectionCheckError Holonomy MatrixConnection connection_from_basis "
                    "diagonalize_in_plane_waves wz_connection wz_curvature wz_holonomy",
     "adiabatic": "PhaseReport Schedule eigh generator mode_window propagate weak_form_matrix",

@@ -13,7 +13,6 @@ from berrybox import (
     BoundaryData,
     DegenerateEtaError,
     ETA_INF,
-    Geometry,
     ParameterPath,
     RootSearchError,
     alpha_of,
@@ -27,11 +26,15 @@ from berrybox import (
     eta_to_unitary,
     generic_spectrum,
     mode,
+    require_length,
+    state_overlap,
     wavenumber,
+    wz_connection,
+    wz_curvature,
 )
 import berrybox.spectrum
 
-UNIT = Geometry(1.0, 0.0)
+UNIT = (1.0, 0.0)
 
 
 def _values(w, u):
@@ -41,10 +44,11 @@ def _values(w, u):
 
 
 def _physical(m, g, x):
-    """The eigenfunction l^-1/2 phi((x - c)/l) at the box g, zero outside it."""
+    """The eigenfunction l^-1/2 phi((x - c)/l) at the box g = (l, c), zero outside it."""
+    l, c = g
     x = np.asarray(x, dtype=float)
-    inside = (x >= g.c - 0.5 * g.l) & (x <= g.c + 0.5 * g.l)
-    return np.where(inside, _values(m.waves, (x - g.c) / g.l) / np.sqrt(g.l), 0.0 + 0.0j)
+    inside = (x >= c - 0.5 * l) & (x <= c + 0.5 * l)
+    return np.where(inside, _values(m.waves, (x - c) / l) / np.sqrt(l), 0.0 + 0.0j)
 
 
 def _sampled(level):
@@ -59,10 +63,10 @@ def _sampled(level):
     return GridFunction(nodes=nodes, values=f * (np.abs(f[j]) / f[j]), weights=weights)
 
 
-def _boundary_data(m, g=UNIT):
-    """Endpoint values and x-derivatives of the eigenfunction at the box g."""
+def _boundary_data(m, l=1.0):
+    """Endpoint values and x-derivatives of the eigenfunction at a box of length l."""
     (va, da), (vb, db) = (m.waves.at(u) for u in (-0.5, 0.5))
-    return BoundaryData(va / np.sqrt(g.l), vb / np.sqrt(g.l), da / g.l ** 1.5, db / g.l ** 1.5)
+    return BoundaryData(va / np.sqrt(l), vb / np.sqrt(l), da / l ** 1.5, db / l ** 1.5)
 
 
 def test_alpha_values():
@@ -182,10 +186,10 @@ def test_eigen_residual():
     for eta in (1j, 0.5, -0.3 + 0.4j):
         for n in (-2, 0, 1):
             m = mode(n, eta)
-            g = Geometry(1.7, 0.0)
-            lam = eigenvalue(m.k, g.l, mass=1.3)
+            l = 1.7
+            lam = eigenvalue(m.k, l, mass=1.3)
             phi = _values(m.waves, x)
-            residual = -(-m.k ** 2 * phi) / (2.0 * 1.3 * g.l ** 2) - lam * phi
+            residual = -(-m.k ** 2 * phi) / (2.0 * 1.3 * l ** 2) - lam * phi
             assert np.sqrt(np.sum(w * np.abs(residual) ** 2)) < 1e-8
 
 
@@ -194,14 +198,14 @@ def test_physical_eigenfunction():
     x = np.linspace(-0.5, 0.5, 64)
     assert np.allclose(_physical(m, UNIT, x), np.sin(m.k * x) + np.exp(1j * m.alpha) * np.cos(m.k * x))
     # a doubled box evaluated at the center
-    got = _physical(m, Geometry(2.0, 0.0), 0.0)
+    got = _physical(m, (2.0, 0.0), 0.0)
     assert got == pytest.approx(np.exp(1j * m.alpha) / np.sqrt(2.0), abs=1e-14)
     # zero outside the support
-    assert _physical(m, Geometry(2.0, 0.0), 1.5) == 0.0
+    assert _physical(m, (2.0, 0.0), 1.5) == 0.0
     rng = np.random.default_rng(5)
     for _ in range(4):
-        g = Geometry(float(rng.uniform(0.5, 3.0)), float(rng.uniform(-1.0, 1.0)))
-        x, w = oscillatory_rule(g.c - 0.5 * g.l, g.c + 0.5 * g.l, 2 * m.k / g.l)
+        l, c = g = (float(rng.uniform(0.5, 3.0)), float(rng.uniform(-1.0, 1.0)))
+        x, w = oscillatory_rule(c - 0.5 * l, c + 0.5 * l, 2 * m.k / l)
         nrm = np.sqrt(np.sum(w * np.abs(_physical(m, g, x)) ** 2))
         assert nrm == pytest.approx(1.0, abs=1e-12)
 
@@ -209,14 +213,14 @@ def test_physical_eigenfunction():
 def test_dilation_covariance():
     # the physical eigenfunction is the unitary transport of the reference one
     m = mode(1, -0.3 + 0.4j)
-    g = Geometry(1.8, -0.4)
-    x = np.linspace(g.c - 0.5 * g.l, g.c + 0.5 * g.l, 101)
-    manual = np.array([m.waves.at(u)[0] for u in (x - g.c) / g.l]) / np.sqrt(g.l)
+    l, c = g = (1.8, -0.4)
+    x = np.linspace(c - 0.5 * l, c + 0.5 * l, 101)
+    manual = np.array([m.waves.at(u)[0] for u in (x - c) / l]) / np.sqrt(l)
     assert np.max(np.abs(_physical(m, g, x) - manual)) < 1e-12
     # endpoint data follow the same transport
     ref = _boundary_data(m)
-    moved = _boundary_data(m, g)
-    scaled = dilation_transport(ref, g.l, g.c)
+    moved = _boundary_data(m, l)
+    scaled = dilation_transport(ref, l, c)
     for f in ("va", "vb", "da", "db"):
         assert getattr(moved, f) == pytest.approx(getattr(scaled, f), abs=1e-12)
 
@@ -224,9 +228,16 @@ def test_dilation_covariance():
 @pytest.mark.parametrize("l, c", [(0.0, 0.0), (-1.0, 0.0), (np.inf, 0.0), (np.nan, 0.0),
                                   (1.0, np.nan), (1.0, np.inf), (1.0, -np.inf)])
 def test_geometry_must_be_finite(l, c):
-    # an infinite length used to give lambda = 0, a non-finite center to pass
+    # an infinite length used to give lambda = 0, a non-finite center to pass;
+    # a box is its length, checked by one predicate wherever a routine takes
+    # one, and the overlap, which takes its box relative to the unit box, checks the center too
     with pytest.raises(ValueError, match="finite"):
-        Geometry(l, c)
+        state_overlap(mode(0, 1j), l, c)
+    if math.isfinite(c):
+        for call in (lambda: require_length(l), lambda: eigenvalue(1.0, l), lambda: wz_connection(1, 1, l),
+                     lambda: wz_curvature(1, 1, l), lambda: generic_spectrum(eta_to_unitary(1j), count=2, l=l)):
+            with pytest.raises(ValueError, match=f"box length must be finite and positive, not {float(l)}"):
+                call()
 
 
 @pytest.mark.parametrize("mass", [0.0, -1.0, np.inf, np.nan])
@@ -313,7 +324,7 @@ def test_generic_spectrum_matches_closed_form():
         closed = sorted(
             eigenvalue(mode(n, eta).k, 1.2, 0.7) for n in range(-4, 5)
         )
-        levels = generic_spectrum(eta_to_unitary(eta), count=9, mass=0.7, geometry=Geometry(1.2, 0.0))
+        levels = generic_spectrum(eta_to_unitary(eta), count=9, mass=0.7, l=1.2)
         for lv, ex in zip(levels, closed):
             assert lv.lam == pytest.approx(ex, rel=1e-9)
 
@@ -374,10 +385,10 @@ def test_generic_spectrum_near_degenerate_eta(eta, ns):
         assert numeric[np.argmin(np.abs(numeric - lam))] == pytest.approx(lam, rel=1e-9)
 
 
-def _fitted_boundary_data(level):
+def _fitted_boundary_data(level, mass=1.0):
     """Endpoint data of a sampled eigenfunction on the unit box, from a least-squares
     fit to the two solutions of -psi''/2m = lam psi."""
-    e = 2.0 * level.mass * level.lam
+    e = 2.0 * mass * level.lam
     k = np.sqrt(abs(e))
     if e > 0:
         fns, ders = (np.cos, np.sin), (lambda z: -np.sin(z), np.cos)

@@ -9,7 +9,6 @@ import pytest
 
 import berrybox.wilczek_zee
 from berrybox import (
-    Geometry,
     ParameterPath,
     connection_from_basis,
     curvature,
@@ -28,43 +27,43 @@ RECT = rectangle_loop(1.0, 2.0, 0.0, 1.0)
 
 
 def test_connection_closed_forms():
-    conn = wz_connection(1, 1, Geometry(1.0, 0.0))
+    conn = wz_connection(1, 1, 1.0)
     assert np.allclose(conn.coeff_c, 2.0 * np.pi * SIGMA2, atol=1e-13)
     assert np.allclose(conn.coeff_l, 0.0, atol=1e-13)
-    conn = wz_connection(1, 1, Geometry(2.0, 0.0))
+    conn = wz_connection(1, 1, 2.0)
     assert np.allclose(conn.coeff_c, np.pi * SIGMA2, atol=1e-13)
-    conn = wz_connection(-1, 0, Geometry(1.0, 0.0))
+    conn = wz_connection(-1, 0, 1.0)
     assert np.allclose(conn.coeff_c, np.pi * SIGMA2, atol=1e-13)
 
 
 def test_connection_matrices_hermitian():
     for eta, n in ((1, 2), (-1, 1)):
-        conn = wz_connection(eta, n, Geometry(1.4, -0.3))
+        conn = wz_connection(eta, n, 1.4)
         for mat in map(np.array, (conn.coeff_l, conn.coeff_c)):
             assert np.allclose(mat, mat.conj().T, atol=1e-12)
 
 
 def test_numeric_recomputation_matches():
-    for eta, n, g in ((1, 1, Geometry(1.0, 0.0)), (1, 3, Geometry(0.7, 0.4)), (-1, 0, Geometry(2.2, -1.0))):
-        closed = wz_connection(eta, n, g)
+    for eta, n, l in ((1, 1, 1.0), (1, 3, 0.7), (-1, 0, 2.2)):
+        closed = wz_connection(eta, n, l)
         numeric = connection_from_basis(eta, n)
-        assert np.max(np.abs(np.array(numeric.coeff_c) / g.l - closed.coeff_c)) < 1e-8
-        assert np.max(np.abs(np.array(numeric.coeff_l) / g.l)) < 1e-8
+        assert np.max(np.abs(np.array(numeric.coeff_c) / l - closed.coeff_c)) < 1e-8
+        assert np.max(np.abs(np.array(numeric.coeff_l) / l)) < 1e-8
 
 
 def test_rejects_nondegenerate():
     with pytest.raises(ValueError):
-        wz_connection(0, 1, Geometry(1.0, 0.0))
+        wz_connection(0, 1, 1.0)
     with pytest.raises(ValueError):
         wz_holonomy(2, 1, RECT)
 
 
 def test_curvature():
-    curv = wz_curvature(1, 1, Geometry(1.0, 0.0))
+    curv = wz_curvature(1, 1, 1.0)
     assert np.allclose(curv, 2.0 * np.pi * SIGMA2, atol=1e-13)
     assert abs(np.trace(curv)) < 1e-15
     # 1/l^2 scaling
-    curv2 = wz_curvature(1, 1, Geometry(2.0, 0.0))
+    curv2 = wz_curvature(1, 1, 2.0)
     assert np.allclose(curv2, 0.5 * np.pi * SIGMA2, atol=1e-13)
 
 
@@ -72,14 +71,14 @@ def test_curvature():
 def test_curvature_beyond_the_float_range_raises(l):
     # l ** 2 underflowed: k / l^2 was inf, or a ZeroDivisionError traceback
     with pytest.raises(ValueError, match="not finite"):
-        wz_curvature(1, 1, Geometry(l, 0.0))
+        wz_curvature(1, 1, l)
     with pytest.raises(ValueError, match="not finite"):
         curvature(mode(0, 1j), l)
 
 
 def test_curvature_underflows_to_zero_at_a_huge_box():
     # l ** 2 overflowed with an OverflowError traceback; k_n / l^2 is 0
-    assert wz_curvature(1, 1, Geometry(1e200, 0.0)) == ((0j, 0j), (0j, 0j))
+    assert wz_curvature(1, 1, 1e200) == ((0j, 0j), (0j, 0j))
     assert curvature(mode(0, 1j), 1e200) == 0.0
 
 
@@ -119,19 +118,19 @@ def test_holonomy_abelian_reduction():
 
 
 def test_plane_wave_diagonalization():
-    conn = wz_connection(1, 1, Geometry(1.0, 0.0))
+    conn = wz_connection(1, 1, 1.0)
     diag, q = diagonalize_in_plane_waves(conn)
     assert abs(diag[0][1]) + abs(diag[1][0]) < 1e-12
     assert diag[0][0] == pytest.approx(2.0 * np.pi, abs=1e-12)
     assert diag[1][1] == pytest.approx(-2.0 * np.pi, abs=1e-12)
     assert np.allclose(np.array(q).conj().T @ q, np.eye(2), atol=1e-14)
-    # the same unitary works at every geometry: recompute across a grid
+    # the same unitary works at every box: recompute across box lengths, the
+    # one thing the connection depends on
     for l in np.linspace(0.5, 2.5, 5):
-        for c in np.linspace(-1.0, 1.0, 5):
-            conn = wz_connection(1, 1, Geometry(l, c))
-            d2, q2 = diagonalize_in_plane_waves(conn)
-            assert q2 == q
-            assert abs(d2[0][1]) + abs(d2[1][0]) < 1e-12
+        conn = wz_connection(1, 1, l)
+        d2, q2 = diagonalize_in_plane_waves(conn)
+        assert q2 == q
+        assert abs(d2[0][1]) + abs(d2[1][0]) < 1e-12
 
 
 def test_closed_form_step_matches_matrix_exponential():
@@ -246,17 +245,19 @@ def test_holonomy_routes_every_step_through_expm(monkeypatch, tmp_path, mesh):
 
 def test_connection_check_holds_far_off_centre():
     # the quadrature runs once, in the box coordinate, so F/l matches the
-    # closed form at centres far from the origin (|c|/l from 1e3 to 1e6)
+    # closed form at centres far from the origin (|c|/l from 1e3 to 1e6):
+    # the connection takes the box length alone, which `wz` reads off the
+    # first vertex of such a loop
     rng = np.random.default_rng(20263)
     for _ in range(30):
         eta = int(rng.choice([1, -1]))
         n = int(rng.integers(1 if eta == 1 else 0, 6))
         l = 10.0 ** rng.uniform(-3.0, 0.0)
-        g = Geometry(l, rng.choice([1.0, -1.0]) * l * 10.0 ** rng.uniform(3.0, 6.0))
-        closed = wz_connection(eta, n, g)
+        c = rng.choice([1.0, -1.0]) * l * 10.0 ** rng.uniform(3.0, 6.0)
+        closed = wz_connection(eta, n, rectangle_loop(l, 2.0 * l, c, c + l).point(0.0)[0])
         numeric = connection_from_basis(eta, n)
-        assert np.max(np.abs(np.array(numeric.coeff_c) / g.l - closed.coeff_c)) < 1e-8
-        assert np.max(np.abs(np.array(numeric.coeff_l) / g.l)) < 1e-8
+        assert np.max(np.abs(np.array(numeric.coeff_c) / l - closed.coeff_c)) < 1e-8
+        assert np.max(np.abs(np.array(numeric.coeff_l) / l)) < 1e-8
 
 
 def test_connection_check_holds_on_small_boxes_at_high_levels():
@@ -267,9 +268,8 @@ def test_connection_check_holds_on_small_boxes_at_high_levels():
     draws = [(1, 100, 1e-6)] + [(int(e), int(rng.integers(1 if e == 1 else 0, 1001)), 10.0 ** rng.uniform(-6.0, 3.0))
                                 for e in rng.choice([1, -1], 24)]
     for eta, n, l in draws:
-        g = Geometry(l, rng.uniform(-1.0, 1.0))
         k = degenerate_wavenumber(eta, n)
-        conn = wz_connection(eta, n, g)
+        conn = wz_connection(eta, n, l)
         assert np.max(np.abs(conn.coeff_c - (k / l) * SIGMA2)) <= 1e-15 * abs(k) / l, (eta, n, l)
         assert np.max(np.abs(conn.coeff_l)) == 0.0
 
@@ -279,12 +279,12 @@ def test_connection_check_memory_does_not_grow_with_the_level():
     # at n = 1e4 and 1e6 for both signs (the Gauss rule it replaced missed it
     # at n = 1e6, by 3e-8), and its peak memory at those levels is that of n = 1
     for eta in (1, -1):
-        wz_connection(eta, 1, Geometry(1.0, 0.0))
+        wz_connection(eta, 1, 1.0)
         peaks = {}
         for n in (1, 10_000, 1_000_000):
             tracemalloc.start()
             try:
-                wz_connection(eta, n, Geometry(1.0, 0.0))
+                wz_connection(eta, n, 1.0)
                 peaks[n] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
