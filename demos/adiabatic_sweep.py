@@ -10,13 +10,9 @@ down, which is the adiabatic theorem doing its job.
 
 import sys
 
-from berrybox import (
-    Schedule,
-    loop_phase_analytic,
-    mode,
-    propagate,
-    rectangle_loop,
-)
+from berrybox.adiabatic import Schedule, propagate
+from berrybox.closed_form import loop_phase_analytic, mode
+from berrybox.paths import rectangle_loop
 from berrybox.svgplot import line_plot
 
 

@@ -11,10 +11,10 @@ the parameter half-plane.
 
 import math
 
-from berrybox import (
+from berrybox.paths import rectangle_loop
+from berrybox.wilczek_zee import (
     connection_from_basis,
     diagonalize_in_plane_waves,
-    rectangle_loop,
     wz_connection,
     wz_curvature,
     wz_holonomy,

@@ -15,15 +15,9 @@ into an SVG.
 
 import sys
 
-from berrybox import (
-    connection_interior,
-    connection_mollified,
-    loop_phase_analytic,
-    loop_phase_overlap_meshes,
-    mode,
-    power_law_extrapolate,
-    rectangle_loop,
-)
+from berrybox.berry import connection_interior, connection_mollified, loop_phase_overlap_meshes, power_law_extrapolate
+from berrybox.closed_form import loop_phase_analytic, mode
+from berrybox.paths import rectangle_loop
 from berrybox.svgplot import line_plot
 
 

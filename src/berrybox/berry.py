@@ -221,14 +221,20 @@ def loop_phase_overlap_meshes(m: Mode, path: ParameterPath, meshes) -> list[Loop
     phase cancels between the two factors it enters, so the product is
     exactly gauge invariant.  A chain costs one overlap per side at any
     mesh.  The error estimate compares, on the circle, against the half-mesh
-    chain.  Chains run mesh by mesh in the order given, so the first
-    too-coarse chain raises the error.
+    chain.  Chains run mesh by mesh in the order given, each mesh and then
+    its half, each distinct chain once, so the first too-coarse chain raises
+    the error.
     """
     if any(not 8 <= mesh <= sys.float_info.max for mesh in meshes):
         raise ValueError("mesh must be at least 8 and within the float range")
-    chains = [(mesh, _chain_phase(m, path, mesh), _chain_phase(m, path, mesh // 2)) for mesh in meshes]
-    return [LoopPhaseResult(phase=phase, mesh=mesh, err_estimate=abs(cmath.phase(cmath.exp(1j * (phase - half)))))
-            for mesh, phase, half in chains]
+    chains = {}
+    for mesh in meshes:
+        for n in (mesh, mesh // 2):
+            if n not in chains:
+                chains[n] = _chain_phase(m, path, n)
+    return [LoopPhaseResult(phase=chains[mesh], mesh=mesh,
+                            err_estimate=abs(cmath.phase(cmath.exp(1j * (chains[mesh] - chains[mesh // 2])))))
+            for mesh in meshes]
 
 
 # ---------------------------------------------------------------------------

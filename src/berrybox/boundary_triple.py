@@ -85,13 +85,13 @@ def triple_identity_defect(psi: BoundaryData, phi: BoundaryData) -> float:
     return abs(lhs - 2j * boundary_form(psi, phi, mass=0.5))
 
 
-def dilation_transport(d: BoundaryData, scale: float, shift: float = 0.0) -> BoundaryData:
-    """Endpoint data of x -> scale**-0.5 * psi((x - shift)/scale).
+def dilation_transport(d: BoundaryData, scale: float) -> BoundaryData:
+    """Endpoint data of x -> scale**-0.5 * psi((x - c)/scale), for any shift c.
 
-    The transported interval is scale*[a, b] + shift; values pick up
+    The transported interval is scale*[a, b] + c; values pick up
     scale**-0.5 and derivatives scale**-1.5, so membership in the eta family
     is preserved with the same eta (the scale factors cancel in both
-    conditions).  The data themselves do not depend on the shift.
+    conditions).  The data themselves do not depend on the shift c.
     """
     if not scale > 0:
         raise ValueError("scale must be positive")

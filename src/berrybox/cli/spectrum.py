@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import math
 import sys
 
@@ -38,6 +39,13 @@ def _spectrum_rows_degenerate(eta_pm, ns, mass, l):
         k = degenerate_wavenumber(eta_pm, n)
         rows.append((str(n), _fmt(k), "nan", _fmt(eigenvalue(k, l, mass))))
     return rows
+
+
+def _nearest(found, lam):
+    """The entry of ascending `found` nearest lam, the lower on a tie: what
+    `min(found, key=lambda v: abs(v - lam))` returns, by bisection."""
+    i = bisect.bisect_left(found, lam)
+    return min(found[max(i - 1, 0):i + 1], key=lambda v: abs(v - lam))
 
 
 def run(args) -> int:
@@ -85,8 +93,8 @@ def run(args) -> int:
 
         kmax = max(abs(m.k) for m in modes)
         count = math.ceil(kmax / math.pi) + 3
-        levels = generic_spectrum(eta_to_unitary(eta), count=count, mass=mass, l=l)
-        numeric = [min((lv.lam for lv in levels), key=lambda v: abs(v - lam)) for lam in lams]
+        found = [lv.lam for lv in generic_spectrum(eta_to_unitary(eta), count=count, mass=mass, l=l)]
+        numeric = [_nearest(found, lam) for lam in lams]
         rows = [r + (_fmt(v),) for r, v in zip(rows, numeric)]
     _write_output(args.out, _csv(header, rows))
     _write_resolved_config(args.out, cfg)

@@ -8,6 +8,7 @@ import math
 __all__ = ["line_plot"]
 
 _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#17becf"]
+_WIDTH, _HEIGHT = 640, 440
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 72, 24, 40, 56
 
 
@@ -22,7 +23,7 @@ def _fmt(v):
     return f"{v:.3g}"
 
 
-def line_plot(series, title="", xlabel="", ylabel="", path=None, logx=False, logy=False, width=640, height=440):
+def line_plot(series, title="", xlabel="", ylabel="", path=None, logx=False, logy=False):
     """Render polyline series into a standalone SVG document.
 
     `series` is a list of dicts with keys x, y, label and optional dashed;
@@ -46,8 +47,8 @@ def line_plot(series, title="", xlabel="", ylabel="", path=None, logx=False, log
         pad = 0.05 * (y_hi - y_lo)
         y_lo, y_hi = y_lo - pad, y_hi + pad
 
-    plot_w = width - _MARGIN_L - _MARGIN_R
-    plot_h = height - _MARGIN_T - _MARGIN_B
+    plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
+    plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
 
     fx, fy = (math.log10 if logx else float), (math.log10 if logy else float)
 
@@ -57,14 +58,14 @@ def line_plot(series, title="", xlabel="", ylabel="", path=None, logx=False, log
         return px, py
 
     out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" font-family="Helvetica, Arial, sans-serif">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}" font-family="Helvetica, Arial, sans-serif">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         f'<rect x="{_MARGIN_L}" y="{_MARGIN_T}" width="{plot_w}" height="{plot_h}" '
         'fill="none" stroke="#333" stroke-width="1"/>',
     ]
     if title:
-        out.append(f'<text x="{width / 2:.1f}" y="24" text-anchor="middle" font-size="15">{title}</text>')
+        out.append(f'<text x="{_WIDTH / 2:.1f}" y="24" text-anchor="middle" font-size="15">{title}</text>')
 
     for tv in _ticks(x_lo, x_hi, logx):
         px, _ = to_px(tv, y_hi)
@@ -77,7 +78,7 @@ def line_plot(series, title="", xlabel="", ylabel="", path=None, logx=False, log
         out.append(f'<text x="{_MARGIN_L - 8}" y="{py + 4:.2f}" text-anchor="end" font-size="11">{_fmt(tv)}</text>')
     if xlabel:
         out.append(
-            f'<text x="{_MARGIN_L + plot_w / 2:.1f}" y="{height - 14}" text-anchor="middle" font-size="12">{xlabel}</text>'
+            f'<text x="{_MARGIN_L + plot_w / 2:.1f}" y="{_HEIGHT - 14}" text-anchor="middle" font-size="12">{xlabel}</text>'
         )
     if ylabel:
         cx, cy = 18, _MARGIN_T + plot_h / 2

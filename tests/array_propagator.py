@@ -1,4 +1,4 @@
-"""The numpy propagator that `berrybox.propagate` replaced, which the tests
+"""The numpy propagator that `adiabatic.propagate` replaced, which the tests
 use as its reference: one `numpy.linalg.eigh` per loop side, V formed, and
 the diagnostics read off `ceil(resolution / nseg)` states per side, evenly
 spaced in conformal time and the last at the side's end."""
@@ -10,7 +10,7 @@ from berrybox.closed_form import eigenvalue
 
 
 def propagate_arrays(schedule, start_mode, eta, window, mass=1.0) -> PhaseReport:
-    """`berrybox.propagate` on numpy arrays; norm_drift and edge_weight are
+    """`adiabatic.propagate` on numpy arrays; norm_drift and edge_weight are
     the largest unitarity defect and window-edge amplitude of the sampled
     states."""
     modes = mode_window(eta, window)

@@ -1,14 +1,14 @@
 """Numpy quadrature rules, sampled functions and the dilation-commutator
 check, which the tests use as independent references for the package's
-closed forms and its standard-library rules (`berrybox.gauss_legendre`,
-`berrybox.panel_nodes`)."""
+closed forms and its standard-library rules (`berrybox.quadrature`'s
+`gauss_legendre` and `panel_nodes`)."""
 
 import functools
 import math
 
 import numpy as np
 
-from berrybox import curvature
+from berrybox.closed_form import curvature
 from berrybox.quadrature import ORDER, gauss_legendre
 
 
@@ -46,7 +46,7 @@ def oscillatory_rule(a: float, b: float, wavenumber: float, order: int = ORDER):
 
 
 def curvature_flux(m, l1: float, l2: float, c1: float, c2: float) -> float:
-    """Int f_lc dl dc over [l1, l2] x [c1, c2], l1 < l2, of `berrybox.curvature`
+    """Int f_lc dl dc over [l1, l2] x [c1, c2], l1 < l2, of `closed_form.curvature`
     by the Gauss rule of 8 panels in l; f_lc does not depend on c.  By
     Stokes it equals the counterclockwise rectangle's loop phase."""
     nodes, weights = panel_rule(l1, l2, 8)

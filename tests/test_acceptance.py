@@ -9,29 +9,14 @@ import numpy as np
 import pytest
 
 from array_rules import GridFunction, commutator_defect, curvature_flux
-from berrybox import (
-    BoundaryData,
-    ETA_INF,
-    Schedule,
-    classify_unitary,
-    connection_analytic,
-    connection_interior,
-    connection_mollified,
-    curvature,
-    diagonalize_in_plane_waves,
-    eigenvalue,
-    eta_to_unitary,
-    generic_spectrum,
-    loop_phase_analytic,
-    loop_phase_overlap_meshes,
-    mode,
-    power_law_extrapolate,
-    propagate,
-    rectangle_loop,
-    triple_identity_defect,
-    wz_connection,
-    wz_holonomy,
-)
+from berrybox.adiabatic import Schedule, propagate
+from berrybox.berry import connection_interior, connection_mollified, loop_phase_overlap_meshes, power_law_extrapolate
+from berrybox.boundary import ETA_INF, classify_unitary, eta_to_unitary
+from berrybox.boundary_triple import BoundaryData, triple_identity_defect
+from berrybox.closed_form import connection_analytic, curvature, eigenvalue, loop_phase_analytic, mode
+from berrybox.paths import rectangle_loop
+from berrybox.spectrum import generic_spectrum
+from berrybox.wilczek_zee import diagonalize_in_plane_waves, wz_connection, wz_holonomy
 
 SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
 RECT = rectangle_loop(1.0, 2.0, 0.0, 1.0)

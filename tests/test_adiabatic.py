@@ -10,21 +10,9 @@ import pytest
 import berrybox.adiabatic
 from array_propagator import propagate_arrays
 from array_rules import oscillatory_rule
-from berrybox import (
-    DegenerateEtaError,
-    ParameterPath,
-    Schedule,
-    eigenvalue,
-    eigh,
-    generator,
-    loop_phase_analytic,
-    mode,
-    mode_window,
-    propagate,
-    rectangle_loop,
-    weak_form_matrix,
-    window_integral,
-)
+from berrybox.adiabatic import Schedule, eigh, generator, mode_window, propagate, weak_form_matrix
+from berrybox.closed_form import DegenerateEtaError, eigenvalue, loop_phase_analytic, mode, window_integral
+from berrybox.paths import ParameterPath, rectangle_loop
 
 RECT = rectangle_loop(1.0, 2.0, 0.0, 1.0)
 # one side of constant l, (1.5, 0) -> (1.5, 0.4); the other three move l

@@ -10,35 +10,33 @@ import numpy as np
 import pytest
 
 from array_rules import GridFunction, commutator_defect, curvature_flux, oscillatory_rule, panel_rule, reference_rule
-from berrybox import (
-    ETA_INF,
-    ParameterPath,
+import berrybox.berry
+from berrybox.adiabatic import mode_window, weak_form_matrix
+from berrybox.berry import (
     MeshTooCoarseError,
-    connection_analytic,
+    _chain_phase,
     connection_interior,
     connection_mollified,
-    curvature,
-    degenerate_wavenumber,
-    degenerate_waves,
-    eta_to_unitary,
-    generic_spectrum,
-    loop_phase_analytic,
     loop_phase_overlap_meshes,
-    mode,
-    mode_window,
     power_law_extrapolate,
-    rectangle_loop,
     require_interior_step,
     standard_mollifier,
     state_overlap,
-    weak_form_matrix,
+)
+from berrybox.boundary import ETA_INF, eta_to_unitary
+from berrybox.cli.berry import _berry_phase_rows
+from berrybox.closed_form import (
+    PlaneWaves,
+    connection_analytic,
+    curvature,
+    degenerate_wavenumber,
+    degenerate_waves,
+    loop_phase_analytic,
+    mode,
     window_integral,
 )
-import berrybox.berry
-from berrybox.berry import _chain_phase
-from berrybox.cli.berry import _berry_phase_rows
-from berrybox.closed_form import PlaneWaves
-from berrybox.spectrum import _residual_matrix, _secular_parts
+from berrybox.paths import ParameterPath, rectangle_loop
+from berrybox.spectrum import _residual_matrix, _secular_parts, generic_spectrum
 
 UNIT = (1.0, 0.0)
 RECT = rectangle_loop(1.0, 2.0, 0.0, 1.0)
@@ -291,6 +289,21 @@ def test_loop_phase_overlap_meshes_equals_single_mesh_calls():
     assert loop_phase_overlap_meshes(m, RECT, []) == []
     with pytest.raises(ValueError):
         loop_phase_overlap_meshes(m, RECT, [16, 4])
+
+
+def test_loop_phase_overlap_meshes_computes_each_chain_once(monkeypatch):
+    # meshes 64, 128 and 256 and their halves are four distinct chains, run
+    # in the order each is first needed (the results equal single-mesh calls:
+    # test_loop_phase_overlap_meshes_equals_single_mesh_calls)
+    calls = []
+
+    def counted(m, path, n):
+        calls.append(n)
+        return _chain_phase(m, path, n)
+
+    monkeypatch.setattr(berrybox.berry, "_chain_phase", counted)
+    loop_phase_overlap_meshes(mode(1, 0.3 + 0.6j), RECT, [64, 128, 256])
+    assert calls == [64, 32, 128, 256]
 
 
 def test_loop_phase_overlap_mesh_too_coarse():

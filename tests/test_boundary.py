@@ -5,18 +5,13 @@ import cmath
 import numpy as np
 import pytest
 
-from berrybox import (
-    ETA_INF,
+from berrybox.boundary import ETA_INF, Eta, as_eta, classify_unitary, eta_to_unitary, require_unitary
+from berrybox.boundary_triple import (
     BoundaryData,
-    Eta,
-    as_eta,
     bc_residual,
     boundary_form,
-    classify_unitary,
     compliant_data,
     dilation_transport,
-    eta_to_unitary,
-    require_unitary,
     triple_identity_defect,
 )
 
@@ -215,16 +210,16 @@ def test_triple_identity_random():
 
 def test_dilation_transport():
     d = BoundaryData(1.0 + 2j, 0.5, -1j, 3.0)
-    same = dilation_transport(d, 1.0, 0.0)
+    same = dilation_transport(d, 1.0)
     assert all(
         getattr(same, f) == getattr(d, f) for f in ("va", "vb", "da", "db")
     )
-    # eta = i compliant data stay compliant under scaling, any shift
+    # eta = i compliant data stay compliant under scaling
     psi = compliant_data(1j, 0.3 - 0.7j, 1.1 + 0.2j)
-    out = dilation_transport(psi, 2.0, 0.3)
+    out = dilation_transport(psi, 2.0)
     assert bc_residual(eta_to_unitary(1j), out) < 1e-12
     # Dirichlet stays Dirichlet
-    out = dilation_transport(BoundaryData(0, 0, 1.0, 2.0), 3.7, -1.2)
+    out = dilation_transport(BoundaryData(0, 0, 1.0, 2.0), 3.7)
     assert out.va == 0 and out.vb == 0
     with pytest.raises(ValueError):
-        dilation_transport(d, -1.0, 0.0)
+        dilation_transport(d, -1.0)

@@ -21,7 +21,10 @@ import berrybox.cli
 import berrybox.cli.adiabatic
 import berrybox.closed_form
 import berrybox.svgplot
-from berrybox import LoopPhaseResult, Schedule, gauss_legendre, rectangle_loop
+from berrybox.adiabatic import Schedule
+from berrybox.berry import LoopPhaseResult
+from berrybox.paths import rectangle_loop
+from berrybox.quadrature import gauss_legendre
 from berrybox.cli import main
 
 
@@ -94,6 +97,19 @@ def test_spectrum_generic_check_column(tmp_path):
     for r in rows:
         lam, lam_num = float(r[3]), float(r[4])
         assert lam_num == pytest.approx(lam, rel=1e-9)
+
+
+def test_spectrum_generic_check_pairs_rows_by_bisection():
+    # on coarse grids a drawn lambda often lies midway between two levels
+    # (a tie: the lower wins) or on a double level, and some lie outside
+    # the list; the bisection returns what the scan over every level did
+    from berrybox.cli.spectrum import _nearest
+
+    rng = np.random.default_rng(30)
+    for _ in range(400):
+        found = sorted(float(v) for v in rng.integers(-6, 7, size=rng.integers(1, 9)) * 0.5)
+        for lam in rng.integers(-16, 17, size=8) * 0.25:
+            assert _nearest(found, float(lam)) == min(found, key=lambda v: abs(v - lam)), (found, lam)
 
 
 def test_spectrum_generic_check_catches_a_wrong_wavenumber(tmp_path, monkeypatch, capsys):
@@ -394,8 +410,8 @@ def test_berry_plot_reuses_table_phases(tmp_path, monkeypatch):
     assert counts[0] == counts[1]
     # the interior connection at h and h/2, the embedding once per width, in
     # the box coordinate, for all four sides, and the overlap chains at 16, 32
-    # and 64 links with their half meshes
-    assert counts[0] == {"connection_interior": 2, "connection_mollified": 4, "_chain_phase": 6}
+    # and 64 links with their half meshes, each distinct chain once (8 to 64)
+    assert counts[0] == {"connection_interior": 2, "connection_mollified": 4, "_chain_phase": 4}
 
 
 def test_berry_plot_draws_the_csv_digits(tmp_path, monkeypatch):

@@ -12,6 +12,7 @@ import ast
 import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -87,7 +88,7 @@ def test_import_loads_no_numpy():
 def test_unknown_attribute_imports_nothing():
     prelude = """
 import berrybox
-for name in ("cli", "spectrum", "no_such_name"):
+for name in ("cli", "spectrum", "mode", "no_such_name"):
     try:
         getattr(berrybox, name)
     except AttributeError:
@@ -95,18 +96,6 @@ for name in ("cli", "spectrum", "no_such_name"):
     raise SystemExit(f"berrybox.{name} resolved before its import")
 """
     assert _modules_after(prelude=prelude) == ([], ["berrybox"], False, [])
-
-
-def test_namespace_reads_show_their_imports_in_importtime():
-    # the namespace loaded submodules through importlib, which -X importtime
-    # does not log: `berrybox.mode` loaded berrybox.closed_form unlisted
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-    code = "import berrybox; berrybox.mode; berrybox.rectangle_loop"
-    proc = subprocess.run([sys.executable, "-X", "importtime", "-c", code], capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    # the last column of each line names the module loaded
-    logged = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
-    assert {"berrybox", "berrybox.closed_form", "berrybox.paths"} <= logged
 
 
 # the 2x2 matrices of the benchmark's bc commands: a named one, and a family
@@ -215,63 +204,6 @@ def test_generic_check_runs_without_scipy(tmp_path):
     assert scipy == ["scipy"]
 
 
-# the names the package exported when it imported every submodule eagerly,
-# less those since deleted (the helpers only tests read among them, the box
-# record and the loop-phase wrappers of two oracles) or moved
-# to the tests' `array_rules`, with the
-# plane-wave names, the standard-library rules and the length checks added, under the module
-# that defines each now (the boundary-triple identities moved out of
-# `boundary`), in dependency order
-_EXPORTED = {
-    "boundary": "ETA_INF BCClass Eta as_eta classify_unitary eta_to_unitary",
-    "boundary_triple": "BoundaryData bc_residual boundary_form boundary_traces compliant_data dilation_transport "
-                       "triple_identity_defect",
-    "quadrature": "gauss_legendre panel_nodes",
-    "closed_form": "DegenerateEtaError Mode PlaneWaves alpha_of connection_analytic curvature "
-                   "degenerate_wavenumber degenerate_waves eigenvalue loop_phase_analytic mode require_length "
-                   "wavenumber window_integral",
-    "spectrum": "EigenLevel RootSearchError generic_spectrum",
-    "paths": "ParameterPath log_ratio rectangle_loop",
-    "berry": "LoopPhaseResult MeshTooCoarseError connection_interior connection_mollified "
-             "loop_phase_overlap_meshes power_law_extrapolate require_geometric require_interior_step "
-             "standard_mollifier state_overlap",
-    "wilczek_zee": "ConnectionCheckError Holonomy MatrixConnection connection_from_basis "
-                   "diagonalize_in_plane_waves wz_connection wz_curvature wz_holonomy",
-    "adiabatic": "PhaseReport Schedule eigh generator mode_window propagate weak_form_matrix",
-}
-
-# imports berrybox, then takes the modules of the JSON {module: names} given
-# in dependency order: imports each module's names from the package, and
-# prints the berrybox modules that import loaded and whether each name is
-# the submodule's object, both imported and read as an attribute
-_RESOLVE_PROBE = """
-import json, sys
-import berrybox
-steps = []
-for module, names in json.loads(sys.argv[1]).items():
-    before, ns = set(sys.modules), {}
-    exec(f"from berrybox import {', '.join(names)}", ns)
-    sub = sys.modules["berrybox." + module]
-    same = all(ns[n] is getattr(sub, n) is getattr(berrybox, n) for n in names)
-    steps.append([sorted(m for m in set(sys.modules) - before if m.startswith("berrybox.")), same])
-print(json.dumps(steps))
-"""
-
-
-def test_exported_names_load_their_submodule_on_first_read():
-    exported = {module: names.split() for module, names in _EXPORTED.items()}
-    steps = _run_probe(_RESOLVE_PROBE, json.dumps(exported))
-    assert steps == [[[f"berrybox.{module}"], True] for module in exported]
-    assert set(berrybox.__all__) >= {name for names in exported.values() for name in names}
-
-
-def test_package_exports_are_the_submodules_all():
-    # the package's name table is each submodule's __all__, in order
-    for module, names in berrybox._EXPORTS.items():
-        assert names.split() == importlib.import_module(f"berrybox.{module}").__all__, module
-    assert berrybox.__all__ == [name for names in berrybox._EXPORTS.values() for name in names.split()]
-
-
 def _bound(stmt) -> set:
     """The names a top-level statement defines: a def's or class's name, or
     the root name of each assignment target (`X.__doc__ = ...` defines X)."""
@@ -307,10 +239,10 @@ def _readers(path) -> set:
 
 def test_every_exported_name_is_read_by_the_package_or_a_demo():
     # ROADMAP item 12: the library holds what the commands and the demos
-    # run.  Each name of `_EXPORTS` is read by the package's code outside its
-    # own definition, or imported by a demo; `stokes_defect` and `point_loop`
-    # were read by tests alone, and `dilation_transport` before the boundary
-    # tour printed its dilation check
+    # run.  Each name of a submodule's `__all__` is read by the package's
+    # code outside its own definition, or imported by a demo; `stokes_defect`
+    # and `point_loop` were read by tests alone, and `dilation_transport`
+    # before the boundary tour printed its dilation check
     package = Path(berrybox.__file__).resolve().parent
     read = set().union(*(_readers(path) for path in package.rglob("*.py")))
     demos = package.parent.parent / "demos"
@@ -319,6 +251,10 @@ def test_every_exported_name_is_read_by_the_package_or_a_demo():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "berrybox":
                 read.update(alias.name for alias in node.names)
-    unread = [name for names in berrybox._EXPORTS.values() for name in names.split() if name not in read]
-    assert unread == []
+    # importing `__main__` would run the CLI on pytest's argv
+    modules = [importlib.import_module(info.name) for info in pkgutil.walk_packages(berrybox.__path__, "berrybox.")
+               if not info.name.endswith(".__main__")]
+    exported = [name for module in modules for name in getattr(module, "__all__", ())]
+    assert exported
+    assert [name for name in exported if name not in read] == []
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from berrybox import ParameterPath, log_ratio, rectangle_loop
+from berrybox.paths import ParameterPath, log_ratio, rectangle_loop
 
 
 def test_rectangle_loop_closed_and_oriented():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from array_rules import panel_rule, reference_rule
-from berrybox import gauss_legendre, panel_nodes
+from berrybox.quadrature import gauss_legendre, panel_nodes
 
 
 def test_gauss_legendre_matches_leggauss():

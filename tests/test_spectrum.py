@@ -9,29 +9,22 @@ import pytest
 from scipy.optimize import brentq
 
 from array_rules import GridFunction, oscillatory_rule
-from berrybox import (
-    BoundaryData,
+from berrybox.berry import state_overlap
+from berrybox.boundary import ETA_INF, as_eta, eta_to_unitary
+from berrybox.boundary_triple import BoundaryData, bc_residual, boundary_form, dilation_transport
+from berrybox.closed_form import (
     DegenerateEtaError,
-    ETA_INF,
-    ParameterPath,
-    RootSearchError,
     alpha_of,
-    as_eta,
-    bc_residual,
-    boundary_form,
     degenerate_wavenumber,
     degenerate_waves,
-    dilation_transport,
     eigenvalue,
-    eta_to_unitary,
-    generic_spectrum,
     mode,
     require_length,
-    state_overlap,
     wavenumber,
-    wz_connection,
-    wz_curvature,
 )
+from berrybox.paths import ParameterPath
+from berrybox.spectrum import RootSearchError, generic_spectrum
+from berrybox.wilczek_zee import wz_connection, wz_curvature
 import berrybox.spectrum
 
 UNIT = (1.0, 0.0)
@@ -220,7 +213,7 @@ def test_dilation_covariance():
     # endpoint data follow the same transport
     ref = _boundary_data(m)
     moved = _boundary_data(m, l)
-    scaled = dilation_transport(ref, l, c)
+    scaled = dilation_transport(ref, l)
     for f in ("va", "vb", "da", "db"):
         assert getattr(moved, f) == pytest.approx(getattr(scaled, f), abs=1e-12)
 

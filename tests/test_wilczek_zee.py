@@ -8,14 +8,11 @@ import numpy as np
 import pytest
 
 import berrybox.wilczek_zee
-from berrybox import (
-    ParameterPath,
+from berrybox.closed_form import curvature, degenerate_wavenumber, mode
+from berrybox.paths import ParameterPath, rectangle_loop
+from berrybox.wilczek_zee import (
     connection_from_basis,
-    curvature,
-    degenerate_wavenumber,
     diagonalize_in_plane_waves,
-    mode,
-    rectangle_loop,
     wz_connection,
     wz_curvature,
     wz_holonomy,
