@@ -15,7 +15,8 @@ into an SVG.
 
 import sys
 
-from berrybox.berry import connection_interior, connection_mollified, loop_phase_overlap_meshes, power_law_extrapolate
+from berrybox.berry import (connection_interior, connection_mollified, loop_phase_overlap_meshes, overlap_order,
+                            refine)
 from berrybox.closed_form import loop_phase_analytic, mode
 from berrybox.paths import rectangle_loop
 from berrybox.svgplot import line_plot
@@ -34,26 +35,32 @@ def main(svg_path=None):
     dc_over_l = rect.dc_over_l()
 
     print("interior prescription (finite differences inside the box)")
-    for h in (1e-3, 5e-4, 2.5e-4):
-        # connection_interior takes the step relative to l / (1 + |k|)
-        phase = -connection_interior(m, h * (1.0 + abs(m.k)))[1] * dc_over_l
-        print(f"  h/l = {h:.1e}   phase = {phase:.12f}   error = {abs(phase - exact):.2e}")
+    steps = [1e-3, 5e-4, 2.5e-4]
+    # connection_interior takes the step relative to l / (1 + |k|)
+    phases = [-connection_interior(m, h * (1.0 + abs(m.k)))[1] * dc_over_l for h in steps]
+    # second order in the step
+    for h, phase, estimate in zip(steps, phases, refine(steps, phases, 2)[2]):
+        print(f"  h/l = {h:.1e}   phase = {phase:.12f}   error = {abs(phase - exact):.2e}   err_est = {estimate:.2e}")
 
     print("mollified embedding (smoothed box edge of width eps * l)")
     eps_list = [0.2, 0.1, 0.05, 0.025]
     phases = [-connection_mollified(m, eps)[1] * dc_over_l for eps in eps_list]
     for eps, phase in zip(eps_list, phases):
         print(f"  eps/l = {eps:<6} phase = {phase:.12f}   error = {abs(phase - exact):.2e}")
-    limit, order = power_law_extrapolate(eps_list, phases)
-    print(f"  extrapolated: {limit:.12f} (observed order {order:.1f})")
+    # refine bounds each sample's error (err_est) or reports inf; the order it
+    # fits is nan where the samples agree to rounding, as they do here
+    limit, order, errs, _ = refine(eps_list, phases, 1)
+    print(f"  extrapolated: {limit:.12f}   err_est = {errs[-1]:.2e}   (fitted order {order:.1f})")
 
     print("overlap product (no derivatives at all)")
     meshes = [32, 64, 128, 256, 512]
-    errs = []
-    for mesh, res in zip(meshes, loop_phase_overlap_meshes(m, rect, meshes)):
-        errs.append(abs(res.phase - exact))
-        print(f"  mesh = {mesh:<5} phase = {res.phase:.12f}   error = {errs[-1]:.2e}   "
-              f"half-mesh estimate = {res.err_estimate:.2e}")
+    phases = loop_phase_overlap_meshes(m, rect, meshes)
+    # the sides are axis-aligned, so the chain is second order in 1/mesh
+    _, order, estimates, _ = refine([1.0 / n for n in meshes], phases, overlap_order(rect))
+    errs = [abs(phase - exact) for phase in phases]
+    for mesh, phase, err, estimate in zip(meshes, phases, errs, estimates):
+        print(f"  mesh = {mesh:<5} phase = {phase:.12f}   error = {err:.2e}   err_est = {estimate:.2e}")
+    print(f"  fitted order {order:.2f}")
 
     if svg_path:
         line_plot(

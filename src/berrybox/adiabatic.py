@@ -75,7 +75,7 @@ class Schedule:
 
     def __init__(self, path: ParameterPath, duration: float, resolution: int = 1000):
         if not 0 < duration < math.inf:
-            raise ValueError("traversal time must be finite and positive")
+            raise ValueError(f"traversal time T must be finite and positive, not {duration}")
         if resolution < 100:
             raise ValueError("resolution must be at least 100 steps")
         self.path, self.duration, self.resolution = path, duration, resolution
@@ -288,6 +288,9 @@ def _sides(schedule: Schedule):
     path = schedule.path
     segs = path.segments if path.orientation > 0 else [(b, a) for a, b in reversed(path.segments)]
     t_side = schedule.duration / len(segs)
+    if t_side == 0:
+        raise ValueError(f"T = {schedule.duration} gives each of the {len(segs)} loop sides a time T/{len(segs)} "
+                         f"that underflows to 0")
     for (l0, c0), (l1, c1) in segs:
         kappa = (l1 - l0) * (l1 + l0) / (2.0 * t_side)
         lcdot = (c1 - c0) * (l1 + l0) / (2.0 * t_side)
@@ -328,9 +331,13 @@ def propagate(
     """
     modes = mode_window(eta, window)
     if abs(start_mode) > window:
-        raise ValueError("start mode lies outside the window")
+        raise ValueError(f"start mode n = {start_mode} lies outside the window n = -{window} .. {window}")
     idx = start_mode + window
     sides = list(_sides(schedule))
+    dynamical = -eigenvalue(modes[idx].k, 1.0, mass) * sum(tau for _, _, tau in sides)
+    if not math.isfinite(dynamical):
+        raise ValueError(f"the dynamical phase of level n = {start_mode} at mass {mass} and T = {schedule.duration} "
+                         f"leaves the float range")
 
     size = len(modes)
     psi = [0j] * size
@@ -343,7 +350,11 @@ def propagate(
             basis = eigh(generator(modes, kappa, lcdot, mass))
         except ArithmeticError as exc:  # QL meets inf or NaN where the generator nears the float range's end
             raise ValueError(f"loop side {i + 1} in traversal order moves too fast for the float range at this "
-                             f"window: kappa = l ldot = {kappa}, l cdot = {lcdot} ({exc})") from None
+                             f"window: kappa = l ldot = {kappa}, l cdot = {lcdot} at T = {schedule.duration} "
+                             f"and mass {mass} ({exc})") from None
+        if not all(math.isfinite(tau * lam) for lam in basis.values):
+            raise ValueError(f"loop side {i + 1} in traversal order takes the conformal time {tau} at T = "
+                             f"{schedule.duration}: its phases tau * lambda leave the float range")
         coords = basis.coordinates(psi)
         for edge in edges:
             edge_weight = max(edge_weight, sum(abs(a) * abs(b) for a, b in zip(basis.coordinates(edge), coords)))
@@ -352,7 +363,6 @@ def propagate(
 
     overlap = sum(a.conjugate() * b for a, b in zip(psi0, psi))
     total = cmath.phase(overlap)
-    dynamical = -eigenvalue(modes[idx].k, 1.0, mass) * sum(tau for _, _, tau in sides)
     geometric = cmath.phase(cmath.exp(1j * (total - dynamical)))
     fidelity = abs(overlap)
     return PhaseReport(

@@ -55,8 +55,9 @@ class Eta:
             value = 0j
         else:
             value = complex(value)
-            if not cmath.isfinite(value):
-                raise ValueError("finite eta must have finite real and imaginary parts")
+            # abs(eta) must be finite too: it raises OverflowError beyond the float range
+            if not (cmath.isfinite(value) and math.hypot(value.real, value.imag) < math.inf):
+                raise ValueError("finite eta must have finite real and imaginary parts and modulus")
         self.value, self.infinite = value, infinite
 
     def __eq__(self, other):
@@ -111,7 +112,7 @@ def as_eta(eta) -> Eta:
     try:
         return Eta(complex(text.replace("i", "j")) if text is not None else eta)
     except (OverflowError, TypeError, ValueError) as exc:
-        raise ValueError(f"cannot parse eta {eta!r}: use 'a+bi' or 'inf'") from exc
+        raise ValueError(f"cannot parse eta {eta!r}: use 'a+bi' with a finite modulus, or 'inf'") from exc
 
 
 def require_unitary(u) -> tuple:
@@ -152,6 +153,11 @@ def eta_to_unitary(eta) -> tuple:
     if eta.infinite:
         return ((1 + 0j, 0j), (0j, -1 + 0j))
     e = eta.value
+    if abs(e) > 1e150:
+        # |eta|^2 would overflow: the member of 1/conj(eta) has the same
+        # off-diagonal and the opposite diagonal
+        (a, b), (c, d) = eta_to_unitary(1.0 / e.conjugate())
+        return ((-a, b), (c, -d))
     den = 1.0 + abs(e) ** 2
     return (
         (complex((abs(e) ** 2 - 1.0) / den), 2.0 * e / den),

@@ -30,7 +30,8 @@ def add_arguments(sp):
 def _berry_phase_rows(m, path, methods, cfg):
     """Per-method convergence rows, each method's final phase, the analytic
     phase, and the (x, unrounded phases) of the overlap and mollified rows,
-    x being the mesh or 1/eps, which --plot draws."""
+    x being the mesh or 1/eps, which --plot draws.  Every err_est of a
+    refining method is `refine`'s, at the order the method converges at."""
     # the closed form and every oracle run on the standard library
     from ..closed_form import loop_phase_analytic
 
@@ -42,41 +43,37 @@ def _berry_phase_rows(m, path, methods, cfg):
         rows.append(("analytic", "", "", "", _fmt(analytic), ""))
         finals["analytic"] = analytic
     if "interior" in methods:
-        from ..berry import connection_interior
+        from ..berry import connection_interior, refine
 
+        # the step is relative to l / (1 + |k|), the library's default scale
         h0 = cfg["h"] if cfg["h"] is not None else 1e-4
-        prev = None
-        for h in (h0, h0 / 2.0):
-            # the step is relative to l / (1 + |k|), the library's default scale
-            phase = -connection_interior(m, h)[1] * dc_over_l
-            err = "" if prev is None else _fmt(abs(phase - prev))
-            rows.append(("interior", "", "", _fmt(h), _fmt(phase), err))
-            prev = phase
-        finals["interior"] = prev
+        steps = [h0, h0 / 2.0]
+        phases = [-connection_interior(m, h)[1] * dc_over_l for h in steps]
+        errs = refine(steps, phases, 2)[2]
+        rows.extend(("interior", "", "", _fmt(h), _fmt(p), _fmt(e)) for h, p, e in zip(steps, phases, errs))
+        finals["interior"] = phases[-1]
     if "mollified" in methods:
-        from ..berry import connection_mollified, power_law_extrapolate
+        from ..berry import connection_mollified, refine
 
         eps_list = [float(e) for e in cfg["eps_list"]]
         phases = [-connection_mollified(m, eps)[1] * dc_over_l for eps in eps_list]
-        rows.extend(("mollified", "", _fmt(eps), "", _fmt(phase), "") for eps, phase in zip(eps_list, phases))
-        limit, order = power_law_extrapolate(eps_list, phases)
-        # without a positive order the limit is the last sample, and the last step its error scale
-        err = abs(limit - phases[-1]) if order > 0 else abs(phases[-1] - phases[-2])
-        rows.append(("mollified", "", _fmt(0.0), "", _fmt(limit), _fmt(err)))
+        limit, _, errs, _ = refine(eps_list, phases, 1)
+        rows.extend(("mollified", "", _fmt(eps), "", _fmt(p), _fmt(e)) for eps, p, e in zip(eps_list, phases, errs))
+        rows.append(("mollified", "", _fmt(0.0), "", _fmt(limit), _fmt(errs[-1])))
         finals["mollified"] = limit
         curves["mollified"] = ([1.0 / e for e in eps_list], phases)
     if "overlap" in methods:
-        from ..berry import loop_phase_overlap_meshes
+        from ..berry import loop_phase_overlap_meshes, overlap_order, refine
 
         mesh = int(cfg["mesh"])
-        # floor of 16 keeps the internal half-mesh error estimate away from
-        # degenerate samplings where neighboring boxes stop overlapping
+        # a floor of 16 keeps the coarsest chain away from degenerate
+        # samplings where neighboring boxes stop overlapping
         meshes = sorted({max(mesh // 4, 16), max(mesh // 2, 16), max(mesh, 16)})
-        results = loop_phase_overlap_meshes(m, path, meshes)
-        for res in results:
-            rows.append(("overlap", str(res.mesh), "", "", _fmt(res.phase), _fmt(res.err_estimate)))
-        finals["overlap"] = results[-1].phase
-        curves["overlap"] = (meshes, [res.phase for res in results])
+        phases = loop_phase_overlap_meshes(m, path, meshes)
+        errs = refine([1.0 / n for n in meshes], phases, overlap_order(path))[2]
+        rows.extend(("overlap", str(n), "", "", _fmt(p), _fmt(e)) for n, p, e in zip(meshes, phases, errs))
+        finals["overlap"] = phases[-1]
+        curves["overlap"] = (meshes, phases)
     return rows, finals, analytic, curves
 
 
@@ -114,17 +111,20 @@ def run(args) -> int:
         _write_resolved_config(args.out, cfg)
         return EXIT_OK
 
-    if "mollified" in methods:
-        from ..berry import require_geometric
-
-        try:
-            require_geometric(cfg["eps_list"])
-        except ValueError as exc:
-            raise UsageError(f"eps_list: {exc}") from None
+    eps = cfg["eps_list"]
+    # the fitted order needs three widths; one ratio keeps the sweep geometric
+    if "mollified" in methods and not (len(eps) >= 3 and all(0 < e < math.inf for e in eps) and eps[1] < eps[0]
+                                       and all(abs(b / a - eps[1] / eps[0]) <= 1e-8 for a, b in zip(eps, eps[1:]))):
+        raise UsageError(f"eps_list must hold at least three finite positive widths that decrease at a constant "
+                         f"ratio, not {eps}")
     if "interior" in methods and cfg["h"] is not None:
         from ..berry import require_interior_step
 
-        require_interior_step(m, cfg["h"])  # ValueError: exit 2 before any output
+        try:  # exit 2 before any output
+            require_interior_step(m, cfg["h"])
+            require_interior_step(m, cfg["h"] / 2.0)
+        except ValueError as exc:
+            raise UsageError(f"--h {cfg['h']}: the interior rows step at h and h/2, and {exc}") from None
     rows, finals, analytic, curves = _berry_phase_rows(m, path, methods, cfg)
     _write_output(args.out, _csv("method,mesh,eps,h,phase,err_est", rows))
     _write_resolved_config(args.out, cfg)

@@ -162,6 +162,9 @@ def wz_holonomy(eta: int, n: int, path: ParameterPath) -> Holonomy:
     """
     k = degenerate_wavenumber(eta, n)
     theta = k * path.dc_over_l()
+    if not math.isfinite(theta):
+        raise ValueError(f"the holonomy angle k_n times the loop integral of dc/l is {theta} at level n = {n} "
+                         f"on the loop through {path.vertices[0]}: not finite")
     w = abs(math.remainder(theta, 2.0 * math.pi))
     return Holonomy(matrix=expm(theta), eigenphases=(-w, w))
 

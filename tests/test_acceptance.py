@@ -10,7 +10,7 @@ import pytest
 
 from array_rules import GridFunction, commutator_defect, curvature_flux
 from berrybox.adiabatic import Schedule, propagate
-from berrybox.berry import connection_interior, connection_mollified, loop_phase_overlap_meshes, power_law_extrapolate
+from berrybox.berry import connection_interior, connection_mollified, loop_phase_overlap_meshes, refine
 from berrybox.boundary import ETA_INF, classify_unitary, eta_to_unitary
 from berrybox.boundary_triple import BoundaryData, triple_identity_defect
 from berrybox.closed_form import connection_analytic, curvature, eigenvalue, loop_phase_analytic, mode
@@ -86,7 +86,7 @@ def test_criterion_4_connection_oracles():
                 assert abs(inner_l) < 1e-6
                 eps = [0.2, 0.1, 0.05, 0.025]
                 moll_l, moll_c = ([f / l for f in fs] for fs in zip(*(connection_mollified(m, e) for e in eps)))
-                limit, _order = power_law_extrapolate(eps, moll_c)
+                limit = refine(eps, moll_c, 1)[0]
                 assert abs(limit - exact) < 1e-4
                 assert abs(moll_l[-1]) < 1e-4
     report(4, "interior and mollified connection oracles on the full grid")
@@ -97,16 +97,16 @@ def test_criterion_5_rectangle_berry_phase():
     target = abs(loop_phase_analytic(m, RECT))
     assert target == pytest.approx(np.pi / 4.0, abs=1e-12)
     errs = []
-    for res in loop_phase_overlap_meshes(m, RECT, [64, 128, 256, 512]):
-        errs.append(abs(abs(res.phase) - np.pi / 4.0))
+    for phase in loop_phase_overlap_meshes(m, RECT, [64, 128, 256, 512]):
+        errs.append(abs(abs(phase) - np.pi / 4.0))
     assert errs[-1] < 1e-3
     for coarse, fine in zip(errs[:-1], errs[1:]):
         # halving ratio about 1/2 or better, with an absolute floor for the
         # plane-wave case where the discrete product is exact
         assert fine <= 0.65 * coarse + 1e-12
     for eta in (0.0, 0.5, -2.0):
-        [res] = loop_phase_overlap_meshes(mode(0, eta), RECT, [256])
-        assert abs(res.phase) < 1e-4
+        [phase] = loop_phase_overlap_meshes(mode(0, eta), RECT, [256])
+        assert abs(phase) < 1e-4
     report(5, f"rectangle loop phase pi/4 by overlaps (final err {errs[-1]:.2e})")
 
 

@@ -18,7 +18,10 @@ from berrybox.berry import (
     connection_interior,
     connection_mollified,
     loop_phase_overlap_meshes,
-    power_law_extrapolate,
+    ORDER_SLACK,
+    SAFETY,
+    overlap_order,
+    refine,
     require_interior_step,
     standard_mollifier,
     state_overlap,
@@ -174,8 +177,8 @@ def test_connection_mollified_converges():
     exact = connection_analytic(m)[1]
     eps = [0.2, 0.1, 0.05]
     a_l, a_c = zip(*(connection_mollified(m, e) for e in eps))
-    limit, order = power_law_extrapolate(eps, a_c)
-    assert order >= 1.0
+    limit, _, _, converged = refine(eps, a_c, 1)
+    assert converged
     assert abs(limit - exact) < 1e-4
     assert np.all(np.abs(a_l) < 1e-10)
 
@@ -218,7 +221,7 @@ def test_oracle_agreement_grid():
                 assert abs(inner_c - exact) < 1e-6
                 assert abs(inner_l) < 1e-6
                 eps = [0.2, 0.1, 0.05, 0.025]
-                limit, _ = power_law_extrapolate(eps, [connection_mollified(m, e)[1] / l for e in eps])
+                limit = refine(eps, [connection_mollified(m, e)[1] / l for e in eps], 1)[0]
                 assert abs(limit - exact) < 1e-4
 
 
@@ -260,10 +263,14 @@ def test_loop_phase_mollified_matches_per_point_route():
 def test_loop_phase_overlap_converges():
     m = mode(0, 2j)
     exact = loop_phase_analytic(m, RECT)
+    meshes = [64, 128, 256]
+    phases = loop_phase_overlap_meshes(m, RECT, meshes)
+    _, order, errs, converged = refine([1.0 / n for n in meshes], phases, overlap_order(RECT))
+    assert converged and abs(order - 2.0) < 0.1
     prev = None
-    for res in loop_phase_overlap_meshes(m, RECT, [64, 128, 256]):
-        err = abs(res.phase - exact)
-        assert err < max(res.err_estimate * 4.0, 1e-12)
+    for phase, err_est in zip(phases, errs):
+        err = abs(phase - exact)
+        assert err <= err_est
         if prev is not None:
             assert err < 0.7 * prev + 1e-12
         prev = err
@@ -272,10 +279,10 @@ def test_loop_phase_overlap_converges():
 
 def test_loop_phase_overlap_trivial_cases():
     m = mode(0, 1j)
-    [res] = loop_phase_overlap_meshes(m, ParameterPath([(1.0, 0.0)]), [16])
-    assert res.phase == pytest.approx(0.0, abs=1e-14)
-    [res] = loop_phase_overlap_meshes(mode(0, 0.0), RECT, [256])
-    assert abs(res.phase) < 1e-4
+    [phase] = loop_phase_overlap_meshes(m, ParameterPath([(1.0, 0.0)]), [16])
+    assert phase == pytest.approx(0.0, abs=1e-14)
+    [phase] = loop_phase_overlap_meshes(mode(0, 0.0), RECT, [256])
+    assert abs(phase) < 1e-4
     with pytest.raises(ValueError):
         loop_phase_overlap_meshes(m, RECT, [4])
 
@@ -292,9 +299,9 @@ def test_loop_phase_overlap_meshes_equals_single_mesh_calls():
 
 
 def test_loop_phase_overlap_meshes_computes_each_chain_once(monkeypatch):
-    # meshes 64, 128 and 256 and their halves are four distinct chains, run
-    # in the order each is first needed (the results equal single-mesh calls:
-    # test_loop_phase_overlap_meshes_equals_single_mesh_calls)
+    # one chain per mesh, in the order given, and no half-mesh chain for an
+    # error estimate: refine takes that from the meshes themselves (the
+    # results equal single-mesh calls: test_loop_phase_overlap_meshes_equals_single_mesh_calls)
     calls = []
 
     def counted(m, path, n):
@@ -303,7 +310,7 @@ def test_loop_phase_overlap_meshes_computes_each_chain_once(monkeypatch):
 
     monkeypatch.setattr(berrybox.berry, "_chain_phase", counted)
     loop_phase_overlap_meshes(mode(1, 0.3 + 0.6j), RECT, [64, 128, 256])
-    assert calls == [64, 32, 128, 256]
+    assert calls == [64, 128, 256]
 
 
 def test_loop_phase_overlap_mesh_too_coarse():
@@ -542,8 +549,8 @@ def test_reversed_orientation_negates_phases():
         fwd = ParameterPath(verts)
         rev = ParameterPath(fwd.vertices, orientation=-1)
         assert loop_phase_analytic(m, rev) == -loop_phase_analytic(m, fwd)
-        [fwd_res], [rev_res] = (loop_phase_overlap_meshes(m, p, [64]) for p in (fwd, rev))
-        assert rev_res.phase == pytest.approx(-fwd_res.phase, abs=1e-12)
+        [fwd_phase], [rev_phase] = (loop_phase_overlap_meshes(m, p, [64]) for p in (fwd, rev))
+        assert rev_phase == pytest.approx(-fwd_phase, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -568,47 +575,84 @@ def _drawn_loop(rng, m, size=None, polyline=None):
 
 
 def test_extrapolation_without_positive_order_returns_last_sample():
-    # growing differences fit order -1; the power law used to extrapolate
-    # "backwards" to -1.0
-    assert power_law_extrapolate([0.4, 0.2, 0.1], [0.0, 1.0, 3.0]) == (3.0, -1.0)
-    # equal differences fit order 0, where the geometric tail diverges
-    assert power_law_extrapolate([0.4, 0.2, 0.1], [0.0, 1.0, 2.0]) == (2.0, 0.0)
-    # differences alternating in sign have no power-law limit; they used to
-    # report order 8, as if the sweep had settled
-    assert power_law_extrapolate([0.4, 0.2, 0.1], [0.0, 1.0, 0.5]) == (0.5, 0.0)
-    limit, order = power_law_extrapolate([0.4, 0.2, 0.1], [0.0, 1.0, 1.5])
-    assert (limit, order) == (pytest.approx(2.0), pytest.approx(1.0))
+    # growing differences fit order -1, and equal ones order 0; differences
+    # alternating in sign fit no power law.  None has converged: the limit is
+    # the last sample and every err_est is inf
+    inf = math.inf
+    assert refine([0.4, 0.2, 0.1], [0.0, 1.0, 3.0], 1) == (3.0, pytest.approx(-1.0), [inf] * 3, False)
+    assert refine([0.4, 0.2, 0.1], [0.0, 1.0, 2.0], 1) == (2.0, pytest.approx(0.0, abs=1e-12), [inf] * 3, False)
+    limit, order, errs, converged = refine([0.4, 0.2, 0.1], [0.0, 1.0, 0.5], 1)
+    assert (limit, errs, converged) == (0.5, [inf] * 3, False) and math.isnan(order)
+    # a first-order sequence converges to 2, each err_est SAFETY times the distance to it
+    limit, order, errs, converged = refine([0.4, 0.2, 0.1], [0.0, 1.0, 1.5], 1)
+    assert (limit, order, converged) == (pytest.approx(2.0), pytest.approx(1.0), True)
+    assert errs == pytest.approx([2.0 * SAFETY, 1.0 * SAFETY, 0.5 * SAFETY])
+    # the same samples where second order is expected: the fitted order strays
+    assert refine([0.4, 0.2, 0.1], [0.0, 1.0, 1.5], 2)[2:] == ([inf] * 3, False)
+    # one sample cannot be refined
+    assert refine([0.1], [1.5], 1) == (1.5, pytest.approx(math.nan, nan_ok=True), [inf], False)
 
 
-def test_extrapolation_unwraps_phases_that_straddle_pi():
-    # a first-order approach to pi - 5e-4 whose first two samples wrapped
-    # past the seam; fitted raw, they gave (3.14129265, 0.0)
+def test_refine_keeps_phases_that_straddle_pi_on_their_lift():
+    # a first-order approach to pi - 5e-4 refines to its limit as lifted
+    # phases; reduced to (-pi, pi], its first two samples jump by 2 pi, and
+    # refine reports that as unconverged instead of folding them back
     eps = [0.4, 0.2, 0.1, 0.05]
     wrapped = [-3.14049265, -3.14129265, 3.14149265, 3.14129265]
-    limit, order = power_law_extrapolate(eps, wrapped)
-    # the samples carry 8 decimals
-    assert limit == pytest.approx(np.pi - 5e-4, abs=1e-8)
-    assert order == pytest.approx(1.0, abs=1e-6)
-    limit, order = power_law_extrapolate(eps, [-p for p in wrapped])
-    assert (limit, order) == (pytest.approx(-np.pi + 5e-4, abs=1e-8), pytest.approx(1.0, abs=1e-6))
-    # only the last sample wrapped: the limit pi + 6e-4 is returned on its branch
-    a = [np.pi + 6e-4 - 8e-3 * e for e in eps]
-    limit, order = power_law_extrapolate(eps, a[:3] + [a[3] - 2.0 * np.pi])
-    assert (limit, order) == (pytest.approx(-np.pi + 6e-4, abs=1e-12), pytest.approx(1.0, abs=1e-9))
+    lifted = [p + 2.0 * np.pi * (p < 0) for p in wrapped]
+    limit, order, errs, converged = refine(eps, lifted, 1)
+    # the samples carry 8 decimals, so the last three steps fit the order to 5e-5
+    assert converged and limit == pytest.approx(np.pi - 5e-4, abs=1e-8) and order == pytest.approx(1.0, abs=1e-4)
+    assert refine(eps, [-p for p in lifted], 1)[0] == pytest.approx(-np.pi + 5e-4, abs=1e-8)
+    for jumped in (wrapped, lifted[:3] + [lifted[3] - 2.0 * np.pi]):
+        assert refine(eps, jumped, 1)[::2] == (jumped[-1], [math.inf] * 4)
 
 
-def test_extrapolation_of_samples_within_pi_of_the_last_is_unchanged():
-    # no sample is shifted, so the fit is bitwise the fit of the raw values
+def test_refine_is_richardson_at_the_expected_order_at_any_ratios():
+    # samples of a* + C e^q at unequal ratios, the overlap rows' 1/16, 1/24
+    # and 1/48 among them: the fitted order is q, refine converges exactly
+    # when |q - p| <= ORDER_SLACK at the expected order p, and then the limit
+    # is the last sample's Richardson step at p
     rng = np.random.default_rng(16180)
-    eps = [0.4, 0.2, 0.1, 0.05]
     for j in range(40):
-        centre = (np.pi - 0.01) * (1.0 if j % 2 else -1.0) if j < 20 else rng.uniform(-np.pi, np.pi)
-        a = centre + rng.uniform(-0.5, 0.5) * np.asarray(eps) ** rng.uniform(0.5, 3.0)
-        d = np.diff(a)
-        qs = [math.log(d0 / d1) / math.log(2.0) for d0, d1 in zip(d[:-1], d[1:])]
-        q = min(sum(qs) / len(qs), 8.0)
-        rho = 0.5 ** q
-        assert power_law_extrapolate(eps, a) == (float(a[-1] + (a[-1] - a[-2]) * rho / (1.0 - rho)), q)
+        eps = [1 / 16, 1 / 24, 1 / 48] if j == 0 else sorted(rng.uniform(0.01, 1.0, 3), reverse=True)
+        q, p, a_star, c = rng.uniform(0.5, 3.0), int(rng.choice([1, 2])), rng.uniform(-3, 3), rng.uniform(0.1, 1.0)
+        a = [a_star + c * e ** q for e in eps]
+        limit, fitted, errs, converged = refine(eps, a, p)
+        assert fitted == pytest.approx(q, abs=1e-8)
+        assert converged == (abs(q - p) <= ORDER_SLACK)
+        if converged:
+            rho = (eps[2] / eps[1]) ** p
+            assert limit == pytest.approx(a[2] + (a[2] - a[1]) * rho / (1.0 - rho), abs=1e-13)
+            assert errs == pytest.approx([max(SAFETY * abs(v - limit), 1e-12 * max(max(map(abs, a)), 1.0)) for v in a])
+    with pytest.raises(ValueError):
+        refine([0.1, 0.1], [0.0, 1.0], 1)
+    with pytest.raises(ValueError):
+        refine([0.2, 0.1], [0.0], 1)
+
+
+def test_err_est_bounds_every_refining_row_or_is_inf(monkeypatch):
+    # every interior, mollified and overlap row of `berry --method all`, its
+    # phase and err_est unrounded: at |n| <= 10, eta on and off the unit
+    # circle and inf, rectangles and polylines of either orientation, meshes
+    # 48 to 4096 and loops from resolved to 300 times too large for their
+    # mesh, each err_est is at least the row's error on the circle, or inf
+    monkeypatch.setattr(berrybox.cli.berry, "_fmt", float)
+    rng = np.random.default_rng(31)
+    finite = {"interior": [], "mollified": [], "overlap": []}
+    for j in range(240):
+        eta = (ETA_INF, _eta_on_circle(rng, 1.0),
+               _eta_on_circle(rng, rng.choice([rng.uniform(0.3, 0.9), rng.uniform(1.1, 3.0)])))[j % 3]
+        m = mode(int(rng.integers(-10, 11)), eta)
+        mesh = int(round(48 * (4096 / 48) ** rng.random()))
+        path = _drawn_loop(rng, m, size=mesh / ((1.0 + abs(m.k)) * 10 ** rng.uniform(0.5, 2.5)))
+        cfg = {"h": None, "eps_list": [0.2, 0.1, 0.05, 0.025], "mesh": mesh}
+        rows, _, exact, _ = _berry_phase_rows(m, path, ["interior", "mollified", "overlap"], cfg)
+        for method, _, _, _, phase, err_est in rows:
+            assert _circle(phase - exact) <= err_est, (method, m, path, mesh, phase, exact, err_est)
+            finite[method].append(err_est < math.inf)
+    assert all(finite["interior"]) and all(finite["mollified"])
+    assert np.mean(finite["overlap"]) > 0.7
 
 
 def _drawn_mode(rng, j, n_max):
@@ -928,9 +972,9 @@ def test_too_coarse_mesh_raises_on_the_first_coarse_chain():
 
 
 def _four_phases(m, path, mesh=256):
-    limit, _ = power_law_extrapolate([0.2, 0.1, 0.05, 0.025], _mollified_sweep(m, path, [0.2, 0.1, 0.05, 0.025]))
+    limit = refine([0.2, 0.1, 0.05, 0.025], _mollified_sweep(m, path, [0.2, 0.1, 0.05, 0.025]), 1)[0]
     return {"analytic": loop_phase_analytic(m, path), "interior": _loop_phase(connection_interior(m, 1e-4), path),
-            "mollified": limit, "overlap": loop_phase_overlap_meshes(m, path, [mesh])[0].phase}
+            "mollified": limit, "overlap": loop_phase_overlap_meshes(m, path, [mesh])[0]}
 
 
 def _gates(path):
@@ -1003,8 +1047,7 @@ def test_method_all_phases_are_pinned(case):
     eps = [0.2, 0.1, 0.05, 0.025]
     mollified = _mollified_sweep(m, path, eps)
     phases = ([loop_phase_analytic(m, path)] + [_loop_phase(connection_interior(m, h), path) for h in (1e-4, 5e-5)]
-              + mollified + [power_law_extrapolate(eps, mollified)[0]]
-              + [r.phase for r in loop_phase_overlap_meshes(m, path, [64, 128, 256])])
+              + mollified + [refine(eps, mollified, 1)[0]] + loop_phase_overlap_meshes(m, path, [64, 128, 256]))
     assert len(phases) == len(case["phases"])
     for j, (phase, pinned) in enumerate(zip(phases, case["phases"])):
         assert abs(math.remainder(phase - pinned, 2.0 * math.pi)) <= 1e-13, (j, phase, pinned)

@@ -75,6 +75,22 @@ def test_family_is_unitary_and_hermitian(eta):
     assert np.max(np.abs(u - u.conj().T)) < 1e-12
 
 
+def test_family_member_beyond_the_square_of_the_float_range():
+    # |eta|^2 overflowed (OverflowError, exit 1 from `bc`) from |eta| ~ 1.3e154;
+    # the member there is that of 1/conj(eta) with the diagonal negated, which
+    # the direct formula gives too below the switch at |eta| = 1e150
+    for eta in (1e300 + 1e300j, -1e200j, 1.2e308, 3e150 - 2e150j):
+        u = np.array(eta_to_unitary(eta))
+        assert np.max(np.abs(u.conj().T @ u - np.eye(2))) < 1e-12 and np.max(np.abs(u - u.conj().T)) == 0.0
+        assert u[0, 1] == pytest.approx(2.0 / np.conj(eta), rel=1e-12) and u[0, 0] == 1.0 and u[1, 1] == -1.0
+    for eta in (1e149 + 1e149j, 2e149, 3e140j):
+        a, b = np.array(eta_to_unitary(eta)), -np.array(eta_to_unitary(1.0 / np.conj(eta))) * [[1, -1], [-1, 1]]
+        assert np.allclose(a, b, rtol=1e-12, atol=0.0)
+    # a modulus beyond the float range is no finite eta
+    with pytest.raises(ValueError, match="cannot parse eta"):
+        as_eta("1.7e308+1.7e308i")
+
+
 def test_classification_named_cases():
     assert classify_unitary(-np.eye(2)).kind == "dirichlet"
     assert classify_unitary(np.eye(2)).kind == "neumann"

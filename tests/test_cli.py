@@ -22,7 +22,6 @@ import berrybox.cli.adiabatic
 import berrybox.closed_form
 import berrybox.svgplot
 from berrybox.adiabatic import Schedule
-from berrybox.berry import LoopPhaseResult
 from berrybox.paths import rectangle_loop
 from berrybox.quadrature import gauss_legendre
 from berrybox.cli import main
@@ -190,17 +189,41 @@ def test_berry_all_methods_agree(tmp_path):
 
 def test_berry_mollified_row_without_positive_order(tmp_path, monkeypatch):
     # growing differences: the eps = 0 row reports the last sample, and its
-    # err_est the last step, not 0 from |limit - last sample|
-    # differences alternating in sign: the same, where err_est read 0 at order 8
+    # err_est inf, the sweep has not converged (it read the last step, 2)
+    # differences alternating in sign: the same (it read the last step, 0.5,
+    # and before that 0 at order 8)
     # each width's phase is -F_c times the default loop's integral of dc/l, -1/2
     out = tmp_path / "berry.csv"
     dc_over_l = rectangle_loop(1.0, 2.0, 0.0, 1.0).dc_over_l()
-    for phases, row in (([0.0, 1.0, 3.0], ["", "3.00000000e+00", "2.00000000e+00"]),
-                        ([0.0, 1.0, 0.5], ["", "5.00000000e-01", "5.00000000e-01"])):
+    for phases, row in (([0.0, 1.0, 3.0], ["", "3.00000000e+00", "inf"]),
+                        ([0.0, 1.0, 0.5], ["", "5.00000000e-01", "inf"])):
         f_c = iter([-phase / dc_over_l for phase in phases])
         monkeypatch.setattr(berrybox.berry, "connection_mollified", lambda m, eps: (0.0, next(f_c)))
         assert run("berry", "--method", "mollified", "--eps-list", "0.4,0.2,0.1", "--out", str(out)) == 0
         assert read_csv(out)[1][-1][3:] == row
+
+
+def test_berry_overlap_err_est_bounds_the_coarse_chain_or_is_inf(tmp_path):
+    # off the unit circle at n = 7 the chains at 16, 32 and 64 links step
+    # 0.21 and then 0.55 toward a phase they miss by 2.74 at mesh 64; the
+    # half-mesh difference read 0.55 there.  Refined, the steps fit no
+    # second-order law, and every overlap err_est is inf
+    out = tmp_path / "b.csv"
+    assert run("berry", "--eta=0.3+0.6i", "--n", "7", "--mesh", "64", "--method", "all", "--out", str(out)) == 0
+    rows = read_csv(out)[1]
+    analytic = float(rows[0][4])
+    overlap = [r for r in rows if r[0] == "overlap"]
+    assert [r[1] for r in overlap] == ["16", "32", "64"]
+    assert abs(math.remainder(float(overlap[-1][4]) - analytic, 2.0 * math.pi)) > 2.7
+    assert all(r[5] == "inf" for r in overlap)
+    # the interior and mollified rows converge, each err_est above its error
+    for r in rows[1:]:
+        if r[0] != "overlap":
+            assert abs(float(r[4]) - analytic) <= float(r[5]) + 5e-9 * abs(analytic), r
+    # --mesh 48 refines over 16, 24 and 48 links, unequal ratios; the chain is
+    # exact on the circle's rectangles, so each err_est is the rounding floor
+    assert run("berry", "--method", "overlap", "--mesh", "48", "--out", str(out)) == 0
+    assert [(r[1], r[5]) for r in read_csv(out)[1]] == [(m, "1.00000000e-12") for m in ("16", "24", "48")]
 
 
 def test_berry_real_eta_phases_vanish(tmp_path):
@@ -286,7 +309,7 @@ def test_berry_tol_reports_real_disagreement(tmp_path, monkeypatch, capsys):
     real = berrybox.berry.loop_phase_overlap_meshes
 
     def shifted(m, path, meshes):
-        return [LoopPhaseResult(r.phase + 0.1, r.mesh, r.err_estimate) for r in real(m, path, meshes)]
+        return [phase + 0.1 for phase in real(m, path, meshes)]
 
     argv = ("berry", "--eta", "0+1i", "--n", "0", "--loop-rect", "1", "2", "0", "1",
             "--method", "analytic,overlap", "--mesh", "64", "--tol", "1e-2", "--out", str(tmp_path / "b.csv"))
@@ -410,8 +433,8 @@ def test_berry_plot_reuses_table_phases(tmp_path, monkeypatch):
     assert counts[0] == counts[1]
     # the interior connection at h and h/2, the embedding once per width, in
     # the box coordinate, for all four sides, and the overlap chains at 16, 32
-    # and 64 links with their half meshes, each distinct chain once (8 to 64)
-    assert counts[0] == {"connection_interior": 2, "connection_mollified": 4, "_chain_phase": 4}
+    # and 64 links, with no half-mesh chain for an error estimate
+    assert counts[0] == {"connection_interior": 2, "connection_mollified": 4, "_chain_phase": 3}
 
 
 def test_berry_plot_draws_the_csv_digits(tmp_path, monkeypatch):

@@ -1,0 +1,150 @@
+"""The command-line contract, fuzzed: every command exits 0, 2 or 3.
+
+Each subcommand's options are drawn from a small grammar that favours the
+ends of the float range (+-0, subnormals, 1e+-300, 1.7e308, inf, nan, huge
+integers) and eta in degenerate, near-degenerate and huge forms.  Every
+command runs in process through `cli.main`, in a temporary directory of its
+own, with a seeded `random.Random`.  The contract:
+
+* the exit code is 0, 2 or 3, and 3 only from a cross-check (`--tol`,
+  `--check`, or `wz`'s connection check);
+* no exception escapes `main` (which would be a traceback and exit 1);
+* exit 2 writes no file, and its message names the offending input.
+
+Commands that broke the contract are kept below as named cases.
+"""
+
+import contextlib
+import io
+import os
+import random
+import re
+
+import pytest
+
+from berrybox.cli import main
+
+_FLOATS = ["0", "-0", "5e-324", "-5e-324", "1e-300", "1e-9", "0.5", "1", "-1", "2.5", "1e300", "1.7e308",
+           "-1.7e308", "inf", "-inf", "nan"]
+_INTS = ["-2", "0", "1", "3", "7", "65", "-65", "1000000", str(10 ** 400), "x"]
+_ETAS = ["1", "-1", "1+1e-15i", "-1-1e-15i", "0+1i", "0.3+0.6i", "0.5", "-2", "inf", "0", "1e300+1e300i",
+         "1.7e308+1.7e308i", "5e-324i", "nan", "1+nani", "garbage"]
+
+# the words an exit-2 message may use to name each option
+_NAMES = {
+    "--eta": ("eta",), "--unitary": ("unitary", "matrix"), "--n": ("n", "level", "wavenumber"),
+    "--n-min": ("n", "level", "range"), "--n-max": ("n", "level", "range"), "--mass": ("mass",),
+    "--l": ("l", "box length"), "--check": ("check",), "--method": ("method",), "--mesh": ("mesh",),
+    "--eps-list": ("eps_list", "eps"), "--h": ("h",), "--tol": ("tol",), "--loop-rect": ("loop", "side", "l", "box"),
+    "--orientation": ("orientation",), "--T-list": ("T", "T_list"), "--window": ("window",),
+    "--resolution": ("resolution",), "--curvature-map": ("curvature map",),
+}
+
+
+def _float_list(rng):
+    return ",".join(rng.choice(_FLOATS) for _ in range(rng.randint(1, 3)))
+
+
+def _loop(rng):
+    return ["--loop-rect", *(rng.choice(_FLOATS + ["1.5", "2"] * 4) for _ in range(4))]
+
+
+def _draw(rng):
+    """One argv: a subcommand and a few of its options, each drawn from the grammar."""
+    command = rng.choice(["bc", "spectrum", "berry", "wz", "adiabatic"])
+    if command == "bc":
+        options = [["--eta", rng.choice(_ETAS)]] if rng.random() < 0.8 else [
+            ["--unitary", "[[%s, 0], [0, %s]]" % (rng.choice(_FLOATS), rng.choice(_FLOATS))]]
+    elif command == "spectrum":
+        # a valid range stays short: a million levels (the bound) would take minutes
+        n_max = [n for n in _INTS if n != "1000000"]
+        options = [["--eta", rng.choice(_ETAS)], ["--n-min", rng.choice(_INTS[:5])], ["--n-max", rng.choice(n_max)],
+                   ["--mass", rng.choice(_FLOATS)], ["--l", rng.choice(_FLOATS)], ["--check", "generic"]]
+    elif command == "berry":
+        methods = ["all", "analytic", "interior", "mollified", "overlap", "analytic,overlap"]
+        options = [["--eta", rng.choice(_ETAS)], ["--n", rng.choice(_INTS)], ["--mesh", rng.choice(_INTS)],
+                   ["--method", rng.choice(methods)],
+                   ["--eps-list", _float_list(rng)], ["--h", rng.choice(_FLOATS)], ["--tol", rng.choice(_FLOATS)],
+                   _loop(rng), ["--orientation", rng.choice(["1", "-1", "0"])], ["--curvature-map"]]
+    elif command == "wz":
+        options = [["--eta", rng.choice(_ETAS)], ["--n", rng.choice(_INTS)], ["--mesh", rng.choice(_INTS)],
+                   _loop(rng)]
+    else:
+        # the window stays small: the solve is O(N^3) in pure Python
+        options = [["--eta", rng.choice(_ETAS)], ["--n", rng.choice(["0", "1", "-2", "9"])],
+                   ["--T-list", _float_list(rng)], ["--window", rng.choice(["1", "2", "3", "0", "-1", "65"])],
+                   ["--mass", rng.choice(_FLOATS)], _loop(rng)]
+    chosen = rng.sample(options, rng.randint(1, min(4, len(options))))
+    return [command] + [token for option in chosen for token in option]
+
+
+def _run(argv, directory):
+    """(exit code, stderr, files left) of one command run in `directory`."""
+    err = io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(directory)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main(list(argv) + ["--out", "o.out"])
+            except SystemExit as exc:  # argparse's usage errors
+                code = exc.code
+        return code, err.getvalue(), sorted(os.listdir(directory))
+    finally:
+        os.chdir(cwd)
+
+
+def _check_contract(argv, directory):
+    code, err, files = _run(argv, directory)
+    assert code in (0, 2, 3), (argv, code, err)
+    assert "Traceback" not in err, (argv, err)
+    if code == 3:
+        assert "--tol" in argv or "--check" in argv or argv[0] == "wz", (argv, err)
+    if code == 2:
+        assert files == [], (argv, files, err)
+        given = [token.split("=")[0] for token in argv[1:] if token.startswith("--")]
+        words = {word for option in given for word in _NAMES[option]} | {argv[0]}
+        assert any(re.search(rf"(?<![A-Za-z_]){re.escape(word)}(?![A-Za-z_])", err) for word in words), (argv, err)
+        assert not err.strip().endswith(": math domain error"), (argv, err)
+    return code, err
+
+
+# each of these broke the contract: an OverflowError squaring |eta| (exit 1),
+# a ZeroDivisionError where h/(1 + |k|) or T/sides underflowed (exit 1), and
+# a bare "math domain error" from an infinite angle or phase (exit 2)
+_FOUND = [
+    pytest.param(["bc", "--eta=1e300+1e300i"], 0, id="bc-eta-1e300"),
+    pytest.param(["spectrum", "--eta=1e300+1e300i", "--check", "generic"], 0, id="spectrum-generic-eta-1e300"),
+    pytest.param(["berry", "--h=5e-324"], 2, id="berry-h-subnormal"),
+    pytest.param(["wz", "--eta", "-1", "--n", "65", "--loop-rect", "1e308", "1e-9", "1.05", "1e308"], 2,
+                 id="wz-infinite-angle"),
+    pytest.param(["adiabatic", "--T-list=5e-324", "--window=2"], 2, id="adiabatic-T-subnormal"),
+    pytest.param(["adiabatic", "--T-list=1.7e308", "--window=2"], 2, id="adiabatic-T-huge"),
+]
+
+
+@pytest.mark.parametrize("argv, code", _FOUND)
+def test_found_commands_keep_the_contract(tmp_path, argv, code):
+    assert _check_contract(argv, tmp_path)[0] == code
+
+
+def test_found_messages_name_their_input(tmp_path):
+    expected = {"berry": r"\bh must\b", "wz": r"level n = 65 on the loop", "adiabatic": r"\bT = "}
+    for param in _FOUND:
+        argv, code = param.values
+        if code == 2:
+            directory = tmp_path / param.id
+            directory.mkdir()
+            assert re.search(expected[argv[0]], _run(argv, directory)[1]), param.id
+
+
+def test_fuzzed_commands_keep_the_contract(tmp_path):
+    rng = random.Random(20151)
+    codes = []
+    for j in range(1200):
+        argv = _draw(rng)
+        directory = tmp_path / str(j)
+        directory.mkdir()
+        codes.append(_check_contract(argv, directory)[0])
+    # the grammar reaches both outcomes often
+    assert codes.count(0) > 100 and codes.count(2) > 100
