@@ -12,7 +12,9 @@ The walls are dilation invariant, so the unit box is the one frame: a box is
 its length l, and each state those checks integrate is one record of two
 plane waves at one wavenumber in the box coordinate (`PlaneWaves`, from a
 `Mode` or `degenerate_waves`), whose overlap with another at any box (l, c),
-over any window, is one closed form (`window_integral`).
+over any window, is one closed form (`window_integral`), and whose matrices
+of p and x o p, read by the propagator, the degenerate connection check and
+the mollified oracle, are another (`weak_form`).
 
 Each module's `__all__` is its public API, and `import berrybox` runs only
 this file, so each command loads only the modules it runs, none of which

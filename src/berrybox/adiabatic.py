@@ -29,7 +29,8 @@ The operators are truncated to a symmetric window of static eigenmodes.  The
 p and x o p blocks take the symmetrized (weak) form
 -(i/2) Int (conj(phi) phi' - conj(phi)' phi), Hermitian for every boundary
 parameter and equal to <phi|-i phi'> when |eta| = 1; each eigenfunction is
-two plane waves, so the blocks are built in closed form, once per window.
+two plane waves, so the blocks are one closed form over the window's states
+(`closed_form.weak_form`), built once per window.
 
 Everything runs on the standard library, every matrix a tuple of rows of
 complex numbers.  The eigendecomposition (`eigh`) is the textbook one for a
@@ -43,19 +44,17 @@ vectors a side needs, never formed.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from collections import namedtuple
 from operator import mul
 
-from .closed_form import Mode, eigenvalue, mode
+from .closed_form import Mode, eigenvalue, mode, weak_form
 from .paths import ParameterPath, log_ratio
 
 __all__ = [
     "Schedule",
     "PhaseReport",
     "mode_window",
-    "weak_form_matrix",
     "generator",
     "eigh",
     "propagate",
@@ -99,48 +98,16 @@ def mode_window(eta, size: int) -> tuple[Mode, ...]:
     return tuple(mode(n, eta) for n in range(-size, size + 1))
 
 
-@functools.lru_cache(maxsize=8)
-def weak_form_matrix(modes):
-    """Hermitian matrices of p and of x o p = (xp + px)/2 in the symmetrized
-    form, in closed form, over a tuple of modes such as `mode_window`'s.
-
-    phi_n = sum_s a_s e^{s i k_n x} over s = +-1, with a_s = (e^{i alpha} - s i)/2,
-    and k_n - k_m = 2 pi (n - m).  Plane waves of equal sign are therefore
-    orthogonal, so they reach p only on its diagonal, and those of opposite
-    sign cancel from x o p, which leaves
-
-        p_mn = -k_n sin(alpha) delta_mn - (i/2) cos(alpha) (k_n - k_m) sin(z)/z,
-        (x o p)_mn = -i (k_n + k_m) (-1)^(n-m) / (4 pi (n - m)),  0 at m = n,
-
-    with z = (k_n + k_m)/2: the sin(z)/z form stays accurate as k_n -> -k_m,
-    near eta = +-1.  Built once per mode window, as tuples of rows of
-    complex numbers, shared by every caller.
-    """
-    minus_half_i_cos = -0.5j * math.cos(modes[0].alpha)
-    sin_alpha = modes[0].sin_alpha
-    p, xp = [], []
-    for a in modes:
-        prow, xrow = [], []
-        for b in modes:
-            z, dn = 0.5 * (b.k + a.k), b.n - a.n
-            sinc = math.sin(z) / z if z else 1.0
-            prow.append(minus_half_i_cos * (b.k - a.k) * sinc - (a.k * sin_alpha if dn == 0 else 0.0))
-            xrow.append(-0.5j * z * (-1.0) ** dn / (math.pi * dn) if dn else 0j)
-        p.append(tuple(prow))
-        xp.append(tuple(xrow))
-    return tuple(p), tuple(xp)
-
-
-def generator(modes, kappa, lcdot, mass=1.0):
-    """p^2/(2m) - kappa x o p - (l cdot) p on a tuple of modes, as a tuple of
-    rows: l^2 times the moving-frame Hamiltonian, with kappa = l ldot.  At
-    kappa = l cdot = 0 it is diag(k_n^2 / (2m)), l^2 times the static
-    spectrum."""
-    pmat, xpmat = weak_form_matrix(modes)
+def generator(states, kappa, lcdot, mass=1.0):
+    """p^2/(2m) - kappa x o p - (l cdot) p on a tuple of eigenstates (`PlaneWaves`,
+    such as a mode window's), as a tuple of rows: l^2 times the moving-frame
+    Hamiltonian, with kappa = l ldot.  At kappa = l cdot = 0 it is
+    diag(k_n^2 / (2m)), l^2 times the static spectrum."""
+    pmat, xpmat = weak_form(states)
     rows = []
-    for i, (m, prow, xrow) in enumerate(zip(modes, pmat, xpmat)):
+    for i, (psi, prow, xrow) in enumerate(zip(states, pmat, xpmat)):
         row = [-kappa * x - lcdot * p for x, p in zip(xrow, prow)]
-        row[i] += eigenvalue(m.k, 1.0, mass)
+        row[i] += eigenvalue(psi.k, 1.0, mass)
         rows.append(tuple(row))
     return tuple(rows)
 
@@ -329,36 +296,44 @@ def propagate(
     as the geometric phase.  A fidelity below 0.9 sets the adiabaticity
     warning instead of raising.  A side out of the float range raises ValueError.
     """
-    modes = mode_window(eta, window)
+    states = tuple(m.waves for m in mode_window(eta, window))
     if abs(start_mode) > window:
         raise ValueError(f"start mode n = {start_mode} lies outside the window n = -{window} .. {window}")
     idx = start_mode + window
     sides = list(_sides(schedule))
-    dynamical = -eigenvalue(modes[idx].k, 1.0, mass) * sum(tau for _, _, tau in sides)
+    dynamical = -eigenvalue(states[idx].k, 1.0, mass) * sum(tau for _, _, tau in sides)
     if not math.isfinite(dynamical):
         raise ValueError(f"the dynamical phase of level n = {start_mode} at mass {mass} and T = {schedule.duration} "
                          f"leaves the float range")
+    top_level = max(eigenvalue(psi.k, 1.0, mass) for psi in states)
+    # the largest e at which mass 2^e stays finite
+    e_max = 1023 - max(math.frexp(mass)[1], 0)
 
-    size = len(modes)
+    size = len(states)
     psi = [0j] * size
     psi[idx] = 1.0 + 0j
     psi0 = psi
     edges = [[1.0 + 0j] + [0j] * (size - 1), [0j] * (size - 1) + [1.0 + 0j]]
     norm_drift = edge_weight = 0.0
     for i, (kappa, lcdot, tau) in enumerate(sides):
+        # the generator at the exact scale 2^-e and tau at 2^e, the largest term
+        # near 1, leave exp(-i G tau) as it is, and keep every entry away from
+        # the float range's ends, where QL does not converge on subnormals
+        scale = 2.0 ** min(max(math.frexp(max(abs(kappa), abs(lcdot), top_level))[1], -1021), e_max)
         try:
-            basis = eigh(generator(modes, kappa, lcdot, mass))
+            basis = eigh(generator(states, kappa / scale, lcdot / scale, mass * scale))
         except ArithmeticError as exc:  # QL meets inf or NaN where the generator nears the float range's end
             raise ValueError(f"loop side {i + 1} in traversal order moves too fast for the float range at this "
                              f"window: kappa = l ldot = {kappa}, l cdot = {lcdot} at T = {schedule.duration} "
                              f"and mass {mass} ({exc})") from None
-        if not all(math.isfinite(tau * lam) for lam in basis.values):
+        tau_scaled = tau * scale
+        if not all(math.isfinite(tau_scaled * lam) for lam in basis.values):
             raise ValueError(f"loop side {i + 1} in traversal order takes the conformal time {tau} at T = "
                              f"{schedule.duration}: its phases tau * lambda leave the float range")
         coords = basis.coordinates(psi)
         for edge in edges:
             edge_weight = max(edge_weight, sum(abs(a) * abs(b) for a, b in zip(basis.coordinates(edge), coords)))
-        psi = basis.vector([cmath.exp(-1j * tau * lam) * z for lam, z in zip(basis.values, coords)])
+        psi = basis.vector([cmath.exp(-1j * tau_scaled * lam) * z for lam, z in zip(basis.values, coords)])
         norm_drift = max(norm_drift, abs(math.hypot(*map(abs, psi)) - 1.0))
 
     overlap = sum(a.conjugate() * b for a, b in zip(psi0, psi))

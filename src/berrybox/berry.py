@@ -19,7 +19,9 @@ phase):
 
 Each eigenfunction is two plane waves (`Mode.waves`) and each loop a
 polyline, so the overlaps, the interior windows and the mollified
-embedding's interior are one closed form (`closed_form.window_integral`);
+embedding's norm are one closed form (`closed_form.window_integral`), and
+the embedding's interior connection is the diagonal of another, the weak
+forms of x o p and p (`closed_form.weak_form`) that the propagator reads;
 Gauss quadrature serves only the embedding's two wall strips.  Everything
 runs on the standard library, one box at a time.
 The boundary conditions are dilation invariant, so every state is
@@ -43,7 +45,7 @@ import cmath
 import math
 import sys
 
-from .closed_form import Mode, require_length, window_integral
+from .closed_form import Mode, require_length, weak_form, window_integral
 from .paths import ParameterPath, log_ratio
 from .quadrature import panel_nodes
 
@@ -132,9 +134,10 @@ def connection_mollified(m: Mode, eps: float):
     integrand uses the analytic parameter derivative of the extension and
     the square of the cutoff.  As eps -> 0, F_c tends to k sin(alpha) and
     F_l to zero (its limiting integrand is odd around the box center).  The
-    box interior, where the cutoff is 1, is integrated in closed form
-    (`window_integral`); only the two wall strips of width eps take a Gauss
-    rule, of 12 panels each, so the work does not grow with the level.
+    box interior, where the cutoff is 1, is the diagonal of the weak forms
+    of x o p and p (`weak_form`) and the norm (`window_integral`), in closed
+    form; only the two wall strips of width eps take a Gauss rule, of 12
+    panels each, so the work does not grow with the level.
 
     For this particular eigenfunction family the convergence is in fact
     instantaneous: Im(conj(phi) d_c phi) is constant in x and the cutoff is
@@ -146,11 +149,10 @@ def connection_mollified(m: Mode, eps: float):
         raise ValueError("eps must be finite and positive")
     rho = standard_mollifier()
     psi = m.waves
-    der = psi.derivative()
-    norm = window_integral(psi, psi, -0.5, 0.5)
-    p, q = (window_integral(psi, der, -0.5, 0.5, j) for j in (0, 1))
-    # d/dl phi = -phi/2 - u phi', d/dc phi = -phi'
-    norm2, f_l, f_c = norm.real, (-0.5 * norm - q).imag, -p.imag
+    # d/dl phi = -phi/2 - u phi' and d/dc phi = -phi', whose imaginary parts
+    # integrate to minus the diagonals of x o p and p
+    p, xp = weak_form((psi,))
+    norm2, f_l, f_c = window_integral(psi, psi, -0.5, 0.5).real, -xp[0][0].real, -p[0][0].real
     for t, w in panel_nodes(0.0, 1.0, 12):  # t = (|u| - 1/2)/eps across either strip
         weight = eps * w * rho(t) ** 2
         for u in (-0.5 - eps * t, 0.5 + eps * t):
@@ -179,7 +181,7 @@ def state_overlap(m: Mode, l: float, c: float) -> complex:
         raise ValueError(f"box center must be finite, not {c}")
     lo, hi = max(-0.5, c - 0.5 * l), min(0.5, c + 0.5 * l)
     psi = m.waves
-    return window_integral(psi, psi, lo, hi, 0, l, c) if hi - lo > 0 else 0j
+    return window_integral(psi, psi, lo, hi, l, c) if hi - lo > 0 else 0j
 
 
 def _chain_phase(m: Mode, path: ParameterPath, n: int) -> float:

@@ -68,22 +68,22 @@ class UsageError(ValueError):
 # formatting
 
 
-def _fmt(x: float, sign: str = "") -> str:
+def _fmt(x: float, sign: str = "", digits: int = 9) -> str:
     # + 0.0 turns -0.0 into 0.0 and leaves every other value as it is
-    return f"{float(x) + 0.0:{sign}.8e}"
+    return f"{float(x) + 0.0:{sign}.{digits - 1}e}"
 
 
 def _round9(x: float) -> float:
     return float(_fmt(x))
 
 
-def _fmt_complex(z: complex) -> str:
+def _fmt_complex(z: complex, digits: int = 9) -> str:
     z = complex(z)
-    return f"{_fmt(z.real)}{_fmt(z.imag, '+')}i"
+    return f"{_fmt(z.real, '', digits)}{_fmt(z.imag, '+', digits)}i"
 
 
-def _fmt_matrix(m) -> list:
-    return [[_fmt_complex(v) for v in row] for row in m]
+def _fmt_matrix(m, digits: int = 9) -> list:
+    return [[_fmt_complex(v, digits) for v in row] for row in m]
 
 
 # ---------------------------------------------------------------------------

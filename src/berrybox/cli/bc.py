@@ -55,7 +55,9 @@ def run(args) -> int:
     info = classify_unitary(u)
     doc = {
         "eta": _eta_text(info.eta) if info.eta is not None else None,
-        "unitary": _fmt_matrix(u),
+        # 17 digits, every double's own: passed back as --unitary, the matrix
+        # meets the 1e-9 unitarity and classification checks as it did here
+        "unitary": _fmt_matrix(u, 17),
         "classification": info.kind,
         "dilation_invariant": info.dilation_invariant,
     }

@@ -16,8 +16,11 @@ The unit box is the one frame: a box is its length l (`require_length`), and
 every state the oracles integrate is two plane waves at one wavenumber in the
 box coordinate u = (x - c)/l (`PlaneWaves`): a level phi_n (`Mode.waves`) or
 the degenerate pair sqrt(2) cos(ku), sqrt(2) sin(ku) (`degenerate_waves`).
-One closed form, `window_integral`, integrates conj(psi_a) psi_b, or x times
-it, over a window, psi_a at the unit box and psi_b at any box (l, c).
+One closed form, `window_integral`, integrates conj(psi_a) psi_b over a
+window, psi_a at the unit box and psi_b at any box (l, c); another,
+`weak_form`, gives the matrices of p and x o p between such states at the
+unit box, which the propagator, the degenerate connection check and the
+mollified oracle read.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+from collections import namedtuple
 
 from .boundary import Eta, as_eta, require_mass
 
@@ -40,6 +44,7 @@ __all__ = [
     "degenerate_wavenumber",
     "degenerate_waves",
     "window_integral",
+    "weak_form",
     "connection_analytic",
     "loop_phase_analytic",
     "curvature",
@@ -108,19 +113,11 @@ def wavenumber(n: int, eta) -> float:
 class Mode:
     """One nondegenerate eigenlevel: index n, wavenumber k, angle alpha.
 
-    Two Modes are equal, and hash alike, when n, eta, k and alpha are, so
-    that a rebuilt mode window hits `adiabatic.weak_form_matrix`'s cache."""
+    Modes compare by identity; their states (`waves`) compare by value, so
+    a rebuilt mode window's states hit `weak_form`'s cache."""
 
     def __init__(self, n: int, eta: Eta, k: float, alpha: float):
         self.n, self.eta, self.k, self.alpha = n, eta, k, alpha
-
-    def __eq__(self, other):
-        if other.__class__ is not Mode:
-            return NotImplemented
-        return (self.n, self.eta, self.k, self.alpha) == (other.n, other.eta, other.k, other.alpha)
-
-    def __hash__(self):
-        return hash((self.n, self.eta, self.k, self.alpha))
 
     @property
     def sin_alpha(self) -> float:
@@ -173,24 +170,18 @@ def degenerate_wavenumber(eta: int, n: int) -> float:
     raise ValueError("degenerate basis exists only for eta = +1 or -1")
 
 
-class PlaneWaves:
+class PlaneWaves(namedtuple("PlaneWaves", "k plus minus")):
     """The state psi(u) = plus e^{iku} + minus e^{-iku} in the box coordinate
-    u = (x - c)/l; at the box (l, c) it is l^-1/2 psi((x - c)/l)."""
+    u = (x - c)/l; at the box (l, c) it is l^-1/2 psi((x - c)/l).  A tuple,
+    so equal states hash alike."""
 
-    __slots__ = ("k", "plus", "minus")
-
-    def __init__(self, k: float, plus: complex, minus: complex):
-        self.k, self.plus, self.minus = k, plus, minus
+    __slots__ = ()
 
     def at(self, u: float):
         """psi(u) and psi'(u)."""
         e = cmath.exp(1j * (self.k * u))
         ep, em = self.plus * e, self.minus * e.conjugate()
         return ep + em, 1j * self.k * (ep - em)
-
-    def derivative(self) -> "PlaneWaves":
-        """psi' as plane waves: amplitudes +-ik times psi's."""
-        return PlaneWaves(self.k, 1j * self.k * self.plus, -1j * self.k * self.minus)
 
 
 def degenerate_waves(eta: int, n: int):
@@ -200,33 +191,18 @@ def degenerate_waves(eta: int, n: int):
     return PlaneWaves(k, complex(r, 0.0), complex(r, 0.0)), PlaneWaves(k, complex(0.0, -r), complex(0.0, r))
 
 
-def _moment(j: int, mid: float, half: float, z: float):
-    """Int_{-half}^{half} (mid + t)^j e^{iwt} dt / (2 half) at z = w half, j = 0
-    or 1: sin(z)/z, and for j = 1 mid sin(z)/z + half i (sin z - z cos z)/z^2,
-    the latter by its series where it cancels."""
-    sinc = math.sin(z) / z if z else 1.0
-    if j == 0:
-        return sinc
-    if abs(z) < 0.05:
-        odd = 1j * z * (1.0 / 3.0 - z * z * (1.0 / 30.0 - z * z * (1.0 / 840.0 - z * z / 45360.0)))
-    else:
-        odd = 1j * (math.sin(z) - z * math.cos(z)) / (z * z)
-    return mid * sinc + half * odd
-
-
-def window_integral(a: PlaneWaves, b: PlaneWaves, lo: float, hi: float, j: int = 0,
-                    l: float = 1.0, c: float = 0.0) -> complex:
-    """Int_lo^hi x^j conj(psi_a) psi_b dx, j = 0 or 1, for the state a at the
-    unit box and b at the box (l, c), each extended smoothly past its walls;
-    x is the unit box's coordinate u.  By dilation covariance (x = ca + la u),
-    states at the boxes (la, ca) and (lb, cb) give W_0 and ca W_0 + la W_1 over
-    [lo, hi], W_j being this over [(lo - ca)/la, (hi - ca)/la] at (lb/la, (cb - ca)/la).
+def window_integral(a: PlaneWaves, b: PlaneWaves, lo: float, hi: float, l: float = 1.0, c: float = 0.0) -> complex:
+    """Int_lo^hi conj(psi_a) psi_b dx for the state a at the unit box and b at
+    the box (l, c), each extended smoothly past its walls; x is the unit box's
+    coordinate u.  By dilation covariance (x = ca + la u), states at the boxes
+    (la, ca) and (lb, cb) give this over [(lo - ca)/la, (hi - ca)/la] at
+    (lb/la, (cb - ca)/la).
 
     The integrand is four plane waves e^{i(w x + p)}, each integrating to
-    e^{i(w mid + p)} (hi - lo) times `_moment` at z = w (hi - lo)/2: sin(z)/z
-    stays accurate as w -> 0, where neighbouring loop points of nearly equal
-    l sit.  The terms are summed in conjugate pairs first, which keeps the
-    integral of two real functions exactly real.
+    e^{i(w mid + p)} (hi - lo) sin(z)/z at z = w (hi - lo)/2, which stays
+    accurate as w -> 0, where neighbouring loop points of nearly equal l sit.
+    The terms are summed in conjugate pairs first, which keeps the integral
+    of two real functions exactly real.
     """
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     ua, ub = a.k * mid, b.k * (mid - c) / l
@@ -234,11 +210,59 @@ def window_integral(a: PlaneWaves, b: PlaneWaves, lo: float, hi: float, j: int =
 
     def term(s, t, amp_a, amp_b):  # plane wave s of psi_a, conjugated, times plane wave t of psi_b
         z = half * (t * wb - s * wa)
-        return amp_a.conjugate() * amp_b * cmath.exp(1j * (t * ub - s * ua)) * _moment(j, mid, half, z)
+        return amp_a.conjugate() * amp_b * cmath.exp(1j * (t * ub - s * ua)) * (math.sin(z) / z if z else 1.0)
 
     pairs = ((term(1.0, 1.0, a.plus, b.plus) + term(-1.0, -1.0, a.minus, b.minus))
              + (term(1.0, -1.0, a.plus, b.minus) + term(-1.0, 1.0, a.minus, b.plus)))
     return 2.0 * half * pairs / math.sqrt(l)
+
+
+@functools.lru_cache(maxsize=8)
+def weak_form(states):
+    """Hermitian matrices (p, x o p) between the `PlaneWaves` of the tuple
+    `states` at the unit box, in the symmetrized (weak) form
+
+        -(i/2) Int_{-1/2}^{1/2} u^j (conj(a) b' - conj(a') b) du,
+
+    j = 0 for p and j = 1 for x o p = (xp + px)/2, each a tuple of rows of
+    complex numbers, Hermitian for every pair of states.  The wavenumbers
+    must differ by multiples of 2 pi, so that the plane waves lie on one
+    lattice +-k0 + 2 pi Z, as a mode window's and a degenerate pair's do.
+
+    Plane waves s, t = +-1 of a and b meet with the weight
+    (t k_b + s k_a)/2 conj(a_s) b_t times Int u^j e^{iwu} du at
+    w = t k_b - s k_a.  Same-sign waves sit 2 pi m apart, m = (k_b - k_a)/2 pi,
+    so they reach p only at m = 0, and x o p through
+    -i (k_a + k_b)(-1)^m / (4 pi m) elsewhere.  Opposite-sign waves carry
+    sin(z)/z and i (sin z - z cos z)/(2 z^2) at z = (k_a + k_b)/2, the latter
+    by its series where it cancels; both stay accurate as k_b -> -k_a, near
+    eta = +-1.  Built once per tuple of states, and shared by every caller.
+    """
+    p, xp = [], []
+    for ka, a_plus, a_minus in states:
+        ap, am = a_plus.conjugate(), a_minus.conjugate()
+        prow, xrow = [], []
+        for kb, bp, bm in states:
+            z, d = 0.5 * (ka + kb), 0.5 * (kb - ka)
+            sin_z = math.sin(z)
+            if abs(z) < 0.05:
+                odd = 0.5j * z * (1.0 / 3.0 - z * z * (1.0 / 30.0 - z * z * (1.0 / 840.0 - z * z / 45360.0)))
+            else:
+                odd = 0.5j * (sin_z - z * math.cos(z)) / (z * z)
+            # opposite-sign waves, then same-sign ones
+            cross_pm, cross_mp = ap * bm, am * bp
+            pv = d * (sin_z / z if z else 1.0) * (cross_mp - cross_pm)
+            xv = d * odd * (cross_mp + cross_pm)
+            m = round(d / math.pi)
+            if m:
+                xv -= 0.5j * z * (-1.0) ** m / (math.pi * m) * (ap * bp + am * bm)
+            else:
+                pv += z * (ap * bp - am * bm)
+            prow.append(pv)
+            xrow.append(xv)
+        p.append(tuple(prow))
+        xp.append(tuple(xrow))
+    return tuple(p), tuple(xp)
 
 
 def connection_analytic(m: Mode):

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .closed_form import degenerate_wavenumber, degenerate_waves, require_length, window_integral
+from .closed_form import degenerate_wavenumber, degenerate_waves, require_length, weak_form
 from .paths import ParameterPath
 
 __all__ = [
@@ -82,22 +82,15 @@ def connection_from_basis(eta: int, n: int) -> MatrixConnection:
     phi_I = sqrt(2/l) cos(k u), phi_II = sqrt(2/l) sin(k u) with
     u = (x - c)/l.  Every integrand <phi_a | d phi_b> dx scales as 1/l at
     fixed u, so the integrals run once over the unit box in u, where the
-    (l, c) gradients are d_l phi = -phi/2 - u phi' and d_c phi = -phi', and
-    each is a plane-wave integral in closed form (`window_integral`), at the
-    same cost at every level.  The raw matrices pick up a real diagonal from
-    the norm flowing through the moving walls; only their anti-Hermitian part
-    is the connection (times i), which is what the interior-derivative
-    prescription keeps.
+    (l, c) gradients are d_l phi = -phi/2 - u phi' and d_c phi = -phi'.  The
+    connection is i times the anti-Hermitian part of <phi_a | d phi_b>, which
+    is what the interior-derivative prescription keeps: the weak forms of
+    x o p and p between the pair (`closed_form.weak_form`), the generators of
+    dilations and translations, in closed form at the same cost at every
+    level.
     """
-    basis = degenerate_waves(eta, n)
-    # raw[0] = <phi_a | d_l phi_b>, raw[1] = <phi_a | d_c phi_b>
-    raw_l = [[-0.5 * window_integral(a, b, -0.5, 0.5) - window_integral(a, b.derivative(), -0.5, 0.5, 1)
-              for b in basis] for a in basis]
-    raw_c = [[-window_integral(a, b.derivative(), -0.5, 0.5) for b in basis] for a in basis]
-    # i times the anti-Hermitian part
-    coeff_l, coeff_c = (tuple(tuple(0.5j * (raw[i][j] - raw[j][i]) for j in (0, 1)) for i in (0, 1))
-                        for raw in (raw_l, raw_c))
-    return MatrixConnection(coeff_l=coeff_l, coeff_c=coeff_c)
+    p, xp = weak_form(degenerate_waves(eta, n))
+    return MatrixConnection(coeff_l=xp, coeff_c=p)
 
 
 def wz_connection(eta: int, n: int, l: float) -> MatrixConnection:

@@ -26,7 +26,7 @@ def propagate_arrays(schedule, start_mode, eta, window, mass=1.0) -> PhaseReport
     psi0 = psi.copy()
     norm_drift = edge_weight = 0.0
     for kappa, lcdot, tau in sides:
-        evals, vecs = np.linalg.eigh(np.array(generator(modes, kappa, lcdot, mass)))
+        evals, vecs = np.linalg.eigh(np.array(generator(tuple(m.waves for m in modes), kappa, lcdot, mass)))
         trail = (np.exp(-1j * tau * np.outer(fractions, evals)) * (vecs.conj().T @ psi)) @ vecs.T
         psi = trail[-1]
         norm_drift = max(norm_drift, float(np.max(np.abs(np.linalg.norm(trail, axis=1) - 1.0))))

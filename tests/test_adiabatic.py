@@ -10,8 +10,9 @@ import pytest
 import berrybox.adiabatic
 from array_propagator import propagate_arrays
 from array_rules import oscillatory_rule
-from berrybox.adiabatic import Schedule, eigh, generator, mode_window, propagate, weak_form_matrix
-from berrybox.closed_form import DegenerateEtaError, eigenvalue, loop_phase_analytic, mode, window_integral
+from berrybox.adiabatic import Schedule, eigh, generator, mode_window, propagate
+from berrybox.closed_form import (DegenerateEtaError, PlaneWaves, degenerate_waves, eigenvalue, loop_phase_analytic, mode,
+                                  weak_form)
 from berrybox.paths import ParameterPath, rectangle_loop
 
 RECT = rectangle_loop(1.0, 2.0, 0.0, 1.0)
@@ -21,71 +22,94 @@ NO_VERTICAL = ParameterPath([(1.0, 0.0), (1.5, 0.1), (1.2, 0.5)])
 POINT = ParameterPath([(1.3, 0.2)])
 
 
+def _states(eta, size):
+    """The `PlaneWaves` of `mode_window(eta, size)`, as `propagate` builds them."""
+    return tuple(m.waves for m in mode_window(eta, size))
+
+
 def test_static_hamiltonian_is_diagonal():
     modes = mode_window(1j, 4)
     l = 1.3
-    h = np.array(generator(modes, 0.0, 0.0, mass=0.9)) / l ** 2
+    h = np.array(generator(_states(1j, 4), 0.0, 0.0, mass=0.9)) / l ** 2
     lam = np.array([eigenvalue(m.k, l, 0.9) for m in modes])
     assert np.max(np.abs(h - np.diag(lam))) < 1e-12
 
 
 def test_velocity_blocks_hermitian():
     for eta in (1j, 0.0, 0.5, -0.3 + 0.4j):
-        modes = mode_window(eta, 8)
-        p, xp = (np.array(m) for m in weak_form_matrix(modes))
+        states = _states(eta, 8)
+        p, xp = (np.array(m) for m in weak_form(states))
         assert np.max(np.abs(p - p.conj().T)) < 1e-10
         assert np.max(np.abs(xp - xp.conj().T)) < 1e-10
         # kappa = l ldot and l cdot at l = 1.2, ldot = 0.3, cdot = -0.7
-        h = np.array(generator(modes, 1.2 * 0.3, 1.2 * -0.7))
+        h = np.array(generator(states, 1.2 * 0.3, 1.2 * -0.7))
         assert np.max(np.abs(h - h.conj().T)) < 1e-10
+
+
+def _assert_weak_form_matches_quadrature(states):
+    # weak_form against the symmetrized weak form
+    # -(i/2) Int u^j (conj(a) b' - conj(a') b), j = 0 for p and 1 for x o p,
+    # by Gauss-Legendre on the plane waves and their slopes +-ik e^{+-iku}
+    x, w = oscillatory_rule(-0.5, 0.5, 2.0 * max(abs(psi.k) for psi in states))
+    waves = [(np.exp(1j * psi.k * x), psi) for psi in states]
+    vals = np.array([psi.plus * e + psi.minus / e for e, psi in waves])
+    slopes = np.array([1j * psi.k * (psi.plus * e - psi.minus / e) for e, psi in waves])
+    for weight, block in zip((1.0, x), map(np.array, weak_form(states))):
+        a = (vals.conj() * (w * weight)) @ slopes.T
+        assert np.max(np.abs(block - (-0.5j) * (a - a.conj().T))) < 1e-13
 
 
 @pytest.mark.parametrize("eta", [1j, np.exp(0.3j), 2j, -0.3 + 0.4j, 0.5, 0.0, -3.0, 1.0 + 1e-7, -1.0 - 1e-7])
 @pytest.mark.parametrize("window", [4, 8])
 def test_velocity_blocks_match_quadrature(eta, window):
-    # the closed-form blocks against the symmetrized weak form
-    # -(i/2) Int u^j (conj(phi_m) phi_n' - conj(phi_m') phi_n), j = 0 for p and
-    # 1 for x o p, by the one plane-wave overlap and by Gauss-Legendre on the
-    # record's plane waves: |eta| = 1, |eta| != 1, real eta and eta near +-1,
-    # where k_n + k_m nearly cancels for n + m = 0 or -1
-    modes = mode_window(eta, window)
-    waves = [m.waves for m in modes]
-    ders = [psi.derivative() for psi in waves]
-    x, w = oscillatory_rule(-0.5, 0.5, 2.0 * max(abs(m.k) for m in modes))
-    vals = np.array([psi.plus * np.exp(1j * psi.k * x) + psi.minus * np.exp(-1j * psi.k * x) for psi in waves])
-    slopes = np.array([d.plus * np.exp(1j * d.k * x) + d.minus * np.exp(-1j * d.k * x) for d in ders])
-    for j, weight, block in zip((0, 1), (1.0, x), map(np.array, weak_form_matrix(modes))):
-        a = np.array([[window_integral(pm, dn, -0.5, 0.5, j) for dn in ders] for pm in waves])
-        assert np.max(np.abs(block - (-0.5j) * (a - a.conj().T))) < 1e-13
-        a = (vals.conj() * (w * weight)) @ slopes.T
-        assert np.max(np.abs(block - (-0.5j) * (a - a.conj().T))) < 1e-13
+    # mode windows at |eta| = 1, |eta| != 1, real eta and eta near +-1, where
+    # k_n + k_m nearly cancels for n + m = 0 or -1
+    _assert_weak_form_matches_quadrature(_states(eta, window))
+
+
+@pytest.mark.parametrize("eta, n", [(1, 1), (1, 2), (1, 5), (-1, 0), (-1, 1), (-1, 4)])
+def test_degenerate_weak_form_matches_quadrature(eta, n):
+    # the degenerate cos/sin pairs, whose four plane waves sit at +-k on one lattice
+    _assert_weak_form_matches_quadrature(degenerate_waves(eta, n))
+
+
+@pytest.mark.parametrize("k0", [1e-3, 0.7, np.pi - 1e-3])
+def test_weak_form_of_lattice_states_matches_quadrature(k0):
+    # states of unrelated amplitudes on one lattice k0 + 2 pi Z: only these
+    # reach the opposite-sign waves' x o p term, which cancels within a mode
+    # window and a degenerate pair, and its series where k_a + k_b nearly
+    # cancels (k0 near 0 and near pi)
+    rng = random.Random(5)
+    states = tuple(PlaneWaves(k0 + 2.0 * np.pi * n, complex(rng.gauss(0, 1), rng.gauss(0, 1)),
+                              complex(rng.gauss(0, 1), rng.gauss(0, 1))) for n in range(-4, 5))
+    _assert_weak_form_matches_quadrature(states)
 
 
 def test_diagonal_momentum_matches_connection():
     # <phi_n|p|phi_n> = -k sin(alpha): the diagonal that feeds the geometric phase
     for eta in (1j, 2j, -0.3 + 0.4j):
         modes = mode_window(eta, 3)
-        p = weak_form_matrix(modes)[0]
+        p = weak_form(_states(eta, 3))[0]
         for i, m in enumerate(modes):
             assert p[i][i].real == pytest.approx(-m.k * np.sin(m.alpha), abs=1e-10)
 
 
 def test_rebuilt_mode_window_hits_the_weak_form_cache():
-    # Modes compare and hash by value, so the window `propagate` rebuilds for
+    # states compare and hash by value, so the window `propagate` rebuilds for
     # each T of a sweep finds the matrices built for the first
-    first = mode_window(0.3 + 0.6j, 3)
-    weak_form_matrix(first)
-    hits = weak_form_matrix.cache_info().hits
-    again = mode_window(0.3 + 0.6j, 3)
+    first = _states(0.3 + 0.6j, 3)
+    weak_form(first)
+    hits = weak_form.cache_info().hits
+    again = _states(0.3 + 0.6j, 3)
     assert again == first and hash(again) == hash(first) and again[0] is not first[0]
-    assert weak_form_matrix(again) is weak_form_matrix(first)
-    assert weak_form_matrix.cache_info().hits == hits + 2
+    assert weak_form(again) is weak_form(first)
+    assert weak_form.cache_info().hits == hits + 2
 
 
 def test_length_scaling_of_static_block():
     # l^2 times the static Hamiltonian is l-independent, as l^2 lambda_n(l) is
     modes = mode_window(1j, 3)
-    h = np.array(generator(modes, 0.0, 0.0))
+    h = np.array(generator(_states(1j, 3), 0.0, 0.0))
     for l in (1.0, 2.0):
         lam = np.array([eigenvalue(m.k, l) for m in modes])
         assert np.allclose(h / l ** 2, np.diag(lam), atol=1e-13)
@@ -152,7 +176,7 @@ def _midpoint_overlap(schedule, start_mode, eta, window, mass, steps_per_side):
     on each side and c moving with l along it; each step's Hamiltonian is
     built from spectrum.eigenvalue."""
     modes = mode_window(eta, window)
-    pmat, xpmat = weak_form_matrix(modes)
+    pmat, xpmat = weak_form(_states(eta, window))
     lam1 = np.array([eigenvalue(m.k, 1.0, mass) for m in modes])
     path = schedule.path
     segs = path.segments if path.orientation > 0 else [(b, a) for a, b in reversed(path.segments)]
@@ -227,8 +251,8 @@ def _rotated(rng, values):
     pytest.param(lambda rng: _random_hermitian(rng, 33), id="size-33"),
     pytest.param(lambda rng: np.diag(rng.standard_normal(9)).astype(complex), id="diagonal"),
     pytest.param(lambda rng: _rotated(rng, [1.0] * 4 + [2.0] * 3 + [-0.5] * 2), id="repeated"),
-    pytest.param(lambda rng: np.array(generator(mode_window(1.0 + 1e-7, 16), 0.3, -0.2)), id="generator-near-plus-1"),
-    pytest.param(lambda rng: np.array(generator(mode_window(-1.0 - 1e-7, 16), -0.4, 0.1)), id="generator-near-minus-1"),
+    pytest.param(lambda rng: np.array(generator(_states(1.0 + 1e-7, 16), 0.3, -0.2)), id="generator-near-plus-1"),
+    pytest.param(lambda rng: np.array(generator(_states(-1.0 - 1e-7, 16), -0.4, 0.1)), id="generator-near-minus-1"),
 ])
 def test_eigh_matches_numpy(make):
     # the eigenvalues, and exp(-i h tau) psi formed from the factored V,
@@ -268,9 +292,20 @@ def test_eigh_at_any_scale(exponent):
 
 def test_eigh_of_the_generator_at_a_tiny_mass():
     # diag(k_n^2 / (2m)) reaches 1e204 at mass 1e-200, beside velocity blocks of order one
-    h = generator(mode_window(1j, 8), 0.3, -0.2, mass=1e-200)
+    h = generator(_states(1j, 8), 0.3, -0.2, mass=1e-200)
     want = np.linalg.eigvalsh(np.array(h))
     assert np.max(np.abs(np.sort(eigh(h).values) - want)) <= 2e-15 * np.max(np.abs(want))
+
+
+def test_slow_side_at_huge_mass_meets_the_analytic_phase():
+    # `adiabatic --mass 1e300 --T-list 1.7e308`: the levels k^2/(2m), near
+    # 1e-300, and l cdot = 4.7e-308 left every generator entry near the
+    # smallest normal float, and QL did not converge; each side's generator is
+    # now built at a power-of-two scale near 1, and tau at the inverse scale
+    rep = propagate(Schedule(RECT, 1.7e308), 0, 1j, 8, mass=1e300)
+    assert rep.fidelity >= 0.9999 and not rep.adiabatic_warning
+    target = loop_phase_analytic(mode(0, 1j), RECT)
+    assert abs(math.remainder(rep.geometric_phase - target, 2.0 * math.pi)) < 1e-4
 
 
 def test_eigh_stops_when_ql_does_not_converge():
@@ -339,7 +374,7 @@ def test_nonfinite_or_negative_mass_rejected(mass):
     with pytest.raises(ValueError, match="mass must be finite and positive"):
         propagate(Schedule(RECT, 10.0, 200), 0, 1j, 4, mass=mass)
     with pytest.raises(ValueError, match="mass must be finite and positive"):
-        generator(mode_window(1j, 2), 0.0, 0.0, mass=mass)
+        generator(_states(1j, 2), 0.0, 0.0, mass=mass)
 
 
 def test_schedule_validation():

@@ -11,7 +11,7 @@ import pytest
 
 from array_rules import GridFunction, commutator_defect, curvature_flux, oscillatory_rule, panel_rule, reference_rule
 import berrybox.berry
-from berrybox.adiabatic import mode_window, weak_form_matrix
+from berrybox.adiabatic import mode_window
 from berrybox.berry import (
     MeshTooCoarseError,
     _chain_phase,
@@ -36,6 +36,7 @@ from berrybox.closed_form import (
     degenerate_waves,
     loop_phase_analytic,
     mode,
+    weak_form,
     window_integral,
 )
 from berrybox.paths import ParameterPath, rectangle_loop
@@ -150,7 +151,7 @@ def test_time_reversal_invariant_eta_carries_exactly_zero(eta):
         assert connection_analytic(m)[1] == 0.0
         assert all(curvature(m, l) == 0.0 for l in (0.5, 1.0, 2.0))
         assert loop_phase_analytic(m, RECT) == 0.0
-    assert np.all(np.diag(weak_form_matrix(mode_window(eta, 2))[0]) == 0.0)
+    assert np.all(np.diag(weak_form(tuple(m.waves for m in mode_window(eta, 2)))[0]) == 0.0)
 
 
 def test_connection_interior_matches_closed_form():
@@ -437,15 +438,15 @@ _STATES += [pytest.param(functools.partial(_degenerate_states, 1, 3), id="degene
 
 @pytest.mark.parametrize("states", _STATES)
 def test_window_integral_matches_quadrature(states):
-    # Int x^j conj(psi_a) psi_b dx for every ordered pair of the states and
-    # their derivatives (the records of `PlaneWaves.derivative`): j = 0, 1
+    # Int conj(psi_a) psi_b dx for every ordered pair of the states and
+    # their derivatives (plane waves of amplitudes +-ik times the state's)
     # over windows between two boxes, nearly equal ones among them, by
-    # dilation covariance (x = ca + la u: W_0 and ca W_0 + la W_1 of the
-    # unit-box call at (lb/la, (cb - ca)/la)), and j = 0, 1 over windows of
-    # the unit box
+    # dilation covariance (the unit-box call at (lb/la, (cb - ca)/la)), and
+    # over windows of the unit box
     built = states()
     kinds = [(psi, lambda u, f=f: f(u)[0]) for psi, f in built]
-    kinds += [(psi.derivative(), lambda u, f=f: f(u)[1]) for psi, f in built]
+    kinds += [(PlaneWaves(psi.k, 1j * psi.k * psi.plus, -1j * psi.k * psi.minus), lambda u, f=f: f(u)[1])
+              for psi, f in built]
     rng = np.random.default_rng(2026)
     boxes = [((1.0, 0.0), (1.0, 0.0))]
     for i in range(4):
@@ -459,17 +460,13 @@ def test_window_integral_matches_quadrature(states):
             for (la, ca), (lb, cb) in boxes:
                 lo, hi = max(ca - 0.5 * la, cb - 0.5 * lb), min(ca + 0.5 * la, cb + 0.5 * lb)
                 x, w = oscillatory_rule(lo, hi, abs(a.k) / la + abs(b.k) / lb)
-                ref = [np.sum(w * x ** j * np.conj(fa((x - ca) / la)) * fb((x - cb) / lb)) / np.sqrt(la * lb)
-                       for j in (0, 1)]
-                w_0, w_1 = (window_integral(a, b, (lo - ca) / la, (hi - ca) / la, j, lb / la, (cb - ca) / la)
-                            for j in (0, 1))
-                assert abs(w_0 - ref[0]) <= scale, (la, ca, lb, cb)
-                assert abs(ca * w_0 + la * w_1 - ref[1]) <= scale * max(abs(lo), abs(hi), 1.0), (la, ca, lb, cb)
+                ref = np.sum(w * np.conj(fa((x - ca) / la)) * fb((x - cb) / lb)) / np.sqrt(la * lb)
+                got = window_integral(a, b, (lo - ca) / la, (hi - ca) / la, lb / la, (cb - ca) / la)
+                assert abs(got - ref) <= scale, (la, ca, lb, cb)
             for lo, hi in ((-0.5, 0.5), (-0.3, 0.45)):
                 x, w = oscillatory_rule(lo, hi, abs(a.k) + abs(b.k))
-                for j in (0, 1):
-                    ref = np.sum(w * x ** j * np.conj(fa(x)) * fb(x))
-                    assert abs(window_integral(a, b, lo, hi, j) - ref) <= scale, (lo, hi, j)
+                ref = np.sum(w * np.conj(fa(x)) * fb(x))
+                assert abs(window_integral(a, b, lo, hi) - ref) <= scale, (lo, hi)
 
 
 def _interior_quotients(m, g, h):

@@ -4,6 +4,7 @@ import argparse
 import json
 import math
 import pathlib
+import random
 import re
 import shlex
 import subprocess
@@ -58,6 +59,21 @@ def test_bc_unitary_roundtrip(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["classification"] == "periodic"
     assert doc["eta"].startswith("1.00000000e+00")
+
+
+def test_bc_printed_unitary_reruns_to_the_same_document(tmp_path):
+    # the unitary was printed at 9 digits, off by up to 5e-9 against the 1e-9
+    # unitarity and classification checks: passed back as --unitary, 21 of
+    # these 400 eta exited 2 ("matrix is not unitary"), and 146 more reran to
+    # another document, an eta a digit away
+    rng = random.Random(2015)
+    first, again = tmp_path / "first.json", tmp_path / "again.json"
+    for _ in range(400):
+        eta = f"{rng.uniform(-3.0, 3.0):.4f}{rng.uniform(-3.0, 3.0):+.4f}i"
+        assert run("bc", f"--eta={eta}", "--out", str(first)) == 0
+        doc = json.loads(first.read_text())
+        assert run("bc", "--unitary", json.dumps(doc["unitary"]), "--out", str(again)) == 0, eta
+        assert json.loads(again.read_text()) == doc, eta
 
 
 def test_bc_invalid_inputs():
@@ -645,9 +661,11 @@ def test_adiabatic_at_the_ends_of_the_float_range(tmp_path, flag, value):
     pytest.param(["adiabatic", "--loop-rect", "1e200", "2e200", "0", "1", "--T-list", "1"], 2,
                  "the loop side (l, c) = (1e+200, 0.0) -> (2e+200, 0.0) leaves the float range",
                  id="adiabatic-l-1e200"),
-    # kappa = 2.2e307 is finite, but QL met inf within the generator (ArithmeticError, exit 1)
-    pytest.param(["adiabatic", "--loop-rect", "5e153", "6e153", "0", "1", "--T-list", "1"], 2,
-                 "loop side 1 in traversal order moves too fast for the float range", id="adiabatic-l-5e153"),
+    # kappa = 2.2e307 is finite, but QL met inf within the generator (ArithmeticError, exit 1, then
+    # exit 2); the generator is now built at a power-of-two scale near 1, so the side runs, and the
+    # loop encloses the phase k (1/l1 - 1/l2)(c2 - c1) sin(alpha) = 5e-155, none in floats
+    pytest.param(["adiabatic", "--loop-rect", "5e153", "6e153", "0", "1", "--T-list", "1"], 0, "",
+                 id="adiabatic-l-5e153"),
 ])
 def test_extreme_loop_sides_exit_0_or_2_with_a_message(tmp_path, capsys, argv, code, message):
     out = tmp_path / "o.csv"
@@ -657,9 +675,13 @@ def test_extreme_loop_sides_exit_0_or_2_with_a_message(tmp_path, capsys, argv, c
     if code:
         assert err.startswith("berrybox: ") and message in err and err.count("\n") == 1, err
         assert list(tmp_path.iterdir()) == []
-    else:
+    elif argv[0] == "berry":
         assert err == ""
         assert read_csv(out)[1] == [["analytic", "", "", "", "1.57079633e+300", ""]]
+    else:
+        assert err == ""
+        [(_, _, _, geometric, fidelity, warn)] = read_csv(out)[1]
+        assert abs(float(geometric)) < 1e-12 and float(fidelity) > 0.9999 and warn == "0"
 
 
 # ---------------------------------------------------------------------------

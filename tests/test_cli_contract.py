@@ -110,8 +110,10 @@ def _check_contract(argv, directory):
 
 
 # each of these broke the contract: an OverflowError squaring |eta| (exit 1),
-# a ZeroDivisionError where h/(1 + |k|) or T/sides underflowed (exit 1), and
-# a bare "math domain error" from an infinite angle or phase (exit 2)
+# a ZeroDivisionError where h/(1 + |k|) or T/sides underflowed (exit 1), a
+# bare "math domain error" from an infinite angle or phase (exit 2), and a
+# slow side whose generator entries all sat near the smallest normal float,
+# where QL did not converge (exit 2, "moves too fast")
 _FOUND = [
     pytest.param(["bc", "--eta=1e300+1e300i"], 0, id="bc-eta-1e300"),
     pytest.param(["spectrum", "--eta=1e300+1e300i", "--check", "generic"], 0, id="spectrum-generic-eta-1e300"),
@@ -120,6 +122,7 @@ _FOUND = [
                  id="wz-infinite-angle"),
     pytest.param(["adiabatic", "--T-list=5e-324", "--window=2"], 2, id="adiabatic-T-subnormal"),
     pytest.param(["adiabatic", "--T-list=1.7e308", "--window=2"], 2, id="adiabatic-T-huge"),
+    pytest.param(["adiabatic", "--mass", "1e300", "--T-list", "1.7e308"], 0, id="adiabatic-mass-1e300-T-huge"),
 ]
 
 
