@@ -22,8 +22,8 @@ polyline, so the overlaps, the interior windows and the mollified
 embedding's norm are one closed form (`closed_form.window_integral`), and
 the embedding's interior connection is the diagonal of another, the weak
 forms of x o p and p (`closed_form.weak_form`) that the propagator reads;
-Gauss quadrature serves only the embedding's two wall strips.  Everything
-runs on the standard library, one box at a time.
+one Gauss rule (`_strip_rule`) serves only the embedding's two wall
+strips.  Everything runs on the standard library, one box at a time.
 The boundary conditions are dilation invariant, so every state is
 l^-1/2 phi((x - c)/l), the unit box is the one frame, and a prescription whose
 regulator scales with the box (the interior step, the cutoff width) gives a
@@ -42,12 +42,12 @@ gives Phi = k (1/l1 - 1/l2)(c2 - c1) sin(alpha).
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import sys
 
 from .closed_form import Mode, require_length, weak_form, window_integral
 from .paths import ParameterPath, log_ratio
-from .quadrature import panel_nodes
 
 __all__ = [
     "MeshTooCoarseError",
@@ -86,6 +86,40 @@ def standard_mollifier():
         return up / (up + down + 1e-300)
 
     return rho
+
+
+@functools.lru_cache(maxsize=None)
+def _strip_rule():
+    """The 16-point Gauss-Legendre rule on 12 equal panels of [0, 1], as
+    (node, weight) pairs of floats with increasing nodes, built once.
+
+    Each positive root on [-1, 1] is Newton's method on the Legendre
+    recurrence from cos(pi (i + 3/4)/16.5), run one step past a 1e-10
+    correction (convergence is quadratic), and its weight is
+    2/((1 - x^2) P'(x)^2); the rule is mirrored about 0.
+    """
+
+    def legendre(x):  # P_16(x) and P_16'(x) by the three-term recurrence
+        p, prev = x, 1.0
+        for j in range(1, 16):
+            p, prev = ((2 * j + 1) * x * p - j * prev) / (j + 1), p
+        return p, 16 * (x * p - prev) / ((x - 1.0) * (x + 1.0))
+
+    half = []
+    for i in range(8):
+        x, dx = math.cos(math.pi * (i + 0.75) / 16.5), 1.0
+        for _ in range(100):
+            p, dp = legendre(x)
+            x -= p / dp
+            if abs(dx) <= 1e-10:
+                break
+            dx = p / dp
+        dp = legendre(x)[1]
+        half.append((x, 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)))
+    rule = [(-x, w) for x, w in half] + half[::-1]
+    edges = [i * (1 / 12) for i in range(12)] + [1.0]
+    return tuple((0.5 * (lo + hi) + 0.5 * (hi - lo) * x, 0.5 * (hi - lo) * w)
+                 for lo, hi in zip(edges, edges[1:]) for x, w in rule)
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +187,7 @@ def connection_mollified(m: Mode, eps: float):
     # integrate to minus the diagonals of x o p and p
     p, xp = weak_form((psi,))
     norm2, f_l, f_c = window_integral(psi, psi, -0.5, 0.5).real, -xp[0][0].real, -p[0][0].real
-    for t, w in panel_nodes(0.0, 1.0, 12):  # t = (|u| - 1/2)/eps across either strip
+    for t, w in _strip_rule():  # t = (|u| - 1/2)/eps across either strip
         weight = eps * w * rho(t) ** 2
         for u in (-0.5 - eps * t, 0.5 + eps * t):
             val, d_du = psi.at(u)

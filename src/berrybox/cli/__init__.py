@@ -41,8 +41,7 @@ _LOOP_POLY_KEYS = {"type", "points", "orientation"}
 _DEFAULTS = {
     "bc": {"eta": "0+1i", "unitary": None},
     "spectrum": {"eta": "0+1i", "mass": 1.0, "n": 0, "l": 1.0, "method": "all"},
-    "berry": {"eta": "0+1i", "n": 0, "loop": _LOOP, "method": "all", "mesh": 256,
-              "eps_list": [0.2, 0.1, 0.05, 0.025], "h": None},
+    "berry": {"eta": "0+1i", "n": 0, "loop": _LOOP, "method": "all", "mesh": 256},
     "wz": {"eta": "-1", "n": 0, "loop": _LOOP, "mesh": 256},
     "adiabatic": {"eta": "0+1i", "mass": 1.0, "n": 0, "loop": _LOOP,
                   "T_list": [25.0, 50.0, 100.0, 200.0], "window": 8, "resolution": 4000},
@@ -113,8 +112,6 @@ _VALUE_TYPES = {
              "an object with 'type' rectangle or polyline"),
     "method": (lambda v: isinstance(v, str), "a string"),
     "mesh": (_integer, "an integer"),
-    "eps_list": (_numbers, "a list of numbers"),
-    "h": (lambda v: v is None or _number(v), "a number or null"),
     "T_list": (_numbers, "a list of numbers"),
     "window": (_integer, "an integer"),
     "resolution": (_integer, "an integer"),

@@ -6,8 +6,8 @@ import math
 import sys
 
 from ..boundary import as_eta
-from . import (EXIT_MISMATCH, EXIT_OK, UsageError, _add_loop, _csv, _float_list, _fmt, _linspace, _loop, _resolve,
-               _round9, _write_output, _write_resolved_config)
+from . import (EXIT_MISMATCH, EXIT_OK, UsageError, _add_loop, _csv, _fmt, _linspace, _loop, _resolve, _round9,
+               _write_output, _write_resolved_config)
 
 _BERRY_METHODS = ("analytic", "interior", "mollified", "overlap")
 
@@ -23,8 +23,13 @@ def add_arguments(sp):
     what.add_argument("--curvature-map", dest="method", action="store_const", const="curvature-map",
                       help="sample f_lc over the loop bounding box")
     sp.add_argument("--mesh", type=int)
-    sp.add_argument("--eps-list", type=_float_list)
-    sp.add_argument("--h", type=float, help="interior finite-difference step, relative to l/(1+|k|)")
+
+
+# each prescription's regulator samples, which `refine` takes to 0: the interior
+# steps relative to l/(1 + |k|), the library's default scale, and the mollifier
+# widths relative to l, three or more at one ratio so that the order is fitted
+_INTERIOR_STEPS = (1e-4, 5e-5)
+_MOLLIFIER_WIDTHS = (0.2, 0.1, 0.05, 0.025)
 
 
 def _berry_phase_rows(m, path, methods, cfg):
@@ -45,23 +50,20 @@ def _berry_phase_rows(m, path, methods, cfg):
     if "interior" in methods:
         from ..berry import connection_interior, refine
 
-        # the step is relative to l / (1 + |k|), the library's default scale
-        h0 = cfg["h"] if cfg["h"] is not None else 1e-4
-        steps = [h0, h0 / 2.0]
-        phases = [-connection_interior(m, h)[1] * dc_over_l for h in steps]
-        errs = refine(steps, phases, 2)[2]
-        rows.extend(("interior", "", "", _fmt(h), _fmt(p), _fmt(e)) for h, p, e in zip(steps, phases, errs))
+        phases = [-connection_interior(m, h)[1] * dc_over_l for h in _INTERIOR_STEPS]
+        errs = refine(_INTERIOR_STEPS, phases, 2)[2]
+        rows.extend(("interior", "", "", _fmt(h), _fmt(p), _fmt(e)) for h, p, e in zip(_INTERIOR_STEPS, phases, errs))
         finals["interior"] = phases[-1]
     if "mollified" in methods:
         from ..berry import connection_mollified, refine
 
-        eps_list = [float(e) for e in cfg["eps_list"]]
-        phases = [-connection_mollified(m, eps)[1] * dc_over_l for eps in eps_list]
-        limit, _, errs, _ = refine(eps_list, phases, 1)
-        rows.extend(("mollified", "", _fmt(eps), "", _fmt(p), _fmt(e)) for eps, p, e in zip(eps_list, phases, errs))
+        phases = [-connection_mollified(m, eps)[1] * dc_over_l for eps in _MOLLIFIER_WIDTHS]
+        limit, _, errs, _ = refine(_MOLLIFIER_WIDTHS, phases, 1)
+        rows.extend(("mollified", "", _fmt(eps), "", _fmt(p), _fmt(e))
+                    for eps, p, e in zip(_MOLLIFIER_WIDTHS, phases, errs))
         rows.append(("mollified", "", _fmt(0.0), "", _fmt(limit), _fmt(errs[-1])))
         finals["mollified"] = limit
-        curves["mollified"] = ([1.0 / e for e in eps_list], phases)
+        curves["mollified"] = ([1.0 / e for e in _MOLLIFIER_WIDTHS], phases)
     if "overlap" in methods:
         from ..berry import loop_phase_overlap_meshes, overlap_order, refine
 
@@ -111,20 +113,6 @@ def run(args) -> int:
         _write_resolved_config(args.out, cfg)
         return EXIT_OK
 
-    eps = cfg["eps_list"]
-    # the fitted order needs three widths; one ratio keeps the sweep geometric
-    if "mollified" in methods and not (len(eps) >= 3 and all(0 < e < math.inf for e in eps) and eps[1] < eps[0]
-                                       and all(abs(b / a - eps[1] / eps[0]) <= 1e-8 for a, b in zip(eps, eps[1:]))):
-        raise UsageError(f"eps_list must hold at least three finite positive widths that decrease at a constant "
-                         f"ratio, not {eps}")
-    if "interior" in methods and cfg["h"] is not None:
-        from ..berry import require_interior_step
-
-        try:  # exit 2 before any output
-            require_interior_step(m, cfg["h"])
-            require_interior_step(m, cfg["h"] / 2.0)
-        except ValueError as exc:
-            raise UsageError(f"--h {cfg['h']}: the interior rows step at h and h/2, and {exc}") from None
     rows, finals, analytic, curves = _berry_phase_rows(m, path, methods, cfg)
     _write_output(args.out, _csv("method,mesh,eps,h,phase,err_est", rows))
     _write_resolved_config(args.out, cfg)

@@ -1,7 +1,6 @@
 """Numpy quadrature rules, sampled functions and the dilation-commutator
 check, which the tests use as independent references for the package's
-closed forms and its standard-library rules (`berrybox.quadrature`'s
-`gauss_legendre` and `panel_nodes`)."""
+closed forms and its standard-library wall-strip rule (`berry._strip_rule`)."""
 
 import functools
 import math
@@ -9,13 +8,16 @@ import math
 import numpy as np
 
 from berrybox.closed_form import curvature
-from berrybox.quadrature import ORDER, gauss_legendre
+
+# the Gauss-Legendre order of every panel
+ORDER = 16
 
 
 @functools.lru_cache(maxsize=None)
 def reference_rule(order: int):
-    """`gauss_legendre` as read-only numpy arrays, shared between callers."""
-    nodes, weights = (np.array(v) for v in gauss_legendre(order))
+    """numpy's Gauss-Legendre rule on [-1, 1] (`leggauss`) as read-only
+    arrays, shared between callers."""
+    nodes, weights = np.polynomial.legendre.leggauss(order)
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights

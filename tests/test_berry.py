@@ -27,7 +27,7 @@ from berrybox.berry import (
     state_overlap,
 )
 from berrybox.boundary import ETA_INF, eta_to_unitary
-from berrybox.cli.berry import _berry_phase_rows
+from berrybox.cli.berry import _MOLLIFIER_WIDTHS, _berry_phase_rows
 from berrybox.closed_form import (
     PlaneWaves,
     connection_analytic,
@@ -98,9 +98,10 @@ def _loop_phase(f, path):
     return -f[1] * path.dc_over_l()
 
 
-def _mollified_sweep(m, path, eps_list):
-    """The unrounded phases of `berry`'s mollified rows, one per width."""
-    return _berry_phase_rows(m, path, ["mollified"], {"eps_list": eps_list})[3]["mollified"][1]
+def _mollified_sweep(m, path):
+    """The unrounded phases of `berry`'s mollified rows, one per width of
+    `_MOLLIFIER_WIDTHS`."""
+    return _berry_phase_rows(m, path, ["mollified"], {})[3]["mollified"][1]
 
 
 # ---------------------------------------------------------------------------
@@ -643,8 +644,7 @@ def test_err_est_bounds_every_refining_row_or_is_inf(monkeypatch):
         m = mode(int(rng.integers(-10, 11)), eta)
         mesh = int(round(48 * (4096 / 48) ** rng.random()))
         path = _drawn_loop(rng, m, size=mesh / ((1.0 + abs(m.k)) * 10 ** rng.uniform(0.5, 2.5)))
-        cfg = {"h": None, "eps_list": [0.2, 0.1, 0.05, 0.025], "mesh": mesh}
-        rows, _, exact, _ = _berry_phase_rows(m, path, ["interior", "mollified", "overlap"], cfg)
+        rows, _, exact, _ = _berry_phase_rows(m, path, ["interior", "mollified", "overlap"], {"mesh": mesh})
         for method, _, _, _, phase, err_est in rows:
             assert _circle(phase - exact) <= err_est, (method, m, path, mesh, phase, exact, err_est)
             finite[method].append(err_est < math.inf)
@@ -689,6 +689,15 @@ def test_interior_step_bound_is_relative():
             connection_interior(m, h)
     assert require_interior_step(m, 0.64) == 0.64
     assert _loop_phase(connection_interior(m, 0.64), RECT) == pytest.approx(np.pi / 4.0, abs=0.1)
+
+
+def test_interior_step_that_underflows_is_refused():
+    # `berry --h=5e-324` used to raise ZeroDivisionError (exit 1): the step
+    # h/(1 + |k|) underflowed to 0 at the unit box.  The CLI's steps are fixed
+    # now; the library still refuses such a step before any integral
+    for m in (mode(0, 1j), mode(7, 0.3 + 0.6j)):
+        with pytest.raises(ValueError, match=r"\bh must\b.*underflow"):
+            connection_interior(m, 5e-324)
 
 
 def _side_samples(path, n):
@@ -846,11 +855,10 @@ def test_mollified_sweep_integrates_once_per_width(monkeypatch):
     for n, eta in ((0, 1j), (7, 0.3 + 0.6j)):
         m = mode(n, eta)
         for path in (RECT, ParameterPath([(1.0, 0.0), (1.3, 0.05), (1.2, 0.3), (1.1, 0.2)])):
-            for eps in ([0.2, 0.1, 0.05], [0.2, 0.1, 0.05, 0.025]):
-                nodes.clear()
-                _mollified_sweep(m, path, eps)
-                assert len(nodes) == 2 * 12 * 16 * len(eps), (m, path)
-                assert all(abs(u) >= 0.5 for u in nodes)
+            nodes.clear()
+            _mollified_sweep(m, path)
+            assert len(nodes) == 2 * 12 * 16 * len(_MOLLIFIER_WIDTHS), (m, path)
+            assert all(abs(u) >= 0.5 for u in nodes)
 
 
 def test_mollified_work_does_not_grow_with_the_level(monkeypatch):
@@ -871,11 +879,15 @@ def test_loop_phase_mollified_sweep_matches_single_widths():
     for j in range(5):
         m = _drawn_mode(rng, j, 12)
         path = _drawn_loop(rng, m)
-        # the widths `berry` takes: at least three, at a constant ratio
+        # `berry`'s widths, and drawn ones: three at a constant ratio
         ratio = rng.uniform(0.3, 0.7)
-        eps_list = [0.2, 0.1, 0.05, 0.025] if j % 2 else list(rng.uniform(0.1, 0.3) * ratio ** np.arange(3))
-        phases = _mollified_sweep(m, path, eps_list)
-        assert phases == [_loop_phase(connection_mollified(m, e), path) for e in eps_list]
+        if j % 2:
+            eps_list = _MOLLIFIER_WIDTHS
+            phases = _mollified_sweep(m, path)
+            assert phases == [_loop_phase(connection_mollified(m, e), path) for e in eps_list]
+        else:
+            eps_list = list(rng.uniform(0.1, 0.3) * ratio ** np.arange(3))
+            phases = [_loop_phase(connection_mollified(m, e), path) for e in eps_list]
         # the box-coordinate integrals, taken once for every width, are the embedding's own
         for e, phase in zip(eps_list, phases):
             reference = _loop_integral(path, _over_l(_mollified_in_x(m, UNIT, e)))
@@ -969,7 +981,7 @@ def test_too_coarse_mesh_raises_on_the_first_coarse_chain():
 
 
 def _four_phases(m, path, mesh=256):
-    limit = refine([0.2, 0.1, 0.05, 0.025], _mollified_sweep(m, path, [0.2, 0.1, 0.05, 0.025]), 1)[0]
+    limit = refine(_MOLLIFIER_WIDTHS, _mollified_sweep(m, path), 1)[0]
     return {"analytic": loop_phase_analytic(m, path), "interior": _loop_phase(connection_interior(m, 1e-4), path),
             "mollified": limit, "overlap": loop_phase_overlap_meshes(m, path, [mesh])[0]}
 
@@ -1041,10 +1053,10 @@ def test_method_all_phases_are_pinned(case):
         path = rectangle_loop(loop["l1"], loop["l2"], loop["c1"], loop["c2"], loop["orientation"])
     else:
         path = ParameterPath(loop["points"], orientation=loop["orientation"])
-    eps = [0.2, 0.1, 0.05, 0.025]
-    mollified = _mollified_sweep(m, path, eps)
+    mollified = _mollified_sweep(m, path)
     phases = ([loop_phase_analytic(m, path)] + [_loop_phase(connection_interior(m, h), path) for h in (1e-4, 5e-5)]
-              + mollified + [refine(eps, mollified, 1)[0]] + loop_phase_overlap_meshes(m, path, [64, 128, 256]))
+              + mollified + [refine(_MOLLIFIER_WIDTHS, mollified, 1)[0]]
+              + loop_phase_overlap_meshes(m, path, [64, 128, 256]))
     assert len(phases) == len(case["phases"])
     for j, (phase, pinned) in enumerate(zip(phases, case["phases"])):
         assert abs(math.remainder(phase - pinned, 2.0 * math.pi)) <= 1e-13, (j, phase, pinned)

@@ -24,7 +24,6 @@ import berrybox.closed_form
 import berrybox.svgplot
 from berrybox.adiabatic import Schedule
 from berrybox.paths import rectangle_loop
-from berrybox.quadrature import gauss_legendre
 from berrybox.cli import main
 
 
@@ -146,12 +145,10 @@ def test_spectrum_generic_check_catches_a_wrong_wavenumber(tmp_path, monkeypatch
 def test_spectrum_generic_check_builds_no_quadrature_grid(tmp_path, monkeypatch):
     # the CLI reads only each level's lambda, so a thousand levels cost no
     # quadrature grid
-    import berrybox.quadrature
-
     def refuse(*args, **kwargs):
         raise AssertionError("a quadrature grid was built")
 
-    monkeypatch.setattr(berrybox.quadrature, "panel_nodes", refuse)
+    monkeypatch.setattr(berrybox.berry, "_strip_rule", refuse)
     out = tmp_path / "spec.csv"
     assert run("spectrum", "--eta", "0.3+0.6i", "--n-min", "-500", "--n-max", "500", "--check", "generic",
                "--out", str(out)) == 0
@@ -204,18 +201,19 @@ def test_berry_all_methods_agree(tmp_path):
 
 
 def test_berry_mollified_row_without_positive_order(tmp_path, monkeypatch):
-    # growing differences: the eps = 0 row reports the last sample, and its
-    # err_est inf, the sweep has not converged (it read the last step, 2)
+    # growing differences over the last three widths: the eps = 0 row reports
+    # the last sample, and its err_est inf, the sweep has not converged (it
+    # read the last step, 2)
     # differences alternating in sign: the same (it read the last step, 0.5,
     # and before that 0 at order 8)
     # each width's phase is -F_c times the default loop's integral of dc/l, -1/2
     out = tmp_path / "berry.csv"
     dc_over_l = rectangle_loop(1.0, 2.0, 0.0, 1.0).dc_over_l()
-    for phases, row in (([0.0, 1.0, 3.0], ["", "3.00000000e+00", "inf"]),
-                        ([0.0, 1.0, 0.5], ["", "5.00000000e-01", "inf"])):
+    for phases, row in (([0.0, 0.0, 1.0, 3.0], ["", "3.00000000e+00", "inf"]),
+                        ([0.0, 0.0, 1.0, 0.5], ["", "5.00000000e-01", "inf"])):
         f_c = iter([-phase / dc_over_l for phase in phases])
         monkeypatch.setattr(berrybox.berry, "connection_mollified", lambda m, eps: (0.0, next(f_c)))
-        assert run("berry", "--method", "mollified", "--eps-list", "0.4,0.2,0.1", "--out", str(out)) == 0
+        assert run("berry", "--method", "mollified", "--out", str(out)) == 0
         assert read_csv(out)[1][-1][3:] == row
 
 
@@ -477,19 +475,20 @@ def test_berry_plot_draws_the_csv_digits(tmp_path, monkeypatch):
 
 
 def test_berry_builds_each_gauss_rule_once(tmp_path, monkeypatch):
-    # on the standard library: numpy's leggauss is never called
+    # on the standard library: numpy's leggauss is never called, and the one
+    # wall-strip rule is built once per process and read at every width
     def refused(order):
         raise AssertionError("berry called numpy's leggauss")
 
     monkeypatch.setattr(np.polynomial.legendre, "leggauss", refused)
-    gauss_legendre.cache_clear()
+    berrybox.berry._strip_rule.cache_clear()
     try:
         assert run("berry", "--method", "all", "--mesh", "64", "--out", str(tmp_path / "b.csv"),
                    "--plot", str(tmp_path / "b.svg")) == 0
-        info = gauss_legendre.cache_info()
+        info = berrybox.berry._strip_rule.cache_info()
     finally:
-        gauss_legendre.cache_clear()
-    assert info.misses == info.currsize == 1 and info.hits > 0
+        berrybox.berry._strip_rule.cache_clear()
+    assert info.misses == info.currsize == 1 and info.hits == 3
 
 
 # ---------------------------------------------------------------------------
@@ -709,7 +708,7 @@ _UNITARY = ("[[[0.18242147301324535, 0.0], [-0.5891470865466554, 0.7871646057828
                  {"mass": 1.3, "l": 1.7, "n": [-1, 2]}, id="spectrum"),
     pytest.param(("berry", "--eta", "0.3+0.6i", "--n", "1", "--loop-rect", "1", "1.3", "0", "0.2",
                   "--orientation", "-1", "--method", "analytic,overlap", "--mesh", "32"),
-                 {"eta", "n", "loop", "method", "mesh", "eps_list", "h"},
+                 {"eta", "n", "loop", "method", "mesh"},
                  {"loop": {"type": "rectangle", "l1": 1.0, "l2": 1.3, "c1": 0.0, "c2": 0.2, "orientation": -1}},
                  id="berry"),
     pytest.param(("wz", "--eta", "-1", "--n", "0", "--loop-rect", "1", "2", "0", "1", "--mesh", "32"),
@@ -837,13 +836,19 @@ _NONFINITE_LOOPS = [
     pytest.param(["berry", "--curvature-map", "--mesh", "0"], None, id="berry-map-mesh-zero"),
     pytest.param(["berry"], {"mesh": -1}, id="berry-config-mesh-negative"),
     *_NONFINITE_LOOPS,
-    # a non-finite traversal time used to print a row of nan and -inf, and
-    # a bad eps list to fail only after every width had been computed
+    # a non-finite traversal time used to print a row of nan and -inf
     pytest.param(["adiabatic", "--T-list", "inf", "--window", "1", "--resolution", "100"], None, id="adiabatic-T-inf"),
     pytest.param(["adiabatic", "--T-list", "nan", "--window", "1", "--resolution", "100"], None, id="adiabatic-T-nan"),
+    # a bad eps list used to fail only after every width had been computed, an
+    # --h above the bound after the analytic row was written; the widths and
+    # steps are fixed now, and --eps-list, --h and their keys exit 2 as unknown
     pytest.param(["berry", "--method", "mollified", "--eps-list", "0.2,0.1,0.05,inf"], None, id="berry-eps-inf"),
     pytest.param(["berry", "--method", "mollified", "--eps-list", "0.2,0.1"], None, id="berry-eps-two"),
     pytest.param(["berry", "--method", "mollified", "--eps-list", "0.2,0.1,0.04"], None, id="berry-eps-ratio"),
+    pytest.param(["berry", "--method", "analytic,interior", "--h", "1"], None, id="berry-h-above-bound"),
+    pytest.param(["berry", "--method", "interior", "--h", "0"], None, id="berry-h-zero"),
+    pytest.param(["berry", "--method", "interior"], {"h": -1e-4}, id="berry-config-h-negative"),
+    pytest.param(["berry", "--method", "interior", "--h", "nan"], None, id="berry-h-nan"),
     # a mass of 0 used to raise ZeroDivisionError in the degenerate table
     # (exit 1), a negative one to print negative levels, an infinite one
     # to print lambda = 0
@@ -861,12 +866,6 @@ _NONFINITE_LOOPS = [
     pytest.param(["berry", "--method", "analytic,overlap", "--mesh", "16", "--tol", "nan"], None, id="berry-tol-nan"),
     pytest.param(["berry", "--method", "analytic,overlap", "--mesh", "16", "--tol", "-1"], None, id="berry-tol-negative"),
     pytest.param(["berry", "--method", "analytic", "--tol", "inf"], None, id="berry-tol-inf"),
-    # --h 1 at n = 0, eta = i used to write the analytic row first and then
-    # fail on a bound in absolute units; the relative bound is (1 + |k|)/4
-    pytest.param(["berry", "--method", "analytic,interior", "--h", "1"], None, id="berry-h-above-bound"),
-    pytest.param(["berry", "--method", "interior", "--h", "0"], None, id="berry-h-zero"),
-    pytest.param(["berry", "--method", "interior"], {"h": -1e-4}, id="berry-config-h-negative"),
-    pytest.param(["berry", "--method", "interior", "--h", "nan"], None, id="berry-h-nan"),
     # a 160-digit --n-max raised OverflowError building the level range;
     # a range is bounded at a million levels, checked before any work
     pytest.param(["spectrum", "--n-max", str(10 ** 160)], None, id="spectrum-n-max-160-digits"),
@@ -944,19 +943,30 @@ def test_negative_eta_parses_with_a_space(tmp_path, argv):
     assert json.loads((tmp_path / "space.config.json").read_text())["eta"] == argv[i + 1]
 
 
-def test_berry_h_bound_is_relative_and_checked_first(tmp_path, monkeypatch, capsys):
-    # --h is relative to l/(1 + |k|), so the interior's 0 < h < l/4 reads
-    # 0 < h < (1 + |k|)/4 in the user's units: 0.643 at n = 0, eta = i.  It
-    # used to be checked only after the analytic phase was computed, and the
-    # message named the absolute bound l/4
+def test_berry_regulator_options_and_keys_exit_2(tmp_path, monkeypatch, capsys):
+    # each prescription runs at its own fixed regulators: the interior steps
+    # 1e-4 and 5e-5 relative to l/(1 + |k|), the cutoff widths 0.2 down to
+    # 0.025 relative to l.  The options --h and --eps-list and the config keys
+    # h and eps_list of earlier versions exit 2 before any work or output, and
+    # the message names the option or the key
     counter = {}
     _count_calls(monkeypatch, berrybox.closed_form, "loop_phase_analytic", counter)
-    for h in ("0.65", "1"):
-        assert exit_code("berry", "--method", "all", "--h", h, "--out", str(tmp_path / "b.csv")) == 2
-        assert "0 < h < (1 + |k|)/4 = 0.643" in capsys.readouterr().err
-    assert counter == {} and list(tmp_path.iterdir()) == []
-    assert run("berry", "--method", "interior", "--h", "0.64", "--out", str(tmp_path / "b.csv")) == 0
-    assert [r[3] for r in read_csv(tmp_path / "b.csv")[1]] == ["6.40000000e-01", "3.20000000e-01"]
+    monkeypatch.chdir(tmp_path)
+    for argv, config, named in ((["--h", "1e-4"], None, "--h"),
+                                (["--eps-list", "0.2,0.1,0.05"], None, "--eps-list"),
+                                ([], {"h": 1e-4}, "'h'"),
+                                ([], {"eps_list": [0.2, 0.1, 0.05]}, "'eps_list'")):
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(config))
+            argv = argv + ["--config", "cfg.json"]
+        assert exit_code("berry", "--method", "all", *argv, "--out", "b.csv") == 2
+        assert named in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == (["cfg.json"] if config is not None else [])
+        (tmp_path / "cfg.json").unlink(missing_ok=True)
+    assert counter == {}
+    assert run("berry", "--method", "interior,mollified", "--out", "b.csv") == 0
+    assert [(r[2], r[3]) for r in read_csv(tmp_path / "b.csv")[1]] == [
+        ("", "1.00000000e-04"), ("", "5.00000000e-05"), *[(f"{e:.8e}", "") for e in (0.2, 0.1, 0.05, 0.025, 0.0)]]
 
 
 @pytest.mark.parametrize("loop", [None, _POLYGON, {**_POLYGON, "orientation": -1}],

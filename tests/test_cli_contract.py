@@ -35,7 +35,7 @@ _NAMES = {
     "--eta": ("eta",), "--unitary": ("unitary", "matrix"), "--n": ("n", "level", "wavenumber"),
     "--n-min": ("n", "level", "range"), "--n-max": ("n", "level", "range"), "--mass": ("mass",),
     "--l": ("l", "box length"), "--check": ("check",), "--method": ("method",), "--mesh": ("mesh",),
-    "--eps-list": ("eps_list", "eps"), "--h": ("h",), "--tol": ("tol",), "--loop-rect": ("loop", "side", "l", "box"),
+    "--tol": ("tol",), "--loop-rect": ("loop", "side", "l", "box"),
     "--orientation": ("orientation",), "--T-list": ("T", "T_list"), "--window": ("window",),
     "--resolution": ("resolution",), "--curvature-map": ("curvature map",),
 }
@@ -63,8 +63,7 @@ def _draw(rng):
     elif command == "berry":
         methods = ["all", "analytic", "interior", "mollified", "overlap", "analytic,overlap"]
         options = [["--eta", rng.choice(_ETAS)], ["--n", rng.choice(_INTS)], ["--mesh", rng.choice(_INTS)],
-                   ["--method", rng.choice(methods)],
-                   ["--eps-list", _float_list(rng)], ["--h", rng.choice(_FLOATS)], ["--tol", rng.choice(_FLOATS)],
+                   ["--method", rng.choice(methods)], ["--tol", rng.choice(_FLOATS)],
                    _loop(rng), ["--orientation", rng.choice(["1", "-1", "0"])], ["--curvature-map"]]
     elif command == "wz":
         options = [["--eta", rng.choice(_ETAS)], ["--n", rng.choice(_INTS)], ["--mesh", rng.choice(_INTS)],
@@ -110,14 +109,14 @@ def _check_contract(argv, directory):
 
 
 # each of these broke the contract: an OverflowError squaring |eta| (exit 1),
-# a ZeroDivisionError where h/(1 + |k|) or T/sides underflowed (exit 1), a
-# bare "math domain error" from an infinite angle or phase (exit 2), and a
-# slow side whose generator entries all sat near the smallest normal float,
-# where QL did not converge (exit 2, "moves too fast")
+# a ZeroDivisionError where T/sides underflowed (exit 1; berry's interior
+# step h/(1 + |k|) did too, which the library test of `connection_interior`
+# now covers), a bare "math domain error" from an infinite angle or phase
+# (exit 2), and a slow side whose generator entries all sat near the smallest
+# normal float, where QL did not converge (exit 2, "moves too fast")
 _FOUND = [
     pytest.param(["bc", "--eta=1e300+1e300i"], 0, id="bc-eta-1e300"),
     pytest.param(["spectrum", "--eta=1e300+1e300i", "--check", "generic"], 0, id="spectrum-generic-eta-1e300"),
-    pytest.param(["berry", "--h=5e-324"], 2, id="berry-h-subnormal"),
     pytest.param(["wz", "--eta", "-1", "--n", "65", "--loop-rect", "1e308", "1e-9", "1.05", "1e308"], 2,
                  id="wz-infinite-angle"),
     pytest.param(["adiabatic", "--T-list=5e-324", "--window=2"], 2, id="adiabatic-T-subnormal"),
@@ -132,7 +131,7 @@ def test_found_commands_keep_the_contract(tmp_path, argv, code):
 
 
 def test_found_messages_name_their_input(tmp_path):
-    expected = {"berry": r"\bh must\b", "wz": r"level n = 65 on the loop", "adiabatic": r"\bT = "}
+    expected = {"wz": r"level n = 65 on the loop", "adiabatic": r"\bT = "}
     for param in _FOUND:
         argv, code = param.values
         if code == 2:

@@ -105,7 +105,7 @@ _BC_FAMILY = "[[[-0.6, 0], [0.48, 0.64]], [[0.48, -0.64], [0.6, 0]]]"
 
 _POLYLINE = {"loop": {"type": "polyline", "points": [[1, 0], [1.3, 0.05], [1.1, 0.2]], "orientation": -1}}
 _CLOSED_FORMS = _own("berry", "closed_form", "paths")
-_ORACLES = _own("berry", "closed_form", "paths", "quadrature", "berry")
+_ORACLES = _own("berry", "closed_form", "paths", "berry")
 
 
 @pytest.mark.parametrize("argv, config, own", [

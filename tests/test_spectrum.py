@@ -6,7 +6,6 @@ import pathlib
 
 import numpy as np
 import pytest
-from scipy.optimize import brentq
 
 from array_rules import GridFunction, oscillatory_rule
 from berrybox.berry import state_overlap
@@ -334,14 +333,23 @@ def test_generic_spectrum_periodic_degeneracy():
     assert f1.norm() == pytest.approx(1.0, abs=1e-10)
 
 
+def _bisect(f, lo, hi):
+    """The root of f on [lo, hi], where f changes sign, by bisection down to
+    adjacent floats."""
+    below = f(lo) < 0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (mid, hi) if (f(mid) < 0) == below else (lo, mid)
+    return mid
+
+
 def test_generic_spectrum_robin_bound_states():
     # attractive Robin walls psi' = -+5 psi at the left/right ends:
     # diagonal unitary exp(-2i arctan 5) I; independent scalar oracles for
     # the even/odd hyperbolic branches
     u = np.exp(-2j * np.arctan(5.0)) * np.eye(2)
     levels = generic_spectrum(u, count=2)
-    k_even = brentq(lambda k: k * np.tanh(k / 2.0) - 5.0, 1.0, 10.0)
-    k_odd = brentq(lambda k: k / np.tanh(k / 2.0) - 5.0, 1.0, 10.0)
+    k_even = _bisect(lambda k: k * math.tanh(k / 2.0) - 5.0, 1.0, 10.0)
+    k_odd = _bisect(lambda k: k / math.tanh(k / 2.0) - 5.0, 1.0, 10.0)
     expected = sorted([-k_even ** 2 / 2.0, -k_odd ** 2 / 2.0])
     for lv, ex in zip(levels, expected):
         assert lv.lam == pytest.approx(ex, rel=1e-9)

@@ -130,13 +130,17 @@ def test_plane_wave_diagonalization():
         assert abs(d2[0][1]) + abs(d2[1][0]) < 1e-12
 
 
-def test_closed_form_step_matches_matrix_exponential():
-    from scipy.linalg import expm
+def _expm_i_hermitian(h):
+    """exp(i h) of a Hermitian matrix h from its eigendecomposition."""
+    lam, v = np.linalg.eigh(h)
+    return (v * np.exp(1j * lam)) @ v.conj().T
 
+
+def test_closed_form_step_matches_matrix_exponential():
     rng = np.random.default_rng(20150)
     for theta in np.concatenate([[0.0, np.pi / 2, -np.pi], rng.uniform(-np.pi, np.pi, 200)]):
         step = berrybox.wilczek_zee.expm(theta)
-        assert np.max(np.abs(step - expm(1j * theta * SIGMA2))) < 1e-15
+        assert np.max(np.abs(step - _expm_i_hermitian(theta * SIGMA2))) < 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -290,3 +294,31 @@ def test_connection_check_memory_does_not_grow_with_the_level():
             assert np.max(np.abs(numeric.coeff_c - k * SIGMA2)) <= 1e-8, (eta, n)
             assert np.max(np.abs(numeric.coeff_l)) <= 1e-8, (eta, n)
         assert max(peaks.values()) <= peaks[1] + 4096, (eta, peaks)
+
+
+@pytest.mark.parametrize("eta", ["1", "-1"])
+def test_connection_check_holds_at_the_rounding_floor_of_k(tmp_path, eta):
+    # beyond |n| ~ 1.3e6 the recomputation rounds 1-2 ulps of k_n off, which
+    # is more than 1e-8: wz --eta +-1 --n 10000000 exited 3 on rounding alone.
+    # The gate is the wider of 1e-8 and 8 ulps of k_n
+    for n in (10 ** 7, 10 ** 8, 10 ** 9):
+        assert main(["wz", "--eta", eta, "--n", str(n), "--out", str(tmp_path / "wz.json")]) == 0, n
+        k = degenerate_wavenumber(int(eta), n)
+        assert np.max(np.abs(connection_from_basis(int(eta), n).coeff_c - k * SIGMA2)) <= 8 * math.ulp(k), n
+
+
+@pytest.mark.parametrize("n", [1, 100, 10 ** 6, 10 ** 8])
+def test_connection_off_by_a_relative_1e_7_exits_3(tmp_path, monkeypatch, n):
+    # the gate widens with k_n no further than its rounding floor: a
+    # recomputation scaled by 1 + 1e-7 still fails it, at low and high levels
+    real = berrybox.wilczek_zee.connection_from_basis
+
+    def scaled(eta, n):
+        conn = real(eta, n)
+        return berrybox.wilczek_zee.MatrixConnection(
+            coeff_l=conn.coeff_l, coeff_c=tuple(tuple(v * (1.0 + 1e-7) for v in row) for row in conn.coeff_c))
+
+    monkeypatch.setattr(berrybox.wilczek_zee, "connection_from_basis", scaled)
+    for eta in ("1", "-1"):
+        assert main(["wz", "--eta", eta, "--n", str(n), "--out", str(tmp_path / "wz.json")]) == 3, eta
+        assert not (tmp_path / "wz.json").exists()
