@@ -15,18 +15,22 @@ that dict, resolved, to <out>.config.json so the run can be reproduced from
 that file alone.  All subcommands take --config and --out; berry and
 adiabatic also take --plot, and berry takes --tol.  An option is spelt out
 in full: argparse's prefix abbreviations are off.
-Each subcommand's flags and handler are this package's module of its name
-(`berrybox.cli.bc`, ...), and a process imports only the one it runs.
+Each subcommand's flag table (`FLAGS`) and handler (`run`) are this
+package's module of its name (`berrybox.cli.bc`, ...), and a process imports
+only the one it runs.  `main` reads a valid command from that table alone,
+into the namespace argparse would return; argparse, built from the same
+tables by `berrybox.cli.argparser`, runs only for --help and for argv the
+table reading declines, so help, usage errors and exit codes are argparse's.
 Floating-point output is scientific with 9 significant digits, with no -0,
 so identical configurations produce byte-identical files.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import re
 import sys
+from types import SimpleNamespace
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -47,9 +51,9 @@ _DEFAULTS = {
                   "T_list": [25.0, 50.0, 100.0, 200.0], "window": 8, "resolution": 4000},
 }
 
-# each subcommand's summary, in the order --help lists them; its flags
-# (`add_arguments`) and its handler (`run`) live in this package's module of
-# the same name, which only a parser that holds the subcommand imports
+# each subcommand's summary, in the order --help lists them; its flag table
+# (`FLAGS`) and its handler (`run`) live in this package's module of the same
+# name, which only a process that runs or builds the subcommand imports
 _SUMMARIES = {
     "bc": "classify a boundary condition",
     "spectrum": "tabulate the spectrum",
@@ -150,7 +154,7 @@ def _resolve(args) -> dict:
             raise UsageError(f"cannot read config: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise UsageError(f"config is not valid JSON: {exc}") from exc
-    # flags default to argparse.SUPPRESS, so vars(args) holds only those given
+    # a flag without a table default is in vars(args) only when given
     cfg.update((key, value) for key, value in vars(args).items() if key in cfg)
     return cfg
 
@@ -217,48 +221,91 @@ def _linspace(lo, hi, num: int) -> list:
 # parser
 
 
-def _subcommand(sub, name: str, fn, summary: str):
-    """Subparser with --config and --out; a flag added without an explicit
-    default is absent from the parsed namespace unless given."""
-    sp = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS, allow_abbrev=False)
-    # a token that starts like a negative number ('-0.5+0.2i', '-1e-3') is a
-    # value, not an option: `--eta -0.5+0.2i` parses as `--eta=-0.5+0.2i` does
-    sp._negative_number_matcher = re.compile(r"-\.?\d")
-    sp.add_argument("--config", default=None, help="JSON config file holding only this subcommand's keys")
-    sp.add_argument("--out", default=None, help="output path (stdout when omitted)")
-    sp.set_defaults(fn=fn)
-    return sp
+# every subcommand's flags besides its own table's: each defaults to None, while
+# a flag of the table without a "default" is absent from the namespace unless given
+_COMMON_FLAGS = {
+    "--config": {"default": None, "help": "JSON config file holding only this subcommand's keys"},
+    "--out": {"default": None, "help": "output path (stdout when omitted)"},
+}
+
+# the loop flags of berry, wz and adiabatic
+_LOOP_FLAGS = {
+    "--loop-rect": {"nargs": 4, "type": float, "metavar": ("L1", "L2", "C1", "C2"),
+                    "help": "rectangle loop, counterclockwise unless --orientation -1"},
+    "--orientation": {"type": int, "choices": [1, -1], "help": "orientation of the loop, however given"},
+}
+
+# a token that starts like a negative number ('-0.5+0.2i', '-1e-3') is a value,
+# not an option: `--eta -0.5+0.2i` parses as `--eta=-0.5+0.2i` does
+_NEGATIVE_NUMBER = re.compile(r"-\.?\d")
 
 
-def _add_loop(sp):
-    sp.add_argument("--loop-rect", nargs=4, type=float, metavar=("L1", "L2", "C1", "C2"),
-                    help="rectangle loop, counterclockwise unless --orientation -1")
-    sp.add_argument("--orientation", type=int, choices=[1, -1], help="orientation of the loop, however given")
+def _parse(argv):
+    """The namespace argparse returns for argv, read from the subcommand's flag
+    table, or None where argparse may do anything else: print help, reject
+    argv, or read it by a rule this reading leaves out.  Each table entry holds
+    argparse's own keywords (`build_parser` passes them on), and "exclusive"
+    marks the subcommand's one mutually exclusive group."""
+    if not argv or argv[0] not in _SUMMARIES:
+        return None
+    # an import through __import__, unlike importlib's, shows in -X importtime
+    module = __import__(f"{__name__}.{argv[0]}", fromlist=["run"])
+    table = {**_COMMON_FLAGS, **module.FLAGS}
+    dests = {flag: spec.get("dest", flag[2:].replace("-", "_")) for flag, spec in table.items()}
+    ns = {"command": argv[0], "fn": module.run}
+    ns.update((dests[flag], spec["default"]) for flag, spec in table.items() if "default" in spec)
+    exclusive = set()
+    i = 1
+    while i < len(argv):
+        flag, eq, explicit = argv[i].partition("=")
+        spec = table.get(flag)
+        if spec is None:
+            return None
+        arity = 0 if spec.get("action") == "store_const" else spec.get("nargs", 1)
+        if eq:
+            values = [explicit]
+            if arity != 1:
+                return None
+        else:
+            values = argv[i + 1:i + 1 + arity]
+            # argparse takes '-' alone, and no other token that starts with '-', as a value
+            if len(values) < arity or any(v[:1] == "-" != v and not _NEGATIVE_NUMBER.match(v) for v in values):
+                return None
+            i += arity
+        i += 1
+        try:
+            values = [spec.get("type", str)(v) for v in values]
+        except (TypeError, ValueError):  # what argparse reports as an invalid value
+            return None
+        if "choices" in spec and any(v not in spec["choices"] for v in values):
+            return None
+        if spec.get("exclusive"):
+            exclusive.add(flag)
+            if len(exclusive) > 1:
+                return None
+        value = spec["const"] if arity == 0 else values if "nargs" in spec else values[0]
+        ns[dests[flag]] = value
+    return SimpleNamespace(**ns)
 
 
-def _float_list(text):
-    return [float(v) for v in text.split(",")]
+def build_parser(command: str | None = None) -> "argparse.ArgumentParser":
+    """argparse's parser of `command` alone, built from the flag tables, which
+    imports only that subcommand's module; with no known command (--help, a
+    misspelt or a missing one), the parser of every subcommand.  `main` runs it
+    only where `_parse` declines argv."""
+    from .argparser import build
 
-
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of `command` alone, which imports only that subcommand's
-    module; with no known command (--help, a misspelt or a missing one), the
-    parser of every subcommand."""
-    known = command in _SUMMARIES
-    p = argparse.ArgumentParser(prog="berrybox", description=__doc__.splitlines()[0], allow_abbrev=False)
-    # the usage line lists every subcommand, however many are built
-    sub = p.add_subparsers(dest="command", required=True, metavar="{%s}" % ",".join(_SUMMARIES) if known else None)
-    for name in [command] if known else _SUMMARIES:
-        # an import through __import__, unlike importlib's, shows in -X importtime
-        module = __import__(f"{__name__}.{name}", fromlist=["run"])
-        module.add_arguments(_subcommand(sub, name, module.run, _SUMMARIES[name]))
-    return p
+    return build(command)
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    args = _parse(argv)
+    if args is None:
+        # --help, or argv argparse rejects (or reads where `_parse` does not):
+        # argparse prints and exits as it always has
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.fn(args)
     except ValueError as exc:  # UsageError included

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import math
+
 from ..boundary import as_eta, require_mass
-from . import (EXIT_OK, UsageError, _add_loop, _csv, _float_list, _fmt, _loop, _resolve, _write_output,
-               _write_resolved_config)
+from . import EXIT_OK, UsageError, _LOOP_FLAGS, _csv, _fmt, _loop, _resolve, _write_output, _write_resolved_config
 
 # the widest mode window, N: each loop side diagonalizes a (2N + 1) x (2N + 1)
 # matrix in pure Python, O(N^3), and the default four-T sweep takes 3.5-3.8 s at
@@ -12,16 +13,20 @@ from . import (EXIT_OK, UsageError, _add_loop, _csv, _float_list, _fmt, _loop, _
 MAX_WINDOW = 64
 
 
-def add_arguments(sp):
-    sp.add_argument("--plot", default=None, help="write an SVG convergence plot to this path")
-    sp.add_argument("--eta")
-    sp.add_argument("--mass", type=float)
-    sp.add_argument("--n", type=int)
-    _add_loop(sp)
-    sp.add_argument("--T-list", type=_float_list)
-    sp.add_argument("--window", type=int, help="mode window half-width N")
-    sp.add_argument("--resolution", type=int,
-                    help="at least 100; kept in the resolved config, while no output depends on it")
+def _float_list(text):
+    return [float(v) for v in text.split(",")]
+
+
+FLAGS = {
+    "--plot": {"default": None, "help": "write an SVG convergence plot to this path"},
+    "--eta": {},
+    "--mass": {"type": float},
+    "--n": {"type": int},
+    **_LOOP_FLAGS,
+    "--T-list": {"type": _float_list},
+    "--window": {"type": int, "help": "mode window half-width N"},
+    "--resolution": {"type": int, "help": "at least 100; kept in the resolved config, while no output depends on it"},
+}
 
 
 def run(args) -> int:
@@ -57,7 +62,8 @@ def run(args) -> int:
         from ..closed_form import loop_phase_analytic, mode
 
         reference = loop_phase_analytic(mode(n, eta), path)
-        errs = [max(abs(r.geometric_phase - reference), 1e-16) for r in reports]
+        # phases are defined mod 2 pi: each error is the distance on the circle
+        errs = [max(abs(math.remainder(r.geometric_phase - reference, 2.0 * math.pi)), 1e-16) for r in reports]
         inv_t, errs = zip(*sorted(zip((1.0 / T for T in t_list), errs), key=lambda p: p[0]))
         series = [
             {"x": inv_t, "y": errs, "label": "|geometric - analytic|"},

@@ -39,9 +39,10 @@ def parse_unitary(matrix) -> tuple:
         raise UsageError(str(exc)) from exc
 
 
-def add_arguments(sp):
-    sp.add_argument("--eta", help="family parameter 'a+bi' or 'inf'")
-    sp.add_argument("--unitary", help="2x2 matrix as JSON, e.g. '[[0,1],[1,0]]'")
+FLAGS = {
+    "--eta": {"help": "family parameter 'a+bi' or 'inf'"},
+    "--unitary": {"help": "2x2 matrix as JSON, e.g. '[[0,1],[1,0]]'"},
+}
 
 
 def run(args) -> int:

@@ -6,23 +6,23 @@ import math
 import sys
 
 from ..boundary import as_eta
-from . import (EXIT_MISMATCH, EXIT_OK, UsageError, _add_loop, _csv, _fmt, _linspace, _loop, _resolve, _round9,
+from . import (EXIT_MISMATCH, EXIT_OK, UsageError, _LOOP_FLAGS, _csv, _fmt, _linspace, _loop, _resolve, _round9,
                _write_output, _write_resolved_config)
 
 _BERRY_METHODS = ("analytic", "interior", "mollified", "overlap")
 
 
-def add_arguments(sp):
-    sp.add_argument("--plot", default=None, help="write an SVG convergence plot to this path")
-    sp.add_argument("--tol", type=float, default=None, help="cross-method disagreement tolerance (exit 3 beyond it)")
-    sp.add_argument("--eta")
-    sp.add_argument("--n", type=int)
-    _add_loop(sp)
-    what = sp.add_mutually_exclusive_group()
-    what.add_argument("--method", help="comma list of analytic,interior,mollified,overlap or 'all'")
-    what.add_argument("--curvature-map", dest="method", action="store_const", const="curvature-map",
-                      help="sample f_lc over the loop bounding box")
-    sp.add_argument("--mesh", type=int)
+FLAGS = {
+    "--plot": {"default": None, "help": "write an SVG convergence plot to this path"},
+    "--tol": {"type": float, "default": None, "help": "cross-method disagreement tolerance (exit 3 beyond it)"},
+    "--eta": {},
+    "--n": {"type": int},
+    **_LOOP_FLAGS,
+    "--method": {"exclusive": True, "help": "comma list of analytic,interior,mollified,overlap or 'all'"},
+    "--curvature-map": {"exclusive": True, "dest": "method", "action": "store_const", "const": "curvature-map",
+                        "help": "sample f_lc over the loop bounding box"},
+    "--mesh": {"type": int},
+}
 
 
 # each prescription's regulator samples, which `refine` takes to 0: the interior

@@ -19,14 +19,15 @@ GENERIC_CHECK_TOL = 1e-9
 MAX_LEVELS = 10 ** 6
 
 
-def add_arguments(sp):
-    sp.add_argument("--eta")
-    sp.add_argument("--mass", type=float)
-    sp.add_argument("--l", type=float, help="box length")
-    sp.add_argument("--n-min", type=int)
-    sp.add_argument("--n-max", type=int)
-    sp.add_argument("--check", dest="method", choices=["generic"],
-                    help="append an independent numeric column (exit 3 where it departs from lambda)")
+FLAGS = {
+    "--eta": {},
+    "--mass": {"type": float},
+    "--l": {"type": float, "help": "box length"},
+    "--n-min": {"type": int},
+    "--n-max": {"type": int},
+    "--check": {"dest": "method", "choices": ["generic"],
+                "help": "append an independent numeric column (exit 3 where it departs from lambda)"},
+}
 
 
 def _spectrum_rows_degenerate(eta_pm, ns, mass, l):

@@ -6,15 +6,11 @@ import json
 import sys
 
 from ..boundary import as_eta
-from . import (EXIT_MISMATCH, EXIT_OK, UsageError, _add_loop, _fmt_matrix, _loop, _resolve, _round9, _write_output,
+from . import (EXIT_MISMATCH, EXIT_OK, UsageError, _LOOP_FLAGS, _fmt_matrix, _loop, _resolve, _round9, _write_output,
                _write_resolved_config)
 
 
-def add_arguments(sp):
-    sp.add_argument("--eta")
-    sp.add_argument("--n", type=int)
-    _add_loop(sp)
-    sp.add_argument("--mesh", type=int)
+FLAGS = {"--eta": {}, "--n": {"type": int}, **_LOOP_FLAGS, "--mesh": {"type": int}}
 
 
 def run(args) -> int:

@@ -608,6 +608,25 @@ def test_adiabatic_error_decreases(tmp_path):
     assert errs[1] < errs[0] and errs[2] < errs[1]
 
 
+def test_adiabatic_plot_compares_phases_on_the_circle(tmp_path, monkeypatch):
+    # the analytic phase is 4.051 and the geometric phases -2.252 and -2.242:
+    # the plot drew |geometric - analytic| = 6.30 and 6.29, not the errors
+    # 0.0200 and 0.0102 that are left mod 2 pi
+    drawn = _drawn_series(monkeypatch)
+    out, svg = tmp_path / "adia.csv", tmp_path / "adia.svg"
+    assert run("adiabatic", "--eta=0.3+0.6i", "--n", "1", "--loop-rect", "1", "2", "0", "1.2",
+               "--T-list", "100,200", "--plot", str(svg), "--out", str(out)) == 0
+    _, rows = read_csv(out)
+    analytic = berrybox.closed_form.loop_phase_analytic(berrybox.closed_form.mode(1, 0.3 + 0.6j),
+                                                        rectangle_loop(1.0, 2.0, 0.0, 1.2))
+    assert analytic > 4 and all(float(r[3]) < -2 for r in rows)
+    [errors] = [s["y"] for s in drawn[0] if s["label"] == "|geometric - analytic|"]
+    # the series runs in increasing 1/T: T = 200, then T = 100
+    assert errors == pytest.approx([0.0102, 0.0200], abs=2e-4)
+    assert errors == pytest.approx([abs(math.remainder(float(r[3]) - analytic, 2 * math.pi)) for r in rows[::-1]],
+                                   abs=1e-8)
+
+
 def test_adiabatic_real_eta_geometric_column(tmp_path):
     # vanishing curvature needs a very slow traversal before the 1/T tail
     # drops under 1e-3

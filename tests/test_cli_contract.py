@@ -11,10 +11,15 @@ own, with a seeded `random.Random`.  The contract:
 * no exception escapes `main` (which would be a traceback and exit 1);
 * exit 2 writes no file, and its message names the offending input.
 
-Commands that broke the contract are kept below as named cases.
+Commands that broke the contract are kept below as named cases.  The same
+commands, each also with its options in `--flag=value` form, check that the
+flag tables read argv as argparse does: `main` parses a command from its
+subcommand's table and falls back to argparse only where that reading
+declines, which must be argv that argparse rejects.
 """
 
 import contextlib
+import functools
 import io
 import os
 import random
@@ -22,7 +27,7 @@ import re
 
 import pytest
 
-from berrybox.cli import main
+from berrybox.cli import _parse, build_parser, main
 
 _FLOATS = ["0", "-0", "5e-324", "-5e-324", "1e-300", "1e-9", "0.5", "1", "-1", "2.5", "1e300", "1.7e308",
            "-1.7e308", "inf", "-inf", "nan"]
@@ -150,3 +155,79 @@ def test_fuzzed_commands_keep_the_contract(tmp_path):
         codes.append(_check_contract(argv, directory)[0])
     # the grammar reaches both outcomes often
     assert codes.count(0) > 100 and codes.count(2) > 100
+
+
+# ---------------------------------------------------------------------------
+# the flag tables read argv as argparse does
+
+
+@functools.lru_cache(maxsize=None)
+def _argparse(command):
+    return build_parser(command)
+
+
+def _same(a, b):
+    """Equal values of one type, NaN equal to NaN, lists element by element."""
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(map(_same, a, b))
+    return type(a) is type(b) and (a == b or (a != a and b != b))
+
+
+def _check_parsers_agree(argv):
+    """Whether the flag tables read argv: if so, into the namespace argparse
+    returns (`fn` included); if not, argparse exits on it."""
+    parser = _argparse(argv[0] if argv else None)
+    parsed = _parse(argv)
+    if parsed is None:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            with pytest.raises(SystemExit):
+                parser.parse_args(argv)
+        return False
+    got, want = vars(parsed), vars(parser.parse_args(argv))
+    assert got.keys() == want.keys() and all(_same(got[k], want[k]) for k in got), (argv, got, want)
+    return True
+
+
+def _joined(argv):
+    """argv with each option and the value after it written `--flag=value`
+    (the first of --loop-rect's four, which argparse rejects)."""
+    joined, i = list(argv[:1]), 1
+    while i < len(argv):
+        if argv[i].startswith("--") and i + 1 < len(argv) and not argv[i + 1].startswith("--"):
+            joined.append(f"{argv[i]}={argv[i + 1]}")
+            i += 2
+        else:
+            joined.append(argv[i])
+            i += 1
+    return joined
+
+
+# what the grammar does not draw: help, a missing, misspelt or repeated
+# option, values that look like options, and the mutually exclusive pair;
+# the tables read the first list and decline the second
+_EDGES_READ = [
+    ["berry", "--eta=-x"], ["berry", "--eta="], ["berry", "--eta", "-.5"], ["berry", "--eta", "-"],
+    ["berry", "--n", "1", "--n", "2"], ["berry", "--curvature-map", "--curvature-map"], ["berry", "--tol", "-1e-3"],
+    ["spectrum", "--n-min", "1_0"], ["adiabatic", "--T-list", "-1,2"], ["bc", "--unitary", "[[1, 0], [0, 1]]"],
+    ["bc", "--out", "-1", "--config", "x=y"],
+]
+_EDGES_DECLINED = [
+    [], ["--help"], ["berry", "-h"], ["wz", "--help"], ["bcc"], ["berry", "berry"], ["berry", "--"],
+    ["berry", "--eta"], ["berry", "--eta", "--n", "1"], ["berry", "--eta", "-x"], ["berry", "--et", "1"],
+    ["berry", "--method", "all", "--curvature-map"], ["berry", "--curvature-map=1"],
+    ["berry", "--loop-rect", "1", "2", "3"], ["berry", "--loop-rect", "1", "2", "-3", "-inf"],
+    ["berry", "--loop-rect=1", "2", "3", "4"], ["berry", "--orientation", "0"],
+    ["spectrum", "--check", "generic", "--check=none"], ["adiabatic", "--T-list", ""],
+]
+
+
+def test_flag_tables_parse_as_argparse_does():
+    rng = random.Random(20151)
+    drawn = [_draw(rng) for _ in range(1200)] + [param.values[0] for param in _FOUND]
+    read = [_check_parsers_agree(form) for argv in drawn for form in (argv, _joined(argv))]
+    # both outcomes are common: the joined --loop-rect form, values such as
+    # -inf that argparse takes for options, integers such as "x" and the
+    # orientation 0 decline
+    assert read.count(True) > 1500 and read.count(False) > 300
+    assert [_check_parsers_agree(argv) for argv in _EDGES_READ + _EDGES_DECLINED] == \
+        [True] * len(_EDGES_READ) + [False] * len(_EDGES_DECLINED)

@@ -6,7 +6,9 @@ identities, which no command runs.  No command loads numpy: `bc`, every
 usage error, `spectrum` (its generic check included), `wz`, every `berry`
 command (each method, --plot and the curvature map included) and
 `adiabatic` run on the standard library alone, and load neither
-`dataclasses` nor `inspect`."""
+`dataclasses` nor `inspect`.  A valid command, or one that exits 2 from its
+handler, loads no `argparse`, `gettext` or `locale` either: only --help and
+argv that argparse rejects build its parser (`berrybox.cli.argparser`)."""
 
 import ast
 import importlib
@@ -27,8 +29,9 @@ SRC = str(Path(berrybox.__file__).resolve().parent.parent)
 # (an argparse error's SystemExit gives the exit code), or imports every
 # submodule when that argv is --every-module, or does no more when it is
 # empty; then prints the exit code, the loaded scipy and berrybox modules,
-# whether numpy is loaded and which of dataclasses and inspect are, as JSON;
-# the probe's own imports load none of these
+# whether numpy is loaded, which of dataclasses and inspect are, and which of
+# argparse, gettext and locale are, as JSON; the probe's own imports load none
+# of these
 _PROBE = """
 import importlib, json, pkgutil, sys
 import berrybox
@@ -45,7 +48,8 @@ elif sys.argv[1:]:
         code = exc.code
 loaded = lambda top: sorted(m for m in sys.modules if m == top or m.startswith(top + "."))
 print(json.dumps([code, loaded("scipy"), loaded("berrybox"), "numpy" in sys.modules,
-                  [m for m in ("dataclasses", "inspect") if m in sys.modules]]))
+                  [m for m in ("dataclasses", "inspect") if m in sys.modules],
+                  [m for m in ("argparse", "gettext", "locale") if m in sys.modules]]))
 """
 
 
@@ -58,10 +62,11 @@ def _run_probe(probe, *argv):
 
 def _modules_after(*argv, prelude=""):
     """(scipy modules, berrybox modules, whether numpy is loaded, which of
-    dataclasses and inspect are) after `_PROBE`."""
-    code, scipy, own, numpy, introspection = _run_probe(prelude + _PROBE, *argv)
+    dataclasses and inspect are, which of argparse, gettext and locale are)
+    after `_PROBE`."""
+    code, scipy, own, numpy, introspection, parsing = _run_probe(prelude + _PROBE, *argv)
     assert code == 0
-    return scipy, own, numpy, introspection
+    return scipy, own, numpy, introspection, parsing
 
 
 def _own(command, *modules):
@@ -82,7 +87,7 @@ def test_import_loads_no_scipy():
 
 
 def test_import_loads_no_numpy():
-    assert _modules_after() == ([], ["berrybox"], False, [])
+    assert _modules_after() == ([], ["berrybox"], False, [], [])
 
 
 def test_unknown_attribute_imports_nothing():
@@ -95,7 +100,7 @@ for name in ("cli", "spectrum", "mode", "no_such_name"):
         continue
     raise SystemExit(f"berrybox.{name} resolved before its import")
 """
-    assert _modules_after(prelude=prelude) == ([], ["berrybox"], False, [])
+    assert _modules_after(prelude=prelude) == ([], ["berrybox"], False, [], [])
 
 
 # the 2x2 matrices of the benchmark's bc commands: a named one, and a family
@@ -147,20 +152,23 @@ def test_command_loads_no_scipy(tmp_path, argv, config, own):
     # each command also loads only the berrybox modules it runs, and no
     # numpy.  Of the CLI it loads the front and its own module, never another
     # command's, nor the boundary-triple module.  The package's records are
-    # plain classes and namedtuples, so no command loads dataclasses or inspect
+    # plain classes and namedtuples, so no command loads dataclasses or inspect.
+    # The flag tables read every valid command, so none loads argparse
     argv = [str(tmp_path / a) if a.endswith(".svg") else a for a in argv]
     if config is not None:
         (tmp_path / "config.json").write_text(json.dumps(config))
         argv = argv + ["--config", str(tmp_path / "config.json")]
-    scipy, loaded, numpy_loaded, introspection = _modules_after(*argv, "--out", str(tmp_path / "out"))
-    assert (scipy, loaded, numpy_loaded, introspection) == ([], own, False, [])
+    scipy, loaded, numpy_loaded, introspection, parsing = _modules_after(*argv, "--out", str(tmp_path / "out"))
+    assert (scipy, loaded, numpy_loaded, introspection, parsing) == ([], own, False, [], [])
     assert [m for m in loaded if m.startswith("berrybox.cli.") or m == "berrybox.boundary_triple"] == \
         [f"berrybox.cli.{argv[0]}"]
 
 
 # the usage errors of the benchmark's quick workload, and an option argparse
 # rejects: each exits 2 having loaded only `boundary`, the CLI front and the
-# command's own module, and no numpy, dataclasses or inspect
+# command's own module, and no numpy, dataclasses or inspect.  The first six
+# parse from the flag table and load no argparse; only the option argparse
+# rejects builds its parser, which loads `berrybox.cli.argparser` too
 @pytest.mark.parametrize("argv", [
     ["berry", "--eta", "1", "--n", "0"],
     ["wz", "--eta=0.3000+0.5000i", "--n", "1"],
@@ -172,7 +180,10 @@ def test_command_loads_no_scipy(tmp_path, argv, config, own):
 ], ids=["berry-degenerate", "wz-nondegenerate", "spectrum-empty-range", "berry-method", "adiabatic-degenerate",
         "bc-nonunitary", "argparse"])
 def test_usage_error_loads_no_numpy(tmp_path, argv):
-    assert _run_probe(_PROBE, *argv, "--out", str(tmp_path / "out")) == [2, [], _own(argv[0]), False, []]
+    rejected = "--no-such-option" in argv
+    own = sorted(_own(argv[0]) + ["berrybox.cli.argparser"] * rejected)
+    parsing = ["argparse", "gettext", "locale"] if rejected else []
+    assert _run_probe(_PROBE, *argv, "--out", str(tmp_path / "out")) == [2, [], own, False, [], parsing]
     assert not (tmp_path / "out").exists()
 
 
@@ -181,8 +192,10 @@ def test_usage_error_without_a_command_loads_no_library_module(tmp_path, argv):
     # argparse rejects these before any subcommand runs: the parser holds
     # every subcommand's flags, so each command module loads, and nothing
     # they would run
-    own = sorted(["berrybox", "berrybox.boundary", "berrybox.cli"] + [f"berrybox.cli.{c}" for c in _COMMANDS])
-    assert _run_probe(_PROBE, *argv, "--out", str(tmp_path / "out")) == [2, [], own, False, []]
+    own = sorted(["berrybox", "berrybox.boundary", "berrybox.cli", "berrybox.cli.argparser"]
+                 + [f"berrybox.cli.{c}" for c in _COMMANDS])
+    assert _run_probe(_PROBE, *argv, "--out", str(tmp_path / "out")) == [2, [], own, False, [],
+                                                                          ["argparse", "gettext", "locale"]]
 
 
 @pytest.mark.parametrize("argv", [
@@ -193,7 +206,7 @@ def test_berry_checks_its_options_before_any_work(tmp_path, argv):
     # an unknown method or a mesh below 1 exits 2 before the level or the
     # loop is built: only the modules that parse the options are loaded
     probe = _run_probe(_PROBE, "berry", "--eta", "0+1i", *argv, "--out", str(tmp_path / "out"))
-    assert probe == [2, [], _own("berry"), False, []]
+    assert probe == [2, [], _own("berry"), False, [], []]
     assert not (tmp_path / "out").exists()
 
 
