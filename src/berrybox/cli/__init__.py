@@ -21,13 +21,20 @@ only the one it runs.  `main` reads a valid command from that table alone,
 into the namespace argparse would return; argparse, built from the same
 tables by `berrybox.cli.argparser`, runs only for --help and for argv the
 table reading declines, so help, usage errors and exit codes are argparse's.
-Floating-point output is scientific with 9 significant digits, with no -0,
+Handlers compute and `main` writes.  `run(cfg, args)` returns the output
+text (None where nothing may be written), the SVG text of --plot (or None)
+and the stderr line of a failed cross-check (or None).  `main` alone
+resolves the config, writes the output (to stdout without --out),
+<out>.config.json and the plot, and exits 2 on invalid input or a path it
+cannot write, leaving no file of the run, and 3 on a mismatch, after the
+writes.  Floating-point output is scientific with 9 significant digits, with no -0,
 so identical configurations produce byte-identical files.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import re
 import sys
 from types import SimpleNamespace
@@ -181,22 +188,30 @@ def _loop(cfg, args) -> "ParameterPath":
         raise UsageError(f"invalid loop definition: {exc}") from exc
 
 
-def _write_output(out_path, text: str):
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
+def _write(args, cfg: dict, text: str, plot):
+    """Write a run's files, --out, <out>.config.json and --plot, then its output
+    to stdout where --out is not given.  A path that cannot be written exits 2
+    with a message naming its option, and leaves no file of the run behind."""
+    files = []
+    if args.out:
+        # a zero given with a minus sign is written as 0.0, as in every output
+        plain = json.loads(json.dumps(cfg), parse_float=lambda text: float(text) + 0.0)
+        files += [("--out", args.out, text),
+                  ("--out", f"{args.out}.config.json", json.dumps(plain, indent=2, sort_keys=True) + "\n")]
+    if plot is not None:
+        files.append(("--plot", args.plot, plot))
+    written = []
+    for option, path, body in files:
+        try:
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                written.append(path)
+                fh.write(body)
+        except OSError as exc:
+            for done in written:
+                os.remove(done)
+            raise UsageError(f"cannot write {option} {path}: {exc.strerror or exc}") from exc
+    if not args.out:
         sys.stdout.write(text)
-
-
-def _write_resolved_config(out_path, cfg: dict):
-    if not out_path:
-        return
-    # a zero given with a minus sign is written as 0.0, as in every output
-    plain = json.loads(json.dumps(cfg), parse_float=lambda text: float(text) + 0.0)
-    with open(f"{out_path}.config.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(plain, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _csv(header: str, rows) -> str:
@@ -307,7 +322,14 @@ def main(argv=None) -> int:
         # argparse prints and exits as it always has
         args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
-        return args.fn(args)
+        cfg = _resolve(args)
+        text, plot, mismatch = args.fn(cfg, args)
+        if text is not None:
+            _write(args, cfg, text, plot)
     except ValueError as exc:  # UsageError included
         print(f"berrybox: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    if mismatch is not None:
+        print(mismatch, file=sys.stderr)
+        return EXIT_MISMATCH
+    return EXIT_OK

@@ -10,7 +10,9 @@ from __future__ import annotations
 import argparse
 
 from . import _COMMON_FLAGS, _NEGATIVE_NUMBER, _SUMMARIES
-from . import __doc__ as _FRONT_DOC
+
+# the first line of the package docstring, which python -OO strips
+_DESCRIPTION = "Batch command-line interface."
 
 
 def _subcommand(sub, name: str, module):
@@ -32,7 +34,7 @@ def _subcommand(sub, name: str, module):
 def build(command: str | None = None) -> argparse.ArgumentParser:
     """See `berrybox.cli.build_parser`."""
     known = command in _SUMMARIES
-    p = argparse.ArgumentParser(prog="berrybox", description=_FRONT_DOC.splitlines()[0], allow_abbrev=False)
+    p = argparse.ArgumentParser(prog="berrybox", description=_DESCRIPTION, allow_abbrev=False)
     # the usage line lists every subcommand, however many are built
     sub = p.add_subparsers(dest="command", required=True, metavar="{%s}" % ",".join(_SUMMARIES) if known else None)
     for name in [command] if known else _SUMMARIES:

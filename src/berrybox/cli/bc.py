@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 
 from ..boundary import Eta, as_eta, classify_unitary, eta_to_unitary, require_unitary
-from . import EXIT_OK, UsageError, _fmt_complex, _fmt_matrix, _resolve, _write_output, _write_resolved_config
+from . import UsageError, _fmt_complex, _fmt_matrix
 
 
 def _eta_text(eta: Eta) -> str:
@@ -45,8 +45,7 @@ FLAGS = {
 }
 
 
-def run(args) -> int:
-    cfg = _resolve(args)
+def run(cfg, args):
     # the config keeps the matrix as given: a 9-digit copy is off by up to 5e-9,
     # beyond the 1e-9 match, and may rerun to another eta, to 'other' or to exit 2
     if cfg["unitary"] is not None:
@@ -62,6 +61,4 @@ def run(args) -> int:
         "classification": info.kind,
         "dilation_invariant": info.dilation_invariant,
     }
-    _write_output(args.out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    _write_resolved_config(args.out, cfg)
-    return EXIT_OK
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n", None, None

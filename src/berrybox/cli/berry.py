@@ -3,11 +3,9 @@
 from __future__ import annotations
 
 import math
-import sys
 
 from ..boundary import as_eta
-from . import (EXIT_MISMATCH, EXIT_OK, UsageError, _LOOP_FLAGS, _csv, _fmt, _linspace, _loop, _resolve, _round9,
-               _write_output, _write_resolved_config)
+from . import UsageError, _LOOP_FLAGS, _csv, _fmt, _linspace, _loop, _round9
 
 _BERRY_METHODS = ("analytic", "interior", "mollified", "overlap")
 
@@ -79,8 +77,7 @@ def _berry_phase_rows(m, path, methods, cfg):
     return rows, finals, analytic, curves
 
 
-def run(args) -> int:
-    cfg = _resolve(args)
+def run(cfg, args):
     if args.tol is not None and not 0 <= args.tol < math.inf:
         raise UsageError(f"--tol must be a finite number >= 0, not {args.tol}")
     eta = as_eta(cfg["eta"])
@@ -109,14 +106,10 @@ def run(args) -> int:
         grid = int(cfg["mesh"]) if int(cfg["mesh"]) <= 64 else 5
         ls, cs = _linspace(lo_l, hi_l, grid), _linspace(lo_c, hi_c, grid)
         rows = [(_fmt(l), _fmt(c), _fmt(f)) for l, f in zip(ls, [curvature(m, l) for l in ls]) for c in cs]
-        _write_output(args.out, _csv("l,c,f_lc", rows))
-        _write_resolved_config(args.out, cfg)
-        return EXIT_OK
+        return _csv("l,c,f_lc", rows), None, None
 
     rows, finals, analytic, curves = _berry_phase_rows(m, path, methods, cfg)
-    _write_output(args.out, _csv("method,mesh,eps,h,phase,err_est", rows))
-    _write_resolved_config(args.out, cfg)
-
+    plot = mismatch = None
     if args.plot:
         from .. import svgplot
 
@@ -129,12 +122,12 @@ def run(args) -> int:
                    "label": label} for k, label in labels.items() if k in curves]
         if not series:
             series.append({"x": [1, 10], "y": [abs(reference)] * 2, "label": "analytic phase"})
-            svgplot.line_plot(series, title="loop phase", xlabel="mesh", ylabel="phase", path=args.plot)
+            plot = svgplot.line_plot(series, title="loop phase", xlabel="mesh", ylabel="phase")
         else:
             series.append({"x": series[0]["x"], "y": [floor] * len(series[0]["x"]),
                            "label": "analytic reference", "dashed": True})
-            svgplot.line_plot(series, title="loop-phase convergence", xlabel="mesh / inverse width",
-                              ylabel="|phase - analytic|", path=args.plot, logx=True, logy=True)
+            plot = svgplot.line_plot(series, title="loop-phase convergence", xlabel="mesh / inverse width",
+                                     ylabel="|phase - analytic|", logx=True, logy=True)
 
     if args.tol is not None:
         # phases are defined mod 2 pi: compare each method with the analytic
@@ -142,11 +135,7 @@ def run(args) -> int:
         devs = {k: abs(math.remainder(v - analytic, 2.0 * math.pi)) for k, v in finals.items() if k != "analytic"}
         worst = max(devs.values(), default=0.0)
         if worst > args.tol:
-            print(
-                f"oracle disagreement {worst:.3e} exceeds tolerance {args.tol:.3e} "
-                f"against analytic={analytic:.9e}: "
-                + ", ".join(f"{k}={finals[k]:.9e} (off by {d:.3e})" for k, d in devs.items()),
-                file=sys.stderr,
-            )
-            return EXIT_MISMATCH
-    return EXIT_OK
+            mismatch = (f"oracle disagreement {worst:.3e} exceeds tolerance {args.tol:.3e} "
+                        f"against analytic={analytic:.9e}: "
+                        + ", ".join(f"{k}={finals[k]:.9e} (off by {d:.3e})" for k, d in devs.items()))
+    return _csv("method,mesh,eps,h,phase,err_est", rows), plot, mismatch

@@ -3,18 +3,15 @@
 from __future__ import annotations
 
 import json
-import sys
 
 from ..boundary import as_eta
-from . import (EXIT_MISMATCH, EXIT_OK, UsageError, _LOOP_FLAGS, _fmt_matrix, _loop, _resolve, _round9, _write_output,
-               _write_resolved_config)
+from . import UsageError, _LOOP_FLAGS, _fmt_matrix, _loop, _round9
 
 
 FLAGS = {"--eta": {}, "--n": {"type": int}, **_LOOP_FLAGS, "--mesh": {"type": int}}
 
 
-def run(args) -> int:
-    cfg = _resolve(args)
+def run(cfg, args):
     pm = as_eta(cfg["eta"]).degenerate_sign
     if pm is None:
         raise UsageError("wz requires eta = 1 or eta = -1")
@@ -32,9 +29,8 @@ def run(args) -> int:
         conn = wz_connection(pm, n, l0)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    except ConnectionCheckError as exc:
-        print(f"berrybox: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
+    except ConnectionCheckError as exc:  # nothing is written
+        return None, None, f"berrybox: {exc}"
     curv = wz_curvature(pm, n, l0)
     hol = wz_holonomy(pm, n, path)
     diag, q = diagonalize_in_plane_waves(conn)
@@ -52,6 +48,4 @@ def run(args) -> int:
         "basis_change": _fmt_matrix(q),
         "offdiag_residue": _round9(abs(diag[0][1]) + abs(diag[1][0])),
     }
-    _write_output(args.out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    _write_resolved_config(args.out, cfg)
-    return EXIT_OK
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n", None, None

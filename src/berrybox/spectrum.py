@@ -14,7 +14,9 @@ so eigenvalues are its sign changes, bracketed on a grid in t with E = t|t|
 and bisected, one scalar at a time on `cmath`.  A cell where |F| dips
 without changing sign holds two close simple roots if F changes sign at the
 dip's extremum, or one doubly degenerate level if the residual matrix
-vanishes there.  The module imports no numpy.
+vanishes there.  The scan starts at or below t = -60, at a floor under every
+level of U (`_scan_floor`), as walls near Dirichlet bind states near
+t = -2/eps at an eigenphase pi + eps.  The module imports no numpy.
 """
 
 from __future__ import annotations
@@ -48,8 +50,14 @@ level take (1, 0) and (0, 1): cos(qu) and sin(qu)/q, of opposite parity.
 
 
 def _cos_sinc(e):
-    """C = cos(q/2) and S = sin(q/2)/q at energy e = q^2; both are entire in e."""
+    """C = cos(q/2) and S = sin(q/2)/q at energy e = q^2, entire in e; below t = -60,
+    as cosh(|q|/2) overflows from t = -1420 on, both times 2 e^{-|q|/2}, which
+    leaves the sign of F and the normalized residual matrix as they are."""
     q = cmath.sqrt(e)
+    if e.real < -3600.0:
+        kappa = -1j * q
+        w = cmath.exp(-kappa)
+        return 1.0 + w, (1.0 - w) / kappa
     return cmath.cos(q / 2.0), (cmath.sin(q / 2.0) / q if q else 0.5)
 
 
@@ -109,8 +117,21 @@ def _bisect(fun, lo, hi):
             hi = mid
 
 
-def _roots(cols, coef, t_max):
-    """Ascending (t, multiplicity) of the eigenvalues E = t|t| with -60 < t < t_max."""
+def _scan_floor(u) -> float:
+    """t = -sqrt(4 rho^2 + 2 rho), at or below every level E = t|t| of the walls U:
+    rho = max(0, -tan(theta_j/2)) over U's eigenvalues lam_j = e^{i theta_j} != -1,
+    tan(theta/2) = 2 Im lam / |1 + lam|^2.  The walls add sum_j tan(theta_j/2) |c_j|^2
+    >= -rho (|psi(a)|^2 + |psi(b)|^2) to |psi'|^2, and |psi(x)|^2 <= (1 + 1/delta) |psi|^2
+    + delta |psi'|^2 at delta = 1/(2 rho) bounds the sum by -(4 rho^2 + 2 rho) |psi|^2."""
+    (p, q), (r, s) = u
+    mean, root = 0.5 * (p + s), cmath.sqrt((0.5 * (p - s)) ** 2 + q * r)
+    rho = max([0.0] + [-2.0 * lam.imag / abs(1.0 + lam) / abs(1.0 + lam) for lam in (mean + root, mean - root)
+                       if lam != -1.0])
+    return -math.sqrt(4.0 * rho * rho + 2.0 * rho)
+
+
+def _roots(cols, coef, t_min, t_max):
+    """Ascending (t, multiplicity) of the eigenvalues E = t|t| with t_min < t < t_max."""
     a, b, c, d = coef
 
     def secular(t, h=0.0):  # F(E + h); with h = 1e-20 i, Im F has the sign of F'(E)
@@ -123,6 +144,9 @@ def _roots(cols, coef, t_max):
     # which the array solver scanned, so that both bisect the same brackets
     delta = (-60.0 + math.pi / 16.0) + 60.0
     t = [-60.0 + i * delta for i in range(math.ceil((t_max + 60.0) / (math.pi / 16.0)))]
+    # below -60, down to t_min, sixteen points per doubling of |t|: a pi/16 grid
+    # to the t = -2e6 of an eigenphase pi + 1e-6 would take 10^7 points
+    t[:0] = [-60.0 * 2.0 ** (i / 16.0) for i in range(math.ceil(16.0 * math.log2(t_min / -60.0)), 0, -1)]
     ft = [f(x) for x in t]
     grows = [fx * df(x) > 0 for x, fx in zip(t, ft)]
     simple, double = [], []
@@ -150,7 +174,9 @@ def generic_spectrum(u, count: int, mass: float = 1.0, l: float = 1.0):
         F(E) = a C S + b C^2 + c E S^2 + d E S C,  C = cos(q/2), S = sin(q/2)/q.
 
     F is sampled at E = t|t|, t from -60 to (count + 3) pi in steps of pi/16,
-    once, and each sign change is bisected to adjacent floats.  The Dirichlet
+    and below -60 at sixteen points per doubling of |t| down to the floor
+    `_scan_floor`, -sqrt(4 rho^2 + 2 rho), under every level of U; the scan
+    runs once, and each sign change is bisected to adjacent floats.  The Dirichlet
     (Friedrichs) extension is the largest self-adjoint one (Reed and Simon,
     Methods of Modern Mathematical Physics II, Thm X.23), so level j of any
     wall condition lies at or below t = (j + 1) pi, and a wider scan could
@@ -169,11 +195,13 @@ def generic_spectrum(u, count: int, mass: float = 1.0, l: float = 1.0):
         raise ValueError("count must be >= 1")
     mass, l = require_mass(mass), require_length(l)
     cols, coef = _secular_parts(u)
-    t_max = (count + 3) * math.pi
-    roots = _roots(cols, coef, t_max)
+    t_min, t_max = min(_scan_floor(u), -60.0), (count + 3) * math.pi
+    if not t_min > -1e150:  # E = t|t| leaves the float range
+        raise RootSearchError("the walls may bind a level below E = -1e300, beyond the float range")
+    roots = _roots(cols, coef, t_min, t_max)
     found = sum(mult for _, mult in roots)
     if found < count:
-        raise RootSearchError(f"found only {found} eigenvalues with -60 < t < {t_max:.1f}, E = t|t|; "
+        raise RootSearchError(f"found only {found} eigenvalues with {t_min:.1f} < t < {t_max:.1f}, E = t|t|; "
                               f"requested {count}")
     levels = []
     for t, mult in roots:

@@ -3,6 +3,7 @@
 import argparse
 import json
 import math
+import os
 import pathlib
 import random
 import re
@@ -113,19 +114,6 @@ def test_spectrum_generic_check_column(tmp_path):
         assert lam_num == pytest.approx(lam, rel=1e-9)
 
 
-def test_spectrum_generic_check_pairs_rows_by_bisection():
-    # on coarse grids a drawn lambda often lies midway between two levels
-    # (a tie: the lower wins) or on a double level, and some lie outside
-    # the list; the bisection returns what the scan over every level did
-    from berrybox.cli.spectrum import _nearest
-
-    rng = np.random.default_rng(30)
-    for _ in range(400):
-        found = sorted(float(v) for v in rng.integers(-6, 7, size=rng.integers(1, 9)) * 0.5)
-        for lam in rng.integers(-16, 17, size=8) * 0.25:
-            assert _nearest(found, float(lam)) == min(found, key=lambda v: abs(v - lam)), (found, lam)
-
-
 def test_spectrum_generic_check_catches_a_wrong_wavenumber(tmp_path, monkeypatch, capsys):
     # every closed-form level 0.01 off in k: the table alone exits 0, the
     # generic check exits 3 with one line on stderr, after writing the table
@@ -140,6 +128,17 @@ def test_spectrum_generic_check_catches_a_wrong_wavenumber(tmp_path, monkeypatch
     err = capsys.readouterr().err
     assert err.startswith("generic check disagreement") and err.count("\n") == 1
     assert out.exists()
+
+
+@pytest.mark.parametrize("relabel", [lambda n: n + 1, lambda n: -n - 1], ids=["level-n+1", "level-minus-n-1"])
+def test_spectrum_generic_check_catches_a_wrong_label(tmp_path, monkeypatch, relabel):
+    # each row holds another level's exact wavenumber: pairing each row with
+    # its nearest root passed these (exit 0); row n is generic level 2n or
+    # -2n - 1, whatever the closed form returns
+    wavenumber = berrybox.closed_form.wavenumber
+    monkeypatch.setattr(berrybox.closed_form, "wavenumber", lambda n, eta: wavenumber(relabel(n), eta))
+    argv = ("spectrum", "--eta", "0.3+0.6i", "--n-min", "0", "--n-max", "4", "--check", "generic")
+    assert run(*argv, "--out", str(tmp_path / "wrong.csv")) == 3
 
 
 def test_spectrum_generic_check_builds_no_quadrature_grid(tmp_path, monkeypatch):
@@ -1016,6 +1015,28 @@ def test_module_entrypoint():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["classification"] == "periodic"
+
+
+@pytest.mark.parametrize("argv, code, stream", [(["--help"], 0, "stdout"), (["bc", "--bogus"], 2, "stderr")],
+                         ids=["help", "usage-error"])
+def test_help_and_usage_errors_survive_optimize_2(argv, code, stream):
+    # argparse's description came from the package docstring, which -OO strips
+    # to None: both exited 1 with an AttributeError
+    src = str(pathlib.Path(berrybox.cli.__file__).resolve().parents[2])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-OO", "-m", "berrybox", *argv], capture_output=True, text=True, env=env)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert getattr(proc, stream).startswith("usage: berrybox")
+
+
+@pytest.mark.parametrize("out", ["missing/x.json", "."], ids=["missing-directory", "directory"])
+def test_out_path_that_cannot_be_written_exits_2_and_leaves_no_file(tmp_path, monkeypatch, capsys, out):
+    # open() raised out of main: exit 1 with a traceback
+    monkeypatch.chdir(tmp_path)
+    assert run("bc", "--out", out) == 2
+    assert re.fullmatch(rf"berrybox: cannot write --out {re.escape(out)}: .+\n", capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------

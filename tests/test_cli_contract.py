@@ -42,7 +42,7 @@ _NAMES = {
     "--l": ("l", "box length"), "--check": ("check",), "--method": ("method",), "--mesh": ("mesh",),
     "--tol": ("tol",), "--loop-rect": ("loop", "side", "l", "box"),
     "--orientation": ("orientation",), "--T-list": ("T", "T_list"), "--window": ("window",),
-    "--resolution": ("resolution",), "--curvature-map": ("curvature map",),
+    "--resolution": ("resolution",), "--curvature-map": ("curvature map",), "--plot": ("plot",),
 }
 
 
@@ -117,8 +117,10 @@ def _check_contract(argv, directory):
 # a ZeroDivisionError where T/sides underflowed (exit 1; berry's interior
 # step h/(1 + |k|) did too, which the library test of `connection_interior`
 # now covers), a bare "math domain error" from an infinite angle or phase
-# (exit 2), and a slow side whose generator entries all sat near the smallest
-# normal float, where QL did not converge (exit 2, "moves too fast")
+# (exit 2), a slow side whose generator entries all sat near the smallest
+# normal float, where QL did not converge (exit 2, "moves too fast"), and a
+# --plot path in a missing directory, which raised out of main after the
+# table and its config were written (exit 1)
 _FOUND = [
     pytest.param(["bc", "--eta=1e300+1e300i"], 0, id="bc-eta-1e300"),
     pytest.param(["spectrum", "--eta=1e300+1e300i", "--check", "generic"], 0, id="spectrum-generic-eta-1e300"),
@@ -127,6 +129,9 @@ _FOUND = [
     pytest.param(["adiabatic", "--T-list=5e-324", "--window=2"], 2, id="adiabatic-T-subnormal"),
     pytest.param(["adiabatic", "--T-list=1.7e308", "--window=2"], 2, id="adiabatic-T-huge"),
     pytest.param(["adiabatic", "--mass", "1e300", "--T-list", "1.7e308"], 0, id="adiabatic-mass-1e300-T-huge"),
+    pytest.param(["berry", "--method", "analytic", "--plot", "missing/p.svg"], 2, id="berry-plot-missing-directory"),
+    pytest.param(["adiabatic", "--T-list", "2", "--window", "2", "--plot", "missing/p.svg"], 2,
+                 id="adiabatic-plot-missing-directory"),
 ]
 
 
@@ -142,7 +147,8 @@ def test_found_messages_name_their_input(tmp_path):
         if code == 2:
             directory = tmp_path / param.id
             directory.mkdir()
-            assert re.search(expected[argv[0]], _run(argv, directory)[1]), param.id
+            want = r"cannot write --plot missing/p\.svg" if "--plot" in argv else expected[argv[0]]
+            assert re.search(want, _run(argv, directory)[1]), param.id
 
 
 def test_fuzzed_commands_keep_the_contract(tmp_path):

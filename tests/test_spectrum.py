@@ -1,5 +1,6 @@
 """Closed-form spectrum against quadrature and the generic root-finder."""
 
+import cmath
 import json
 import math
 import pathlib
@@ -354,6 +355,37 @@ def test_generic_spectrum_robin_bound_states():
     for lv, ex in zip(levels, expected):
         assert lv.lam == pytest.approx(ex, rel=1e-9)
 
+
+
+@pytest.mark.parametrize("eps", [0.01, 1e-6])
+def test_generic_spectrum_finds_deep_bound_states(eps):
+    # walls just past Dirichlet, U = e^{i(pi + eps)} I, are Robin walls
+    # psi' = -+kappa psi that bind two states at E = -kappa^2, kappa = 2/eps
+    # to first order; the scan started at t = -60 and returned the three
+    # lowest positive levels alone (5.03, 20.14 and 45.31 at eps = 0.01)
+    z = cmath.exp(1j * (math.pi + eps))
+    u = [[z, 0], [0, z]]
+    # the Robin parameter Re[i(1 - z)/(1 + z)] of the matrix as rounded
+    kappa = -2.0 * z.imag / abs(1.0 + z) ** 2
+    levels = generic_spectrum(u, count=3)
+    assert [lv.lam < 0 for lv in levels] == [True, True, False]
+    for lv in levels[:2]:
+        # kappa tanh(kappa/2) = kappa coth(kappa/2) = kappa in floats
+        assert lv.lam == pytest.approx(-kappa ** 2 / 2.0, rel=1e-6)
+        # the endpoint data of v0 cos(qu) + v1 sin(qu)/q, times 2 e^{-kappa/2}
+        # (cosh(kappa/2) overflows at eps = 1e-6)
+        k = -lv.t
+        c, s = 1.0 + math.exp(-k), -math.expm1(-k) / k
+        v0, v1 = lv.coefficients
+        data = BoundaryData(v0 * c - v1 * s, v0 * c + v1 * s, -v0 * k * k * s + v1 * c, v0 * k * k * s + v1 * c)
+        assert bc_residual(u, data) < 1e-8 * max(map(abs, (data.va, data.vb, data.da, data.db)))
+
+
+def test_generic_spectrum_refuses_a_floor_beyond_the_float_range():
+    # an eigenphase 1e-200 past pi binds a level near E = -4e400, which no
+    # float holds: the solver says so rather than return the levels above it
+    with pytest.raises(RootSearchError, match="beyond the float range"):
+        generic_spectrum([[-1.0 - 1e-200j, 0.0], [0.0, -1.0]], count=1)
 
 def test_generic_spectrum_neumann_zero_mode():
     levels = generic_spectrum(np.eye(2), count=2)
