@@ -22,8 +22,9 @@ polyline, so the overlaps, the interior windows and the mollified
 embedding's norm are one closed form (`closed_form.window_integral`), and
 the embedding's interior connection is the diagonal of another, the weak
 forms of x o p and p (`closed_form.weak_form`) that the propagator reads;
-one Gauss rule (`_strip_rule`) serves only the embedding's two wall
-strips.  Everything runs on the standard library, one box at a time.
+the embedding's two wall strips are a few plane-wave means.  No state is
+evaluated at a point.  Everything runs on the standard library, one box at
+a time.
 The boundary conditions are dilation invariant, so every state is
 l^-1/2 phi((x - c)/l), the unit box is the one frame, and a prescription whose
 regulator scales with the box (the interior step, the cutoff width) gives a
@@ -42,7 +43,6 @@ gives Phi = k (1/l1 - 1/l2)(c2 - c1) sin(alpha).
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 import sys
 
@@ -51,7 +51,6 @@ from .paths import ParameterPath, log_ratio
 
 __all__ = [
     "MeshTooCoarseError",
-    "standard_mollifier",
     "connection_interior",
     "connection_mollified",
     "loop_phase_overlap_meshes",
@@ -64,62 +63,6 @@ __all__ = [
 
 class MeshTooCoarseError(ValueError):
     """Raised when neighboring loop states barely overlap."""
-
-
-# ---------------------------------------------------------------------------
-# mollifier
-
-
-def standard_mollifier():
-    """The standard smooth partition profile rho(t) = f(1-t)/(f(t) + f(1-t)).
-
-    Built from f(t) = exp(-1/t); identically 1 for t <= 0 and 0 for t >= 1.
-    The profile is nonnegative, decreasing and smooth, with every derivative
-    vanishing at 0, so pasting it onto the flat top of a characteristic
-    function stays smooth.  A plain bump like exp(1 - 1/(1-t^2)) would fail
-    that flatness requirement at t = 0.
-    """
-
-    def rho(t: float) -> float:
-        up = math.exp(-1.0 / (1.0 - t)) if t < 1.0 else 0.0
-        down = math.exp(-1.0 / t) if t > 0.0 else 0.0
-        return up / (up + down + 1e-300)
-
-    return rho
-
-
-@functools.lru_cache(maxsize=None)
-def _strip_rule():
-    """The 16-point Gauss-Legendre rule on 12 equal panels of [0, 1], as
-    (node, weight) pairs of floats with increasing nodes, built once.
-
-    Each positive root on [-1, 1] is Newton's method on the Legendre
-    recurrence from cos(pi (i + 3/4)/16.5), run one step past a 1e-10
-    correction (convergence is quadratic), and its weight is
-    2/((1 - x^2) P'(x)^2); the rule is mirrored about 0.
-    """
-
-    def legendre(x):  # P_16(x) and P_16'(x) by the three-term recurrence
-        p, prev = x, 1.0
-        for j in range(1, 16):
-            p, prev = ((2 * j + 1) * x * p - j * prev) / (j + 1), p
-        return p, 16 * (x * p - prev) / ((x - 1.0) * (x + 1.0))
-
-    half = []
-    for i in range(8):
-        x, dx = math.cos(math.pi * (i + 0.75) / 16.5), 1.0
-        for _ in range(100):
-            p, dp = legendre(x)
-            x -= p / dp
-            if abs(dx) <= 1e-10:
-                break
-            dx = p / dp
-        dp = legendre(x)[1]
-        half.append((x, 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)))
-    rule = [(-x, w) for x, w in half] + half[::-1]
-    edges = [i * (1 / 12) for i in range(12)] + [1.0]
-    return tuple((0.5 * (lo + hi) + 0.5 * (hi - lo) * x, 0.5 * (hi - lo) * w)
-                 for lo, hi in zip(edges, edges[1:]) for x, w in rule)
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +102,21 @@ def connection_interior(m: Mode, h_rel=1e-4):
     return (w_l[0] - w_l[1]).imag / (2.0 * r) / w_l[2].real, (w_c[0] - w_c[1]).imag / (2.0 * r) / w_c[2].real
 
 
+# the square of the cutoff profile rho(t) = cos^2(pi t/2) on a wall strip,
+# 3/8 + cos(pi t)/2 + cos(2 pi t)/8, as (weight, wavenumber) of plane waves in t
+_PROFILE_SQUARED = ((0.375, 0.0), (0.25, math.pi), (0.25, -math.pi),
+                    (0.0625, 2.0 * math.pi), (0.0625, -2.0 * math.pi))
+
+
+def _mean(w: float) -> complex:
+    """Int_0^1 e^{iwt} dt = e^{iw/2} sin(w/2)/(w/2), at most 2/|w|, so 0
+    where w overflows."""
+    h = 0.5 * w
+    if math.isinf(h):
+        return 0j
+    return cmath.exp(1j * h) * (math.sin(h) / h if h else 1.0)
+
+
 def connection_mollified(m: Mode, eps: float):
     """(F_l, F_c) = l (a_l, a_c) from the smoothed-box embedding at the
     cutoff width eps, relative to l (the width at a box is eps * l).
@@ -166,35 +124,36 @@ def connection_mollified(m: Mode, eps: float):
     The eigenfunction is written as (smooth whole-line extension) times a
     normalized, mollified characteristic function of the box; the connection
     integrand uses the analytic parameter derivative of the extension and
-    the square of the cutoff.  As eps -> 0, F_c tends to k sin(alpha) and
-    F_l to zero (its limiting integrand is odd around the box center).  The
-    box interior, where the cutoff is 1, is the diagonal of the weak forms
-    of x o p and p (`weak_form`) and the norm (`window_integral`), in closed
-    form; only the two wall strips of width eps take a Gauss rule, of 12
-    panels each, so the work does not grow with the level.
+    the square of the cutoff.  The cutoff is 1 on the box and rho(t) =
+    cos^2(pi t/2) on the wall strips |u| = 1/2 + eps t, 0 <= t <= 1, which is
+    C^1: rho and rho' are continuous where a strip meets the box and where it
+    meets the zero beyond.  As eps -> 0, F_c tends to k sin(alpha) and F_l to
+    zero.  Everything is in closed form, so the work does not grow with the
+    level: the box interior is the diagonal of the weak forms of x o p and p
+    (`weak_form`) and the norm (`window_integral`).  On the strips, for
+    psi = a e^{iku} + b e^{-iku}, Im(conj(psi) psi') is the constant
+    k (|a|^2 - |b|^2), so the mirror strips add (3/4) eps of the box's F_c,
+    cancel in F_l, and add (3/4) eps (|a|^2 + |b|^2) + 4 eps Re(conj(a) b)
+    Re(e^{ik} E) to the norm, E = Int_0^1 rho^2 e^{2ik eps t} dt, a sum of
+    plane-wave means.
 
-    For this particular eigenfunction family the convergence is in fact
-    instantaneous: Im(conj(phi) d_c phi) is constant in x and the cutoff is
-    reflection symmetric about the box center, so the normalization quotient
-    cancels the eps dependence exactly and every width returns the limit up
-    to rounding.
+    For this eigenfunction family the convergence is in fact instantaneous:
+    Re(conj(a) b) = 0 (|phi|^2 - 1 is odd about the box center), so the norm
+    grows with the cutoff as F_c does, and every width returns the limit up
+    to rounding, at any reflection-symmetric profile.
     """
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError("eps must be finite and positive")
-    rho = standard_mollifier()
     psi = m.waves
     # d/dl phi = -phi/2 - u phi' and d/dc phi = -phi', whose imaginary parts
     # integrate to minus the diagonals of x o p and p
     p, xp = weak_form((psi,))
-    norm2, f_l, f_c = window_integral(psi, psi, -0.5, 0.5).real, -xp[0][0].real, -p[0][0].real
-    for t, w in _strip_rule():  # t = (|u| - 1/2)/eps across either strip
-        weight = eps * w * rho(t) ** 2
-        for u in (-0.5 - eps * t, 0.5 + eps * t):
-            val, d_du = psi.at(u)
-            norm2 += weight * abs(val) ** 2
-            f_l += weight * (val.conjugate() * (-0.5 * val - d_du * u)).imag
-            f_c += weight * (val.conjugate() * -d_du).imag
-    return f_l / norm2, f_c / norm2
+    e = sum(weight * _mean(2.0 * psi.k * eps + s) for weight, s in _PROFILE_SQUARED)
+    strips = eps * (0.75 * (abs(psi.plus) ** 2 + abs(psi.minus) ** 2)
+                    + 4.0 * (psi.plus.conjugate() * psi.minus).real * (cmath.exp(1j * psi.k) * e).real)
+    norm2 = window_integral(psi, psi, -0.5, 0.5).real + strips
+    # the strips scale F_c by 1 + 3 eps/4: divided out of the norm, which stays finite at any width
+    return -xp[0][0].real / norm2, -p[0][0].real / (norm2 / (1.0 + 0.75 * eps))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ _BERRY_METHODS = ("analytic", "interior", "mollified", "overlap")
 
 FLAGS = {
     "--plot": {"default": None, "help": "write an SVG convergence plot to this path"},
-    "--tol": {"type": float, "default": None, "help": "cross-method disagreement tolerance (exit 3 beyond it)"},
+    "--tol": {"type": float, "default": None,
+              "help": "cross-method disagreement tolerance (exit 3 beyond it, or where a method does not converge)"},
     "--eta": {},
     "--n": {"type": int},
     **_LOOP_FLAGS,
@@ -32,13 +33,14 @@ _MOLLIFIER_WIDTHS = (0.2, 0.1, 0.05, 0.025)
 
 def _berry_phase_rows(m, path, methods, cfg):
     """Per-method convergence rows, each method's final phase, the analytic
-    phase, and the (x, unrounded phases) of the overlap and mollified rows,
-    x being the mesh or 1/eps, which --plot draws.  Every err_est of a
+    phase, the (x, unrounded phases) of the overlap and mollified rows, x
+    being the mesh or 1/eps, which --plot draws, and the refining methods
+    whose samples `refine` refused (every err_est inf).  Every err_est of a
     refining method is `refine`'s, at the order the method converges at."""
     # the closed form and every oracle run on the standard library
     from ..closed_form import loop_phase_analytic
 
-    rows, finals, curves = [], {}, {}
+    rows, finals, curves, refused = [], {}, {}, []
     analytic = loop_phase_analytic(m, path)
     # an oracle's phase is -F_c, of its connection F at the unit box, times the loop integral of dc/l
     dc_over_l = path.dc_over_l()
@@ -56,7 +58,9 @@ def _berry_phase_rows(m, path, methods, cfg):
         from ..berry import connection_mollified, refine
 
         phases = [-connection_mollified(m, eps)[1] * dc_over_l for eps in _MOLLIFIER_WIDTHS]
-        limit, _, errs, _ = refine(_MOLLIFIER_WIDTHS, phases, 1)
+        limit, _, errs, converged = refine(_MOLLIFIER_WIDTHS, phases, 1)
+        if not converged:
+            refused.append("mollified")
         rows.extend(("mollified", "", _fmt(eps), "", _fmt(p), _fmt(e))
                     for eps, p, e in zip(_MOLLIFIER_WIDTHS, phases, errs))
         rows.append(("mollified", "", _fmt(0.0), "", _fmt(limit), _fmt(errs[-1])))
@@ -70,11 +74,13 @@ def _berry_phase_rows(m, path, methods, cfg):
         # samplings where neighboring boxes stop overlapping
         meshes = sorted({max(mesh // 4, 16), max(mesh // 2, 16), max(mesh, 16)})
         phases = loop_phase_overlap_meshes(m, path, meshes)
-        errs = refine([1.0 / n for n in meshes], phases, overlap_order(path))[2]
+        _, _, errs, converged = refine([1.0 / n for n in meshes], phases, overlap_order(path))
+        if not converged:
+            refused.append("overlap")
         rows.extend(("overlap", str(n), "", "", _fmt(p), _fmt(e)) for n, p, e in zip(meshes, phases, errs))
         finals["overlap"] = phases[-1]
         curves["overlap"] = (meshes, phases)
-    return rows, finals, analytic, curves
+    return rows, finals, analytic, curves, refused
 
 
 def run(cfg, args):
@@ -108,7 +114,7 @@ def run(cfg, args):
         rows = [(_fmt(l), _fmt(c), _fmt(f)) for l, f in zip(ls, [curvature(m, l) for l in ls]) for c in cs]
         return _csv("l,c,f_lc", rows), None, None
 
-    rows, finals, analytic, curves = _berry_phase_rows(m, path, methods, cfg)
+    rows, finals, analytic, curves, refused = _berry_phase_rows(m, path, methods, cfg)
     plot = mismatch = None
     if args.plot:
         from .. import svgplot
@@ -131,11 +137,13 @@ def run(cfg, args):
 
     if args.tol is not None:
         # phases are defined mod 2 pi: compare each method with the analytic
-        # phase on the circle
+        # phase on the circle; a refused refinement bounds nothing, so it fails too
         devs = {k: abs(math.remainder(v - analytic, 2.0 * math.pi)) for k, v in finals.items() if k != "analytic"}
         worst = max(devs.values(), default=0.0)
+        lines = [f"{k} did not converge: refine refused its samples, so every {k} err_est is inf" for k in refused]
         if worst > args.tol:
-            mismatch = (f"oracle disagreement {worst:.3e} exceeds tolerance {args.tol:.3e} "
-                        f"against analytic={analytic:.9e}: "
-                        + ", ".join(f"{k}={finals[k]:.9e} (off by {d:.3e})" for k, d in devs.items()))
+            lines.insert(0, f"oracle disagreement {worst:.3e} exceeds tolerance {args.tol:.3e} "
+                            f"against analytic={analytic:.9e}: "
+                            + ", ".join(f"{k}={finals[k]:.9e} (off by {d:.3e})" for k, d in devs.items()))
+        mismatch = "; ".join(lines) or None
     return _csv("method,mesh,eps,h,phase,err_est", rows), plot, mismatch

@@ -177,12 +177,6 @@ class PlaneWaves(namedtuple("PlaneWaves", "k plus minus")):
 
     __slots__ = ()
 
-    def at(self, u: float):
-        """psi(u) and psi'(u)."""
-        e = cmath.exp(1j * (self.k * u))
-        ep, em = self.plus * e, self.minus * e.conjugate()
-        return ep + em, 1j * self.k * (ep - em)
-
 
 def degenerate_waves(eta: int, n: int):
     """The orthonormal pair sqrt(2) cos(ku), sqrt(2) sin(ku) spanning the n-th

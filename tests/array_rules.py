@@ -1,6 +1,6 @@
-"""Numpy quadrature rules, sampled functions and the dilation-commutator
-check, which the tests use as independent references for the package's
-closed forms and its standard-library wall-strip rule (`berry._strip_rule`)."""
+"""Numpy quadrature rules, point values of plane-wave states, sampled
+functions and the dilation-commutator check, which the tests use as
+independent references for the package's closed forms."""
 
 import functools
 import math
@@ -45,6 +45,14 @@ def oscillatory_rule(a: float, b: float, wavenumber: float, order: int = ORDER):
     """
     cycles = abs(wavenumber) * (b - a) / (2.0 * math.pi)
     return panel_rule(a, b, max(2, math.ceil(4.0 * cycles) + 2), order=order)
+
+
+def plane_wave_values(psi, u):
+    """psi(u) and psi'(u) of the `PlaneWaves` state psi at u, a number or
+    an array; the package itself evaluates no state at a point."""
+    e = np.exp(1j * (psi.k * np.asarray(u, dtype=float)))
+    ep, em = psi.plus * e, psi.minus * np.conj(e)
+    return ep + em, 1j * psi.k * (ep - em)
 
 
 def curvature_flux(m, l1: float, l2: float, c1: float, c2: float) -> float:

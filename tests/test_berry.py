@@ -1,15 +1,25 @@
 """Connection oracles, loop phases, curvature, and the dilation commutator."""
 
 import functools
+import itertools
 import json
 import math
 import pathlib
 import re
+import types
 
 import numpy as np
 import pytest
 
-from array_rules import GridFunction, commutator_defect, curvature_flux, oscillatory_rule, panel_rule, reference_rule
+from array_rules import (
+    GridFunction,
+    commutator_defect,
+    curvature_flux,
+    oscillatory_rule,
+    panel_rule,
+    plane_wave_values,
+    reference_rule,
+)
 import berrybox.berry
 from berrybox.adiabatic import mode_window
 from berrybox.berry import (
@@ -23,7 +33,6 @@ from berrybox.berry import (
     overlap_order,
     refine,
     require_interior_step,
-    standard_mollifier,
     state_overlap,
 )
 from berrybox.boundary import ETA_INF, eta_to_unitary
@@ -105,30 +114,61 @@ def _mollified_sweep(m, path):
 
 
 # ---------------------------------------------------------------------------
-# mollifier profile
+# mollifier profiles
+
+
+def _cos_squared(t):
+    """The cutoff profile of `connection_mollified`, rho(t) = cos^2(pi t/2),
+    at each entry of the array t in [0, 1]."""
+    return np.cos(0.5 * np.pi * np.asarray(t, dtype=float)) ** 2
+
+
+def _smooth_step(t):
+    """The C^infinity profile rho(t) = f(1 - t)/(f(t) + f(1 - t)) built from
+    f(t) = exp(-1/t), identically 1 for t <= 0 and 0 for t >= 1, at each
+    entry of the array t: a second reference profile, flat to every order
+    where it meets the box."""
+    t = np.asarray(t, dtype=float)
+    up = np.where(t < 1.0, np.exp(-1.0 / np.where(t < 1.0, 1.0 - t, 1.0)), 0.0)
+    down = np.where(t > 0.0, np.exp(-1.0 / np.where(t > 0.0, t, 1.0)), 0.0)
+    return up / (up + down)
+
+
+PROFILES = {"cos-squared": _cos_squared, "smooth-step": _smooth_step}
 
 
 def test_mollifier_shape():
-    rho = standard_mollifier()
-    assert rho(0.0) == pytest.approx(1.0, abs=1e-15)
-    assert rho(1.0) == pytest.approx(0.0, abs=1e-15)
-    vals = np.array([rho(t) for t in np.linspace(0.0, 1.0, 201)])
-    assert np.all(vals >= 0.0)
-    assert np.all(np.diff(vals) <= 1e-15)
-    assert all(rho(t) == 0.0 for t in np.linspace(1.0, 3.0, 20))
+    # both profiles fall from 1 to 0 across the strip, and the square of
+    # cos^2(pi t/2) is the plane-wave sum the oracle integrates in closed form
+    t = np.linspace(0.0, 1.0, 201)
+    for rho in PROFILES.values():
+        vals = rho(t)
+        assert vals[0] == pytest.approx(1.0, abs=1e-15) and vals[-1] == pytest.approx(0.0, abs=1e-15)
+        assert np.all(vals >= 0.0)
+        assert np.all(np.diff(vals) <= 1e-15)
+    assert np.all(_smooth_step(np.linspace(1.0, 3.0, 20)) == 0.0)
+    square = sum(w * np.exp(1j * s * t) for w, s in berrybox.berry._PROFILE_SQUARED)
+    assert np.max(np.abs(square - _cos_squared(t) ** 2)) < 1e-15
 
 
 def test_mollifier_flat_at_zero():
-    # one-sided finite differences of orders 1..3 at t = 0 must vanish;
-    # the step must keep every sample in the exp(-1/t)-flat zone
-    rho = standard_mollifier()
+    # one-sided finite differences of orders 1..3 at t = 0 must vanish for
+    # the smooth step; the step must keep every sample in the exp(-1/t)-flat
+    # zone.  cos^2(pi t/2) is C^1: its slope vanishes at both ends, where it
+    # meets the box and the zero beyond, and its curvature does not
     h = 0.01
-    f = [rho(j * h) for j in range(5)]
+    f = _smooth_step(np.arange(5) * h)
     d1 = (f[1] - f[0]) / h
     d2 = (f[2] - 2 * f[1] + f[0]) / h ** 2
     d3 = (f[3] - 3 * f[2] + 3 * f[1] - f[0]) / h ** 3
     for d in (d1, d2, d3):
         assert abs(d) < 1e-6
+    for end, inward in ((0.0, 1.0), (1.0, -1.0)):
+        slopes = [(_cos_squared(end + inward * step) - _cos_squared(end)) / step for step in (h, h / 2)]
+        assert slopes[0] / slopes[1] == pytest.approx(2.0, rel=1e-2)
+    # the second derivative jumps from 0 to -pi^2/2 at t = 0
+    f = _cos_squared(np.arange(3) * h)
+    assert (f[2] - 2 * f[1] + f[0]) / h ** 2 == pytest.approx(-0.5 * np.pi ** 2, rel=1e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -185,11 +225,6 @@ def test_connection_mollified_converges():
     assert np.all(np.abs(a_l) < 1e-10)
 
 
-def _rho(t):
-    """The mollifier profile at each entry of the array t."""
-    return np.vectorize(standard_mollifier())(t)
-
-
 def _embedding_grid(m, g, eps):
     """(nodes, weights) of the embedding: the left wall strip, the box
     interior and the right wall strip, in that order."""
@@ -201,12 +236,12 @@ def _embedding_grid(m, g, eps):
 
 
 def test_mollified_normalization():
-    # the embedded state is normalized by construction for every eps
+    # the embedded state is normalized by construction for every eps and profile
     m = mode(0, 2j)
     l, c = g = (1.3, -0.2)
-    for eps in (0.3, 0.1):
+    for eps, rho in itertools.product((0.3, 0.1), PROFILES.values()):
         x, w = _embedding_grid(m, g, eps)
-        chi = np.where((x >= c - 0.5 * l) & (x <= c + 0.5 * l), 1.0, _rho((np.abs(x - c) - l / 2) / eps))
+        chi = np.where((x >= c - 0.5 * l) & (x <= c + 0.5 * l), 1.0, rho((np.abs(x - c) - l / 2) / eps))
         ext = _extension(m, g, x)[0]
         norm2 = np.sum(w * chi ** 2 * np.abs(ext) ** 2)
         xi = chi / np.sqrt(norm2)
@@ -644,7 +679,7 @@ def test_err_est_bounds_every_refining_row_or_is_inf(monkeypatch):
         m = mode(int(rng.integers(-10, 11)), eta)
         mesh = int(round(48 * (4096 / 48) ** rng.random()))
         path = _drawn_loop(rng, m, size=mesh / ((1.0 + abs(m.k)) * 10 ** rng.uniform(0.5, 2.5)))
-        rows, _, exact, _ = _berry_phase_rows(m, path, ["interior", "mollified", "overlap"], {"mesh": mesh})
+        rows, _, exact, _, _ = _berry_phase_rows(m, path, ["interior", "mollified", "overlap"], {"mesh": mesh})
         for method, _, _, _, phase, err_est in rows:
             assert _circle(phase - exact) <= err_est, (method, m, path, mesh, phase, exact, err_est)
             finite[method].append(err_est < math.inf)
@@ -804,13 +839,13 @@ def test_overlap_deficit_is_linear_in_the_wall_displacements(n, eta_abs):
             assert deficit == pytest.approx(law, rel=1e-3), (m, l, c, dl, dc)
 
 
-def _mollified_in_x(m, g, width):
+def _mollified_in_x(m, g, width, rho=_cos_squared):
     # the embedding in x on one grid through both walls, cutoff of the given
-    # width applied node by node
+    # width and profile applied node by node
     l, c = g
     x, w = _embedding_grid(m, g, width)
     inside = (x >= c - 0.5 * l) & (x <= c + 0.5 * l)
-    chi = np.where(inside, 1.0, _rho((np.abs(x - c) - 0.5 * l) / width))
+    chi = np.where(inside, 1.0, rho((np.abs(x - c) - 0.5 * l) / width))
     ext, (d_dl, d_dc) = _extension(m, g, x)
     weight = w * chi ** 2
     norm2 = np.sum(weight * np.abs(ext) ** 2)
@@ -834,44 +869,82 @@ def test_mollified_connection_is_dilation_covariant():
             assert np.all(np.abs(f_c / l - x_c) <= 1e-13 * scale), (m, e)
 
 
-def _count_strip_nodes(monkeypatch):
-    """The list of the mollified oracle's evaluations of the state, which grows
-    by one entry per node."""
-    nodes = []
-    real = PlaneWaves.at
+@pytest.mark.parametrize("profile", PROFILES)
+def test_mollified_connection_does_not_depend_on_the_profile(profile):
+    # regulator independence on symmetric strips: the embedding in x under
+    # either profile, C^1 or C^infinity, is the closed-form oracle to rounding
+    # at every box and width, since |phi|^2 - 1 is odd about the box center
+    rng = np.random.default_rng(3109)
+    for j in range(9):
+        m = _drawn_mode(rng, j, 12)
+        g = (float(rng.uniform(0.3, 3.0)), float(rng.uniform(-2.0, 2.0)))
+        for e in rng.uniform(0.01, 0.3, 2):
+            f = np.array(connection_mollified(m, e)) / g[0]
+            x = np.array(_mollified_in_x(m, g, e * g[0], PROFILES[profile]))
+            assert np.all(np.abs(f - x) <= 1e-13 * (1.0 + abs(m.k)) / g[0]), (m, g, e)
+            assert abs(f[1] - connection_analytic(m)[1] / g[0]) <= 1e-13 * (1.0 + abs(m.k)) / g[0], (m, g, e)
 
-    def counted(psi, u):
-        nodes.append(u)
-        return real(psi, u)
 
-    monkeypatch.setattr(PlaneWaves, "at", counted)
-    return nodes
+def test_mollified_strips_are_the_embedding_of_any_plane_wave_state():
+    # states with Re(conj(a) b) != 0, which no level has: the norm's cross
+    # term over the strips, 4 eps Re(conj(a) b) Re(e^{ik} E), against the
+    # embedding in u under cos^2(pi t/2)
+    rng = np.random.default_rng(3110)
+    for j in range(12):
+        k = float(rng.uniform(-40.0, 40.0)) if j % 2 else float(rng.uniform(-1e-3, 1e-3))
+        psi = PlaneWaves(k, complex(*rng.normal(size=2)), complex(*rng.normal(size=2)))
+        state = types.SimpleNamespace(waves=psi, k=k)
+        for eps in (0.3, 0.05, 1e-3):
+            u, w = _embedding_grid(state, UNIT, eps)
+            chi2 = w * np.where(np.abs(u) <= 0.5, 1.0, _cos_squared((np.abs(u) - 0.5) / eps)) ** 2
+            val, der = plane_wave_values(psi, u)
+            norm2 = np.sum(chi2 * np.abs(val) ** 2)
+            reference = (np.sum(chi2 * np.imag(np.conj(val) * (-0.5 * val - u * der))) / norm2,
+                         np.sum(chi2 * np.imag(np.conj(val) * -der)) / norm2)
+            got = connection_mollified(state, eps)
+            assert np.max(np.abs(np.subtract(got, reference))) <= 1e-13 * (1.0 + abs(k)), (psi, eps)
 
 
 def test_mollified_sweep_integrates_once_per_width(monkeypatch):
-    # the mollified rows of `berry` evaluate the state on the two wall strips
-    # of each width and nowhere inside the box, whatever the number of sides
-    nodes = _count_strip_nodes(monkeypatch)
+    # the mollified rows of `berry` take one connection per width, whatever
+    # the number of sides, and each is the closed form to rounding
+    widths = []
+    real = berrybox.berry.connection_mollified
+
+    def counted(m, eps):
+        widths.append(eps)
+        return real(m, eps)
+
+    monkeypatch.setattr(berrybox.berry, "connection_mollified", counted)
     for n, eta in ((0, 1j), (7, 0.3 + 0.6j)):
         m = mode(n, eta)
         for path in (RECT, ParameterPath([(1.0, 0.0), (1.3, 0.05), (1.2, 0.3), (1.1, 0.2)])):
-            nodes.clear()
-            _mollified_sweep(m, path)
-            assert len(nodes) == 2 * 12 * 16 * len(_MOLLIFIER_WIDTHS), (m, path)
-            assert all(abs(u) >= 0.5 for u in nodes)
+            widths.clear()
+            phases = _mollified_sweep(m, path)
+            assert widths == list(_MOLLIFIER_WIDTHS), (m, path)
+            exact = loop_phase_analytic(m, path)
+            assert all(abs(p - exact) < 1e-13 * (1.0 + abs(m.k)) for p in phases), (m, path)
 
 
-def test_mollified_work_does_not_grow_with_the_level(monkeypatch):
-    # the interior used to be one grid of O(|k|) nodes: 119 MB at n = 10000
-    nodes = _count_strip_nodes(monkeypatch)
+def test_mollified_work_does_not_grow_with_the_level():
+    # the interior used to be one grid of O(|k|) nodes: 119 MB at n = 10000;
+    # the strips are plane-wave means, at any level
     for n in (0, 100, 10000):
         m = mode(n, 0.3 + 0.6j)
         for eps in (0.2, 0.025):
-            nodes.clear()
             f_l, f_c = connection_mollified(m, eps)
-            assert len(nodes) == 2 * 12 * 16, n
             assert abs(f_c - connection_analytic(m)[1]) < 1e-13 * (1.0 + abs(m.k)), n
             assert abs(f_l) < 1e-13 * (1.0 + abs(m.k)), n
+
+
+def test_mollified_connection_at_widths_near_the_float_range():
+    # the strips' wavenumber 2 k eps overflows, and (1 + 3 eps/4) F_c did:
+    # nan, or a math domain error, where the limit holds at every width
+    for n in (-2, 3, 10000):
+        m = mode(n, 0.3 + 0.6j)
+        for eps in (1e300, 1e308, 1.7e308):
+            f_l, f_c = connection_mollified(m, eps)
+            assert abs(f_c - connection_analytic(m)[1]) < 1e-13 * (1.0 + abs(m.k)) and abs(f_l) < 1e-300, (n, eps)
 
 
 def test_loop_phase_mollified_sweep_matches_single_widths():

@@ -141,19 +141,6 @@ def test_spectrum_generic_check_catches_a_wrong_label(tmp_path, monkeypatch, rel
     assert run(*argv, "--out", str(tmp_path / "wrong.csv")) == 3
 
 
-def test_spectrum_generic_check_builds_no_quadrature_grid(tmp_path, monkeypatch):
-    # the CLI reads only each level's lambda, so a thousand levels cost no
-    # quadrature grid
-    def refuse(*args, **kwargs):
-        raise AssertionError("a quadrature grid was built")
-
-    monkeypatch.setattr(berrybox.berry, "_strip_rule", refuse)
-    out = tmp_path / "spec.csv"
-    assert run("spectrum", "--eta", "0.3+0.6i", "--n-min", "-500", "--n-max", "500", "--check", "generic",
-               "--out", str(out)) == 0
-    assert len(read_csv(out)[1]) == 1001
-
-
 def test_spectrum_huge_box_underflows_lambda_to_zero(tmp_path):
     # l ** 2 raised OverflowError at l = 1e160 (exit 1); lambda underflows
     # to 0 there, as it does where m l^2 overflows
@@ -333,6 +320,25 @@ def test_berry_tol_reports_real_disagreement(tmp_path, monkeypatch, capsys):
     assert "overlap=" in err and "off by 1.0" in err
 
 
+def test_berry_tol_exits_3_when_refine_refuses_a_method(tmp_path, capsys):
+    # the last overlap row is within 8.1e-4 of the closed form, so comparing
+    # phases alone passed --tol 1e-3 (exit 0) while every overlap err_est
+    # read inf: a refused refinement bounds nothing
+    config = tmp_path / "it.json"
+    config.write_text(json.dumps({"loop": {"type": "polyline",
+                                           "points": [[1.2046, 0.5116], [2.0459, -0.499], [2.7744, 0.9656]]}}))
+    out = tmp_path / "b.csv"
+    argv = ("berry", "--config", str(config), "--eta=1.2409+1.6087i", "--n", "-1", "--method", "analytic,overlap")
+    assert run(*argv, "--tol", "1e-3", "--out", str(out)) == 3
+    err = capsys.readouterr().err
+    assert "overlap did not converge" in err and "disagreement" not in err
+    rows = read_csv(out)[1]
+    assert abs(float(rows[-1][4]) - float(rows[0][4])) < 1e-3
+    assert all(r[5] == "inf" for r in rows if r[0] == "overlap")
+    # without --tol nothing is cross-checked
+    assert run(*argv, "--out", str(out)) == 0
+
+
 def test_berry_interior_agrees_far_off_centre(tmp_path):
     # |c|/l = 1e7: the interior windows once formed x - c, lost digits and
     # exited 3, off by 3.6e-5 while the overlap row agreed to 1e-16
@@ -471,23 +477,6 @@ def test_berry_plot_draws_the_csv_digits(tmp_path, monkeypatch):
             assert run(*argv, "--out", str(out), "--plot", str(svg)) == 0
         outputs.append((out.read_bytes(), svg.read_bytes()))
     assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
-
-
-def test_berry_builds_each_gauss_rule_once(tmp_path, monkeypatch):
-    # on the standard library: numpy's leggauss is never called, and the one
-    # wall-strip rule is built once per process and read at every width
-    def refused(order):
-        raise AssertionError("berry called numpy's leggauss")
-
-    monkeypatch.setattr(np.polynomial.legendre, "leggauss", refused)
-    berrybox.berry._strip_rule.cache_clear()
-    try:
-        assert run("berry", "--method", "all", "--mesh", "64", "--out", str(tmp_path / "b.csv"),
-                   "--plot", str(tmp_path / "b.svg")) == 0
-        info = berrybox.berry._strip_rule.cache_info()
-    finally:
-        berrybox.berry._strip_rule.cache_clear()
-    assert info.misses == info.currsize == 1 and info.hits == 3
 
 
 # ---------------------------------------------------------------------------

@@ -1,23 +1,9 @@
-"""The wall-strip rule of the mollified oracle, and the numpy panel rules the
-tests compare against."""
+"""The numpy panel rules the tests compare against."""
 
 import numpy as np
 import pytest
 
 from array_rules import panel_rule, reference_rule
-from berrybox.berry import _strip_rule
-
-
-def test_strip_rule_matches_leggauss():
-    # numpy's 16-point rule mapped onto 12 equal panels of [0, 1], to 1e-15
-    xg, wg = np.polynomial.legendre.leggauss(16)
-    edges = np.arange(13) / 12.0
-    half, mid = 0.5 * np.diff(edges)[:, None], 0.5 * (edges[:-1] + edges[1:])[:, None]
-    t, w = np.array(_strip_rule()).T
-    assert t.shape == (192,)
-    assert np.max(np.abs(t - (mid + half * xg).ravel())) <= 1e-15
-    assert np.max(np.abs(w - (half * wg).ravel())) <= 1e-15
-    assert _strip_rule() is _strip_rule()
 
 
 def test_reference_rule_is_read_only_and_shared():

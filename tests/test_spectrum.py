@@ -8,7 +8,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from array_rules import GridFunction, oscillatory_rule
+from array_rules import GridFunction, oscillatory_rule, plane_wave_values
 from berrybox.berry import state_overlap
 from berrybox.boundary import ETA_INF, as_eta, eta_to_unitary
 from berrybox.boundary_triple import BoundaryData, bc_residual, boundary_form, dilation_transport
@@ -30,18 +30,12 @@ import berrybox.spectrum
 UNIT = (1.0, 0.0)
 
 
-def _values(w, u):
-    """psi(u) of the plane-wave record w at each point of the array u."""
-    u = np.asarray(u, dtype=float)
-    return w.plus * np.exp(1j * w.k * u) + w.minus * np.exp(-1j * w.k * u)
-
-
 def _physical(m, g, x):
     """The eigenfunction l^-1/2 phi((x - c)/l) at the box g = (l, c), zero outside it."""
     l, c = g
     x = np.asarray(x, dtype=float)
     inside = (x >= c - 0.5 * l) & (x <= c + 0.5 * l)
-    return np.where(inside, _values(m.waves, (x - c) / l) / np.sqrt(l), 0.0 + 0.0j)
+    return np.where(inside, plane_wave_values(m.waves, (x - c) / l)[0] / np.sqrt(l), 0.0 + 0.0j)
 
 
 def _sampled(level):
@@ -58,7 +52,7 @@ def _sampled(level):
 
 def _boundary_data(m, l=1.0):
     """Endpoint values and x-derivatives of the eigenfunction at a box of length l."""
-    (va, da), (vb, db) = (m.waves.at(u) for u in (-0.5, 0.5))
+    (va, da), (vb, db) = (plane_wave_values(m.waves, u) for u in (-0.5, 0.5))
     return BoundaryData(va / np.sqrt(l), vb / np.sqrt(l), da / l ** 1.5, db / l ** 1.5)
 
 
@@ -127,7 +121,7 @@ def test_closed_forms_match_the_numpy_expressions_they_replace():
 
 def test_eigenfunction_endpoint_value():
     m = mode(0, 1j)
-    assert m.waves.at(0.5)[0] == pytest.approx((1 + 1j) / np.sqrt(2.0), abs=1e-14)
+    assert plane_wave_values(m.waves, 0.5)[0] == pytest.approx((1 + 1j) / np.sqrt(2.0), abs=1e-14)
 
 
 def test_mode_waves_are_the_closed_form_eigenfunction():
@@ -140,7 +134,7 @@ def test_mode_waves_are_the_closed_form_eigenfunction():
             m = mode(n, eta)
             e = np.exp(1j * m.alpha)
             for x in u:
-                val, der = m.waves.at(x)
+                val, der = plane_wave_values(m.waves, x)
                 assert abs(val - (np.sin(m.k * x) + e * np.cos(m.k * x))) <= 1e-14 * (1 + abs(m.k * x)), (eta, n, x)
                 assert abs(der - m.k * (np.cos(m.k * x) - e * np.sin(m.k * x))) <= 1e-14 * (1 + abs(m.k)) ** 2
                 if m.sin_alpha == 0.0:
@@ -160,7 +154,7 @@ def test_unit_norm_and_orthogonality():
     x, w = oscillatory_rule(-0.5, 0.5, 2.0 * abs(wavenumber(-6, 1j)))
     for eta in (1j, 0.5, -0.3 + 0.4j, ETA_INF):
         modes = [mode(n, eta) for n in range(-6, 7)]
-        vals = np.array([_values(m.waves, x) for m in modes])
+        vals = np.array([plane_wave_values(m.waves, x)[0] for m in modes])
         gram = (vals.conj() * w) @ vals.T
         assert np.max(np.abs(gram - np.eye(len(modes)))) < 1e-10
 
@@ -181,7 +175,7 @@ def test_eigen_residual():
             m = mode(n, eta)
             l = 1.7
             lam = eigenvalue(m.k, l, mass=1.3)
-            phi = _values(m.waves, x)
+            phi = plane_wave_values(m.waves, x)[0]
             residual = -(-m.k ** 2 * phi) / (2.0 * 1.3 * l ** 2) - lam * phi
             assert np.sqrt(np.sum(w * np.abs(residual) ** 2)) < 1e-8
 
@@ -208,7 +202,7 @@ def test_dilation_covariance():
     m = mode(1, -0.3 + 0.4j)
     l, c = g = (1.8, -0.4)
     x = np.linspace(c - 0.5 * l, c + 0.5 * l, 101)
-    manual = np.array([m.waves.at(u)[0] for u in (x - c) / l]) / np.sqrt(l)
+    manual = np.array([plane_wave_values(m.waves, u)[0] for u in (x - c) / l]) / np.sqrt(l)
     assert np.max(np.abs(_physical(m, g, x) - manual)) < 1e-12
     # endpoint data follow the same transport
     ref = _boundary_data(m)
@@ -280,18 +274,18 @@ def test_degenerate_basis():
     # degenerate_waves is the pair sqrt(2) cos(ku), sqrt(2) sin(ku): real,
     # orthonormal, at the degenerate wavenumber
     x, w = oscillatory_rule(-0.5, 0.5, 8 * np.pi)
-    ci, si = (f.at(0.0)[0] for f in degenerate_waves(1, 1))
+    ci, si = (plane_wave_values(f, 0.0)[0] for f in degenerate_waves(1, 1))
     assert ci == pytest.approx(np.sqrt(2.0)) and si == 0.0
-    ci, si = (f.at(0.0)[0] for f in degenerate_waves(-1, 0))
+    ci, si = (plane_wave_values(f, 0.0)[0] for f in degenerate_waves(-1, 0))
     assert ci == pytest.approx(np.sqrt(2.0)) and si == 0.0
     for eta, n in ((1, 1), (1, 3), (-1, 0), (-1, 2)):
         pair = degenerate_waves(eta, n)
         k = degenerate_wavenumber(eta, n)
         assert all(f.k == k for f in pair)
-        fi, fii = (_values(f, x) for f in pair)
+        fi, fii = (plane_wave_values(f, x)[0] for f in pair)
         assert np.max(np.abs(fi - np.sqrt(2.0) * np.cos(k * x))) < 1e-14
         assert np.max(np.abs(fii - np.sqrt(2.0) * np.sin(k * x))) < 1e-14
-        assert all(f.at(u)[0].imag == 0.0 for f in pair for u in (-0.5, 0.1, 0.5))
+        assert all(plane_wave_values(f, u)[0].imag == 0.0 for f in pair for u in (-0.5, 0.1, 0.5))
         assert abs(np.sum(w * fi * fii)) < 1e-12
         assert np.sum(w * np.abs(fi) ** 2) == pytest.approx(1.0, abs=1e-12)
         assert np.sum(w * np.abs(fii) ** 2) == pytest.approx(1.0, abs=1e-12)
