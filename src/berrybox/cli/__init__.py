@@ -25,14 +25,16 @@ Handlers compute and `main` writes.  `run(cfg, args)` returns the output
 text (None where nothing may be written), the SVG text of --plot (or None)
 and the stderr line of a failed cross-check (or None).  `main` alone
 resolves the config, writes the output (to stdout without --out),
-<out>.config.json and the plot, and exits 2 on invalid input or a path it
-cannot write, leaving no file of the run, and 3 on a mismatch, after the
-writes.  Floating-point output is scientific with 9 significant digits, with no -0,
-so identical configurations produce byte-identical files.
+<out>.config.json and the plot, and exits 2 on invalid input, on two of
+those files or --config on one path, or on a path it cannot write, leaving
+no file of the run, and 3 on a mismatch, after the writes.  Floating-point
+output is scientific with 9 significant digits, with no -0, so identical
+configurations produce byte-identical files.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import re
@@ -188,6 +190,19 @@ def _loop(cfg, args) -> "ParameterPath":
         raise UsageError(f"invalid loop definition: {exc}") from exc
 
 
+def _check_paths(args):
+    """Exit 2 where two files of the run are one file: --out, <out>.config.json
+    and --plot are three, and --config is neither --out nor --plot, so no file
+    overwrites another or the config it was read from.  Rerunning in place,
+    --config <out>.config.json --out <out>, reads the file before it is written."""
+    files = [("--config", args.config), ("--out", args.out), ("--out's config", args.out and f"{args.out}.config.json"),
+             ("--plot", getattr(args, "plot", None))]
+    files = [(option, path, os.path.realpath(path)) for option, path in files if path]
+    for (first, path, real), (second, other, real_other) in itertools.combinations(files, 2):
+        if real == real_other and (first, second) != ("--config", "--out's config"):
+            raise UsageError(f"{first} {path} and {second} {other} are one file; give each a path of its own")
+
+
 def _write(args, cfg: dict, text: str, plot):
     """Write a run's files, --out, <out>.config.json and --plot, then its output
     to stdout where --out is not given.  A path that cannot be written exits 2
@@ -323,6 +338,7 @@ def main(argv=None) -> int:
         args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         cfg = _resolve(args)
+        _check_paths(args)
         text, plot, mismatch = args.fn(cfg, args)
         if text is not None:
             _write(args, cfg, text, plot)

@@ -32,55 +32,54 @@ _MOLLIFIER_WIDTHS = (0.2, 0.1, 0.05, 0.025)
 
 
 def _berry_phase_rows(m, path, methods, cfg):
-    """Per-method convergence rows, each method's final phase, the analytic
-    phase, the (x, unrounded phases) of the overlap and mollified rows, x
-    being the mesh or 1/eps, which --plot draws, and the refining methods
-    whose samples `refine` refused (every err_est inf).  Every err_est of a
-    refining method is `refine`'s, at the order the method converges at."""
-    # the closed form and every oracle run on the standard library
+    """Per-method convergence rows, each refining method's limit, which --tol
+    compares, the analytic phase, the (x, unrounded phases) --plot draws, and
+    the methods whose samples `refine` refused (every err_est inf, the limit
+    the last sample): one loop runs each entry of the oracle table once."""
     from ..closed_form import loop_phase_analytic
 
-    rows, finals, curves, refused = [], {}, {}, []
+    rows, limits, curves, refused = [], {}, {}, []
     analytic = loop_phase_analytic(m, path)
-    # an oracle's phase is -F_c, of its connection F at the unit box, times the loop integral of dc/l
-    dc_over_l = path.dc_over_l()
     if "analytic" in methods:
         rows.append(("analytic", "", "", "", _fmt(analytic), ""))
-        finals["analytic"] = analytic
-    if "interior" in methods:
-        from ..berry import connection_interior, refine
+    if set(methods) == {"analytic"}:  # the closed form alone imports no oracle
+        return rows, limits, analytic, curves, refused
+    from ..berry import connection_interior, connection_mollified, loop_phase_overlap_meshes, overlap_order, refine
 
-        phases = [-connection_interior(m, h)[1] * dc_over_l for h in _INTERIOR_STEPS]
-        errs = refine(_INTERIOR_STEPS, phases, 2)[2]
-        rows.extend(("interior", "", "", _fmt(h), _fmt(p), _fmt(e)) for h, p, e in zip(_INTERIOR_STEPS, phases, errs))
-        finals["interior"] = phases[-1]
-    if "mollified" in methods:
-        from ..berry import connection_mollified, refine
+    # a connection's phase is -F_c, of F at the unit box, times the loop integral of dc/l
+    dc_over_l = path.dc_over_l()
 
-        phases = [-connection_mollified(m, eps)[1] * dc_over_l for eps in _MOLLIFIER_WIDTHS]
-        limit, _, errs, converged = refine(_MOLLIFIER_WIDTHS, phases, 1)
+    def connection(oracle):
+        return lambda regulators: [-oracle(m, r)[1] * dc_over_l for r in regulators]
+
+    # a floor of 16 keeps the coarsest chain off samplings where boxes stop overlapping
+    meshes = sorted({max(int(cfg["mesh"]) // d, 16) for d in (4, 2, 1)})
+    # each refining oracle, in the order of its rows: the CSV cells (mesh, eps, h) of
+    # a regulator sample, its samples, `refine`'s parameter of a sample and expected
+    # order, the lifted phases at the samples, whether the limit gets a row at
+    # regulator 0, and the x --plot draws for a sample (None: no curve)
+    oracles = {
+        "interior": (lambda h: ("", "", _fmt(h)), _INTERIOR_STEPS, float, 2,
+                     connection(connection_interior), False, None),
+        "mollified": (lambda eps: ("", _fmt(eps), ""), _MOLLIFIER_WIDTHS, float, 1,
+                      connection(connection_mollified), True, lambda eps: 1.0 / eps),
+        "overlap": (lambda mesh: (str(mesh), "", ""), meshes, lambda mesh: 1.0 / mesh, overlap_order(path),
+                    lambda ns: loop_phase_overlap_meshes(m, path, ns), False, lambda mesh: mesh),
+    }
+    for name, (cells, samples, param, order, phases_at, limit_row, plot_x) in oracles.items():
+        if name not in methods:
+            continue
+        phases = phases_at(samples)
+        limit, _, errs, converged = refine([param(s) for s in samples], phases, order)
+        rows.extend((name, *cells(s), _fmt(p), _fmt(e)) for s, p, e in zip(samples, phases, errs))
+        if limit_row:
+            rows.append((name, *cells(0.0), _fmt(limit), _fmt(errs[-1])))
+        limits[name] = limit
         if not converged:
-            refused.append("mollified")
-        rows.extend(("mollified", "", _fmt(eps), "", _fmt(p), _fmt(e))
-                    for eps, p, e in zip(_MOLLIFIER_WIDTHS, phases, errs))
-        rows.append(("mollified", "", _fmt(0.0), "", _fmt(limit), _fmt(errs[-1])))
-        finals["mollified"] = limit
-        curves["mollified"] = ([1.0 / e for e in _MOLLIFIER_WIDTHS], phases)
-    if "overlap" in methods:
-        from ..berry import loop_phase_overlap_meshes, overlap_order, refine
-
-        mesh = int(cfg["mesh"])
-        # a floor of 16 keeps the coarsest chain away from degenerate
-        # samplings where neighboring boxes stop overlapping
-        meshes = sorted({max(mesh // 4, 16), max(mesh // 2, 16), max(mesh, 16)})
-        phases = loop_phase_overlap_meshes(m, path, meshes)
-        _, _, errs, converged = refine([1.0 / n for n in meshes], phases, overlap_order(path))
-        if not converged:
-            refused.append("overlap")
-        rows.extend(("overlap", str(n), "", "", _fmt(p), _fmt(e)) for n, p, e in zip(meshes, phases, errs))
-        finals["overlap"] = phases[-1]
-        curves["overlap"] = (meshes, phases)
-    return rows, finals, analytic, curves, refused
+            refused.append(name)
+        if plot_x:
+            curves[name] = ([plot_x(s) for s in samples], phases)
+    return rows, limits, analytic, curves, refused
 
 
 def run(cfg, args):
@@ -114,7 +113,7 @@ def run(cfg, args):
         rows = [(_fmt(l), _fmt(c), _fmt(f)) for l, f in zip(ls, [curvature(m, l) for l in ls]) for c in cs]
         return _csv("l,c,f_lc", rows), None, None
 
-    rows, finals, analytic, curves, refused = _berry_phase_rows(m, path, methods, cfg)
+    rows, limits, analytic, curves, refused = _berry_phase_rows(m, path, methods, cfg)
     plot = mismatch = None
     if args.plot:
         from .. import svgplot
@@ -136,14 +135,14 @@ def run(cfg, args):
                                      ylabel="|phase - analytic|", logx=True, logy=True)
 
     if args.tol is not None:
-        # phases are defined mod 2 pi: compare each method with the analytic
+        # phases are defined mod 2 pi: compare each method's limit with the analytic
         # phase on the circle; a refused refinement bounds nothing, so it fails too
-        devs = {k: abs(math.remainder(v - analytic, 2.0 * math.pi)) for k, v in finals.items() if k != "analytic"}
+        devs = {k: abs(math.remainder(v - analytic, 2.0 * math.pi)) for k, v in limits.items()}
         worst = max(devs.values(), default=0.0)
         lines = [f"{k} did not converge: refine refused its samples, so every {k} err_est is inf" for k in refused]
         if worst > args.tol:
             lines.insert(0, f"oracle disagreement {worst:.3e} exceeds tolerance {args.tol:.3e} "
                             f"against analytic={analytic:.9e}: "
-                            + ", ".join(f"{k}={finals[k]:.9e} (off by {d:.3e})" for k, d in devs.items()))
+                            + ", ".join(f"{k}={limits[k]:.9e} (off by {d:.3e})" for k, d in devs.items()))
         mismatch = "; ".join(lines) or None
     return _csv("method,mesh,eps,h,phase,err_est", rows), plot, mismatch

@@ -110,7 +110,7 @@ def _loop_phase(f, path):
 def _mollified_sweep(m, path):
     """The unrounded phases of `berry`'s mollified rows, one per width of
     `_MOLLIFIER_WIDTHS`."""
-    return _berry_phase_rows(m, path, ["mollified"], {})[3]["mollified"][1]
+    return _berry_phase_rows(m, path, ["mollified"], {"mesh": 256})[3]["mollified"][1]
 
 
 # ---------------------------------------------------------------------------

@@ -281,6 +281,32 @@ def test_curvature_grid_is_np_linspace_bit_for_bit(lo, hi):
         assert np.array(berrybox.cli._linspace(lo, hi, num)).tobytes() == np.linspace(lo, hi, num).tobytes(), num
 
 
+def test_two_files_of_one_run_on_one_path_exit_2_and_write_nothing(tmp_path, capsys):
+    config = tmp_path / "c.json"
+    config.write_text('{"n": 1}\n')
+    same = tmp_path / "same.out"
+    # the SVG replaced the CSV, and the CSV the config it was read from (exit 0)
+    assert run("berry", "--eta", "0.3+0.6i", "--n", "1", "--method", "all",
+               "--out", str(same), "--plot", str(same)) == 2
+    assert "--out" in capsys.readouterr().err
+    assert run("berry", "--config", str(config), "--out", str(config), "--method", "analytic") == 2
+    assert "--config" in capsys.readouterr().err
+    # the check is main's, for every subcommand: one file spelt two ways, the
+    # plot on --out's config, and the config as the plot
+    for argv in (["--out", str(same), "--plot", str(tmp_path / "." / "same.out")],
+                 ["--out", str(same), "--plot", f"{same}.config.json"],
+                 ["--config", str(config), "--plot", str(config)]):
+        assert run("adiabatic", *argv) == 2
+        assert "are one file" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["c.json"]
+    assert config.read_text() == '{"n": 1}\n'
+    # rerunning in place reads <out>.config.json before writing it
+    assert run("berry", "--config", str(config), "--method", "analytic", "--out", str(same)) == 0
+    written = (tmp_path / "same.out.config.json").read_bytes()
+    assert run("berry", "--config", str(tmp_path / "same.out.config.json"), "--out", str(same)) == 0
+    assert (tmp_path / "same.out.config.json").read_bytes() == written
+
+
 def test_berry_tol_gate_exit3(tmp_path):
     out = tmp_path / "berry.csv"
     code = run("berry", "--eta", "0+2i", "--n", "0", "--loop-rect", "1", "2", "0", "1",
@@ -305,19 +331,51 @@ def test_berry_tol_compares_phases_on_the_circle(tmp_path, monkeypatch):
     assert abs(finals["overlap"] - finals["analytic"]) > 1.0
 
 
-def test_berry_tol_reports_real_disagreement(tmp_path, monkeypatch, capsys):
-    real = berrybox.berry.loop_phase_overlap_meshes
+def _shifted_by_a_tenth(method):
+    """(the name of the library function `method` runs, that function patched
+    so that every phase it gives around the rectangle [1, 2] x [0, 1] is 0.1
+    larger)."""
+    if method == "overlap":
+        real_chain = berrybox.berry.loop_phase_overlap_meshes
+        return "loop_phase_overlap_meshes", lambda m, path, meshes: [p + 0.1 for p in real_chain(m, path, meshes)]
+    name = f"connection_{method}"
+    real = getattr(berrybox.berry, name)
+    # a connection's phase is -F_c times the loop integral of dc/l
+    shift = -0.1 / rectangle_loop(1.0, 2.0, 0.0, 1.0).dc_over_l()
 
-    def shifted(m, path, meshes):
-        return [phase + 0.1 for phase in real(m, path, meshes)]
+    def shifted(m, regulator):
+        f_l, f_c = real(m, regulator)
+        return f_l, f_c + shift
 
+    return name, shifted
+
+
+@pytest.mark.parametrize("method", ["interior", "mollified", "overlap"])
+def test_berry_tol_reports_real_disagreement(tmp_path, monkeypatch, capsys, method):
+    # each oracle's limit is compared: a method off by 0.1 at every sample
+    # is off by 0.1 in the limit too, and --tol names it alone
     argv = ("berry", "--eta", "0+1i", "--n", "0", "--loop-rect", "1", "2", "0", "1",
-            "--method", "analytic,overlap", "--mesh", "64", "--tol", "1e-2", "--out", str(tmp_path / "b.csv"))
+            "--method", "all", "--mesh", "64", "--tol", "1e-2", "--out", str(tmp_path / "b.csv"))
     assert run(*argv) == 0
-    monkeypatch.setattr(berrybox.berry, "loop_phase_overlap_meshes", shifted)
+    monkeypatch.setattr(berrybox.berry, *_shifted_by_a_tenth(method))
     assert run(*argv) == 3
     err = capsys.readouterr().err
-    assert "overlap=" in err and "off by 1.0" in err
+    off = {name: re.search(rf"\b{name}=\S+ \(off by (\S+)\)", err) for name in ("interior", "mollified", "overlap")}
+    assert all(off.values()), err
+    assert abs(float(off[method][1]) - 0.1) < 1e-3, err
+    assert all(float(found[1]) < 1e-2 for name, found in off.items() if name != method), err
+
+
+def test_berry_tol_compares_each_methods_limit(tmp_path, capsys):
+    # at n = 1 the last overlap sample is off by 4.6e-3 (exit 3 when --tol
+    # compared it), and its limit, at fitted order 1.97, by 2.7e-5; at n = 3
+    # the limit is still off by 4.0e-3
+    argv = ("berry", "--eta=0.3+0.6i", "--method", "all", "--tol", "1e-3", "--out", str(tmp_path / "b.csv"))
+    assert run(*argv, "--n", "1") == 0
+    assert capsys.readouterr().err == ""
+    assert run(*argv, "--n", "3") == 3
+    err = capsys.readouterr().err
+    assert "overlap=" in err and "off by 4.0" in err and "did not converge" not in err
 
 
 def test_berry_tol_exits_3_when_refine_refuses_a_method(tmp_path, capsys):

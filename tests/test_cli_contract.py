@@ -9,7 +9,8 @@ own, with a seeded `random.Random`.  The contract:
 * the exit code is 0, 2 or 3, and 3 only from a cross-check (`--tol`,
   `--check`, or `wz`'s connection check);
 * no exception escapes `main` (which would be a traceback and exit 1);
-* exit 2 writes no file, and its message names the offending input.
+* exit 2 writes no file and changes none, and its message names the
+  offending input.
 
 Commands that broke the contract are kept below as named cases.  The same
 commands, each also with its options in `--flag=value` form, check that the
@@ -43,6 +44,7 @@ _NAMES = {
     "--tol": ("tol",), "--loop-rect": ("loop", "side", "l", "box"),
     "--orientation": ("orientation",), "--T-list": ("T", "T_list"), "--window": ("window",),
     "--resolution": ("resolution",), "--curvature-map": ("curvature map",), "--plot": ("plot",),
+    "--config": ("config",),
 }
 
 
@@ -83,7 +85,11 @@ def _draw(rng):
 
 
 def _run(argv, directory):
-    """(exit code, stderr, files left) of one command run in `directory`."""
+    """(exit code, stderr, files written or changed) of one command run in
+    `directory`, where a --config file it names holds {} beforehand."""
+    if "--config" in argv:
+        (directory / argv[argv.index("--config") + 1]).write_text("{}\n")
+    before = {name: (directory / name).read_bytes() for name in os.listdir(directory)}
     err = io.StringIO()
     cwd = os.getcwd()
     os.chdir(directory)
@@ -93,7 +99,8 @@ def _run(argv, directory):
                 code = main(list(argv) + ["--out", "o.out"])
             except SystemExit as exc:  # argparse's usage errors
                 code = exc.code
-        return code, err.getvalue(), sorted(os.listdir(directory))
+        after = sorted(os.listdir(directory))
+        return code, err.getvalue(), [name for name in after if (directory / name).read_bytes() != before.get(name)]
     finally:
         os.chdir(cwd)
 
@@ -120,7 +127,9 @@ def _check_contract(argv, directory):
 # (exit 2), a slow side whose generator entries all sat near the smallest
 # normal float, where QL did not converge (exit 2, "moves too fast"), and a
 # --plot path in a missing directory, which raised out of main after the
-# table and its config were written (exit 1)
+# table and its config were written (exit 1), and two files of one run on
+# one path, --plot on --out's or --out on the --config read, where the last
+# file written replaced the other (exit 0)
 _FOUND = [
     pytest.param(["bc", "--eta=1e300+1e300i"], 0, id="bc-eta-1e300"),
     pytest.param(["spectrum", "--eta=1e300+1e300i", "--check", "generic"], 0, id="spectrum-generic-eta-1e300"),
@@ -132,6 +141,9 @@ _FOUND = [
     pytest.param(["berry", "--method", "analytic", "--plot", "missing/p.svg"], 2, id="berry-plot-missing-directory"),
     pytest.param(["adiabatic", "--T-list", "2", "--window", "2", "--plot", "missing/p.svg"], 2,
                  id="adiabatic-plot-missing-directory"),
+    pytest.param(["berry", "--eta", "0.3+0.6i", "--n", "1", "--method", "all", "--plot", "o.out"], 2,
+                 id="berry-plot-on-out"),
+    pytest.param(["berry", "--config", "o.out", "--method", "analytic"], 2, id="berry-out-on-config"),
 ]
 
 
@@ -141,14 +153,18 @@ def test_found_commands_keep_the_contract(tmp_path, argv, code):
 
 
 def test_found_messages_name_their_input(tmp_path):
-    expected = {"wz": r"level n = 65 on the loop", "adiabatic": r"\bT = "}
+    missing = r"cannot write --plot missing/p\.svg"
+    expected = {"wz-infinite-angle": r"level n = 65 on the loop", "adiabatic-T-subnormal": r"\bT = ",
+                "adiabatic-T-huge": r"\bT = ", "berry-plot-missing-directory": missing,
+                "adiabatic-plot-missing-directory": missing,
+                "berry-plot-on-out": r"--out o\.out and --plot o\.out are one file",
+                "berry-out-on-config": r"--config o\.out and --out o\.out are one file"}
     for param in _FOUND:
         argv, code = param.values
         if code == 2:
             directory = tmp_path / param.id
             directory.mkdir()
-            want = r"cannot write --plot missing/p\.svg" if "--plot" in argv else expected[argv[0]]
-            assert re.search(want, _run(argv, directory)[1]), param.id
+            assert re.search(expected[param.id], _run(argv, directory)[1]), param.id
 
 
 def test_fuzzed_commands_keep_the_contract(tmp_path):
